@@ -53,10 +53,17 @@ func (b *bench) problem(format string, args ...any) {
 	b.failures = append(b.failures, fmt.Sprintf(format, args...))
 }
 
-// open starts a service on a plan-store directory, restoring whatever is
-// there. When tracing, the call is a service.open span tagged "restore"
-// when it restored artifacts and "empty" otherwise.
+// open starts a service: memory-only when dir is "" (service.New, as
+// lancet-serve runs without -store-dir), otherwise on a plan-store
+// directory, restoring whatever is there. When tracing, service.Open is a
+// service.open span tagged "restore" when it restored artifacts and
+// "empty" otherwise.
 func (b *bench) open(cfg service.Config, dir string) error {
+	if dir == "" {
+		svc := service.New(cfg)
+		b.svc, b.h, b.dir = svc, svc.Handler(), ""
+		return nil
+	}
 	var start int64
 	if b.tr != nil {
 		start = b.tr.now()

@@ -156,7 +156,7 @@ func setupSeed(seed int64) int64 { return (seed % 1_000_000) * 10_000_000 }
 
 // coldWorkload is plan-cold: one client, every request a plan-store miss
 // that runs session lookup or build, dwsched, the partition DP, rewrite,
-// simulate, encode and a disk write-through.
+// simulate and encode, and stores its result in the memory tier.
 type coldWorkload struct {
 	shapes []coldShape
 	sample int // ops whose outputs the check recomputes
@@ -185,14 +185,14 @@ func newColdWorkload(small bool) *coldWorkload {
 
 func (w *coldWorkload) name() string { return "plan-cold" }
 
-// setUp opens a service on an empty store and plans every shape once, so
-// routing proxies and the tutel path are warm as in a long-lived server.
+func (w *coldWorkload) clients() int { return 1 }
+
+// setUp opens a memory-only service and plans every shape once, so routing
+// proxies and the tutel path are warm as in a long-lived server. There is
+// no disk tier: it would fsync each miss's artifact inside the request, and
+// on a shared host fsync time follows the neighbours' I/O.
 func (w *coldWorkload) setUp(b *bench) error {
-	dir, err := b.storeDir()
-	if err != nil {
-		return err
-	}
-	if err := b.open(service.Config{}, dir); err != nil {
+	if err := b.open(service.Config{}, ""); err != nil {
 		return err
 	}
 	w.pool = newMirrorLRU(32)
@@ -404,8 +404,8 @@ func (w *coldWorkload) verify(b *bench, before, after service.StatsResponse, p *
 }
 
 // check recomputes the sampled ops' results with service.Compute on
-// sessions built from scratch, and re-requests them to prove the memory
-// and disk tiers serve the same bytes.
+// sessions built from scratch, and re-requests them: the memory tier, or a
+// recompute once the tier has evicted the key, must serve the same bytes.
 func (w *coldWorkload) check(b *bench) {
 	rec := newRecorder()
 	for _, i := range w.checks {
@@ -441,15 +441,13 @@ func (w *coldWorkload) check(b *bench) {
 			b.fail("check op %d: %v", i, err)
 			continue
 		}
-		start, lat, err := b.serve(rec, "/v1/plan", body)
-		if err != nil {
+		if _, _, err := b.serve(rec, "/v1/plan", body); err != nil {
 			b.fail("check op %d: %v", i, err)
 			continue
 		}
 		state := rec.hdr.Get("X-Lancet-Cache")
-		b.rootSpan(-1, "/v1/plan", state, start, lat)
-		if state != "hit" && state != "disk" {
-			b.fail("check op %d: re-request cache state %q, want hit or disk", i, state)
+		if state != "hit" && state != "miss" {
+			b.fail("check op %d: re-request cache state %q, want hit or miss", i, state)
 		}
 		if !bytes.Equal(rec.body.Bytes(), k.body) {
 			b.fail("check op %d: %s re-request body differs from the miss that stored it", i, state)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"lancet"
@@ -58,8 +59,8 @@ type driftSample struct {
 }
 
 // driftWorkload is drift-replan: one client streams /v1/routing updates
-// for a few 32-GPU jobs; an update that triggers a re-plan lasts until the
-// re-plan has landed.
+// for a few 32-GPU jobs to a memory-only service; an update that triggers
+// a re-plan lasts until the re-plan has landed.
 type driftWorkload struct {
 	fleets []fleet
 	warm   int // warm-up updates per job, part of set-up
@@ -87,14 +88,13 @@ func newDriftWorkload(small bool) *driftWorkload {
 
 func (w *driftWorkload) name() string { return "drift-replan" }
 
-// setUp opens a service and streams each job's warm-up prefix; the first
-// update of a job computes its initial plan synchronously.
+func (w *driftWorkload) clients() int { return 1 }
+
+// setUp opens a memory-only service (a disk tier would fsync every
+// re-plan, as on plan-cold) and streams each job's warm-up prefix; the
+// first update of a job computes its initial plan synchronously.
 func (w *driftWorkload) setUp(b *bench) error {
-	dir, err := b.storeDir()
-	if err != nil {
-		return err
-	}
-	if err := b.open(service.Config{DriftThreshold: driftThreshold, DecayHalfLife: driftHalfLife}, dir); err != nil {
+	if err := b.open(service.Config{DriftThreshold: driftThreshold, DecayHalfLife: driftHalfLife}, ""); err != nil {
 		return err
 	}
 	w.rng = rand.New(rand.NewSource(b.seed))
@@ -248,18 +248,23 @@ func (w *driftWorkload) update(b *bench, rec *recorder, i int, p *phase) error {
 }
 
 // awaitReplan polls Stats until the triggered re-plan has landed (or
-// failed), sleeping at most 50µs between polls.
+// failed), yielding the P between polls. It does not sleep: an idle P
+// blocks a sub-millisecond time.Sleep in epoll_wait for a whole
+// millisecond. On landing it yields once more, so that on one P the
+// re-plan's goroutine clears the session's in-flight flag before the
+// job's next update can detect drift again.
 func (w *driftWorkload) awaitReplan(b *bench, before service.DriftStats) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		d := b.svc.Stats().Drift
 		if d.Replans+d.ReplanErrors > before.Replans+before.ReplanErrors {
+			runtime.Gosched()
 			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("triggered re-plan did not land within 10s")
 		}
-		time.Sleep(50 * time.Microsecond)
+		runtime.Gosched()
 	}
 }
 

@@ -33,6 +33,11 @@ func newHotWorkload(small bool) *hotWorkload {
 
 func (w *hotWorkload) name() string { return "plan-hot" }
 
+// hotClients is plan-hot's client count.
+const hotClients = 2
+
+func (w *hotWorkload) clients() int { return hotClients }
+
 // hotRequest is key k's request: the default configuration under its own
 // simulation seed.
 func hotRequest(seed int64, k int) ([]byte, error) {
@@ -111,11 +116,14 @@ func (w *hotWorkload) read(b *bench, rec *recorder, k int) error {
 // population, whichever tier served it.
 func (w *hotWorkload) measure(b *bench, n int, p *phase) {
 	var wg sync.WaitGroup
-	parts := make([]*phase, 2)
+	parts := make([]*phase, hotClients)
 	for c := range parts {
 		parts[c] = p.part()
-		share := n / 2
-		if c < n%2 {
+		if c == 0 {
+			parts[c].ref, parts[c].refEvery = p.ref, p.refEvery
+		}
+		share := n / hotClients
+		if c < n%hotClients {
 			share++
 		}
 		wg.Add(1)

@@ -1,9 +1,10 @@
 // Command planbench is the end-to-end benchmark of the plan service. It
 // drives the in-process handler lancet-serve mounts through one of three
 // closed-loop workloads, checks every output, and prints the end-to-end
-// metrics; with --trace 1 it instead times the calls into each layer's
-// public entry points and prints a per-layer breakdown. README.md defines
-// every metric and workload.
+// metrics, with timings scaled to a reference speed (calib.go); with
+// --trace 1 it instead times the calls into each layer's public entry
+// points and prints a per-layer breakdown. README.md defines every metric
+// and workload.
 //
 // Usage (from the repository root, via the wrapper that builds it):
 //
@@ -30,6 +31,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // workload is one closed-loop traffic mix.
 type workload interface {
 	name() string
+	// clients is how many client goroutines the measured phase runs, and
+	// so how many Ps (GOMAXPROCS) it runs with.
+	clients() int
 	// setUp opens a fresh service and brings it to the state the measured
 	// phase starts from.
 	setUp(b *bench) error
@@ -60,7 +64,7 @@ func newWorkload(name string, small bool) workload {
 // many ops, about what this commit completes per second on a 2-vCPU VM.
 // The op count is fixed, not the duration, so the count of every op kind
 // (misses, re-plans) depends on the seed alone, never on timing.
-var opsPerSecond = map[string]int{"plan-cold": 80, "plan-hot": 40000, "drift-replan": 300}
+var opsPerSecond = map[string]int{"plan-cold": 63, "plan-hot": 35000, "drift-replan": 300}
 
 // probeOps sizes the small runs a traced run makes of the other workloads
 // to cover layers its own workload bypasses.
@@ -119,6 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer os.RemoveAll(work)
 
+	// Set-ups and output checks run on one P; measured gives a measured
+	// phase one P per client.
+	runtime.GOMAXPROCS(1)
 	b := &bench{seed: *seed, work: work, deadline: time.Now().Add(budget)}
 	n := *seconds * opsPerSecond[*name]
 	var res result
@@ -150,16 +157,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// measured is one measured phase: set-up done, run n ops with the RSS
-// sampler on, then verify traffic and check outputs.
-func measured(b *bench, w workload, n int) (*phase, error) {
+// measured is one measured phase: set-up done, run n ops with one P per
+// client and the RSS sampler on, then verify traffic and check outputs.
+// With no P beyond its clients, a workload never hands work to an idle
+// vCPU, whose wake-up on a shared host waits on the host's scheduler. A
+// non-nil ref is sampled refSamples times, evenly over the first client's
+// ops, outside the ops' timing; the kernel runs are left out of the
+// phase's wall time.
+func measured(b *bench, w workload, n int, ref *refKernel) (*phase, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w.clients()))
 	runtime.GC()
 	p := newPhase(b.deadline)
+	p.ref, p.refEvery = ref, max(n/w.clients()/refSamples, 1)
 	before := b.svc.Stats()
 	rss := startRSS(rssInterval)
 	start := time.Now()
 	w.measure(b, n, p)
-	p.wall = time.Since(start)
+	p.wall = time.Since(start) - p.refTime
 	mb, err := rss.finish()
 	if err != nil {
 		return nil, fmt.Errorf("sampling RSS: %w", err)
@@ -186,27 +200,43 @@ func timed(b *bench, name string, n int, out io.Writer) (result, error) {
 		}
 		setups = append(setups, time.Since(start).Seconds())
 	}
-	p, err := measured(b, w, n)
+	p, err := measured(b, w, n, newRefKernel())
 	if err != nil {
 		return result{}, err
+	}
+	if len(p.refs) == 0 {
+		return result{}, fmt.Errorf("%s: the measured phase took no reference samples", name)
 	}
 	lat := durationsMs(p.latencies())
 	rss := append([]float64(nil), p.rssMB...)
 	sort.Float64s(rss)
-	vals := map[string]float64{
+	raw := map[string]float64{
 		"setup_s":        median(setups),
 		"ops_per_s":      float64(p.ops) / p.wall.Seconds(),
 		"latency_p50_ms": nearestRank(lat, 0.5),
 		"latency_p90_ms": nearestRank(lat, 0.9),
+	}
+	// Timings are scaled to the reference speed (calib.go); RSS is not.
+	refMs := durationsMs(p.refs)
+	nominalMs := float64(refNominal) / float64(time.Millisecond)
+	scale := nominalMs / median(refMs)
+	vals := map[string]float64{
+		"setup_s":        raw["setup_s"] * scale,
+		"ops_per_s":      raw["ops_per_s"] / scale,
+		"latency_p50_ms": raw["latency_p50_ms"] * scale,
+		"latency_p90_ms": raw["latency_p90_ms"] * scale,
 		"rss_p90_mb":     nearestRank(rss, 0.9),
 	}
 	notes := map[string]string{
-		"setup_s":        fmt.Sprintf("median of %d set-ups: %.3f", len(setups), setups),
-		"latency_p50_ms": fmt.Sprintf("n=%d ops", len(lat)),
-		"latency_p90_ms": fmt.Sprintf("n=%d ops", len(lat)),
-		"rss_p90_mb":     fmt.Sprintf("n=%d samples every %v", len(rss), rssInterval),
+		"setup_s":        fmt.Sprintf("raw %.4f, median of %d set-ups: %.3f", raw["setup_s"], len(setups), setups),
+		"ops_per_s":      fmt.Sprintf("raw %.4f", raw["ops_per_s"]),
+		"latency_p50_ms": fmt.Sprintf("raw %.4f, n=%d ops", raw["latency_p50_ms"], len(lat)),
+		"latency_p90_ms": fmt.Sprintf("raw %.4f, n=%d ops", raw["latency_p90_ms"], len(lat)),
+		"rss_p90_mb":     fmt.Sprintf("n=%d samples every %v, not scaled", len(rss), rssInterval),
 	}
 	fmt.Fprintf(out, "workload %s, seed %d: %d ops in %.2fs (closed loop)\n", name, b.seed, p.ops, p.wall.Seconds())
+	fmt.Fprintf(out, "  reference kernel: median %.4f ms of %d samples %.3f; timings scaled by %.3f/%.4f = %.4f\n",
+		median(refMs), len(refMs), refMs, nominalMs, median(refMs), scale)
 	m := make(map[string]metric, len(endToEndSpecs))
 	for _, ms := range endToEndSpecs {
 		m[ms.name] = metric{vals[ms.name], ms.unit}
@@ -236,7 +266,7 @@ func traced(b *bench, name string, n int, out io.Writer, spansPath string) (resu
 	if err := w.setUp(b); err != nil {
 		return result{}, fmt.Errorf("%s set-up: %w", name, err)
 	}
-	p, err := measured(b, w, n)
+	p, err := measured(b, w, n, nil)
 	if err != nil {
 		return result{}, err
 	}
@@ -261,7 +291,7 @@ func traced(b *bench, name string, n int, out io.Writer, spansPath string) (resu
 		if err := pw.setUp(b); err != nil {
 			return result{}, fmt.Errorf("%s probe set-up: %w", other, err)
 		}
-		pp, err := measured(b, pw, probeOps[other])
+		pp, err := measured(b, pw, probeOps[other], nil)
 		if err != nil {
 			return result{}, err
 		}
@@ -372,13 +402,8 @@ func layerValues(spans []span, p *phase) map[string]float64 {
 	set2("service.plan_miss_ms")(med("service.plan", cache("miss"), ms))
 	set2("service.plan_hit_us")(med("service.plan", cache("hit"), us))
 	set2("service.plan_disk_us")(med("service.plan", cache("disk"), us))
-	// A restore is what plan-hot's set-up pays; elsewhere Open finds an
-	// empty store.
-	if v, ok := med("service.open", cache("restore"), ms); ok {
-		out["service.open_ms"] = v
-	} else {
-		set2("service.open_ms")(med("service.open", nil, ms))
-	}
+	// The restore plan-hot's restart pays.
+	set2("service.open_ms")(med("service.open", cache("restore"), ms))
 	set2("service.routing_us")(med("service.routing", cache("ingest"), us))
 	set2("service.replan_wait_ms")(med("service.replan_wait", nil, ms))
 	set2("lancet.plan_self_ms")(med("lancet.plan", nil, func(s span) float64 {
@@ -414,7 +439,7 @@ func layerValues(spans []span, p *phase) map[string]float64 {
 	set("cost.memo_hit_ratio", share(hits, lookups), lookups > 0)
 
 	d := p.stats
-	set("service.disk_hit_share", share(float64(d.diskHits), float64(d.lookups)), d.lookups > 0)
+	set("service.disk_hit_share", share(float64(d.diskHits), float64(d.lookups)), d.disk && d.lookups > 0)
 	set("service.session_miss_share", share(float64(d.sessionMisses), float64(d.sessionLookups)), d.sessionLookups > 0)
 	set("service.computations_per_miss", share(float64(d.computations), float64(p.clientMisses+p.replans)), p.clientMisses+p.replans > 0)
 	return out
@@ -429,6 +454,14 @@ type phase struct {
 	wall     time.Duration
 	rssMB    []float64
 	props    map[string]int // ops having each property
+
+	// The speed reference (timed runs only; one client samples it): the
+	// kernel, how many of the client's ops apart its samples are, the
+	// samples, and the kernel's running time, which wall excludes.
+	ref      *refKernel
+	refEvery int
+	refs     []time.Duration
+	refTime  time.Duration
 
 	clientMisses int64 // plan-store misses the client's requests implied
 	replans      int64 // re-plans the client waited for
@@ -454,6 +487,8 @@ func (p *phase) merge(q *phase) {
 	}
 	p.clientMisses += q.clientMisses
 	p.replans += q.replans
+	p.refs = append(p.refs, q.refs...)
+	p.refTime += q.refTime
 }
 
 func (p *phase) expired() bool { return time.Now().After(p.deadline) }
@@ -465,6 +500,11 @@ func (p *phase) record(lat time.Duration, traced bool) {
 		k = 1
 	}
 	p.lat[k] = append(p.lat[k], lat)
+	if p.ref != nil && p.ops%p.refEvery == 0 {
+		med, total := p.ref.sample()
+		p.refs = append(p.refs, med)
+		p.refTime += total
+	}
 }
 
 func (p *phase) cycled(traced bool, d time.Duration) {
@@ -482,10 +522,12 @@ type delta struct {
 	computations, misses, memoryHits, diskHits, deduplicated, lookups int64
 	sessionMisses, sessionLookups                                     int64
 	updates, detected, replans                                        int64
+	disk                                                              bool // the service has a disk tier
 }
 
 func statsDelta(a, b service.StatsResponse) delta {
 	return delta{
+		disk:           b.DiskStore != nil,
 		computations:   b.Computations - a.Computations,
 		misses:         b.PlanTiers.Misses - a.PlanTiers.Misses,
 		memoryHits:     b.PlanTiers.MemoryHits - a.PlanTiers.MemoryHits,
