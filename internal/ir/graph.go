@@ -13,8 +13,13 @@ type Graph struct {
 	Tensors []*Tensor
 	Instrs  []*Instr
 
-	producer  map[int]int   // tensor ID -> instr ID (absent for graph inputs)
-	consumers map[int][]int // tensor ID -> instr IDs
+	// producer and consumers are dense tables indexed by tensor ID:
+	// producer[t] is the instruction producing tensor t (-1 for graph
+	// inputs), consumers[t] the instructions reading it. Emit grows them
+	// on demand, so tensors registered by assigning Tensors directly (as
+	// the rewrites do) are covered too.
+	producer  []int
+	consumers [][]int
 
 	// succs/preds are instruction-level adjacency, built lazily. adjMu
 	// guards the build: construction and rewriting are single-goroutine,
@@ -29,11 +34,7 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		producer:  make(map[int]int),
-		consumers: make(map[int][]int),
-		dirty:     true,
-	}
+	return &Graph{dirty: true}
 }
 
 // NewTensor creates and registers a tensor.
@@ -53,16 +54,37 @@ func (g *Graph) Emit(in *Instr) *Instr {
 	}
 	g.Instrs = append(g.Instrs, in)
 	for _, o := range in.Outs {
-		if prev, ok := g.producer[o]; ok {
+		if o < 0 {
+			continue // Validate reports the unknown tensor
+		}
+		g.cover(o)
+		if prev := g.producer[o]; prev >= 0 {
 			panic(fmt.Sprintf("ir: tensor %%%d has two producers: @%d and @%d", o, prev, in.ID))
 		}
 		g.producer[o] = in.ID
 	}
 	for _, x := range in.Ins {
+		if x < 0 {
+			continue
+		}
+		g.cover(x)
 		g.consumers[x] = append(g.consumers[x], in.ID)
 	}
 	g.dirty = true
 	return in
+}
+
+// cover grows the producer/consumer tables to cover tensor id, and at
+// least every registered tensor so a rewrite's emits grow them once.
+func (g *Graph) cover(id int) {
+	if id < len(g.producer) {
+		return
+	}
+	n := max(id+1, len(g.Tensors))
+	for len(g.producer) < n {
+		g.producer = append(g.producer, -1)
+	}
+	g.consumers = append(g.consumers, make([][]int, n-len(g.consumers))...)
 }
 
 // Tensor returns the tensor with the given ID.
@@ -74,14 +96,19 @@ func (g *Graph) Instr(id int) *Instr { return g.Instrs[id] }
 // Producer returns the instruction ID producing tensor id, or -1 for graph
 // inputs (weights, input tokens).
 func (g *Graph) Producer(id int) int {
-	if p, ok := g.producer[id]; ok {
-		return p
+	if id < 0 || id >= len(g.producer) {
+		return -1
 	}
-	return -1
+	return g.producer[id]
 }
 
 // Consumers returns the instruction IDs consuming tensor id.
-func (g *Graph) Consumers(id int) []int { return g.consumers[id] }
+func (g *Graph) Consumers(id int) []int {
+	if id < 0 || id >= len(g.consumers) {
+		return nil
+	}
+	return g.consumers[id]
+}
 
 func (g *Graph) buildAdj() {
 	g.adjMu.Lock()
@@ -94,7 +121,7 @@ func (g *Graph) buildAdj() {
 	g.preds = make([][]int, n)
 	for _, in := range g.Instrs {
 		for _, x := range in.Ins {
-			if p, ok := g.producer[x]; ok {
+			if p := g.Producer(x); p >= 0 {
 				g.preds[in.ID] = append(g.preds[in.ID], p)
 				g.succs[p] = append(g.succs[p], in.ID)
 			}
@@ -196,7 +223,7 @@ func (g *Graph) Validate() error {
 			if x < 0 || x >= len(g.Tensors) {
 				return fmt.Errorf("ir: @%d consumes unknown tensor %%%d", in.ID, x)
 			}
-			if p, ok := g.producer[x]; ok && p >= i {
+			if p := g.Producer(x); p >= i {
 				return fmt.Errorf("ir: @%d consumes %%%d produced later by @%d", in.ID, x, p)
 			}
 		}

@@ -140,6 +140,35 @@ func TestValidateCatchesForwardReference(t *testing.T) {
 	}
 }
 
+// The producer/consumer tables are dense slices indexed by tensor ID: IDs
+// outside them read as graph inputs nobody consumes, emitting an
+// instruction that names an unknown tensor must not panic, and Validate
+// must still report that tensor.
+func TestProducerConsumerTablesBoundsChecked(t *testing.T) {
+	g, _ := buildDiamond(t)
+	for _, id := range []int{-1, len(g.Tensors), 1 << 20} {
+		if p := g.Producer(id); p != -1 {
+			t.Errorf("Producer(%d) = %d, want -1", id, p)
+		}
+		if c := g.Consumers(id); c != nil {
+			t.Errorf("Consumers(%d) = %v, want none", id, c)
+		}
+	}
+	for name, in := range map[string]*Instr{
+		"negative input":  {Op: OpGeLU, Ins: []int{-3}, Outs: []int{}},
+		"negative output": {Op: OpGeLU, Ins: []int{}, Outs: []int{-3}},
+		"unknown input":   {Op: OpGeLU, Ins: []int{7}, Outs: []int{}},
+		"unknown output":  {Op: OpGeLU, Ins: []int{}, Outs: []int{7}},
+	} {
+		g := NewGraph()
+		g.NewTensor("x", Shape{2}, F32, Activation)
+		g.Emit(in)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an unknown tensor", name)
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	g := NewGraph()
 	x := g.NewTensor("x", Shape{4, 4}, F16, Activation)

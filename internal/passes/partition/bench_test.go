@@ -5,6 +5,7 @@ import (
 
 	"lancet/internal/cost"
 	"lancet/internal/hw"
+	"lancet/internal/ir"
 	"lancet/internal/model"
 )
 
@@ -31,18 +32,25 @@ func BenchmarkPartitionPass(b *testing.B) {
 	}
 }
 
-// BenchmarkAxisInference isolates the constraint solver on the full MoE
+// BenchmarkAxisInference isolates the constraint solver the DP window loop
+// runs — solve plus max-parts on the pooled scratch — on the full MoE
 // window.
 func BenchmarkAxisInference(b *testing.B) {
 	built, _ := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
+	sc := getScratch()
+	defer putScratch(sc)
+	sink := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if inferAxes(built.Graph, window, true) == nil {
+		if !sc.solveAxes(built.Graph, window, true) {
 			b.Fatal("window must be solvable")
 		}
+		sink += sc.maxParts(built.Graph)
 	}
+	_ = sink
 }
 
 // BenchmarkPipelineCost isolates one P(i,n,k) evaluation (the DP's inner
@@ -90,38 +98,44 @@ func BenchmarkDPvsFixedRanges(b *testing.B) {
 }
 
 // BenchmarkPartitionDP measures the DP inner loop for one candidate window
-// — the per-window index build, the k-independent boundary cost, and a full
-// k sweep of pipeline-span simulations on the pooled scratch. This is the
-// work Run repeats for every (i, j) window pair; steady state must be
-// 0 allocs/op (ratcheted exactly by perf_floor.txt).
+// — axis inference (solve plus max-parts), the per-window index build, the
+// k-independent boundary cost, and a full k sweep of pipeline-span
+// simulations on the pooled scratch. This is the work Run repeats for
+// every (i, j) window pair; steady state must be 0 allocs/op (ratcheted
+// exactly by perf_floor.txt).
 func BenchmarkPartitionDP(b *testing.B) {
 	built, cm := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(built.Graph, window, true)
-	if asg == nil {
-		b.Fatal("window must be solvable")
-	}
 	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(built.Graph.Instrs), 8)
 	built.Graph.Preds(window[0].ID) // build the adjacency index up front
-	sink := 0.0
 	// Warm the memoized instruction profiles and the scratch arenas.
-	sc.prepareWindow(built.Graph, window)
-	for k := 2; k <= 8; k++ {
-		sink += sc.pipelineSpan(cm, window, k, pr, 1)
-	}
-	sink += boundaryCostUs(built.Graph, cm, window, asg, sc)
+	sink := windowSweep(built.Graph, cm, window, pr, sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		boundary := boundaryCostUs(built.Graph, cm, window, asg, sc)
-		sc.prepareWindow(built.Graph, window)
-		for k := 2; k <= 8; k++ {
-			sink += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
-		}
+		sink += windowSweep(built.Graph, cm, window, pr, sc)
 	}
 	_ = sink
+}
+
+// windowSweep is the per-window work of Run's DP loop on a solvable window
+// (the full sweep, without the warm-start probe): solve the axes, cap k at
+// what they admit, price the boundary, index the window and simulate every
+// partition count.
+func windowSweep(g *ir.Graph, cm *cost.Model, window []*ir.Instr, pr cost.A2APricer, sc *dpScratch) float64 {
+	if !sc.solveAxes(g, window, true) {
+		panic("window must be solvable")
+	}
+	kmax := min(8, sc.maxParts(g))
+	boundary := boundaryCostUs(g, cm, window, sc)
+	sc.prepareWindow(g, window)
+	sum := 0.0
+	for k := 2; k <= kmax; k++ {
+		sum += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
+	}
+	return sum
 }

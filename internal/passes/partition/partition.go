@@ -98,22 +98,22 @@ type Result struct {
 }
 
 // choice records one DP decision: partition the groups (from, j] k ways (or
-// keep them serial when k == 1).
+// keep them serial when k == 1). The axes of a chosen window are solved
+// again at backtrack, so the table holds no assignments.
 type choice struct {
 	from int
 	k    int
-	axes Assignment
 	pUs  float64
 	sUs  float64
 }
 
 // Run executes the operator partition pass. The DP sweep runs entirely on a
-// pooled scratch arena — prefix and DP tables, per-window dependency
-// indexes, the pipeline simulation's end-time matrix — and prices
-// all-to-alls through a batched pricer acquired once up front, so the inner
-// loop performs no allocations and no per-candidate cache round-trips in
-// steady state (DESIGN.md §13). Chosen ranges and costs are byte-identical
-// to the original per-candidate implementation.
+// pooled scratch arena — prefix and DP tables, the per-window axis solution,
+// dependency and stage indexes, the pipeline simulation's end-time matrix —
+// and prices all-to-alls through a batched pricer acquired once up front,
+// so the window loop performs no allocations and no per-candidate cache
+// round-trips in steady state (DESIGN.md §13). Chosen ranges and costs are
+// byte-identical to the original per-candidate implementation.
 func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	if err := cm.ValidateProfile(opts.Profile); err != nil {
@@ -124,28 +124,8 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
 	sc.beginWindowCosts(opts.MaxPartitions)
-
-	// The forward pass is the program prefix; everything after is
-	// backward/optimizer and is handled by the dW scheduling pass.
-	fwdEnd := len(g.Instrs)
-	for i, in := range g.Instrs {
-		if in.Phase != ir.Forward {
-			fwdEnd = i
-			break
-		}
-	}
-
-	// Price every forward instruction once up front: prefix[i] is the summed
-	// predicted time of the first i instructions, so the DP's inner loop
-	// prices a window by subtraction instead of re-walking it. The
-	// predictions themselves hit the cost model's memoization across the
-	// sweep's millions of repeated queries.
-	sc.prefix = grow(sc.prefix, fwdEnd+1)
+	fwdEnd := sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
 	prefix := sc.prefix
-	prefix[0] = 0
-	for i := 0; i < fwdEnd; i++ {
-		prefix[i+1] = prefix[i] + predictInstr(cm, g.Instr(i), pr, opts.PayloadFraction)
-	}
 	sc.bounds = makeGroups(prefix, opts.GroupUs, sc.bounds[:0])
 	bounds := sc.bounds
 	n := len(bounds) - 1 // number of groups
@@ -168,21 +148,17 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 				T[j] = t
 				best[j] = choice{from: i, k: 1, sUs: serial}
 			}
-			if !windowHasA2A(window) {
-				continue
-			}
-			asg := inferAxes(g, window, opts.GatePartialBatch)
-			if asg == nil {
+			if !windowHasA2A(window) || !sc.solveAxes(g, window, opts.GatePartialBatch) {
 				continue
 			}
 			kmax := opts.MaxPartitions
-			if m := maxParts(g, asg); m < kmax {
+			if m := sc.maxParts(g); m < kmax {
 				kmax = m
 			}
 			// The boundary plumbing cost is k-independent; price it once per
 			// window and add it to every candidate's simulated span (the same
 			// sum pipelineCost computed per candidate).
-			boundary := boundaryCostUs(g, cm, window, asg, sc)
+			boundary := boundaryCostUs(g, cm, window, sc)
 			sc.prepareWindow(g, window)
 			if hk := hintKFor(opts.Hint, bounds[i], bounds[j]-1); hk >= 2 && hk <= kmax {
 				if p, ok := probeHint(sc, cm, window, hk, kmax, pr, opts.PayloadFraction, boundary, res); ok {
@@ -192,7 +168,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 					// T[j]/best[j] exactly where the full sweep would.
 					if t := T[i] + p; t < T[j] {
 						T[j] = t
-						best[j] = choice{from: i, k: hk, axes: asg, pUs: p, sUs: serial}
+						best[j] = choice{from: i, k: hk, pUs: p, sUs: serial}
 					}
 					continue
 				}
@@ -204,7 +180,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 				}
 				if t := T[i] + p; t < T[j] {
 					T[j] = t
-					best[j] = choice{from: i, k: k, axes: asg, pUs: p, sUs: serial}
+					best[j] = choice{from: i, k: k, pUs: p, sUs: serial}
 				}
 			}
 		}
@@ -212,13 +188,16 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	res.ForwardUs = T[n]
 	res.SerialForwardUs = prefix[fwdEnd]
 
-	// Backtrack the chosen ranges.
+	// Backtrack the chosen ranges, re-solving each one's axes: the solver
+	// is deterministic, so this is the assignment the window was priced
+	// under.
 	for j := n; j > 0; {
 		c := best[j]
 		if c.k >= 2 {
+			sc.solveAxes(g, g.Instrs[bounds[c.from]:bounds[j]], opts.GatePartialBatch)
 			res.Ranges = append(res.Ranges, Range{
 				Start: bounds[c.from], End: bounds[j] - 1,
-				K: c.k, Axes: c.axes, PredictedUs: c.pUs, SerialUs: c.sUs,
+				K: c.k, Axes: sc.assignment(), PredictedUs: c.pUs, SerialUs: c.sUs,
 			})
 		}
 		j = c.from
@@ -234,6 +213,29 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	}
 	res.Graph = ng
 	return res, nil
+}
+
+// pricePrefix prices every forward instruction once up front and returns
+// the forward length: the forward pass is the program prefix (everything
+// after is backward/optimizer, handled by the dW scheduling pass), and
+// sc.prefix[i] becomes the summed predicted time of its first i
+// instructions, so the DP prices a window by subtraction instead of
+// re-walking it. The predictions themselves hit the cost model's
+// memoization across the sweep's repeated queries.
+func (sc *dpScratch) pricePrefix(g *ir.Graph, cm *cost.Model, pr cost.A2APricer, frac float64) int {
+	fwdEnd := len(g.Instrs)
+	for i, in := range g.Instrs {
+		if in.Phase != ir.Forward {
+			fwdEnd = i
+			break
+		}
+	}
+	sc.prefix = grow(sc.prefix, fwdEnd+1)
+	sc.prefix[0] = 0
+	for i := 0; i < fwdEnd; i++ {
+		sc.prefix[i+1] = sc.prefix[i] + predictInstr(cm, g.Instr(i), pr, frac)
+	}
+	return fwdEnd
 }
 
 // makeGroups splits the forward prefix into groups of roughly groupUs

@@ -120,13 +120,23 @@ func TestMaxParts(t *testing.T) {
 	g := ir.NewGraph()
 	a := g.NewTensor("a", ir.Shape{4, 100}, ir.F16, ir.Activation)
 	b := g.NewTensor("b", ir.Shape{16, 8, 100}, ir.F16, ir.Activation)
-	asg := Assignment{a.ID: AxisBatch, b.ID: AxisCap}
-	if got := maxParts(g, asg); got != 4 {
-		t.Errorf("maxParts = %d, want 4 (batch dim)", got)
-	}
-	asg[a.ID] = AxisNP
-	if got := maxParts(g, asg); got != 8 {
-		t.Errorf("maxParts = %d, want 8 (capacity dim)", got)
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, c := range []struct {
+		asg  Assignment
+		want int
+		why  string
+	}{
+		{Assignment{a.ID: AxisBatch, b.ID: AxisCap}, 4, "batch dim"},
+		{Assignment{a.ID: AxisNP, b.ID: AxisCap}, 8, "capacity dim"},
+	} {
+		sc.loadAxes(g, c.asg)
+		if got := sc.maxParts(g); got != c.want {
+			t.Errorf("maxParts = %d, want %d (%s)", got, c.want, c.why)
+		}
+		if got := refMaxParts(g, c.asg); got != c.want {
+			t.Errorf("reference maxParts = %d, want %d (%s)", got, c.want, c.why)
+		}
 	}
 }
 
@@ -341,9 +351,9 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// The DP inner loop — window index, boundary cost, pipeline-span sweep —
-// must not allocate once the scratch arenas and instruction-profile caches
-// are warm (DESIGN.md §13).
+// The DP inner loop — axis inference, window index, boundary cost,
+// pipeline-span sweep — must not allocate once the scratch arenas and
+// instruction-profile caches are warm (DESIGN.md §13).
 func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
@@ -351,27 +361,14 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	b, cm := buildFixture(t)
 	h := b.MoE[0]
 	w := b.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(b.Graph, w, true)
-	if asg == nil {
-		t.Fatal("window must be solvable")
-	}
 	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginDurMemo(len(b.Graph.Instrs), 8)
 	b.Graph.Preds(w[0].ID) // build the adjacency index up front
-	sink := 0.0
-	sc.prepareWindow(b.Graph, w)
-	for k := 2; k <= 8; k++ {
-		sink += sc.pipelineSpan(cm, w, k, pr, 1)
-	}
-	sink += boundaryCostUs(b.Graph, cm, w, asg, sc)
+	sink := windowSweep(b.Graph, cm, w, pr, sc)
 	if allocs := testing.AllocsPerRun(100, func() {
-		boundary := boundaryCostUs(b.Graph, cm, w, asg, sc)
-		sc.prepareWindow(b.Graph, w)
-		for k := 2; k <= 8; k++ {
-			sink += sc.pipelineSpan(cm, w, k, pr, 1) + boundary
-		}
+		sink += windowSweep(b.Graph, cm, w, pr, sc)
 	}); allocs != 0 {
 		t.Errorf("DP inner loop allocates %v per run, want 0", allocs)
 	}

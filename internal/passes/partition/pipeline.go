@@ -106,16 +106,17 @@ func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac fl
 }
 
 // boundaryCostUs prices the Partition/Reconstruct plumbing at the pipeline
-// edges. Batch- and capacity-axis splits are views into contiguous buffers
-// (free); irregular splits and reconstructions physically regroup tokens
-// and pay memory traffic. The cost is k-independent, so Run computes it
-// once per window and adds it to every candidate's span; membership tests
-// run on the scratch's generation-stamped ID arrays instead of per-call
-// maps, and tensors are visited in program order (deterministic, unlike
-// the map iteration it replaces).
+// edges under the scratch's current axis solution. Batch- and capacity-axis
+// splits are views into contiguous buffers (free); irregular splits and
+// reconstructions physically regroup tokens and pay memory traffic. The
+// cost is k-independent, so Run computes it once per window and adds it to
+// every candidate's span; membership tests run on the scratch's
+// generation-stamped ID arrays instead of per-call maps, and tensors are
+// visited in program order (deterministic, unlike the map iteration it
+// replaces).
 //
 //lancet:hotpath
-func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignment, sc *dpScratch) float64 {
+func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScratch) float64 {
 	sc.insideI = grow(sc.insideI, len(g.Instrs))
 	sc.prodT = grow(sc.prodT, len(g.Tensors))
 	sc.seenT = grow(sc.seenT, len(g.Tensors))
@@ -138,14 +139,14 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignm
 				continue
 			}
 			sc.seenT[t] = gen
-			if asg[t] == AxisIrr {
+			if sc.axisOf(t) == AxisIrr {
 				total += copyCost(t) // irregular boundary split
 			}
 		}
 	}
 	for _, in := range window {
 		for _, t := range in.Outs {
-			if asg[t] != AxisIrr {
+			if sc.axisOf(t) != AxisIrr {
 				continue
 			}
 			for _, c := range g.Consumers(t) {
@@ -173,7 +174,8 @@ func pipelineCost(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignmen
 	sc.beginDurMemo(len(g.Instrs), k)
 	sc.prepareWindow(g, window)
 	span := sc.pipelineSpan(cm, window, k, pr, frac)
-	return span + boundaryCostUs(g, cm, window, asg, sc)
+	sc.loadAxes(g, asg)
+	return span + boundaryCostUs(g, cm, window, sc)
 }
 
 // serialCost is the unpartitioned execution time of the window: the plain

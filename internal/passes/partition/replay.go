@@ -28,20 +28,8 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 	defer putScratch(sc)
 	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
 	sc.beginWindowCosts(opts.MaxPartitions)
-
-	fwdEnd := len(g.Instrs)
-	for i, in := range g.Instrs {
-		if in.Phase != ir.Forward {
-			fwdEnd = i
-			break
-		}
-	}
-	sc.prefix = grow(sc.prefix, fwdEnd+1)
+	fwdEnd := sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
 	prefix := sc.prefix
-	prefix[0] = 0
-	for i := 0; i < fwdEnd; i++ {
-		prefix[i+1] = prefix[i] + predictInstr(cm, g.Instr(i), pr, opts.PayloadFraction)
-	}
 
 	ranges := append([]Range(nil), fixed...)
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Start < ranges[j].Start })
@@ -57,24 +45,20 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		}
 		prevEnd = r.End
 		window := g.Instrs[r.Start : r.End+1]
-		if !windowHasA2A(window) {
-			continue
-		}
-		asg := inferAxes(g, window, opts.GatePartialBatch)
-		if asg == nil {
+		if !windowHasA2A(window) || !sc.solveAxes(g, window, opts.GatePartialBatch) {
 			continue
 		}
 		k := r.K
 		if k > opts.MaxPartitions {
 			k = opts.MaxPartitions
 		}
-		if m := maxParts(g, asg); m < k {
+		if m := sc.maxParts(g); m < k {
 			k = m
 		}
 		if k < 2 {
 			continue
 		}
-		boundary := boundaryCostUs(g, cm, window, asg, sc)
+		boundary := boundaryCostUs(g, cm, window, sc)
 		sc.prepareWindow(g, window)
 		p, fresh := sc.windowCost(cm, window, k, pr, opts.PayloadFraction, boundary)
 		if fresh {
@@ -83,7 +67,7 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		serial := prefix[r.End+1] - prefix[r.Start]
 		res.ForwardUs += p - serial
 		res.Ranges = append(res.Ranges, Range{
-			Start: r.Start, End: r.End, K: k, Axes: asg,
+			Start: r.Start, End: r.End, K: k, Axes: sc.assignment(),
 			PredictedUs: p, SerialUs: serial,
 		})
 	}

@@ -184,15 +184,8 @@ func emitPipeline(ng, g *ir.Graph, r *Range, groupID int) error {
 // scaledShape is the shape of piece p of a k-way split along axis.
 func scaledShape(s ir.Shape, axis Axis, k, p int) ir.Shape {
 	out := s.Clone()
-	dim := 0
-	switch axis {
-	case AxisBatch:
-		dim = 0
-	case AxisCap, AxisIrr:
-		if len(s) >= 2 {
-			dim = 1
-		}
-	default:
+	dim, ok := splitDim(s, axis)
+	if !ok {
 		return out
 	}
 	base, rem := s[dim]/k, s[dim]%k

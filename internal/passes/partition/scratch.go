@@ -30,13 +30,26 @@ type dpScratch struct {
 
 	// Window index (prepareWindow): position of each window instruction by
 	// ID, window-local dependency edges as depBuf[depOff[i]:depOff[i+1]],
-	// and the stream-run stage of each position.
-	posOf  []int
-	posGen []uint64
-	depOff []int
-	depBuf []int
-	st     []int
-	winGen uint64
+	// and the stages (see stageOf): stage s covers the contiguous positions
+	// [stOff[s], stOff[s+1]) and runs on stream stStream[s].
+	posOf    []int
+	posGen   []uint64
+	depOff   []int
+	depBuf   []int
+	stOff    []int
+	stStream []int
+	winGen   uint64
+
+	// Axis solution (solveAxes): the axis of each tensor by ID, stamped
+	// with solveGen; the trail of bound tensor IDs in binding order; and,
+	// per search depth, the next combination to try and the trail length
+	// on entry.
+	axis     []Axis
+	axisGen  []uint64
+	solveGen uint64
+	trail    []int
+	comboAt  []int
+	trailAt  []int
 
 	// Pipeline simulation (pipelineSpan): per-position micro durations and
 	// the flat end-time matrix indexed pos*k+part.
@@ -75,12 +88,7 @@ var dpPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
 func getScratch() *dpScratch { return dpPool.Get().(*dpScratch) }
 
-func putScratch(sc *dpScratch) {
-	// Drop references retained in the choice table (axis assignments) so a
-	// pooled scratch doesn't pin a finished graph's maps.
-	clear(sc.best)
-	dpPool.Put(sc)
-}
+func putScratch(sc *dpScratch) { dpPool.Put(sc) }
 
 // grow returns a slice of length n backed by s when it has the capacity,
 // or a fresh allocation otherwise (only until the pool warms up to the
@@ -132,7 +140,7 @@ func (sc *dpScratch) windowCost(cm *cost.Model, window []*ir.Instr, k int, pr co
 // prepareWindow builds the k-independent index of one candidate window:
 // instruction-ID→position map, window-local dependency edges (same order
 // the map-based builder produced: program order, predecessors as returned
-// by g.Preds), and the stage of each position (see stageOf).
+// by g.Preds), and each stage's position range and stream (see stageOf).
 func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
 	n := len(window)
 	sc.posOf = grow(sc.posOf, len(g.Instrs))
@@ -154,24 +162,32 @@ func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
 		}
 	}
 	sc.depOff[n] = len(sc.depBuf)
-	sc.st = grow(sc.st, n)
-	cur := 0
+	sc.stOff, sc.stStream = sc.stOff[:0], sc.stStream[:0]
 	for i, in := range window {
-		if i > 0 && in.IsComm() != window[i-1].IsComm() {
-			cur++
+		if i > 0 && in.IsComm() == window[i-1].IsComm() {
+			continue
 		}
-		sc.st[i] = cur
+		stream := 0
+		if in.IsComm() {
+			stream = 1
+		}
+		sc.stOff = append(sc.stOff, i)
+		sc.stStream = append(sc.stStream, stream)
 	}
+	sc.stOff = append(sc.stOff, n)
 }
 
 // pipelineSpan simulates the stage pipeline of a prepared window at
 // partition count k and returns its end-to-end span — pipelineCost minus
 // the k-independent boundary cost, which Run hoists out of the k loop. The
-// issue order and arithmetic are identical to the original schedulePlan
-// walk (stages in order; within a stage, partitions; within both, program
-// order), so chosen ranges and costs are byte-identical; the plan slice,
-// position map and per-position slices it allocated are replaced by the
-// scratch arenas.
+// issue order and arithmetic are identical to the schedulePlan walk
+// (stages in order; within a stage, partitions; within both, program
+// order), so chosen ranges and costs are byte-identical; each
+// stage-partition pair walks only its stage's positions, and the plan
+// slice, position map and per-position slices the walk would allocate are
+// replaced by the scratch arenas. Every instance's dependencies sit at
+// earlier positions of its own partition, issued before it, so the
+// end-time matrix needs no clearing.
 func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
 	n := len(window)
 	sc.durs = grow(sc.durs, n)
@@ -185,23 +201,12 @@ func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr 
 	}
 	sc.end = grow(sc.end, n*k)
 	end := sc.end
-	clear(end)
-	nStages := 0
-	if n > 0 {
-		nStages = sc.st[n-1] + 1
-	}
 	var clock [2]float64
 	span := 0.0
-	for s := 0; s < nStages; s++ {
+	for s, stream := range sc.stStream {
+		lo, hi := sc.stOff[s], sc.stOff[s+1]
 		for p := 0; p < k; p++ {
-			for pos := 0; pos < n; pos++ {
-				if sc.st[pos] != s {
-					continue
-				}
-				stream := 0
-				if window[pos].IsComm() {
-					stream = 1
-				}
+			for pos := lo; pos < hi; pos++ {
 				start := clock[stream]
 				for _, d := range sc.depBuf[sc.depOff[pos]:sc.depOff[pos+1]] {
 					if e := end[d*k+p]; e > start {

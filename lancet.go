@@ -863,16 +863,7 @@ type Report struct {
 // functionally routing a token batch (the padded buffers baselines send
 // are replaced by what the gate actually dispatched).
 func (p *Plan) Simulate(seed int64) (*Report, error) {
-	ex := &sim.Executor{Cost: p.costs, JitterPct: 0.02, SystematicPct: 0.04, Seed: seed}
-	if p.overlaps {
-		bytesOv, durOv, err := p.overrides()
-		if err != nil {
-			return nil, err
-		}
-		ex.A2ABytesOverride = bytesOv
-		ex.A2ADurOverrideUs = durOv
-	}
-	tl, err := ex.Run(p.Graph, p.Graph.DefaultSchedule())
+	tl, err := p.run(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -911,14 +902,31 @@ func (p *Plan) MustSimulate(seed int64) *Report {
 	return r
 }
 
-// ChromeTrace renders one simulated iteration as Chrome trace-event JSON.
+// ChromeTrace renders one simulated iteration as Chrome trace-event JSON:
+// the same iteration Simulate(seed) reports.
 func (p *Plan) ChromeTrace(seed int64) ([]byte, error) {
-	ex := &sim.Executor{Cost: p.costs, JitterPct: 0.02, Seed: seed}
-	tl, err := ex.Run(p.Graph, p.Graph.DefaultSchedule())
+	tl, err := p.run(seed)
 	if err != nil {
 		return nil, err
 	}
 	return trace.Export(p.Graph, tl)
+}
+
+// run simulates one seeded iteration of the plan — the single executor
+// set-up behind Simulate and ChromeTrace: execution jitter, systematic
+// per-op drift and, for Lancet plans, the irregular all-to-all byte and
+// duration overrides.
+func (p *Plan) run(seed int64) (*sim.Timeline, error) {
+	ex := &sim.Executor{Cost: p.costs, JitterPct: 0.02, SystematicPct: 0.04, Seed: seed}
+	if p.overlaps {
+		bytesOv, durOv, err := p.overrides()
+		if err != nil {
+			return nil, err
+		}
+		ex.A2ABytesOverride = bytesOv
+		ex.A2ADurOverrideUs = durOv
+	}
+	return ex.Run(p.Graph, p.Graph.DefaultSchedule())
 }
 
 // irregularOverrides derives per-all-to-all actual payloads from a

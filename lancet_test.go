@@ -277,6 +277,53 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 }
 
+// A Chrome trace renders the iteration Simulate reports: its last span
+// ends at Simulate(seed).IterationMs, for Lancet plans (irregular
+// all-to-all overrides) and baselines alike, under uniform and skewed
+// routing.
+func TestChromeTraceMatchesSimulate(t *testing.T) {
+	for _, skew := range []float64{0, 1.2} {
+		s := newTestSession(t)
+		s.WorkloadSkew = skew
+		lan, err := s.Lancet(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raf, err := s.Baseline(FrameworkRAF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*Plan{lan, raf} {
+			const seed = 1
+			data, err := p.ChromeTrace(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Phase string  `json:"ph"`
+					TS    float64 `json:"ts"`
+					Dur   float64 `json:"dur"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			lastUs := 0.0
+			for _, e := range doc.TraceEvents {
+				if e.Phase == "X" {
+					lastUs = math.Max(lastUs, e.TS+e.Dur)
+				}
+			}
+			want := p.MustSimulate(seed).IterationMs
+			if got := lastUs / 1000; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%s skew %v: trace ends at %.4f ms, Simulate(%d) reports %.4f ms",
+					p.Framework, skew, got, seed, want)
+			}
+		}
+	}
+}
+
 func TestDeepSpeedOOMOnA100GPT2S(t *testing.T) {
 	// Paper Sec. 7.1: DeepSpeed's higher memory footprint OOMs for
 	// GPT2-S-MoE on A100 (batch 24) while the others fit.
