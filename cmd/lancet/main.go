@@ -112,7 +112,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := lancet.Options{MaxPartitions: *rho, PrioritizeAllToAll: *prio, LostNodes: lost}
+	opts := lancet.Options{MaxPartitions: *rho, PrioritizeAllToAll: *prio}
 
 	frameworks := []string{lancet.FrameworkDeepSpeed, lancet.FrameworkRAF, lancet.FrameworkTutel, lancet.FrameworkLancet}
 	results := make([]fwResult, len(frameworks))
@@ -124,7 +124,7 @@ func main() {
 		workers = 1
 	}
 	pool.ForEachIndexed(context.Background(), len(frameworks), workers, func(i int) {
-		results[i] = runFramework(sess, frameworks[i], *seed, opts)
+		results[i] = runFramework(sess, frameworks[i], *seed, opts, lost)
 	})
 
 	for _, r := range results {
@@ -220,8 +220,8 @@ type fwResult struct {
 	Err string `json:"error,omitempty"`
 }
 
-func runFramework(sess *lancet.Session, fw string, seed int64, opts lancet.Options) fwResult {
-	res, err := service.Compute(sess, fw, seed, opts)
+func runFramework(sess *lancet.Session, fw string, seed int64, opts lancet.Options, lost []int) fwResult {
+	res, err := service.Compute(sess, fw, seed, opts, lost...)
 	if err != nil {
 		return fwResult{Result: service.Result{Framework: fw}, Err: err.Error()}
 	}

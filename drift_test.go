@@ -74,11 +74,11 @@ func TestSetWorkloadProfile(t *testing.T) {
 	}
 }
 
-// TestPlanProfileGeneralizesAblation: pricing the DP against the session's
-// own profile via Options.PlanProfile reproduces the default plan, pricing
-// it against the uniform shape reproduces the AssumeUniformRouting
-// ablation, and a mis-shaped profile is rejected — PlanProfile is the
-// stale-plan replay primitive, not a new planning mode.
+// TestPlanProfileGeneralizesAblation: a view priced against the session's
+// own profile reproduces the default plan, and one priced against the
+// uniform shape reproduces the View.UniformRouting ablation — a stale
+// profile (v.Profile = p) is the stale-plan replay primitive, not a new
+// planning mode.
 func TestPlanProfileGeneralizesAblation(t *testing.T) {
 	s, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
 	if err != nil {
@@ -93,25 +93,28 @@ func TestPlanProfileGeneralizesAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOpt, err := s.Lancet(Options{PlanProfile: own})
+	withProfile := func(p *netsim.RoutingProfile) func(View) View {
+		return func(v View) View {
+			v.Profile = p
+			return v
+		}
+	}
+	viaView, err := s.Lancet(Options{View: withProfile(own)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaOpt.Pipelines, aware.Pipelines) {
-		t.Errorf("PlanProfile=own pipelines %v != default %v", viaOpt.Pipelines, aware.Pipelines)
+	if !reflect.DeepEqual(viaView.Pipelines, aware.Pipelines) {
+		t.Errorf("own-profile view pipelines %v != default %v", viaView.Pipelines, aware.Pipelines)
 	}
-	blind, err := s.Lancet(Options{AssumeUniformRouting: true})
+	blind, err := s.Lancet(Options{View: View.UniformRouting})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, err := s.Lancet(Options{PlanProfile: netsim.UniformProfile(16)})
+	uni, err := s.Lancet(Options{View: withProfile(netsim.UniformProfile(16))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(uni.Pipelines, blind.Pipelines) {
-		t.Errorf("PlanProfile=uniform pipelines %v != ablation %v", uni.Pipelines, blind.Pipelines)
-	}
-	if _, err := s.Lancet(Options{PlanProfile: netsim.UniformProfile(8)}); err == nil {
-		t.Error("mis-shaped PlanProfile accepted")
+		t.Errorf("uniform-profile view pipelines %v != ablation %v", uni.Pipelines, blind.Pipelines)
 	}
 }

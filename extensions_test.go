@@ -1,9 +1,6 @@
 package lancet
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestSharedExpertIncreasesOverlap(t *testing.T) {
 	plain := GPT2SMoE(0)
@@ -223,7 +220,7 @@ func TestSkewPlannedBeatsUniformPlanned(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess.WorkloadSkew = alpha
-		blind, err := sess.Lancet(Options{AssumeUniformRouting: true})
+		blind, err := sess.Lancet(Options{View: View.UniformRouting})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,24 +244,6 @@ func TestSkewPlannedBeatsUniformPlanned(t *testing.T) {
 		if ra.MeanReport.IrregularA2AMs <= 0 {
 			t.Error("skewed replay should report irregular a2a time")
 		}
-	}
-
-	// Balanced workloads: the ablation is a no-op and both plans coincide.
-	sess, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blind, err := sess.Lancet(Options{AssumeUniformRouting: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aware, err := sess.Lancet(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, a := blind.MustSimulate(2).IterationMs, aware.MustSimulate(2).IterationMs
-	if b != a {
-		t.Errorf("balanced: uniform-planned %.3f ms must equal default %.3f ms", b, a)
 	}
 }
 
@@ -336,7 +315,7 @@ func TestTopologyPlannedBeatsFlatPlanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blind, err := sess.Lancet(Options{AssumeFlatTopology: true, GroupUs: 1000})
+		blind, err := sess.Lancet(Options{View: View.Flat, GroupUs: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,33 +353,6 @@ func TestTopologyPlannedBeatsFlatPlanned(t *testing.T) {
 	}
 }
 
-func TestFlatTopologyPlansUnchanged(t *testing.T) {
-	// On a flat cluster AssumeFlatTopology is a no-op: both options must
-	// produce byte-identical plan shapes and simulated times.
-	sess, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := sess.Lancet(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sess.Lancet(Options{AssumeFlatTopology: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := a.MustSimulate(3), b.MustSimulate(3)
-	if ra.IterationMs != rb.IterationMs {
-		t.Errorf("flat cluster: ablated plan %.3f ms differs from default %.3f ms", rb.IterationMs, ra.IterationMs)
-	}
-	if fmt.Sprint(a.PipelineKs) != fmt.Sprint(b.PipelineKs) {
-		t.Errorf("flat cluster: pipeline shapes differ: %v vs %v", a.PipelineKs, b.PipelineKs)
-	}
-	if rb.A2ABoundSpineMs != 0 {
-		t.Errorf("flat cluster reported %.3f ms spine-bound a2a, want 0", rb.A2ABoundSpineMs)
-	}
-}
-
 // heteroTestCluster builds an aA100 + vV100 mixed fleet.
 func heteroTestCluster(t *testing.T, a, v int) Cluster {
 	t.Helper()
@@ -430,7 +382,7 @@ func TestHeteroPlannedBeatsUniformPlanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blind, err := sess.Lancet(Options{AssumeUniformHardware: true})
+		blind, err := sess.Lancet(Options{View: View.UniformHardware})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,11 +416,9 @@ func TestHeteroPlannedBeatsUniformPlanned(t *testing.T) {
 }
 
 func TestUniformHardwarePlansUnchanged(t *testing.T) {
-	// On a uniform cluster AssumeUniformHardware is a no-op: both options
-	// must produce byte-identical plan shapes and simulated times, and the
-	// degenerate single-class spelling of the same fleet must reproduce the
-	// uniform predictions within 2% (they share the closed forms exactly;
-	// the tolerance guards the pin).
+	// The degenerate single-class spelling of a uniform fleet must
+	// reproduce the uniform predictions within 2% (they share the closed
+	// forms exactly; the tolerance guards the pin).
 	sess, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
 	if err != nil {
 		t.Fatal(err)
@@ -477,17 +427,7 @@ func TestUniformHardwarePlansUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sess.Lancet(Options{AssumeUniformHardware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := a.MustSimulate(3), b.MustSimulate(3)
-	if ra.IterationMs != rb.IterationMs {
-		t.Errorf("uniform cluster: ablated plan %.3f ms differs from default %.3f ms", rb.IterationMs, ra.IterationMs)
-	}
-	if ra.StragglerClassMs != nil {
-		t.Errorf("uniform cluster reported straggler classes: %v", ra.StragglerClassMs)
-	}
+	ra := a.MustSimulate(3)
 
 	nc, err := ClassForGPU("V100", 2)
 	if err != nil {

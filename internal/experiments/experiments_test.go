@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -298,71 +299,49 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
-func TestSkewPlanningAwareWins(t *testing.T) {
-	tab, err := SkewPlanning(Params{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range tab.Rows {
-		blind, aware := parseF(t, row[1]), parseF(t, row[2])
-		// The acceptance bar: under Zipf routing the skew-planned
-		// configuration beats the uniform-planned one.
-		if aware >= blind {
-			t.Errorf("alpha %s: skew-planned %.1f ms should beat uniform-planned %.1f ms",
-				row[0], aware, blind)
-		}
-	}
-}
+func TestSkewPlanningAwareWins(t *testing.T)       { checkAwareBeatsBlind(t, "skew_planning") }
+func TestTopologyPlanningAwareWins(t *testing.T)   { checkAwareBeatsBlind(t, "topology_planning") }
+func TestHeteroPlanningAwareWins(t *testing.T)     { checkAwareBeatsBlind(t, "hetero_planning") }
+func TestContentionPlanningAwareWins(t *testing.T) { checkAwareBeatsBlind(t, "multi_job_contention") }
 
-func TestTopologyPlanningAwareWins(t *testing.T) {
-	tab, err := TopologyPlanning(Params{Quick: true})
+// checkAwareBeatsBlind is the acceptance bar of every blind-vs-aware
+// experiment (DESIGN.md §8): on each row the plan priced against reality
+// beats the plan priced against the blind view, replayed on the same
+// fleet and traffic. The pipeline column shows both plans' counts, and the
+// hetero table attributes a positive compute lag to its V100 slice.
+func checkAwareBeatsBlind(t *testing.T, name string) {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	tab, err := e.Run(Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) == 0 {
 		t.Fatal("no rows")
 	}
-	for _, row := range tab.Rows {
-		blind, aware := parseF(t, row[1]), parseF(t, row[2])
-		// The acceptance bar: under inter-node-bound traffic on an
-		// oversubscribed fabric, the topology-planned configuration beats
-		// the flat-planned one.
-		if aware >= blind {
-			t.Errorf("oversub %s: topology-planned %.1f ms should beat flat-planned %.1f ms",
-				row[0], aware, blind)
-		}
-		if row[3] == "" || strings.Count(row[3], "/") != 1 {
-			t.Errorf("oversub %s: malformed pipeline column %q", row[0], row[3])
-		}
+	pipes := slices.Index(tab.Header, "Pipelines (blind/aware)")
+	if pipes < 0 {
+		t.Fatalf("no pipeline column in %v", tab.Header)
 	}
-}
-
-func TestHeteroPlanningAwareWins(t *testing.T) {
-	tab, err := HeteroPlanning(Params{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
+	straggler := slices.Index(tab.Header, "V100 straggler (ms)")
+	if (straggler >= 0) != (name == "hetero_planning") {
+		t.Errorf("V100 straggler column at %d in %v", straggler, tab.Header)
 	}
 	for _, row := range tab.Rows {
 		blind, aware := parseF(t, row[1]), parseF(t, row[2])
-		// The acceptance bar: on a mixed fleet the hetero-planned
-		// configuration beats the uniform-planned one.
 		if aware >= blind {
-			t.Errorf("fleet %s: hetero-planned %.1f ms should beat uniform-planned %.1f ms",
-				row[0], aware, blind)
+			t.Errorf("%s: aware-planned %.1f ms should beat blind-planned %.1f ms", row[0], aware, blind)
 		}
-		if row[3] == "" || strings.Count(row[3], "/") != 1 {
-			t.Errorf("fleet %s: malformed pipeline column %q", row[0], row[3])
+		if strings.Count(row[pipes], "/") != 1 {
+			t.Errorf("%s: malformed pipeline column %q", row[0], row[pipes])
 		}
-		// The replay must attribute a positive compute lag to the V100
-		// slice.
-		if lag := parseF(t, row[4]); lag <= 0 || lag >= aware {
-			t.Errorf("fleet %s: V100 straggler %.1f ms out of range", row[0], lag)
+		if straggler >= 0 {
+			if lag := parseF(t, row[straggler]); lag <= 0 || lag >= aware {
+				t.Errorf("%s: V100 straggler %.1f ms out of range", row[0], lag)
+			}
 		}
 	}
 }

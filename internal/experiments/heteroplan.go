@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"lancet"
 )
@@ -35,7 +36,7 @@ func (m heteroMix) cluster() (lancet.Cluster, error) {
 // HeteroPlanning is the headline number of heterogeneity-aware planning
 // (DESIGN.md §12): for each A100/V100 node mix, the same workload is
 // planned twice — once by a planner that believes the whole fleet matches
-// the fast base class (AssumeUniformHardware), once by the planner pricing
+// the fast base class (View.UniformHardware), once by the planner pricing
 // the slowest participating class — and both plans are replayed on the same
 // mixed fleet. The speedup column is what knowing the fleet *mix* buys: the
 // blind planner thinks compute is 2.5x faster and the NICs 4x fatter than
@@ -69,31 +70,12 @@ func HeteroPlanning(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var opts lancet.Options
-		blindOpts := opts
-		blindOpts.AssumeUniformHardware = true
-		blind, err := sess.Lancet(blindOpts)
+		row, aware, err := blindVsAware(sess, lancet.Options{}, lancet.View.UniformHardware,
+			fmt.Sprintf("%dxA100+%dxV100", mix.fastNodes, mix.slowNodes))
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(opts)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%dxA100+%dxV100", mix.fastNodes, mix.slowNodes),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.1f", ra.MeanReport.StragglerClassMs["V100"]),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		t.AddRow(slices.Insert(row, 4, fmt.Sprintf("%.1f", aware.MeanReport.StragglerClassMs["V100"]))...)
 	}
 	return t, nil
 }

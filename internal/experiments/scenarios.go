@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lancet"
@@ -86,7 +87,7 @@ func NodeLoss(p Params) (*Table, error) {
 		}
 		sess.WorkloadSkew = c.skew
 		sess.WorkloadHotExpert = c.hot
-		rep, err := sess.NodeLoss(nil, lancet.Options{LostNodes: c.lost}, 17)
+		rep, err := sess.NodeLoss(nil, c.lost, lancet.Options{}, 17)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +148,7 @@ func ElasticResize(p Params) (*Table, error) {
 // (DESIGN.md §11, §17): a multi-rack fleet shares its spine with co-located
 // jobs (Topology.SpineShare), and the same workload is planned twice — once
 // by a planner that believes this job owns the spine alone
-// (AssumeSoleTenancy), once by the planner pricing the contended share — and
+// (View.SoleTenant), once by the planner pricing the contended share — and
 // both plans are replayed on the same shared fabric. The speedup column is
 // what knowing the *neighbors* buys: the sole-tenant planner thinks
 // cross-rack all-to-alls are 1/share cheaper than they run, so it under-cuts
@@ -179,31 +180,11 @@ func MultiJobContention(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := lancet.Options{GroupUs: 1000}
-		blindOpts := opts
-		blindOpts.AssumeSoleTenancy = true
-		blind, err := sess.Lancet(blindOpts)
+		row, aware, err := blindVsAware(sess, lancet.Options{GroupUs: 1000}, lancet.View.SoleTenant, fmt.Sprintf("%g", share))
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(opts)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%g", share),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanReport.AllToAllMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		t.AddRow(slices.Insert(row, 3, fmt.Sprintf("%.1f", aware.MeanReport.AllToAllMs))...)
 	}
 	return t, nil
 }

@@ -17,7 +17,7 @@ func init() {
 // SkewPlanning is the headline number of skew-aware planning (DESIGN.md
 // §10): for each Zipf exponent, the same skewed workload is planned twice —
 // once by a planner that knows the routed volume but assumes it is spread
-// uniformly over device pairs (AssumeUniformRouting), once by the planner
+// uniformly over device pairs (View.UniformRouting), once by the planner
 // fed the real traffic matrix from the functional gate — and both plans are
 // replayed in the same skewed simulation. The speedup column is what
 // knowing the traffic *shape* buys; it grows with alpha as the hot device's
@@ -42,27 +42,11 @@ func SkewPlanning(p Params) (*Table, error) {
 			return nil, err
 		}
 		sess.WorkloadSkew = alpha
-		blind, err := sess.Lancet(lancet.Options{AssumeUniformRouting: true})
+		row, _, err := blindVsAware(sess, lancet.Options{}, lancet.View.UniformRouting, fmt.Sprintf("%.1f", alpha))
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(lancet.Options{})
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.1f", alpha),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		t.AddRow(row...)
 	}
 	return t, nil
 }

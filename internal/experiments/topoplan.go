@@ -17,7 +17,7 @@ func init() {
 // TopologyPlanning is the headline number of topology-aware planning
 // (DESIGN.md §11): for each spine oversubscription factor, the same
 // inter-node-bound workload is planned twice — once by a planner that
-// believes the fabric is flat (AssumeFlatTopology), once by the planner
+// believes the fabric is flat (View.Flat), once by the planner
 // pricing the real hierarchy — and both plans are replayed in the same
 // hierarchical simulation. The speedup column is what knowing the fabric
 // *shape* buys: the blind planner under-sizes its partition pipelines and
@@ -50,30 +50,11 @@ func TopologyPlanning(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := lancet.Options{GroupUs: 1000}
-		blindOpts := opts
-		blindOpts.AssumeFlatTopology = true
-		blind, err := sess.Lancet(blindOpts)
+		row, _, err := blindVsAware(sess, lancet.Options{GroupUs: 1000}, lancet.View.Flat, fmt.Sprintf("%g:1", oversub))
 		if err != nil {
 			return nil, err
 		}
-		aware, err := sess.Lancet(opts)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := blind.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := aware.SimulateN(3, 17)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%g:1", oversub),
-			fmt.Sprintf("%.1f", rb.MeanMs),
-			fmt.Sprintf("%.1f", ra.MeanMs),
-			fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
-			fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs))
+		t.AddRow(row...)
 	}
 	return t, nil
 }

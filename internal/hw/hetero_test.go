@@ -161,7 +161,7 @@ func TestUniformViewPreservesGPUCount(t *testing.T) {
 	c := mixedCluster(t)
 	u := c.Uniform()
 	if u.Heterogeneous() {
-		t.Fatal("Uniform() must strip classes")
+		t.Fatal("Uniform() must strip classes when every class has the base node size")
 	}
 	if u.TotalGPUs() != c.TotalGPUs() {
 		t.Errorf("Uniform() changed the GPU count: %d != %d", u.TotalGPUs(), c.TotalGPUs())
@@ -169,6 +169,27 @@ func TestUniformViewPreservesGPUCount(t *testing.T) {
 	// The blind view prices every node as the (fast) base class.
 	if u.SlowestTFLOPs() != 312 {
 		t.Errorf("uniform view compute %g, want base A100 312", u.SlowestTFLOPs())
+	}
+
+	// 2x8 A100 + 1x4 V100 = 20 GPUs: a 4-GPU node is not half a base node,
+	// so the view keeps the real node layout and prices every GPU at the
+	// base class's per-GPU rates.
+	small := mustClass(t, "V100", 1)
+	small.GPUsPerNode = 4
+	odd, err := ClusterFromClasses([]NodeClass{mustClass(t, "A100", 2), small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uo := odd.Uniform()
+	if uo.TotalGPUs() != 20 || uo.Nodes != 3 {
+		t.Errorf("uniform view of %s has %d GPUs on %d nodes, want 20 on 3", odd, uo.TotalGPUs(), uo.Nodes)
+	}
+	if uo.SlowestTFLOPs() != 312 || uo.MinNVLinkGBs() != 300 || uo.PerGPUNICGBs() != 50.0/8 {
+		t.Errorf("uniform view rates %g TFLOPs, %g NVLink, %g NIC per GPU, want the A100 base's 312, 300, %g",
+			uo.SlowestTFLOPs(), uo.MinNVLinkGBs(), uo.PerGPUNICGBs(), 50.0/8)
+	}
+	if !uo.SameNode(16, 19) || uo.SameNode(15, 16) || uo.MinGPUsPerNode() != 4 {
+		t.Errorf("uniform view %s lost the 4-GPU node's layout", uo)
 	}
 	// Uniform clusters are their own uniform view.
 	v := V100Cluster(2)

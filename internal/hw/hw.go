@@ -399,9 +399,12 @@ func (c Cluster) WithTopology(t Topology) (Cluster, error) {
 }
 
 // Flat returns a copy of the cluster with the flat single-rack topology —
-// what a topology-blind planner believes the fabric looks like.
+// what a topology-blind planner believes the fabric looks like. On a
+// cluster whose topology is already flat it is the identity.
 func (c Cluster) Flat() Cluster {
-	c.Topology = Topology{}
+	if !c.FlatTopology() {
+		c.Topology = Topology{}
+	}
 	return c
 }
 
@@ -544,16 +547,29 @@ func (c Cluster) RemoveNodes(lost []int) (Cluster, error) {
 // Heterogeneous reports whether the fleet mixes node classes.
 func (c Cluster) Heterogeneous() bool { return len(c.Classes) > 0 }
 
-// Uniform returns the hetero-blind view of the cluster: classes stripped,
-// every node assumed to be the base Node spec, total GPU count preserved.
-// On a uniform cluster it is the identity.
+// Uniform returns the hetero-blind view of the cluster: every GPU priced
+// as the base Node spec, the node layout and GPU count unchanged. Each
+// class keeps its Count and GPUsPerNode and takes the base spec's per-GPU
+// compute, NVLink and NIC share; when every class has the base node size
+// the view is the plain uniform cluster. On a uniform cluster it is the
+// identity.
 func (c Cluster) Uniform() Cluster {
 	if !c.Heterogeneous() {
 		return c
 	}
-	gpus := c.TotalGPUs()
-	c.Classes = nil
-	c.Nodes = (gpus + c.Node.GPUsPerNode - 1) / c.Node.GPUsPerNode
+	base := c.baseClass()
+	classes := make([]NodeClass, len(c.Classes))
+	sameSize := true
+	for i, nc := range c.Classes {
+		classes[i] = base
+		classes[i].Count, classes[i].GPUsPerNode = nc.Count, nc.GPUsPerNode
+		classes[i].NICGBs = base.PerGPUNICGBs() * float64(nc.GPUsPerNode)
+		sameSize = sameSize && nc.GPUsPerNode == base.GPUsPerNode
+	}
+	if sameSize {
+		classes = nil // Nodes already counts every class's nodes
+	}
+	c.Classes = classes
 	return c
 }
 
@@ -738,7 +754,9 @@ func (c Cluster) Contended() bool {
 // to be: the spine share reset to sole tenancy, every other dimension
 // unchanged. On an uncontended cluster it is the identity.
 func (c Cluster) SoleTenant() Cluster {
-	c.Topology.SpineShare = 0
+	if c.Contended() {
+		c.Topology.SpineShare = 0
+	}
 	return c
 }
 

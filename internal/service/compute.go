@@ -67,10 +67,12 @@ type WhatIfResult struct {
 }
 
 // Compute plans framework fw on the session and simulates one iteration
-// with the given seed. opts applies only to the Lancet framework, matching
-// cmd/lancet's -rho/-prio semantics. The result is deterministic in
-// (session configuration, fw, seed, opts).
-func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options) (Result, error) {
+// with the given seed. opts and lostNodes apply only to the Lancet
+// framework, matching cmd/lancet's -rho/-prio/-lost-nodes semantics:
+// non-empty lostNodes adds the node-loss what-if (Session.NodeLoss) to the
+// result. The result is deterministic in (session configuration, fw, seed,
+// opts, lostNodes).
+func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options, lostNodes ...int) (Result, error) {
 	res := Result{Framework: fw}
 	var plan *lancet.Plan
 	var err error
@@ -120,8 +122,8 @@ func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options) (
 		res.Notes = fmt.Sprintf("%d pipelines%s, dW overlap %.1f ms, rho %d",
 			plan.PipelineRanges, ks, plan.DWOverlapUs/1000, plan.RhoUsed)
 	}
-	if fw == lancet.FrameworkLancet && len(opts.LostNodes) > 0 {
-		rep, err := sess.NodeLoss(plan, opts, seed)
+	if fw == lancet.FrameworkLancet && len(lostNodes) > 0 {
+		rep, err := sess.NodeLoss(plan, lostNodes, opts, seed)
 		if err != nil {
 			return res, err
 		}

@@ -23,6 +23,8 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"routing": {"kind": "hot", "hot_share": 0.5}, "topology": {"oversub": 4}}`))
 	f.Add([]byte(`{"classes": [{"gpu": "A100", "nodes": 1}, {"gpu": "V100", "nodes": 3}], "zero3": true}`))
 	f.Add([]byte(`{"classes": [{"gpu": "v100", "nodes": 2}], "batch": 7, "shared_expert": true}`))
+	f.Add([]byte(`{"options": {"assume_uniform_routing": true, "assume_flat_topology": true, "assume_uniform_hardware": true, "assume_sole_tenancy": true}}`))
+	f.Add([]byte(`{"gpus": 32, "what_if": {"lost_nodes": [3, 1, 3]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req PlanRequest
 		if err := json.Unmarshal(data, &req); err != nil {

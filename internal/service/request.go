@@ -2,15 +2,18 @@ package service
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"lancet"
 	"lancet/internal/netsim"
 )
 
-// PlanOptions mirrors lancet.Options field by field with JSON names, so
-// service clients can reach every optimization knob the CLI exposes.
+// PlanOptions is the wire form of lancet.Options: the optimization knobs
+// under JSON names, plus the assume_* ablation flags, which toLancet
+// composes into the planner view (DESIGN.md §8). planKey formats it with
+// %+v, so its Go field names are part of every plan key and of every disk
+// artifact's name: renaming or reordering a field orphans stored plans.
 type PlanOptions struct {
 	MaxPartitions      int     `json:"max_partitions,omitempty"`
 	GroupUs            float64 `json:"group_us,omitempty"`
@@ -19,37 +22,46 @@ type PlanOptions struct {
 	DisablePartition   bool    `json:"disable_partition,omitempty"`
 	DWFirstFit         bool    `json:"dw_first_fit,omitempty"`
 	PrioritizeAllToAll bool    `json:"prioritize_all_to_all,omitempty"`
-	// AssumeUniformRouting plans as if the routed traffic were uniformly
-	// distributed — the skew-blind ablation of DESIGN.md §10.
-	AssumeUniformRouting bool `json:"assume_uniform_routing,omitempty"`
-	// AssumeFlatTopology plans as if the cluster's fabric were flat while
-	// simulation replays the real hierarchy — the topology-blind ablation
-	// of DESIGN.md §11.
-	AssumeFlatTopology bool `json:"assume_flat_topology,omitempty"`
-	// AssumeUniformHardware plans as if every node matched the fleet's base
-	// class while simulation replays the real mix — the hetero-blind
-	// ablation of DESIGN.md §12.
+	// The assume_* flags plan against the blind views of DESIGN.md §8 while
+	// simulation replays reality: View.UniformRouting (skew-blind, §10),
+	// View.Flat (topology-blind, §11), View.UniformHardware (hetero-blind,
+	// §12) and View.SoleTenant (contention-blind, §17).
+	AssumeUniformRouting  bool `json:"assume_uniform_routing,omitempty"`
+	AssumeFlatTopology    bool `json:"assume_flat_topology,omitempty"`
 	AssumeUniformHardware bool `json:"assume_uniform_hardware,omitempty"`
-	// AssumeSoleTenancy plans as if this job owned the spine alone while
-	// simulation replays the contended fabric — the contention-blind
-	// ablation of DESIGN.md §17.
-	AssumeSoleTenancy bool `json:"assume_sole_tenancy,omitempty"`
+	AssumeSoleTenancy     bool `json:"assume_sole_tenancy,omitempty"`
 }
 
+// toLancet maps the wire options onto lancet.Options, composing the set
+// assume_* flags into Options.View.
 func (o PlanOptions) toLancet() lancet.Options {
-	return lancet.Options{
-		MaxPartitions:         o.MaxPartitions,
-		GroupUs:               o.GroupUs,
-		MaxRangeGroups:        o.MaxRangeGroups,
-		DisableDWSchedule:     o.DisableDWSchedule,
-		DisablePartition:      o.DisablePartition,
-		DWFirstFit:            o.DWFirstFit,
-		PrioritizeAllToAll:    o.PrioritizeAllToAll,
-		AssumeUniformRouting:  o.AssumeUniformRouting,
-		AssumeFlatTopology:    o.AssumeFlatTopology,
-		AssumeUniformHardware: o.AssumeUniformHardware,
-		AssumeSoleTenancy:     o.AssumeSoleTenancy,
+	opts := lancet.Options{
+		MaxPartitions:      o.MaxPartitions,
+		GroupUs:            o.GroupUs,
+		MaxRangeGroups:     o.MaxRangeGroups,
+		DisableDWSchedule:  o.DisableDWSchedule,
+		DisablePartition:   o.DisablePartition,
+		DWFirstFit:         o.DWFirstFit,
+		PrioritizeAllToAll: o.PrioritizeAllToAll,
 	}
+	if o.AssumeUniformRouting || o.AssumeFlatTopology || o.AssumeUniformHardware || o.AssumeSoleTenancy {
+		opts.View = func(v lancet.View) lancet.View {
+			if o.AssumeFlatTopology {
+				v = v.Flat()
+			}
+			if o.AssumeUniformHardware {
+				v = v.UniformHardware()
+			}
+			if o.AssumeSoleTenancy {
+				v = v.SoleTenant()
+			}
+			if o.AssumeUniformRouting {
+				v = v.UniformRouting()
+			}
+			return v
+		}
+	}
+	return opts
 }
 
 // TopologySpec selects the cluster's network hierarchy for /v1/plan and
@@ -416,16 +428,7 @@ func (r PlanRequest) canonicalize() (*canonical, error) {
 		if c.framework != lancet.FrameworkLancet {
 			return nil, codedf(CodeConflictingFields, "what_if requires framework %q, got %q", lancet.FrameworkLancet, c.framework)
 		}
-		lost := append([]int(nil), r.WhatIf.LostNodes...)
-		sort.Ints(lost)
-		n := 0
-		for i, v := range lost {
-			if i == 0 || v != lost[n-1] {
-				lost[n] = v
-				n++
-			}
-		}
-		lost = lost[:n]
+		lost := slices.Compact(slices.Sorted(slices.Values(r.WhatIf.LostNodes)))
 		if len(lost) == 0 {
 			return nil, codedf(CodeBadRequest, "what_if.lost_nodes must name at least one node")
 		}

@@ -257,8 +257,7 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 		s.computations.Add(1)
 		opts := c.opts.toLancet()
 		opts.Hint = hint
-		opts.LostNodes = c.lostNodes
-		res, err := Compute(sess, fw, c.seed, opts)
+		res, err := Compute(sess, fw, c.seed, opts, c.lostNodes...)
 		if err != nil {
 			return nil, err
 		}

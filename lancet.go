@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -243,44 +244,16 @@ type Options struct {
 	// priority pass (paper Sec. 8): gradient all-reduces are pushed behind
 	// the backward all-to-alls they would otherwise head-of-line block.
 	PrioritizeAllToAll bool
-	// AssumeUniformRouting makes the partition DP plan as if the workload's
-	// routed traffic were spread uniformly over device pairs: the planner
-	// still knows the routed payload volume, but not its distribution —
-	// the skew-blind planner ablation (DESIGN.md §10). Simulation still
-	// replays the real skewed traffic, so comparing this plan against the
-	// default quantifies exactly what knowing the traffic *shape* buys.
-	AssumeUniformRouting bool
-	// AssumeFlatTopology makes every optimization pass price communication
-	// as if the cluster's fabric were flat — no racks, no oversubscribed
-	// spine — while simulation still replays the real hierarchical topology
-	// (DESIGN.md §11). The topology-blind planner ablation: comparing this
-	// plan against the default quantifies what knowing the fabric shape
-	// buys, exactly as AssumeUniformRouting does for traffic shape.
-	AssumeFlatTopology bool
-	// AssumeUniformHardware makes every optimization pass price the fleet
-	// as if all nodes matched the cluster's base node spec — no slow
-	// classes — while simulation still replays the real mixed-generation
-	// fleet (DESIGN.md §12). The hetero-blind planner ablation, mirroring
-	// AssumeFlatTopology: a plan priced for the fast nodes stalls on the
-	// slow ones, and comparing it against the default quantifies what
-	// knowing the fleet mix buys.
-	AssumeUniformHardware bool
-	// AssumeSoleTenancy makes every optimization pass price the spine as if
-	// this job owned it alone — Topology.SpineShare read as 1 — while
-	// simulation still replays the contended fabric (DESIGN.md §17). The
-	// contention-blind planner ablation: a plan priced for the full spine
-	// under-partitions the inter-rack all-to-alls it will actually wait on.
-	AssumeSoleTenancy bool
-	// PlanProfile, when non-nil, makes the partition DP price all-to-alls
-	// against this routing profile instead of the session workload's own,
-	// while simulation still replays the session's real traffic. It
-	// generalizes AssumeUniformRouting (which is PlanProfile = the uniform
-	// shape) to arbitrary stale shapes, and is what lets the drift
-	// experiment replay today's traffic under a plan priced for
-	// yesterday's (DESIGN.md §16). Takes precedence over
-	// AssumeUniformRouting when both are set. The profile must be shaped
-	// for the session's device count.
-	PlanProfile *netsim.RoutingProfile
+	// View, when non-nil, derives the view every optimization pass prices
+	// against from reality — the session's cluster and routing profile —
+	// while simulation still replays reality (DESIGN.md §8). The
+	// blind-planner ablations are its derivations View.Flat,
+	// View.UniformHardware, View.SoleTenant and View.UniformRouting, alone
+	// or composed, and a stale profile is v.Profile = p. It is a function so
+	// that NodeLoss and ElasticResize re-derive it for each session they
+	// plan. The derived view must keep the session's GPU count, and its
+	// profile must be shaped for it.
+	View func(View) View
 	// Hint seeds the partition DP with a neighboring configuration's
 	// chosen pipelines — typically the adjacent sweep grid point's
 	// Plan.Pipelines (DESIGN.md §14). A good hint cuts DP evaluations
@@ -297,12 +270,6 @@ type Options struct {
 	// what-if — "how does the stale plan behave on this fleet" — and takes
 	// precedence over Hint (DESIGN.md §17).
 	FixedPipelines []PipelineHint
-	// LostNodes lists global node indices to drop in a node-loss what-if
-	// (DESIGN.md §17). Session.Lancet ignores it — planning always targets
-	// the intact fleet; Session.NodeLoss (and the serving layer's
-	// what_if.lost_nodes field) consumes it to compare the stale plan's
-	// degraded replay against a warm-started re-plan on the survivors.
-	LostNodes []int
 }
 
 // PipelineHint is one chosen pipeline of a previous plan — the instruction
@@ -343,9 +310,8 @@ type Session struct {
 
 	costRAF *cost.Model
 
-	mu        sync.Mutex              // guards profiles, costBlind and workloadProfile; plans of one session may run concurrently
-	profiles  map[int]*routingProfile // cache: micro-batch count -> profile
-	costBlind map[string]*cost.Model  // lazy: planner-blindness ablation models (flat topology, uniform hardware)
+	mu       sync.Mutex              // guards profiles and workloadProfile; plans of one session may run concurrently
+	profiles map[int]*routingProfile // cache: micro-batch count -> profile
 	// workloadProfile, when set via SetWorkloadProfile, replaces the
 	// parametric gate-proxy workload entirely: planning prices and
 	// simulation replays this streamed traffic shape (DESIGN.md §16).
@@ -511,9 +477,6 @@ func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 	defer s.mu.Unlock()
 	if old := s.workloadProfile; old != nil && (p == nil || p.Fingerprint() != old.Fingerprint()) {
 		s.costRAF.InvalidateProfile(old.Fingerprint())
-		for _, m := range s.costBlind {
-			m.InvalidateProfile(old.Fingerprint())
-		}
 	}
 	s.workloadProfile = p
 	// Cached per-k dispatch statistics describe the superseded workload.
@@ -553,47 +516,6 @@ func (s *Session) routingContext() (*netsim.RoutingProfile, float64, error) {
 	return p.net, frac, nil
 }
 
-// blindCost returns the cost model a partially blind planner prices with:
-// the session's cluster stripped of its topology (flat fabric), its class
-// mix (uniform hardware), its spine contention (sole tenancy), or any
-// combination. Models are built lazily once per blindness combination; when
-// a requested blindness changes nothing about the cluster, the shared model
-// is returned. Flat subsumes sole: stripping the whole topology also strips
-// its tenant share.
-func (s *Session) blindCost(flat, uniform, sole bool) *cost.Model {
-	flat = flat && !s.Cluster.FlatTopology()
-	uniform = uniform && s.Cluster.Heterogeneous()
-	sole = sole && !flat && s.Cluster.Contended()
-	if !flat && !uniform && !sole {
-		return s.costRAF
-	}
-	cl := s.Cluster
-	key := ""
-	if flat {
-		cl = cl.Flat()
-		key = "flat"
-	}
-	if uniform {
-		cl = cl.Uniform()
-		key += "+uniform"
-	}
-	if sole {
-		cl = cl.SoleTenant()
-		key += "+sole"
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.costBlind == nil {
-		s.costBlind = make(map[string]*cost.Model)
-	}
-	if m, ok := s.costBlind[key]; ok {
-		return m
-	}
-	m := cost.NewModel(cl)
-	s.costBlind[key] = m
-	return m
-}
-
 // Lancet runs both optimization passes and returns the optimized plan.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
 	start := time.Now()
@@ -605,11 +527,26 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 		overlaps: true,
 	}
 
-	// The passes price against planCost; simulation (plan.costs) always
-	// charges the cluster's real topology, fleet mix and tenant share. The
-	// two differ only under the AssumeFlatTopology / AssumeUniformHardware /
-	// AssumeSoleTenancy ablations.
-	planCost := s.blindCost(opts.AssumeFlatTopology, opts.AssumeUniformHardware, opts.AssumeSoleTenancy)
+	// The passes price view with planCost; simulation (plan.costs) always
+	// replays reality. The two differ only under Options.View, whose view
+	// gets a cost model of its own unless it keeps the real cluster.
+	prof, frac, err := s.routingContext()
+	if err != nil {
+		return nil, fmt.Errorf("lancet: routing profile: %w", err)
+	}
+	view, planCost := View{Cluster: s.Cluster, Profile: prof}, s.costRAF
+	if opts.View != nil {
+		view = opts.View(view)
+		if got, want := view.Cluster.TotalGPUs(), s.Cluster.TotalGPUs(); got != want {
+			return nil, fmt.Errorf("lancet: view has %d GPUs, session has %d", got, want)
+		}
+		if !reflect.DeepEqual(view.Cluster, s.Cluster) {
+			planCost = cost.NewModel(view.Cluster)
+		}
+		if err := planCost.ValidateProfile(view.Profile); err != nil {
+			return nil, fmt.Errorf("lancet: view profile: %w", err)
+		}
+	}
 
 	if opts.PrioritizeAllToAll {
 		res, err := commprio.Run(g)
@@ -652,21 +589,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 				fixed[i] = partition.Range{Start: h.Start, End: h.End, K: h.K}
 			}
 		}
-		prof, frac, err := s.routingContext()
-		if err != nil {
-			return nil, fmt.Errorf("lancet: routing profile: %w", err)
-		}
-		if opts.AssumeUniformRouting && prof != nil {
-			// Keep the routed volume, erase the traffic shape.
-			prof = netsim.UniformProfile(s.Cluster.TotalGPUs())
-		}
-		if opts.PlanProfile != nil {
-			if err := planCost.ValidateProfile(opts.PlanProfile); err != nil {
-				return nil, fmt.Errorf("lancet: plan profile: %w", err)
-			}
-			prof = opts.PlanProfile
-		}
-		popts.Profile, popts.PayloadFraction = prof, frac
+		popts.Profile, popts.PayloadFraction = view.Profile, frac
 		if popts.GroupUs == 0 {
 			popts.GroupUs = s.autoGroupUs(planCost)
 		}

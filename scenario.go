@@ -3,7 +3,7 @@ package lancet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // scenarioSimRuns is the seeded-iteration count every scenario metric
@@ -51,40 +51,26 @@ type NodeLossReport struct {
 	Replanned *Plan
 }
 
-// normalizeLostNodes sorts and deduplicates a lost-node list.
-func normalizeLostNodes(lost []int) []int {
-	out := append([]int(nil), lost...)
-	sort.Ints(out)
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
-}
-
-// NodeLoss answers the node-loss what-if for opts.LostNodes: it drops the
-// listed nodes from the session's cluster, replays the base plan's
-// pipelines verbatim on the degraded fleet, re-plans warm-started from
-// those same pipelines, and reports the three latencies plus the re-plan's
-// DP cost (DESIGN.md §17). The degraded session's per-GPU batch is scaled
-// up by ceil(intact GPUs / survivor GPUs) so the survivors carry at least
-// the intact fleet's global token budget — losing nodes can therefore
-// never predict faster than the intact fleet. base, when non-nil, is a
-// plan previously computed from this session with the same options (minus
-// LostNodes); nil plans it here. Sessions running a streamed workload
-// profile are rejected: the histogram is shaped for the intact device
-// count. Losing zero nodes degenerates to an exact replay: all three
-// latencies coincide.
-func (s *Session) NodeLoss(base *Plan, opts Options, seed int64) (*NodeLossReport, error) {
+// NodeLoss answers the node-loss what-if for the lost global node indices
+// (any order, duplicates allowed): it drops those nodes from the session's
+// cluster, replays the base plan's pipelines verbatim on the degraded
+// fleet, re-plans warm-started from those same pipelines, and reports the
+// three latencies plus the re-plan's DP cost (DESIGN.md §17). The degraded
+// session's per-GPU batch is scaled up by ceil(intact GPUs / survivor GPUs)
+// so the survivors carry at least the intact fleet's global token budget —
+// losing nodes can therefore never predict faster than the intact fleet.
+// Every plan uses opts, with Options.View re-derived on the degraded
+// session. base, when non-nil, is a plan previously computed from this
+// session with the same options; nil plans it here. Sessions running a
+// streamed workload profile are rejected: the histogram is shaped for the
+// intact device count. Losing zero nodes degenerates to an exact replay:
+// all three latencies coincide.
+func (s *Session) NodeLoss(base *Plan, lost []int, opts Options, seed int64) (*NodeLossReport, error) {
 	if s.StreamedProfile() != nil {
 		return nil, fmt.Errorf("lancet: node-loss what-if is not supported with a streamed workload profile (histogram is shaped for the intact fleet)")
 	}
-	lost := normalizeLostNodes(opts.LostNodes)
+	lost = slices.Compact(slices.Sorted(slices.Values(lost)))
 	baseOpts := opts
-	baseOpts.LostNodes = nil
 	baseOpts.FixedPipelines = nil
 	if base == nil {
 		var err error
@@ -196,7 +182,7 @@ func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options
 		}
 		warmOpts := opts
 		warmOpts.Hint = hint
-		warmOpts.LostNodes, warmOpts.FixedPipelines = nil, nil
+		warmOpts.FixedPipelines = nil
 		warm, err := sess.Lancet(warmOpts)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: resize plan at %d GPUs: %w", gpus, err)

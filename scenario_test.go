@@ -2,6 +2,7 @@ package lancet
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func skewedSession(t *testing.T, gpuType string, gpus int, skew, hot float64) *S
 // all three pipeline sets coincide exactly.
 func TestNodeLossZeroNodesIsExactIdentity(t *testing.T) {
 	sess := skewedSession(t, "V100", 16, 1.2, 0)
-	rep, err := sess.NodeLoss(nil, Options{}, 17)
+	rep, err := sess.NodeLoss(nil, nil, Options{}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,8 @@ func TestNodeLossZeroNodesIsExactIdentity(t *testing.T) {
 // TestNodeLossNeverPredictsFaster pins the batch-rescaling contract: the
 // survivors carry at least the intact fleet's global token budget, so a
 // degraded fleet never reports a faster iteration than the intact one —
-// for the replay and the re-plan alike.
+// for the replay and the re-plan alike. The report's lost-node list is
+// sorted and deduplicated whatever order the caller used.
 func TestNodeLossNeverPredictsFaster(t *testing.T) {
 	cases := []struct {
 		gpuType   string
@@ -54,14 +56,17 @@ func TestNodeLossNeverPredictsFaster(t *testing.T) {
 	}{
 		{"V100", 16, []int{0}, 1.2, 0},
 		{"V100", 16, []int{1}, 0, 0.4},
-		{"V100", 24, []int{0, 2}, 1.2, 0},
+		{"V100", 24, []int{2, 0, 2}, 1.2, 0},
 		{"A100", 16, []int{0}, 0, 0},
 	}
 	for _, tc := range cases {
 		sess := skewedSession(t, tc.gpuType, tc.gpus, tc.skew, tc.hot)
-		rep, err := sess.NodeLoss(nil, Options{LostNodes: tc.lost}, 17)
+		rep, err := sess.NodeLoss(nil, tc.lost, Options{}, 17)
 		if err != nil {
 			t.Fatalf("%v: %v", tc, err)
+		}
+		if !slices.IsSorted(rep.LostNodes) || rep.LostGPUs != 8*len(rep.LostNodes) {
+			t.Errorf("lose %v: report lists %v for %d lost GPUs", tc.lost, rep.LostNodes, rep.LostGPUs)
 		}
 		if rep.DegradedMs < rep.IntactMs {
 			t.Errorf("%d x %s lose %v: degraded %.2f ms faster than intact %.2f ms",
@@ -96,7 +101,7 @@ func TestNodeLossReplanBeatsDegradedReplay(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sess := skewedSession(t, tc.gpuType, tc.gpus, tc.skew, tc.hot)
-		rep, err := sess.NodeLoss(nil, Options{LostNodes: tc.lost}, 17)
+		rep, err := sess.NodeLoss(nil, tc.lost, Options{}, 17)
 		if err != nil {
 			t.Fatalf("%v: %v", tc, err)
 		}
@@ -116,10 +121,10 @@ func TestNodeLossReplanBeatsDegradedReplay(t *testing.T) {
 // loss lists the cluster cannot absorb.
 func TestNodeLossRejectsBadInputs(t *testing.T) {
 	sess := skewedSession(t, "V100", 16, 1.2, 0)
-	if _, err := sess.NodeLoss(nil, Options{LostNodes: []int{7}}, 17); err == nil {
+	if _, err := sess.NodeLoss(nil, []int{7}, Options{}, 17); err == nil {
 		t.Error("out-of-range lost node accepted")
 	}
-	if _, err := sess.NodeLoss(nil, Options{LostNodes: []int{0, 1}}, 17); err == nil {
+	if _, err := sess.NodeLoss(nil, []int{0, 1}, Options{}, 17); err == nil {
 		t.Error("losing every node accepted")
 	}
 }
@@ -193,8 +198,7 @@ func TestElasticResizeWarmStartsCutDPWork(t *testing.T) {
 
 // TestSoleTenancyAblation pins the contention ablation's plumbing: on a
 // contended fleet the sole-tenant-blind plan replays no faster than the
-// aware one, and on an uncontended fleet the flag is a no-op (identical
-// plans, identical latency).
+// aware one.
 func TestSoleTenancyAblation(t *testing.T) {
 	shared, err := MustCluster("V100", 16).WithTopology(Topology{NodesPerRack: 1, SpineShare: 0.5})
 	if err != nil {
@@ -206,7 +210,7 @@ func TestSoleTenancyAblation(t *testing.T) {
 	}
 	opts := Options{GroupUs: 1000}
 	blindOpts := opts
-	blindOpts.AssumeSoleTenancy = true
+	blindOpts.View = View.SoleTenant
 	blind, err := sess.Lancet(blindOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -227,19 +231,4 @@ func TestSoleTenancyAblation(t *testing.T) {
 		t.Errorf("sole-tenant-blind plan faster than contention-aware: %.2f vs %.2f ms", rb.MeanMs, ra.MeanMs)
 	}
 
-	flat, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := flat.Lancet(blindOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := flat.Lancet(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b2.Pipelines, a2.Pipelines) {
-		t.Error("AssumeSoleTenancy changed the plan on an uncontended fleet")
-	}
 }
