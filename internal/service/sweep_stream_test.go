@@ -95,6 +95,54 @@ func TestSweepStreamMatchesBufferedResults(t *testing.T) {
 	}
 }
 
+// TestSweepStoresColdPlans pins that a sweep stores exactly what /v1/plan
+// computes for the same point. On this grid, chaining warm-start hints
+// through the points once stored different plans under the shared plan
+// keys, so a later /v1/plan served a sweep's history instead of the DP's
+// answer. warm_start is retired and must be rejected.
+func TestSweepStoresColdPlans(t *testing.T) {
+	const grid = `"models": ["gpt2-s"], "clusters": ["V100"], "gpus": [16, 32, 64],
+		"gates": ["switch", "bpr"], "frameworks": ["lancet"],
+		"options": {"max_partitions": 16, "group_us": 1000}`
+	svc := New(Config{Parallel: 2})
+	h := svc.Handler()
+	if w := postSweep(t, h, `{`+grid+`, "warm_start": true}`); w.Code != http.StatusBadRequest {
+		t.Errorf("warm_start sweep status = %d, want 400", w.Code)
+	} else if e := decodeEnvelope(t, w); e.Err.Code != CodeBadRequest || !strings.Contains(e.Err.Message, `"warm_start"`) {
+		t.Errorf("warm_start rejection = %+v, want bad_request naming the field", e.Err)
+	}
+	if w := postSweep(t, h, `{`+grid+`}`); w.Code != http.StatusOK {
+		t.Fatalf("sweep status = %d, body %s", w.Code, w.Body)
+	}
+	if n := svc.Stats().DPEvaluations; n <= 0 {
+		t.Errorf("dp_evaluations = %d after a lancet sweep, want > 0", n)
+	}
+
+	summary := func(w *httptest.ResponseRecorder) string {
+		var resp PlanResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Result == nil {
+			return w.Body.String()
+		}
+		return fmt.Sprintf("%.2f ms, %s", resp.Result.IterationMs, resp.Result.Notes)
+	}
+	fresh := New(Config{}).Handler()
+	for _, gpus := range []int{16, 32, 64} {
+		for _, gate := range []string{"switch", "bpr"} {
+			body := fmt.Sprintf(`{"model": "gpt2-s", "cluster": "V100", "gpus": %d, "gate": %q,
+				"framework": "lancet", "baseline": "none", "options": {"max_partitions": 16, "group_us": 1000}}`,
+				gpus, gate)
+			got, want := postPlan(t, h, body), postPlan(t, fresh, body)
+			if got.Code != http.StatusOK || want.Code != http.StatusOK {
+				t.Fatalf("%d GPUs %s: status %d after the sweep, %d fresh", gpus, gate, got.Code, want.Code)
+			}
+			if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%d GPUs %s: after the sweep /v1/plan serves (%s) %s; a fresh service serves %s",
+					gpus, gate, got.Header().Get("X-Lancet-Cache"), summary(got), summary(want))
+			}
+		}
+	}
+}
+
 func TestSweepCapErrorPointsAtStreaming(t *testing.T) {
 	// 1080 points: over the buffered cap, well under the streaming backstop.
 	body := `{"models": ["gpt2-s", "gpt2-l", "vit-s"], "clusters": ["V100", "A100"],
