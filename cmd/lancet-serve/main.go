@@ -16,8 +16,7 @@
 //
 //	POST /v1/plan         plan one configuration, compare against a baseline
 //	POST /v1/sweep        fan a configuration grid out over the worker pool
-//	                      ("stream": true selects NDJSON streaming,
-//	                      "warm_start": true chains neighbor DP hints)
+//	                      ("stream": true selects NDJSON streaming)
 //	POST /v1/routing      stream per-session gate-count updates; serves the
 //	                      live plan stale-while-revalidate and re-plans in
 //	                      the background when the traffic drifts

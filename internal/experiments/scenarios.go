@@ -107,10 +107,10 @@ func NodeLoss(p Params) (*Table, error) {
 }
 
 // ElasticResize walks a fleet through a grow-and-shrink schedule, re-planning
-// at each size warm-started from the previous size's chosen pipelines — the
-// chain /v1/sweep's warm_start mode runs (DESIGN.md §14, §17). The plans are
-// byte-identical to cold ones (the warm-start invariant); the saved column is
-// the fraction of partition-DP evaluations the chained hint eliminates, i.e.
+// at each size warm-started from the previous size's chosen pipelines
+// (DESIGN.md §14, §17). On this schedule the warm plans equal the cold ones,
+// although a hint can change a plan in general; the saved column is the
+// fraction of partition-DP evaluations the chained hint eliminates, i.e.
 // the re-plan cost curve an elastic scheduler actually pays.
 func ElasticResize(p Params) (*Table, error) {
 	schedule := []int{16, 32, 64, 32, 16}

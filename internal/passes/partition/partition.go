@@ -43,18 +43,18 @@ type Options struct {
 	// optimizes the quantity the simulation will charge. 0 means 1 (full
 	// padded payload).
 	PayloadFraction float64
-	// Hint seeds the DP with a neighboring configuration's chosen
-	// pipelines (only Start, End and K are consulted — DESIGN.md §14). For
-	// each candidate window the DP probes the hinted partition count's
-	// immediate neighborhood first; a strict local minimum at the hinted k
-	// certifies the full sweep's argmin under the unimodality of the
-	// span-vs-k curve, so the remaining k values are never evaluated. When
-	// the hint loses its probe the window falls back to the full k sweep,
-	// and the per-window cost memo keeps probed candidates from being
-	// priced twice — a fallback window costs exactly as many evaluations
-	// as a cold one. A stale or mismatched hint therefore only costs its
-	// probes; chosen ranges and costs stay byte-identical to a hint-free
-	// run (pinned by the warm-start property tests).
+	// Hint seeds the DP with a previous plan's chosen pipelines (only
+	// Start, End and K are consulted — DESIGN.md §14). For each candidate
+	// window the DP probes the hinted partition count's immediate
+	// neighborhood first; a strict local minimum at the hinted k is taken
+	// as the window's argmin, so the remaining k values are never
+	// evaluated. That certificate assumes the span-vs-k curve is unimodal,
+	// and it is not always: a window can have a strict local minimum at
+	// the hinted k and a cheaper k further out, so a hinted run can choose
+	// different, costlier ranges than a hint-free one. When the hint loses
+	// its probe the window falls back to the full k sweep, and the
+	// per-window cost memo keeps probed candidates from being priced twice.
+	// The warm-start tests pin hinted ≡ hint-free on their fixtures only.
 	Hint []Range
 }
 
@@ -282,8 +282,9 @@ func hintKFor(hint []Range, lo, hi int) int {
 // probeHint evaluates the hinted partition count hk and its immediate
 // neighbors on the prepared window. ok reports the warm-start certificate:
 // hk strictly beats every probed neighbor (at the k-range boundary, its
-// single neighbor), in which case p is the window's minimal pipelined cost
-// under the unimodality invariant of the span-vs-k curve. Probed costs land
+// single neighbor), in which case p is taken as the window's minimal
+// pipelined cost — exact only where the span-vs-k curve is unimodal
+// (see Options.Hint). Probed costs land
 // in the per-window memo, so a failed certificate hands its work to the
 // full-sweep fallback instead of discarding it.
 func probeHint(sc *dpScratch, cm *cost.Model, window []*ir.Instr, hk, kmax int, pr cost.A2APricer, frac, boundary float64, res *Result) (p float64, ok bool) {

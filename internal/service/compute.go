@@ -28,11 +28,9 @@ type Result struct {
 	OverlapMs           float64 `json:"overlap_ms,omitempty"`
 	AllToAllMs          float64 `json:"a2a_ms,omitempty"`
 	Notes               string  `json:"notes,omitempty"`
-	// Pipelines records a Lancet plan's chosen partition pipelines — the
-	// neighbor warm-start hint sweep chaining seeds the adjacent grid
-	// point's DP from (DESIGN.md §14). Deterministic in the inputs like
-	// every other field, and serialized into disk artifacts, so chaining
-	// works across cache hits and process restarts alike.
+	// Pipelines records a Lancet plan's chosen partition pipelines. The
+	// drift loop seeds its next re-plan's DP from them (DESIGN.md §14,
+	// §16); they are serialized into disk artifacts like every other field.
 	Pipelines []lancet.PipelineHint `json:"pipelines,omitempty"`
 
 	// WhatIf carries the node-loss scenario answer when the request asked
@@ -42,10 +40,10 @@ type Result struct {
 	WhatIf *WhatIfResult `json:"what_if,omitempty"`
 
 	// evaluations counts the plan's partition-DP evaluations. Unexported
-	// and deliberately absent from the JSON encoding: a warm-started
-	// computation spends fewer evaluations than a cold one, and responses
-	// must stay byte-identical either way. The service folds it into the
-	// /v1/stats dp_evaluations counter at compute time instead.
+	// and deliberately absent from the JSON encoding: it measures the
+	// effort behind the answer, not the answer, so responses and disk
+	// artifacts leave it out. The service folds it into the /v1/stats
+	// dp_evaluations counter at compute time instead.
 	evaluations int
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -32,8 +31,8 @@ const replanBacklog = 16
 
 // RoutingUpdate is the body of POST /v1/routing (DESIGN.md §16): one
 // streamed gate-count observation for a training session. Plan names the
-// configuration being trained; it must not set routing or skew — the
-// streamed counts are the workload. Counts is the devices x devices
+// configuration being trained; it must not set routing — the streamed
+// counts are the workload. Counts is the devices x devices
 // gate-count matrix of the observed window: Counts[i][j] tokens entered on
 // device i and were routed to an expert on device j.
 type RoutingUpdate struct {
@@ -182,7 +181,9 @@ func (s *Service) driftSessionFor(c *canonical) (*driftSession, error) {
 // plan store and singleflight (resultForWith), so re-plans are written
 // through to disk, restored on restart, and oscillating traffic that
 // returns to a planned shape hits the store instead of recomputing. hint
-// warm-starts the partition DP from the outgoing plan.
+// warm-starts the partition DP from the outgoing plan. A hint can change
+// the chosen plan (DESIGN.md §14); the drift loop keeps it because it cuts
+// the re-plan's DP work, and the first plan of a session is always cold.
 func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64, hint []lancet.PipelineHint) (*planSnapshot, error) {
 	cc := d.c.withProfile(cur)
 	res, _, err := s.resultForWith(cc, cc.framework, hint, func() (*lancet.Session, error) {
@@ -264,20 +265,13 @@ func validateCounts(counts [][]int64, gpus int) error {
 
 func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 	var u RoutingUpdate
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&u); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r, &u); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if u.Plan.Routing != nil || u.Plan.Skew != 0 {
-		if u.Plan.Skew != 0 {
-			// The deprecated shorthand earns its sunset headers on every
-			// endpoint that sees it, rejections included.
-			setDeprecationHeaders(w, []string{"skew"})
-		}
+	if u.Plan.Routing != nil {
 		writeError(w, http.StatusBadRequest,
-			codedf(CodeConflictingFields, "a drift plan's workload is the streamed counts; don't set routing or skew"))
+			codedf(CodeConflictingFields, "a drift plan's workload is the streamed counts; don't set routing"))
 		return
 	}
 	if u.Plan.WhatIf != nil {

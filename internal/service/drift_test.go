@@ -100,7 +100,9 @@ func TestRoutingRejectsBadUpdates(t *testing.T) {
 		{"plan with routing", `{"plan": {"routing": {"kind": "zipf", "alpha": 1}}, "counts": [[1]]}`,
 			"streamed counts", CodeConflictingFields, 400},
 		{"plan with skew", `{"plan": {"skew": 1.2}, "counts": [[1]]}`,
-			"streamed counts", CodeConflictingFields, 400},
+			`unknown field "skew"`, CodeBadRequest, 400},
+		{"trailing data", routingBody(t, netsim.UniformProfile(16).Counts()) + ` trailing`,
+			"bad request body", CodeBadRequest, 400},
 		{"unknown model", `{"plan": {"model": "gpt3"}, "counts": [[1]]}`,
 			"unknown model", CodeUnknownModel, 400},
 		{"wrong dimensions", small, "16 x 16", CodeBadRouting, 400},
@@ -477,51 +479,6 @@ func TestVersionEndpoint(t *testing.T) {
 	// for a compatibility check.
 	if got := svc.Stats().APIRevision; got != APIRevision {
 		t.Errorf("stats api_revision = %d, want %d", got, APIRevision)
-	}
-}
-
-// TestDeprecationHeaders pins the skew shorthand's deprecation surface:
-// responses to skew-bearing requests carry the headers, the echo
-// canonicalizes to the routing spelling, and modern requests stay clean.
-func TestDeprecationHeaders(t *testing.T) {
-	h := New(Config{}).Handler()
-
-	legacy := postPlan(t, h, `{"framework": "raf", "baseline": "none", "skew": 1.5}`)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", legacy.Code, legacy.Body)
-	}
-	if got := legacy.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("Deprecation = %q, want true", got)
-	}
-	if got := legacy.Header().Get("X-Lancet-Deprecated-Field"); got != "skew" {
-		t.Errorf("X-Lancet-Deprecated-Field = %q, want skew", got)
-	}
-	var resp PlanResponse
-	if err := json.NewDecoder(legacy.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Request.Skew != 0 || resp.Request.Routing == nil ||
-		resp.Request.Routing.Kind != RoutingZipf || resp.Request.Routing.Alpha != 1.5 {
-		t.Errorf("echo did not normalize skew to routing: %+v", resp.Request)
-	}
-
-	modern := postPlan(t, h, `{"framework": "raf", "baseline": "none", "routing": {"kind": "zipf", "alpha": 1.5}}`)
-	if modern.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", modern.Code, modern.Body)
-	}
-	if got := modern.Header().Get("Deprecation"); got != "" {
-		t.Errorf("modern spelling got Deprecation = %q, want unset", got)
-	}
-
-	sweep := httptest.NewRequest(http.MethodPost, "/v1/sweep",
-		strings.NewReader(`{"frameworks": ["raf"], "skew": 1.5}`))
-	sw := httptest.NewRecorder()
-	h.ServeHTTP(sw, sweep)
-	if sw.Code != http.StatusOK {
-		t.Fatalf("sweep status = %d, body %s", sw.Code, sw.Body)
-	}
-	if got := sw.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("sweep Deprecation = %q, want true", got)
 	}
 }
 

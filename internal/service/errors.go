@@ -31,8 +31,8 @@ const (
 	// /v1/routing gate-count updates.
 	CodeBadRouting ErrorCode = "bad_routing"
 	// CodeConflictingFields rejects requests that set mutually exclusive
-	// fields (skew + routing, cluster/gpus + classes, baseline ==
-	// framework, routing on a drift plan).
+	// fields (cluster/gpus + classes, baseline == framework, routing on a
+	// drift plan).
 	CodeConflictingFields ErrorCode = "conflicting_fields"
 	// CodeGridTooLarge rejects sweeps over the buffered or streaming point
 	// caps.
@@ -75,15 +75,10 @@ type errorEnvelope struct {
 	Message string    `json:"message"`
 }
 
-// errorResponse is the body of every non-2xx JSON reply. The envelope under
-// "error" replaced the flat string this key carried before APIRevision 2;
-// the flat spelling survives one release as "error_string" for clients
-// still string-matching, and is scheduled for removal at the next API
-// revision.
+// errorResponse is the body of every non-2xx JSON reply:
+// {"error": {"code": ..., "message": ...}}.
 type errorResponse struct {
 	Err errorEnvelope `json:"error"`
-	// Legacy is the deprecated pre-revision flat error string.
-	Legacy string `json:"error_string,omitempty"`
 }
 
 // writeError renders err as the structured envelope. Uncoded errors default
@@ -97,8 +92,5 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	if errors.As(err, &ae) {
 		code = ae.code
 	}
-	writeJSON(w, status, errorResponse{
-		Err:    errorEnvelope{Code: code, Message: err.Error()},
-		Legacy: err.Error(),
-	})
+	writeJSON(w, status, errorResponse{Err: errorEnvelope{Code: code, Message: err.Error()}})
 }

@@ -19,7 +19,7 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"framework": "raf", "baseline": "none"}`))
 	f.Add([]byte(`{"model": "gpt2-l", "cluster": "A100", "gpus": 32, "gate": "top2", "seed": 0}`))
-	f.Add([]byte(`{"skew": 1.5, "options": {"max_partitions": 4, "prioritize_all_to_all": true}}`))
+	f.Add([]byte(`{"routing": {"kind": "zipf", "alpha": 1.5}, "options": {"max_partitions": 4, "prioritize_all_to_all": true}}`))
 	f.Add([]byte(`{"routing": {"kind": "hot", "hot_share": 0.5}, "topology": {"oversub": 4}}`))
 	f.Add([]byte(`{"classes": [{"gpu": "A100", "nodes": 1}, {"gpu": "V100", "nodes": 3}], "zero3": true}`))
 	f.Add([]byte(`{"classes": [{"gpu": "v100", "nodes": 2}], "batch": 7, "shared_expert": true}`))

@@ -161,21 +161,11 @@ const (
 	RoutingHot     = "hot"
 )
 
-// normalizeRouting resolves the routing field against the legacy Skew
-// shorthand and validates kind-specific parameters. The zero value means
-// uniform.
-func normalizeRouting(r *RoutingSpec, skew float64) (RoutingSpec, error) {
-	if skew < 0 {
-		return RoutingSpec{}, codedf(CodeBadRouting, "skew must be non-negative, got %g", skew)
-	}
+// normalizeRouting validates the routing field's kind-specific parameters.
+// A nil spec means uniform.
+func normalizeRouting(r *RoutingSpec) (RoutingSpec, error) {
 	if r == nil {
-		if skew > 0 {
-			return RoutingSpec{Kind: RoutingZipf, Alpha: skew}, nil
-		}
 		return RoutingSpec{Kind: RoutingUniform}, nil
-	}
-	if skew != 0 {
-		return RoutingSpec{}, codedf(CodeConflictingFields, "specify either skew or routing, not both")
 	}
 	spec := RoutingSpec{Kind: strings.ToLower(strings.TrimSpace(r.Kind)), Alpha: r.Alpha, HotShare: r.HotShare}
 	switch spec.Kind {
@@ -237,12 +227,7 @@ type PlanRequest struct {
 	// pointer so an explicit 0 — a valid seed the CLI accepts — stays
 	// distinguishable from "unset".
 	Seed *int64 `json:"seed,omitempty"`
-	// Skew is the DEPRECATED legacy shorthand for routing
-	// {"kind":"zipf","alpha":Skew}; Routing is the full spec, echoes
-	// normalize to it, and responses to skew-bearing requests carry
-	// Deprecation / X-Lancet-Deprecated-Field headers. Setting both is a
-	// client error. Scheduled for removal at the next API revision.
-	Skew    float64      `json:"skew,omitempty"`
+	// Routing is the workload's routing shape; nil selects uniform.
 	Routing *RoutingSpec `json:"routing,omitempty"`
 	// Topology is the cluster's network hierarchy (racks + spine
 	// oversubscription + tenant share); nil selects the flat fabric.
@@ -292,11 +277,6 @@ type canonical struct {
 	// keyed by content fingerprint, so oscillating traffic that returns to
 	// a previously planned shape hits the plan store.
 	profile *netsim.RoutingProfile
-
-	// deprecated lists the legacy request fields this request used;
-	// handlers surface them via Deprecation/X-Lancet-Deprecated-Field
-	// headers.
-	deprecated []string
 }
 
 // canonicalize validates r and resolves every default. All errors it
@@ -307,14 +287,11 @@ func (r PlanRequest) canonicalize() (*canonical, error) {
 	if r.Seed != nil {
 		c.seed = *r.Seed
 	}
-	routing, err := normalizeRouting(r.Routing, r.Skew)
+	routing, err := normalizeRouting(r.Routing)
 	if err != nil {
 		return nil, err
 	}
 	c.routing = routing
-	if r.Skew > 0 && r.Routing == nil {
-		c.deprecated = append(c.deprecated, "skew")
-	}
 	// Negative knobs would silently disable passes (Session.Lancet only
 	// substitutes defaults for exactly 0); reject them like every other
 	// invalid field.

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -180,39 +181,43 @@ func TestRoutingRejectsOverflowAndWhatIf(t *testing.T) {
 	}
 }
 
-// TestDeprecationHeadersAcrossEndpoints pins that every endpoint accepting
-// the legacy skew shorthand emits the same sunset headers: /v1/plan,
-// /v1/sweep (buffered and warm-started), and /v1/routing — where the
-// shorthand is additionally a conflict, but the 400 still carries the
-// headers so clients learn both facts at once.
+// TestDeprecationHeadersAcrossEndpoints pins the end of the deprecation
+// window (API revision 3): the retired skew shorthand and the sweep's
+// warm_start flag are unknown fields with a 400 bad_request naming them on
+// every endpoint that used to accept them, and no response — rejection or
+// success — carries the old sunset headers.
 func TestDeprecationHeadersAcrossEndpoints(t *testing.T) {
 	h := New(Config{}).Handler()
-	cases := []struct {
-		name, path, body string
-		wantStatus       int
-	}{
-		{"plan", "/v1/plan", `{"framework": "raf", "baseline": "none", "skew": 1.5}`, 200},
-		{"sweep", "/v1/sweep", `{"frameworks": ["raf"], "skew": 1.5}`, 200},
-		{"warm-started sweep", "/v1/sweep", `{"frameworks": ["lancet"], "skew": 1.5, "warm_start": true}`, 200},
-		{"routing", "/v1/routing", `{"plan": {"framework": "raf", "baseline": "none", "skew": 1.5}, "counts": [[1]]}`, 400},
+	noSunsetHeaders := func(t *testing.T, w *httptest.ResponseRecorder) {
+		t.Helper()
+		for _, k := range []string{"Deprecation", "X-Lancet-Deprecated-Field"} {
+			if got := w.Header().Get(k); got != "" {
+				t.Errorf("%s = %q, want unset", k, got)
+			}
+		}
 	}
-	for _, tc := range cases {
+	retired := []struct{ name, path, body, field string }{
+		{"plan", "/v1/plan", `{"framework": "raf", "baseline": "none", "skew": 1.5}`, "skew"},
+		{"sweep", "/v1/sweep", `{"frameworks": ["raf"], "skew": 1.5}`, "skew"},
+		{"warm-started sweep", "/v1/sweep", `{"frameworks": ["lancet"], "warm_start": true}`, "warm_start"},
+		{"routing", "/v1/routing", `{"plan": {"framework": "raf", "baseline": "none", "skew": 1.5}, "counts": [[1]]}`, "skew"},
+	}
+	for _, tc := range retired {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
-			if w.Code != tc.wantStatus {
-				t.Fatalf("status = %d, want %d (body %s)", w.Code, tc.wantStatus, w.Body)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", w.Code, w.Body)
 			}
-			if got := w.Header().Get("Deprecation"); got != "true" {
-				t.Errorf("Deprecation = %q, want true", got)
-			}
-			if got := w.Header().Get("X-Lancet-Deprecated-Field"); got != "skew" {
-				t.Errorf("X-Lancet-Deprecated-Field = %q, want skew", got)
+			noSunsetHeaders(t, w)
+			e := decodeEnvelope(t, w)
+			if want := fmt.Sprintf("unknown field %q", tc.field); e.Err.Code != CodeBadRequest || !strings.Contains(e.Err.Message, want) {
+				t.Errorf("error = %+v, want %s naming %s", e.Err, CodeBadRequest, want)
 			}
 		})
 	}
-	// The modern spellings stay header-free on all three endpoints.
+	// The current spellings succeed, header-free, on all three endpoints.
 	modern := []struct{ name, path, body string }{
 		{"plan", "/v1/plan", `{"framework": "raf", "baseline": "none", "routing": {"kind": "zipf", "alpha": 1.5}}`},
 		{"sweep", "/v1/sweep", `{"frameworks": ["raf"], "routing": {"kind": "zipf", "alpha": 1.5}}`},
@@ -226,9 +231,7 @@ func TestDeprecationHeadersAcrossEndpoints(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("status = %d, body %s", w.Code, w.Body)
 			}
-			if got := w.Header().Get("Deprecation"); got != "" {
-				t.Errorf("modern spelling got Deprecation = %q, want unset", got)
-			}
+			noSunsetHeaders(t, w)
 		})
 	}
 }

@@ -3,10 +3,11 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"lancet"
@@ -76,9 +77,8 @@ type Service struct {
 	computations atomic.Int64
 
 	// dpEvals accumulates the partition-DP evaluation counts of every
-	// computation — the optimization effort warm-started sweeps measurably
-	// reduce. Kept out of Result so cached and fresh responses stay
-	// byte-identical.
+	// computation. Kept out of Result: the count is the cost of an answer,
+	// not part of it.
 	dpEvals atomic.Int64
 
 	// planMisses counts lookups no plan-store tier answered (fresh
@@ -86,6 +86,12 @@ type Service struct {
 	// memory-misses minus disk-hits, whose two racing reads could make a
 	// derived value dip between scrapes.
 	planMisses atomic.Int64
+
+	// rechecked counts lookups that missed the memory tier but found the
+	// result there on the flight's re-check, because another request's
+	// computation landed in between: memory-tier hits that the LRU's own
+	// counters recorded as misses.
+	rechecked atomic.Int64
 
 	// retiredCost accumulates evicted sessions' cost-model counters so
 	// /v1/stats stays monotonic when the session pool churns.
@@ -199,21 +205,25 @@ func (s *Service) session(c *canonical) (*lancet.Session, error) {
 // resultFor serves one framework's result through the two-tier plan store:
 // memory LRU hit, disk-artifact hit (promoted into the LRU), singleflight
 // share, or a fresh computation written through to both tiers. The
-// returned cache state is "hit", "disk", "shared" or "miss". hint, when
-// non-nil, warm-starts the partition DP (DESIGN.md §14); it is absent from
-// the plan key because it never changes the computed result. Panics while
-// planning are contained and returned as errors, so a bad grid point
-// cannot take down sweep workers (plain goroutines with no net/http
-// recovery) or the whole server.
-func (s *Service) resultFor(c *canonical, fw string, hint []lancet.PipelineHint) (*Result, string, error) {
-	return s.resultForWith(c, fw, hint, func() (*lancet.Session, error) { return s.session(c) })
+// returned cache state is "hit", "disk", "shared" or "miss". Every
+// computation it runs is cold, so a stored /v1/plan or /v1/sweep entry
+// never depends on what was requested before it. Panics while planning are
+// contained and returned as errors, so a bad grid point cannot take down
+// sweep workers (plain goroutines with no net/http recovery) or the whole
+// server.
+func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
+	return s.resultForWith(c, fw, nil, func() (*lancet.Session, error) { return s.session(c) })
 }
 
-// resultForWith is resultFor with an explicit session provider: the drift
-// loop serves its re-plans through the same two-tier store and singleflight
-// (write-through, restart-restorable), but against a dedicated session
-// whose workload is a streamed profile rather than a pooled parametric one
-// (DESIGN.md §16). sessionFn runs only on a full store miss.
+// resultForWith is resultFor with an explicit session provider and DP
+// hint: the drift loop serves its re-plans through the same two-tier store
+// and singleflight (write-through, restart-restorable), but against a
+// dedicated session whose workload is a streamed profile rather than a
+// pooled parametric one (DESIGN.md §16). sessionFn runs only on a full
+// store miss. hint, when non-nil, warm-starts the partition DP from the
+// outgoing plan. It is absent from the plan key although it can change the
+// chosen plan (DESIGN.md §14): the drift loop's keys carry the streamed
+// profile's fingerprint, which no /v1/plan or /v1/sweep request can spell.
 func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -233,6 +243,7 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 		// outer get's recorded miss from double-counting this request.
 		if r, ok := s.plans.peek(key); ok {
 			fromStore = true
+			s.rechecked.Add(1)
 			return r, nil
 		}
 		if s.disk != nil {
@@ -322,12 +333,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
+// decodeBody decodes one POST body into v: at most maxBodyBytes, unknown
+// fields rejected, and nothing but whitespace after the JSON value.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: data after the JSON value")
+	}
+	return nil
+}
+
+func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
+	var req PlanRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	c, err := req.canonicalize()
@@ -343,10 +366,10 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if c.baseline != "" {
 		go func() {
 			defer close(baseDone)
-			base, _, baseErr = s.resultFor(c, c.baseline, nil)
+			base, _, baseErr = s.resultFor(c, c.baseline)
 		}()
 	}
-	res, state, err := s.resultFor(c, c.framework, nil)
+	res, state, err := s.resultFor(c, c.framework)
 	if c.baseline != "" {
 		<-baseDone
 	}
@@ -367,20 +390,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// The cache verdict travels in a header so identical requests get
 	// byte-identical bodies whether served fresh, shared or from the store.
 	w.Header().Set("X-Lancet-Cache", state)
-	setDeprecationHeaders(w, c.deprecated)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// setDeprecationHeaders marks a response to a request that used deprecated
-// fields (currently only the legacy skew shorthand): RFC 8594-style
-// Deprecation plus the offending field list, so clients can find their
-// outdated spellings without diffing echoes.
-func setDeprecationHeaders(w http.ResponseWriter, fields []string) {
-	if len(fields) == 0 {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("X-Lancet-Deprecated-Field", strings.Join(fields, ", "))
 }
 
 // SweepRequest is the body of POST /v1/sweep: a grid of configurations,
@@ -400,7 +410,6 @@ type SweepRequest struct {
 
 	Batch        int           `json:"batch,omitempty"`
 	Seed         *int64        `json:"seed,omitempty"`
-	Skew         float64       `json:"skew,omitempty"`
 	Routing      *RoutingSpec  `json:"routing,omitempty"`
 	Topology     *TopologySpec `json:"topology,omitempty"`
 	SharedExpert bool          `json:"shared_expert,omitempty"`
@@ -412,12 +421,6 @@ type SweepRequest struct {
 	// completes (completion order; index is the deterministic grid
 	// position), and the buffered-mode grid cap does not apply.
 	Stream bool `json:"stream,omitempty"`
-	// WarmStart chains the grid points that share a model and fleet into
-	// sequential runs where each point seeds the partition DP from its
-	// neighbor's chosen plan (DESIGN.md §14). Chains run in parallel with
-	// each other; results are byte-identical to a cold sweep, only the DP
-	// evaluation count (and therefore cold-point latency) drops.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // SweepItem is one grid point's outcome. Err carries per-point failures
@@ -445,10 +448,8 @@ func orDefault(xs []string, def string) []string {
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	models := orDefault(req.Models, "gpt2-s")
@@ -487,9 +488,6 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 			codedf(CodeGridTooLarge, "sweep grid has %d points, streaming limit %d", points, maxStreamSweepPoints))
 		return
 	}
-	if req.Skew > 0 && req.Routing == nil {
-		setDeprecationHeaders(w, []string{"skew"})
-	}
 
 	// Expand the cross product in deterministic order.
 	var grid []PlanRequest
@@ -502,7 +500,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 							Model: m, Cluster: cl, GPUs: g, Gate: gate,
 							Classes:   req.Classes,
 							Framework: fw, Baseline: BaselineNone,
-							Batch: req.Batch, Seed: req.Seed, Skew: req.Skew,
+							Batch: req.Batch, Seed: req.Seed,
 							Routing: req.Routing, Topology: req.Topology,
 							SharedExpert: req.SharedExpert, ZeRO3: req.ZeRO3,
 							Options: req.Options,
@@ -513,64 +511,44 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Warm-start chains group the grid points that share the two outer
-	// dimensions (model and fleet) into one sequential run each, so every
-	// point's partition DP is seeded by its neighbor's chosen plan; the
-	// inner dimensions (GPU count, gate, framework) are where adjacent
-	// configurations plan similarly enough for hints to win. Without
-	// warm-start every point is its own chain — the old fully parallel
-	// fan-out.
-	chainLen := 1
-	if req.WarmStart {
-		chainLen = len(gpuCounts) * len(gates) * len(frameworks)
-	}
-
 	if req.Stream {
-		s.streamSweep(w, r, grid, chainLen)
+		s.streamSweep(w, r, grid)
 		return
 	}
 
-	// Fan the chains out over the shared worker-pool fan-out (the suite
+	// Fan the points out over the shared worker-pool fan-out (the suite
 	// engine's pattern, including its cancellation: a disconnected client
 	// stops the dispatch instead of grinding through dead work); results
 	// land at their grid index so output order is stable.
 	ctx := r.Context()
 	items := make([]SweepItem, len(grid))
-	undispatched := s.runSweep(ctx, grid, chainLen, func(i int, it SweepItem) { items[i] = it })
-	for i := undispatched * chainLen; i < len(grid); i++ {
+	undispatched := s.runSweep(ctx, grid, func(i int, it SweepItem) { items[i] = it })
+	for i := undispatched; i < len(grid); i++ {
 		items[i] = SweepItem{Request: grid[i], Err: context.Cause(ctx).Error()}
 	}
 
 	writeJSON(w, http.StatusOK, SweepResponse{Count: len(items), Results: items})
 }
 
-// runSweep dispatches the grid as chains of chainLen consecutive points
-// over the worker pool, threading the warm-start hint through each chain,
-// and emits every completed item. The server-wide semaphore makes
-// cfg.Parallel a bound across concurrent sweeps, not a per-request one.
-// It returns the index of the first chain that was never dispatched
-// (cancellation); items of dispatched chains are always emitted, including
-// the per-point cancellation errors of a chain cut short mid-run.
-func (s *Service) runSweep(ctx context.Context, grid []PlanRequest, chainLen int, emit func(int, SweepItem)) (undispatched int) {
-	chains := (len(grid) + chainLen - 1) / chainLen
-	return pool.ForEachIndexed(ctx, chains, s.cfg.Parallel, func(ci int) {
-		var hint []lancet.PipelineHint
-		for idx := ci * chainLen; idx < (ci+1)*chainLen && idx < len(grid); idx++ {
-			// Give up the wait for a semaphore slot when the client is
-			// gone — an already-dispatched point must not run dead work.
-			select {
-			case s.sweepSem <- struct{}{}:
-			case <-ctx.Done():
-				emit(idx, SweepItem{Request: grid[idx], Err: context.Cause(ctx).Error()})
-				continue
-			}
-			it, nextHint := s.sweepOne(grid[idx], hint)
-			<-s.sweepSem
-			if nextHint != nil {
-				hint = nextHint
-			}
-			emit(idx, it)
+// runSweep dispatches the grid points over the worker pool and emits every
+// completed item. The server-wide semaphore makes cfg.Parallel a bound
+// across concurrent sweeps, not a per-request one. It returns the index of
+// the first point that was never dispatched (cancellation); dispatched
+// points are always emitted, with the cancellation error if the client left
+// while they waited for a slot.
+func (s *Service) runSweep(ctx context.Context, grid []PlanRequest, emit func(int, SweepItem)) (undispatched int) {
+	return pool.ForEachIndexed(ctx, len(grid), s.cfg.Parallel, func(i int) {
+		// Give up the wait for a semaphore slot when the client is gone —
+		// an already-dispatched point must not run dead work.
+		select {
+		case s.sweepSem <- struct{}{}:
+		case <-ctx.Done():
+			emit(i, SweepItem{Request: grid[i], Err: context.Cause(ctx).Error()})
+			return
 		}
+		it := s.sweepOne(grid[i])
+		<-s.sweepSem
+		emit(i, it)
 	})
 }
 
@@ -578,7 +556,7 @@ func (s *Service) runSweep(ctx context.Context, grid []PlanRequest, chainLen int
 // written and flushed immediately as one line carrying its deterministic
 // grid index, so arbitrarily large sweeps never accumulate a response in
 // memory and clients see results as they land.
-func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []PlanRequest, chainLen int) {
+func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []PlanRequest) {
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -592,10 +570,10 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []Pla
 	ch := make(chan streamItem, s.cfg.Parallel)
 	go func() {
 		defer close(ch)
-		undispatched := s.runSweep(ctx, grid, chainLen, func(i int, it SweepItem) {
+		undispatched := s.runSweep(ctx, grid, func(i int, it SweepItem) {
 			ch <- streamItem{Index: i, SweepItem: it}
 		})
-		for i := undispatched * chainLen; i < len(grid); i++ {
+		for i := undispatched; i < len(grid); i++ {
 			ch <- streamItem{Index: i, SweepItem: SweepItem{Request: grid[i], Err: context.Cause(ctx).Error()}}
 		}
 	}()
@@ -607,23 +585,18 @@ func (s *Service) streamSweep(w http.ResponseWriter, r *http.Request, grid []Pla
 	}
 }
 
-// sweepOne resolves and serves a single grid point, folding its errors into
-// the item. hint warm-starts the point's partition DP; the returned hint is
-// the point's own chosen pipelines when it produced a Lancet plan (nil
-// otherwise), which the caller threads to the chain's next point.
-func (s *Service) sweepOne(req PlanRequest, hint []lancet.PipelineHint) (SweepItem, []lancet.PipelineHint) {
+// sweepOne resolves and serves a single grid point through the same plan
+// store as /v1/plan, folding its errors into the item.
+func (s *Service) sweepOne(req PlanRequest) SweepItem {
 	c, err := req.canonicalize()
 	if err != nil {
-		return SweepItem{Request: req, Err: err.Error()}, nil
+		return SweepItem{Request: req, Err: err.Error()}
 	}
-	res, _, err := s.resultFor(c, c.framework, hint)
+	res, _, err := s.resultFor(c, c.framework)
 	if err != nil {
-		return SweepItem{Request: c.echo(), Err: err.Error()}, nil
+		return SweepItem{Request: c.echo(), Err: err.Error()}
 	}
-	if c.framework == lancet.FrameworkLancet {
-		return SweepItem{Request: c.echo(), Result: res}, res.Pipelines
-	}
-	return SweepItem{Request: c.echo(), Result: res}, nil
+	return SweepItem{Request: c.echo(), Result: res}
 }
 
 // ExperimentInfo describes one registered experiment for GET
@@ -661,8 +634,8 @@ type StatsResponse struct {
 	Computations int64 `json:"computations"`
 	Deduplicated int64 `json:"deduplicated"`
 	// DPEvaluations accumulates partition-DP candidate evaluations across
-	// every computation — the optimization effort neighbor warm-start
-	// reduces (DESIGN.md §14).
+	// every computation: the optimization effort the plan store saves on
+	// every hit.
 	DPEvaluations int64 `json:"dp_evaluations"`
 	// CostModel aggregates lancet.CostStats over every pooled session
 	// plus the retired tally of evicted ones (monotonic across scrapes).
@@ -694,7 +667,7 @@ type TierBreakdown struct {
 	DiskHits   int64 `json:"disk_hits"`
 	Misses     int64 `json:"misses"`
 	// CombinedHitRate is the fraction of lookups either tier answered —
-	// the number the lancet-load harness gates on.
+	// the number the service's Zipf-mix hit-rate test gates on.
 	CombinedHitRate float64 `json:"combined_hit_rate"`
 }
 
@@ -712,6 +685,9 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // Stats snapshots the service's counters.
 func (s *Service) Stats() StatsResponse {
+	// Read before the plan store's counters, which already hold each
+	// re-checked lookup's miss, so the hit rate never exceeds 1.
+	rechecked := s.rechecked.Load()
 	resp := StatsResponse{
 		APIRevision:   APIRevision,
 		PlanStore:     s.plans.stats(),
@@ -728,14 +704,14 @@ func (s *Service) Stats() StatsResponse {
 			StaleServed:   s.staleServed.Load(),
 		},
 	}
-	resp.PlanTiers.MemoryHits = resp.PlanStore.Hits
+	resp.PlanTiers.MemoryHits = resp.PlanStore.Hits + rechecked
 	if s.disk != nil {
 		ds := s.disk.stats()
 		resp.DiskStore = &ds
 		resp.PlanTiers.DiskHits = ds.Hits
 	}
 	resp.PlanTiers.Misses = s.planMisses.Load()
-	if total := resp.PlanTiers.MemoryHits + resp.PlanStore.Misses; total > 0 {
+	if total := resp.PlanStore.Hits + resp.PlanStore.Misses; total > 0 {
 		resp.PlanTiers.CombinedHitRate =
 			float64(resp.PlanTiers.MemoryHits+resp.PlanTiers.DiskHits) / float64(total)
 	}

@@ -28,18 +28,18 @@ func postPlan(t *testing.T, h http.Handler, body string) *httptest.ResponseRecor
 }
 
 // decodeEnvelope decodes a non-2xx body and checks the envelope invariants:
-// a code is always present and the legacy flat string matches the message.
+// the body is exactly {"error": {"code", "message"}} and a code is always
+// present.
 func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) errorResponse {
 	t.Helper()
 	var e errorResponse
-	if err := json.NewDecoder(w.Body).Decode(&e); err != nil {
-		t.Fatalf("error body not JSON: %v", err)
+	dec := json.NewDecoder(w.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&e); err != nil {
+		t.Fatalf("error body is not exactly the envelope: %v", err)
 	}
 	if e.Err.Code == "" {
 		t.Error("error envelope missing code")
-	}
-	if e.Legacy != e.Err.Message {
-		t.Errorf("legacy error_string %q differs from envelope message %q", e.Legacy, e.Err.Message)
 	}
 	return e
 }
@@ -63,8 +63,11 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 		{"unknown baseline", `{"baseline": "megatron"}`, "unknown framework", CodeUnknownFramework},
 		{"unknown cluster", `{"cluster": "H100"}`, "H100", CodeBadCluster},
 		{"bad gpu count", `{"gpus": 12}`, "12", CodeBadCluster},
-		{"negative skew", `{"skew": -1}`, "non-negative", CodeBadRouting},
-		{"skew and routing", `{"skew": 1, "routing": {"kind": "zipf", "alpha": 1}}`, "not both", CodeConflictingFields},
+		// The skew shorthand is gone; every spelling of it is an unknown field.
+		{"negative skew", `{"skew": -1}`, `unknown field "skew"`, CodeBadRequest},
+		{"skew and routing", `{"skew": 1, "routing": {"kind": "zipf", "alpha": 1}}`, `unknown field "skew"`, CodeBadRequest},
+		{"trailing garbage", fastPlanBody + `garbage`, "bad request body", CodeBadRequest},
+		{"second value", fastPlanBody + ` {"model": "gpt3"}`, "data after the JSON value", CodeBadRequest},
 		{"unknown routing kind", `{"routing": {"kind": "pareto"}}`, "unknown routing kind", CodeBadRouting},
 		{"zipf without alpha", `{"routing": {"kind": "zipf"}}`, "alpha > 0", CodeBadRouting},
 		{"zipf with hot share", `{"routing": {"kind": "zipf", "alpha": 1, "hot_share": 0.5}}`, "no hot_share", CodeBadRouting},
@@ -179,10 +182,10 @@ func TestRoutingKeysNeverCollide(t *testing.T) {
 	if n := svc.Computations(); n != 3 {
 		t.Errorf("3 distinct routings ran %d computations, want 3", n)
 	}
-	// The legacy skew shorthand canonicalizes onto the zipf entry.
-	legacy := postPlan(t, h, `{"framework": "raf", "baseline": "none", "skew": 1.5}`)
-	if got := legacy.Header().Get("X-Lancet-Cache"); got != "hit" {
-		t.Errorf("skew shorthand should hit the zipf cache entry, got %q", got)
+	// Kind spellings are case- and space-insensitive.
+	spelled := postPlan(t, h, `{"framework": "raf", "baseline": "none", "routing": {"kind": " ZIPF ", "alpha": 1.5}}`)
+	if got := spelled.Header().Get("X-Lancet-Cache"); got != "hit" {
+		t.Errorf("respelled zipf kind should hit the zipf cache entry, got %q", got)
 	}
 	// The explicit uniform spelling canonicalizes onto the default entry.
 	explicit := postPlan(t, h, `{"framework": "raf", "baseline": "none", "routing": {"kind": "uniform"}}`)
@@ -199,7 +202,7 @@ func TestRoutingKeysNeverCollide(t *testing.T) {
 func TestRoutingEchoIsResubmittable(t *testing.T) {
 	svc := New(Config{})
 	h := svc.Handler()
-	first := postPlan(t, h, `{"framework": "raf", "baseline": "none", "skew": 2}`)
+	first := postPlan(t, h, `{"framework": "raf", "baseline": "none", "routing": {"kind": "Zipf", "alpha": 2}}`)
 	if first.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", first.Code, first.Body)
 	}
@@ -208,8 +211,8 @@ func TestRoutingEchoIsResubmittable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Request.Routing == nil || resp.Request.Routing.Kind != RoutingZipf ||
-		resp.Request.Routing.Alpha != 2 || resp.Request.Skew != 0 {
-		t.Fatalf("echo should canonicalize skew into routing: %+v", resp.Request)
+		resp.Request.Routing.Alpha != 2 {
+		t.Fatalf("echo should canonicalize the routing kind: %+v", resp.Request)
 	}
 	echoed, err := json.Marshal(resp.Request)
 	if err != nil {

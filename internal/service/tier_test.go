@@ -3,15 +3,58 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// tier_test.go is the two-tier plan store's concurrency property suite, run
-// under -race in CI: stats stay monotonic while both tiers churn, and
-// concurrent writers never produce a torn or mixed artifact.
+// tier_test.go is the two-tier plan store's property suite, run under
+// -race in CI: a Zipf-keyed mix is mostly served from the two tiers, stats
+// stay monotonic while both tiers churn, and concurrent writers never
+// produce a torn or mixed artifact.
+
+// TestZipfMixHitRate is the store's hit-rate gate (DESIGN.md §14): 5,000
+// /v1/plan requests over 512 keys drawn Zipf(1.1) from a seeded RNG,
+// against a 128-entry memory tier over a disk store. Key i is the raf
+// baseline (no DP) under seed i, so every key is its own plan-store entry
+// while the session pool stays hot. More than half the lookups must be
+// hits, both tiers must serve some, and every request lands in exactly one
+// tier outcome.
+func TestZipfMixHitRate(t *testing.T) {
+	const requests, keys = 5000, 512
+	svc, err := Open(Config{CacheSize: 128}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
+	for range requests {
+		body := fmt.Sprintf(`{"framework": "raf", "baseline": "none", "seed": %d}`, zipf.Uint64())
+		if w := postPlan(t, h, body); w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", body, w.Code, w.Body)
+		}
+	}
+	st := svc.Stats()
+	tiers := st.PlanTiers
+	t.Logf("plan tiers %+v", tiers)
+	if tiers.CombinedHitRate <= 0.5 {
+		t.Errorf("combined hit rate %.3f, want > 0.5", tiers.CombinedHitRate)
+	}
+	if tiers.MemoryHits == 0 {
+		t.Error("a Zipf mix must land memory-tier hits")
+	}
+	if tiers.DiskHits == 0 {
+		t.Error("a 128-entry memory tier over 512 keys must spill to the disk tier")
+	}
+	if st.DiskStore == nil || st.DiskStore.Writes == 0 {
+		t.Errorf("no disk writes recorded: %+v", st.DiskStore)
+	}
+	if total := tiers.MemoryHits + tiers.DiskHits + tiers.Misses + st.Deduplicated; total != requests {
+		t.Errorf("tier outcomes sum to %d, want %d", total, requests)
+	}
+}
 
 // snapshotCounters flattens the monotonic subset of a StatsResponse.
 func snapshotCounters(st StatsResponse) map[string]int64 {

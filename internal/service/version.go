@@ -6,8 +6,8 @@ import (
 )
 
 // APIRevision is the /v1 wire-surface revision. Bump it whenever a request
-// or response shape changes incompatibly; clients (cmd/lancet-load's
-// -require-api gate) compare it before trusting a server.
+// or response shape changes incompatibly; clients compare it (GET
+// /v1/version) before trusting a server.
 //
 // Revision history:
 //
@@ -17,7 +17,11 @@ import (
 //	    flat string moved to "error_string"), /v1/routing drift loop,
 //	    /v1/version, api_revision + drift counters in /v1/stats, skew
 //	    shorthand deprecated (DESIGN.md §16).
-const APIRevision = 2
+//	3 — the compatibility layer is gone: error bodies are exactly
+//	    {"error":{"code","message"}}, and the skew shorthand and /v1/sweep's
+//	    warm_start flag are unknown fields (400 bad_request). POST bodies
+//	    must hold one JSON value and nothing after it.
+const APIRevision = 3
 
 // VersionResponse is the body of GET /v1/version: everything a client
 // needs to decide whether it speaks this server's dialect — the module

@@ -254,14 +254,16 @@ type Options struct {
 	// plan. The derived view must keep the session's GPU count, and its
 	// profile must be shaped for it.
 	View func(View) View
-	// Hint seeds the partition DP with a neighboring configuration's
-	// chosen pipelines — typically the adjacent sweep grid point's
-	// Plan.Pipelines (DESIGN.md §14). A good hint cuts DP evaluations
-	// sharply (the DP probes each hinted partition count's neighborhood
-	// and skips the rest of the k sweep when it wins); a stale or
-	// mismatched hint only costs its probes. Chosen plans are
-	// byte-identical to a hint-free run either way, which is why the
-	// serving layer's plan-store keys ignore it.
+	// Hint seeds the partition DP with a previous plan's chosen pipelines
+	// (Plan.Pipelines; DESIGN.md §14). A good hint cuts DP evaluations
+	// sharply: the DP probes each hinted partition count's neighborhood
+	// and skips the rest of the window's k sweep when it wins. The skip
+	// assumes the span-vs-k curve is unimodal, which it is not always, so
+	// a hinted plan can differ from (and cost more than) a hint-free one.
+	// Its users are the ones that re-plan from a plan they already serve:
+	// the service's drift re-plans, NodeLoss, ElasticResize and
+	// planbench's traced replay. Anything stored under a request's own key
+	// must plan without it.
 	Hint []PipelineHint
 	// FixedPipelines replays a previous plan's chosen pipelines verbatim
 	// instead of running the partition DP: each range keeps its partition
@@ -387,8 +389,8 @@ type Plan struct {
 	// the quantity a warm-start hint reduces (DESIGN.md §14).
 	DPEvaluations int
 	// Pipelines lists the chosen pipelines (instruction range + partition
-	// count) — the warm-start hint a neighboring configuration seeds its
-	// partition DP from via Options.Hint (DESIGN.md §14).
+	// count): what Options.Hint warm-starts a re-plan from and what
+	// Options.FixedPipelines replays (DESIGN.md §14, §17).
 	Pipelines []PipelineHint
 	// RhoUsed is the maximum-partition limit actually used after the OOM
 	// fallback (paper Sec. 7: rho=8, reduced to 4 then 2 when partition

@@ -159,12 +159,11 @@ type ResizeStep struct {
 
 // ElasticResize grows and shrinks a uniform fleet through the given GPU
 // schedule, re-planning at each size warm-started from the previous size's
-// chosen pipelines (exactly the chain /v1/sweep's warm_start mode runs),
-// and reports the per-size latency plus the warm and cold DP evaluation
-// counts. The per-GPU batch stays fixed, so the global batch scales with
-// the fleet — the elasticity semantics of a data-parallel resize. Plans are
-// byte-identical to cold ones (the warm-start invariant); only the DP
-// effort differs.
+// chosen pipelines, and reports the per-size latency plus the warm and cold
+// DP evaluation counts. The per-GPU batch stays fixed, so the global batch
+// scales with the fleet — the elasticity semantics of a data-parallel
+// resize. The reported latency is the warm plan's: a hint can change the
+// chosen plan (Options.Hint), so it need not equal a cold plan's.
 func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options, seed int64) ([]ResizeStep, error) {
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("lancet: empty resize schedule")

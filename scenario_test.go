@@ -165,7 +165,8 @@ func TestFixedPipelinesReplayIsIdentity(t *testing.T) {
 // TestElasticResizeWarmStartsCutDPWork pins the resize chain: every step
 // after the first re-plans warm-started from its neighbor's pipelines and
 // must spend strictly fewer DP evaluations than a cold plan of the same
-// size — while producing the identical plan (warm-start invariant).
+// size, and matching sizes of this symmetric schedule land on the same
+// latency.
 func TestElasticResizeWarmStartsCutDPWork(t *testing.T) {
 	steps, err := ElasticResize(GPT2SMoE(0), "V100", []int{16, 32, 64, 32, 16}, Options{}, 17)
 	if err != nil {
@@ -187,7 +188,7 @@ func TestElasticResizeWarmStartsCutDPWork(t *testing.T) {
 		}
 	}
 	// The schedule is symmetric, so matching sizes must land on identical
-	// latencies: plans are byte-identical however they were warm-started.
+	// latencies although their hints came from different neighbors.
 	if steps[0].IterationMs != steps[4].IterationMs || steps[1].IterationMs != steps[3].IterationMs {
 		t.Errorf("symmetric sizes diverge: %v", steps)
 	}
