@@ -1,7 +1,10 @@
 package lancet
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"lancet/internal/netsim"
@@ -72,6 +75,140 @@ func TestSetWorkloadProfile(t *testing.T) {
 	if prof, err := s.RoutingProfile(); err != nil || prof != nil {
 		t.Errorf("after revert RoutingProfile = (%v, %v), want (nil, nil)", prof, err)
 	}
+}
+
+// TestPlanKeepsItsWorkload pins DESIGN.md §7's "a Plan is immutable after
+// planning": a plan keeps the workload it was planned for, so installing a
+// new streamed profile on its session, or reverting to the parametric
+// workload, changes neither its prediction, its simulated iteration nor its
+// trace. The concurrent leg swaps profiles and plans on one session while
+// other goroutines simulate plans of that session for the first time; run
+// it under -race.
+func TestPlanKeepsItsWorkload(t *testing.T) {
+	type outputs struct {
+		predictUs float64
+		report    *Report
+		trace     []byte
+	}
+	observe := func(p *Plan) (o outputs, err error) {
+		if o.predictUs, err = p.PredictUs(); err != nil {
+			return o, err
+		}
+		if o.report, err = p.Simulate(17); err != nil {
+			return o, err
+		}
+		o.trace, err = p.ChromeTrace(17)
+		return o, err
+	}
+	// differs describes how got departs from want, or returns "".
+	differs := func(got, want outputs) string {
+		if got.predictUs == want.predictUs && reflect.DeepEqual(got.report, want.report) && bytes.Equal(got.trace, want.trace) {
+			return ""
+		}
+		return fmt.Sprintf("PredictUs %.0f, Simulate(17) %.4f ms, trace equal %v; want %.0f, %.4f ms",
+			got.predictUs, got.report.IterationMs, bytes.Equal(got.trace, want.trace), want.predictUs, want.report.IterationMs)
+	}
+
+	t.Run("swap", func(t *testing.T) {
+		s := newTestSession(t)
+		if err := s.SetWorkloadProfile(netsim.ZipfProfile(16, 1.4)); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.Lancet(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := observe(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, swap := range []struct {
+			name string
+			wp   *netsim.RoutingProfile
+		}{{"hot 0.5", netsim.HotExpertProfile(16, 0.5)}, {"nil", nil}} {
+			if err := s.SetWorkloadProfile(swap.wp); err != nil {
+				t.Fatal(err)
+			}
+			got, err := observe(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := differs(got, want); d != "" {
+				t.Errorf("Zipf 1.4 plan after the session installed %s: %s", swap.name, d)
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		workloads := []*netsim.RoutingProfile{netsim.ZipfProfile(16, 1.4), netsim.HotExpertProfile(16, 0.5), nil}
+		// The reference outputs come from a second session, so the plans
+		// under test derive their overrides for the first time while their
+		// session's profile is being swapped.
+		ref, s := newTestSession(t), newTestSession(t)
+		wants := make([]outputs, len(workloads))
+		plans := make([]*Plan, len(workloads))
+		for i, wp := range workloads {
+			for _, sess := range []*Session{ref, s} {
+				if err := sess.SetWorkloadProfile(wp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rp, err := ref.Lancet(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wants[i], err = observe(rp); err != nil {
+				t.Fatal(err)
+			}
+			if plans[i], err = s.Lancet(Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var wg sync.WaitGroup
+		for i, p := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 3 {
+					got, err := observe(p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if d := differs(got, wants[i]); d != "" {
+						t.Errorf("plan %d simulated during swaps: %s", i, d)
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 2 * len(workloads) {
+				i := n % len(workloads)
+				if err := s.SetWorkloadProfile(workloads[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				p, err := s.Lancet(Options{})
+				if err == nil {
+					var got outputs
+					if got, err = observe(p); err == nil {
+						if d := differs(got, wants[i]); d != "" {
+							t.Errorf("re-plan %d for workload %d: %s", n, i, d)
+						}
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	})
 }
 
 // TestPlanProfileGeneralizesAblation: a view priced against the session's
