@@ -78,12 +78,13 @@ func BenchmarkLancetOptimize(b *testing.B) {
 }
 
 // BenchmarkPlanCold measures a full cold plan — session construction,
-// skewed routing profile, both optimization passes, and the final simulated
-// timeline — with nothing warmed between iterations except the
-// process-wide state a pooled server also shares: the scratch arenas and
-// the routing-proxy memo. This is the cost of one /v1/plan request on a
-// fresh session, the end-to-end quantity the arena refactor targets
-// (DESIGN.md §13); perf_floor.txt ratchets it.
+// skewed routing profile and both optimization passes, but no simulation
+// (a plan derives its irregular overrides on its first simulation) — with
+// nothing warmed between iterations except the process-wide state a pooled
+// server also shares: the scratch arenas and the routing-proxy memo. This
+// is the planning cost of one /v1/plan request on a fresh session, the
+// quantity the arena refactor targets (DESIGN.md §13); perf_floor.txt
+// ratchets it.
 func BenchmarkPlanCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,9 +9,9 @@ import (
 
 // TestConcurrentPlansShareSession is the regression test for the parallel
 // CLI path: all frameworks plan and simulate against one Session — and so
-// share its built graph and routing-profile cache — concurrently. Results
-// must match a serial run exactly (and the lazy graph-adjacency build must
-// not race; run with -race).
+// share its built graph and routing proxies — concurrently. Results must
+// match a serial run exactly (and the lazy graph-adjacency build must not
+// race; run with -race).
 func TestConcurrentPlansShareSession(t *testing.T) {
 	frameworks := []string{
 		lancet.FrameworkDeepSpeed, lancet.FrameworkRAF,

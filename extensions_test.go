@@ -1,6 +1,9 @@
 package lancet
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSharedExpertIncreasesOverlap(t *testing.T) {
 	plain := GPT2SMoE(0)
@@ -273,6 +276,22 @@ func TestHotExpertWorkloadEndToEnd(t *testing.T) {
 	r := plan.MustSimulate(1)
 	if r.IrregularA2AMs <= 0 {
 		t.Error("hot-expert replay should report irregular a2a time")
+	}
+
+	// The two parametric workloads are exclusive: every call that routes a
+	// session with both set fails, naming both fields, instead of silently
+	// routing one of them.
+	sess.WorkloadSkew = 1.2
+	calls := map[string]func() error{
+		"Lancet":              func() error { _, err := sess.Lancet(Options{}); return err },
+		"Baseline(fastermoe)": func() error { _, err := sess.Baseline(FrameworkFasterMoE); return err },
+		"RoutingProfile":      func() error { _, err := sess.RoutingProfile(); return err },
+	}
+	for name, call := range calls {
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), "WorkloadSkew") || !strings.Contains(err.Error(), "WorkloadHotExpert") {
+			t.Errorf("%s with both workloads set: err = %v, want one naming WorkloadSkew and WorkloadHotExpert", name, err)
+		}
 	}
 }
 

@@ -24,9 +24,6 @@ type Spec struct {
 	ComputeScale float64
 	// Memory is the framework's memory profile for OOM checks.
 	Memory model.MemoryProfile
-	// PadsAllToAll: the framework always transmits full expert-capacity
-	// buffers (no irregular all-to-all).
-	PadsAllToAll bool
 	// KnownOOM records "<model>|<cluster>" configurations the paper
 	// observed running out of memory that a monotone footprint model
 	// cannot derive (the paper's DeepSpeed OOMs on GPT2-S-MoE/A100 while
@@ -48,11 +45,11 @@ func (s Spec) OOMs(b *model.Built) bool {
 // Framework specs used across the evaluation.
 var (
 	DeepSpeed = Spec{
-		Name: "DeepSpeed", ComputeScale: 0.92, Memory: model.MemoryDeepSpeed, PadsAllToAll: true,
+		Name: "DeepSpeed", ComputeScale: 0.92, Memory: model.MemoryDeepSpeed,
 		KnownOOM: map[string]bool{"GPT2-S-MoE|A100": true},
 	}
-	RAF   = Spec{Name: "RAF", ComputeScale: 1.0, Memory: model.MemoryCompiled, PadsAllToAll: true}
-	Tutel = Spec{Name: "Tutel", ComputeScale: 0.96, Memory: model.MemoryTutel, PadsAllToAll: true}
+	RAF   = Spec{Name: "RAF", ComputeScale: 1.0, Memory: model.MemoryCompiled}
+	Tutel = Spec{Name: "Tutel", ComputeScale: 0.96, Memory: model.MemoryTutel}
 )
 
 // TutelDegrees is the overlap-degree search space used in the paper's
@@ -126,7 +123,7 @@ func BestTutelPlan(b *model.Built, cm *cost.Model, predict func(*ir.Graph) (floa
 // popular experts — the hottest expert's weights are replicated to every
 // device so its tokens never cross the network, at the price of
 // synchronizing that expert's gradients.
-var FasterMoE = Spec{Name: "FasterMoE", ComputeScale: 0.95, Memory: model.MemoryTutel, PadsAllToAll: true}
+var FasterMoE = Spec{Name: "FasterMoE", ComputeScale: 0.95, Memory: model.MemoryTutel}
 
 // FasterMoEPlan builds the FasterMoE schedule: Tutel-style degree-2
 // capacity partitioning of the MoE cores, all-to-all payloads shrunk by the

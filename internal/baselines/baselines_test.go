@@ -22,20 +22,6 @@ func fixture(t *testing.T) (*model.Built, *cost.Model) {
 	return b, cost.NewModel(cl)
 }
 
-func TestSpecs(t *testing.T) {
-	if DeepSpeed.ComputeScale >= RAF.ComputeScale {
-		t.Error("PyTorch-based DeepSpeed should be slower than the RAF compiler")
-	}
-	if Tutel.ComputeScale <= DeepSpeed.ComputeScale {
-		t.Error("Tutel's fused kernels should beat DeepSpeed's")
-	}
-	for _, s := range []Spec{DeepSpeed, RAF, Tutel} {
-		if !s.PadsAllToAll {
-			t.Errorf("%s should transmit padded all-to-alls", s.Name)
-		}
-	}
-}
-
 func TestTutelPlanDegreeOne(t *testing.T) {
 	b, cm := fixture(t)
 	g, err := TutelPlan(b, cm, 1)

@@ -24,10 +24,12 @@ func init() {
 // decayed fingerprint moves (every step, once the exponent starts walking);
 // threshold-replan re-plans only when the normalized L1 distance from the
 // profile the live plan was built for exceeds the serving default. Each step
-// simulates the policy's current plan under the *current* traffic — a stale
-// plan replays the new profile, exactly the stale-while-revalidate serving
-// path — so the mean iteration column is what each policy's plan actually
-// delivers, and the re-plans column is what it costs in DP runs.
+// simulates the policy's current plan under the *current* traffic: a plan
+// keeps the workload it was planned for, so a stale plan's pipelines are
+// replayed under the step's profile (Options.FixedPipelines), the
+// stale-while-revalidate serving path. The mean iteration column is what
+// each policy's plan actually delivers, and the re-plans column is what it
+// costs in DP runs.
 func DriftPlanning(p Params) (*Table, error) {
 	steps := 20
 	if p.Quick {
@@ -89,7 +91,7 @@ func DriftPlanning(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var plan *lancet.Plan
+		var live *lancet.Plan
 		var planned *netsim.RoutingProfile
 		replans := 0
 		total := 0.0
@@ -97,13 +99,19 @@ func DriftPlanning(p Params) (*Table, error) {
 			if err := sess.SetWorkloadProfile(q); err != nil {
 				return nil, err
 			}
-			if plan == nil || pol.replan(q, planned) {
-				if plan, err = sess.Lancet(lancet.Options{}); err != nil {
+			if live == nil || pol.replan(q, planned) {
+				if live, err = sess.Lancet(lancet.Options{}); err != nil {
 					return nil, err
 				}
 				planned = q
 				if i > 0 {
 					replans++
+				}
+			}
+			plan := live
+			if planned != q {
+				if plan, err = sess.Lancet(lancet.Options{FixedPipelines: live.Pipelines}); err != nil {
+					return nil, err
 				}
 			}
 			r, err := plan.Simulate(17)

@@ -2,7 +2,8 @@
 // operates on: tensors, instructions, and an SSA-style instruction-sequence
 // graph with dependency analysis (paper Sec. 3-4). The model IR is "a
 // sequence of instructions I = [I1..IN]; each instruction is characterized by
-// its input tensors x, output tensors y, and operator f".
+// its input tensors x, output tensors y, and operator f". DESIGN.md §2
+// describes the IR and its dependency tables.
 package ir
 
 import (

@@ -5,7 +5,8 @@
 // all-to-alls delays the activation-gradient critical path. The pass
 // deprioritizes all-reduces — each one is pushed behind the last backward
 // all-to-all it is independent of — eliminating the head-of-line blocking
-// without starving gradient synchronization.
+// without starving gradient synchronization. DESIGN.md §4 places it among
+// the optimization passes.
 package commprio
 
 import (

@@ -4,7 +4,8 @@
 // either direction, Sec. 4.1), assigns dW ops to all-to-alls with a best-fit
 // greedy heuristic for the NP-hard generalized assignment problem
 // (Sec. 4.2), and reorders the instruction sequence so each chosen dW op
-// launches immediately after its all-to-all.
+// launches immediately after its all-to-all. DESIGN.md §4 places it among
+// the optimization passes.
 package dwsched
 
 import (

@@ -4,6 +4,7 @@
 // satisfaction including the special irregular axis Airr (Sec. 5.2), the
 // stage-based pipeline scheduler that prices a candidate partition
 // (Sec. 5.3), and the IR rewrite that materializes the chosen pipelines.
+// DESIGN.md §4 places it among the optimization passes.
 package partition
 
 import (

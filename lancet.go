@@ -11,7 +11,9 @@
 // Because no GPU cluster is available, hardware is substituted with a
 // calibrated analytic cost model and a discrete-event two-stream execution
 // simulator (see DESIGN.md §3); the compiler passes themselves are faithful
-// to the paper's algorithms.
+// to the paper's algorithms. The public API is two nouns (DESIGN.md §1): a
+// Session, a model built for a cluster, and a Plan, a rewritten graph with
+// its cost model and the workload it was planned for.
 //
 // Typical use:
 //
@@ -29,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lancet/internal/baselines"
@@ -287,11 +290,13 @@ type PipelineHint struct {
 // by Lancet or by the baseline frameworks.
 //
 // A Session is safe for concurrent use once built: plans may be computed
-// and simulated from multiple goroutines (the routing-profile cache is the
-// only mutable state and it is mutex-guarded; the shared cost model is
-// lock-striped). This is what lets cmd/lancet plan frameworks in parallel
-// and lets the serving layer (cmd/lancet-serve) pool sessions across
-// requests. WorkloadSkew must be set before the first plan or profile.
+// and simulated from multiple goroutines while SetWorkloadProfile swaps the
+// streamed workload, because each Lancet plan keeps the workload it was
+// planned for (DESIGN.md §7). The shared cost model is lock-striped and
+// routing proxies are memoized process-wide. This is what lets cmd/lancet
+// plan frameworks in parallel and lets the serving layer (cmd/lancet-serve)
+// pool sessions across requests. WorkloadSkew and WorkloadHotExpert must
+// be set before the first plan or profile.
 type Session struct {
 	Config  ModelConfig
 	Cluster Cluster
@@ -305,19 +310,18 @@ type Session struct {
 	WorkloadSkew float64
 
 	// WorkloadHotExpert biases the workload so roughly this fraction of all
-	// tokens targets one hot expert (0 = balanced; exclusive with
-	// WorkloadSkew, which takes precedence when both are set). It is the
-	// single-hot-spot companion to WorkloadSkew's Zipf tail.
+	// tokens targets one hot expert (0 = balanced). It is the
+	// single-hot-spot companion to WorkloadSkew's Zipf tail and exclusive
+	// with it: every call that routes the workload of a session with both
+	// set returns an error.
 	WorkloadHotExpert float64
 
 	costRAF *cost.Model
 
-	mu       sync.Mutex              // guards profiles and workloadProfile; plans of one session may run concurrently
-	profiles map[int]*routingProfile // cache: micro-batch count -> profile
-	// workloadProfile, when set via SetWorkloadProfile, replaces the
-	// parametric gate-proxy workload entirely: planning prices and
-	// simulation replays this streamed traffic shape (DESIGN.md §16).
-	workloadProfile *netsim.RoutingProfile
+	// streamed, when set via SetWorkloadProfile, replaces the parametric
+	// gate-proxy workload entirely: plans planned while it is installed
+	// price and replay this streamed traffic shape (DESIGN.md §16).
+	streamed atomic.Pointer[netsim.RoutingProfile]
 }
 
 // routingProfile is what one functional gate run over a proxy batch tells
@@ -353,18 +357,17 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		Config:   cfg,
-		Cluster:  cluster,
-		Built:    b,
-		costRAF:  cost.NewModel(cluster),
-		profiles: make(map[int]*routingProfile),
+		Config:  cfg,
+		Cluster: cluster,
+		Built:   b,
+		costRAF: cost.NewModel(cluster),
 	}, nil
 }
 
-// Plan is an executable schedule: a rewritten graph plus the cost model it
-// should run under. A Plan is immutable after planning and safe to share
-// across goroutines; Simulate, PredictUs and ChromeTrace may be called
-// concurrently.
+// Plan is an executable schedule: a rewritten graph, the cost model it
+// should run under and, for Lancet plans, the workload it was planned for.
+// A Plan is immutable after planning and safe to share across goroutines;
+// Simulate, PredictUs and ChromeTrace may be called concurrently.
 type Plan struct {
 	Name        string
 	Framework   string
@@ -397,41 +400,18 @@ type Plan struct {
 	// staging would exceed device memory).
 	RhoUsed int
 
-	sess     *Session
-	costs    *cost.Model
-	spec     baselines.Spec
-	overlaps bool // uses Lancet's irregular all-to-all implementation
-
-	// Irregular-override maps are derived once per (plan, streamed-traffic
-	// fingerprint): the graph is immutable after planning, so the overrides
-	// only change when SetWorkloadProfile swaps the session's traffic.
-	// Between swaps they are shared by every PredictUs / Simulate call, so
-	// concurrent simulations of one plan don't re-walk the routing profiles
-	// (DESIGN.md §13); after a swap the next simulation re-derives them, so
-	// a stale plan replays the *new* traffic (DESIGN.md §16).
-	ovMu    sync.Mutex
-	ovDone  bool
-	ovFP    uint64
-	ovBytes map[int]int64
-	ovDur   map[int]float64
-	ovErr   error
+	costs *cost.Model
+	// irregular returns a Lancet plan's irregular all-to-all overrides,
+	// derived once, on first use, from the workload the plan was planned
+	// for (DESIGN.md §13). Nil for baselines, which send padded buffers.
+	irregular func() (a2aOverrides, error)
 }
 
-// overrides resolves the plan's irregular all-to-all overrides, computing
-// them on first use and again whenever the session's streamed workload
-// profile has changed since they were derived.
-func (p *Plan) overrides() (map[int]int64, map[int]float64, error) {
-	fp := uint64(0)
-	if wp := p.sess.StreamedProfile(); wp != nil {
-		fp = wp.Fingerprint()
-	}
-	p.ovMu.Lock()
-	defer p.ovMu.Unlock()
-	if !p.ovDone || p.ovFP != fp {
-		p.ovBytes, p.ovDur, p.ovErr = p.sess.irregularOverrides(p.Graph)
-		p.ovDone, p.ovFP = true, fp
-	}
-	return p.ovBytes, p.ovDur, p.ovErr
+// a2aOverrides are the per-instruction all-to-all payloads and durations a
+// Lancet plan's workload actually routes (see irregularOverrides).
+type a2aOverrides struct {
+	bytes map[int]int64
+	durUs map[int]float64 // nil for balanced workloads
 }
 
 // CostStats is a snapshot of a cost model's memoization counters,
@@ -445,44 +425,24 @@ type CostStats = cost.CacheStats
 // are not included here.
 func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 
-// skewedWorkload reports whether the session's routing deviates from the
-// balanced workload — via the parametric skew knobs or a streamed profile.
-func (s *Session) skewedWorkload() bool {
-	return s.WorkloadSkew > 0 || s.WorkloadHotExpert > 0 || s.StreamedProfile() != nil
-}
-
-// StreamedProfile returns the streamed workload profile installed by
-// SetWorkloadProfile, or nil when the session routes its parametric
-// workload.
-func (s *Session) StreamedProfile() *netsim.RoutingProfile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workloadProfile
-}
-
 // SetWorkloadProfile installs a streamed routing profile as the session's
-// workload (DESIGN.md §16): planning prices against p's traffic shape and
-// simulation replays it, replacing the parametric gate proxy entirely. The
-// drift loop calls this each time a session's decayed traffic snapshot
-// supersedes the profile the live plan was built from; passing nil reverts
-// to the parametric workload. The superseded fingerprint's memoized prices
-// are dropped from the session's cost models — a long-lived serving
-// session must not accumulate one interpolation table per drift step — so
-// plans computed before the swap replay the *new* traffic on their next
-// simulation, which is exactly the stale-plan-under-fresh-traffic replay
-// the drift experiment measures.
+// workload (DESIGN.md §16): plans planned from now on price against p's
+// traffic shape and simulation replays it, replacing the parametric gate
+// proxy entirely; passing nil reverts to the parametric workload. The drift
+// loop calls this each time a session's decayed traffic snapshot supersedes
+// the profile the live plan was built from. Plans computed before the swap
+// keep the workload they were planned for; replaying a stale plan under the
+// new traffic is a re-plan with Options.FixedPipelines set to its
+// pipelines. The superseded fingerprint's memoized prices are dropped from
+// the session's cost model, so a long-lived serving session does not
+// accumulate one interpolation table per drift step.
 func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 	if err := s.costRAF.ValidateProfile(p); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old := s.workloadProfile; old != nil && (p == nil || p.Fingerprint() != old.Fingerprint()) {
+	if old := s.streamed.Swap(p); old != nil && (p == nil || p.Fingerprint() != old.Fingerprint()) {
 		s.costRAF.InvalidateProfile(old.Fingerprint())
 	}
-	s.workloadProfile = p
-	// Cached per-k dispatch statistics describe the superseded workload.
-	s.profiles = make(map[int]*routingProfile)
 	return nil
 }
 
@@ -495,19 +455,20 @@ func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 // destinations — which is the shape planning prices and simulation
 // replays.
 func (s *Session) RoutingProfile() (*netsim.RoutingProfile, error) {
-	prof, _, err := s.routingContext()
+	prof, _, err := s.routingContext(s.streamed.Load())
 	return prof, err
 }
 
-// routingContext returns the workload's routing profile plus the fraction
-// of the padded all-to-all payload it actually routes — the two inputs the
-// partition DP needs to price all-to-alls the way the simulator will
-// replay them. Balanced workloads return (nil, 1).
-func (s *Session) routingContext() (*netsim.RoutingProfile, float64, error) {
-	if !s.skewedWorkload() {
+// routingContext returns the routing profile of the workload — the
+// streamed profile wp, or the parametric one when wp is nil — plus the
+// fraction of the padded all-to-all payload it actually routes: the two
+// inputs the partition DP needs to price all-to-alls the way the simulator
+// will replay them. Balanced workloads return (nil, 1).
+func (s *Session) routingContext(wp *netsim.RoutingProfile) (*netsim.RoutingProfile, float64, error) {
+	if wp == nil && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
 		return nil, 1, nil
 	}
-	p, err := s.profile(1)
+	p, err := s.profile(wp, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -518,21 +479,19 @@ func (s *Session) routingContext() (*netsim.RoutingProfile, float64, error) {
 	return p.net, frac, nil
 }
 
-// Lancet runs both optimization passes and returns the optimized plan.
+// Lancet runs both optimization passes and returns the optimized plan. The
+// plan keeps the workload installed when it is planned: a later
+// SetWorkloadProfile changes none of its outputs.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
 	start := time.Now()
 	g := s.Built.Graph
-	plan := &Plan{
-		Name: "Lancet", Framework: FrameworkLancet,
-		sess: s, costs: s.costRAF,
-		spec:     baselines.Spec{Name: "Lancet", ComputeScale: 1.0, Memory: model.MemoryCompiled},
-		overlaps: true,
-	}
+	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.costRAF}
 
 	// The passes price view with planCost; simulation (plan.costs) always
 	// replays reality. The two differ only under Options.View, whose view
 	// gets a cost model of its own unless it keeps the real cluster.
-	prof, frac, err := s.routingContext()
+	wp := s.streamed.Load()
+	prof, frac, err := s.routingContext(wp)
 	if err != nil {
 		return nil, fmt.Errorf("lancet: routing profile: %w", err)
 	}
@@ -635,8 +594,9 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 	}
 
 	plan.Graph = g
+	plan.irregular = sync.OnceValues(func() (a2aOverrides, error) { return s.irregularOverrides(g, wp) })
 	plan.OptimizeTime = time.Since(start)
-	plan.OOM = !s.Built.FitsMemory(plan.spec.Memory)
+	plan.OOM = !s.Built.FitsMemory(model.MemoryCompiled)
 	return plan, nil
 }
 
@@ -690,10 +650,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	}
 	cm := cost.NewModel(s.Cluster)
 	cm.ComputeScale = spec.ComputeScale
-	plan := &Plan{
-		Name: spec.Name, Framework: framework,
-		sess: s, costs: cm, spec: spec,
-	}
+	plan := &Plan{Name: spec.Name, Framework: framework, costs: cm}
 	start := time.Now()
 	switch framework {
 	case FrameworkTutel:
@@ -710,7 +667,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 		}
 		plan.Graph, plan.TutelDegree = g, degree
 	case FrameworkFasterMoE:
-		prof, err := s.profile(1)
+		prof, err := s.profile(s.streamed.Load(), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -734,12 +691,12 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 // batch, feed the same interpolated table.
 func (p *Plan) PredictUs() (float64, error) {
 	ex := &sim.Executor{Cost: p.costs, Predict: true}
-	if p.overlaps {
-		bytesOv, _, err := p.overrides()
+	if p.irregular != nil {
+		ov, err := p.irregular()
 		if err != nil {
 			return 0, err
 		}
-		ex.A2ABytesOverride = bytesOv
+		ex.A2ABytesOverride = ov.bytes
 	}
 	tl, err := ex.Run(p.Graph, p.Graph.DefaultSchedule())
 	if err != nil {
@@ -843,31 +800,29 @@ func (p *Plan) ChromeTrace(seed int64) ([]byte, error) {
 // duration overrides.
 func (p *Plan) run(seed int64) (*sim.Timeline, error) {
 	ex := &sim.Executor{Cost: p.costs, JitterPct: 0.02, SystematicPct: 0.04, Seed: seed}
-	if p.overlaps {
-		bytesOv, durOv, err := p.overrides()
+	if p.irregular != nil {
+		ov, err := p.irregular()
 		if err != nil {
 			return nil, err
 		}
-		ex.A2ABytesOverride = bytesOv
-		ex.A2ADurOverrideUs = durOv
+		ex.A2ABytesOverride, ex.A2ADurOverrideUs = ov.bytes, ov.durUs
 	}
 	return ex.Run(p.Graph, p.Graph.DefaultSchedule())
 }
 
-// irregularOverrides derives per-all-to-all actual payloads from a
-// functional routing run: micro-partition m of a k-way split carries the
-// tokens its micro-batch actually routed (paper Fig. 5c), and even
-// unpartitioned all-to-alls shed their zero padding (Fig. 10). Balanced
-// workloads are priced by payload; skewed workloads additionally price the
-// routing profile's transfer matrix on the link-level network simulator —
-// through the cost model's memoized AllToAllSkewedUs, so repeated plans and
+// irregularOverrides derives per-all-to-all actual payloads of graph g
+// under the workload wp (nil: the parametric one) from a functional
+// routing run: micro-partition m of a k-way split carries the tokens its
+// micro-batch actually routed (paper Fig. 5c), and even unpartitioned
+// all-to-alls shed their zero padding (Fig. 10). Balanced workloads are
+// priced by payload; skewed workloads additionally price the routing
+// profile's transfer matrix on the link-level network simulator — through
+// the cost model's memoized AllToAllSkewedUs, so repeated plans and
 // simulations of one session pay each distinct micro-payload once — where
 // the hot expert's device bounds completion (DESIGN.md §10).
-func (s *Session) irregularOverrides(g *ir.Graph) (bytesOv map[int]int64, durOv map[int]float64, err error) {
-	bytesOv = make(map[int]int64)
-	if s.skewedWorkload() {
-		durOv = make(map[int]float64)
-	}
+func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2aOverrides, error) {
+	ov := a2aOverrides{bytes: make(map[int]int64)}
+	profiles := make(map[int]*routingProfile) // per-k dispatch statistics
 	perTokenBytes := int64(s.Config.Hidden) * s.Config.DType.Size()
 	var sizeExchange float64
 	var sizeExchangeDone bool
@@ -879,16 +834,24 @@ func (s *Session) irregularOverrides(g *ir.Graph) (bytesOv map[int]int64, durOv 
 		if k < 1 {
 			k = 1
 		}
-		p, err := s.profile(k)
-		if err != nil {
-			return nil, nil, err
+		p, ok := profiles[k]
+		if !ok {
+			var err error
+			if p, err = s.profile(wp, k); err != nil {
+				return a2aOverrides{}, err
+			}
+			profiles[k] = p
 		}
 		m := in.PartIdx
 		if m >= len(p.shares) {
 			m = len(p.shares) - 1
 		}
-		bytesOv[in.ID] = int64(p.shares[m] * float64(s.Built.A2ABytes))
-		if durOv != nil && p.net != nil && p.devices == s.Cluster.TotalGPUs() {
+		ov.bytes[in.ID] = int64(p.shares[m] * float64(s.Built.A2ABytes))
+		// Only skewed workloads carry a network profile.
+		if p.net != nil && p.devices == s.Cluster.TotalGPUs() {
+			if ov.durUs == nil {
+				ov.durUs = make(map[int]float64)
+			}
 			microFrac := 0.0
 			if total := sumf(p.shares); total > 0 {
 				microFrac = p.shares[m] / total
@@ -921,10 +884,10 @@ func (s *Session) irregularOverrides(g *ir.Graph) (bytesOv map[int]int64, durOv 
 				sizeExchange = s.costRAF.UniformReplayUs(int64(p.devices) * 4)
 				sizeExchangeDone = true
 			}
-			durOv[in.ID] = t + sizeExchange
+			ov.durUs[in.ID] = t + sizeExchange
 		}
 	}
-	return bytesOv, durOv, nil
+	return ov, nil
 }
 
 func sumf(xs []float64) float64 {
@@ -952,23 +915,20 @@ type proxyKey struct {
 // map stays small for any realistic process lifetime.
 var proxyCache sync.Map // proxyKey -> *routingProfile
 
-// profile runs the functional gate on a scaled-down token batch (the
-// routing distribution depends on token and expert counts, not hidden
-// width) split into k micro-batches, and caches the dispatch statistics.
-func (s *Session) profile(k int) (*routingProfile, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.profiles[k]; ok {
-		return p, nil
+// profile returns the dispatch statistics of the workload split into k
+// micro-batches: the streamed profile wp packaged by syntheticProfile or,
+// when wp is nil, the functional gate run on a scaled-down token batch of
+// the parametric workload (the routing distribution depends on token and
+// expert counts, not hidden width), memoized process-wide.
+func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, error) {
+	if s.WorkloadSkew > 0 && s.WorkloadHotExpert > 0 {
+		return nil, fmt.Errorf("lancet: WorkloadSkew (%g) and WorkloadHotExpert (%g) are exclusive; set at most one",
+			s.WorkloadSkew, s.WorkloadHotExpert)
 	}
-	if s.workloadProfile != nil {
-		p := syntheticProfile(s.workloadProfile, k, s.Config.CapacityFactor)
-		s.profiles[k] = p
-		return p, nil
+	if wp != nil {
+		return syntheticProfile(wp, k, s.Config.CapacityFactor), nil
 	}
 	devices := s.Cluster.TotalGPUs()
-	// workloadProfile is nil here, so the direct knob check is the full
-	// skewedWorkload predicate (which would re-lock mu).
 	if devices > 16 && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
 		devices = 16 // balanced routing fractions saturate; keep the proxy cheap
 	}
@@ -979,9 +939,7 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 		skew:           s.WorkloadSkew, hot: s.WorkloadHotExpert,
 	}
 	if c, ok := proxyCache.Load(key); ok {
-		p := c.(*routingProfile) // shared and never mutated after publication
-		s.profiles[k] = p
-		return p, nil
+		return c.(*routingProfile), nil // shared and never mutated after publication
 	}
 	tokens := 256
 	experts := devices * s.Config.ExpertsPerGPU
@@ -1005,7 +963,7 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 	default:
 		inputs = makeProxyInputs(devices, tokens, 16)
 	}
-	_, stats := layer.RouteOnly(inputs, s.gateImpl(), k)
+	_, stats := layer.RouteOnly(inputs, gateFor(s.Config.Gate), k)
 
 	p := &routingProfile{
 		devices: devices, tokens: tokens,
@@ -1013,8 +971,6 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 		counts:         stats.SendTokens,
 		hotExpertShare: stats.HottestExpertShare(),
 	}
-	// Direct knob check again: skewedWorkload would re-lock mu, and the
-	// streamed-profile leg returned earlier in this function.
 	if s.WorkloadSkew > 0 || s.WorkloadHotExpert > 0 {
 		np, err := netsim.ProfileFromCounts(stats.SendTokens)
 		if err != nil {
@@ -1030,9 +986,8 @@ func (s *Session) profile(k int) (*routingProfile, error) {
 		}
 		p.shares = append(p.shares, sum/float64(len(row))/padded)
 	}
-	proxyCache.Store(key, p)
-	s.profiles[k] = p
-	return p, nil
+	c, _ := proxyCache.LoadOrStore(key, p)
+	return c.(*routingProfile), nil
 }
 
 // syntheticProfile packages a streamed routing profile as the per-k
@@ -1121,21 +1076,4 @@ func makeProxyInputs(devices, tokens, hidden int) []*tensor.Tensor {
 		xs[d] = tensor.Randn(rng, 1, tokens, hidden)
 	}
 	return xs
-}
-
-func (s *Session) gateImpl() moe.Gate {
-	switch s.Config.Gate {
-	case model.GateTop2:
-		return moe.Top2Gate{}
-	case model.GateBatchPriority:
-		return moe.BatchPrioritizedGate{}
-	case model.GateRandom:
-		return moe.RandomGate{Seed: 99}
-	case model.GateHash:
-		return moe.HashGate{}
-	case model.GateExpertChoice:
-		return moe.ExpertChoiceGate{}
-	default:
-		return moe.SwitchGate{}
-	}
 }

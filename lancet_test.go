@@ -226,7 +226,7 @@ func TestBPRGateRestrictsButStillGains(t *testing.T) {
 
 func TestRoutingProfileSaneAndCached(t *testing.T) {
 	s := newTestSession(t)
-	p, err := s.profile(4)
+	p, err := s.profile(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRoutingProfileSaneAndCached(t *testing.T) {
 	if p.routed == 0 || len(p.counts) != p.devices {
 		t.Errorf("profile incomplete: %+v", p)
 	}
-	p2, err := s.profile(4)
+	p2, err := s.profile(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ type NodeLossReport struct {
 // intact device count. Losing zero nodes degenerates to an exact replay:
 // all three latencies coincide.
 func (s *Session) NodeLoss(base *Plan, lost []int, opts Options, seed int64) (*NodeLossReport, error) {
-	if s.StreamedProfile() != nil {
+	if s.streamed.Load() != nil {
 		return nil, fmt.Errorf("lancet: node-loss what-if is not supported with a streamed workload profile (histogram is shaped for the intact fleet)")
 	}
 	lost = slices.Compact(slices.Sorted(slices.Values(lost)))

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"lancet/internal/netsim"
 )
 
 // skewedSession builds the canonical scenario fixture: a uniform fleet with
@@ -130,35 +132,82 @@ func TestNodeLossRejectsBadInputs(t *testing.T) {
 }
 
 // TestFixedPipelinesReplayIsIdentity pins the replay mode underneath the
-// degraded path: re-planning with FixedPipelines set to a plan's own
-// pipelines on the same session reproduces that plan's partition choices
-// without running the DP.
+// degraded path and the drift experiment's stale plans: re-planning with
+// FixedPipelines set to a plan's own pipelines on the same session
+// reproduces that plan bit for bit — pipelines, graph size, prediction and
+// simulated iteration — without running the DP, for every benchmark model
+// under uniform, Zipf, hot-expert and decayed streamed traffic.
 func TestFixedPipelinesReplayIsIdentity(t *testing.T) {
-	sess := skewedSession(t, "V100", 16, 1.2, 0)
-	base, err := sess.Lancet(Options{})
+	acc := netsim.NewDecayedProfile(4)
+	for _, p := range []*netsim.RoutingProfile{netsim.ZipfProfile(16, 0.8), netsim.ZipfProfile(16, 1.6), netsim.HotExpertProfile(16, 0.3)} {
+		if err := acc.Ingest(p.Counts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decayed, err := acc.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := sess.Lancet(Options{FixedPipelines: base.Pipelines})
-	if err != nil {
-		t.Fatal(err)
+	workloads := []struct {
+		name string
+		set  func(*Session) error
+	}{
+		{"uniform", func(*Session) error { return nil }},
+		{"zipf-1.2", func(s *Session) error { s.WorkloadSkew = 1.2; return nil }},
+		{"hot-0.3", func(s *Session) error { s.WorkloadHotExpert = 0.3; return nil }},
+		{"decayed", func(s *Session) error { return s.SetWorkloadProfile(decayed) }},
 	}
-	if !reflect.DeepEqual(base.Pipelines, replay.Pipelines) {
-		t.Errorf("replayed pipelines differ:\n  base   %v\n  replay %v", base.Pipelines, replay.Pipelines)
-	}
-	if replay.DPEvaluations >= base.DPEvaluations {
-		t.Errorf("replay ran the DP: %d evaluations vs %d planned", replay.DPEvaluations, base.DPEvaluations)
-	}
-	br, err := base.Simulate(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := replay.Simulate(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.IterationMs != rr.IterationMs {
-		t.Errorf("replayed plan simulates differently: %.3f vs %.3f ms", rr.IterationMs, br.IterationMs)
+	for _, cfg := range []ModelConfig{GPT2SMoE(0), GPT2LMoE(0), ViTSMoE(0)} {
+		for _, w := range workloads {
+			t.Run(cfg.Name+"/"+w.name, func(t *testing.T) {
+				sess, err := NewSession(cfg, MustCluster("V100", 16))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.set(sess); err != nil {
+					t.Fatal(err)
+				}
+				base, err := sess.Lancet(Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay, err := sess.Lancet(Options{FixedPipelines: base.Pipelines})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(base.Pipelines, replay.Pipelines) {
+					t.Errorf("replayed pipelines differ:\n  base   %v\n  replay %v", base.Pipelines, replay.Pipelines)
+				}
+				if replay.DPEvaluations >= base.DPEvaluations {
+					t.Errorf("replay ran the DP: %d evaluations vs %d planned", replay.DPEvaluations, base.DPEvaluations)
+				}
+				if b, r := len(base.Graph.Instrs), len(replay.Graph.Instrs); b != r {
+					t.Errorf("replayed graph has %d instructions, base %d", r, b)
+				}
+				bp, err := base.PredictUs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp, err := replay.PredictUs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bp != rp {
+					t.Errorf("replayed plan predicts %v us, base %v us", rp, bp)
+				}
+				br, err := base.Simulate(17)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rr, err := replay.Simulate(17)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(br, rr) {
+					t.Errorf("replayed plan simulates differently: %v vs %v ms", rr.IterationMs, br.IterationMs)
+				}
+			})
+		}
 	}
 }
 
