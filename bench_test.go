@@ -99,6 +99,27 @@ func BenchmarkPlanCold(b *testing.B) {
 	}
 }
 
+// BenchmarkTutelBaseline measures Session.Baseline("tutel") on a warm
+// session: the degree search's three rewrites (degrees 2, 4 and 8) and a
+// predicted iteration of every candidate, priced on a cost model derived
+// from the session's. perf_floor.txt ratchets it.
+func BenchmarkTutelBaseline(b *testing.B) {
+	sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Baseline(lancet.FrameworkTutel); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Baseline(lancet.FrameworkTutel); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulateIteration measures one simulated training iteration of
 // the optimized plan.
 func BenchmarkSimulateIteration(b *testing.B) {

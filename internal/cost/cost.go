@@ -172,6 +172,25 @@ func NewModel(c hw.Cluster) *Model {
 	return m
 }
 
+// WithComputeScale returns a model for the same cluster at another
+// ComputeScale. It shares m's network simulator and profiled
+// communication tables, which are read-only once built and do not depend
+// on ComputeScale, and starts with an empty memo and zeroed counters: a
+// memo entry holds the first-priced value of its FLOPs/bytes bucket, so a
+// shared memo would make the derived model's prices depend on what m
+// priced before.
+func (m *Model) WithComputeScale(scale float64) *Model {
+	return &Model{
+		Cluster:        m.Cluster,
+		ComputeScale:   scale,
+		net:            m.net,
+		a2aTable:       m.a2aTable,
+		allreduceTable: m.allreduceTable,
+		allgatherTable: m.allgatherTable,
+		tableDevices:   m.tableDevices,
+	}
+}
+
 func (m *Model) buildCommTables(devices int) {
 	m.tableDevices = devices
 	m.a2aTable = m.a2aTable[:0]

@@ -2,39 +2,61 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Graph is an SSA-style instruction-sequence program: an ordered list of
 // instructions over a set of tensors. The list order is the default execution
 // schedule; passes reorder and rewrite it.
+//
+// Tensors and the operand slices (Ins, Outs) of emitted instructions are
+// immutable: rewrites share them with the graph they rewrite instead of
+// copying them (DESIGN.md §2).
 type Graph struct {
 	Tensors []*Tensor
 	Instrs  []*Instr
 
-	// producer and consumers are dense tables indexed by tensor ID:
-	// producer[t] is the instruction producing tensor t (-1 for graph
-	// inputs), consumers[t] the instructions reading it. Emit grows them
-	// on demand, so tensors registered by assigning Tensors directly (as
-	// the rewrites do) are covered too.
-	producer  []int
-	consumers [][]int
+	// producer is a dense table indexed by tensor ID: producer[t] is the
+	// instruction producing tensor t (-1 for graph inputs). Emit grows it
+	// on demand, so tensors registered by appending to Tensors directly
+	// (as the rewrites do) are covered too.
+	producer []int
 
-	// succs/preds are instruction-level adjacency, built lazily. adjMu
-	// guards the build: construction and rewriting are single-goroutine,
-	// but a finished graph is read by concurrent plans/simulations (e.g.
-	// cmd/lancet -parallel shares one Session's graph across frameworks),
-	// and the first reader must not race another on the lazy init.
-	adjMu sync.Mutex
-	succs [][]int
-	preds [][]int
-	dirty bool
+	// consumers, succs and preds are CSR rows built once on first use:
+	// each relation is one flat array cut into capacity-capped slices, one
+	// per tensor or instruction. Construction and rewriting are
+	// single-goroutine, but a finished graph is read by concurrent plans
+	// and simulations (cmd/lancet -parallel shares one Session's graph
+	// across frameworks), so the build runs under adjMu and publishes
+	// through the built flag; readers after it take no lock.
+	adjMu     sync.Mutex
+	built     atomic.Bool
+	consumers [][]int
+	succs     [][]int
+	preds     [][]int
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{dirty: true}
+	return &Graph{}
+}
+
+// Derive starts a rewrite of g: a graph sharing g's tensors — a copy of
+// the pointer table, with room for extraTensors more — with room for
+// instrs instructions and none emitted yet.
+func Derive(g *Graph, extraTensors, instrs int) *Graph {
+	ng := &Graph{
+		Tensors:  make([]*Tensor, len(g.Tensors), len(g.Tensors)+extraTensors),
+		Instrs:   make([]*Instr, 0, instrs),
+		producer: make([]int, len(g.Tensors), len(g.Tensors)+extraTensors),
+	}
+	copy(ng.Tensors, g.Tensors)
+	for i := range ng.producer {
+		ng.producer[i] = -1
+	}
+	return ng
 }
 
 // NewTensor creates and registers a tensor.
@@ -63,19 +85,12 @@ func (g *Graph) Emit(in *Instr) *Instr {
 		}
 		g.producer[o] = in.ID
 	}
-	for _, x := range in.Ins {
-		if x < 0 {
-			continue
-		}
-		g.cover(x)
-		g.consumers[x] = append(g.consumers[x], in.ID)
-	}
-	g.dirty = true
+	g.built.Store(false)
 	return in
 }
 
-// cover grows the producer/consumer tables to cover tensor id, and at
-// least every registered tensor so a rewrite's emits grow them once.
+// cover grows the producer table to cover tensor id, and at least every
+// registered tensor so a rewrite's emits grow it once.
 func (g *Graph) cover(id int) {
 	if id < len(g.producer) {
 		return
@@ -84,7 +99,6 @@ func (g *Graph) cover(id int) {
 	for len(g.producer) < n {
 		g.producer = append(g.producer, -1)
 	}
-	g.consumers = append(g.consumers, make([][]int, n-len(g.consumers))...)
 }
 
 // Tensor returns the tensor with the given ID.
@@ -102,50 +116,100 @@ func (g *Graph) Producer(id int) int {
 	return g.producer[id]
 }
 
-// Consumers returns the instruction IDs consuming tensor id.
+// Consumers returns the instruction IDs consuming tensor id, in program
+// order, once per operand that reads it.
 func (g *Graph) Consumers(id int) []int {
+	g.buildAdj()
 	if id < 0 || id >= len(g.consumers) {
 		return nil
 	}
 	return g.consumers[id]
 }
 
+// buildAdj builds the consumer and instruction adjacency rows if an Emit
+// has invalidated them (or they were never built).
 func (g *Graph) buildAdj() {
+	if g.built.Load() {
+		return
+	}
 	g.adjMu.Lock()
 	defer g.adjMu.Unlock()
-	if !g.dirty {
+	if g.built.Load() {
 		return
 	}
 	n := len(g.Instrs)
-	g.succs = make([][]int, n)
-	g.preds = make([][]int, n)
+	nt := max(len(g.Tensors), len(g.producer))
+	operands := 0
+	for _, in := range g.Instrs {
+		operands += len(in.Ins)
+	}
+
+	// Consumers: one entry per operand, rows in tensor-ID order, each row
+	// in program order. preds[i] is the sorted distinct producers of
+	// instruction i's inputs; succs falls out of preds in ascending order
+	// by walking the instructions in order. The three share one array.
+	flat := make([]int, 0, 3*operands)
+	count := make([]int, max(nt, n)+1)
 	for _, in := range g.Instrs {
 		for _, x := range in.Ins {
-			if p := g.Producer(x); p >= 0 {
-				g.preds[in.ID] = append(g.preds[in.ID], p)
-				g.succs[p] = append(g.succs[p], in.ID)
+			if x >= 0 && x < nt {
+				count[x+1]++
 			}
 		}
 	}
-	for i := range g.succs {
-		g.succs[i] = dedup(g.succs[i])
-		g.preds[i] = dedup(g.preds[i])
+	g.consumers = make([][]int, nt)
+	for t := range g.consumers {
+		count[t+1] += count[t]
 	}
-	g.dirty = false
-}
-
-func dedup(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	sort.Ints(xs)
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
+	flat = flat[:count[nt]]
+	for _, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if x >= 0 && x < nt {
+				flat[count[x]] = in.ID
+				count[x]++
+			}
 		}
 	}
-	return out
+	for t, lo := 0, 0; t < nt; t++ {
+		g.consumers[t] = flat[lo:count[t]:count[t]]
+		lo = count[t]
+	}
+
+	g.preds = make([][]int, n)
+	clear(count)
+	for i, in := range g.Instrs {
+		lo := len(flat)
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= 0 {
+				flat = append(flat, p)
+			}
+		}
+		row := flat[lo:]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		flat = flat[:lo+len(row)]
+		g.preds[i] = flat[lo:len(flat):len(flat)]
+		for _, p := range row {
+			count[p+1]++
+		}
+	}
+	g.succs = make([][]int, n)
+	for i := 0; i < n; i++ {
+		count[i+1] += count[i]
+	}
+	base := len(flat)
+	flat = flat[:base+count[n]]
+	for i, row := range g.preds {
+		for _, p := range row {
+			flat[base+count[p]] = i
+			count[p]++
+		}
+	}
+	for i, lo := 0, base; i < n; i++ {
+		g.succs[i] = flat[lo : base+count[i] : base+count[i]]
+		lo = base + count[i]
+	}
+	g.built.Store(true)
 }
 
 // Succs returns the instructions directly depending on instruction id.

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +57,108 @@ func TestAdjacency(t *testing.T) {
 	}
 	if got := g.Preds(ins[0].ID); len(got) != 0 {
 		t.Errorf("Preds(mm1) = %v, want none", got)
+	}
+}
+
+// referenceAdj is the adjacency build the CSR rows replaced, kept as the
+// reference they are checked against: consumers appended once per operand
+// in program order, and per instruction the sorted distinct producers of
+// its inputs (preds) and the sorted distinct readers of its outputs
+// (succs).
+func referenceAdj(g *Graph) (preds, succs, consumers [][]int) {
+	consumers = make([][]int, len(g.Tensors))
+	preds = make([][]int, len(g.Instrs))
+	succs = make([][]int, len(g.Instrs))
+	for _, in := range g.Instrs {
+		for _, x := range in.Ins {
+			consumers[x] = append(consumers[x], in.ID)
+			if p := g.Producer(x); p >= 0 {
+				preds[in.ID] = append(preds[in.ID], p)
+				succs[p] = append(succs[p], in.ID)
+			}
+		}
+	}
+	for i := range succs {
+		succs[i] = dedup(succs[i])
+		preds[i] = dedup(preds[i])
+	}
+	return preds, succs, consumers
+}
+
+func dedup(xs []int) []int {
+	if len(xs) < 2 {
+		return xs
+	}
+	sort.Ints(xs)
+	out := xs[:1]
+	for _, x := range xs[1:] {
+		if x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// adjacencyMatches reports whether g's CSR rows equal the reference build.
+func adjacencyMatches(g *Graph) bool {
+	preds, succs, consumers := referenceAdj(g)
+	for i := range g.Instrs {
+		if !slices.Equal(g.Preds(i), preds[i]) || !slices.Equal(g.Succs(i), succs[i]) {
+			return false
+		}
+	}
+	for x := range g.Tensors {
+		if !slices.Equal(g.Consumers(x), consumers[x]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: the CSR Preds, Succs and Consumers equal the reference build on
+// random DAGs (whose instructions may read one tensor twice), and again
+// after an Emit invalidates a built graph.
+func TestAdjacencyMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		g := randomDAG(seed, 5+int(uint64(seed)%40))
+		if !adjacencyMatches(g) {
+			return false
+		}
+		last := g.Instrs[len(g.Instrs)-1].Outs[0]
+		out := g.NewTensor("extra", Shape{2}, F32, Activation)
+		g.Emit(&Instr{Op: OpAdd, Ins: []int{last, 0, last}, Outs: []int{out.ID}})
+		return adjacencyMatches(g)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The CSR rows share flat arrays, so each row is capacity-capped:
+// appending to one reallocates instead of overwriting its neighbour.
+func TestAdjacencyRowAppendLeavesNeighbours(t *testing.T) {
+	g := randomDAG(3, 30)
+	rows := func() [][]int {
+		var all [][]int
+		for i := range g.Instrs {
+			all = append(all, g.Preds(i), g.Succs(i))
+		}
+		for x := range g.Tensors {
+			all = append(all, g.Consumers(x))
+		}
+		return all
+	}
+	want := make([][]int, 0)
+	for _, r := range rows() {
+		want = append(want, slices.Clone(r))
+	}
+	for _, r := range rows() {
+		_ = append(r, -7)
+	}
+	for i, r := range rows() {
+		if !slices.Equal(r, want[i]) {
+			t.Fatalf("row %d = %v after appending to the rows, want %v", i, r, want[i])
+		}
 	}
 }
 

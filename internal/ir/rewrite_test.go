@@ -55,11 +55,20 @@ func TestReorderedCopyPreservesStructure(t *testing.T) {
 			}
 		}
 	}
-	// Deep copy: mutating the copy must not touch the original.
-	ng.Instr(0).Ins[0] = 0
-	ng.Tensors[1].Shape[0] = 99
-	if g.Tensors[1].Shape[0] == 99 {
-		t.Error("tensor shapes aliased between graphs")
+	// Sharing contract (DESIGN.md §2): the copy holds the input's tensors,
+	// and its instructions are its own, so editing a copied instruction's
+	// scalar fields leaves the input's unchanged.
+	for i, tt := range g.Tensors {
+		if ng.Tensors[i] != tt {
+			t.Fatalf("tensor %%%d was cloned, want the input's *Tensor", i)
+		}
+	}
+	for i, id := range order {
+		before := g.Instr(id).Bytes
+		ng.Instr(i).Bytes = before + 7
+		if g.Instr(id).Bytes != before {
+			t.Fatalf("writing the copy's @%d Bytes changed the input's @%d", i, id)
+		}
 	}
 }
 

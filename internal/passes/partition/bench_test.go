@@ -7,6 +7,7 @@ import (
 	"lancet/internal/hw"
 	"lancet/internal/ir"
 	"lancet/internal/model"
+	"lancet/internal/passes/dwsched"
 )
 
 func benchFixture(b *testing.B) (*model.Built, *cost.Model) {
@@ -138,4 +139,50 @@ func windowSweep(g *ir.Graph, cm *cost.Model, window []*ir.Instr, pr cost.A2APri
 		sum += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
 	}
 	return sum
+}
+
+// BenchmarkRewrite measures the graph rewrite alone: Apply of the DP's
+// ranges for GPT2-L-MoE on 32×A100 to its dW-scheduled graph, planned with
+// the options a Lancet session uses. The rewritten graph shares the input's
+// tensors and unchanged operand slices, so its allocations are the new
+// pieces, the micro-instances and the plumbing ops (ratcheted by
+// perf_floor.txt).
+func BenchmarkRewrite(b *testing.B) {
+	cfg := model.GPT2LMoE()
+	cfg.BatchPerGPU = cfg.PaperBatchSize("A100")
+	cl := hw.A100Cluster(4)
+	built, err := model.Build(cfg, cl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cm := cost.NewModel(cl)
+	dw, err := dwsched.Run(built.Graph, cm, dwsched.Options{Strategy: dwsched.BestFit})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fwd := 0.0
+	for _, in := range built.Graph.Instrs {
+		if in.Phase != ir.Forward {
+			break
+		}
+		fwd += cm.PredictInstr(in)
+	}
+	res, err := Run(dw.Graph, cm, Options{
+		GroupUs:          fwd / float64(5*cfg.NumMoELayers()),
+		MaxRangeGroups:   7,
+		GatePartialBatch: cfg.Gate.SupportsPartialBatch(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Ranges) == 0 {
+		b.Fatal("the DP chose no pipelines")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Apply(dw.Graph, res.Ranges); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -294,6 +294,30 @@ func TestRewriteAccounting(t *testing.T) {
 	}
 }
 
+// Apply rejects ranges it cannot rewrite — inverted, overlapping in either
+// order, or outside the graph — with an error instead of a panic or a
+// silently skipped range.
+func TestApplyRejectsBadRanges(t *testing.T) {
+	b, _ := buildFixture(t)
+	n := len(b.Graph.Instrs)
+	cases := []struct {
+		name   string
+		ranges []Range
+	}{
+		{"inverted", []Range{{Start: 5, End: 2, K: 2}}},
+		{"overlapping", []Range{{Start: 0, End: 5, K: 2}, {Start: 3, End: 8, K: 2}}},
+		{"overlapping reversed", []Range{{Start: 3, End: 8, K: 2}, {Start: 0, End: 5, K: 2}}},
+		{"negative start", []Range{{Start: -1, End: 2, K: 2}}},
+		{"past the end", []Range{{Start: n - 2, End: n, K: 2}}},
+		{"beyond the graph", []Range{{Start: n + 3, End: n + 4, K: 2}}},
+	}
+	for _, tc := range cases {
+		if _, err := Apply(b.Graph, tc.ranges); err == nil {
+			t.Errorf("%s: Apply accepted %v", tc.name, tc.ranges)
+		}
+	}
+}
+
 func TestGroupsCoverForwardExactly(t *testing.T) {
 	b, cm := buildFixture(t)
 	fwdEnd := 0

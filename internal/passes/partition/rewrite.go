@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"lancet/internal/cost"
 	"lancet/internal/ir"
@@ -12,102 +15,152 @@ import (
 // every window op execute in the stage-interleaved order of Fig. 9, and
 // Reconstruct ops restore tensors the rest of the graph consumes
 // (Fig. 8b). The rewritten graph's program order is the execution schedule.
+// Ranges may come in any order (Tutel's interleave forward and backward
+// windows); each pipeline's group ID is its range's index. The rewritten
+// graph shares g's tensors and the operand slices of every instruction it
+// copies unchanged (DESIGN.md §2).
 func applyRanges(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
-	ng := ir.NewGraph()
-	ng.Tensors = make([]*ir.Tensor, len(g.Tensors))
-	for i, t := range g.Tensors {
-		c := *t
-		c.Shape = t.Shape.Clone()
-		ng.Tensors[i] = &c
+	byStart := make([]int, len(ranges))
+	for i := range byStart {
+		byStart[i] = i
 	}
-
-	startOf := make(map[int]*Range, len(ranges))
-	skip := make(map[int]bool)
-	for i := range ranges {
+	slices.SortStableFunc(byStart, func(a, b int) int { return cmp.Compare(ranges[a].Start, ranges[b].Start) })
+	kept, extraInstrs, extraTensors := len(g.Instrs), 0, 0
+	prevEnd := -1
+	for _, i := range byStart {
 		r := &ranges[i]
 		if r.End < r.Start {
 			return nil, fmt.Errorf("range %d inverted: [%d,%d]", i, r.Start, r.End)
 		}
-		startOf[r.Start] = r
-		for id := r.Start; id <= r.End; id++ {
-			if skip[id] {
-				return nil, fmt.Errorf("overlapping partition ranges at @%d", id)
-			}
-			skip[id] = true
+		if r.Start < 0 || r.End >= len(g.Instrs) {
+			return nil, fmt.Errorf("range %d [%d,%d] outside the graph's %d instructions", i, r.Start, r.End, len(g.Instrs))
 		}
+		if r.Start <= prevEnd {
+			return nil, fmt.Errorf("overlapping partition ranges at @%d", r.Start)
+		}
+		prevEnd = r.End
+		n := r.End - r.Start + 1
+		kept -= n
+		// Every split or reconstruct, and every k pieces, belong to a
+		// distinct tensor with an axis.
+		extraInstrs += r.K*n + len(r.Axes)
+		extraTensors += r.K * len(r.Axes)
 	}
 
-	for id := range g.Instrs {
-		if r, ok := startOf[id]; ok {
-			if err := emitPipeline(ng, g, r, groupIndex(ranges, r)); err != nil {
-				return nil, err
-			}
+	rw := newRewriter(g, extraTensors, kept+extraInstrs)
+	unchanged := make([]ir.Instr, 0, kept)
+	copyInstrs := func(ins []*ir.Instr) {
+		for _, in := range ins {
+			unchanged = append(unchanged, *in)
+			rw.ng.Emit(&unchanged[len(unchanged)-1])
 		}
-		if skip[id] {
-			continue
-		}
-		ng.Emit(ir.CopyInstr(g.Instr(id)))
 	}
-	if err := ng.Validate(); err != nil {
+	pos := 0
+	for _, i := range byStart {
+		r := &ranges[i]
+		copyInstrs(g.Instrs[pos:r.Start])
+		if err := rw.emitPipeline(r, i); err != nil {
+			return nil, err
+		}
+		pos = r.End + 1
+	}
+	copyInstrs(g.Instrs[pos:])
+	if err := rw.ng.Validate(); err != nil {
 		return nil, fmt.Errorf("rewritten graph invalid: %w", err)
 	}
-	return ng, nil
+	return rw.ng, nil
 }
 
-func groupIndex(ranges []Range, r *Range) int {
-	for i := range ranges {
-		if &ranges[i] == r {
-			return i
-		}
+// rewriter is the working set of one applyRanges call. Window membership,
+// produced and already-split tensors, and each tensor's pieces are
+// generation-stamped arrays indexed by the input graph's instruction and
+// tensor IDs: bumping gen at each pipeline invalidates every entry.
+type rewriter struct {
+	g, ng    *ir.Graph
+	gen      uint64
+	inside   []uint64 // by instruction ID
+	produced []uint64 // by tensor ID, and the three below
+	seen     []uint64
+	partGen  []uint64
+	// partBase is the ID of piece 0 of a tensor's split: its k pieces have
+	// consecutive IDs.
+	partBase []int
+}
+
+func newRewriter(g *ir.Graph, extraTensors, instrs int) *rewriter {
+	nt := len(g.Tensors)
+	marks := make([]uint64, len(g.Instrs)+3*nt)
+	return &rewriter{
+		g: g, ng: ir.Derive(g, extraTensors, instrs),
+		inside:   marks[:len(g.Instrs)],
+		produced: marks[len(g.Instrs) : len(g.Instrs)+nt],
+		seen:     marks[len(g.Instrs)+nt : len(g.Instrs)+2*nt],
+		partGen:  marks[len(g.Instrs)+2*nt:],
+		partBase: make([]int, nt),
 	}
-	return -1
 }
 
-func emitPipeline(ng, g *ir.Graph, r *Range, groupID int) error {
+// parts returns the ID of piece 0 of tensor t's k-way split in this
+// pipeline, registering the pieces on first use, or false when t has no
+// axis.
+func (rw *rewriter) parts(r *Range, t int) (int, bool) {
+	if rw.partGen[t] == rw.gen {
+		return rw.partBase[t], true
+	}
+	axis, ok := r.Axes[t]
+	if !ok {
+		return 0, false
+	}
+	orig := rw.g.Tensor(t)
+	base := len(rw.ng.Tensors)
+	pieces := make([]ir.Tensor, r.K)
+	for p := range pieces {
+		pieces[p] = ir.Tensor{
+			ID: base + p, Name: orig.Name + ".p" + strconv.Itoa(p),
+			Shape: scaledShape(orig.Shape, axis, r.K, p), DType: orig.DType, Kind: orig.Kind,
+		}
+		rw.ng.Tensors = append(rw.ng.Tensors, &pieces[p])
+	}
+	rw.partGen[t], rw.partBase[t] = rw.gen, base
+	return base, true
+}
+
+// pieceIDs lists the k consecutive piece IDs starting at base.
+func pieceIDs(base, k int) []int {
+	ids := make([]int, k)
+	for p := range ids {
+		ids[p] = base + p
+	}
+	return ids
+}
+
+func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
+	g, ng := rw.g, rw.ng
 	window := g.Instrs[r.Start : r.End+1]
 	k := r.K
-	inside := make(map[int]bool, len(window))
-	produced := make(map[int]bool)
+	rw.gen++
+	gen := rw.gen
+	operands := 0
 	for _, in := range window {
-		inside[in.ID] = true
+		rw.inside[in.ID] = gen
 		for _, t := range in.Outs {
-			produced[t] = true
+			rw.produced[t] = gen
 		}
-	}
-
-	parts := make(map[int][]int) // original tensor ID -> k piece IDs
-	ensureParts := func(t int) []int {
-		if ps, ok := parts[t]; ok {
-			return ps
-		}
-		axis, ok := r.Axes[t]
-		if !ok {
-			return nil
-		}
-		orig := g.Tensor(t)
-		ps := make([]int, k)
-		for p := 0; p < k; p++ {
-			nt := ng.NewTensor(fmt.Sprintf("%s.p%d", orig.Name, p),
-				scaledShape(orig.Shape, axis, k, p), orig.DType, orig.Kind)
-			ps[p] = nt.ID
-		}
-		parts[t] = ps
-		return ps
+		operands += len(in.Ins) + len(in.Outs)
 	}
 
 	// Partition ops for external inputs (weights pass through whole).
-	seen := make(map[int]bool)
 	for _, in := range window {
 		for _, t := range in.Ins {
-			if produced[t] || seen[t] {
+			if rw.produced[t] == gen || rw.seen[t] == gen {
 				continue
 			}
-			seen[t] = true
+			rw.seen[t] = gen
 			axis := r.Axes[t]
 			if axis == AxisNP {
 				continue
 			}
-			ps := ensureParts(t)
+			base, _ := rw.parts(r, t) // an axis other than AxisNP is in r.Axes
 			var bytes int64
 			if axis == AxisIrr {
 				bytes = 2 * g.Tensor(t).Bytes()
@@ -115,38 +168,47 @@ func emitPipeline(ng, g *ir.Graph, r *Range, groupID int) error {
 			ng.Emit(&ir.Instr{
 				Name: g.Tensor(t).Name + ".split", Op: ir.OpPartitionSplit,
 				Phase: ir.Forward, Layer: in.Layer,
-				Ins: []int{t}, Outs: ps, Bytes: bytes,
+				Ins: []int{t}, Outs: pieceIDs(base, k), Bytes: bytes,
 				Group: groupID, NumParts: k, SrcID: -1, PartAxis: int(axis),
 			})
 		}
 	}
 
-	// Micro-instances in pipeline schedule order.
-	for _, ref := range schedulePlan(window, k) {
+	// Micro-instances in pipeline schedule order: copies whose operands
+	// are rewritten to pieces, so each gets fresh operand slices, carved
+	// from one array per pipeline.
+	plan := schedulePlan(window, k)
+	micro := make([]ir.Instr, len(plan))
+	ops := make([]int, k*operands)
+	for m, ref := range plan {
 		in := window[ref.pos]
-		c := ir.CopyInstr(in)
+		c := &micro[m]
+		*c = *in
 		c.FLOPs /= float64(k)
 		c.Bytes /= int64(k)
 		c.Group = groupID
 		c.PartIdx = ref.part
 		c.NumParts = k
 		c.SrcID = in.ID
-		for i, t := range c.Ins {
+		c.Ins, ops = ops[:len(in.Ins):len(in.Ins)], ops[len(in.Ins):]
+		for i, t := range in.Ins {
+			c.Ins[i] = t
 			if r.Axes[t] == AxisNP {
 				continue // weights shared whole
 			}
-			ps := ensureParts(t)
-			if ps == nil {
+			base, ok := rw.parts(r, t)
+			if !ok {
 				return fmt.Errorf("no axis for tensor %%%d consumed by %s", t, in.Name)
 			}
-			c.Ins[i] = ps[ref.part]
+			c.Ins[i] = base + ref.part
 		}
-		for i, t := range c.Outs {
-			ps := ensureParts(t)
-			if ps == nil {
+		c.Outs, ops = ops[:len(in.Outs):len(in.Outs)], ops[len(in.Outs):]
+		for i, t := range in.Outs {
+			base, ok := rw.parts(r, t)
+			if !ok {
 				return fmt.Errorf("no axis for tensor %%%d produced by %s", t, in.Name)
 			}
-			c.Outs[i] = ps[ref.part]
+			c.Outs[i] = base + ref.part
 			c.PartAxis = int(r.Axes[t])
 		}
 		ng.Emit(c)
@@ -157,7 +219,7 @@ func emitPipeline(ng, g *ir.Graph, r *Range, groupID int) error {
 		for _, t := range in.Outs {
 			needed := false
 			for _, cons := range g.Consumers(t) {
-				if !inside[cons] {
+				if rw.inside[cons] != gen {
 					needed = true
 					break
 				}
@@ -173,7 +235,7 @@ func emitPipeline(ng, g *ir.Graph, r *Range, groupID int) error {
 			ng.Emit(&ir.Instr{
 				Name: g.Tensor(t).Name + ".reconstruct", Op: ir.OpReconstruct,
 				Phase: ir.Forward, Layer: in.Layer,
-				Ins: append([]int(nil), parts[t]...), Outs: []int{t}, Bytes: bytes,
+				Ins: pieceIDs(rw.partBase[t], k), Outs: []int{t}, Bytes: bytes,
 				Group: groupID, NumParts: k, SrcID: -1, PartAxis: int(axis),
 			})
 		}

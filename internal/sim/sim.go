@@ -130,7 +130,12 @@ func (e *Executor) Run(g *ir.Graph, order []int) (*Timeline, error) {
 	}
 	sc := runPool.Get().(*runScratch)
 	defer runPool.Put(sc)
-	rng := rand.New(rand.NewSource(e.Seed))
+	// Only jittered runs draw from the jitter stream; Predict runs skip
+	// seeding a source they would never read.
+	var rng *rand.Rand
+	if !e.Predict && e.JitterPct > 0 {
+		rng = rand.New(rand.NewSource(e.Seed))
+	}
 	sysScale := 1.0
 	if !e.Predict && e.SystematicPct > 0 {
 		sysRng := rand.New(rand.NewSource(e.Seed ^ 0x5eed))

@@ -421,8 +421,9 @@ type CostStats = cost.CacheStats
 
 // CostStats reports the memoization counters of the session's shared RAF
 // cost model — the model Lancet plans, predictions and the partition DP
-// price against. Baseline plans build private cost models whose counters
-// are not included here.
+// price against. Each Baseline call prices with a model derived from it
+// (the same network model and communication tables, its own memo), whose
+// counters are not included here.
 func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 
 // SetWorkloadProfile installs a streamed routing profile as the session's
@@ -648,8 +649,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("lancet: unknown framework %q", framework)
 	}
-	cm := cost.NewModel(s.Cluster)
-	cm.ComputeScale = spec.ComputeScale
+	cm := s.costRAF.WithComputeScale(spec.ComputeScale)
 	plan := &Plan{Name: spec.Name, Framework: framework, costs: cm}
 	start := time.Now()
 	switch framework {
