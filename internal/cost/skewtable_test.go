@@ -1,9 +1,13 @@
 package cost
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
+	"lancet/internal/hw"
 	"lancet/internal/ir"
 	"lancet/internal/netsim"
 	"lancet/internal/race"
@@ -254,5 +258,53 @@ func TestInvalidateProfile(t *testing.T) {
 	}
 	if got := m.AllToAllSkewedUs(512, keep); got != wantKeepExact {
 		t.Errorf("surviving exact price %v != original %v", got, wantKeepExact)
+	}
+}
+
+// TestSkewTableGolden pins every point of the skew interpolation tables
+// built for 16-, 32- and 64-GPU V100 fleets under five routing shapes, by a
+// SHA-256 of their (bytes, microseconds) pairs. The points are exact
+// link-level replays at the refined byte ladder, so this also pins the
+// netsim drain and its bounding-link argmax.
+func TestSkewTableGolden(t *testing.T) {
+	golden := map[string]string{
+		"16/zipf-0.6": "5f068ce876520aea6ac307de6a7cc83755d7fb37115bd33115d5edf3cade43c4",
+		"16/zipf-1.2": "1acaf399dc5f6156b2dd3dd50e0404190d4852ff93cf00328db2b48b12518daf",
+		"16/zipf-2.0": "d97d16bc585c8adfc6c11bdd2dc618482e6f6189ca6d6601a9030aef699600cb",
+		"16/hot-0.3":  "bccf3fae5c59d6570fbaeff27fcea29624e4a8801aa8fc13ebf45bf77be51d69",
+		"16/uniform":  "8ea32213d38e6caaa53b1aec1c5c0e678e7f4360f91cd9b30080517f453f6132",
+		"32/zipf-0.6": "e3c703c84154f1f70c1b0f23181cc7cdce3aa7dd39769608b14317189432af57",
+		"32/zipf-1.2": "fd130a796dd8820848d32c2f04fc2a621bdbbd9d5875713ca36db91376cb0cd8",
+		"32/zipf-2.0": "91d7191b52bddba337d79e7ba1ddb6d749bfbe52e4b50765f9a3cd709a0dea9a",
+		"32/hot-0.3":  "761fef88ed353908d88321f3639f87be52dd57c2dc8560179cdb9adb99482fa7",
+		"32/uniform":  "5a524851d184f0b14c50bbde45702e1085df6c49a4c3c874c3abceeb7fdc3abf",
+		"64/zipf-0.6": "b73d80996ac4bb8d26b1b3b924482754f5ab2fe39a86d4541f8b3ccecb6700ee",
+		"64/zipf-1.2": "5a0644673669b03ee649cfd842059b6c50d34fdfc332a4b61822d0596a60a8e7",
+		"64/zipf-2.0": "57a39fe30e21cc294f2c1804080f2199482e3c71eaa8789a7c2c9accf8b739eb",
+		"64/hot-0.3":  "1082fbc3820d8a1773e03a70d761e2812d2b475f5040a24ecf7c7734864d93d3",
+		"64/uniform":  "d68966eb20de2ea69848797e2228137ff90483c7f1823123bea654a4c17120ff",
+	}
+	for _, nodes := range []int{2, 4, 8} {
+		m := NewModel(hw.V100Cluster(nodes))
+		g := m.Cluster.TotalGPUs()
+		for _, p := range []struct {
+			name string
+			prof *netsim.RoutingProfile
+		}{
+			{"zipf-0.6", netsim.ZipfProfile(g, 0.6)},
+			{"zipf-1.2", netsim.ZipfProfile(g, 1.2)},
+			{"zipf-2.0", netsim.ZipfProfile(g, 2.0)},
+			{"hot-0.3", netsim.HotExpertProfile(g, 0.3)},
+			{"uniform", netsim.UniformProfile(g)},
+		} {
+			h := sha256.New()
+			for _, pt := range m.buildSkewTable(p.prof).points {
+				fmt.Fprintf(h, "%d %x\n", pt.bytes, math.Float64bits(pt.us))
+			}
+			key := fmt.Sprintf("%d/%s", g, p.name)
+			if got, want := hex.EncodeToString(h.Sum(nil)), golden[key]; got != want {
+				t.Errorf("%s: skew table hash %s, want %s", key, got, want)
+			}
+		}
 	}
 }
