@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"lancet/internal/cost"
 	"lancet/internal/ir"
 	"lancet/internal/model"
 	"lancet/internal/passes/partition"
@@ -64,7 +63,7 @@ func SequentialPlan(b *model.Built) *ir.Graph { return b.Graph }
 // a2a] core — forward and backward — along the capacity dimension with the
 // given degree, forming the Tutel communication-computation pipeline
 // (paper Fig. 4b / Fig. 5a).
-func TutelPlan(b *model.Built, cm *cost.Model, degree int) (*ir.Graph, error) {
+func TutelPlan(b *model.Built, degree int) (*ir.Graph, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("baselines: invalid overlap degree %d", degree)
 	}
@@ -98,12 +97,12 @@ func TutelPlan(b *model.Built, cm *cost.Model, degree int) (*ir.Graph, error) {
 
 // BestTutelPlan searches TutelDegrees with the predictor and returns the
 // fastest plan, mirroring the paper's per-experiment degree search.
-func BestTutelPlan(b *model.Built, cm *cost.Model, predict func(*ir.Graph) (float64, error)) (*ir.Graph, int, error) {
+func BestTutelPlan(b *model.Built, predict func(*ir.Graph) (float64, error)) (*ir.Graph, int, error) {
 	bestT := math.Inf(1)
 	var bestG *ir.Graph
 	bestD := 1
 	for _, d := range TutelDegrees {
-		g, err := TutelPlan(b, cm, d)
+		g, err := TutelPlan(b, d)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -132,7 +131,7 @@ var FasterMoE = Spec{Name: "FasterMoE", ComputeScale: 0.95, Memory: model.Memory
 // routed tokens destined to the hottest expert (from a routing profile);
 // shadowing pays off only when one expert is hot, so shares below 1/E are
 // treated as no shadowing.
-func FasterMoEPlan(b *model.Built, cm *cost.Model, shadowShare float64) (*ir.Graph, error) {
+func FasterMoEPlan(b *model.Built, shadowShare float64) (*ir.Graph, error) {
 	uniform := 1.0 / float64(b.TotalExperts)
 	if shadowShare < 2*uniform {
 		shadowShare = 0 // not worth replicating anything
@@ -160,5 +159,5 @@ func FasterMoEPlan(b *model.Built, cm *cost.Model, shadowShare float64) (*ir.Gra
 	// partitioning at degree 2 of each MoE core.
 	copied := *b
 	copied.Graph = g
-	return TutelPlan(&copied, cm, 2)
+	return TutelPlan(&copied, 2)
 }

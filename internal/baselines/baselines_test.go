@@ -23,22 +23,22 @@ func fixture(t *testing.T) (*model.Built, *cost.Model) {
 }
 
 func TestTutelPlanDegreeOne(t *testing.T) {
-	b, cm := fixture(t)
-	g, err := TutelPlan(b, cm, 1)
+	b, _ := fixture(t)
+	g, err := TutelPlan(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g != b.Graph {
 		t.Error("degree 1 should return the original graph")
 	}
-	if _, err := TutelPlan(b, cm, 0); err == nil {
+	if _, err := TutelPlan(b, 0); err == nil {
 		t.Error("degree 0 must be rejected")
 	}
 }
 
 func TestTutelPlanPartitionsBothDirections(t *testing.T) {
-	b, cm := fixture(t)
-	g, err := TutelPlan(b, cm, 4)
+	b, _ := fixture(t)
+	g, err := TutelPlan(b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestTutelPlanSpeedsUpMoECore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := TutelPlan(b, cm, 4)
+	g, err := TutelPlan(b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBestTutelPlanPicksFastest(t *testing.T) {
 		}
 		return tl.TotalUs, nil
 	}
-	g, d, err := BestTutelPlan(b, cm, predict)
+	g, d, err := BestTutelPlan(b, predict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBestTutelPlanPicksFastest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dd := range TutelDegrees {
-		gg, err := TutelPlan(b, cm, dd)
+		gg, err := TutelPlan(b, dd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +135,7 @@ func TestTutelDegreeClampedToCapacity(t *testing.T) {
 	if b.CapacityC >= 8 {
 		t.Skip("capacity not small enough to exercise clamping")
 	}
-	cm := cost.NewModel(cl)
-	g, err := TutelPlan(b, cm, 8)
+	g, err := TutelPlan(b, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +147,16 @@ func TestTutelDegreeClampedToCapacity(t *testing.T) {
 }
 
 func TestFasterMoEPlanNoSkewEqualsTutel2(t *testing.T) {
-	b, cm := fixture(t)
+	b, _ := fixture(t)
 	// Below the shadowing threshold, the plan is the pairwise overlap only.
-	g, err := FasterMoEPlan(b, cm, 1.0/float64(b.TotalExperts))
+	g, err := FasterMoEPlan(b, 1.0/float64(b.TotalExperts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tut, err := TutelPlan(b, cm, 2)
+	tut, err := TutelPlan(b, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +177,12 @@ func TestFasterMoEPlanNoSkewEqualsTutel2(t *testing.T) {
 }
 
 func TestFasterMoEPlanShadowingShrinksA2A(t *testing.T) {
-	b, cm := fixture(t)
-	base, err := FasterMoEPlan(b, cm, 0)
+	b, _ := fixture(t)
+	base, err := FasterMoEPlan(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowed, err := FasterMoEPlan(b, cm, 0.4)
+	shadowed, err := FasterMoEPlan(b, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ import (
 	"lancet/internal/netsim"
 )
 
-// cacheShards stripes the memoization maps so concurrent predictions from
+// cacheShards stripes the op-profile memo so concurrent predictions from
 // parallel experiments or passes rarely contend on the same lock.
 const cacheShards = 32
 
@@ -61,21 +61,21 @@ func (s *shard[K]) put(k K, v float64) {
 }
 
 // Model prices instructions on a given cluster. It is safe for concurrent
-// use: both memoization layers (op profiles and communication predictions)
-// are mutex-striped, so parallel experiments sharing a model shape scale
-// across cores.
+// use: the op-profile memo is mutex-striped, so parallel experiments
+// sharing a model shape scale across cores. It memoizes only what costs
+// more to compute than to look up (DESIGN.md §3): op profiles, skew tables
+// and uniform replays. Communication predictions interpolate the profiled
+// table on every call.
 type Model struct {
 	Cluster hw.Cluster
 
-	// ComputeScale scales compute throughput to model framework codegen
+	// computeScale scales compute throughput to model framework codegen
 	// differences (e.g. PyTorch kernels vs RAF compiler output). 1.0 is
-	// the RAF/Lancet baseline; <1 is slower. Set it before the first
-	// prediction — cached entries are not invalidated.
-	ComputeScale float64
+	// the RAF/Lancet baseline; <1 is slower. WithComputeScale sets it on a
+	// model with its own memo.
+	computeScale float64
 
 	profiles [cacheShards]shard[profileKey]
-	comms    [cacheShards]shard[commKey]
-	skewed   [cacheShards]shard[skewKey]
 
 	// net is the persistent link-level simulator for the cluster: its
 	// pair-tier index and drain arenas are built once and shared by every
@@ -92,9 +92,9 @@ type Model struct {
 	// irregular size-exchange phase) on their per-device payload.
 	uniReplay shard[int64]
 
-	profiled atomic.Int64 // ground-truth profiles taken (profile-cache misses)
-	hits     atomic.Int64 // memoized predictions served (both caches)
-	misses   atomic.Int64 // predictions computed fresh (both caches)
+	profiled atomic.Int64 // ground-truth profiles taken (profile-memo misses)
+	hits     atomic.Int64 // memo lookups served: profiles, skew tables, uniform replays
+	misses   atomic.Int64 // memo lookups computed fresh, skew-table builds included
 
 	a2aTable       []commPoint // per-device bytes -> us, fixed device count
 	allreduceTable []commPoint
@@ -111,15 +111,6 @@ type profileKey struct {
 	numParts int
 }
 
-// commKey memoizes communication predictions on exact byte counts — unlike
-// compute profiles there is no bucketing, so cached values are bit-identical
-// to the interpolation they replace.
-type commKey struct {
-	op      ir.OpKind
-	bytes   int64
-	devices int
-}
-
 // fnvMix folds int64 fields into an FNV-1a hash for shard selection.
 func fnvMix(vs ...int64) uint64 {
 	h := uint64(14695981039346656037)
@@ -132,23 +123,6 @@ func fnvMix(vs ...int64) uint64 {
 
 func (k profileKey) shard() uint64 {
 	return fnvMix(int64(k.op), int64(k.grad), k.flops, k.bytes, int64(k.devices), int64(k.numParts)) % cacheShards
-}
-
-func (k commKey) shard() uint64 {
-	return fnvMix(int64(k.op), k.bytes, int64(k.devices)) % cacheShards
-}
-
-// skewKey memoizes skew-aware all-to-all prices on the exact payload and
-// the routing profile's content fingerprint, so the partition DP's repeated
-// queries under one workload pay the link-level simulation once per
-// distinct micro-payload.
-type skewKey struct {
-	bytes int64
-	fp    uint64
-}
-
-func (k skewKey) shard() uint64 {
-	return fnvMix(k.bytes, int64(k.fp)) % cacheShards
 }
 
 type commPoint struct {
@@ -165,24 +139,24 @@ const maxProfiledBytes = int64(1) << 31 // 2 GiB
 func NewModel(c hw.Cluster) *Model {
 	m := &Model{
 		Cluster:      c,
-		ComputeScale: 1.0,
+		computeScale: 1.0,
 		net:          netsim.New(c),
 	}
 	m.buildCommTables(c.TotalGPUs())
 	return m
 }
 
-// WithComputeScale returns a model for the same cluster at another
-// ComputeScale. It shares m's network simulator and profiled
+// WithComputeScale returns a model for the same cluster at another compute
+// scale. It shares m's network simulator and profiled
 // communication tables, which are read-only once built and do not depend
-// on ComputeScale, and starts with an empty memo and zeroed counters: a
+// on the compute scale, and starts with an empty memo and zeroed counters: a
 // memo entry holds the first-priced value of its FLOPs/bytes bucket, so a
 // shared memo would make the derived model's prices depend on what m
 // priced before.
 func (m *Model) WithComputeScale(scale float64) *Model {
 	return &Model{
 		Cluster:        m.Cluster,
-		ComputeScale:   scale,
+		computeScale:   scale,
 		net:            m.net,
 		a2aTable:       m.a2aTable,
 		allreduceTable: m.allreduceTable,
@@ -203,20 +177,18 @@ func (m *Model) buildCommTables(devices int) {
 	}
 }
 
-// ProfiledOps returns how many distinct op shapes have been profiled so far.
-func (m *Model) ProfiledOps() int {
-	return int(m.profiled.Load())
-}
-
-// CacheStats reports the memoization layer's effectiveness across both the
-// op-profile and communication caches.
+// CacheStats reports the memoization layer's effectiveness. Hits and Misses
+// count lookups in the three memos: op profiles (a miss takes a profile),
+// skew tables (a miss builds a profile's table, a hit reuses it) and
+// uniform replays. Communication predictions are not memoized and not
+// counted.
 type CacheStats struct {
 	Hits        int64
 	Misses      int64
 	ProfiledOps int64
 }
 
-// HitRate is the fraction of predictions served from cache.
+// HitRate is the fraction of memo lookups served without computing.
 func (s CacheStats) HitRate() float64 {
 	if total := s.Hits + s.Misses; total > 0 {
 		return float64(s.Hits) / float64(total)
@@ -273,7 +245,7 @@ func (m *Model) groundComputeUsAt(in *ir.Instr, peakTFLOPs float64) float64 {
 	t := g.KernelLaunchUs * kernels
 	if in.FLOPs > 0 {
 		perKernel := in.FLOPs / kernels
-		t += in.FLOPs / m.effFLOPSAt(perKernel, peakTFLOPs) * 1e6 / m.ComputeScale
+		t += in.FLOPs / m.effFLOPSAt(perKernel, peakTFLOPs) * 1e6 / m.computeScale
 	}
 	if in.Bytes > 0 {
 		// Memory-bound component: sustained ~75% of peak DRAM bandwidth.
@@ -460,7 +432,7 @@ func effBW(peakGBs, bytes float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Prediction side: cached profiles + interpolated comm table.
+// Prediction side: memoized profiles + interpolated comm table.
 // ---------------------------------------------------------------------------
 
 // PredictInstr returns the optimizer-visible execution time estimate in
@@ -493,55 +465,26 @@ func (m *Model) PredictInstr(in *ir.Instr) float64 {
 }
 
 // PredictComm estimates a collective's time via linear interpolation over
-// the profiled table, mirroring the paper's comm cost model. Predictions
-// are memoized on the exact (op, bytes, devices) triple: the partition
-// pass's DP sweeps re-query identical payloads millions of times, and the
-// cached value is bit-identical to the interpolation it replaces.
+// the profiled table, mirroring the paper's comm cost model. Tables are
+// profiled for the cluster's full device count; other group sizes price at
+// ground truth. Nothing is memoized: the interpolation is a binary search
+// over 22 points, cheaper than a memo lookup would be.
 func (m *Model) PredictComm(op ir.OpKind, bytes int64, devices int) float64 {
-	if devices == 0 {
-		devices = m.tableDevices
-	}
+	var table []commPoint
 	switch op {
-	case ir.OpAllToAll, ir.OpAllReduce, ir.OpAllGather, ir.OpReduceScatter:
+	case ir.OpAllToAll:
+		table = m.a2aTable
+	case ir.OpAllReduce:
+		table = m.allreduceTable
+	case ir.OpAllGather, ir.OpReduceScatter:
+		table = m.allgatherTable
 	default:
 		panic(fmt.Sprintf("cost: not a communication op: %v", op))
 	}
-	key := commKey{op: op, bytes: bytes, devices: devices}
-	s := &m.comms[key.shard()]
-	if t, ok := s.get(key); ok {
-		m.hits.Add(1)
-		return t
+	if devices != 0 && devices != m.tableDevices {
+		return m.groundCommUs(op, bytes, devices)
 	}
-	var t float64
-	if devices != m.tableDevices {
-		// Tables are profiled for the cluster's full device count; other
-		// group sizes fall back to ground truth (rare in our workloads).
-		t = m.groundCommUs(op, bytes, devices)
-	} else {
-		var table []commPoint
-		switch op {
-		case ir.OpAllToAll:
-			table = m.a2aTable
-		case ir.OpAllReduce:
-			table = m.allreduceTable
-		case ir.OpAllGather, ir.OpReduceScatter:
-			table = m.allgatherTable
-		}
-		t = interpolate(table, bytes)
-	}
-	s.put(key, t)
-	m.misses.Add(1)
-	return t
-}
-
-// PredictA2APartitioned applies the paper's static-shape approximation: the
-// cost of one micro all-to-all of an n-way partition with original payload
-// `bytes` is the table queried at bytes/n.
-func (m *Model) PredictA2APartitioned(bytes int64, devices, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return m.PredictComm(ir.OpAllToAll, bytes/int64(n), devices)
+	return interpolate(table, bytes)
 }
 
 // ActualInstr returns the exact ground-truth execution time the simulator
@@ -584,28 +527,17 @@ func (m *Model) ValidateProfile(prof *netsim.RoutingProfile) error {
 	return nil
 }
 
-// InvalidateProfile drops every memoized price derived from the routing
-// profile with the given content fingerprint: its interpolation table and
-// its exact-replay memo entries. The drift loop (DESIGN.md §16) calls this
-// when a session's workload profile is replaced — the superseded traffic
-// shape will not be queried again, and a long-lived serving process must not
-// accumulate one table per drift step forever. Prices keyed on other
-// fingerprints (and the uniform comm tables) are untouched, so concurrent
+// InvalidateProfile drops the interpolation table of the routing profile
+// with the given content fingerprint. The drift loop (DESIGN.md §16) calls
+// this when a session's workload profile is replaced — the superseded
+// traffic shape will not be queried again, and a long-lived serving process
+// must not accumulate one table per drift step forever. Other profiles'
+// tables (and the uniform comm tables) are untouched, so concurrent
 // predictions for live profiles never observe an invalidation.
 func (m *Model) InvalidateProfile(fp uint64) {
 	m.skewTabMu.Lock()
 	delete(m.skewTabs, fp)
 	m.skewTabMu.Unlock()
-	for i := range m.skewed {
-		s := &m.skewed[i]
-		s.mu.Lock()
-		for k := range s.m {
-			if k.fp == fp {
-				delete(s.m, k)
-			}
-		}
-		s.mu.Unlock()
-	}
 }
 
 // AllToAllSkewedUs prices an all-to-all whose per-pair traffic follows the
@@ -613,32 +545,15 @@ func (m *Model) InvalidateProfile(fp uint64) {
 // DESIGN.md §10. A nil profile falls back to the closed-form uniform model,
 // and a uniform profile reproduces the closed form within tolerance (the
 // equivalence the tests pin), so callers can thread one code path for both
-// workloads. Since the zero-alloc refactor (DESIGN.md §13) the price comes
-// from the profile's lazily built interpolation table rather than a full
-// link-level replay per distinct payload; payloads below the table floor
-// keep the exact-replay memo.
+// workloads. It is A2APricer.SkewedUs on a one-shot pricer.
 func (m *Model) AllToAllSkewedUs(bytesPerDevice int64, prof *netsim.RoutingProfile) float64 {
-	if prof == nil {
-		return m.groundAllToAllUs(bytesPerDevice, m.Cluster.TotalGPUs())
-	}
-	if err := m.ValidateProfile(prof); err != nil {
-		panic(err.Error())
-	}
-	if bytesPerDevice <= 0 {
-		return 0
-	}
-	if bytesPerDevice < skewTableMinBytes {
-		return m.skewedExactUs(bytesPerDevice, prof)
-	}
-	t := m.skewTableFor(prof)
-	m.hits.Add(1)
-	return t.lookup(bytesPerDevice)
+	return m.NewA2APricer(prof).SkewedUs(bytesPerDevice)
 }
 
 // A2APricer prices skewed and partitioned all-to-alls for one routing
-// profile without touching the model's locked caches: the partition DP
-// acquires one per window and then prices every candidate instruction
-// through plain table interpolation — no shard round-trip, no allocation
+// profile: the one implementation behind AllToAllSkewedUs and the partition
+// DP, which acquires one per run and then prices every candidate
+// instruction through plain table interpolation — no lock, no allocation
 // (DESIGN.md §13). The zero value is not usable; obtain one from NewA2APricer.
 type A2APricer struct {
 	m    *Model
@@ -666,8 +581,9 @@ func (m *Model) NewA2APricer(prof *netsim.RoutingProfile) A2APricer {
 // pricing) or falls back to the uniform closed form.
 func (p A2APricer) Profiled() bool { return p.prof != nil }
 
-// SkewedUs returns exactly what AllToAllSkewedUs(bytesPerDevice, prof)
-// would, minus the per-call cache traffic.
+// SkewedUs prices an all-to-all of bytesPerDevice under the pricer's
+// routing profile: the profile's interpolation table, an exact link-level
+// replay below the table floor, or the closed form without a profile.
 //
 //lancet:hotpath
 func (p A2APricer) SkewedUs(bytesPerDevice int64) float64 {
@@ -678,28 +594,18 @@ func (p A2APricer) SkewedUs(bytesPerDevice int64) float64 {
 		return 0
 	}
 	if bytesPerDevice < skewTableMinBytes {
-		return p.m.skewedExactUs(bytesPerDevice, p.prof)
+		return p.m.exactSkewedUs(bytesPerDevice, p.prof)
 	}
 	return p.tab.lookup(bytesPerDevice)
 }
 
-// PartitionedUs returns exactly what PredictA2APartitioned(bytes, devices, n)
-// would — the uniform table queried at bytes/n — without the commKey shard
-// acquisition. Used by the DP's padded-closed-form cap.
+// PartitionedUs applies the paper's static-shape approximation: one micro
+// all-to-all of an n-way partition of a bytes payload costs the uniform
+// table queried at bytes/n. Used by the DP's padded-closed-form cap.
 //
 //lancet:hotpath
 func (p A2APricer) PartitionedUs(bytes int64, devices, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	bytes /= int64(n)
-	if devices == 0 {
-		devices = p.m.tableDevices
-	}
-	if devices != p.m.tableDevices {
-		return p.m.groundCommUs(ir.OpAllToAll, bytes, devices)
-	}
-	return interpolate(p.m.a2aTable, bytes)
+	return p.m.PredictComm(ir.OpAllToAll, bytes/int64(max(n, 1)), devices)
 }
 
 // IrregularA2AUs prices the two-phase irregular all-to-all of paper Fig. 10:

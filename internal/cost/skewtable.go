@@ -29,8 +29,8 @@ const (
 	// skewTableMinBytes floors the table: tinier payloads round most matrix
 	// entries to zero bytes, making the replay a discontinuous staircase
 	// that interpolation cannot bound. Queries below it (absent from every
-	// real workload — the DP's micro-payloads are tens of KB and up) take
-	// the exact-replay memo instead.
+	// real workload — the DP's micro-payloads are tens of KB and up) replay
+	// the matrix exactly instead.
 	skewTableMinBytes = int64(1) << 10
 	// skewTableMaxPoints caps refinement: a pathological profile whose
 	// bounding link flaps from rounding noise must not degenerate into one
@@ -64,7 +64,7 @@ type skewTableEntry struct {
 }
 
 // skewTableFor returns the interpolation table for the profile, building it
-// on first use.
+// on first use. A build counts as a memo miss and a reuse as a hit.
 func (m *Model) skewTableFor(prof *netsim.RoutingProfile) *skewTable {
 	fp := prof.Fingerprint()
 	m.skewTabMu.Lock()
@@ -77,10 +77,16 @@ func (m *Model) skewTableFor(prof *netsim.RoutingProfile) *skewTable {
 		m.skewTabs[fp] = e
 	}
 	m.skewTabMu.Unlock()
+	built := false
 	e.once.Do(func() {
 		e.tab = m.buildSkewTable(prof)
-		m.misses.Add(1)
+		built = true
 	})
+	if built {
+		m.misses.Add(1)
+	} else {
+		m.hits.Add(1)
+	}
 	return e.tab
 }
 
@@ -128,23 +134,15 @@ func (m *Model) buildSkewTable(prof *netsim.RoutingProfile) *skewTable {
 	return t
 }
 
-// skewedExactUs is the pre-table pricing path: an exact link-level replay
-// memoized on (bytes, profile fingerprint). It survives as the fallback for
-// payloads below the table floor, where matrix rounding makes interpolation
-// meaningless.
-func (m *Model) skewedExactUs(bytesPerDevice int64, prof *netsim.RoutingProfile) float64 {
-	key := skewKey{bytes: bytesPerDevice, fp: prof.Fingerprint()}
-	s := &m.skewed[key.shard()]
-	if t, ok := s.get(key); ok {
-		m.hits.Add(1)
-		return t
-	}
+// exactSkewedUs replays the profile's transfer matrix at bytesPerDevice on
+// the link-level simulator: the price of payloads below the table floor,
+// where matrix rounding makes interpolation meaningless. No planner
+// workload prices a payload that small, so nothing is memoized.
+func (m *Model) exactSkewedUs(bytesPerDevice int64, prof *netsim.RoutingProfile) float64 {
 	t, err := m.net.AllToAllUs(prof.Matrix(bytesPerDevice))
 	if err != nil {
 		panic(fmt.Sprintf("cost: netsim rejected a profile matrix: %v", err))
 	}
-	s.put(key, t)
-	m.misses.Add(1)
 	return t
 }
 

@@ -120,9 +120,30 @@ func (n *Network) AllToAllUs(sizes [][]int64) (float64, error) {
 // per-tier bottleneck reduction, not one flat effective bandwidth), and the
 // most-loaded link sets completion.
 func (n *Network) AllToAllTimed(sizes [][]int64) (A2ATiming, error) {
+	res, _, err := n.AllToAllTimedArgmax(sizes)
+	return res, err
+}
+
+// DrainArgmax identifies which (tier, device, direction) load bounds a
+// timed replay: the link whose drain sets A2ATiming.TotalUs. The cost
+// model's skew interpolation tables use it to subdivide byte segments until
+// both endpoints share a bounding link — per-link drain time is affine in
+// the payload scale, so within such a segment linear interpolation is exact
+// up to integer byte rounding (DESIGN.md §13).
+type DrainArgmax struct {
+	tier    hw.Tier
+	dev     int
+	ingress bool
+}
+
+// AllToAllTimedArgmax is AllToAllTimed plus the bounding link of the
+// dominant tier. The one accumulation pass over the matrix records each
+// tier's most-loaded link as it reduces the tier's bound; ties go to the
+// lowest device, egress before ingress.
+func (n *Network) AllToAllTimedArgmax(sizes [][]int64) (A2ATiming, DrainArgmax, error) {
 	g := n.g
 	if len(sizes) != g {
-		return A2ATiming{}, fmt.Errorf("netsim: matrix is %dx? for %d devices", len(sizes), g)
+		return A2ATiming{}, DrainArgmax{}, fmt.Errorf("netsim: matrix is %dx? for %d devices", len(sizes), g)
 	}
 	// eg[tier*g+dev] / in[tier*g+dev] accumulate bytes per tier per device
 	// in a pooled arena: the accumulation order and arithmetic are identical
@@ -135,12 +156,12 @@ func (n *Network) AllToAllTimed(sizes [][]int64) (A2ATiming, error) {
 	for src := range sizes {
 		row := sizes[src]
 		if len(row) != g {
-			return A2ATiming{}, fmt.Errorf("netsim: row %d has %d entries for %d devices", src, len(row), g)
+			return A2ATiming{}, DrainArgmax{}, fmt.Errorf("netsim: row %d has %d entries for %d devices", src, len(row), g)
 		}
 		tiers := n.tier[src*g : src*g+g]
 		for dst, b := range row {
 			if b < 0 {
-				return A2ATiming{}, fmt.Errorf("netsim: negative payload at [%d][%d]", src, dst)
+				return A2ATiming{}, DrainArgmax{}, fmt.Errorf("netsim: negative payload at [%d][%d]", src, dst)
 			}
 			if src == dst || b == 0 {
 				continue
@@ -160,11 +181,13 @@ func (n *Network) AllToAllTimed(sizes [][]int64) (A2ATiming, error) {
 		}
 	}
 	if total == 0 {
-		return A2ATiming{}, nil
+		return A2ATiming{}, DrainArgmax{}, nil
 	}
 	var res A2ATiming
+	var links [hw.NumTiers]DrainArgmax
 	for tier := hw.Tier(0); tier < hw.NumTiers; tier++ {
 		bound := 0.0
+		link := DrainArgmax{tier: tier}
 		off := int(tier) * g
 		egT, inT := eg[off:off+g], in[off:off+g]
 		bwT := n.bw[tier]
@@ -173,73 +196,22 @@ func (n *Network) AllToAllTimed(sizes [][]int64) (A2ATiming, error) {
 			// a flow between a fast and a slow node is counted at both
 			// endpoints, so the slower one bounds the pair.
 			bw := bwT[d]
-			bound = math.Max(bound, egT[d]/effBW(bw, egT[d]))
-			bound = math.Max(bound, inT[d]/effBW(bw, inT[d]))
+			if t := egT[d] / effBW(bw, egT[d]); t > bound {
+				bound, link.dev, link.ingress = t, d, false
+			}
+			if t := inT[d] / effBW(bw, inT[d]); t > bound {
+				bound, link.dev, link.ingress = t, d, true
+			}
 		}
 		res.TierUs[tier] = bound * 1e6
+		links[tier] = link
 		if res.TierUs[tier] > res.TierUs[res.Bottleneck] {
 			res.Bottleneck = tier
 		}
 	}
 	alpha := 15.0 + 0.4*float64(g)
 	res.TotalUs = alpha + res.TierUs[res.Bottleneck]
-	return res, nil
-}
-
-// DrainArgmax identifies which (tier, device, direction) load bounds a
-// timed replay: the link whose drain sets A2ATiming.TotalUs. The cost
-// model's skew interpolation tables use it to subdivide byte segments until
-// both endpoints share a bounding link — per-link drain time is affine in
-// the payload scale, so within such a segment linear interpolation is exact
-// up to integer byte rounding (DESIGN.md §13).
-type DrainArgmax struct {
-	tier    hw.Tier
-	dev     int
-	ingress bool
-}
-
-// AllToAllTimedArgmax is AllToAllTimed plus the bounding link of the
-// dominant tier.
-func (n *Network) AllToAllTimedArgmax(sizes [][]int64) (A2ATiming, DrainArgmax, error) {
-	res, err := n.AllToAllTimed(sizes)
-	if err != nil || res.TotalUs == 0 {
-		return res, DrainArgmax{}, err
-	}
-	// Re-walk only the dominant tier's loads to recover the argmax; the
-	// replay above stays the single source of the timing itself.
-	sc := n.scratch()
-	defer n.pool.Put(sc)
-	eg, in := sc.eg, sc.in
-	g := n.g
-	for src := range sizes {
-		tiers := n.tier[src*g : src*g+g]
-		for dst, b := range sizes[src] {
-			if src == dst || b == 0 {
-				continue
-			}
-			off := int(tiers[dst]) * g
-			fb := float64(b)
-			eg[off+src] += fb
-			in[off+dst] += fb
-			if tiers[dst] == hw.TierSpine {
-				eg[int(hw.TierNIC)*g+src] += fb
-				in[int(hw.TierNIC)*g+dst] += fb
-			}
-		}
-	}
-	arg := DrainArgmax{tier: res.Bottleneck}
-	off := int(res.Bottleneck) * g
-	best := 0.0
-	for d := 0; d < g; d++ {
-		bw := n.bw[res.Bottleneck][d]
-		if t := eg[off+d] / effBW(bw, eg[off+d]); t > best {
-			best, arg.dev, arg.ingress = t, d, false
-		}
-		if t := in[off+d] / effBW(bw, in[off+d]); t > best {
-			best, arg.dev, arg.ingress = t, d, true
-		}
-	}
-	return res, arg, nil
+	return res, links[res.Bottleneck], nil
 }
 
 // UniformMatrix builds the transfer matrix of a balanced all-to-all where

@@ -431,8 +431,8 @@ func TestDrainZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// The argmax variant re-walks the dominant tier on the same arenas and must
-// stay allocation-free too.
+// The argmax variant is the same single pass over the matrix and must stay
+// allocation-free too.
 func TestDrainArgmaxZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not deterministic under the race detector")

@@ -220,8 +220,8 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 // after is backward/optimizer, handled by the dW scheduling pass), and
 // sc.prefix[i] becomes the summed predicted time of its first i
 // instructions, so the DP prices a window by subtraction instead of
-// re-walking it. The predictions themselves hit the cost model's
-// memoization across the sweep's repeated queries.
+// re-walking it. Compute predictions hit the cost model's op-profile memo;
+// all-to-alls price through the pricer's table.
 func (sc *dpScratch) pricePrefix(g *ir.Graph, cm *cost.Model, pr cost.A2APricer, frac float64) int {
 	fwdEnd := len(g.Instrs)
 	for i, in := range g.Instrs {

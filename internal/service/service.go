@@ -671,7 +671,10 @@ type TierBreakdown struct {
 	CombinedHitRate float64 `json:"combined_hit_rate"`
 }
 
-// CostModelStats aggregates the sessions' cost-model memoization counters.
+// CostModelStats aggregates the sessions' cost-model memoization counters
+// (lancet.CostStats): lookups in the op-profile, skew-table and
+// uniform-replay memos. A skew-table miss is a table build. Communication
+// predictions interpolate their table uncached and are not counted.
 type CostModelStats struct {
 	Hits        int64   `json:"hits"`
 	Misses      int64   `json:"misses"`

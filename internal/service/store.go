@@ -100,13 +100,6 @@ func (s *lruStore[V]) put(key string, val V) {
 	}
 }
 
-// values snapshots every cached value, most recently used first.
-func (s *lruStore[V]) values() []V {
-	var vs []V
-	s.withValues(func(snapshot []V) { vs = snapshot })
-	return vs
-}
-
 // withValues runs fn under the store's lock with every cached value, most
 // recently used first. Because onEvict also runs under this lock, fn sees
 // a cut where every value is in exactly one of (snapshot, eviction tally)

@@ -54,7 +54,8 @@ func TestLRUValuesMostRecentFirst(t *testing.T) {
 	s.put("a", 1)
 	s.put("b", 2)
 	s.get("a")
-	vs := s.values()
+	var vs []int
+	s.withValues(func(snapshot []int) { vs = snapshot })
 	if len(vs) != 2 || vs[0] != 1 || vs[1] != 2 {
 		t.Errorf("values = %v, want [1 2] (most recently used first)", vs)
 	}

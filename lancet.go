@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -266,14 +267,15 @@ type Options struct {
 	// Its users are the ones that re-plan from a plan they already serve:
 	// the service's drift re-plans, NodeLoss, ElasticResize and
 	// planbench's traced replay. Anything stored under a request's own key
-	// must plan without it.
+	// must plan without it. Exclusive with FixedPipelines.
 	Hint []PipelineHint
 	// FixedPipelines replays a previous plan's chosen pipelines verbatim
 	// instead of running the partition DP: each range keeps its partition
 	// count (clamped to what the graph admits) and no partition decisions
 	// are revisited. This is the degraded-replay half of a node-loss
-	// what-if — "how does the stale plan behave on this fleet" — and takes
-	// precedence over Hint (DESIGN.md §17).
+	// what-if — "how does the stale plan behave on this fleet" (DESIGN.md
+	// §17). A replay runs no DP, so it cannot take a Hint: setting both is
+	// an error.
 	FixedPipelines []PipelineHint
 }
 
@@ -329,8 +331,6 @@ type Session struct {
 type routingProfile struct {
 	devices int
 	tokens  int     // proxy tokens per device
-	routed  int     // total routed slots
-	dropped int     // total dropped slots
 	counts  [][]int // aggregate send matrix [src][dst] in tokens
 	// shares[m] is the fraction of the padded per-device payload
 	// micro-batch m of the split actually moves.
@@ -416,7 +416,10 @@ type a2aOverrides struct {
 
 // CostStats is a snapshot of a cost model's memoization counters,
 // re-exported from the internal cost package for observability surfaces
-// like lancet-serve's /v1/stats.
+// like lancet-serve's /v1/stats. Hits and Misses count lookups in the
+// three memos the cost model keeps: op profiles, skew tables (a miss is a
+// table build) and uniform replays. Communication predictions are not
+// memoized, so they are not counted (DESIGN.md §3).
 type CostStats = cost.CacheStats
 
 // CostStats reports the memoization counters of the session's shared RAF
@@ -484,6 +487,10 @@ func (s *Session) routingContext(wp *netsim.RoutingProfile) (*netsim.RoutingProf
 // plan keeps the workload installed when it is planned: a later
 // SetWorkloadProfile changes none of its outputs.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
+	if len(opts.Hint) > 0 && len(opts.FixedPipelines) > 0 {
+		return nil, fmt.Errorf("lancet: Options.Hint (%d pipelines) and Options.FixedPipelines (%d pipelines) are exclusive; set at most one",
+			len(opts.Hint), len(opts.FixedPipelines))
+	}
 	start := time.Now()
 	g := s.Built.Graph
 	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.costRAF}
@@ -538,18 +545,14 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 			MaxRangeGroups:   opts.MaxRangeGroups,
 			GatePartialBatch: s.Config.Gate.SupportsPartialBatch(),
 		}
-		if len(opts.Hint) > 0 && len(opts.FixedPipelines) == 0 {
-			popts.Hint = make([]partition.Range, len(opts.Hint))
-			for i, h := range opts.Hint {
-				popts.Hint[i] = partition.Range{Start: h.Start, End: h.End, K: h.K}
-			}
+		// At most one of Hint and FixedPipelines is set (checked above).
+		var ranges []partition.Range
+		for _, h := range slices.Concat(opts.Hint, opts.FixedPipelines) {
+			ranges = append(ranges, partition.Range{Start: h.Start, End: h.End, K: h.K})
 		}
-		var fixed []partition.Range
-		if len(opts.FixedPipelines) > 0 {
-			fixed = make([]partition.Range, len(opts.FixedPipelines))
-			for i, h := range opts.FixedPipelines {
-				fixed[i] = partition.Range{Start: h.Start, End: h.End, K: h.K}
-			}
+		fixed := len(opts.FixedPipelines) > 0
+		if !fixed {
+			popts.Hint = ranges
 		}
 		popts.Profile, popts.PayloadFraction = view.Profile, frac
 		if popts.GroupUs == 0 {
@@ -568,8 +571,8 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 		for {
 			var res *partition.Result
 			var err error
-			if fixed != nil {
-				res, err = partition.Replay(g, planCost, popts, fixed)
+			if fixed {
+				res, err = partition.Replay(g, planCost, popts, ranges)
 			} else {
 				res, err = partition.Run(g, planCost, popts)
 			}
@@ -655,7 +658,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	switch framework {
 	case FrameworkTutel:
 		ex := &sim.Executor{Cost: cm, Predict: true}
-		g, degree, err := baselines.BestTutelPlan(s.Built, cm, func(g *ir.Graph) (float64, error) {
+		g, degree, err := baselines.BestTutelPlan(s.Built, func(g *ir.Graph) (float64, error) {
 			tl, err := ex.Run(g, g.DefaultSchedule())
 			if err != nil {
 				return 0, err
@@ -671,7 +674,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := baselines.FasterMoEPlan(s.Built, cm, prof.hotExpertShare)
+		g, err := baselines.FasterMoEPlan(s.Built, prof.hotExpertShare)
 		if err != nil {
 			return nil, err
 		}
@@ -817,9 +820,9 @@ func (p *Plan) run(seed int64) (*sim.Timeline, error) {
 // all-to-alls shed their zero padding (Fig. 10). Balanced workloads are
 // priced by payload; skewed workloads additionally price the routing
 // profile's transfer matrix on the link-level network simulator — through
-// the cost model's memoized AllToAllSkewedUs, so repeated plans and
-// simulations of one session pay each distinct micro-payload once — where
-// the hot expert's device bounds completion (DESIGN.md §10).
+// the cost model's AllToAllSkewedUs, which interpolates the profile's skew
+// table, built once per session and profile — where the hot expert's
+// device bounds completion (DESIGN.md §10).
 func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2aOverrides, error) {
 	ov := a2aOverrides{bytes: make(map[int]int64)}
 	profiles := make(map[int]*routingProfile) // per-k dispatch statistics
@@ -967,7 +970,6 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 
 	p := &routingProfile{
 		devices: devices, tokens: tokens,
-		routed: stats.Routed, dropped: stats.Dropped,
 		counts:         stats.SendTokens,
 		hotExpertShare: stats.HottestExpertShare(),
 	}
@@ -1059,8 +1061,6 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 	return &routingProfile{
 		devices:        devices,
 		tokens:         tokens,
-		routed:         int(routed),
-		dropped:        int(offered - routed),
 		counts:         counts,
 		shares:         shares,
 		hotExpertShare: net.MaxIngressShare(),

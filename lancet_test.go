@@ -244,7 +244,13 @@ func TestRoutingProfileSaneAndCached(t *testing.T) {
 	if total > 1.0001 {
 		t.Errorf("micro shares sum to %v > 1", total)
 	}
-	if p.routed == 0 || len(p.counts) != p.devices {
+	routed := 0
+	for _, row := range p.counts {
+		for _, c := range row {
+			routed += c
+		}
+	}
+	if routed == 0 || len(p.counts) != p.devices {
 		t.Errorf("profile incomplete: %+v", p)
 	}
 	p2, err := s.profile(nil, 4)

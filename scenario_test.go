@@ -3,6 +3,7 @@ package lancet
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"lancet/internal/netsim"
@@ -208,6 +209,24 @@ func TestFixedPipelinesReplayIsIdentity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHintWithFixedPipelinesIsAnError pins that a replay does not silently
+// drop a warm-start hint: FixedPipelines runs no DP, so setting Hint too
+// fails, naming both fields, before any planning.
+func TestHintWithFixedPipelinesIsAnError(t *testing.T) {
+	sess, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sess.Lancet(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Lancet(Options{Hint: base.Pipelines, FixedPipelines: base.Pipelines})
+	if err == nil || !strings.Contains(err.Error(), "Options.Hint") || !strings.Contains(err.Error(), "Options.FixedPipelines") {
+		t.Errorf("Hint with FixedPipelines: err = %v, want one naming Options.Hint and Options.FixedPipelines", err)
 	}
 }
 
