@@ -52,8 +52,8 @@ type Options struct {
 	// and it is not always: a window can have a strict local minimum at
 	// the hinted k and a cheaper k further out, so a hinted run can choose
 	// different, costlier ranges than a hint-free one. When the hint loses
-	// its probe the window falls back to the full k sweep, and the
-	// per-window cost memo keeps probed candidates from being priced twice.
+	// its probe the window falls back to the full k sweep, which reuses the
+	// probed candidates' prices instead of simulating them twice.
 	// The warm-start tests pin hinted ≡ hint-free on their fixtures only.
 	Hint []Range
 }
@@ -109,11 +109,18 @@ type choice struct {
 
 // Run executes the operator partition pass. The DP sweep runs entirely on a
 // pooled scratch arena — prefix and DP tables, the per-window axis solution,
-// dependency and stage indexes, the pipeline simulation's end-time matrix —
+// the window index, one resumable pipeline simulation per partition count —
 // and prices all-to-alls through a batched pricer acquired once up front,
 // so the window loop performs no allocations and no per-candidate cache
-// round-trips in steady state (DESIGN.md §13). Chosen ranges and costs are
-// byte-identical to the original per-candidate implementation.
+// round-trips in steady state (DESIGN.md §13).
+//
+// The window loop is push-ordered: for each start group i it grows the
+// window (i, j] one group at a time, so the window index and every k's
+// simulation extend the previous window's instead of being rebuilt, and it
+// pushes each window's candidates into T[j]. T[i] is final by then (every
+// window ending at i starts earlier), and each T[j] receives its
+// candidates in ascending (i, k) order, so of equal-cost candidates the
+// first in that order wins.
 func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	if err := cm.ValidateProfile(opts.Profile); err != nil {
@@ -122,9 +129,8 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	pr := cm.NewA2APricer(opts.Profile)
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
-	sc.beginWindowCosts(opts.MaxPartitions)
 	fwdEnd := sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
+	sc.beginSweep(fwdEnd)
 	prefix := sc.prefix
 	sc.bounds = makeGroups(prefix, opts.GroupUs, sc.bounds[:0])
 	bounds := sc.bounds
@@ -137,18 +143,26 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	T[0] = 0
 	for j := 1; j <= n; j++ {
 		T[j] = math.Inf(1)
-		lo := j - opts.MaxRangeGroups
-		if lo < 0 {
-			lo = 0
+	}
+	for i := 0; i < n; i++ {
+		// The last group a window from i may end at, written so that a
+		// MaxRangeGroups near MaxInt cannot overflow.
+		last := n
+		if opts.MaxRangeGroups < n-i {
+			last = i + opts.MaxRangeGroups
 		}
-		for i := lo; i < j; i++ {
+		sc.beginWindow()
+		hasA2A := false
+		for j := i + 1; j <= last; j++ {
 			window := g.Instrs[bounds[i]:bounds[j]]
+			sc.extendWindow(g, window)
+			hasA2A = hasA2A || windowHasA2A(g.Instrs[bounds[j-1]:bounds[j]])
 			serial := prefix[bounds[j]] - prefix[bounds[i]]
 			if t := T[i] + serial; t < T[j] {
 				T[j] = t
 				best[j] = choice{from: i, k: 1, sUs: serial}
 			}
-			if !windowHasA2A(window) || !sc.solveAxes(g, window, opts.GatePartialBatch) {
+			if !hasA2A || !sc.solveAxes(g, window, opts.GatePartialBatch) {
 				continue
 			}
 			kmax := opts.MaxPartitions
@@ -159,7 +173,6 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			// window and add it to every candidate's simulated span (the same
 			// sum pipelineCost computed per candidate).
 			boundary := boundaryCostUs(g, cm, window, sc)
-			sc.prepareWindow(g, window)
 			if hk := hintKFor(opts.Hint, bounds[i], bounds[j]-1); hk >= 2 && hk <= kmax {
 				if p, ok := probeHint(sc, cm, window, hk, kmax, pr, opts.PayloadFraction, boundary, res); ok {
 					// The hinted k strictly beat its probed neighborhood:
@@ -280,13 +293,13 @@ func hintKFor(hint []Range, lo, hi int) int {
 }
 
 // probeHint evaluates the hinted partition count hk and its immediate
-// neighbors on the prepared window. ok reports the warm-start certificate:
+// neighbors on the indexed window. ok reports the warm-start certificate:
 // hk strictly beats every probed neighbor (at the k-range boundary, its
 // single neighbor), in which case p is taken as the window's minimal
 // pipelined cost — exact only where the span-vs-k curve is unimodal
-// (see Options.Hint). Probed costs land
-// in the per-window memo, so a failed certificate hands its work to the
-// full-sweep fallback instead of discarding it.
+// (see Options.Hint). Each probed k's simulation records the window it
+// priced, so a failed certificate hands its work to the full-sweep
+// fallback instead of discarding it.
 func probeHint(sc *dpScratch, cm *cost.Model, window []*ir.Instr, hk, kmax int, pr cost.A2APricer, frac, boundary float64, res *Result) (p float64, ok bool) {
 	lo, hi := hk-1, hk+1
 	if lo < 2 {

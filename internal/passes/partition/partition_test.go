@@ -377,7 +377,9 @@ func TestOptionsDefaults(t *testing.T) {
 
 // The DP inner loop — axis inference, window index, boundary cost,
 // pipeline-span sweep — must not allocate once the scratch arenas and
-// instruction-profile caches are warm (DESIGN.md §13).
+// instruction-profile caches are warm (DESIGN.md §13), neither on one
+// window indexed and simulated from scratch nor across every window of one
+// start, where the index and the simulations resume.
 func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
@@ -388,13 +390,31 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	pr := cm.NewA2APricer(nil)
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.beginDurMemo(len(b.Graph.Instrs), 8)
+	sc.beginSweep(len(b.Graph.Instrs))
 	b.Graph.Preds(w[0].ID) // build the adjacency index up front
 	sink := windowSweep(b.Graph, cm, w, pr, sc)
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink += windowSweep(b.Graph, cm, w, pr, sc)
 	}); allocs != 0 {
 		t.Errorf("DP inner loop allocates %v per run, want 0", allocs)
+	}
+
+	// The start is the group holding the last MoE layer's gate.
+	bounds := dpBounds(b.Graph, cm)
+	i := 0
+	for i+1 < len(bounds) && bounds[i+1] <= h.Gate {
+		i++
+	}
+	p, priced := startSweep(b.Graph, cm, bounds, i, pr, sc)
+	if priced < 2 {
+		t.Fatalf("start %d priced %d windows; the resume leg needs several", i, priced)
+	}
+	sink += p
+	if allocs := testing.AllocsPerRun(100, func() {
+		p, _ := startSweep(b.Graph, cm, bounds, i, pr, sc)
+		sink += p
+	}); allocs != 0 {
+		t.Errorf("DP loop over one start allocates %v per run, want 0", allocs)
 	}
 	_ = sink
 }

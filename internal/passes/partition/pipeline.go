@@ -59,9 +59,10 @@ type instanceRef struct {
 
 // schedulePlan returns the pipeline issue order of Fig. 9: stages in order;
 // within a stage, partitions in index order; within a stage-partition pair,
-// original program order. The DP hot path inlines these loops over the
-// scratch arenas (dpScratch.pipelineSpan); this materialized form remains
-// for the rewrite, which needs the plan as a value.
+// original program order. The DP hot path walks the same order over the
+// scratch arenas, resuming across window extensions
+// (dpScratch.pipelineSpan); this materialized form remains for the
+// rewrite, which needs the plan as a value.
 func schedulePlan(window []*ir.Instr, k int) []instanceRef {
 	st := stageOf(window)
 	nStages := 0
@@ -164,14 +165,15 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScrat
 // end-to-end time of the partitioned window (Sec. 5.3). Each instance's
 // start time is the maximum of (i) the end of the instances it depends on
 // and (ii) the end of the previous instance on its stream. This is the
-// standalone form for external callers and tests; Run drives the
-// decomposed pieces (prepareWindow / pipelineSpan / hoisted boundary cost)
-// directly on its own scratch.
+// standalone form for external callers and tests: it indexes the window as
+// a new start and simulates it from scratch. Run drives the decomposed
+// pieces (extendWindow / pipelineSpan resumed across extensions / hoisted
+// boundary cost) directly on its own scratch.
 func pipelineCost(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignment, k int, prof *netsim.RoutingProfile, frac float64) float64 {
 	pr := cm.NewA2APricer(prof)
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.beginDurMemo(len(g.Instrs), k)
+	sc.beginSweep(len(g.Instrs))
 	sc.prepareWindow(g, window)
 	span := sc.pipelineSpan(cm, window, k, pr, frac)
 	sc.loadAxes(g, asg)

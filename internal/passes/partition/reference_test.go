@@ -3,12 +3,14 @@ package partition
 import (
 	"maps"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"lancet/internal/cost"
 	"lancet/internal/hw"
 	"lancet/internal/ir"
 	"lancet/internal/model"
+	"lancet/internal/netsim"
 )
 
 // The map-based partition-axis solver the scratch solver (solveAxes)
@@ -206,16 +208,24 @@ func refModels(t *testing.T) map[string]*model.Built {
 	return out
 }
 
+// dpBounds returns the group boundaries of Run's DP on g under default
+// options and uniform pricing.
+func dpBounds(g *ir.Graph, cm *cost.Model) []int {
+	var opts Options
+	opts.fillDefaults()
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.pricePrefix(g, cm, cm.NewA2APricer(nil), 1)
+	return makeGroups(sc.prefix, opts.GroupUs, nil)
+}
+
 // dpWindows returns every candidate window Run's DP visits on g under
 // default options and uniform pricing: the group windows
 // [bounds[i], bounds[j]) spanning at most MaxRangeGroups groups.
 func dpWindows(g *ir.Graph, cm *cost.Model) [][]*ir.Instr {
 	var opts Options
 	opts.fillDefaults()
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.pricePrefix(g, cm, cm.NewA2APricer(nil), 1)
-	bounds := makeGroups(sc.prefix, opts.GroupUs, nil)
+	bounds := dpBounds(g, cm)
 	var ws [][]*ir.Instr
 	for j := 1; j < len(bounds); j++ {
 		for i := max(0, j-opts.MaxRangeGroups); i < j; i++ {
@@ -315,7 +325,7 @@ func TestPipelineSpanMatchesReference(t *testing.T) {
 		g := b.Graph
 		cm := cost.NewModel(b.Cluster)
 		pr := cm.NewA2APricer(nil)
-		sc.beginDurMemo(len(g.Instrs), 8)
+		sc.beginSweep(len(g.Instrs))
 		for _, w := range dpWindows(g, cm) {
 			sc.prepareWindow(g, w)
 			for k := 2; k <= 8; k++ {
@@ -324,6 +334,60 @@ func TestPipelineSpanMatchesReference(t *testing.T) {
 					t.Fatalf("%s window @%d..@%d k=%d: span %v, reference %v",
 						name, w[0].ID, w[len(w)-1].ID, k, got, want)
 				}
+			}
+		}
+	}
+}
+
+// pipelineSpan resumed across window extensions must be bit-equal to the
+// reference simulation of each whole window. The windows grow from every
+// DP start in Run's order, under uniform and Zipf-1.2 pricing, and each
+// window prices a seeded random subset of k = 2..8, so a k skipped for
+// some windows must catch up on its next use. The resumes cover both
+// rules: a new stage beginning at the old window end, and a last stage
+// the extension grew.
+func TestPipelineSpanResumeMatchesReference(t *testing.T) {
+	var opts Options
+	opts.fillDefaults()
+	sc := getScratch()
+	defer putScratch(sc)
+	for name, b := range refModels(t) {
+		g := b.Graph
+		cm := cost.NewModel(b.Cluster)
+		bounds := dpBounds(g, cm)
+		n := len(bounds) - 1
+		for _, prof := range []*netsim.RoutingProfile{nil, netsim.ZipfProfile(b.Cluster.TotalGPUs(), 1.2)} {
+			pr := cm.NewA2APricer(prof)
+			sc.beginSweep(len(g.Instrs))
+			rng := rand.New(rand.NewPCG(20, 1))
+			grewStage, newStage := 0, 0
+			for i := 0; i < n; i++ {
+				sc.beginWindow()
+				for j := i + 1; j <= min(n, i+opts.MaxRangeGroups); j++ {
+					w := g.Instrs[bounds[i]:bounds[j]]
+					sc.extendWindow(g, w)
+					for k := 2; k <= 8; k++ {
+						if rng.IntN(2) == 0 {
+							continue
+						}
+						if st := sc.kState(k); st.start == sc.startGen {
+							if sc.stOff[st.stage+1] == st.n {
+								newStage++
+							} else {
+								grewStage++
+							}
+						}
+						got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s profiled=%v window @%d..@%d k=%d: resumed span %v, reference %v",
+								name, prof != nil, w[0].ID, w[len(w)-1].ID, k, got, want)
+						}
+					}
+				}
+			}
+			if grewStage == 0 || newStage == 0 {
+				t.Errorf("%s profiled=%v: %d resumes into a grown stage, %d at a new stage; want both",
+					name, prof != nil, grewStage, newStage)
 			}
 		}
 	}

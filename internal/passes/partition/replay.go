@@ -26,9 +26,8 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 	pr := cm.NewA2APricer(opts.Profile)
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.beginDurMemo(len(g.Instrs), opts.MaxPartitions)
-	sc.beginWindowCosts(opts.MaxPartitions)
 	fwdEnd := sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
+	sc.beginSweep(fwdEnd)
 	prefix := sc.prefix
 
 	ranges := append([]Range(nil), fixed...)

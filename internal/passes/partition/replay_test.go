@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"lancet/internal/cost"
 )
 
 // TestReplaySelfIsIdentity pins the replay mode underneath node-loss
@@ -101,6 +103,50 @@ func TestReplayClampsOversizedK(t *testing.T) {
 	for _, r := range rep.Ranges {
 		if r.K > 4 {
 			t.Errorf("range [%d, %d] replayed at k=%d, want clamped to 4", r.Start, r.End, r.K)
+		}
+	}
+}
+
+// TestReplayPricesRunRanges cross-checks the DP's resumed simulations
+// against from-scratch ones: Replay prices each of Run's own ranges as a
+// new window, and must price it bit-equal to Run, with the forward time
+// equal up to the order of its float additions. It runs GPT2-S, GPT2-L and
+// ViT-S under the defaults with a partial-batch gate, γ 1000 with ι 7, a
+// batch-prioritized gate, and ρ 4.
+func TestReplayPricesRunRanges(t *testing.T) {
+	grid := []Options{
+		{GatePartialBatch: true},
+		{GatePartialBatch: true, GroupUs: 1000, MaxRangeGroups: 7},
+		{GatePartialBatch: false},
+		{GatePartialBatch: true, MaxPartitions: 4},
+	}
+	for name, b := range refModels(t) {
+		cm := cost.NewModel(b.Cluster)
+		for _, opts := range grid {
+			run, err := Run(b.Graph, cm, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(run.Ranges) == 0 {
+				t.Fatalf("%s %+v: the DP chose no ranges; the check needs some", name, opts)
+			}
+			rep, err := Replay(b.Graph, cm, opts, run.Ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, bb := rangeSummary(run), rangeSummary(rep); !equalRanges(a, bb) {
+				t.Fatalf("%s %+v: replayed ranges %v, run %v", name, opts, bb, a)
+			}
+			for i, r := range run.Ranges {
+				if got := rep.Ranges[i].PredictedUs; math.Float64bits(got) != math.Float64bits(r.PredictedUs) {
+					t.Errorf("%s %+v: range [%d, %d] k=%d replays at %v us, run priced %v us",
+						name, opts, r.Start, r.End, r.K, got, r.PredictedUs)
+				}
+			}
+			if gap := math.Abs(rep.ForwardUs-run.ForwardUs) / run.ForwardUs; gap > 1e-12 {
+				t.Errorf("%s %+v: replayed forward %v us, run %v us (relative gap %.3g)",
+					name, opts, rep.ForwardUs, run.ForwardUs, gap)
+			}
 		}
 	}
 }

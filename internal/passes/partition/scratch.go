@@ -8,19 +8,20 @@ import (
 )
 
 // Everything here backs the DP inner loop: zero steady-state
-// allocations (DESIGN.md §13), with pool warm-up confined to grow.
+// allocations (DESIGN.md §13), with pool warm-up confined to the
+// //lancet:alloc-ok growth helpers.
 //
 //lancet:hotpath
 
 // dpScratch is the reusable working set of one partition-pass DP sweep
-// (DESIGN.md §13): the prefix/DP tables, the per-window dependency and stage
-// indexes, and the flat end-time matrix of the pipeline simulation. All of
-// it is borrowed from a sync.Pool and grown monotonically, so the DP inner
-// loop — durations, clock simulation, boundary costs — allocates nothing in
-// steady state. Window-local lookups (instruction position, produced/seen
-// tensor marks) are generation-stamped arrays indexed by instruction or
-// tensor ID instead of per-window maps: bumping the generation invalidates
-// every stale entry in O(1).
+// (DESIGN.md §13): the prefix/DP tables, the window index of the current
+// DP start, and one resumable pipeline simulation per partition count. All
+// of it is borrowed from a sync.Pool and grown monotonically, so the DP
+// inner loop — durations, clock simulation, boundary costs — allocates
+// nothing in steady state. Window-local marks (produced/seen tensors) are
+// generation-stamped arrays indexed by instruction or tensor ID instead of
+// per-window maps: bumping the generation invalidates every stale entry in
+// O(1).
 type dpScratch struct {
 	// DP tables (Run).
 	prefix []float64
@@ -28,17 +29,18 @@ type dpScratch struct {
 	T      []float64
 	best   []choice
 
-	// Window index (prepareWindow): position of each window instruction by
-	// ID, window-local dependency edges as depBuf[depOff[i]:depOff[i+1]],
-	// and the stages (see stageOf): stage s covers the contiguous positions
-	// [stOff[s], stOff[s+1]) and runs on stream stStream[s].
-	posOf    []int
-	posGen   []uint64
+	// Window index (beginWindow, extendWindow) of the windows of one DP
+	// start, which only ever grow at the end: the window-local dependency
+	// edges of position pos that cross streams as
+	// depBuf[depOff[pos]:depOff[pos+1]], and the stages (see stageOf):
+	// stage s covers the contiguous positions [stOff[s], stOff[s+1]) and
+	// runs on stream stStream[s]. startGen stamps the per-k simulations
+	// that belong to this start.
 	depOff   []int
 	depBuf   []int
 	stOff    []int
 	stStream []int
-	winGen   uint64
+	startGen uint64
 
 	// Axis solution (solveAxes): the axis of each tensor by ID, stamped
 	// with solveGen; the trail of bound tensor IDs in binding order; and,
@@ -51,26 +53,12 @@ type dpScratch struct {
 	comboAt  []int
 	trailAt  []int
 
-	// Pipeline simulation (pipelineSpan): per-position micro durations and
-	// the flat end-time matrix indexed pos*k+part.
-	durs []float64
-	end  []float64
-
-	// Sweep-level duration memo: instanceDur depends only on the
-	// instruction and k (the pricer, model and payload fraction are fixed
-	// for a whole DP sweep), and overlapping candidate windows revisit the
-	// same instructions at every k. One slot per (instruction ID, k),
-	// indexed ID*durStride+k and stamped with durGen.
-	durMemo    []float64
-	durMemoGen []uint64
-	durStride  int
-	durGen     uint64
-
-	// Per-window (k → pipelined cost) memo, stamped with winGen: the
-	// warm-start probe and the full-sweep fallback share evaluations of the
-	// same candidate, so a window never prices one k twice (DESIGN.md §14).
-	kCost    []float64
-	kCostGen []uint64
+	// Per-partition-count state (kState), indexed by k and grown only to
+	// the largest k priced; sweepGen and nInstrs scope the duration memos
+	// to one sweep (beginSweep).
+	ks       []kSim
+	sweepGen uint64
+	nInstrs  int
 
 	// Boundary-cost marks (boundaryCostUs), stamped with markGen.
 	insideI []uint64
@@ -82,6 +70,28 @@ type dpScratch struct {
 	// pricing hand to the cost model instead of allocating a copy per
 	// candidate.
 	tmp ir.Instr
+}
+
+// kSim is one partition count's share of a DP sweep: a duration memo and
+// the resumable pipeline simulation of the current start's window.
+type kSim struct {
+	// dur memoizes instanceDur by instruction ID for this sweep (negative:
+	// not priced yet). A duration depends only on the instruction and k —
+	// the pricer, model and payload fraction are fixed for a sweep — and
+	// overlapping windows revisit the same instructions.
+	dur   []float64
+	sweep uint64
+
+	// The simulation of the window of start `start` that ends at position
+	// n: the end-time matrix indexed pos*k+part, the index of its last
+	// stage, and the two stream clocks at the start (at) and at the end
+	// (done) of that stage. A longer window of the same start issues every
+	// earlier stage unchanged, so pipelineSpan resumes from here.
+	start    uint64
+	n        int
+	stage    int
+	end      []float64
+	at, done [2]float64
 }
 
 var dpPool = sync.Pool{New: func() any { return new(dpScratch) }}
@@ -102,125 +112,181 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// beginDurMemo opens a fresh duration-memo generation covering instruction
-// IDs below nInstrs and partition counts up to kmax. Must be called before
-// pipelineSpan whenever the pricing inputs (model, pricer, payload
-// fraction) may have changed.
-func (sc *dpScratch) beginDurMemo(nInstrs, kmax int) {
-	sc.durStride = kmax + 1
-	n := nInstrs * sc.durStride
-	sc.durMemo = grow(sc.durMemo, n)
-	sc.durMemoGen = grow(sc.durMemoGen, n)
-	sc.durGen++
-}
-
-// beginWindowCosts sizes the per-window (k → cost) memo for partition
-// counts up to kmax. Entries are invalidated per window by the winGen bump
-// in prepareWindow.
-func (sc *dpScratch) beginWindowCosts(kmax int) {
-	sc.kCost = grow(sc.kCost, kmax+1)
-	sc.kCostGen = grow(sc.kCostGen, kmax+1)
-}
-
-// windowCost prices the prepared window partitioned k ways (pipelineSpan
-// plus the hoisted k-independent boundary cost) through the per-window
-// memo. fresh reports whether a pipelineSpan evaluation actually ran — the
-// quantity Run's Evaluations counter tracks — so the warm-start probe and
-// the full-sweep fallback never price or count the same candidate twice.
-func (sc *dpScratch) windowCost(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac, boundary float64) (p float64, fresh bool) {
-	if sc.kCostGen[k] == sc.winGen {
-		return sc.kCost[k], false
+// extend returns s resized to length n with its contents kept,
+// reallocating with headroom only when s lacks the capacity. Entries past
+// the old length are unspecified.
+//
+//lancet:alloc-ok
+func extend[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	p = sc.pipelineSpan(cm, window, k, pr, frac) + boundary
-	sc.kCost[k] = p
-	sc.kCostGen[k] = sc.winGen
-	return p, true
+	return append(s, make([]T, n-len(s))...)
 }
 
-// prepareWindow builds the k-independent index of one candidate window:
-// instruction-ID→position map, window-local dependency edges (same order
-// the map-based builder produced: program order, predecessors as returned
-// by g.Preds), and each stage's position range and stream (see stageOf).
-func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
-	n := len(window)
-	sc.posOf = grow(sc.posOf, len(g.Instrs))
-	sc.posGen = grow(sc.posGen, len(g.Instrs))
-	sc.winGen++
-	gen := sc.winGen
-	for i, in := range window {
-		sc.posOf[in.ID] = i
-		sc.posGen[in.ID] = gen
+// beginSweep opens fresh duration memos for a sweep over instruction IDs
+// below nInstrs. Must be called before pipelineSpan whenever the pricing
+// inputs (model, pricer, payload fraction) may have changed.
+func (sc *dpScratch) beginSweep(nInstrs int) {
+	sc.sweepGen++
+	sc.nInstrs = nInstrs
+}
+
+// kState returns partition count k's state, growing the per-k table to
+// cover k and resetting k's duration memo on its first use in the sweep.
+// Only the partition counts a sweep prices get a memo and an end-time
+// matrix, so a huge Options.MaxPartitions costs nothing beyond the k the
+// windows admit.
+//
+//lancet:alloc-ok
+func (sc *dpScratch) kState(k int) *kSim {
+	for len(sc.ks) <= k {
+		sc.ks = append(sc.ks, kSim{})
 	}
-	sc.depOff = grow(sc.depOff, n+1)
-	sc.depBuf = sc.depBuf[:0]
-	for i, in := range window {
-		sc.depOff[i] = len(sc.depBuf)
-		for _, p := range g.Preds(in.ID) {
-			if sc.posGen[p] == gen {
-				sc.depBuf = append(sc.depBuf, sc.posOf[p])
-			}
+	st := &sc.ks[k]
+	if st.sweep != sc.sweepGen {
+		st.sweep = sc.sweepGen
+		st.dur = grow(st.dur, sc.nInstrs)
+		for i := range st.dur {
+			st.dur[i] = -1
 		}
 	}
-	sc.depOff[n] = len(sc.depBuf)
-	sc.stOff, sc.stStream = sc.stOff[:0], sc.stStream[:0]
-	for i, in := range window {
-		if i > 0 && in.IsComm() == window[i-1].IsComm() {
+	return st
+}
+
+// windowCost prices the indexed window partitioned k ways: pipelineSpan
+// plus the hoisted k-independent boundary cost. fresh reports whether the
+// (window, k) pair had not been priced yet — the quantity Run's
+// Evaluations counter tracks — so the warm-start probe and the full-sweep
+// fallback never count the same candidate twice; a repeat returns the
+// simulation's recorded span without simulating.
+func (sc *dpScratch) windowCost(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac, boundary float64) (p float64, fresh bool) {
+	st := sc.kState(k)
+	fresh = st.start != sc.startGen || st.n != len(window)
+	return sc.pipelineSpan(cm, window, k, pr, frac) + boundary, fresh
+}
+
+// beginWindow starts the window index of a new DP start: an empty window
+// that extendWindow grows. Every per-k simulation of an earlier start is
+// stale from here on.
+func (sc *dpScratch) beginWindow() {
+	sc.startGen++
+	sc.depOff = append(sc.depOff[:0], 0)
+	sc.depBuf = sc.depBuf[:0]
+	sc.stOff = append(sc.stOff[:0], 0)
+	sc.stStream = sc.stStream[:0]
+}
+
+// extendWindow grows the index to window, whose prefix is the window
+// indexed so far: the new positions' stages and their window-local
+// dependency edges on the other stream (program order, predecessors as
+// returned by g.Preds). IDs are program positions and every producer
+// precedes its consumers (ir.Graph.Validate), so a predecessor lies in the
+// window exactly when its ID is at least the window's first, and the edges
+// of earlier positions never change. A predecessor on the instruction's
+// own stream is dropped: it was issued earlier on that stream, and
+// durations are non-negative, so it ended at or before the stream clock
+// the instruction starts from and can never delay it.
+func (sc *dpScratch) extendWindow(g *ir.Graph, window []*ir.Instr) {
+	from := len(sc.depOff) - 1
+	if from == len(window) {
+		return
+	}
+	base := window[0].ID
+	sc.stOff = sc.stOff[:len(sc.stStream)] // drop the old window end
+	for pos := from; pos < len(window); pos++ {
+		in := window[pos]
+		for _, p := range g.Preds(in.ID) {
+			if p >= base && g.Instr(p).IsComm() != in.IsComm() {
+				sc.depBuf = append(sc.depBuf, p-base)
+			}
+		}
+		sc.depOff = append(sc.depOff, len(sc.depBuf))
+		if pos > 0 && in.IsComm() == window[pos-1].IsComm() {
 			continue
 		}
 		stream := 0
 		if in.IsComm() {
 			stream = 1
 		}
-		sc.stOff = append(sc.stOff, i)
+		sc.stOff = append(sc.stOff, pos)
 		sc.stStream = append(sc.stStream, stream)
 	}
-	sc.stOff = append(sc.stOff, n)
+	sc.stOff = append(sc.stOff, len(window))
 }
 
-// pipelineSpan simulates the stage pipeline of a prepared window at
+// prepareWindow indexes window as a new start: the form for callers that
+// price a single window (Replay, pipelineCost, tests).
+func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
+	sc.beginWindow()
+	sc.extendWindow(g, window)
+}
+
+// pipelineSpan simulates the stage pipeline of the indexed window at
 // partition count k and returns its end-to-end span — pipelineCost minus
 // the k-independent boundary cost, which Run hoists out of the k loop. The
-// issue order and arithmetic are identical to the schedulePlan walk
-// (stages in order; within a stage, partitions; within both, program
-// order), so chosen ranges and costs are byte-identical; each
-// stage-partition pair walks only its stage's positions, and the plan
-// slice, position map and per-position slices the walk would allocate are
-// replaced by the scratch arenas. Every instance's dependencies sit at
-// earlier positions of its own partition, issued before it, so the
-// end-time matrix needs no clearing.
+// issue order and arithmetic are those of the schedulePlan walk (stages in
+// order; within a stage, partitions; within both, program order), and each
+// stage-partition pair walks only its stage's positions. An instance
+// starts at its stream's clock or at the latest end of its dependencies on
+// the other stream, whichever is later. Durations are non-negative, so the
+// stream clocks never move backward and the span is the later of the two.
+//
+// The simulation resumes k's previous one when it priced a shorter window
+// of the same start. That window issued every stage of this one except
+// its last, which the extension may have grown, with the same durations
+// and dependencies (they all point backward), so their end times and
+// clocks carry over bit for bit. The walk restarts from the recorded
+// clocks at the start of that last stage — or at its end, when a new stage
+// begins exactly at the old window end — and simulates only the rest. A k
+// skipped for some windows catches up the same way on its next use. Every
+// instance's dependencies sit at earlier positions of its own partition,
+// issued before it, so the end-time matrix needs no clearing.
 func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
+	st := sc.kState(k)
 	n := len(window)
-	sc.durs = grow(sc.durs, n)
-	for i, in := range window {
-		slot := in.ID*sc.durStride + k
-		if sc.durMemoGen[slot] != sc.durGen {
-			sc.durMemo[slot] = instanceDur(cm, in, k, pr, frac, &sc.tmp)
-			sc.durMemoGen[slot] = sc.durGen
+	s, c := 0, [2]float64{}
+	if st.start == sc.startGen {
+		s, c = st.stage, st.at
+		if sc.stOff[s+1] == st.n {
+			s, c = s+1, st.done
 		}
-		sc.durs[i] = sc.durMemo[slot]
+	} else {
+		st.start, st.end = sc.startGen, st.end[:0]
 	}
-	sc.end = grow(sc.end, n*k)
-	end := sc.end
-	var clock [2]float64
-	span := 0.0
-	for s, stream := range sc.stStream {
+	base := window[0].ID
+	durs := st.dur[base : base+n]
+	for pos := sc.stOff[s]; pos < n; pos++ {
+		if durs[pos] < 0 {
+			durs[pos] = instanceDur(cm, window[pos], k, pr, frac, &sc.tmp)
+		}
+	}
+	st.end = extend(st.end, n*k)
+	end := st.end
+	last := len(sc.stStream) - 1
+	for ; s <= last; s++ {
+		if s == last {
+			st.at = c
+		}
+		stream := sc.stStream[s]
 		lo, hi := sc.stOff[s], sc.stOff[s+1]
+		clock := c[stream]
 		for p := 0; p < k; p++ {
 			for pos := lo; pos < hi; pos++ {
-				start := clock[stream]
 				for _, d := range sc.depBuf[sc.depOff[pos]:sc.depOff[pos+1]] {
-					if e := end[d*k+p]; e > start {
-						start = e
+					if e := end[d*k+p]; e > clock {
+						clock = e
 					}
 				}
-				e := start + sc.durs[pos]
-				end[pos*k+p] = e
-				clock[stream] = e
-				if e > span {
-					span = e
-				}
+				clock += durs[pos]
+				end[pos*k+p] = clock
 			}
 		}
+		c[stream] = clock
 	}
-	return span
+	st.n, st.stage, st.done = n, last, c
+	if c[1] > c[0] {
+		return c[1]
+	}
+	return c[0]
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,32 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 				t.Errorf("error code = %q, want %q", e.Err.Code, tc.wantCode)
 			}
 		})
+	}
+}
+
+// TestPlanHugeKnobsStayBounded pins that one request cannot exhaust the
+// server through the DP's knobs: the partition DP's memory follows the
+// partition counts its windows admit, not max_partitions, and a
+// max_range_groups near MaxInt bounds nothing but does not overflow.
+func TestPlanHugeKnobsStayBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := postPlan(t, h, `{"baseline": "none", "options": {"max_partitions": 100000}}`)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusOK {
+		t.Fatalf("max_partitions 100000: status %d, body %s", w.Code, w.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Errorf("max_partitions 100000 allocated %d MiB, want < 64 MiB", grew>>20)
+	}
+	for _, body := range []string{
+		`{"baseline": "none", "options": {"max_partitions": 4611686018427387904}}`,
+		`{"baseline": "none", "options": {"max_range_groups": 9223372036854775807}}`,
+	} {
+		if w := postPlan(t, h, body); w.Code != http.StatusOK {
+			t.Errorf("%s: status %d, body %s", body, w.Code, w.Body)
+		}
 	}
 }
 
