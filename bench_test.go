@@ -121,7 +121,7 @@ func BenchmarkTutelBaseline(b *testing.B) {
 }
 
 // BenchmarkSimulateIteration measures one simulated training iteration of
-// the optimized plan.
+// the optimized plan. perf_floor.txt ratchets it.
 func BenchmarkSimulateIteration(b *testing.B) {
 	sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 16))
 	if err != nil {
@@ -131,6 +131,7 @@ func BenchmarkSimulateIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.Simulate(int64(i)); err != nil {

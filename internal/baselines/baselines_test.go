@@ -70,7 +70,7 @@ func TestTutelPlanPartitionsBothDirections(t *testing.T) {
 func TestTutelPlanSpeedsUpMoECore(t *testing.T) {
 	b, cm := fixture(t)
 	ex := &sim.Executor{Cost: cm}
-	base, err := ex.Run(b.Graph, b.Graph.DefaultSchedule())
+	base, err := ex.Run(b.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTutelPlanSpeedsUpMoECore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tut, err := ex.Run(g, g.DefaultSchedule())
+	tut, err := ex.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBestTutelPlanPicksFastest(t *testing.T) {
 	b, cm := fixture(t)
 	ex := &sim.Executor{Cost: cm, Predict: true}
 	predict := func(g *ir.Graph) (float64, error) {
-		tl, err := ex.Run(g, g.DefaultSchedule())
+		tl, err := ex.Run(g)
 		if err != nil {
 			return 0, err
 		}

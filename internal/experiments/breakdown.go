@@ -56,7 +56,7 @@ func Fig2Breakdown() (*Table, error) {
 		for _, spec := range []baselines.Spec{baselines.Tutel, baselines.DeepSpeed} {
 			cm := cost.NewModel(cluster).WithComputeScale(spec.ComputeScale)
 			ex := &sim.Executor{Cost: cm, JitterPct: 0.02, Seed: int64(gpus)}
-			tl, err := ex.Run(b.Graph, b.Graph.DefaultSchedule())
+			tl, err := ex.Run(b.Graph)
 			if err != nil {
 				return nil, err
 			}

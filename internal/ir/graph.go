@@ -18,15 +18,18 @@ type Graph struct {
 	Tensors []*Tensor
 	Instrs  []*Instr
 
-	// producer is a dense table indexed by tensor ID: producer[t] is the
-	// instruction producing tensor t (-1 for graph inputs). Emit grows it
-	// on demand, so tensors registered by appending to Tensors directly
-	// (as the rewrites do) are covered too.
-	producer []int
+	// refs is the dependency table, dense and indexed by tensor ID: the
+	// instruction producing each tensor and the last one consuming it.
+	// Emit fills it and grows it on demand, so tensors registered by
+	// appending to Tensors directly (as the rewrites do) are covered too.
+	// Every per-plan reader — the simulator, the partition DP and rewrite,
+	// the reachability passes — reads dependencies from here.
+	refs []tensorRefs
 
-	// consumers, succs and preds are CSR rows built once on first use:
-	// each relation is one flat array cut into capacity-capped slices, one
-	// per tensor or instruction. Construction and rewriting are
+	// consumers, succs and preds are CSR rows built once on first use, for
+	// the readers that walk successors (PrioritySort, DOT export): each
+	// relation is one flat array cut into capacity-capped slices, one per
+	// tensor or instruction. Construction and rewriting are
 	// single-goroutine, but a finished graph is read by concurrent plans
 	// and simulations (cmd/lancet -parallel shares one Session's graph
 	// across frameworks), so the build runs under adjMu and publishes
@@ -36,6 +39,14 @@ type Graph struct {
 	consumers [][]int
 	succs     [][]int
 	preds     [][]int
+}
+
+// tensorRefs is one tensor's entry in the dependency table: the
+// instruction producing it (-1 for graph inputs) and the last instruction
+// consuming it (-1 when none does). Every rewrite fills a fresh table, so
+// int32s keep an entry at 8 bytes.
+type tensorRefs struct {
+	producer, lastUse int32
 }
 
 // NewGraph returns an empty graph.
@@ -48,13 +59,13 @@ func NewGraph() *Graph {
 // instrs instructions and none emitted yet.
 func Derive(g *Graph, extraTensors, instrs int) *Graph {
 	ng := &Graph{
-		Tensors:  make([]*Tensor, len(g.Tensors), len(g.Tensors)+extraTensors),
-		Instrs:   make([]*Instr, 0, instrs),
-		producer: make([]int, len(g.Tensors), len(g.Tensors)+extraTensors),
+		Tensors: make([]*Tensor, len(g.Tensors), len(g.Tensors)+extraTensors),
+		Instrs:  make([]*Instr, 0, instrs),
+		refs:    make([]tensorRefs, len(g.Tensors), len(g.Tensors)+extraTensors),
 	}
 	copy(ng.Tensors, g.Tensors)
-	for i := range ng.producer {
-		ng.producer[i] = -1
+	for i := range ng.refs {
+		ng.refs[i] = tensorRefs{-1, -1}
 	}
 	return ng
 }
@@ -66,8 +77,10 @@ func (g *Graph) NewTensor(name string, shape Shape, dt DType, kind TensorKind) *
 	return t
 }
 
-// Emit appends an instruction to the program. The instruction's ID is
-// assigned; Group/SrcID default to -1 when unset.
+// Emit appends an instruction to the program and records it in the
+// dependency table: as the producer of its outputs and, since it is the
+// latest instruction, as the last use of its registered inputs. The
+// instruction's ID is assigned; Group/SrcID default to -1 when unset.
 func (g *Graph) Emit(in *Instr) *Instr {
 	in.ID = len(g.Instrs)
 	if in.Group == 0 && in.NumParts == 0 {
@@ -75,29 +88,36 @@ func (g *Graph) Emit(in *Instr) *Instr {
 		in.SrcID = -1
 	}
 	g.Instrs = append(g.Instrs, in)
+	for _, x := range in.Ins {
+		if x < 0 || x >= len(g.Tensors) {
+			continue // Validate reports the unknown tensor
+		}
+		g.cover(x)
+		g.refs[x].lastUse = int32(in.ID)
+	}
 	for _, o := range in.Outs {
 		if o < 0 {
 			continue // Validate reports the unknown tensor
 		}
 		g.cover(o)
-		if prev := g.producer[o]; prev >= 0 {
+		if prev := g.refs[o].producer; prev >= 0 {
 			panic(fmt.Sprintf("ir: tensor %%%d has two producers: @%d and @%d", o, prev, in.ID))
 		}
-		g.producer[o] = in.ID
+		g.refs[o].producer = int32(in.ID)
 	}
 	g.built.Store(false)
 	return in
 }
 
-// cover grows the producer table to cover tensor id, and at least every
+// cover grows the dependency table to cover tensor id, and at least every
 // registered tensor so a rewrite's emits grow it once.
 func (g *Graph) cover(id int) {
-	if id < len(g.producer) {
+	if id < len(g.refs) {
 		return
 	}
 	n := max(id+1, len(g.Tensors))
-	for len(g.producer) < n {
-		g.producer = append(g.producer, -1)
+	for len(g.refs) < n {
+		g.refs = append(g.refs, tensorRefs{-1, -1})
 	}
 }
 
@@ -110,10 +130,20 @@ func (g *Graph) Instr(id int) *Instr { return g.Instrs[id] }
 // Producer returns the instruction ID producing tensor id, or -1 for graph
 // inputs (weights, input tokens).
 func (g *Graph) Producer(id int) int {
-	if id < 0 || id >= len(g.producer) {
+	if id < 0 || id >= len(g.refs) {
 		return -1
 	}
-	return g.producer[id]
+	return int(g.refs[id].producer)
+}
+
+// LastUse returns the last instruction ID consuming tensor id, or -1 when
+// no instruction does: the largest of Consumers(id), without building the
+// consumer rows.
+func (g *Graph) LastUse(id int) int {
+	if id < 0 || id >= len(g.refs) {
+		return -1
+	}
+	return int(g.refs[id].lastUse)
 }
 
 // Consumers returns the instruction IDs consuming tensor id, in program
@@ -138,7 +168,7 @@ func (g *Graph) buildAdj() {
 		return
 	}
 	n := len(g.Instrs)
-	nt := max(len(g.Tensors), len(g.producer))
+	nt := max(len(g.Tensors), len(g.refs))
 	operands := 0
 	for _, in := range g.Instrs {
 		operands += len(in.Ins)
@@ -225,7 +255,8 @@ func (g *Graph) Preds(id int) []int {
 }
 
 // ReachableFrom returns the set (as a bitmap indexed by instruction ID) of
-// instructions transitively reachable from id, excluding id itself.
+// instructions transitively reachable from id, excluding id itself. It
+// walks the CSR rows, and is the reference Descendants is tested against.
 func (g *Graph) ReachableFrom(id int) []bool {
 	g.buildAdj()
 	seen := make([]bool, len(g.Instrs))
@@ -243,7 +274,7 @@ func (g *Graph) ReachableFrom(id int) []bool {
 }
 
 // ReachableTo returns the set of instructions from which id is transitively
-// reachable, excluding id itself.
+// reachable, excluding id itself: the reference for Ancestors.
 func (g *Graph) ReachableTo(id int) []bool {
 	g.buildAdj()
 	seen := make([]bool, len(g.Instrs))
@@ -262,7 +293,8 @@ func (g *Graph) ReachableTo(id int) []bool {
 
 // Independent reports whether no directed path exists between instructions a
 // and b in either direction — the paper's condition (Sec. 4.1) for a weight
-// gradient computation to overlap with an all-to-all.
+// gradient computation to overlap with an all-to-all. The passes test it
+// for many pairs at once with Descendants and Ancestors.
 func (g *Graph) Independent(a, b int) bool {
 	if a == b {
 		return false
@@ -301,7 +333,8 @@ func (g *Graph) Validate() error {
 }
 
 // ValidateSchedule checks that order is a permutation of all instruction IDs
-// respecting data dependencies.
+// that places the producer of every operand strictly before its consumer,
+// so an instruction reading its own output is rejected.
 func (g *Graph) ValidateSchedule(order []int) error {
 	if len(order) != len(g.Instrs) {
 		return fmt.Errorf("ir: schedule has %d entries, graph has %d instructions", len(order), len(g.Instrs))
@@ -320,8 +353,13 @@ func (g *Graph) ValidateSchedule(order []int) error {
 		pos[id] = p
 	}
 	for _, in := range g.Instrs {
-		for _, p := range g.Preds(in.ID) {
-			if pos[p] > pos[in.ID] {
+		for _, x := range in.Ins {
+			p := g.Producer(x)
+			switch {
+			case p < 0:
+			case p == in.ID:
+				return fmt.Errorf("ir: @%d consumes its own output %%%d", in.ID, x)
+			case pos[p] > pos[in.ID]:
 				return fmt.Errorf("ir: @%d scheduled before its dependency @%d", in.ID, p)
 			}
 		}

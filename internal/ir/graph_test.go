@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -99,7 +100,9 @@ func dedup(xs []int) []int {
 	return out
 }
 
-// adjacencyMatches reports whether g's CSR rows equal the reference build.
+// adjacencyMatches reports whether g's CSR rows equal the reference build,
+// and each tensor's LastUse the largest of its reference consumers (-1 for
+// none).
 func adjacencyMatches(g *Graph) bool {
 	preds, succs, consumers := referenceAdj(g)
 	for i := range g.Instrs {
@@ -108,16 +111,20 @@ func adjacencyMatches(g *Graph) bool {
 		}
 	}
 	for x := range g.Tensors {
-		if !slices.Equal(g.Consumers(x), consumers[x]) {
+		last := -1
+		if len(consumers[x]) > 0 {
+			last = slices.Max(consumers[x])
+		}
+		if !slices.Equal(g.Consumers(x), consumers[x]) || g.LastUse(x) != last {
 			return false
 		}
 	}
 	return true
 }
 
-// Property: the CSR Preds, Succs and Consumers equal the reference build on
-// random DAGs (whose instructions may read one tensor twice), and again
-// after an Emit invalidates a built graph.
+// Property: the CSR Preds, Succs and Consumers, and LastUse, equal the
+// reference build on random DAGs (whose instructions may read one tensor
+// twice), and again after an Emit invalidates a built graph.
 func TestAdjacencyMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 5+int(uint64(seed)%40))
@@ -219,6 +226,57 @@ func TestValidateScheduleRejectsViolations(t *testing.T) {
 	}
 }
 
+// An instruction reading its own output is no schedule: Validate rejects
+// it, and so must ValidateSchedule and ReorderedCopy, whose callers (the
+// simulator among them) rely on every producer preceding its consumers.
+func TestValidateScheduleRejectsSelfConsumption(t *testing.T) {
+	g := NewGraph()
+	x := g.NewTensor("x", Shape{2}, F32, Activation)
+	y := g.NewTensor("y", Shape{2}, F32, Activation)
+	g.Emit(&Instr{Op: OpGeLU, Ins: []int{x.ID}, Outs: []int{}})
+	g.Emit(&Instr{Op: OpAdd, Ins: []int{x.ID, y.ID}, Outs: []int{y.ID}})
+	if err := g.Validate(); err == nil {
+		t.Error("Validate accepted a self-consuming instruction")
+	}
+	if err := g.ValidateSchedule(g.DefaultSchedule()); err == nil {
+		t.Error("ValidateSchedule accepted a self-consuming instruction")
+	}
+	if _, err := ReorderedCopy(g, g.DefaultSchedule()); err == nil {
+		t.Error("ReorderedCopy accepted a self-consuming instruction")
+	}
+}
+
+// Property: the bitset passes agree with their reference walks on random
+// DAGs, for random source sets of up to 150 instructions (so rows span up
+// to three words): Descendants holds exactly ReachableFrom plus the
+// source itself, Ancestors exactly ReachableTo plus the source.
+func TestReachMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomDAG(seed, 20+rng.Intn(180))
+		var srcs []int
+		for i := range g.Instrs {
+			if rng.Intn(4) > 0 {
+				srcs = append(srcs, i)
+			}
+		}
+		srcs = srcs[:min(len(srcs), 150)]
+		down, up := g.Descendants(srcs), g.Ancestors(srcs)
+		for j, s := range srcs {
+			from, to := g.ReachableFrom(s), g.ReachableTo(s)
+			for i := range g.Instrs {
+				if down.Has(i, j) != (from[i] || i == s) || up.Has(i, j) != (to[i] || i == s) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestEmitRejectsDoubleProducer(t *testing.T) {
 	g := NewGraph()
 	x := g.NewTensor("x", Shape{2}, F32, Activation)
@@ -256,6 +314,9 @@ func TestProducerConsumerTablesBoundsChecked(t *testing.T) {
 		}
 		if c := g.Consumers(id); c != nil {
 			t.Errorf("Consumers(%d) = %v, want none", id, c)
+		}
+		if u := g.LastUse(id); u != -1 {
+			t.Errorf("LastUse(%d) = %d, want -1", id, u)
 		}
 	}
 	for name, in := range map[string]*Instr{

@@ -33,21 +33,24 @@ func Run(g *ir.Graph) (*Result, error) {
 	lastA2A := a2as[len(a2as)-1]
 
 	rank := make([]float64, len(g.Instrs))
+	var ars []int
 	for _, in := range g.Instrs {
 		rank[in.ID] = float64(in.ID)
-	}
-	for _, in := range g.Instrs {
-		if in.Op != ir.OpAllReduce || in.ID > lastA2A {
-			continue
+		if in.Op == ir.OpAllReduce && in.ID < lastA2A {
+			ars = append(ars, in.ID)
 		}
+	}
+	// One forward bitset pass labels every all-to-all with the all-reduces
+	// it depends on.
+	down := g.Descendants(ars)
+	for j, r := range ars {
 		// Slot the all-reduce right after the next all-to-all it would
 		// otherwise head-of-line block. Minimal displacement: the
 		// all-reduce stays early enough to overlap remaining backward
 		// compute instead of piling into an unoverlapped tail.
-		reach := g.ReachableFrom(in.ID)
 		target := -1
 		for _, a := range a2as {
-			if a > in.ID && !reach[a] {
+			if a > r && !down.Has(a, j) {
 				target = a
 				break
 			}
@@ -55,7 +58,7 @@ func Run(g *ir.Graph) (*Result, error) {
 		if target == -1 {
 			continue
 		}
-		rank[in.ID] = float64(target) + 0.5 + float64(in.ID)*1e-6
+		rank[r] = float64(target) + 0.5 + float64(r)*1e-6
 		res.Moved++
 	}
 	order := ir.PrioritySort(g, rank)

@@ -64,7 +64,7 @@ func TestRunMovesAllReducesBehindA2As(t *testing.T) {
 func TestRunSpeedsUpCommBoundModel(t *testing.T) {
 	b, cm := fixture(t)
 	ex := &sim.Executor{Cost: cm}
-	base, err := ex.Run(b.Graph, b.Graph.DefaultSchedule())
+	base, err := ex.Run(b.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRunSpeedsUpCommBoundModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := ex.Run(res.Graph, res.Graph.DefaultSchedule())
+	opt, err := ex.Run(res.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}

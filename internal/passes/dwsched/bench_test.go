@@ -20,9 +20,12 @@ func benchFixture(b *testing.B) (*model.Built, *cost.Model) {
 	return built, cost.NewModel(cl)
 }
 
-// BenchmarkDWSchedulePass measures the full pass on the 24-layer model.
+// BenchmarkDWSchedulePass measures the full pass on the 24-layer model:
+// labelling, best-fit assignment and the reordered copy. perf_floor.txt
+// ratchets it.
 func BenchmarkDWSchedulePass(b *testing.B) {
 	built, cm := benchFixture(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(built.Graph, cm, Options{}); err != nil {

@@ -52,8 +52,6 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	res := &Result{Assignments: make(map[int]int)}
 
 	// ---- Labelling (Sec. 4.1) ----
-	// For each all-to-all Ia, compute W_Ia: the dW instructions with no
-	// directed path to or from Ia.
 	a2as := g.AllToAlls()
 	var dws []int
 	for _, in := range g.Instrs {
@@ -61,16 +59,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			dws = append(dws, in.ID)
 		}
 	}
-	overlappable := make(map[int][]int, len(a2as)) // a2a -> candidate dWs
-	for _, a := range a2as {
-		from := g.ReachableFrom(a)
-		to := g.ReachableTo(a)
-		for _, w := range dws {
-			if !from[w] && !to[w] {
-				overlappable[a] = append(overlappable[a], w)
-			}
-		}
-	}
+	overlappable := label(g, a2as, dws)
 
 	// ---- Scheduling (Sec. 4.2, Algorithm 1) ----
 	tW := make(map[int]float64, len(dws))
@@ -78,8 +67,8 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 		tW[w] = cm.PredictInstr(g.Instr(w))
 	}
 	used := make(map[int]bool, len(dws))
-	for _, a := range a2as {
-		cands := overlappable[a]
+	for j, a := range a2as {
+		cands := overlappable[j]
 		if len(cands) == 0 {
 			continue
 		}
@@ -127,6 +116,23 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	}
 	res.Graph = ng
 	return res, nil
+}
+
+// label computes W_Ia for each all-to-all a2as[j]: the dW instructions
+// with no directed path to or from it, in program order. One forward and
+// one backward bitset pass over the dependency table label every
+// instruction with the all-to-alls it depends on and those it feeds.
+func label(g *ir.Graph, a2as, dws []int) [][]int {
+	down, up := g.Descendants(a2as), g.Ancestors(a2as)
+	overlappable := make([][]int, len(a2as))
+	for j := range a2as {
+		for _, w := range dws {
+			if !down.Has(w, j) && !up.Has(w, j) {
+				overlappable[j] = append(overlappable[j], w)
+			}
+		}
+	}
+	return overlappable
 }
 
 // pick selects the next dW candidate per the strategy, or -1 if none remain.

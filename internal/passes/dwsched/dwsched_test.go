@@ -124,7 +124,7 @@ func TestOverlapBounded(t *testing.T) {
 func TestEndToEndSpeedup(t *testing.T) {
 	b, cm := buildFixture(t)
 	ex := &sim.Executor{Cost: cm}
-	base, err := ex.Run(b.Graph, b.Graph.DefaultSchedule())
+	base, err := ex.Run(b.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEndToEndSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := ex.Run(res.Graph, res.Graph.DefaultSchedule())
+	opt, err := ex.Run(res.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,6 @@ func BenchmarkPartitionDP(b *testing.B) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginSweep(len(built.Graph.Instrs))
-	built.Graph.Preds(window[0].ID) // build the adjacency index up front
 	// Warm the memoized instruction profiles and the scratch arenas.
 	sink := windowSweep(built.Graph, cm, window, pr, sc)
 	b.ReportAllocs()

@@ -208,11 +208,11 @@ func TestRunProducesValidFasterGraph(t *testing.T) {
 	}
 	// End-to-end simulated speedup.
 	ex := &sim.Executor{Cost: cm}
-	base, err := ex.Run(b.Graph, b.Graph.DefaultSchedule())
+	base, err := ex.Run(b.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := ex.Run(res.Graph, res.Graph.DefaultSchedule())
+	opt, err := ex.Run(res.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,6 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginSweep(len(b.Graph.Instrs))
-	b.Graph.Preds(w[0].ID) // build the adjacency index up front
 	sink := windowSweep(b.Graph, cm, w, pr, sc)
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink += windowSweep(b.Graph, cm, w, pr, sc)

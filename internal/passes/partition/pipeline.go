@@ -114,17 +114,17 @@ func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac fl
 // every candidate's span; membership tests run on the scratch's
 // generation-stamped ID arrays instead of per-call maps, and tensors are
 // visited in program order (deterministic, unlike the map iteration it
-// replaces).
+// replaces). A window is a contiguous program range, so a tensor it
+// produces has a consumer outside it exactly when its last use comes
+// after the window's last instruction.
 //
 //lancet:hotpath
 func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScratch) float64 {
-	sc.insideI = grow(sc.insideI, len(g.Instrs))
 	sc.prodT = grow(sc.prodT, len(g.Tensors))
 	sc.seenT = grow(sc.seenT, len(g.Tensors))
 	sc.markGen++
 	gen := sc.markGen
 	for _, in := range window {
-		sc.insideI[in.ID] = gen
 		for _, t := range in.Outs {
 			sc.prodT[t] = gen
 		}
@@ -145,16 +145,11 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScrat
 			}
 		}
 	}
+	last := window[len(window)-1].ID
 	for _, in := range window {
 		for _, t := range in.Outs {
-			if sc.axisOf(t) != AxisIrr {
-				continue
-			}
-			for _, c := range g.Consumers(t) {
-				if sc.insideI[c] != gen {
-					total += copyCost(t) // irregular boundary reconstruct
-					break
-				}
+			if sc.axisOf(t) == AxisIrr && g.LastUse(t) > last {
+				total += copyCost(t) // irregular boundary reconstruct
 			}
 		}
 	}

@@ -71,15 +71,14 @@ func applyRanges(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 	return rw.ng, nil
 }
 
-// rewriter is the working set of one applyRanges call. Window membership,
-// produced and already-split tensors, and each tensor's pieces are
-// generation-stamped arrays indexed by the input graph's instruction and
-// tensor IDs: bumping gen at each pipeline invalidates every entry.
+// rewriter is the working set of one applyRanges call. Produced and
+// already-split tensors, and each tensor's pieces, are generation-stamped
+// arrays indexed by the input graph's tensor IDs: bumping gen at each
+// pipeline invalidates every entry.
 type rewriter struct {
 	g, ng    *ir.Graph
 	gen      uint64
-	inside   []uint64 // by instruction ID
-	produced []uint64 // by tensor ID, and the three below
+	produced []uint64
 	seen     []uint64
 	partGen  []uint64
 	// partBase is the ID of piece 0 of a tensor's split: its k pieces have
@@ -89,13 +88,12 @@ type rewriter struct {
 
 func newRewriter(g *ir.Graph, extraTensors, instrs int) *rewriter {
 	nt := len(g.Tensors)
-	marks := make([]uint64, len(g.Instrs)+3*nt)
+	marks := make([]uint64, 3*nt)
 	return &rewriter{
 		g: g, ng: ir.Derive(g, extraTensors, instrs),
-		inside:   marks[:len(g.Instrs)],
-		produced: marks[len(g.Instrs) : len(g.Instrs)+nt],
-		seen:     marks[len(g.Instrs)+nt : len(g.Instrs)+2*nt],
-		partGen:  marks[len(g.Instrs)+2*nt:],
+		produced: marks[:nt],
+		seen:     marks[nt : 2*nt],
+		partGen:  marks[2*nt:],
 		partBase: make([]int, nt),
 	}
 }
@@ -142,7 +140,6 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 	gen := rw.gen
 	operands := 0
 	for _, in := range window {
-		rw.inside[in.ID] = gen
 		for _, t := range in.Outs {
 			rw.produced[t] = gen
 		}
@@ -214,17 +211,12 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 		ng.Emit(c)
 	}
 
-	// Reconstruct ops for tensors the rest of the graph consumes.
+	// Reconstruct ops for tensors the rest of the graph consumes: the
+	// window is a contiguous program range, so those are the tensors last
+	// used after its end.
 	for _, in := range window {
 		for _, t := range in.Outs {
-			needed := false
-			for _, cons := range g.Consumers(t) {
-				if rw.inside[cons] != gen {
-					needed = true
-					break
-				}
-			}
-			if !needed {
+			if g.LastUse(t) <= r.End {
 				continue
 			}
 			axis := r.Axes[t]

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 
 	"lancet/internal/cost"
@@ -61,7 +62,6 @@ type dpScratch struct {
 	nInstrs  int
 
 	// Boundary-cost marks (boundaryCostUs), stamped with markGen.
-	insideI []uint64
 	prodT   []uint64
 	seenT   []uint64
 	markGen uint64
@@ -179,14 +179,15 @@ func (sc *dpScratch) beginWindow() {
 
 // extendWindow grows the index to window, whose prefix is the window
 // indexed so far: the new positions' stages and their window-local
-// dependency edges on the other stream (program order, predecessors as
-// returned by g.Preds). IDs are program positions and every producer
-// precedes its consumers (ir.Graph.Validate), so a predecessor lies in the
-// window exactly when its ID is at least the window's first, and the edges
-// of earlier positions never change. A predecessor on the instruction's
-// own stream is dropped: it was issued earlier on that stream, and
-// durations are non-negative, so it ended at or before the stream clock
-// the instruction starts from and can never delay it.
+// dependency edges on the other stream (program order, each distinct
+// producer of the position's operands once). IDs are program positions
+// and every producer precedes its consumers (ir.Graph.Validate), so a
+// producer lies in the window exactly when its ID is at least the
+// window's first, and the edges of earlier positions never change. A
+// producer on the instruction's own stream is dropped: it was issued
+// earlier on that stream, and durations are non-negative, so it ended at
+// or before the stream clock the instruction starts from and can never
+// delay it.
 func (sc *dpScratch) extendWindow(g *ir.Graph, window []*ir.Instr) {
 	from := len(sc.depOff) - 1
 	if from == len(window) {
@@ -196,8 +197,10 @@ func (sc *dpScratch) extendWindow(g *ir.Graph, window []*ir.Instr) {
 	sc.stOff = sc.stOff[:len(sc.stStream)] // drop the old window end
 	for pos := from; pos < len(window); pos++ {
 		in := window[pos]
-		for _, p := range g.Preds(in.ID) {
-			if p >= base && g.Instr(p).IsComm() != in.IsComm() {
+		edges := len(sc.depBuf)
+		for _, x := range in.Ins {
+			p := g.Producer(x)
+			if p >= base && g.Instr(p).IsComm() != in.IsComm() && !slices.Contains(sc.depBuf[edges:], p-base) {
 				sc.depBuf = append(sc.depBuf, p-base)
 			}
 		}

@@ -1,8 +1,9 @@
-// Package sim executes an IR schedule on a simulated device and produces a
+// Package sim executes an IR program on a simulated device and produces a
 // timeline. It models what a CUDA device with one compute stream and one
-// communication (NCCL) stream does: instructions issue in schedule order on
+// communication (NCCL) stream does: instructions issue in program order on
 // their stream, start when both their data dependencies and their stream are
-// free, and run for the duration given by the cost model.
+// free, and run for the duration given by the cost model. The passes embed
+// their schedules in program order, so the program is the schedule.
 //
 // Because training is SPMD (every device runs the same program, collectives
 // are priced at cluster scope), a single device timeline is the iteration
@@ -79,7 +80,7 @@ type Timeline struct {
 	Breakdown
 }
 
-// Executor runs schedules against a cost model.
+// Executor runs programs against a cost model.
 type Executor struct {
 	Cost *cost.Model
 	// JitterPct adds a deterministic per-execution uniform perturbation of
@@ -123,10 +124,18 @@ type runScratch struct {
 
 var runPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// Run executes the schedule and returns its timeline.
-func (e *Executor) Run(g *ir.Graph, order []int) (*Timeline, error) {
-	if err := g.ValidateSchedule(order); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+// Run executes g's program order and returns its timeline. Each
+// instruction is ready when its stream is free and the producers of its
+// operands have ended. A program that reads a tensor at or before the
+// instruction producing it is not a schedule, and Run rejects it before
+// pricing anything.
+func (e *Executor) Run(g *ir.Graph) (*Timeline, error) {
+	for id, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= id {
+				return nil, fmt.Errorf("sim: @%d consumes %%%d, produced at or after it by @%d", id, x, p)
+			}
+		}
 	}
 	sc := runPool.Get().(*runScratch)
 	defer runPool.Put(sc)
@@ -141,28 +150,27 @@ func (e *Executor) Run(g *ir.Graph, order []int) (*Timeline, error) {
 		sysRng := rand.New(rand.NewSource(e.Seed ^ 0x5eed))
 		sysScale = 1 + (sysRng.Float64()*2-1)*e.SystematicPct
 	}
-	// end[id] needs no clearing between runs: a validated schedule writes
-	// every predecessor's entry before any consumer reads it.
+	// end[id] needs no clearing between runs: every producer precedes its
+	// consumers (checked above), so its entry is written before it is read.
 	if cap(sc.end) < len(g.Instrs) {
 		sc.end = make([]float64, len(g.Instrs))
 	}
 	end := sc.end[:len(g.Instrs)]
 	var clock [2]float64 // per-stream frontier
-	tl := &Timeline{Spans: make([]Span, 0, len(order))}
+	tl := &Timeline{Spans: make([]Span, 0, len(g.Instrs))}
 
 	irregularUs := 0.0
 	var tierUs [hw.NumTiers]float64
 	var stragglerUs map[string]float64
 	hetero := e.Cost.Cluster.Heterogeneous()
-	for _, id := range order {
-		in := g.Instr(id)
+	for id, in := range g.Instrs {
 		stream := StreamCompute
 		if in.IsComm() {
 			stream = StreamComm
 		}
 		ready := clock[stream]
-		for _, p := range g.Preds(id) {
-			if end[p] > ready {
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= 0 && end[p] > ready {
 				ready = end[p]
 			}
 		}

@@ -33,7 +33,7 @@ func fixture() (*ir.Graph, *cost.Model) {
 func TestRunBasicOrdering(t *testing.T) {
 	g, m := fixture()
 	ex := &Executor{Cost: m}
-	tl, err := ex.Run(g, g.DefaultSchedule())
+	tl, err := ex.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunBasicOrdering(t *testing.T) {
 func TestOverlapAccounting(t *testing.T) {
 	g, m := fixture()
 	ex := &Executor{Cost: m}
-	tl, err := ex.Run(g, g.DefaultSchedule())
+	tl, err := ex.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestNoOverlapWhenSerial(t *testing.T) {
 	g.Emit(&ir.Instr{Op: ir.OpAllToAll, Bytes: 16 << 20, CommDevices: 16, Ins: []int{t0.ID}, Outs: []int{t1.ID}})
 	g.Emit(&ir.Instr{Op: ir.OpMatMul, FLOPs: 1e9, Ins: []int{t1.ID}, Outs: []int{t2.ID}})
 	m := cost.NewModel(hw.V100Cluster(2))
-	tl, err := (&Executor{Cost: m}).Run(g, g.DefaultSchedule())
+	tl, err := (&Executor{Cost: m}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestSystematicJitterSharedAcrossPlans(t *testing.T) {
 	// simulated with the same seed get the same systematic scale, so
 	// same-seed framework comparisons stay fair.
 	g, m := fixture()
-	base, err := (&Executor{Cost: m, SystematicPct: 0.05, Seed: 9}).Run(g, g.DefaultSchedule())
+	base, err := (&Executor{Cost: m, SystematicPct: 0.05, Seed: 9}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := (&Executor{Cost: m}).Run(g, g.DefaultSchedule())
+	clean, err := (&Executor{Cost: m}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestSystematicJitterSharedAcrossPlans(t *testing.T) {
 		}
 	}
 	// Predict mode ignores it.
-	pred, err := (&Executor{Cost: m, SystematicPct: 0.05, Seed: 9, Predict: true}).Run(g, g.DefaultSchedule())
+	pred, err := (&Executor{Cost: m, SystematicPct: 0.05, Seed: 9, Predict: true}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred2, err := (&Executor{Cost: m, Predict: true}).Run(g, g.DefaultSchedule())
+	pred2, err := (&Executor{Cost: m, Predict: true}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSystematicJitterSharedAcrossPlans(t *testing.T) {
 func TestJitterDeterministicPerSeed(t *testing.T) {
 	g, m := fixture()
 	run := func(seed int64) float64 {
-		tl, err := (&Executor{Cost: m, JitterPct: 0.05, Seed: seed}).Run(g, g.DefaultSchedule())
+		tl, err := (&Executor{Cost: m, JitterPct: 0.05, Seed: seed}).Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +174,11 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 
 func TestPredictModeMatchesActualClosely(t *testing.T) {
 	g, m := fixture()
-	actual, err := (&Executor{Cost: m}).Run(g, g.DefaultSchedule())
+	actual, err := (&Executor{Cost: m}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := (&Executor{Cost: m, Predict: true}).Run(g, g.DefaultSchedule())
+	pred, err := (&Executor{Cost: m, Predict: true}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +193,12 @@ func TestPredictModeMatchesActualClosely(t *testing.T) {
 
 func TestA2ABytesOverride(t *testing.T) {
 	g, m := fixture()
-	base, err := (&Executor{Cost: m}).Run(g, g.DefaultSchedule())
+	base, err := (&Executor{Cost: m}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Irregular payload at 25% of padded size: the a2a should shrink.
-	over, err := (&Executor{Cost: m, A2ABytesOverride: map[int]int64{1: 8 << 20}}).Run(g, g.DefaultSchedule())
+	over, err := (&Executor{Cost: m, A2ABytesOverride: map[int]int64{1: 8 << 20}}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +208,37 @@ func TestA2ABytesOverride(t *testing.T) {
 }
 
 func TestRunRejectsBadSchedule(t *testing.T) {
-	g, m := fixture()
-	if _, err := (&Executor{Cost: m}).Run(g, []int{0, 1}); err == nil {
-		t.Error("short schedule must be rejected")
+	// The program order reads t0 before the instruction producing it.
+	g := ir.NewGraph()
+	x := g.NewTensor("x", ir.Shape{1 << 20}, ir.F16, ir.Activation)
+	t0 := g.NewTensor("t0", ir.Shape{1 << 20}, ir.F16, ir.Activation)
+	t1 := g.NewTensor("t1", ir.Shape{1 << 20}, ir.F16, ir.Activation)
+	g.Emit(&ir.Instr{Name: "a2a", Op: ir.OpAllToAll, Bytes: 32 << 20, CommDevices: 16, Ins: []int{t0.ID}, Outs: []int{t1.ID}})
+	g.Emit(&ir.Instr{Name: "c0", Op: ir.OpMatMul, FLOPs: 5e9, Ins: []int{x.ID}, Outs: []int{t0.ID}})
+	if _, err := (&Executor{Cost: cost.NewModel(hw.V100Cluster(2))}).Run(g); err == nil {
+		t.Error("dependency-violating program order must be rejected")
 	}
-	if _, err := (&Executor{Cost: m}).Run(g, []int{1, 0, 2, 3}); err == nil {
-		t.Error("dependency-violating schedule must be rejected")
+}
+
+// An instruction reading its own output has no valid start time: Run used
+// to read its end time from pooled scratch before writing it, so the
+// simulated iteration depended on whichever run used the scratch last.
+func TestRunRejectsSelfConsumingInstruction(t *testing.T) {
+	g := ir.NewGraph()
+	x := g.NewTensor("x", ir.Shape{1 << 20}, ir.F16, ir.Activation)
+	y := g.NewTensor("y", ir.Shape{1 << 20}, ir.F16, ir.Activation)
+	g.Emit(&ir.Instr{Name: "c0", Op: ir.OpMatMul, FLOPs: 5e9, Ins: []int{x.ID}, Outs: []int{}})
+	g.Emit(&ir.Instr{Name: "c1", Op: ir.OpMatMul, FLOPs: 5e9, Ins: []int{x.ID, y.ID}, Outs: []int{y.ID}})
+	m := cost.NewModel(hw.V100Cluster(2))
+	// Leave large end times in the pooled scratch, as a previous plan would.
+	big, _ := fixture()
+	for range 3 {
+		if _, err := (&Executor{Cost: m, JitterPct: 0.05, Seed: 7}).Run(big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tl, err := (&Executor{Cost: m}).Run(g); err == nil {
+		t.Errorf("self-consuming instruction simulated to %v us, want an error", tl.TotalUs)
 	}
 }
 
@@ -225,7 +250,7 @@ func TestBreakdownCategories(t *testing.T) {
 	g.Emit(&ir.Instr{Op: ir.OpExpertFFN, FLOPs: 1e9, Ins: []int{x.ID}, Outs: []int{t0.ID}})
 	g.Emit(&ir.Instr{Op: ir.OpAllToAll, Bytes: 1 << 20, CommDevices: 16, Ins: []int{t0.ID}, Outs: []int{t1.ID}})
 	m := cost.NewModel(hw.V100Cluster(2))
-	tl, err := (&Executor{Cost: m}).Run(g, g.DefaultSchedule())
+	tl, err := (&Executor{Cost: m}).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +297,7 @@ func TestA2ATierBreakdown(t *testing.T) {
 		{"oversubscribed", cost.NewModel(over), hw.TierSpine},
 	} {
 		ex := &Executor{Cost: tc.m}
-		tl, err := ex.Run(g, g.DefaultSchedule())
+		tl, err := ex.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +342,7 @@ func heteroFixture(t *testing.T) (*ir.Graph, *cost.Model) {
 func TestStragglerClassBreakdown(t *testing.T) {
 	g, m := heteroFixture(t)
 	ex := &Executor{Cost: m}
-	tl, err := ex.Run(g, g.DefaultSchedule())
+	tl, err := ex.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +360,7 @@ func TestStragglerClassBreakdown(t *testing.T) {
 
 	// The same graph on the uniform fixture cluster reports no straggler.
 	gu, mu := fixture()
-	tlu, err := (&Executor{Cost: mu}).Run(gu, gu.DefaultSchedule())
+	tlu, err := (&Executor{Cost: mu}).Run(gu)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -659,7 +659,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	case FrameworkTutel:
 		ex := &sim.Executor{Cost: cm, Predict: true}
 		g, degree, err := baselines.BestTutelPlan(s.Built, func(g *ir.Graph) (float64, error) {
-			tl, err := ex.Run(g, g.DefaultSchedule())
+			tl, err := ex.Run(g)
 			if err != nil {
 				return 0, err
 			}
@@ -701,7 +701,7 @@ func (p *Plan) PredictUs() (float64, error) {
 		}
 		ex.A2ABytesOverride = ov.bytes
 	}
-	tl, err := ex.Run(p.Graph, p.Graph.DefaultSchedule())
+	tl, err := ex.Run(p.Graph)
 	if err != nil {
 		return 0, err
 	}
@@ -810,7 +810,7 @@ func (p *Plan) run(seed int64) (*sim.Timeline, error) {
 		}
 		ex.A2ABytesOverride, ex.A2ADurOverrideUs = ov.bytes, ov.durUs
 	}
-	return ex.Run(p.Graph, p.Graph.DefaultSchedule())
+	return ex.Run(p.Graph)
 }
 
 // irregularOverrides derives per-all-to-all actual payloads of graph g
