@@ -11,7 +11,10 @@ import (
 // CLI path: all frameworks plan and simulate against one Session — and so
 // share its built graph and routing proxies — concurrently. Results must
 // match a serial run exactly (and the lazy graph-adjacency build must not
-// race; run with -race).
+// race; run with -race). Its second leg is the service's pooled path:
+// workload views of one session plan the three plan-cold routings
+// concurrently, sharing its graph and cost model, and must match serial
+// plans on sessions of their own.
 func TestConcurrentPlansShareSession(t *testing.T) {
 	frameworks := []string{
 		lancet.FrameworkDeepSpeed, lancet.FrameworkRAF,
@@ -60,6 +63,34 @@ func TestConcurrentPlansShareSession(t *testing.T) {
 	for i, fw := range frameworks {
 		if got[i] != serial[i] {
 			t.Errorf("%s: concurrent iteration %.4f ms != serial %.4f ms", fw, got[i], serial[i])
+		}
+	}
+
+	want := make([]float64, len(viewRoutings))
+	for i, r := range viewRoutings {
+		own, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		own.WorkloadSkew, own.WorkloadHotExpert = r.skew, r.hot
+		want[i] = plan(own, lancet.FrameworkLancet)
+	}
+	base, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed := make([]float64, len(viewRoutings))
+	for i, r := range viewRoutings {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			viewed[i] = plan(base.WithWorkload(r.skew, r.hot), lancet.FrameworkLancet)
+		}()
+	}
+	wg.Wait()
+	for i, r := range viewRoutings {
+		if viewed[i] != want[i] {
+			t.Errorf("%s: concurrent view iteration %.4f ms != own session's %.4f ms", r.name, viewed[i], want[i])
 		}
 	}
 }

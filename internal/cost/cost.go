@@ -84,9 +84,11 @@ type Model struct {
 
 	// skewTabs holds the per-routing-profile interpolation tables that
 	// replace repeated netsim replays in AllToAllSkewedUs, keyed by profile
-	// fingerprint and built lazily (see skewtable.go).
+	// fingerprint, built lazily and bounded at skewTableCap (see
+	// skewtable.go). skewTick orders their lookups for eviction.
 	skewTabMu sync.Mutex
 	skewTabs  map[uint64]*skewTableEntry
+	skewTick  uint64
 
 	// uniReplay memoizes link-level replays of uniform matrices (the
 	// irregular size-exchange phase) on their per-device payload.

@@ -36,6 +36,13 @@ const (
 	// bounding link flaps from rounding noise must not degenerate into one
 	// replay per query.
 	skewTableMaxPoints = 512
+	// skewTableCap bounds one Model's table registry. A pooled serving
+	// session meets every routing spec its clients send for its model and
+	// cluster, so the registry evicts its least recently used table beyond
+	// this many; planbench's plan-cold mix needs at most 2 per session. A
+	// table is a pure function of (cluster, profile), so an eviction costs
+	// only a rebuild.
+	skewTableCap = 16
 )
 
 // skewTable is the immutable interpolation table of one (routing profile,
@@ -61,13 +68,17 @@ func (t *skewTable) lookup(bytesPerDevice int64) float64 {
 type skewTableEntry struct {
 	once sync.Once
 	tab  *skewTable
+	used uint64 // Model.skewTick at the last lookup, guarded by skewTabMu
 }
 
 // skewTableFor returns the interpolation table for the profile, building it
-// on first use. A build counts as a memo miss and a reuse as a hit.
+// on first use. A build counts as a memo miss and a reuse as a hit. Beyond
+// skewTableCap tables the least recently used one is dropped; a caller
+// still building or holding it keeps its entry.
 func (m *Model) skewTableFor(prof *netsim.RoutingProfile) *skewTable {
 	fp := prof.Fingerprint()
 	m.skewTabMu.Lock()
+	m.skewTick++
 	e, ok := m.skewTabs[fp]
 	if !ok {
 		if m.skewTabs == nil {
@@ -75,6 +86,16 @@ func (m *Model) skewTableFor(prof *netsim.RoutingProfile) *skewTable {
 		}
 		e = &skewTableEntry{}
 		m.skewTabs[fp] = e
+	}
+	e.used = m.skewTick
+	if len(m.skewTabs) > skewTableCap {
+		oldest, used := fp, e.used
+		for k, o := range m.skewTabs {
+			if o.used < used {
+				oldest, used = k, o.used
+			}
+		}
+		delete(m.skewTabs, oldest)
 	}
 	m.skewTabMu.Unlock()
 	built := false

@@ -251,6 +251,51 @@ func TestInvalidateProfile(t *testing.T) {
 	}
 }
 
+// TestSkewTableCap pins the registry's bound: pricing twice the cap in
+// distinct profiles leaves at most skewTableCap tables, a profile priced
+// at every step survives as the most recently used, and the first profile,
+// evicted as the least recently used, prices bit-identically after its
+// rebuild.
+func TestSkewTableCap(t *testing.T) {
+	m := newTestModel()
+	g := m.Cluster.TotalGPUs()
+	first := netsim.ZipfProfile(g, 0.5)
+	hot := netsim.HotExpertProfile(g, 0.6)
+	wantFirst := m.AllToAllSkewedUs(32<<20, first)
+	wantHot := m.AllToAllSkewedUs(32<<20, hot)
+	tables := func() int {
+		m.skewTabMu.Lock()
+		defer m.skewTabMu.Unlock()
+		return len(m.skewTabs)
+	}
+	for i := range 2 * skewTableCap {
+		m.AllToAllSkewedUs(32<<20, netsim.ZipfProfile(g, 0.6+0.05*float64(i)))
+		if got := m.AllToAllSkewedUs(32<<20, hot); got != wantHot {
+			t.Fatalf("step %d: hot profile prices %v, want %v", i, got, wantHot)
+		}
+		if n := tables(); n > skewTableCap {
+			t.Fatalf("step %d: %d skew tables, cap %d", i, n, skewTableCap)
+		}
+	}
+	m.skewTabMu.Lock()
+	_, firstTab := m.skewTabs[first.Fingerprint()]
+	_, hotTab := m.skewTabs[hot.Fingerprint()]
+	m.skewTabMu.Unlock()
+	if firstTab {
+		t.Error("the least recently used table survived twice the cap in newer ones")
+	}
+	if !hotTab {
+		t.Error("the most recently used table was evicted")
+	}
+	misses := m.Stats().Misses
+	if got := m.AllToAllSkewedUs(32<<20, first); got != wantFirst {
+		t.Errorf("rebuilt table prices %v, original %v", got, wantFirst)
+	}
+	if got := m.Stats().Misses; got != misses+1 {
+		t.Errorf("re-pricing the evicted profile counted %d misses, want 1 (a rebuild)", got-misses)
+	}
+}
+
 // TestSkewTableGolden pins every point of the skew interpolation tables
 // built for 16-, 32- and 64-GPU V100 fleets under five routing shapes, by a
 // SHA-256 of their (bytes, microseconds) pairs. The points are exact

@@ -125,10 +125,12 @@ func (d *driftSession) session(cur *netsim.RoutingProfile) (*lancet.Session, err
 	return sess, nil
 }
 
-// buildSession constructs the lancet session a canonical request needs:
-// cluster (uniform or hetero), topology, parametric workload knobs.
-// canonicalize already validated every ingredient; rebuilding here is
-// cheap and keeps the cache key the single source of truth.
+// buildSession constructs the lancet session a canonical request's session
+// key names: cluster (uniform or hetero), topology and model, with no
+// workload — the pool plans each routing on a view of it, and the drift
+// loop installs its streamed profile. canonicalize already validated every
+// ingredient; rebuilding here is cheap and keeps the cache key the single
+// source of truth.
 func buildSession(c *canonical) (*lancet.Session, error) {
 	var cluster lancet.Cluster
 	var err error
@@ -145,17 +147,7 @@ func buildSession(c *canonical) (*lancet.Session, error) {
 			return nil, err
 		}
 	}
-	sess, err := lancet.NewSession(c.cfg, cluster)
-	if err != nil {
-		return nil, err
-	}
-	switch c.routing.Kind {
-	case RoutingZipf:
-		sess.WorkloadSkew = c.routing.Alpha
-	case RoutingHot:
-		sess.WorkloadHotExpert = c.routing.HotShare
-	}
-	return sess, nil
+	return lancet.NewSession(c.cfg, cluster)
 }
 
 // driftSessionFor returns the drift session for a canonicalized plan,

@@ -146,8 +146,9 @@ func classesKey(classes []ClassSpec) string {
 // RoutingSpec selects the workload's routing shape for /v1/plan and
 // /v1/sweep (DESIGN.md §10): "uniform" (the default balanced workload),
 // "zipf" with exponent Alpha, or "hot" with the hot expert's token share.
-// It canonicalizes into both cache keys, so skewed and uniform requests
-// never share a session or plan entry.
+// It canonicalizes into the plan key, so skewed and uniform requests never
+// share a plan entry; they do share the pooled session of their model and
+// cluster, each planning on its own workload view of it (DESIGN.md §9).
 type RoutingSpec struct {
 	Kind     string  `json:"kind"`
 	Alpha    float64 `json:"alpha,omitempty"`
@@ -193,6 +194,18 @@ func normalizeRouting(r *RoutingSpec) (RoutingSpec, error) {
 			r.Kind, RoutingUniform, RoutingZipf, RoutingHot)
 	}
 	return spec, nil
+}
+
+// workload maps the spec onto the session's parametric workload knobs
+// (lancet.Session.WithWorkload).
+func (r RoutingSpec) workload() (skew, hotExpert float64) {
+	switch r.Kind {
+	case RoutingZipf:
+		return r.Alpha, 0
+	case RoutingHot:
+		return 0, r.HotShare
+	}
+	return 0, 0
 }
 
 // key is the routing spec's canonical cache-key fragment.
@@ -466,22 +479,25 @@ func (c *canonical) echo() PlanRequest {
 	}
 }
 
-// sessionKey identifies the Session a request needs: everything that shapes
-// the built graph, its routing profiles and its cost models, nothing that
-// only shapes the plan (framework, seed, options). The canonical routing
-// and topology fragments keep skewed/uniform and hierarchical/flat
-// workloads in separate sessions (and, transitively, separate plan-store
-// entries); a mixed fleet appends its canonical class mix, while every
-// uniform spelling keeps the pre-heterogeneity key form so cached entries
-// stay valid.
+// sessionKey identifies the pooled Session a request plans on: everything
+// that shapes the built graph and the cluster's pricing (model, fleet,
+// batch, gate, shared expert, ZeRO-3, topology, class mix), nothing that
+// only shapes the plan. The routing is left out: each request plans on a
+// workload view of the pooled session (DESIGN.md §9). Every uniform fleet
+// spelling keeps the pre-heterogeneity key form; a mixed fleet appends its
+// canonical class mix. planKey spells the same fields.
 func (c *canonical) sessionKey() string {
-	key := fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|rt=%s|topo=%s",
+	return fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|topo=%s%s",
 		c.cfg.Name, c.clusterType, c.gpus, c.cfg.BatchPerGPU, c.cfg.Gate,
-		c.cfg.SharedExpert, c.cfg.ZeRO3, c.routingKey(), c.topo.key())
-	if len(c.classes) > 0 {
-		key += "|hw=" + classesKey(c.classes)
+		c.cfg.SharedExpert, c.cfg.ZeRO3, c.topo.key(), c.hwKey())
+}
+
+// hwKey is a mixed fleet's |hw= key fragment; empty for uniform fleets.
+func (c *canonical) hwKey() string {
+	if len(c.classes) == 0 {
+		return ""
 	}
-	return key
+	return "|hw=" + classesKey(c.classes)
 }
 
 // routingKey is the canonical rt= cache-key fragment: the routing spec's
@@ -506,19 +522,22 @@ func (c *canonical) withProfile(p *netsim.RoutingProfile) *canonical {
 }
 
 // planKey identifies one framework's plan-and-simulate outcome in the plan
-// store: the session key plus framework, seed and optimization options.
-// Options only shape the Lancet plan (Compute ignores them for baselines),
-// so baseline entries are shared across option values.
+// store: the session key's fields with the routing's rt= fragment before
+// the topology, plus framework, seed and optimization options, formatted
+// in one pass (plan-store hits build it on every request). Options only
+// shape the Lancet plan (Compute ignores them for baselines), so baseline
+// entries are shared across option values.
 func (c *canonical) planKey(framework string) string {
-	opts := c.opts
+	opts, loss := c.opts, ""
 	if framework != lancet.FrameworkLancet {
 		opts = PlanOptions{}
-	}
-	key := fmt.Sprintf("%s|%s|seed%d|%+v", c.sessionKey(), framework, c.seed, opts)
-	if framework == lancet.FrameworkLancet && len(c.lostNodes) > 0 {
+	} else if len(c.lostNodes) > 0 {
 		// The what-if block rides on the lancet plan's store entry; baseline
 		// entries stay shared with what-if-free requests.
-		key += fmt.Sprintf("|loss=%v", c.lostNodes)
+		loss = fmt.Sprintf("|loss=%v", c.lostNodes)
 	}
-	return key
+	return fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|rt=%s|topo=%s%s|%s|seed%d|%+v%s",
+		c.cfg.Name, c.clusterType, c.gpus, c.cfg.BatchPerGPU, c.cfg.Gate,
+		c.cfg.SharedExpert, c.cfg.ZeRO3, c.routingKey(), c.topo.key(), c.hwKey(),
+		framework, c.seed, opts, loss)
 }

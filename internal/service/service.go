@@ -181,25 +181,31 @@ func Open(cfg Config, dir string) (*Service, error) {
 	return s, nil
 }
 
-// session returns the pooled session for the request's configuration,
-// building (and deduplicating concurrent builds of) it on first use.
+// session returns a view of the pooled session for the request's model and
+// cluster under the request's routing, building (and deduplicating
+// concurrent builds of) the pooled session on first use. Views share the
+// pooled session's graph and cost model (DESIGN.md §9).
 func (s *Service) session(c *canonical) (*lancet.Session, error) {
 	key := c.sessionKey()
-	if sess, ok := s.sessions.get(key); ok {
-		return sess, nil
-	}
-	sess, err, _ := s.sessFlight.do(key, func() (*lancet.Session, error) {
-		if sess, ok := s.sessions.peek(key); ok {
+	base, ok := s.sessions.get(key)
+	if !ok {
+		var err error
+		base, err, _ = s.sessFlight.do(key, func() (*lancet.Session, error) {
+			if sess, ok := s.sessions.peek(key); ok {
+				return sess, nil
+			}
+			sess, err := buildSession(c)
+			if err != nil {
+				return nil, err
+			}
+			s.sessions.put(key, sess)
 			return sess, nil
-		}
-		sess, err := buildSession(c)
+		})
 		if err != nil {
 			return nil, err
 		}
-		s.sessions.put(key, sess)
-		return sess, nil
-	})
-	return sess, err
+	}
+	return base.WithWorkload(c.routing.workload()), nil
 }
 
 // resultFor serves one framework's result through the two-tier plan store:

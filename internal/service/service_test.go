@@ -550,6 +550,22 @@ func TestCanonicalKeysSeparateWhatMatters(t *testing.T) {
 	if c1.sessionKey() == gated.sessionKey() {
 		t.Error("gate must split the session pool")
 	}
+	// Routing splits the plan store but not the session pool: each routing
+	// plans on a workload view of the pooled session.
+	for _, rt := range []*RoutingSpec{{Kind: RoutingZipf, Alpha: 1.2}, {Kind: RoutingHot, HotShare: 0.3}} {
+		routed, err := PlanRequest{Routing: rt}.canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c1.sessionKey() != routed.sessionKey() {
+			t.Errorf("routing %s must not split the session pool", rt.key())
+		}
+		for _, fw := range []string{lancet.FrameworkLancet, lancet.FrameworkTutel} {
+			if c1.planKey(fw) == routed.planKey(fw) {
+				t.Errorf("routing %s must split the %s plan's cache entry", rt.key(), fw)
+			}
+		}
+	}
 	// An explicit default is the same canonical request as an implicit one.
 	explicit, err := PlanRequest{Model: "gpt2-s", Cluster: "v100", GPUs: 16, Framework: "lancet"}.canonicalize()
 	if err != nil {

@@ -297,8 +297,9 @@ type PipelineHint struct {
 // planned for (DESIGN.md §7). The shared cost model is lock-striped and
 // routing proxies are memoized process-wide. This is what lets cmd/lancet
 // plan frameworks in parallel and lets the serving layer (cmd/lancet-serve)
-// pool sessions across requests. WorkloadSkew and WorkloadHotExpert must
-// be set before the first plan or profile.
+// pool sessions across requests. Writing WorkloadSkew or WorkloadHotExpert
+// races with planning; to plan another parametric workload on a session in
+// use, take a WithWorkload view instead.
 type Session struct {
 	Config  ModelConfig
 	Cluster Cluster
@@ -362,6 +363,27 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 		Built:   b,
 		costRAF: cost.NewModel(cluster),
 	}, nil
+}
+
+// WithWorkload returns a session for the same model and cluster under
+// another parametric workload: WorkloadSkew skew and WorkloadHotExpert
+// hotExpert, with no streamed profile. The view shares the receiver's
+// Config, Cluster, built graph and cost model — network model,
+// communication tables, skew tables and op-profile memo — so it costs one
+// small allocation, and any number of views may plan concurrently
+// (DESIGN.md §7, §9). Setting both workload knobs is an error at plan time,
+// as for any session. A view's SetWorkloadProfile invalidates prices in the
+// shared cost model, so a session that streams its workload should be its
+// own, not a view.
+func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
+	return &Session{
+		Config:            s.Config,
+		Cluster:           s.Cluster,
+		Built:             s.Built,
+		WorkloadSkew:      skew,
+		WorkloadHotExpert: hotExpert,
+		costRAF:           s.costRAF,
+	}
 }
 
 // Plan is an executable schedule: a rewritten graph, the cost model it
@@ -911,12 +933,70 @@ type proxyKey struct {
 	capacityFactor, skew, hot float64
 }
 
-// proxyCache memoizes routing proxies across sessions (DESIGN.md §13): a
-// cold plan for a (cluster, gate, workload) shape the process has already
+// proxyMemoCap bounds the routing-proxy memo. Every distinct Zipf alpha or
+// hot share a process plans adds one entry per partition count it prices;
+// planbench's 45 plan-cold shapes use 52.
+const proxyMemoCap = 256
+
+// proxyMemo memoizes routing proxies across sessions (DESIGN.md §13): a
+// cold plan for a (cluster, gate, workload) shape the process has recently
 // planned — the common case for pooled serving and the experiment suite —
-// skips the functional gate run entirely. Keys are config shapes, so the
-// map stays small for any realistic process lifetime.
-var proxyCache sync.Map // proxyKey -> *routingProfile
+// skips the functional gate run entirely. Workload parameters come from
+// clients, so the memo holds at most proxyMemoCap entries and evicts the
+// least recently used; a proxy is a pure function of its key, so an
+// eviction costs only a recomputation.
+type proxyMemo struct {
+	mu   sync.Mutex
+	tick uint64
+	m    map[proxyKey]proxyEntry
+}
+
+type proxyEntry struct {
+	p    *routingProfile // shared and never mutated after publication
+	used uint64          // tick of the last lookup or store
+}
+
+var proxyCache proxyMemo
+
+// get returns the memoized proxy for k and marks it recently used.
+func (c *proxyMemo) get(k proxyKey) (*routingProfile, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[k]
+	if ok {
+		c.tick++
+		c.m[k] = proxyEntry{e.p, c.tick}
+	}
+	return e.p, ok
+}
+
+// loadOrStore returns the proxy already memoized for k, or stores p,
+// evicting the least recently used entry beyond proxyMemoCap. Callers
+// compute p outside the lock, so a slow proxy never stalls other lookups;
+// two racing computations of one key agree, and the first stored wins.
+func (c *proxyMemo) loadOrStore(k proxyKey, p *routingProfile) *routingProfile {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tick++
+	if e, ok := c.m[k]; ok {
+		c.m[k] = proxyEntry{e.p, c.tick}
+		return e.p
+	}
+	if c.m == nil {
+		c.m = make(map[proxyKey]proxyEntry)
+	}
+	c.m[k] = proxyEntry{p, c.tick}
+	if len(c.m) > proxyMemoCap {
+		oldest, used := k, c.tick
+		for key, e := range c.m {
+			if e.used < used {
+				oldest, used = key, e.used
+			}
+		}
+		delete(c.m, oldest)
+	}
+	return p
+}
 
 // profile returns the dispatch statistics of the workload split into k
 // micro-batches: the streamed profile wp packaged by syntheticProfile or,
@@ -941,8 +1021,8 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 		capacityFactor: s.Config.CapacityFactor,
 		skew:           s.WorkloadSkew, hot: s.WorkloadHotExpert,
 	}
-	if c, ok := proxyCache.Load(key); ok {
-		return c.(*routingProfile), nil // shared and never mutated after publication
+	if p, ok := proxyCache.get(key); ok {
+		return p, nil
 	}
 	tokens := 256
 	experts := devices * s.Config.ExpertsPerGPU
@@ -988,8 +1068,7 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 		}
 		p.shares = append(p.shares, sum/float64(len(row))/padded)
 	}
-	c, _ := proxyCache.LoadOrStore(key, p)
-	return c.(*routingProfile), nil
+	return proxyCache.loadOrStore(key, p), nil
 }
 
 // syntheticProfile packages a streamed routing profile as the per-k
