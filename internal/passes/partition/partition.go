@@ -142,7 +142,10 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	T, best := sc.T, sc.best
 	T[0] = 0
 	for j := 1; j <= n; j++ {
-		T[j] = math.Inf(1)
+		// best[j] is reset too: when no candidate has a finite cost (an
+		// overflowing price), nothing overwrites it, and the backtrack must
+		// not follow choices an earlier run left in the pooled scratch.
+		T[j], best[j] = math.Inf(1), choice{}
 	}
 	for i := 0; i < n; i++ {
 		// The last group a window from i may end at, written so that a

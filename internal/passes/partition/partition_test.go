@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 
 	"lancet/internal/cost"
@@ -218,6 +219,36 @@ func TestRunProducesValidFasterGraph(t *testing.T) {
 	}
 	if opt.TotalUs >= base.TotalUs {
 		t.Errorf("partitioning did not speed up iteration: %v -> %v us", base.TotalUs, opt.TotalUs)
+	}
+}
+
+// TestRunWithoutFiniteCandidatesIgnoresPooledScratch pins the DP's answer
+// when no candidate has a finite cost, as on a spine whose 1e308
+// oversubscription overflows every cross-rack all-to-all price. No
+// candidate then improves on T[j] = +Inf, so best[j] is never written,
+// and the backtrack used to follow whatever choices an earlier run left in
+// the pooled scratch: a stale plan, or a rewrite failure. The answer must
+// be the same after any history: no pipelines and an infinite forward
+// time.
+func TestRunWithoutFiniteCandidatesIgnoresPooledScratch(t *testing.T) {
+	b, cm := buildFixture(t)
+	cl, err := hw.V100Cluster(2).WithTopology(hw.Topology{NodesPerRack: 1, Oversubscription: 1e308})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow := cost.NewModel(cl)
+	for i := range 4 {
+		// A finite run leaves its chosen pipelines in the pooled scratch.
+		if _, err := Run(b.Graph, cm, Options{GatePartialBatch: true}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(b.Graph, overflow, Options{GatePartialBatch: true})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if len(res.Ranges) != 0 || !math.IsInf(res.ForwardUs, 1) {
+			t.Fatalf("run %d: %d pipelines, forward %v us; want none and +Inf", i, len(res.Ranges), res.ForwardUs)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -45,6 +46,25 @@ type Result struct {
 	// artifacts leave it out. The service folds it into the /v1/stats
 	// dp_evaluations counter at compute time instead.
 	evaluations int
+
+	// encoded is the result's JSON exactly as it sits one level deep in an
+	// indented response, set once by seal before the result enters the
+	// memory tier, so /v1/plan hits copy it instead of re-encoding
+	// (DESIGN.md §9). Unexported, so no encoding of the result carries it.
+	encoded []byte
+}
+
+// seal encodes r once, as json.MarshalIndent(r, "  ", "  "): the bytes it
+// occupies as a field of an indented response. A result JSON cannot encode
+// (a simulated time that overflowed to +Inf) is a computation error, so it
+// is never stored and never served as a 200.
+func (r *Result) seal() error {
+	b, err := json.MarshalIndent(r, "  ", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding the %s result: %w", r.Framework, err)
+	}
+	r.encoded = b
+	return nil
 }
 
 // WhatIfResult is the JSON shape of a node-loss what-if answer

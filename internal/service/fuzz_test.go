@@ -10,11 +10,12 @@ import (
 )
 
 // FuzzPlanRequest drives arbitrary JSON bodies through the request
-// decode/canonicalize path and pins two properties: canonicalization never
-// panics, and the canonical cache keys are stable under the echo round-trip
-// (echo a canonical request, re-canonicalize it, land on the same session
-// and plan keys) — the invariant that makes every echoed response
-// resubmittable onto its own cache entry.
+// decode/canonicalize path and pins three properties: canonicalization
+// never panics, the canonical cache keys are stable under the echo
+// round-trip (echo a canonical request, re-canonicalize it, land on the
+// same session and plan keys) — the invariant that makes every echoed
+// response resubmittable onto its own cache entry — and the keys equal
+// their fmt spellings (planKeyRef), so no stored artifact is orphaned.
 func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"framework": "raf", "baseline": "none"}`))
@@ -25,6 +26,11 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"classes": [{"gpu": "v100", "nodes": 2}], "batch": 7, "shared_expert": true}`))
 	f.Add([]byte(`{"options": {"assume_uniform_routing": true, "assume_flat_topology": true, "assume_uniform_hardware": true, "assume_sole_tenancy": true}}`))
 	f.Add([]byte(`{"gpus": 32, "what_if": {"lost_nodes": [3, 1, 3]}}`))
+	f.Add([]byte(`{"options": {"group_us": 1e21, "max_range_groups": 3}}`))
+	f.Add([]byte(`{"options": {"group_us": 1e-7, "disable_partition": true, "dw_first_fit": true}}`))
+	f.Add([]byte(`{"topology": {"oversub": 2.5, "spine_share": 0.5}, "gpus": 32}`))
+	f.Add([]byte(`{"classes": [{"gpu": "A100", "nodes": 2}, {"gpu": "V100", "nodes": 1}, {"gpu": "A100", "nodes": 1}], "routing": {"kind": "zipf", "alpha": 0.35}}`))
+	f.Add([]byte(`{"classes": [{"gpu": "A100", "nodes": 2}, {"gpu": "V100", "nodes": 2}], "what_if": {"lost_nodes": [0, 3]}, "options": {"disable_dw_schedule": true}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req PlanRequest
 		if err := json.Unmarshal(data, &req); err != nil {
@@ -36,6 +42,7 @@ func FuzzPlanRequest(f *testing.F) {
 			// them for us).
 			return
 		}
+		checkKeysMatchRef(t, c)
 		echo := c.echo()
 		blob, err := json.Marshal(echo)
 		if err != nil {

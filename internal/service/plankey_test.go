@@ -2,10 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"lancet"
+	"lancet/internal/netsim"
 )
 
 // TestPlanKeyGolden pins the plan-key text of the request shapes the
@@ -63,5 +65,99 @@ func TestPlanKeyGolden(t *testing.T) {
 				t.Errorf("tutel plan key\n got %s\nwant %s", got, tc.tutel)
 			}
 		})
+	}
+}
+
+// planKeyRef is the plan key as one fmt.Sprintf formats it, the spelling
+// planKey replaced with strconv appends. planKey must equal it byte for
+// byte: a key that changed would orphan every disk artifact stored under
+// the old one.
+func planKeyRef(c *canonical, framework string) string {
+	opts, loss := c.opts, ""
+	if framework != lancet.FrameworkLancet {
+		opts = PlanOptions{}
+	} else if len(c.lostNodes) > 0 {
+		loss = fmt.Sprintf("|loss=%v", c.lostNodes)
+	}
+	return fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|rt=%s|topo=%s%s|%s|seed%d|%+v%s",
+		c.cfg.Name, c.clusterType, c.gpus, c.cfg.BatchPerGPU, c.cfg.Gate,
+		c.cfg.SharedExpert, c.cfg.ZeRO3, routingKeyRef(c), c.topo.key(), hwKeyRef(c),
+		framework, c.seed, opts, loss)
+}
+
+// sessionKeyRef is sessionKey's fmt spelling.
+func sessionKeyRef(c *canonical) string {
+	return fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|topo=%s%s",
+		c.cfg.Name, c.clusterType, c.gpus, c.cfg.BatchPerGPU, c.cfg.Gate,
+		c.cfg.SharedExpert, c.cfg.ZeRO3, c.topo.key(), hwKeyRef(c))
+}
+
+func routingKeyRef(c *canonical) string {
+	if c.profile != nil {
+		return fmt.Sprintf("stream(%016x)", c.profile.Fingerprint())
+	}
+	return c.routing.key()
+}
+
+func hwKeyRef(c *canonical) string {
+	if len(c.classes) == 0 {
+		return ""
+	}
+	parts := make([]string, len(c.classes))
+	for i, cs := range c.classes {
+		parts[i] = fmt.Sprintf("%dx%s", cs.Nodes, cs.GPU)
+	}
+	return "|hw=" + strings.Join(parts, "+")
+}
+
+func (t TopologySpec) key() string {
+	if t == (TopologySpec{}) {
+		return "flat"
+	}
+	key := fmt.Sprintf("r%dxo%g", t.NodesPerRack, t.Oversub)
+	if t.SpineShare != 0 && t.SpineShare < 1 {
+		key += fmt.Sprintf("xs%g", t.SpineShare)
+	}
+	return key
+}
+
+func (r RoutingSpec) key() string {
+	switch r.Kind {
+	case RoutingZipf:
+		return fmt.Sprintf("zipf(%g)", r.Alpha)
+	case RoutingHot:
+		return fmt.Sprintf("hot(%g)", r.HotShare)
+	}
+	return RoutingUniform
+}
+
+// checkKeysMatchRef fails unless c's session key and its lancet and tutel
+// plan keys equal their fmt spellings.
+func checkKeysMatchRef(t *testing.T, c *canonical) {
+	t.Helper()
+	if got, want := c.sessionKey(), sessionKeyRef(c); got != want {
+		t.Fatalf("session key\n got %s\nwant %s", got, want)
+	}
+	for _, fw := range []string{lancet.FrameworkLancet, lancet.FrameworkTutel} {
+		if got, want := c.planKey(fw), planKeyRef(c, fw); got != want {
+			t.Fatalf("%s plan key\n got %s\nwant %s", fw, got, want)
+		}
+	}
+}
+
+// TestStreamPlanKeysMatchFmt covers the drift loop's rt=stream(...)
+// fragment, which no request body can spell: a streamed profile's 64-bit
+// fingerprint in 16 zero-padded hex digits.
+func TestStreamPlanKeysMatchFmt(t *testing.T) {
+	c, err := PlanRequest{GPUs: 32, Options: PlanOptions{GroupUs: 2.5e-7}}.canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*netsim.RoutingProfile{
+		netsim.UniformProfile(32),
+		netsim.ZipfProfile(32, 1.2),
+		netsim.ZipfProfile(32, 0.01),
+	} {
+		checkKeysMatchRef(t, c.withProfile(p))
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"lancet"
@@ -11,9 +12,10 @@ import (
 
 // PlanOptions is the wire form of lancet.Options: the optimization knobs
 // under JSON names, plus the assume_* ablation flags, which toLancet
-// composes into the planner view (DESIGN.md §8). planKey formats it with
-// %+v, so its Go field names are part of every plan key and of every disk
-// artifact's name: renaming or reordering a field orphans stored plans.
+// composes into the planner view (DESIGN.md §8). planKey spells it as %+v
+// prints it (appendKey), so its Go field names are part of every plan key
+// and of every disk artifact's name: renaming or reordering a field
+// orphans stored plans.
 type PlanOptions struct {
 	MaxPartitions      int     `json:"max_partitions,omitempty"`
 	GroupUs            float64 `json:"group_us,omitempty"`
@@ -64,6 +66,25 @@ func (o PlanOptions) toLancet() lancet.Options {
 	return opts
 }
 
+// appendKey appends the options as %+v prints them, "{MaxPartitions:0
+// GroupUs:0 ...}", field by field in declaration order. A new field must
+// be appended here too: FuzzPlanRequest checks planKey against the %+v
+// spelling.
+func (o PlanOptions) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "{MaxPartitions:"...), int64(o.MaxPartitions), 10)
+	b = appendFloat(append(b, " GroupUs:"...), o.GroupUs)
+	b = strconv.AppendInt(append(b, " MaxRangeGroups:"...), int64(o.MaxRangeGroups), 10)
+	b = strconv.AppendBool(append(b, " DisableDWSchedule:"...), o.DisableDWSchedule)
+	b = strconv.AppendBool(append(b, " DisablePartition:"...), o.DisablePartition)
+	b = strconv.AppendBool(append(b, " DWFirstFit:"...), o.DWFirstFit)
+	b = strconv.AppendBool(append(b, " PrioritizeAllToAll:"...), o.PrioritizeAllToAll)
+	b = strconv.AppendBool(append(b, " AssumeUniformRouting:"...), o.AssumeUniformRouting)
+	b = strconv.AppendBool(append(b, " AssumeFlatTopology:"...), o.AssumeFlatTopology)
+	b = strconv.AppendBool(append(b, " AssumeUniformHardware:"...), o.AssumeUniformHardware)
+	b = strconv.AppendBool(append(b, " AssumeSoleTenancy:"...), o.AssumeSoleTenancy)
+	return append(b, '}')
+}
+
 // TopologySpec selects the cluster's network hierarchy for /v1/plan and
 // /v1/sweep (DESIGN.md §11): nodes per rack switch, the spine's
 // oversubscription factor, and the job's tenant share of the (possibly
@@ -85,18 +106,26 @@ func (t TopologySpec) toTopology() lancet.Topology {
 	return lancet.Topology{NodesPerRack: t.NodesPerRack, Oversubscription: t.Oversub, SpineShare: t.SpineShare}.DefaultRacks()
 }
 
-// key is the topology spec's canonical cache-key fragment. Sole-tenant
-// specs keep the pre-contention key form, so existing cached entries stay
-// valid.
-func (t TopologySpec) key() string {
+// appendKey appends the topology spec's canonical cache-key fragment:
+// "flat", or r<nodes per rack>xo<oversub> with xs<share> when the tenant
+// share binds. Sole-tenant specs keep the pre-contention key form, so
+// existing cached entries stay valid.
+func (t TopologySpec) appendKey(b []byte) []byte {
 	if t == (TopologySpec{}) {
-		return "flat"
+		return append(b, "flat"...)
 	}
-	key := fmt.Sprintf("r%dxo%g", t.NodesPerRack, t.Oversub)
+	b = strconv.AppendInt(append(b, 'r'), int64(t.NodesPerRack), 10)
+	b = appendFloat(append(b, "xo"...), t.Oversub)
 	if t.SpineShare != 0 && t.SpineShare < 1 {
-		key += fmt.Sprintf("xs%g", t.SpineShare)
+		b = appendFloat(append(b, "xs"...), t.SpineShare)
 	}
-	return key
+	return b
+}
+
+// appendFloat appends f as fmt's %g and %v print it, so keys built without
+// fmt keep their bytes.
+func appendFloat(b []byte, f float64) []byte {
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // ClassSpec is one slice of a mixed-generation fleet for /v1/plan and
@@ -131,16 +160,6 @@ func normalizeClasses(specs []ClassSpec, clusterType string, gpus int) ([]lancet
 		classes = append(classes, nc)
 	}
 	return classes, nil
-}
-
-// classesKey is the canonical cache-key fragment of a hetero fleet,
-// e.g. "1xA100+1xV100".
-func classesKey(classes []ClassSpec) string {
-	parts := make([]string, len(classes))
-	for i, cs := range classes {
-		parts[i] = fmt.Sprintf("%dx%s", cs.Nodes, cs.GPU)
-	}
-	return strings.Join(parts, "+")
 }
 
 // RoutingSpec selects the workload's routing shape for /v1/plan and
@@ -208,15 +227,18 @@ func (r RoutingSpec) workload() (skew, hotExpert float64) {
 	return 0, 0
 }
 
-// key is the routing spec's canonical cache-key fragment.
-func (r RoutingSpec) key() string {
+// appendKey appends the routing spec's canonical cache-key fragment:
+// "uniform", zipf(<alpha>) or hot(<hot share>).
+func (r RoutingSpec) appendKey(b []byte) []byte {
 	switch r.Kind {
 	case RoutingZipf:
-		return fmt.Sprintf("zipf(%g)", r.Alpha)
+		b = appendFloat(append(b, "zipf("...), r.Alpha)
 	case RoutingHot:
-		return fmt.Sprintf("hot(%g)", r.HotShare)
+		b = appendFloat(append(b, "hot("...), r.HotShare)
+	default:
+		return append(b, RoutingUniform...)
 	}
-	return RoutingUniform
+	return append(b, ')')
 }
 
 // PlanRequest is the body of POST /v1/plan. Zero values select the same
@@ -487,29 +509,55 @@ func (c *canonical) echo() PlanRequest {
 // spelling keeps the pre-heterogeneity key form; a mixed fleet appends its
 // canonical class mix. planKey spells the same fields.
 func (c *canonical) sessionKey() string {
-	return fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|topo=%s%s",
-		c.cfg.Name, c.clusterType, c.gpus, c.cfg.BatchPerGPU, c.cfg.Gate,
-		c.cfg.SharedExpert, c.cfg.ZeRO3, c.topo.key(), c.hwKey())
+	var buf [256]byte
+	return string(c.appendFleetKey(c.appendModelKey(buf[:0])))
 }
 
-// hwKey is a mixed fleet's |hw= key fragment; empty for uniform fleets.
-func (c *canonical) hwKey() string {
-	if len(c.classes) == 0 {
-		return ""
-	}
-	return "|hw=" + classesKey(c.classes)
+// appendModelKey appends the fields every key starts with: model, cluster
+// type, GPU count, batch, gate, shared expert and ZeRO-3.
+func (c *canonical) appendModelKey(b []byte) []byte {
+	b = append(append(b, c.cfg.Name...), '|')
+	b = append(append(b, c.clusterType...), '|')
+	b = strconv.AppendInt(b, int64(c.gpus), 10)
+	b = strconv.AppendInt(append(b, "|b"...), int64(c.cfg.BatchPerGPU), 10)
+	b = append(append(b, '|'), c.cfg.Gate.String()...)
+	b = strconv.AppendBool(append(b, "|shared"...), c.cfg.SharedExpert)
+	return strconv.AppendBool(append(b, "|zero3"...), c.cfg.ZeRO3)
 }
 
-// routingKey is the canonical rt= cache-key fragment: the routing spec's
-// form for parametric workloads, or the streamed profile's content
-// fingerprint for drift-loop re-plans (DESIGN.md §16) — so a re-plan for a
-// traffic shape the store has already seen (oscillating drift) is a cache
-// hit, not a recomputation.
-func (c *canonical) routingKey() string {
-	if c.profile != nil {
-		return fmt.Sprintf("stream(%016x)", c.profile.Fingerprint())
+// appendFleetKey appends the topology fragment and, for a mixed fleet, its
+// canonical class mix, e.g. "|topo=flat|hw=1xA100+1xV100". Uniform fleets
+// carry no hw fragment.
+func (c *canonical) appendFleetKey(b []byte) []byte {
+	b = c.topo.appendKey(append(b, "|topo="...))
+	for i, cs := range c.classes {
+		if i == 0 {
+			b = append(b, "|hw="...)
+		} else {
+			b = append(b, '+')
+		}
+		b = append(strconv.AppendInt(b, int64(cs.Nodes), 10), 'x')
+		b = append(b, cs.GPU...)
 	}
-	return c.routing.key()
+	return b
+}
+
+// appendRoutingKey appends the canonical rt= cache-key fragment: the
+// routing spec's form for parametric workloads, or the streamed profile's
+// content fingerprint for drift-loop re-plans (DESIGN.md §16) — so a
+// re-plan for a traffic shape the store has already seen (oscillating
+// drift) is a cache hit, not a recomputation.
+func (c *canonical) appendRoutingKey(b []byte) []byte {
+	if c.profile == nil {
+		return c.routing.appendKey(b)
+	}
+	const hex = "0123456789abcdef"
+	fp := c.profile.Fingerprint()
+	b = append(b, "stream("...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[fp>>shift&0xf])
+	}
+	return append(b, ')')
 }
 
 // withProfile returns a copy of c whose workload is the streamed profile:
@@ -523,21 +571,34 @@ func (c *canonical) withProfile(p *netsim.RoutingProfile) *canonical {
 
 // planKey identifies one framework's plan-and-simulate outcome in the plan
 // store: the session key's fields with the routing's rt= fragment before
-// the topology, plus framework, seed and optimization options, formatted
-// in one pass (plan-store hits build it on every request). Options only
-// shape the Lancet plan (Compute ignores them for baselines), so baseline
-// entries are shared across option values.
+// the topology, plus framework, seed and optimization options. Plan-store
+// hits build it on every request, so it appends into one stack buffer with
+// strconv and allocates only the returned string. Options only shape the
+// Lancet plan (Compute ignores them for baselines), so baseline entries
+// are shared across option values.
 func (c *canonical) planKey(framework string) string {
-	opts, loss := c.opts, ""
+	var buf [512]byte
+	b := c.appendModelKey(buf[:0])
+	b = c.appendRoutingKey(append(b, "|rt="...))
+	b = c.appendFleetKey(b)
+	b = append(append(b, '|'), framework...)
+	b = strconv.AppendInt(append(b, "|seed"...), c.seed, 10)
+	b = append(b, '|')
 	if framework != lancet.FrameworkLancet {
-		opts = PlanOptions{}
-	} else if len(c.lostNodes) > 0 {
-		// The what-if block rides on the lancet plan's store entry; baseline
-		// entries stay shared with what-if-free requests.
-		loss = fmt.Sprintf("|loss=%v", c.lostNodes)
+		return string(PlanOptions{}.appendKey(b))
 	}
-	return fmt.Sprintf("%s|%s|%d|b%d|%s|shared%t|zero3%t|rt=%s|topo=%s%s|%s|seed%d|%+v%s",
-		c.cfg.Name, c.clusterType, c.gpus, c.cfg.BatchPerGPU, c.cfg.Gate,
-		c.cfg.SharedExpert, c.cfg.ZeRO3, c.routingKey(), c.topo.key(), c.hwKey(),
-		framework, c.seed, opts, loss)
+	b = c.opts.appendKey(b)
+	// The what-if block rides on the lancet plan's store entry; baseline
+	// entries stay shared with what-if-free requests.
+	if len(c.lostNodes) > 0 {
+		b = append(b, "|loss=["...)
+		for i, n := range c.lostNodes {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
+		b = append(b, ']')
+	}
+	return string(b)
 }

@@ -213,12 +213,9 @@ func (s *Service) session(c *canonical) (*lancet.Session, error) {
 // share, or a fresh computation written through to both tiers. The
 // returned cache state is "hit", "disk", "shared" or "miss". Every
 // computation it runs is cold, so a stored /v1/plan or /v1/sweep entry
-// never depends on what was requested before it. Panics while planning are
-// contained and returned as errors, so a bad grid point cannot take down
-// sweep workers (plain goroutines with no net/http recovery) or the whole
-// server.
+// never depends on what was requested before it.
 func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
-	return s.resultForWith(c, fw, nil, func() (*lancet.Session, error) { return s.session(c) })
+	return s.resultForWith(c, fw, nil, nil)
 }
 
 // resultForWith is resultFor with an explicit session provider and DP
@@ -226,20 +223,32 @@ func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
 // and singleflight (write-through, restart-restorable), but against a
 // dedicated session whose workload is a streamed profile rather than a
 // pooled parametric one (DESIGN.md §16). sessionFn runs only on a full
-// store miss. hint, when non-nil, warm-starts the partition DP from the
-// outgoing plan. It is absent from the plan key although it can change the
-// chosen plan (DESIGN.md §14): the drift loop's keys carry the streamed
-// profile's fingerprint, which no /v1/plan or /v1/sweep request can spell.
-func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
+// store miss; nil selects the pooled session. hint, when non-nil,
+// warm-starts the partition DP from the outgoing plan. It is absent from
+// the plan key although it can change the chosen plan (DESIGN.md §14):
+// the drift loop's keys carry the streamed profile's fingerprint, which no
+// /v1/plan or /v1/sweep request can spell.
+func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (*Result, string, error) {
+	key := c.planKey(fw)
+	if r, ok := s.plans.get(key); ok {
+		return r, "hit", nil
+	}
+	return s.fill(c, key, fw, hint, sessionFn)
+}
+
+// fill serves a lookup of key that the memory tier missed: the re-check
+// under the flight, the disk tier, or a computation. Every result it
+// publishes to the memory tier is sealed first, so a result JSON cannot
+// encode is an error that neither tier stores. Panics while planning are
+// contained and returned as errors, so a bad grid point cannot take down
+// sweep workers (plain goroutines with no net/http recovery) or the whole
+// server.
+func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r, state, err = nil, "error", fmt.Errorf("panic while planning %s: %v", fw, p)
 		}
 	}()
-	key := c.planKey(fw)
-	if r, ok := s.plans.get(key); ok {
-		return r, "hit", nil
-	}
 	fromStore, fromDisk := false, false
 	r, err, shared := s.planFlight.do(key, func() (*Result, error) {
 		// Re-check under the flight: a previous leader may have stored the
@@ -255,7 +264,7 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 		if s.disk != nil {
 			if payload, ok := s.disk.get(key); ok {
 				var res Result
-				if err := json.Unmarshal(payload, &res); err == nil {
+				if err := json.Unmarshal(payload, &res); err == nil && res.seal() == nil {
 					fromDisk = true
 					s.plans.put(key, &res)
 					return &res, nil
@@ -267,7 +276,13 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 			}
 		}
 		s.planMisses.Add(1)
-		sess, err := sessionFn()
+		var sess *lancet.Session
+		var err error
+		if sessionFn != nil {
+			sess, err = sessionFn()
+		} else {
+			sess, err = s.session(c)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -279,6 +294,9 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 			return nil, err
 		}
 		s.dpEvals.Add(int64(res.evaluations))
+		if err := res.seal(); err != nil {
+			return nil, err
+		}
 		s.plans.put(key, &res)
 		if s.disk != nil {
 			if payload, err := json.Marshal(&res); err == nil {
@@ -331,6 +349,8 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as an indented JSON reply. /v1/plan writes the same
+// bytes around its stored results' sealed encodings instead (planBody).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
@@ -364,39 +384,87 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The main plan and the baseline are independent computations; overlap
-	// them so a cold default request doesn't pay for both sequentially.
+	// A baseline the memory tier holds is read here. One that must come
+	// from disk or be computed is independent of the main plan, so it runs
+	// concurrently and a cold default request doesn't pay for both
+	// sequentially.
 	var base *Result
-	var baseErr error
-	baseDone := make(chan struct{})
+	var pending chan outcome
 	if c.baseline != "" {
-		go func() {
-			defer close(baseDone)
-			base, _, baseErr = s.resultFor(c, c.baseline)
-		}()
+		key := c.planKey(c.baseline)
+		var ok bool
+		if base, ok = s.plans.get(key); !ok {
+			pending = make(chan outcome, 1)
+			go func() {
+				var o outcome
+				o.r, _, o.err = s.fill(c, key, c.baseline, nil, nil)
+				pending <- o
+			}()
+		}
 	}
 	res, state, err := s.resultFor(c, c.framework)
-	if c.baseline != "" {
-		<-baseDone
+	if pending != nil {
+		o := <-pending
+		base = o.r
+		if err == nil {
+			err = o.err
+		}
 	}
+	var body []byte
 	if err == nil {
-		err = baseErr
+		body, err = planBody(c, res, base)
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := PlanResponse{Request: c.echo(), Result: res}
-	if c.baseline != "" {
-		resp.Baseline = base
-		if !res.OOM && !base.OOM && res.IterationMs > 0 {
-			resp.SpeedupOverBaseline = base.IterationMs / res.IterationMs
-		}
-	}
 	// The cache verdict travels in a header so identical requests get
 	// byte-identical bodies whether served fresh, shared or from the store.
 	w.Header().Set("X-Lancet-Cache", state)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
+}
+
+// outcome is a baseline lookup's answer, handed back from its goroutine.
+type outcome struct {
+	r   *Result
+	err error
+}
+
+// planBody renders a /v1/plan response: the PlanResponse envelope around
+// the results' sealed bytes, exactly what writeJSON writes for
+// PlanResponse{...} — the same indentation, omitempty rules and trailing
+// newline — without re-encoding results that never change (DESIGN.md §9).
+// Only the request echo and the speedup are encoded per request. base is
+// nil when the comparison is disabled.
+func planBody(c *canonical, res, base *Result) ([]byte, error) {
+	echo, err := json.MarshalIndent(c.echo(), "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	var speedup []byte
+	if base != nil && !res.OOM && !base.OOM && res.IterationMs > 0 {
+		if x := base.IterationMs / res.IterationMs; x != 0 {
+			if speedup, err = json.Marshal(x); err != nil {
+				return nil, err
+			}
+		}
+	}
+	n := len(echo) + len(res.encoded) + len(speedup) + 80
+	if base != nil {
+		n += len(base.encoded)
+	}
+	b := make([]byte, 0, n)
+	b = append(append(b, "{\n  \"request\": "...), echo...)
+	b = append(append(b, ",\n  \"result\": "...), res.encoded...)
+	if base != nil {
+		b = append(append(b, ",\n  \"baseline\": "...), base.encoded...)
+	}
+	if speedup != nil {
+		b = append(append(b, ",\n  \"speedup_over_baseline\": "...), speedup...)
+	}
+	return append(b, "\n}\n"...), nil
 }
 
 // SweepRequest is the body of POST /v1/sweep: a grid of configurations,
