@@ -1,7 +1,7 @@
 // Command lancet-serve runs the long-lived planning service: an HTTP/JSON
-// front end over the Session/Plan API with a bounded LRU plan store and
-// singleflight deduplication, so repeated and concurrent identical requests
-// are served without re-running the optimization passes (DESIGN.md §9).
+// front end over the Session/Plan API with a bounded, build-once LRU plan
+// store, so repeated and concurrent identical requests are served without
+// re-running the optimization passes (DESIGN.md §9).
 //
 // With -store-dir the plan store becomes durable (DESIGN.md §14): every
 // computed plan is written through to a checksummed on-disk artifact, and
@@ -53,9 +53,9 @@ func main() {
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "sweep worker-pool size")
 		storeDir  = flag.String("store-dir", "", "durable plan-store directory (empty = memory only)")
 		driftThr  = flag.Float64("drift-threshold", 0.1,
-			"normalized L1 traffic distance beyond which /v1/routing re-plans in the background (negative disables)")
+			"normalized L1 traffic distance beyond which /v1/routing re-plans in the background (0 selects the default; negative disables)")
 		halfLife = flag.Float64("decay-half-life", 8,
-			"updates over which a /v1/routing observation's influence halves (<= 0 keeps every update forever)")
+			"updates over which a /v1/routing observation's influence halves (0 selects the default; negative keeps every update forever)")
 	)
 	flag.Parse()
 

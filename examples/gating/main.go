@@ -52,6 +52,6 @@ func main() {
 		}
 		b, l := base.MustSimulate(2), plan.MustSimulate(2)
 		fmt.Printf("%-18s %6.1f ms -> %6.1f ms  (%.2fx, %d pipelines)\n",
-			g.name, b.IterationMs, l.IterationMs, b.IterationMs/l.IterationMs, plan.PipelineRanges)
+			g.name, b.IterationMs, l.IterationMs, b.IterationMs/l.IterationMs, len(plan.Pipelines))
 	}
 }

@@ -40,6 +40,6 @@ func main() {
 	fmt.Printf("%-10s iteration %6.1f ms (non-overlapped comm %6.1f ms)\n",
 		plan.Name, r.IterationMs, r.NonOverlappedCommMs)
 	fmt.Printf("\nLancet: %d pipelines, %.1f ms of all-to-all hidden behind dW computation\n",
-		plan.PipelineRanges, plan.DWOverlapUs/1000)
+		len(plan.Pipelines), plan.DWOverlapUs/1000)
 	fmt.Printf("speedup over best baseline: %.2fx\n", best/r.IterationMs)
 }

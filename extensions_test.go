@@ -314,7 +314,7 @@ func TestViTClassifierEndToEnd(t *testing.T) {
 	}
 	// BPR restricts partitioning to after the MoE layer; pipelines still
 	// form.
-	if lan.PipelineRanges == 0 {
+	if len(lan.Pipelines) == 0 {
 		t.Error("expected pipelines on the vision model")
 	}
 }

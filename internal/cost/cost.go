@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lancet/internal/cache"
 	"lancet/internal/hw"
 	"lancet/internal/ir"
 	"lancet/internal/netsim"
@@ -84,11 +85,9 @@ type Model struct {
 
 	// skewTabs holds the per-routing-profile interpolation tables that
 	// replace repeated netsim replays in AllToAllSkewedUs, keyed by profile
-	// fingerprint, built lazily and bounded at skewTableCap (see
-	// skewtable.go). skewTick orders their lookups for eviction.
-	skewTabMu sync.Mutex
-	skewTabs  map[uint64]*skewTableEntry
-	skewTick  uint64
+	// fingerprint, built once on first use and bounded at skewTableCap (see
+	// skewtable.go).
+	skewTabs *cache.Cache[uint64, *skewTable]
 
 	// uniReplay memoizes link-level replays of uniform matrices (the
 	// irregular size-exchange phase) on their per-device payload.
@@ -143,6 +142,7 @@ func NewModel(c hw.Cluster) *Model {
 		Cluster:      c,
 		computeScale: 1.0,
 		net:          netsim.New(c),
+		skewTabs:     cache.New[uint64, *skewTable](skewTableCap),
 	}
 	m.buildCommTables(c.TotalGPUs())
 	return m
@@ -160,6 +160,7 @@ func (m *Model) WithComputeScale(scale float64) *Model {
 		Cluster:        m.Cluster,
 		computeScale:   scale,
 		net:            m.net,
+		skewTabs:       cache.New[uint64, *skewTable](skewTableCap),
 		a2aTable:       m.a2aTable,
 		allreduceTable: m.allreduceTable,
 		allgatherTable: m.allgatherTable,
@@ -536,11 +537,7 @@ func (m *Model) ValidateProfile(prof *netsim.RoutingProfile) error {
 // must not accumulate one table per drift step forever. Other profiles'
 // tables (and the uniform comm tables) are untouched, so concurrent
 // predictions for live profiles never observe an invalidation.
-func (m *Model) InvalidateProfile(fp uint64) {
-	m.skewTabMu.Lock()
-	delete(m.skewTabs, fp)
-	m.skewTabMu.Unlock()
-}
+func (m *Model) InvalidateProfile(fp uint64) { m.skewTabs.Delete(fp) }
 
 // AllToAllSkewedUs prices an all-to-all whose per-pair traffic follows the
 // routing profile instead of the uniform split — the skew-aware path of

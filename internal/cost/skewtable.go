@@ -2,8 +2,8 @@ package cost
 
 import (
 	"fmt"
-	"sync"
 
+	"lancet/internal/cache"
 	"lancet/internal/netsim"
 )
 
@@ -61,54 +61,24 @@ func (t *skewTable) lookup(bytesPerDevice int64) float64 {
 	return interpolate(t.points, bytesPerDevice)
 }
 
-// skewTableEntry makes lazy per-fingerprint construction race-free: the
-// registry lock only guards the map, while the (expensive) build runs under
-// the entry's own once, so two goroutines warming different profiles build
-// concurrently and two warming the same profile build it exactly once.
-type skewTableEntry struct {
-	once sync.Once
-	tab  *skewTable
-	used uint64 // Model.skewTick at the last lookup, guarded by skewTabMu
-}
-
 // skewTableFor returns the interpolation table for the profile, building it
-// on first use. A build counts as a memo miss and a reuse as a hit. Beyond
-// skewTableCap tables the least recently used one is dropped; a caller
-// still building or holding it keeps its entry.
+// on first use; concurrent first uses of one profile build it once. A build
+// counts as a memo miss and a reuse as a hit. Beyond skewTableCap tables
+// the least recently used one is dropped; a caller holding it keeps it.
 func (m *Model) skewTableFor(prof *netsim.RoutingProfile) *skewTable {
-	fp := prof.Fingerprint()
-	m.skewTabMu.Lock()
-	m.skewTick++
-	e, ok := m.skewTabs[fp]
-	if !ok {
-		if m.skewTabs == nil {
-			m.skewTabs = make(map[uint64]*skewTableEntry)
-		}
-		e = &skewTableEntry{}
-		m.skewTabs[fp] = e
-	}
-	e.used = m.skewTick
-	if len(m.skewTabs) > skewTableCap {
-		oldest, used := fp, e.used
-		for k, o := range m.skewTabs {
-			if o.used < used {
-				oldest, used = k, o.used
-			}
-		}
-		delete(m.skewTabs, oldest)
-	}
-	m.skewTabMu.Unlock()
-	built := false
-	e.once.Do(func() {
-		e.tab = m.buildSkewTable(prof)
-		built = true
+	tab, src, err := m.skewTabs.Do(prof.Fingerprint(), func() (*skewTable, error) {
+		return m.buildSkewTable(prof), nil
 	})
-	if built {
+	if err != nil {
+		// The build panicked in the goroutine that ran it.
+		panic(fmt.Sprintf("cost: skew table build: %v", err))
+	}
+	if src == cache.Built {
 		m.misses.Add(1)
 	} else {
 		m.hits.Add(1)
 	}
-	return e.tab
+	return tab
 }
 
 // buildSkewTable replays the profile's transfer matrix at a geometric byte

@@ -225,10 +225,8 @@ func TestInvalidateProfile(t *testing.T) {
 
 	m.InvalidateProfile(old.Fingerprint())
 
-	m.skewTabMu.Lock()
-	_, oldTab := m.skewTabs[old.Fingerprint()]
-	_, keepTab := m.skewTabs[keep.Fingerprint()]
-	m.skewTabMu.Unlock()
+	_, oldTab := m.skewTabs.Get(old.Fingerprint())
+	_, keepTab := m.skewTabs.Get(keep.Fingerprint())
 	if oldTab {
 		t.Error("invalidated fingerprint still has an interpolation table")
 	}
@@ -263,24 +261,17 @@ func TestSkewTableCap(t *testing.T) {
 	hot := netsim.HotExpertProfile(g, 0.6)
 	wantFirst := m.AllToAllSkewedUs(32<<20, first)
 	wantHot := m.AllToAllSkewedUs(32<<20, hot)
-	tables := func() int {
-		m.skewTabMu.Lock()
-		defer m.skewTabMu.Unlock()
-		return len(m.skewTabs)
-	}
 	for i := range 2 * skewTableCap {
 		m.AllToAllSkewedUs(32<<20, netsim.ZipfProfile(g, 0.6+0.05*float64(i)))
 		if got := m.AllToAllSkewedUs(32<<20, hot); got != wantHot {
 			t.Fatalf("step %d: hot profile prices %v, want %v", i, got, wantHot)
 		}
-		if n := tables(); n > skewTableCap {
+		if n := m.skewTabs.Len(); n > skewTableCap {
 			t.Fatalf("step %d: %d skew tables, cap %d", i, n, skewTableCap)
 		}
 	}
-	m.skewTabMu.Lock()
-	_, firstTab := m.skewTabs[first.Fingerprint()]
-	_, hotTab := m.skewTabs[hot.Fingerprint()]
-	m.skewTabMu.Unlock()
+	_, firstTab := m.skewTabs.Get(first.Fingerprint())
+	_, hotTab := m.skewTabs.Get(hot.Fingerprint())
 	if firstTab {
 		t.Error("the least recently used table survived twice the cap in newer ones")
 	}

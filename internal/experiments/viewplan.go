@@ -37,6 +37,6 @@ func blindVsAware(sess *lancet.Session, opts lancet.Options, view func(lancet.Vi
 	return []string{label,
 		fmt.Sprintf("%.1f", rb.MeanMs),
 		fmt.Sprintf("%.1f", ra.MeanMs),
-		fmt.Sprintf("%d/%d", blind.PipelineRanges, aware.PipelineRanges),
+		fmt.Sprintf("%d/%d", len(blind.Pipelines), len(aware.Pipelines)),
 		fmt.Sprintf("%.3fx", rb.MeanMs/ra.MeanMs)}, ra, nil
 }

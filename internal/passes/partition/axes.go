@@ -56,11 +56,12 @@ func (a Axis) String() string {
 // Assignment maps tensor IDs to their inferred partition axes.
 type Assignment map[int]Axis
 
-// inferAxes solves the partition axes of one window (see solveAxes) and
+// InferAxes solves the partition axes of one window (see solveAxes) and
 // returns them as an Assignment, or nil when the window is not
-// partitionable. It serves callers that keep the assignment; the DP window
-// loop reads the solution on the scratch instead.
-func inferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) Assignment {
+// partitionable. It serves callers that keep the assignment, externally
+// constructed windows included; the DP window loop reads the solution on
+// the scratch instead.
+func InferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) Assignment {
 	sc := getScratch()
 	defer putScratch(sc)
 	if !sc.solveAxes(g, window, gatePartialBatch) {

@@ -62,7 +62,7 @@ func BenchmarkPipelineCost(b *testing.B) {
 	built, cm := benchFixture(b)
 	h := built.MoE[0]
 	window := built.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(built.Graph, window, true)
+	asg := InferAxes(built.Graph, window, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pipelineCost(built.Graph, cm, window, asg, 4, nil, 1)

@@ -223,7 +223,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 		res.Ranges[l], res.Ranges[r] = res.Ranges[r], res.Ranges[l]
 	}
 
-	ng, err := applyRanges(g, res.Ranges)
+	ng, err := Apply(g, res.Ranges)
 	if err != nil {
 		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
 	}

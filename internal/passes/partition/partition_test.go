@@ -41,7 +41,7 @@ func moeWindow(b *model.Built, withGate, withGather bool) []*ir.Instr {
 func TestInferAxesCapacityOnly(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, false, false) // [a2a, experts, a2a]
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("a2a+experts window must be partitionable")
 	}
@@ -59,7 +59,7 @@ func TestInferAxesCapacityOnly(t *testing.T) {
 func TestInferAxesGatherForcesIrr(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, false, true) // [a2a, experts, a2a, gather]
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("window through gather must be partitionable")
 	}
@@ -83,7 +83,7 @@ func TestInferAxesGatherForcesIrr(t *testing.T) {
 func TestInferAxesGateEndpoints(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, true, true) // [gate, a2a, experts, a2a, gather]
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("full MoE window must be partitionable with a partial-batch gate")
 	}
@@ -108,11 +108,11 @@ func TestInferAxesGateEndpoints(t *testing.T) {
 
 func TestInferAxesBPRRejectsGate(t *testing.T) {
 	b, _ := buildFixture(t)
-	if asg := inferAxes(b.Graph, moeWindow(b, true, true), false); asg != nil {
+	if asg := InferAxes(b.Graph, moeWindow(b, true, true), false); asg != nil {
 		t.Error("batch-prioritized gate must not be partitionable")
 	}
 	// But the window after the gate remains legal (Fig. 4c).
-	if asg := inferAxes(b.Graph, moeWindow(b, false, true), false); asg == nil {
+	if asg := InferAxes(b.Graph, moeWindow(b, false, true), false); asg == nil {
 		t.Error("post-gate window must stay partitionable under BPR")
 	}
 }
@@ -175,7 +175,7 @@ func TestSchedulePlanOrder(t *testing.T) {
 func TestPipelineCostShape(t *testing.T) {
 	b, cm := buildFixture(t)
 	w := moeWindow(b, true, true)
-	asg := inferAxes(b.Graph, w, true)
+	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("window not partitionable")
 	}

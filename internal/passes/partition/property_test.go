@@ -87,7 +87,7 @@ func TestPipelineCostLowerBound(t *testing.T) {
 	b, cm := buildFixture(t)
 	h := b.MoE[0]
 	window := b.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := inferAxes(b.Graph, window, true)
+	asg := InferAxes(b.Graph, window, true)
 	for k := 2; k <= 8; k *= 2 {
 		p := pipelineCost(b.Graph, cm, window, asg, k, nil, 1)
 		// One partition's chain: every op at 1/k size, run serially.

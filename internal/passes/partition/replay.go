@@ -70,7 +70,7 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 			PredictedUs: p, SerialUs: serial,
 		})
 	}
-	ng, err := applyRanges(g, res.Ranges)
+	ng, err := Apply(g, res.Ranges)
 	if err != nil {
 		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
 	}

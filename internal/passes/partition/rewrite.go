@@ -10,7 +10,7 @@ import (
 	"lancet/internal/ir"
 )
 
-// applyRanges rewrites g, replacing each chosen range with its pipeline:
+// Apply rewrites g, replacing each chosen range with its pipeline:
 // Partition ops split the window's external inputs, k micro-instances of
 // every window op execute in the stage-interleaved order of Fig. 9, and
 // Reconstruct ops restore tensors the rest of the graph consumes
@@ -18,8 +18,10 @@ import (
 // Ranges may come in any order (Tutel's interleave forward and backward
 // windows); each pipeline's group ID is its range's index. The rewritten
 // graph shares g's tensors and the operand slices of every instruction it
-// copies unchanged (DESIGN.md §2).
-func applyRanges(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
+// copies unchanged (DESIGN.md §2). Run and Replay apply the DP's ranges;
+// the Tutel baseline applies externally constructed ones, fixing its
+// partition to the a2a+experts core instead of searching.
+func Apply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 	byStart := make([]int, len(ranges))
 	for i := range byStart {
 		byStart[i] = i
@@ -71,7 +73,7 @@ func applyRanges(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 	return rw.ng, nil
 }
 
-// rewriter is the working set of one applyRanges call. Produced and
+// rewriter is the working set of one Apply call. Produced and
 // already-split tensors, and each tensor's pieces, are generation-stamped
 // arrays indexed by the input graph's tensor IDs: bumping gen at each
 // pipeline invalidates every entry.
@@ -249,19 +251,6 @@ func scaledShape(s ir.Shape, axis Axis, k, p int) ir.Shape {
 		out[dim] = base
 	}
 	return out
-}
-
-// Apply materializes externally constructed ranges (used by the Tutel
-// baseline, which fixes its partition to the a2a+experts core instead of
-// searching).
-func Apply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
-	return applyRanges(g, ranges)
-}
-
-// InferAxes exposes partition-axis inference for externally constructed
-// windows.
-func InferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) Assignment {
-	return inferAxes(g, window, gatePartialBatch)
 }
 
 // PipelinePredictUs exposes the pipeline scheduler's P(i,n,k) estimate for

@@ -1,7 +1,7 @@
 // Package service is the plan-serving layer: a long-lived HTTP/JSON front
-// end over the Session/Plan API with a bounded LRU plan store and
-// singleflight deduplication of concurrent identical requests, so a burst
-// of N identical calls triggers one optimization run (see DESIGN.md §9).
+// end over the Session/Plan API with a bounded, build-once LRU plan store
+// that deduplicates concurrent identical requests, so a burst of N
+// identical calls triggers one optimization run (see DESIGN.md §9).
 //
 // The per-framework computation (Compute) is shared with cmd/lancet, which
 // makes service responses numerically identical to the CLI's output for
@@ -130,15 +130,15 @@ func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options, l
 		// its inputs so cached and freshly computed responses are
 		// byte-identical.
 		ks := ""
-		if len(plan.PipelineKs) > 0 {
-			parts := make([]string, len(plan.PipelineKs))
-			for i, k := range plan.PipelineKs {
-				parts[i] = fmt.Sprint(k)
+		if len(plan.Pipelines) > 0 {
+			parts := make([]string, len(plan.Pipelines))
+			for i, p := range plan.Pipelines {
+				parts[i] = fmt.Sprint(p.K)
 			}
 			ks = fmt.Sprintf(" (k %s)", strings.Join(parts, ","))
 		}
 		res.Notes = fmt.Sprintf("%d pipelines%s, dW overlap %.1f ms, rho %d",
-			plan.PipelineRanges, ks, plan.DWOverlapUs/1000, plan.RhoUsed)
+			len(plan.Pipelines), ks, plan.DWOverlapUs/1000, plan.RhoUsed)
 	}
 	if fw == lancet.FrameworkLancet && len(lostNodes) > 0 {
 		rep, err := sess.NodeLoss(plan, lostNodes, opts, seed)

@@ -153,24 +153,15 @@ func buildSession(c *canonical) (*lancet.Session, error) {
 // driftSessionFor returns the drift session for a canonicalized plan,
 // creating (and deduplicating concurrent creations of) it on first use.
 func (s *Service) driftSessionFor(c *canonical) (*driftSession, error) {
-	key := c.planKey(c.framework)
-	if d, ok := s.driftSessions.get(key); ok {
-		return d, nil
-	}
-	d, err, _ := s.driftFlight.do(key, func() (*driftSession, error) {
-		if d, ok := s.driftSessions.peek(key); ok {
-			return d, nil
-		}
-		d := &driftSession{c: c, acc: netsim.NewDecayedProfile(s.cfg.DecayHalfLife)}
-		s.driftSessions.put(key, d)
-		return d, nil
+	d, _, err := s.driftSessions.Do(c.planKey(c.framework), func() (*driftSession, error) {
+		return &driftSession{c: c, acc: netsim.NewDecayedProfile(s.cfg.DecayHalfLife)}, nil
 	})
 	return d, err
 }
 
 // replanOnce computes a plan for the profile cur and publishes it unless a
 // newer snapshot already landed. It serves through the shared two-tier
-// plan store and singleflight (resultForWith), so re-plans are written
+// plan store (resultForWith), so re-plans are deduplicated, written
 // through to disk, restored on restart, and oscillating traffic that
 // returns to a planned shape hits the store instead of recomputing. hint
 // warm-starts the partition DP from the outgoing plan. A hint can change

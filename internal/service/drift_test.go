@@ -516,3 +516,48 @@ func TestDriftSessionKeySeparation(t *testing.T) {
 		t.Errorf("drift sessions = %d, want 2", n)
 	}
 }
+
+// TestConfigZeroSelectsDriftDefaults pins what zero and negative drift
+// settings mean: the zero Config selects a 0.1 threshold and an 8-update
+// half-life, and a negative half-life keeps every update forever, so a
+// drift session's profile after two updates is their plain sum's.
+func TestConfigZeroSelectsDriftDefaults(t *testing.T) {
+	if cfg := New(Config{}).cfg; cfg.DriftThreshold != 0.1 || cfg.DecayHalfLife != 8 {
+		t.Errorf("zero Config: threshold %g, half-life %g; want 0.1 and 8", cfg.DriftThreshold, cfg.DecayHalfLife)
+	}
+	c, err := driftPlan.canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := netsim.UniformProfile(16).Counts(), netsim.ZipfProfile(16, 1.2).Counts()
+	sum := make([][]int64, len(a))
+	for i := range a {
+		sum[i] = make([]int64, len(a[i]))
+		for j := range a[i] {
+			sum[i][j] = a[i][j] + b[i][j]
+		}
+	}
+	fingerprint := func(halfLife float64, updates ...[][]int64) uint64 {
+		d, err := New(Config{DecayHalfLife: halfLife}).driftSessionFor(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range updates {
+			if err := d.acc.Ingest(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := d.acc.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Fingerprint()
+	}
+	undecayed := fingerprint(-1, sum)
+	if fingerprint(-1, a, b) != undecayed {
+		t.Error("a negative half-life decayed the first update")
+	}
+	if fingerprint(0, a, b) == undecayed {
+		t.Error("the zero half-life kept every update forever; want the default decay")
+	}
+}

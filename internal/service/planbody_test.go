@@ -39,7 +39,7 @@ func referenceBody(t *testing.T, svc *Service, body string) []byte {
 	t.Helper()
 	c := canonicalBody(t, body)
 	stored := func(fw string) *Result {
-		r, ok := svc.plans.peek(c.planKey(fw))
+		r, ok := svc.plans.Get(c.planKey(fw))
 		if !ok {
 			t.Fatalf("%s: no stored %s result", body, fw)
 		}
@@ -149,9 +149,9 @@ func TestPlanBodyMatchesReferenceEncoder(t *testing.T) {
 			}()
 		}
 		deadline := time.Now().Add(30 * time.Second)
-		for svc.planFlight.dedupedCount() < callers {
+		for svc.plans.Stats().Deduplicated < callers {
 			if time.Now().After(deadline) {
-				t.Fatalf("only %d of %d requests joined the flight", svc.planFlight.dedupedCount(), callers)
+				t.Fatalf("only %d of %d requests joined the flight", svc.plans.Stats().Deduplicated, callers)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"lancet"
+	"lancet/internal/cache"
 	"lancet/internal/experiments"
 	"lancet/internal/pool"
 )
@@ -41,13 +42,13 @@ type Config struct {
 	// DriftThreshold is the normalized L1 distance (in [0, 2], see
 	// netsim.RoutingProfile.L1Distance) between a drift session's decayed
 	// traffic snapshot and the profile its live plan was built from beyond
-	// which a background re-plan triggers (DESIGN.md §16). Default 0.1;
-	// negative disables re-planning (updates are still accumulated and
-	// reported).
+	// which a background re-plan triggers (DESIGN.md §16). 0 selects the
+	// default 0.1; negative disables re-planning (updates are still
+	// accumulated and reported).
 	DriftThreshold float64
 	// DecayHalfLife is how many /v1/routing updates it takes for an
-	// update's influence on a drift session's profile to halve. Default 8;
-	// <= 0 disables decay (pure running sum).
+	// update's influence on a drift session's profile to halve. 0 selects
+	// the default 8; negative disables decay (pure running sum).
 	DecayHalfLife float64
 	// DriftSessionCap bounds the drift-session store (entries). Default 64.
 	DriftSessionCap int
@@ -55,22 +56,20 @@ type Config struct {
 
 // Service is the long-lived planning front end: a two-tier plan store —
 // a hot in-memory LRU keyed on the canonicalized request, optionally
-// backed by a durable disk artifact store (DESIGN.md §14) — singleflight
-// deduplication of concurrent identical requests, and a pool of reusable
-// sessions. All methods are safe for concurrent use.
+// backed by a durable disk artifact store (DESIGN.md §14) — that computes
+// concurrent identical requests once, and a pool of reusable sessions.
+// All methods are safe for concurrent use.
 type Service struct {
 	cfg Config
 
-	plans      *lruStore[*Result]
-	planFlight flightGroup[*Result]
+	plans *cache.Cache[string, *Result]
 
 	// disk is the durable tier behind plans; nil when the service runs
 	// memory-only (New). Entries evicted from the memory LRU stay served
 	// from here, and restarts restore from it (Open).
 	disk *diskStore
 
-	sessions   *lruStore[*lancet.Session]
-	sessFlight flightGroup[*lancet.Session]
+	sessions *cache.Cache[string, *lancet.Session]
 
 	// computations counts actual plan-and-simulate runs — the quantity the
 	// burst test pins to 1 for N identical concurrent requests.
@@ -88,7 +87,7 @@ type Service struct {
 	planMisses atomic.Int64
 
 	// rechecked counts lookups that missed the memory tier but found the
-	// result there on the flight's re-check, because another request's
+	// result there on Fill's re-check, because another request's
 	// computation landed in between: memory-tier hits that the LRU's own
 	// counters recorded as misses.
 	rechecked atomic.Int64
@@ -103,9 +102,8 @@ type Service struct {
 	sweepSem chan struct{}
 
 	// driftSessions holds the per-plan drift loops fed by /v1/routing
-	// (DESIGN.md §16); driftFlight dedups concurrent creations of one.
-	driftSessions *lruStore[*driftSession]
-	driftFlight   flightGroup[*driftSession]
+	// (DESIGN.md §16).
+	driftSessions *cache.Cache[string, *driftSession]
 
 	// replanQ runs background re-plans; created on the first detected
 	// drift (replanQueue) so memory-only services that never see a routing
@@ -149,11 +147,11 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:           cfg,
-		plans:         newLRU[*Result](cfg.CacheSize),
-		sessions:      newLRU[*lancet.Session](cfg.SessionCacheSize),
-		driftSessions: newLRU[*driftSession](cfg.DriftSessionCap),
+		plans:         cache.New[string, *Result](cfg.CacheSize),
+		sessions:      cache.New[string, *lancet.Session](cfg.SessionCacheSize),
+		driftSessions: cache.New[string, *driftSession](cfg.DriftSessionCap),
 	}
-	s.sessions.onEvict = func(sess *lancet.Session) {
+	s.sessions.OnEvict(func(sess *lancet.Session) {
 		// Counters an in-flight computation accrues on the evicted session
 		// after this snapshot are lost — an accepted approximation; the
 		// tally exists to keep the aggregate monotonic, not exact.
@@ -161,7 +159,7 @@ func New(cfg Config) *Service {
 		s.retiredCost.hits.Add(cs.Hits)
 		s.retiredCost.misses.Add(cs.Misses)
 		s.retiredCost.profiled.Add(cs.ProfiledOps)
-	}
+	})
 	s.sweepSem = make(chan struct{}, cfg.Parallel)
 	return s
 }
@@ -186,41 +184,29 @@ func Open(cfg Config, dir string) (*Service, error) {
 // concurrent builds of) the pooled session on first use. Views share the
 // pooled session's graph and cost model (DESIGN.md §9).
 func (s *Service) session(c *canonical) (*lancet.Session, error) {
-	key := c.sessionKey()
-	base, ok := s.sessions.get(key)
-	if !ok {
-		var err error
-		base, err, _ = s.sessFlight.do(key, func() (*lancet.Session, error) {
-			if sess, ok := s.sessions.peek(key); ok {
-				return sess, nil
-			}
-			sess, err := buildSession(c)
-			if err != nil {
-				return nil, err
-			}
-			s.sessions.put(key, sess)
-			return sess, nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	base, _, err := s.sessions.Do(c.sessionKey(), func() (*lancet.Session, error) {
+		return buildSession(c)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return base.WithWorkload(c.routing.workload()), nil
 }
 
 // resultFor serves one framework's result through the two-tier plan store:
-// memory LRU hit, disk-artifact hit (promoted into the LRU), singleflight
-// share, or a fresh computation written through to both tiers. The
-// returned cache state is "hit", "disk", "shared" or "miss". Every
-// computation it runs is cold, so a stored /v1/plan or /v1/sweep entry
-// never depends on what was requested before it.
+// memory LRU hit, disk-artifact hit (promoted into the LRU), a share of an
+// identical request's computation in flight, or a fresh computation
+// written through to both tiers. The returned cache state is "hit",
+// "disk", "shared" or "miss". Every computation it runs is cold, so a
+// stored /v1/plan or /v1/sweep entry never depends on what was requested
+// before it.
 func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
 	return s.resultForWith(c, fw, nil, nil)
 }
 
 // resultForWith is resultFor with an explicit session provider and DP
 // hint: the drift loop serves its re-plans through the same two-tier store
-// and singleflight (write-through, restart-restorable), but against a
+// (deduplicated, write-through, restart-restorable), but against a
 // dedicated session whose workload is a streamed profile rather than a
 // pooled parametric one (DESIGN.md §16). sessionFn runs only on a full
 // store miss; nil selects the pooled session. hint, when non-nil,
@@ -230,15 +216,17 @@ func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
 // /v1/plan or /v1/sweep request can spell.
 func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (*Result, string, error) {
 	key := c.planKey(fw)
-	if r, ok := s.plans.get(key); ok {
+	if r, ok := s.plans.Get(key); ok {
 		return r, "hit", nil
 	}
 	return s.fill(c, key, fw, hint, sessionFn)
 }
 
-// fill serves a lookup of key that the memory tier missed: the re-check
-// under the flight, the disk tier, or a computation. Every result it
-// publishes to the memory tier is sealed first, so a result JSON cannot
+// fill serves a lookup of key that the memory tier missed through the
+// plan cache's Fill: a share of the key's computation in flight, the
+// re-check (a result stored since the miss, so a burst of N identical
+// requests runs Compute exactly once), the disk tier, or a computation.
+// Every result the build returns is sealed first, so a result JSON cannot
 // encode is an error that neither tier stores. Panics while planning are
 // contained and returned as errors, so a bad grid point cannot take down
 // sweep workers (plain goroutines with no net/http recovery) or the whole
@@ -249,24 +237,13 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint,
 			r, state, err = nil, "error", fmt.Errorf("panic while planning %s: %v", fw, p)
 		}
 	}()
-	fromStore, fromDisk := false, false
-	r, err, shared := s.planFlight.do(key, func() (*Result, error) {
-		// Re-check under the flight: a previous leader may have stored the
-		// result between our miss and becoming leader, and flight entries
-		// are removed only after the store is populated — so a burst of N
-		// identical requests runs Compute exactly once. peek keeps the
-		// outer get's recorded miss from double-counting this request.
-		if r, ok := s.plans.peek(key); ok {
-			fromStore = true
-			s.rechecked.Add(1)
-			return r, nil
-		}
+	fromDisk := false
+	r, src, err := s.plans.Fill(key, func() (*Result, error) {
 		if s.disk != nil {
 			if payload, ok := s.disk.get(key); ok {
 				var res Result
 				if err := json.Unmarshal(payload, &res); err == nil && res.seal() == nil {
 					fromDisk = true
-					s.plans.put(key, &res)
 					return &res, nil
 				}
 				// A framed, checksummed artifact whose payload still isn't
@@ -297,7 +274,6 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint,
 		if err := res.seal(); err != nil {
 			return nil, err
 		}
-		s.plans.put(key, &res)
 		if s.disk != nil {
 			if payload, err := json.Marshal(&res); err == nil {
 				s.disk.put(key, payload)
@@ -307,9 +283,10 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint,
 	})
 	state = "miss"
 	switch {
-	case shared:
+	case src == cache.Shared:
 		state = "shared"
-	case fromStore:
+	case src == cache.Rechecked:
+		s.rechecked.Add(1)
 		state = "hit"
 	case fromDisk:
 		state = "disk"
@@ -393,7 +370,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if c.baseline != "" {
 		key := c.planKey(c.baseline)
 		var ok bool
-		if base, ok = s.plans.get(key); !ok {
+		if base, ok = s.plans.Get(key); !ok {
 			pending = make(chan outcome, 1)
 			go func() {
 				var o outcome
@@ -690,6 +667,20 @@ func (s *Service) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
+// StoreStats is a snapshot of one LRU store's counters, rendered by
+// /v1/stats.
+type StoreStats struct {
+	Capacity  int   `json:"capacity"`
+	Size      int   `json:"size"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+}
+
+func storeStats(st cache.Stats) StoreStats {
+	return StoreStats{Capacity: st.Capacity, Size: st.Size, Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
+}
+
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	// APIRevision is the wire-surface revision (see GET /v1/version), here
@@ -765,15 +756,16 @@ func (s *Service) Stats() StatsResponse {
 	// Read before the plan store's counters, which already hold each
 	// re-checked lookup's miss, so the hit rate never exceeds 1.
 	rechecked := s.rechecked.Load()
+	plans := s.plans.Stats()
 	resp := StatsResponse{
 		APIRevision:   APIRevision,
-		PlanStore:     s.plans.stats(),
-		SessionStore:  s.sessions.stats(),
+		PlanStore:     storeStats(plans),
+		SessionStore:  storeStats(s.sessions.Stats()),
 		Computations:  s.computations.Load(),
-		Deduplicated:  s.planFlight.dedupedCount(),
+		Deduplicated:  plans.Deduplicated,
 		DPEvaluations: s.dpEvals.Load(),
 		Drift: DriftStats{
-			Sessions:      s.driftSessions.stats().Size,
+			Sessions:      s.driftSessions.Len(),
 			Updates:       s.driftUpdates.Load(),
 			DriftDetected: s.driftDetected.Load(),
 			Replans:       s.replans.Load(),
@@ -793,10 +785,10 @@ func (s *Service) Stats() StatsResponse {
 			float64(resp.PlanTiers.MemoryHits+resp.PlanTiers.DiskHits) / float64(total)
 	}
 	// Pooled sessions plus the retired tally, read in one cut under the
-	// store's lock (onEvict moves counters between the two under the same
+	// pool's lock (OnEvict moves counters between the two under the same
 	// lock), so pool churn never makes the counters go backwards between
 	// scrapes.
-	s.sessions.withValues(func(pooled []*lancet.Session) {
+	s.sessions.Values(func(pooled []*lancet.Session) {
 		resp.CostModel.Hits = s.retiredCost.hits.Load()
 		resp.CostModel.Misses = s.retiredCost.misses.Load()
 		resp.CostModel.ProfiledOps = s.retiredCost.profiled.Load()

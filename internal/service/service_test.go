@@ -472,7 +472,7 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.Computations != 1 || st.PlanStore.Hits != 1 {
 		t.Errorf("computations/hits = %d/%d, want 1/1: %+v", st.Computations, st.PlanStore.Hits, st)
 	}
-	// One fresh computation is one miss: the singleflight re-check must not
+	// One fresh computation is one miss: Fill's re-check must not
 	// double-count the first request's lookup.
 	if st.PlanStore.Misses != 1 {
 		t.Errorf("plan-store misses = %d, want 1", st.PlanStore.Misses)

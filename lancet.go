@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"lancet/internal/baselines"
+	"lancet/internal/cache"
 	"lancet/internal/cost"
 	"lancet/internal/hw"
 	"lancet/internal/ir"
@@ -404,18 +405,13 @@ type Plan struct {
 	// DWOverlapUs is the predicted all-to-all time covered by scheduled
 	// weight-gradient computation.
 	DWOverlapUs float64
-	// PipelineRanges is the number of partition pipelines chosen by the
-	// DP.
-	PipelineRanges int
-	// PipelineKs lists the chosen per-pipeline partition counts in program
-	// order — the plan shape that shifts under skewed routing.
-	PipelineKs []int
 	// DPEvaluations counts P(i,n,k) evaluations (optimization effort) —
 	// the quantity a warm-start hint reduces (DESIGN.md §14).
 	DPEvaluations int
-	// Pipelines lists the chosen pipelines (instruction range + partition
-	// count): what Options.Hint warm-starts a re-plan from and what
-	// Options.FixedPipelines replays (DESIGN.md §14, §17).
+	// Pipelines lists the chosen pipelines in program order (instruction
+	// range + partition count; the counts are the plan shape that shifts
+	// under skewed routing): what Options.Hint warm-starts a re-plan from
+	// and what Options.FixedPipelines replays (DESIGN.md §14, §17).
 	Pipelines []PipelineHint
 	// RhoUsed is the maximum-partition limit actually used after the OOM
 	// fallback (paper Sec. 7: rho=8, reduced to 4 then 2 when partition
@@ -603,11 +599,8 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 			}
 			if popts.MaxPartitions <= 2 || s.partitionFits(res) {
 				g = res.Graph
-				plan.PipelineRanges = len(res.Ranges)
-				plan.PipelineKs = plan.PipelineKs[:0]
 				plan.Pipelines = plan.Pipelines[:0]
 				for _, r := range res.Ranges {
-					plan.PipelineKs = append(plan.PipelineKs, r.K)
 					plan.Pipelines = append(plan.Pipelines, PipelineHint{Start: r.Start, End: r.End, K: r.K})
 				}
 				plan.DPEvaluations += res.Evaluations
@@ -938,65 +931,19 @@ type proxyKey struct {
 // planbench's 45 plan-cold shapes use 52.
 const proxyMemoCap = 256
 
-// proxyMemo memoizes routing proxies across sessions (DESIGN.md §13): a
+// proxyCache memoizes routing proxies across sessions (DESIGN.md §13): a
 // cold plan for a (cluster, gate, workload) shape the process has recently
 // planned — the common case for pooled serving and the experiment suite —
-// skips the functional gate run entirely. Workload parameters come from
-// clients, so the memo holds at most proxyMemoCap entries and evicts the
-// least recently used; a proxy is a pure function of its key, so an
-// eviction costs only a recomputation.
-type proxyMemo struct {
-	mu   sync.Mutex
-	tick uint64
-	m    map[proxyKey]proxyEntry
-}
+// skips the functional gate run entirely, and concurrent plans of one
+// shape share one run. Workload parameters come from clients, so the memo
+// holds at most proxyMemoCap entries and evicts the least recently used;
+// a proxy is a pure function of its key, so an eviction costs only a
+// recomputation.
+var proxyCache = cache.New[proxyKey, *routingProfile](proxyMemoCap)
 
-type proxyEntry struct {
-	p    *routingProfile // shared and never mutated after publication
-	used uint64          // tick of the last lookup or store
-}
-
-var proxyCache proxyMemo
-
-// get returns the memoized proxy for k and marks it recently used.
-func (c *proxyMemo) get(k proxyKey) (*routingProfile, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[k]
-	if ok {
-		c.tick++
-		c.m[k] = proxyEntry{e.p, c.tick}
-	}
-	return e.p, ok
-}
-
-// loadOrStore returns the proxy already memoized for k, or stores p,
-// evicting the least recently used entry beyond proxyMemoCap. Callers
-// compute p outside the lock, so a slow proxy never stalls other lookups;
-// two racing computations of one key agree, and the first stored wins.
-func (c *proxyMemo) loadOrStore(k proxyKey, p *routingProfile) *routingProfile {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tick++
-	if e, ok := c.m[k]; ok {
-		c.m[k] = proxyEntry{e.p, c.tick}
-		return e.p
-	}
-	if c.m == nil {
-		c.m = make(map[proxyKey]proxyEntry)
-	}
-	c.m[k] = proxyEntry{p, c.tick}
-	if len(c.m) > proxyMemoCap {
-		oldest, used := k, c.tick
-		for key, e := range c.m {
-			if e.used < used {
-				oldest, used = key, e.used
-			}
-		}
-		delete(c.m, oldest)
-	}
-	return p
-}
+// proxyRun computes a proxy on a memo miss; tests wrap it to count gate
+// runs.
+var proxyRun = proxyKey.run
 
 // profile returns the dispatch statistics of the workload split into k
 // micro-batches: the streamed profile wp packaged by syntheticProfile or,
@@ -1021,17 +968,22 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 		capacityFactor: s.Config.CapacityFactor,
 		skew:           s.WorkloadSkew, hot: s.WorkloadHotExpert,
 	}
-	if p, ok := proxyCache.get(key); ok {
-		return p, nil
-	}
+	p, _, err := proxyCache.Do(key, func() (*routingProfile, error) { return proxyRun(key) })
+	return p, err
+}
+
+// run computes the proxy: the functional gate run on a scaled-down token
+// batch of the key's workload.
+func (key proxyKey) run() (*routingProfile, error) {
+	devices := key.devices
 	tokens := 256
-	experts := devices * s.Config.ExpertsPerGPU
-	capacity := int(float64(tokens*s.Config.Gate.TopK()) / float64(experts) * s.Config.CapacityFactor)
+	experts := devices * key.expertsPerGPU
+	capacity := int(float64(tokens*key.gate.TopK()) / float64(experts) * key.capacityFactor)
 	if capacity < 1 {
 		capacity = 1
 	}
 	layer, err := moe.NewLayer(moe.Config{
-		Devices: devices, ExpertsPerDevice: s.Config.ExpertsPerGPU,
+		Devices: devices, ExpertsPerDevice: key.expertsPerGPU,
 		Capacity: capacity, Hidden: 16, FFN: 16,
 	}, 12345)
 	if err != nil {
@@ -1039,21 +991,21 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 	}
 	var inputs []*tensor.Tensor
 	switch {
-	case s.WorkloadSkew > 0:
-		inputs = moe.SkewedInputs(layer, tokens, s.WorkloadSkew, 777)
-	case s.WorkloadHotExpert > 0:
-		inputs = moe.HotExpertInputs(layer, tokens, s.WorkloadHotExpert, 777)
+	case key.skew > 0:
+		inputs = moe.SkewedInputs(layer, tokens, key.skew, 777)
+	case key.hot > 0:
+		inputs = moe.HotExpertInputs(layer, tokens, key.hot, 777)
 	default:
 		inputs = makeProxyInputs(devices, tokens, 16)
 	}
-	_, stats := layer.RouteOnly(inputs, gateFor(s.Config.Gate), k)
+	_, stats := layer.RouteOnly(inputs, gateFor(key.gate), key.k)
 
 	p := &routingProfile{
 		devices: devices, tokens: tokens,
 		counts:         stats.SendTokens,
 		hotExpertShare: stats.HottestExpertShare(),
 	}
-	if s.WorkloadSkew > 0 || s.WorkloadHotExpert > 0 {
+	if key.skew > 0 || key.hot > 0 {
 		np, err := netsim.ProfileFromCounts(stats.SendTokens)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: routing profile from gate counts: %w", err)
@@ -1068,7 +1020,7 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 		}
 		p.shares = append(p.shares, sum/float64(len(row))/padded)
 	}
-	return proxyCache.loadOrStore(key, p), nil
+	return p, nil
 }
 
 // syntheticProfile packages a streamed routing profile as the per-k

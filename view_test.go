@@ -11,8 +11,8 @@ import (
 // pipelines, partition counts, dW overlap or simulated iteration time.
 func samePlans(t *testing.T, a, b *Plan) {
 	t.Helper()
-	if !reflect.DeepEqual(a.Pipelines, b.Pipelines) || !reflect.DeepEqual(a.PipelineKs, b.PipelineKs) {
-		t.Errorf("pipelines differ: %v (k %v) vs %v (k %v)", a.Pipelines, a.PipelineKs, b.Pipelines, b.PipelineKs)
+	if !reflect.DeepEqual(a.Pipelines, b.Pipelines) {
+		t.Errorf("pipelines differ: %v vs %v", a.Pipelines, b.Pipelines)
 	}
 	if a.DWOverlapUs != b.DWOverlapUs {
 		t.Errorf("dW overlap differs: %.3f vs %.3f us", a.DWOverlapUs, b.DWOverlapUs)
