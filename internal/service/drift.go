@@ -60,25 +60,25 @@ type DriftInfo struct {
 
 // RoutingResponse is the body of a successful POST /v1/routing: the live
 // plan for the session's traffic plus the drift verdict. Result is the
-// stored plan's exact bytes — stale-while-revalidate serving never
-// re-renders it, so every response between two plan swaps carries an
-// identical result payload.
+// stored plan's bytes, sealed once when the plan entered the plan store:
+// the reply is written around them (routingReply) and only the drift
+// block is encoded per update, so every response between two plan swaps
+// carries an identical result payload.
 type RoutingResponse struct {
 	Result json.RawMessage `json:"result"`
 	Drift  DriftInfo       `json:"drift"`
 }
 
-// planSnapshot is one immutable published plan: the pre-marshaled result
-// served verbatim until the next swap, the traffic profile it was priced
-// against, the session update count when it was built (plan age's zero
-// point), and its chosen pipelines (the next re-plan's DP warm start).
-// Swapped whole through driftSession.plan, so readers never observe a
-// torn plan.
+// planSnapshot is one immutable published plan: the stored result, whose
+// sealed bytes are served verbatim until the next swap and whose pipelines
+// warm-start the next re-plan's DP, the traffic profile it was priced
+// against, and the session update count when it was built (plan age's
+// zero point). Swapped whole through driftSession.plan, so readers never
+// observe a torn plan.
 type planSnapshot struct {
-	result  json.RawMessage
+	res     *Result
 	profile *netsim.RoutingProfile
 	builtAt int64
-	hint    []lancet.PipelineHint
 }
 
 // driftSession is one training session's drift loop (DESIGN.md §16),
@@ -175,11 +175,7 @@ func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtA
 	if err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
-	}
-	snap := &planSnapshot{result: payload, profile: cur, builtAt: builtAt, hint: res.Pipelines}
+	snap := &planSnapshot{res: res, profile: cur, builtAt: builtAt}
 	for {
 		old := d.plan.Load()
 		if old != nil && old.builtAt >= builtAt {
@@ -247,8 +243,8 @@ func validateCounts(counts [][]int64, gpus int) error {
 }
 
 func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
-	var u RoutingUpdate
-	if err := decodeBody(w, r, &u); err != nil {
+	u, err := decodeRoutingBody(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -325,7 +321,7 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 	if info.Detected {
 		s.driftDetected.Add(1)
 		if d.replanning.CompareAndSwap(false, true) {
-			builtAt, hint := updates, snap.hint
+			builtAt, hint := updates, snap.res.Pipelines
 			accepted := s.replanQueue().TrySubmit(func() {
 				defer d.replanning.Store(false)
 				if gate := s.replanGate; gate != nil {
@@ -346,10 +342,31 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 	}
 	info.Replanning = d.replanning.Load()
 
+	body, err := routingReply(snap.res, info)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	if info.Stale {
 		s.staleServed.Add(1)
 	}
 	w.Header().Set("X-Lancet-Plan-Age", strconv.FormatInt(info.PlanAge, 10))
 	w.Header().Set("X-Lancet-Plan-Stale", strconv.FormatBool(info.Stale))
-	writeJSON(w, http.StatusOK, RoutingResponse{Result: snap.result, Drift: info})
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
+}
+
+// routingReply renders a /v1/routing reply: exactly what writeJSON writes
+// for RoutingResponse{res's bytes, info}, written around res's sealed
+// encoding as planBody does, so only the drift block is encoded per update.
+func routingReply(res *Result, info DriftInfo) ([]byte, error) {
+	drift, err := json.MarshalIndent(info, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, len(res.encoded)+len(drift)+32)
+	b = append(append(b, "{\n  \"result\": "...), res.encoded...)
+	b = append(append(b, ",\n  \"drift\": "...), drift...)
+	return append(b, "\n}\n"...), nil
 }

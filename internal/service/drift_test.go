@@ -91,6 +91,13 @@ func TestRoutingRejectsBadUpdates(t *testing.T) {
 	negative := netsim.UniformProfile(16).Counts()
 	negative[0][0] = -5
 	small := `{"plan": {"framework": "raf", "baseline": "none"}, "counts": [[1]]}`
+	// /v1/plan accepts a 512-GPU fleet, but its updates exceed the body
+	// bound: 1,106,530 bytes at Zipf 1.0.
+	fleet512 := PlanRequest{Cluster: "V100", GPUs: 512, Framework: "raf", Baseline: BaselineNone}
+	overCap := mustJSON(t, RoutingUpdate{Plan: fleet512, Counts: netsim.ZipfProfile(512, 1.0).Counts()})
+	if len(overCap) <= maxBodyBytes {
+		t.Fatalf("the 512-GPU update is %d bytes, within the %d-byte bound", len(overCap), maxBodyBytes)
+	}
 	cases := []struct {
 		name, body, wantInError string
 		wantCode                ErrorCode
@@ -108,6 +115,9 @@ func TestRoutingRejectsBadUpdates(t *testing.T) {
 		{"wrong dimensions", small, "16 x 16", CodeBadRouting, 400},
 		{"ragged matrix", routingBody(t, ragged), "entries", CodeBadRouting, 400},
 		{"negative count", routingBody(t, negative), "negative", CodeBadRouting, 400},
+		{"body too large", overCap, "bad request body: http: request body too large", CodeBadRequest, 400},
+		{"valid update padded past the bound", small + strings.Repeat(" ", maxBodyBytes),
+			"bad request body: data after the JSON value", CodeBadRequest, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
