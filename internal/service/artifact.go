@@ -7,8 +7,8 @@ import (
 )
 
 // Plan artifacts are the disk store's on-disk unit (DESIGN.md §14): one
-// canonical plan key and its serialized Result, framed so a reader can
-// always tell a complete, untampered artifact from a torn or corrupt one.
+// canonical plan key and its sealed Result, framed so a reader can always
+// tell a complete, untampered artifact from a torn or corrupt one.
 //
 // Layout (all integers big-endian):
 //
@@ -18,14 +18,20 @@ import (
 //	payload  uint32   followed by payloadLen bytes of JSON payload
 //	checksum uint32   CRC-32 (IEEE) over everything above
 //
+// The payload is the result's sealed encoding, Result.encoded: exactly
+// json.MarshalIndent(r, "  ", "  "), the bytes the result occupies one
+// level deep in an indented response. A disk hit serves it as it is read.
+// Version 1 stored json.Marshal(r) instead; any change to the payload's
+// bytes, including a change to Result's JSON encoding, bumps the version.
+//
 // The encoding is canonical — no padding, no slack — and decodeArtifact
 // rejects trailing bytes, so every accepted artifact re-encodes to exactly
 // the bytes it was decoded from (the round-trip FuzzStoreDecode pins).
-// Unknown versions are rejected outright: a store written by a future
-// format is skipped and recomputed, never half-read.
+// Other versions, older or newer, are rejected outright: their artifacts
+// are counted corrupt, recomputed and overwritten, never half-read.
 const (
 	artifactMagic   = "LANCETPL"
-	artifactVersion = 1
+	artifactVersion = 2
 
 	// artifactMaxBytes caps the lengths a decoder trusts before
 	// allocating; real artifacts are a few KB of JSON.

@@ -19,6 +19,12 @@ import (
 // Result is one framework's planned-and-simulated outcome: the quantities
 // cmd/lancet prints per row, plus the optimizer-visible prediction of the
 // same plan (the two axes of paper Fig. 14).
+//
+// Its sealed encoding is the payload of every disk artifact, and a disk hit
+// serves it as it was written (DESIGN.md §14). A change to Result's JSON
+// encoding (a field added, removed, renamed, reordered or retagged) must
+// bump artifactVersion, or stores written before it keep serving the old
+// spelling; TestSealedResultGolden fails until the golden is updated.
 type Result struct {
 	Framework           string  `json:"framework"`
 	Name                string  `json:"name,omitempty"`
@@ -48,9 +54,11 @@ type Result struct {
 	evaluations int
 
 	// encoded is the result's JSON exactly as it sits one level deep in an
-	// indented response, set once by seal before the result enters the
-	// memory tier, so /v1/plan hits copy it instead of re-encoding
-	// (DESIGN.md §9). Unexported, so no encoding of the result carries it.
+	// indented response, set once before the result enters the memory
+	// tier: by seal, or from the disk artifact the result was read from.
+	// /v1/plan hits copy it instead of re-encoding (DESIGN.md §9), and the
+	// write-through stores it as the artifact's payload. Unexported, so no
+	// encoding of the result carries it.
 	encoded []byte
 }
 

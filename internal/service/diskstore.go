@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,7 +16,8 @@ import (
 // §14): content-addressed artifacts, one file per canonical plan key,
 // written atomically (tmp + rename) so a reader — including a process
 // restarted mid-write — only ever sees a complete artifact or none. All
-// counters are monotonic atomics; Artifacts is the only gauge.
+// counters are monotonic atomics; Artifacts, the size of valid, is the
+// only gauge.
 type diskStore struct {
 	dir string
 
@@ -32,8 +34,14 @@ type diskStore struct {
 	bytesWritten atomic.Int64
 	// loadUs accumulates wall-clock artifact read+verify latency — the
 	// disk tier's load-latency counter on /v1/stats.
-	loadUs    atomic.Int64
-	artifacts atomic.Int64 // gauge: artifacts believed valid on disk
+	loadUs atomic.Int64
+
+	// valid holds the file names of the artifacts believed valid on disk:
+	// filled by open, added to by every put, removed from wherever an
+	// artifact is found corrupt or missing. Only map updates run under mu,
+	// never file I/O.
+	mu    sync.Mutex
+	valid map[string]struct{}
 }
 
 const (
@@ -51,7 +59,7 @@ func openDiskStore(dir string) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store dir: %w", err)
 	}
-	d := &diskStore{dir: dir}
+	d := &diskStore{dir: dir, valid: make(map[string]struct{})}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store dir: %w", err)
@@ -77,7 +85,7 @@ func openDiskStore(dir string) (*diskStore, error) {
 			d.corrupt.Add(1)
 			continue
 		}
-		d.artifacts.Add(1)
+		d.valid[name] = struct{}{}
 	}
 	return d, nil
 }
@@ -95,14 +103,16 @@ func (d *diskStore) fileName(key string) string {
 // degrades to a miss (the caller recomputes and overwrites it).
 func (d *diskStore) get(key string) ([]byte, bool) {
 	start := time.Now()
-	b, err := os.ReadFile(filepath.Join(d.dir, d.fileName(key)))
+	name := d.fileName(key)
+	b, err := os.ReadFile(filepath.Join(d.dir, name))
 	if err != nil {
+		d.setValid(name, false)
 		d.misses.Add(1)
 		return nil, false
 	}
 	gotKey, payload, err := decodeArtifact(b)
 	if err != nil || gotKey != key {
-		d.corrupt.Add(1)
+		d.discard(key)
 		d.misses.Add(1)
 		return nil, false
 	}
@@ -118,8 +128,7 @@ func (d *diskStore) get(key string) ([]byte, bool) {
 // artifact. Errors are counted and swallowed; the store is a cache, and a
 // failed write only costs durability, not correctness.
 func (d *diskStore) put(key string, payload []byte) {
-	path := filepath.Join(d.dir, d.fileName(key))
-	_, statErr := os.Stat(path)
+	name := d.fileName(key)
 	f, err := os.CreateTemp(d.dir, tmpPrefix)
 	if err != nil {
 		d.writeErrs.Add(1)
@@ -134,7 +143,7 @@ func (d *diskStore) put(key string, payload []byte) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(f.Name(), path)
+		err = os.Rename(f.Name(), filepath.Join(d.dir, name))
 	}
 	if err != nil {
 		d.writeErrs.Add(1)
@@ -143,8 +152,24 @@ func (d *diskStore) put(key string, payload []byte) {
 	}
 	d.writes.Add(1)
 	d.bytesWritten.Add(int64(len(b)))
-	if statErr != nil {
-		d.artifacts.Add(1)
+	d.setValid(name, true)
+}
+
+// discard counts key's artifact as corrupt and drops it from the
+// artifacts gauge: the file stays until a put for key overwrites it.
+func (d *diskStore) discard(key string) {
+	d.corrupt.Add(1)
+	d.setValid(d.fileName(key), false)
+}
+
+// setValid records whether the artifact file name holds a valid artifact.
+func (d *diskStore) setValid(name string, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if ok {
+		d.valid[name] = struct{}{}
+	} else {
+		delete(d.valid, name)
 	}
 }
 
@@ -164,9 +189,12 @@ type DiskTierStats struct {
 }
 
 func (d *diskStore) stats() DiskTierStats {
+	d.mu.Lock()
+	artifacts := len(d.valid)
+	d.mu.Unlock()
 	return DiskTierStats{
 		Dir:          d.dir,
-		Artifacts:    d.artifacts.Load(),
+		Artifacts:    int64(artifacts),
 		Hits:         d.hits.Load(),
 		Misses:       d.misses.Load(),
 		Corrupt:      d.corrupt.Load(),

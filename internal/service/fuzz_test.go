@@ -10,12 +10,14 @@ import (
 )
 
 // FuzzPlanRequest drives arbitrary JSON bodies through the request
-// decode/canonicalize path and pins three properties: canonicalization
+// decode/canonicalize path and pins four properties: canonicalization
 // never panics, the canonical cache keys are stable under the echo
 // round-trip (echo a canonical request, re-canonicalize it, land on the
 // same session and plan keys) — the invariant that makes every echoed
-// response resubmittable onto its own cache entry — and the keys equal
-// their fmt spellings (planKeyRef), so no stored artifact is orphaned.
+// response resubmittable onto its own cache entry — the keys equal their
+// fmt spellings (planKeyRef), so no stored artifact is orphaned, and the
+// appended echo and every float the request carries equal what
+// encoding/json writes for them (echoRef).
 func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"framework": "raf", "baseline": "none"}`))
@@ -31,6 +33,10 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"topology": {"oversub": 2.5, "spine_share": 0.5}, "gpus": 32}`))
 	f.Add([]byte(`{"classes": [{"gpu": "A100", "nodes": 2}, {"gpu": "V100", "nodes": 1}, {"gpu": "A100", "nodes": 1}], "routing": {"kind": "zipf", "alpha": 0.35}}`))
 	f.Add([]byte(`{"classes": [{"gpu": "A100", "nodes": 2}, {"gpu": "V100", "nodes": 2}], "what_if": {"lost_nodes": [0, 3]}, "options": {"disable_dw_schedule": true}}`))
+	// encoding/json switches from 'f' to 'e' below 1e-6 and from 1e21 on.
+	f.Add([]byte(`{"options": {"group_us": 1e-6}, "routing": {"kind": "hot", "hot_share": 9.99e-7}}`))
+	f.Add([]byte(`{"options": {"group_us": 9.99e20}, "routing": {"kind": "zipf", "alpha": 1e21}}`))
+	f.Add([]byte(`{"gpus": 32, "topology": {"nodes_per_rack": 2, "oversub": 1e21, "spine_share": 1e-6}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req PlanRequest
 		if err := json.Unmarshal(data, &req); err != nil {
@@ -43,6 +49,10 @@ func FuzzPlanRequest(f *testing.F) {
 			return
 		}
 		checkKeysMatchRef(t, c)
+		checkEchoMatchesRef(t, c)
+		for _, x := range requestFloats(req) {
+			checkJSONFloat(t, x)
+		}
 		echo := c.echo()
 		blob, err := json.Marshal(echo)
 		if err != nil {

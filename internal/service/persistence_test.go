@@ -2,11 +2,16 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lancet"
 )
 
 // persistence_test.go pins the durable plan store's crash-recovery contract
@@ -160,6 +165,9 @@ func TestCorruptArtifactsDegradeToCountedRecompute(t *testing.T) {
 			if got := second.Computations(); got != 1 {
 				t.Errorf("computations = %d, want 1", got)
 			}
+			if ds := second.Stats().DiskStore; ds.Artifacts != 1 {
+				t.Errorf("after the repairing write-through the gauge reads %d artifacts, want 1", ds.Artifacts)
+			}
 			// The write-through repaired the artifact: a third open restores it.
 			third := openService(t, dir)
 			if ds := third.Stats().DiskStore; ds.Artifacts != 1 || ds.Corrupt != 0 {
@@ -285,5 +293,124 @@ func TestMemoryEvictionFallsBackToDisk(t *testing.T) {
 	}
 	if got := svc.Computations(); got != 2 {
 		t.Errorf("computations = %d, want 2 (disk tier must absorb the eviction)", got)
+	}
+}
+
+// TestSealedResultGolden pins the sealed encoding of a Result with every
+// field set. Disk artifacts store these bytes and a disk hit serves them
+// as they are, so a change to Result's JSON encoding must come with a new
+// artifact codec version, or stores written before it keep serving the old
+// spelling.
+func TestSealedResultGolden(t *testing.T) {
+	const golden = `{
+    "framework": "lancet",
+    "name": "Lancet",
+    "oom": true,
+    "predicted_us": 95521.25,
+    "iteration_ms": 205.34,
+    "non_overlapped_comm_ms": 12.5,
+    "overlap_ms": 2.5e-7,
+    "a2a_ms": 48.75,
+    "notes": "2 pipelines (k 4,5), dW overlap 1.5 ms, rho 16",
+    "pipelines": [
+      {
+        "start": 0,
+        "end": 10,
+        "k": 4
+      },
+      {
+        "start": 12,
+        "end": 20,
+        "k": 5
+      }
+    ],
+    "what_if": {
+      "lost_nodes": [
+        1,
+        3
+      ],
+      "lost_gpus": 16,
+      "survivor_gpus": 16,
+      "intact_ms": 205.34,
+      "degraded_ms": 410.5,
+      "replanned_ms": 250.25,
+      "degraded_slowdown": 2,
+      "replan_speedup": 1.64,
+      "replan_dp_evaluations": 120,
+      "cold_dp_evaluations": 483
+    }
+  }`
+	r := Result{
+		Framework: "lancet", Name: "Lancet", OOM: true, PredictedUs: 95521.25, IterationMs: 205.34,
+		NonOverlappedCommMs: 12.5, OverlapMs: 2.5e-7, AllToAllMs: 48.75,
+		Notes:     "2 pipelines (k 4,5), dW overlap 1.5 ms, rho 16",
+		Pipelines: []lancet.PipelineHint{{Start: 0, End: 10, K: 4}, {Start: 12, End: 20, K: 5}},
+		WhatIf: &WhatIfResult{LostNodes: []int{1, 3}, LostGPUs: 16, SurvivorGPUs: 16, IntactMs: 205.34,
+			DegradedMs: 410.5, ReplannedMs: 250.25, DegradedSlowdown: 2, ReplanSpeedup: 1.64,
+			ReplanDPEvaluations: 120, ColdDPEvaluations: 483},
+		evaluations: 7,
+	}
+	if err := r.seal(); err != nil {
+		t.Fatal(err)
+	}
+	if string(r.encoded) != golden {
+		t.Errorf("Result's sealed encoding changed. Disk artifacts store these bytes and serve them as they are: "+
+			"bump artifactVersion in artifact.go (version %d now), then update this golden.\n got %s\nwant %s",
+			artifactVersion, r.encoded, golden)
+	}
+}
+
+// TestVersion1StoreIsRecomputed upgrades a store written by codec version
+// 1, whose payload was json.Marshal(result): the artifact is counted
+// corrupt at open and on read, never served, recomputed, and overwritten
+// by a version-2 artifact that a restart serves from disk.
+func TestVersion1StoreIsRecomputed(t *testing.T) {
+	fresh := New(Config{})
+	want := postPlan(t, fresh.Handler(), fastPlanBody)
+	key := fastPlanKey(t)
+	res, ok := fresh.plans.Get(key)
+	if want.Code != http.StatusOK || !ok {
+		t.Fatalf("status %d, stored %t: %s", want.Code, ok, want.Body)
+	}
+	compact, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := encodeArtifact(key, compact)
+	binary.BigEndian.PutUint32(v1[len(artifactMagic):], 1)
+	binary.BigEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
+	dir := t.TempDir()
+	path := filepath.Join(dir, (&diskStore{}).fileName(key))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := openService(t, dir)
+	if ds := svc.Stats().DiskStore; ds.Corrupt != 1 || ds.Artifacts != 0 {
+		t.Errorf("open counted %d corrupt, restored %d; want 1, 0", ds.Corrupt, ds.Artifacts)
+	}
+	w := postPlan(t, svc.Handler(), fastPlanBody)
+	if got := w.Header().Get("X-Lancet-Cache"); w.Code != http.StatusOK || got != "miss" {
+		t.Fatalf("status %d, cache state %q, want a 200 miss: %s", w.Code, got, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("recomputed body differs from a fresh service's\n got %s\nwant %s", w.Body, want.Body)
+	}
+	if ds := svc.Stats().DiskStore; ds.Corrupt != 2 || ds.Artifacts != 1 {
+		t.Errorf("after the request %d corrupt, %d artifacts; want 2 (open and read), 1", ds.Corrupt, ds.Artifacts)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotKey, payload, err := decodeArtifact(b); err != nil || gotKey != key || !bytes.Equal(payload, res.encoded) {
+		t.Errorf("the repaired artifact is not version %d holding the sealed result: key %q, err %v\n%s",
+			artifactVersion, gotKey, err, payload)
+	}
+
+	reopened := openService(t, dir)
+	w = postPlan(t, reopened.Handler(), fastPlanBody)
+	if got := w.Header().Get("X-Lancet-Cache"); got != "disk" || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("after a restart: cache state %q, body equal %t; want disk, true", got, bytes.Equal(w.Body.Bytes(), want.Body.Bytes()))
 	}
 }

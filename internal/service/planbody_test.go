@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,6 +73,111 @@ func checkPlanBody(t *testing.T, svc *Service, body, want string, w *httptest.Re
 	}
 	if ref := referenceBody(t, svc, body); !bytes.Equal(w.Body.Bytes(), ref) {
 		t.Errorf("%s (%s): body differs from the reference encoder's\n got %s\nwant %s", body, want, w.Body, ref)
+	}
+}
+
+// echoRef is the request echo as the indenting encoder writes it, the
+// spelling appendEcho replaced.
+func echoRef(t testing.TB, c *canonical) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(c.echo(), "  ", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkEchoMatchesRef fails unless c's appended echo equals echoRef.
+func checkEchoMatchesRef(t testing.TB, c *canonical) {
+	t.Helper()
+	if got, want := c.appendEcho(nil), echoRef(t, c); !bytes.Equal(got, want) {
+		t.Fatalf("appended echo differs from the indenting encoder's\n got %s\nwant %s", got, want)
+	}
+}
+
+// checkJSONFloat fails unless appendJSONFloat writes x as json.Marshal does.
+func checkJSONFloat(t testing.TB, x float64) {
+	t.Helper()
+	want, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendJSONFloat([]byte("prefix "), x); string(got) != "prefix "+string(want) {
+		t.Fatalf("appendJSONFloat(%v) = %q, want %q", x, got[len("prefix "):], want)
+	}
+}
+
+// requestFloats lists every float a request body carries.
+func requestFloats(r PlanRequest) []float64 {
+	xs := []float64{r.Options.GroupUs}
+	if r.Routing != nil {
+		xs = append(xs, r.Routing.Alpha, r.Routing.HotShare)
+	}
+	if r.Topology != nil {
+		xs = append(xs, r.Topology.Oversub, r.Topology.SpineShare)
+	}
+	return xs
+}
+
+// TestEchoMatchesReferenceEncoder runs the plan-cold shapes and requests
+// with every echo member set, an escaped string among them, through
+// appendEcho; FuzzPlanRequest covers arbitrary requests.
+func TestEchoMatchesReferenceEncoder(t *testing.T) {
+	reqs := planColdRequests()
+	seed := int64(-3)
+	reqs = append(reqs,
+		PlanRequest{
+			Model: "gpt2-l", Classes: []ClassSpec{{GPU: "A100", Nodes: 1}, {GPU: "V100", Nodes: 2}},
+			Batch: 3, Gate: "top2", Framework: "lancet", Baseline: "fastermoe", Seed: &seed,
+			Routing:      &RoutingSpec{Kind: "zipf", Alpha: 1e-7},
+			Topology:     &TopologySpec{NodesPerRack: 1, Oversub: 2.5, SpineShare: 0.25},
+			SharedExpert: true, ZeRO3: true,
+			Options: PlanOptions{
+				MaxPartitions: 4, GroupUs: 1e21, MaxRangeGroups: 2, DisableDWSchedule: true,
+				DisablePartition: true, DWFirstFit: true, PrioritizeAllToAll: true,
+				AssumeUniformRouting: true, AssumeFlatTopology: true, AssumeUniformHardware: true, AssumeSoleTenancy: true,
+			},
+			WhatIf: &WhatIfSpec{LostNodes: []int{2, 0}},
+		},
+		PlanRequest{Routing: &RoutingSpec{Kind: "hot", HotShare: 0.3}, Options: PlanOptions{GroupUs: 123.456}},
+	)
+	for _, req := range reqs {
+		c, err := req.canonicalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		checkEchoMatchesRef(t, c)
+	}
+
+	// Canonical vocabularies never need an escape; a string that does is
+	// still quoted as the encoder quotes it.
+	c := canonicalBody(t, `{}`)
+	for _, name := range []string{`a"b`, `a\b`, "a<b", "a>b", "a&b", "a\x01b", "a\u2028b", "aéb", "a\xffb"} {
+		c.cfg.Name = name
+		checkEchoMatchesRef(t, c)
+	}
+}
+
+// TestAppendJSONFloatMatchesEncoder covers both sides of encoding/json's
+// 'f'/'e' switch, the exponent cleanup and the extremes.
+func TestAppendJSONFloatMatchesEncoder(t *testing.T) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 95.521, 123456789.125, -2.5e-3,
+		1e-6, 9.99e-7, 1e-7, -1e-7, 1.5e-10, 1e-100, 5e-324,
+		9.99e20, 999999999999999999999, 1e21, -1e21, 1.5e22, 1e100, math.MaxFloat64,
+	} {
+		checkJSONFloat(t, x)
+	}
+}
+
+// TestNonFiniteSpeedupIsAnError: a speedup that overflows to +Inf is the
+// encoder's error, as it was when the speedup went through json.Marshal.
+func TestNonFiniteSpeedupIsAnError(t *testing.T) {
+	c := canonicalBody(t, `{}`)
+	res := &Result{Framework: "lancet", IterationMs: 1e-300, encoded: []byte("{}")}
+	base := &Result{Framework: "tutel", IterationMs: 1e300, encoded: []byte("{}")}
+	if _, err := planBody(c, res, base); err == nil || err.Error() != "json: unsupported value: +Inf" {
+		t.Errorf("planBody error = %v, want json: unsupported value: +Inf", err)
 	}
 }
 
@@ -245,5 +351,48 @@ func BenchmarkServicePlanHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve("hit")
+	}
+}
+
+// BenchmarkServiceDiskHit measures a /v1/plan disk-tier hit of the default
+// request, lancet plus the tutel baseline, both read from their artifacts:
+// a one-entry memory tier over three stored seeds, which the loop rotates.
+// perf_floor.txt's exact allocs/op floor catches a return to re-encoding a
+// promoted artifact or the request echo.
+func BenchmarkServiceDiskHit(b *testing.B) {
+	const keys = 3
+	dir := b.TempDir()
+	bodies := make([]string, keys)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"seed": %d}`, i+1)
+	}
+	serve := func(h http.Handler, body, want string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		if w.Code != http.StatusOK || w.Header().Get("X-Lancet-Cache") != want {
+			b.Fatalf("status %d, cache %q, want %s: %s", w.Code, w.Header().Get("X-Lancet-Cache"), want, w.Body)
+		}
+	}
+	open := func() *Service {
+		svc, err := Open(Config{CacheSize: 1}, dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return svc
+	}
+	h := open().Handler()
+	for _, body := range bodies {
+		serve(h, body, "miss")
+	}
+	svc := open()
+	h = svc.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(h, bodies[i%keys], "disk")
+	}
+	b.StopTimer()
+	if ds := svc.Stats().DiskStore; ds.Hits != int64(2*b.N) {
+		b.Fatalf("%d disk hits over %d requests, want two per request", ds.Hits, b.N)
 	}
 }

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"lancet"
 	"lancet/internal/netsim"
@@ -126,6 +129,120 @@ func (t TopologySpec) appendKey(b []byte) []byte {
 // fmt keep their bytes.
 func appendFloat(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}
+
+// appendJSONFloat appends a finite f as encoding/json encodes a float64:
+// the shortest 'f' form, or 'e' below 1e-6 and from 1e21 on, with a
+// negative exponent's leading zero dropped (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Canonical
+// vocabularies never need an escape; a string that might is handed to
+// json.Marshal, so the escaping rules stay the encoder's.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// indented appends one JSON object or array laid out as
+// json.MarshalIndent(v, "  ", "  ") lays out a value inside an indented
+// response: each member on a line of its own, indented to depth, and "{}"
+// or "[]" when there is none.
+type indented struct {
+	b           []byte
+	depth       int // the members' indentation depth
+	open, close byte
+	n           int // members written
+}
+
+// jsonObject and jsonArray start a writer whose members sit at depth.
+func jsonObject(b []byte, depth int) indented {
+	return indented{b: b, depth: depth, open: '{', close: '}'}
+}
+
+func jsonArray(b []byte, depth int) indented {
+	return indented{b: b, depth: depth, open: '[', close: ']'}
+}
+
+// appendLine starts a new line indented to depth: the response's two-space
+// prefix plus two spaces per level.
+func appendLine(b []byte, depth int) []byte {
+	b = append(b, "\n  "...)
+	for range depth {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// elem starts the next member's line.
+func (w *indented) elem() {
+	if w.n == 0 {
+		w.b = append(w.b, w.open)
+	} else {
+		w.b = append(w.b, ',')
+	}
+	w.n++
+	w.b = appendLine(w.b, w.depth)
+}
+
+// key starts an object member named k; its value is appended to w.b next.
+func (w *indented) key(k string) {
+	w.elem()
+	w.b = append(append(append(w.b, '"'), k...), `": `...)
+}
+
+// end closes the object or array and returns the bytes.
+func (w *indented) end() []byte {
+	if w.n == 0 {
+		return append(w.b, w.open, w.close)
+	}
+	return append(appendLine(w.b, w.depth-1), w.close)
+}
+
+// The omitempty members: each is left out when its value is the zero one.
+
+func (w *indented) str(k, v string) {
+	if v != "" {
+		w.key(k)
+		w.b = appendJSONString(w.b, v)
+	}
+}
+
+func (w *indented) integer(k string, v int) {
+	if v != 0 {
+		w.key(k)
+		w.b = strconv.AppendInt(w.b, int64(v), 10)
+	}
+}
+
+func (w *indented) float(k string, v float64) {
+	if v != 0 {
+		w.key(k)
+		w.b = appendJSONFloat(w.b, v)
+	}
+}
+
+func (w *indented) flag(k string, v bool) {
+	if v {
+		w.key(k)
+		w.b = append(w.b, "true"...)
+	}
 }
 
 // ClassSpec is one slice of a mixed-generation fleet for /v1/plan and
@@ -499,6 +616,88 @@ func (c *canonical) echo() PlanRequest {
 		Options:      c.opts,
 		WhatIf:       whatIf,
 	}
+}
+
+// appendEcho appends the request echo as json.MarshalIndent(c.echo(), "  ",
+// "  ") writes it: the bytes the echo occupies as the "request" member of
+// an indented /v1/plan response. Members follow PlanRequest's declaration
+// order and omitempty rules; options, a struct, is never omitted. A new
+// PlanRequest field must be appended here too: FuzzPlanRequest checks
+// every canonical request's echo against the indenting encoder.
+func (c *canonical) appendEcho(b []byte) []byte {
+	r := c.echo()
+	o := jsonObject(b, 1)
+	o.str("model", r.Model)
+	o.str("cluster", r.Cluster)
+	o.integer("gpus", r.GPUs)
+	if len(r.Classes) > 0 {
+		o.key("classes")
+		l := jsonArray(o.b, 2)
+		for _, cs := range r.Classes {
+			l.elem()
+			e := jsonObject(l.b, 3)
+			e.key("gpu")
+			e.b = appendJSONString(e.b, cs.GPU)
+			e.key("nodes")
+			e.b = strconv.AppendInt(e.b, int64(cs.Nodes), 10)
+			l.b = e.end()
+		}
+		o.b = l.end()
+	}
+	o.integer("batch", r.Batch)
+	o.str("gate", r.Gate)
+	o.str("framework", r.Framework)
+	o.str("baseline", r.Baseline)
+	if r.Seed != nil {
+		o.key("seed")
+		o.b = strconv.AppendInt(o.b, *r.Seed, 10)
+	}
+	if rt := r.Routing; rt != nil {
+		o.key("routing")
+		e := jsonObject(o.b, 2)
+		e.key("kind")
+		e.b = appendJSONString(e.b, rt.Kind)
+		e.float("alpha", rt.Alpha)
+		e.float("hot_share", rt.HotShare)
+		o.b = e.end()
+	}
+	if t := r.Topology; t != nil {
+		o.key("topology")
+		e := jsonObject(o.b, 2)
+		e.integer("nodes_per_rack", t.NodesPerRack)
+		e.float("oversub", t.Oversub)
+		e.float("spine_share", t.SpineShare)
+		o.b = e.end()
+	}
+	o.flag("shared_expert", r.SharedExpert)
+	o.flag("zero3", r.ZeRO3)
+	o.key("options")
+	po, ow := r.Options, jsonObject(o.b, 2)
+	ow.integer("max_partitions", po.MaxPartitions)
+	ow.float("group_us", po.GroupUs)
+	ow.integer("max_range_groups", po.MaxRangeGroups)
+	ow.flag("disable_dw_schedule", po.DisableDWSchedule)
+	ow.flag("disable_partition", po.DisablePartition)
+	ow.flag("dw_first_fit", po.DWFirstFit)
+	ow.flag("prioritize_all_to_all", po.PrioritizeAllToAll)
+	ow.flag("assume_uniform_routing", po.AssumeUniformRouting)
+	ow.flag("assume_flat_topology", po.AssumeFlatTopology)
+	ow.flag("assume_uniform_hardware", po.AssumeUniformHardware)
+	ow.flag("assume_sole_tenancy", po.AssumeSoleTenancy)
+	o.b = ow.end()
+	if wi := r.WhatIf; wi != nil {
+		o.key("what_if")
+		e := jsonObject(o.b, 2)
+		e.key("lost_nodes")
+		l := jsonArray(e.b, 3)
+		for _, n := range wi.LostNodes {
+			l.elem()
+			l.b = strconv.AppendInt(l.b, int64(n), 10)
+		}
+		e.b = l.end()
+		o.b = e.end()
+	}
+	return o.end()
 }
 
 // sessionKey identifies the pooled Session a request plans on: everything

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -226,8 +227,10 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 // plan cache's Fill: a share of the key's computation in flight, the
 // re-check (a result stored since the miss, so a burst of N identical
 // requests runs Compute exactly once), the disk tier, or a computation.
-// Every result the build returns is sealed first, so a result JSON cannot
-// encode is an error that neither tier stores. Panics while planning are
+// Every result the build returns is sealed: a computed one by seal, so a
+// result JSON cannot encode is an error that neither tier stores, and a
+// disk artifact's by its payload, which is the sealed encoding it was
+// written from (DESIGN.md §14). Panics while planning are
 // contained and returned as errors, so a bad grid point cannot take down
 // sweep workers (plain goroutines with no net/http recovery) or the whole
 // server.
@@ -241,15 +244,18 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint,
 	r, src, err := s.plans.Fill(key, func() (*Result, error) {
 		if s.disk != nil {
 			if payload, ok := s.disk.get(key); ok {
+				// The decode fills the fields planBody, sweeps and the
+				// drift loop read; the payload itself is served as is.
 				var res Result
-				if err := json.Unmarshal(payload, &res); err == nil && res.seal() == nil {
+				if err := json.Unmarshal(payload, &res); err == nil {
+					res.encoded = payload
 					fromDisk = true
 					return &res, nil
 				}
 				// A framed, checksummed artifact whose payload still isn't
 				// a Result is corrupt in a way the codec can't see; count
 				// it and recompute rather than serve a wrong plan.
-				s.disk.corrupt.Add(1)
+				s.disk.discard(key)
 			}
 		}
 		s.planMisses.Add(1)
@@ -275,9 +281,7 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint,
 			return nil, err
 		}
 		if s.disk != nil {
-			if payload, err := json.Marshal(&res); err == nil {
-				s.disk.put(key, payload)
-			}
+			s.disk.put(key, res.encoded)
 		}
 		return &res, nil
 	})
@@ -413,33 +417,31 @@ type outcome struct {
 // the results' sealed bytes, exactly what writeJSON writes for
 // PlanResponse{...} — the same indentation, omitempty rules and trailing
 // newline — without re-encoding results that never change (DESIGN.md §9).
-// Only the request echo and the speedup are encoded per request. base is
-// nil when the comparison is disabled.
+// The request echo and the speedup are appended with strconv, so nothing
+// is encoded by reflection. base is nil when the comparison is disabled.
 func planBody(c *canonical, res, base *Result) ([]byte, error) {
-	echo, err := json.MarshalIndent(c.echo(), "  ", "  ")
-	if err != nil {
-		return nil, err
-	}
-	var speedup []byte
+	var speedup float64
 	if base != nil && !res.OOM && !base.OOM && res.IterationMs > 0 {
-		if x := base.IterationMs / res.IterationMs; x != 0 {
-			if speedup, err = json.Marshal(x); err != nil {
-				return nil, err
-			}
+		speedup = base.IterationMs / res.IterationMs
+		if math.IsInf(speedup, 0) || math.IsNaN(speedup) {
+			// The encoder's own error, as writeJSON would have met it.
+			_, err := json.Marshal(speedup)
+			return nil, err
 		}
 	}
-	n := len(echo) + len(res.encoded) + len(speedup) + 80
+	// 512 bytes hold the envelope, the speedup and the echo of every
+	// plan-cold shape; a longer echo grows the buffer once.
+	n := len(res.encoded) + 512
 	if base != nil {
 		n += len(base.encoded)
 	}
-	b := make([]byte, 0, n)
-	b = append(append(b, "{\n  \"request\": "...), echo...)
+	b := c.appendEcho(append(make([]byte, 0, n), "{\n  \"request\": "...))
 	b = append(append(b, ",\n  \"result\": "...), res.encoded...)
 	if base != nil {
 		b = append(append(b, ",\n  \"baseline\": "...), base.encoded...)
 	}
-	if speedup != nil {
-		b = append(append(b, ",\n  \"speedup_over_baseline\": "...), speedup...)
+	if speedup != 0 {
+		b = appendJSONFloat(append(b, ",\n  \"speedup_over_baseline\": "...), speedup)
 	}
 	return append(b, "\n}\n"...), nil
 }
