@@ -39,36 +39,15 @@ func (d *DecayedProfile) Updates() int64 { return d.updates }
 
 // Ingest decays the accumulator one step and merges a per-pair token-count
 // update (e.g. one reporting interval's aggregate gate send matrix). The
-// matrix must be square, non-negative and carry at least one token; its
-// dimension is pinned by the first update.
+// update must pass ValidateCounts; its dimension is pinned by the first
+// update.
 func (d *DecayedProfile) Ingest(counts [][]int64) error {
-	n := len(counts)
-	if n == 0 {
-		return fmt.Errorf("netsim: empty routing update")
+	n := len(d.w)
+	if d.w == nil {
+		n = len(counts)
 	}
-	if d.w != nil && n != len(d.w) {
-		return fmt.Errorf("netsim: routing update is %dx%d, accumulator is %dx%d", n, n, len(d.w), len(d.w))
-	}
-	total := int64(0)
-	for src, row := range counts {
-		if len(row) != n {
-			return fmt.Errorf("netsim: routing update row %d has %d entries for %d rows", src, len(row), n)
-		}
-		for dst, v := range row {
-			if v < 0 {
-				return fmt.Errorf("netsim: negative routing update count at [%d][%d]", src, dst)
-			}
-			if v > math.MaxInt64-total {
-				// A wrapped total would pass the no-tokens check below with
-				// garbage weights; reject the pathological update instead
-				// (mirroring ProfileFromCounts's overflow rejection).
-				return fmt.Errorf("netsim: routing update counts overflow at [%d][%d]", src, dst)
-			}
-			total += v
-		}
-	}
-	if total == 0 {
-		return fmt.Errorf("netsim: routing update carries no tokens")
+	if err := ValidateCounts(counts, n); err != nil {
+		return err
 	}
 	if d.w == nil {
 		d.w = make([][]float64, n)
@@ -82,6 +61,36 @@ func (d *DecayedProfile) Ingest(counts [][]int64) error {
 		}
 	}
 	d.updates++
+	return nil
+}
+
+// ValidateCounts checks a per-pair token-count update for a fleet of
+// devices: a devices x devices matrix of non-negative counts carrying at
+// least one token, whose total fits an int64. A wrapped total would pass
+// the no-tokens check with garbage weights, so it is rejected, as
+// ProfileFromCounts rejects one.
+func ValidateCounts(counts [][]int64, devices int) error {
+	if len(counts) != devices {
+		return fmt.Errorf("netsim: routing update has %d rows, want a %d x %d matrix", len(counts), devices, devices)
+	}
+	total := int64(0)
+	for src, row := range counts {
+		if len(row) != devices {
+			return fmt.Errorf("netsim: routing update row %d has %d entries, want %d", src, len(row), devices)
+		}
+		for dst, v := range row {
+			if v < 0 {
+				return fmt.Errorf("netsim: routing update count [%d][%d] is negative (%d)", src, dst, v)
+			}
+			if v > math.MaxInt64-total {
+				return fmt.Errorf("netsim: routing update total overflows int64 at [%d][%d]", src, dst)
+			}
+			total += v
+		}
+	}
+	if total == 0 {
+		return fmt.Errorf("netsim: routing update carries no tokens")
+	}
 	return nil
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -28,6 +27,11 @@ const (
 // beyond it updates shed the re-plan (and retry on the next detection)
 // rather than queue unboundedly.
 const replanBacklog = 16
+
+// driftSessionCap bounds the drift-session store. A drift session holds
+// its decayed accumulator and published plan; its re-plans run on the
+// pooled session of its model and fleet.
+const driftSessionCap = 64
 
 // RoutingUpdate is the body of POST /v1/routing (DESIGN.md §16): one
 // streamed gate-count observation for a training session. Plan names the
@@ -82,17 +86,17 @@ type planSnapshot struct {
 }
 
 // driftSession is one training session's drift loop (DESIGN.md §16),
-// keyed by the plan key of its configuration. The accumulator and the
-// lazily built dedicated lancet session live behind mu; the published
-// plan is lock-free so serving never waits on an ingest or a re-plan.
+// keyed by the plan key of its configuration. The accumulator lives behind
+// mu; the published plan is lock-free so serving never waits on an ingest
+// or a re-plan. Re-plans run on a view of the pooled session for the
+// configuration's model and fleet, like every other plan (DESIGN.md §9).
 // Evicting one from the store only forgets its decayed history — the next
 // update recreates it and re-plans from scratch.
 type driftSession struct {
 	c *canonical
 
-	mu   sync.Mutex
-	acc  *netsim.DecayedProfile
-	sess *lancet.Session
+	mu  sync.Mutex
+	acc *netsim.DecayedProfile
 
 	plan atomic.Pointer[planSnapshot]
 
@@ -100,54 +104,6 @@ type driftSession struct {
 	// winner computes (synchronously for the first plan, in the background
 	// after), everyone else keeps serving the published snapshot.
 	replanning atomic.Bool
-}
-
-// session returns the drift session's dedicated lancet session with the
-// given traffic profile installed, building it on first use. Callers hold
-// the replanning flag, so at most one computation touches the session at
-// a time; only the field publication needs mu.
-func (d *driftSession) session(cur *netsim.RoutingProfile) (*lancet.Session, error) {
-	d.mu.Lock()
-	sess := d.sess
-	d.mu.Unlock()
-	if sess == nil {
-		var err error
-		if sess, err = buildSession(d.c); err != nil {
-			return nil, err
-		}
-		d.mu.Lock()
-		d.sess = sess
-		d.mu.Unlock()
-	}
-	if err := sess.SetWorkloadProfile(cur); err != nil {
-		return nil, err
-	}
-	return sess, nil
-}
-
-// buildSession constructs the lancet session a canonical request's session
-// key names: cluster (uniform or hetero), topology and model, with no
-// workload — the pool plans each routing on a view of it, and the drift
-// loop installs its streamed profile. canonicalize already validated every
-// ingredient; rebuilding here is cheap and keeps the cache key the single
-// source of truth.
-func buildSession(c *canonical) (*lancet.Session, error) {
-	var cluster lancet.Cluster
-	var err error
-	if len(c.nodeClasses) > 0 {
-		cluster, err = lancet.NewHeteroCluster(c.nodeClasses...)
-	} else {
-		cluster, err = lancet.NewCluster(c.clusterType, c.gpus)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.topo != (TopologySpec{}) {
-		if cluster, err = cluster.WithTopology(c.topo.toTopology()); err != nil {
-			return nil, err
-		}
-	}
-	return lancet.NewSession(c.cfg, cluster)
 }
 
 // driftSessionFor returns the drift session for a canonicalized plan,
@@ -161,17 +117,15 @@ func (s *Service) driftSessionFor(c *canonical) (*driftSession, error) {
 
 // replanOnce computes a plan for the profile cur and publishes it unless a
 // newer snapshot already landed. It serves through the shared two-tier
-// plan store (resultForWith), so re-plans are deduplicated, written
-// through to disk, restored on restart, and oscillating traffic that
-// returns to a planned shape hits the store instead of recomputing. hint
-// warm-starts the partition DP from the outgoing plan. A hint can change
-// the chosen plan (DESIGN.md §14); the drift loop keeps it because it cuts
-// the re-plan's DP work, and the first plan of a session is always cold.
+// plan store (resultFor), so re-plans are deduplicated, written through to
+// disk, restored on restart, and oscillating traffic that returns to a
+// planned shape hits the store instead of recomputing. hint warm-starts
+// the partition DP from the outgoing plan. A hint can change the chosen
+// plan (DESIGN.md §14); the drift loop keeps it because it cuts the
+// re-plan's DP work, and the first plan of a session is always cold.
 func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64, hint []lancet.PipelineHint) (*planSnapshot, error) {
 	cc := d.c.withProfile(cur)
-	res, _, err := s.resultForWith(cc, cc.framework, hint, func() (*lancet.Session, error) {
-		return d.session(cur)
-	})
+	res, _, err := s.resultFor(cc, cc.framework, hint)
 	if err != nil {
 		return nil, err
 	}
@@ -210,38 +164,6 @@ func (s *Service) Close() {
 	}
 }
 
-// validateCounts rejects a malformed gate-count matrix before anything is
-// created or ingested: wrong shape, negative cells, and totals that would
-// wrap int64 (mirroring ProfileFromCounts's overflow rejection — a wrapped
-// total would otherwise flow garbage weights into the decayed accumulator).
-// DecayedProfile.Ingest re-checks all of this, but by then a drift session
-// exists; rejecting here keeps malformed updates from creating one.
-func validateCounts(counts [][]int64, gpus int) error {
-	if len(counts) != gpus {
-		return codedf(CodeBadRouting, "counts must be a %d x %d gate-count matrix for this configuration, got %d rows",
-			gpus, gpus, len(counts))
-	}
-	total := int64(0)
-	for i, row := range counts {
-		if len(row) != gpus {
-			return codedf(CodeBadRouting, "counts row %d has %d entries, want %d", i, len(row), gpus)
-		}
-		for j, v := range row {
-			if v < 0 {
-				return codedf(CodeBadRouting, "counts[%d][%d] is negative (%d)", i, j, v)
-			}
-			if v > math.MaxInt64-total {
-				return codedf(CodeBadRouting, "counts total overflows int64 at [%d][%d]", i, j)
-			}
-			total += v
-		}
-	}
-	if total == 0 {
-		return codedf(CodeBadRouting, "counts carry no tokens")
-	}
-	return nil
-}
-
 func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 	u, err := decodeRoutingBody(w, r)
 	if err != nil {
@@ -263,8 +185,10 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := validateCounts(u.Counts, c.gpus); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	// Ingest checks the counts too, but by then a drift session exists;
+	// checking here keeps a malformed update from creating one.
+	if err := netsim.ValidateCounts(u.Counts, c.gpus); err != nil {
+		writeError(w, http.StatusBadRequest, coded(CodeBadRouting, err))
 		return
 	}
 	d, err := s.driftSessionFor(c)

@@ -247,6 +247,71 @@ func TestRoutingDriftTriggersBackgroundReplan(t *testing.T) {
 	svc.Close()
 }
 
+// TestDriftReplansSharePooledSession pins that drift re-plans plan on the
+// session pool (DESIGN.md §9, §16): a /v1/plan request and a /v1/routing
+// job on one model × fleet share one pooled session, and a landed re-plan
+// is a pool hit that prices on that session's cost model, so /v1/stats
+// cost_model counts it. Its last leg runs a re-plan while /v1/plan
+// requests plan on the same session; run it under -race.
+func TestDriftReplansSharePooledSession(t *testing.T) {
+	svc := New(Config{DecayHalfLife: 0.01})
+	defer svc.Close()
+	h := svc.Handler()
+	plan := PlanRequest{Baseline: BaselineNone} // lancet: re-plans run the DP
+	update := func(p *netsim.RoutingProfile) DriftInfo {
+		t.Helper()
+		w := postRouting(t, h, mustJSON(t, RoutingUpdate{Plan: plan, Counts: p.Counts()}))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", w.Code, w.Body)
+		}
+		return decodeRouting(t, w.Body).Drift
+	}
+	if w := postPlan(t, h, `{"baseline": "none"}`); w.Code != http.StatusOK {
+		t.Fatalf("plan status = %d, body %s", w.Code, w.Body)
+	}
+	update(netsim.UniformProfile(16))
+	before := svc.Stats()
+	if ss := before.SessionStore; ss.Size != 1 || ss.Misses != 1 {
+		t.Fatalf("session store %+v after a plan and a drift job's first plan, want one pooled session built once", ss)
+	}
+	if info := update(netsim.ZipfProfile(16, 1.2)); !info.Detected {
+		t.Fatalf("Zipf 1.2 update after uniform traffic: %+v, want a detected drift", info)
+	}
+	d := driftSessionOf(t, svc, plan)
+	awaitReplans(t, svc, d, 1)
+	after := svc.Stats()
+	if ss := after.SessionStore; ss.Size != 1 || ss.Misses != 1 || ss.Hits <= before.SessionStore.Hits {
+		t.Errorf("session store %+v after the re-plan (before %+v), want the re-plan to be a pool hit", ss, before.SessionStore)
+	}
+	if a, b := after.CostModel, before.CostModel; a.Hits <= b.Hits || a.Misses <= b.Misses {
+		t.Errorf("cost_model %+v after the re-plan, %+v before: the re-plan's pricing is not counted", a, b)
+	}
+
+	if info := update(netsim.HotExpertProfile(16, 0.5)); !info.Detected {
+		t.Fatalf("hot-expert update after Zipf traffic: %+v, want a detected drift", info)
+	}
+	var wg sync.WaitGroup
+	for _, body := range []string{
+		`{"baseline": "none", "seed": 2}`,
+		`{"baseline": "none", "routing": {"kind": "zipf", "alpha": 1.2}}`,
+		`{"baseline": "none", "routing": {"kind": "hot", "hot_share": 0.3}}`,
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w := postPlan(t, h, body); w.Code != http.StatusOK {
+				t.Errorf("%s during a re-plan: status %d, body %s", body, w.Code, w.Body)
+			}
+		}()
+	}
+	wg.Wait()
+	awaitReplans(t, svc, d, 2)
+	if st := svc.Stats(); st.SessionStore.Size != 1 || st.SessionStore.Misses != 1 || st.Drift.ReplanErrors != 0 {
+		t.Errorf("session store %+v, %d re-plan errors after plans ran beside a re-plan; want one pooled session and no errors",
+			st.SessionStore, st.Drift.ReplanErrors)
+	}
+}
+
 // TestRoutingStaleWhileRevalidate is the SWR property test (run with
 // -race): while a background re-plan is held open, a concurrent burst of
 // updates is served exactly the old plan's bytes — never torn, never
@@ -569,5 +634,49 @@ func TestConfigZeroSelectsDriftDefaults(t *testing.T) {
 	}
 	if fingerprint(0, a, b) == undecayed {
 		t.Error("the zero half-life kept every update forever; want the default decay")
+	}
+}
+
+// BenchmarkServiceReplan measures a background drift re-plan: drift-replan's
+// job shape (GPT2-S on 32 V100s) re-planned through the plan store on a
+// view of its warm pooled session, hinted by the previous plan, to a
+// streamed Zipf profile no earlier iteration saw. Every iteration must
+// compute. perf_floor.txt's floor catches a re-plan that rebuilds its
+// session or stops warm-starting the DP.
+func BenchmarkServiceReplan(b *testing.B) {
+	svc := New(Config{})
+	defer svc.Close()
+	c, err := PlanRequest{GPUs: 32, Baseline: BaselineNone}.canonicalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := svc.driftSessionFor(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm the pooled session with a cold /v1/plan-style plan and the drift
+	// session's first plan, as in a long-lived server.
+	if _, _, err := svc.resultFor(c, c.framework, nil); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := svc.replanOnce(d, netsim.UniformProfile(32), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := make([]*netsim.RoutingProfile, b.N)
+	for i := range profiles {
+		profiles[i] = netsim.ZipfProfile(32, 0.6+1e-3*float64(i))
+	}
+	warm := svc.Computations()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if snap, err = svc.replanOnce(d, profiles[i], int64(i+1), snap.res.Pipelines); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := svc.Computations() - warm; n != int64(b.N) {
+		b.Fatalf("%d computations over %d re-plans, want one each", n, b.N)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"lancet/internal/netsim"
 )
 
 // FuzzPlanRequest drives arbitrary JSON bodies through the request
@@ -122,7 +124,7 @@ func FuzzRoutingUpdate(f *testing.F) {
 			httptest.NewRequest(http.MethodPost, "/v1/routing", strings.NewReader(string(body))))
 		switch rec.Code {
 		case http.StatusOK, http.StatusServiceUnavailable:
-			if err := validateCounts(counts, 16); err != nil {
+			if err := netsim.ValidateCounts(counts, 16); err != nil {
 				t.Fatalf("handler accepted (status %d) counts the validator rejects: %v", rec.Code, err)
 			}
 		case http.StatusBadRequest:

@@ -244,32 +244,49 @@ func TestCorruptionAfterOpenDegradesOnGet(t *testing.T) {
 	}
 }
 
+// TestFramedButUnparseablePayloadRecomputed: a checksummed frame whose
+// payload isn't a Result of its key's framework passes the codec but must
+// still be counted corrupt and recomputed, never served.
 func TestFramedButUnparseablePayloadRecomputed(t *testing.T) {
-	// A checksummed frame whose payload isn't a Result passes the codec but
-	// must still be counted corrupt and recomputed, never served.
-	dir := t.TempDir()
-	key := fastPlanKey(t)
-	d := &diskStore{dir: dir}
-	if err := os.WriteFile(filepath.Join(dir, d.fileName(key)),
-		encodeArtifact(key, []byte(`"not a plan result"`)), 0o644); err != nil {
+	fresh := postPlan(t, New(Config{}).Handler(), fastPlanBody)
+	other, _, err := New(Config{}).resultFor(canonicalBody(t, `{"framework": "deepspeed", "baseline": "none"}`), "deepspeed", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	svc := openService(t, dir)
-	if ds := svc.Stats().DiskStore; ds.Artifacts != 1 {
-		t.Fatalf("frame should pass startup validation: %+v", ds)
-	}
-	w := postPlan(t, svc.Handler(), fastPlanBody)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body)
-	}
-	if got := w.Header().Get("X-Lancet-Cache"); got != "miss" {
-		t.Errorf("cache state = %q, want miss (unparseable payload)", got)
-	}
-	if svc.Computations() != 1 {
-		t.Errorf("computations = %d, want 1", svc.Computations())
-	}
-	if ds := svc.Stats().DiskStore; ds.Corrupt != 1 {
-		t.Errorf("unparseable payload not counted corrupt: %+v", ds)
+	key := fastPlanKey(t)
+	for _, tc := range []struct{ name, payload string }{
+		{"string", `"not a plan result"`},
+		{"null", `null`},
+		{"result of another framework", string(other.encoded)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := &diskStore{dir: dir}
+			if err := os.WriteFile(filepath.Join(dir, d.fileName(key)),
+				encodeArtifact(key, []byte(tc.payload)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc := openService(t, dir)
+			if ds := svc.Stats().DiskStore; ds.Artifacts != 1 {
+				t.Fatalf("frame should pass startup validation: %+v", ds)
+			}
+			w := postPlan(t, svc.Handler(), fastPlanBody)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status = %d, body %s", w.Code, w.Body)
+			}
+			if got := w.Header().Get("X-Lancet-Cache"); got != "miss" {
+				t.Errorf("cache state = %q, want miss (payload not a raf result)", got)
+			}
+			if !bytes.Equal(w.Body.Bytes(), fresh.Body.Bytes()) {
+				t.Errorf("body differs from a fresh service's\n got %s\nwant %s", w.Body, fresh.Body)
+			}
+			if svc.Computations() != 1 {
+				t.Errorf("computations = %d, want 1", svc.Computations())
+			}
+			if ds := svc.Stats().DiskStore; ds.Corrupt != 1 || ds.Artifacts != 1 {
+				t.Errorf("disk tier %+v, want the payload counted corrupt and its key's artifact rewritten", ds)
+			}
+		})
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"lancet"
 )
 
 // planbody_test.go pins the /v1/plan hit path (DESIGN.md §9): every body
@@ -227,7 +225,8 @@ func TestPlanBodyMatchesReferenceEncoder(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
 		// Hold a flight for the lancet key open until every request has
 		// joined it, so each one reports "shared". The tutel baseline is
-		// stored first, so only the lancet lookups join flights.
+		// stored first, so only the lancet lookups join flights. The held
+		// flight stores what a fresh service computes for the key.
 		svc := New(Config{})
 		const body, callers = `{"seed": 9}`, 4
 		if w := postPlan(t, svc.Handler(), `{"seed": 9, "framework": "tutel", "baseline": "none"}`); w.Code != http.StatusOK {
@@ -237,10 +236,11 @@ func TestPlanBodyMatchesReferenceEncoder(t *testing.T) {
 		started, release := make(chan struct{}), make(chan struct{})
 		leader := make(chan error, 1)
 		go func() {
-			_, _, err := svc.fill(c, c.planKey(c.framework), c.framework, nil, func() (*lancet.Session, error) {
+			_, _, err := svc.plans.Fill(c.planKey(c.framework), func() (*Result, error) {
 				close(started)
 				<-release
-				return svc.session(c)
+				r, _, err := New(Config{}).resultFor(c, c.framework, nil)
+				return r, err
 			})
 			leader <- err
 		}()

@@ -51,8 +51,6 @@ type Config struct {
 	// update's influence on a drift session's profile to halve. 0 selects
 	// the default 8; negative disables decay (pure running sum).
 	DecayHalfLife float64
-	// DriftSessionCap bounds the drift-session store (entries). Default 64.
-	DriftSessionCap int
 }
 
 // Service is the long-lived planning front end: a two-tier plan store —
@@ -143,14 +141,11 @@ func New(cfg Config) *Service {
 	if cfg.DecayHalfLife == 0 {
 		cfg.DecayHalfLife = defaultDecayHalfLife
 	}
-	if cfg.DriftSessionCap <= 0 {
-		cfg.DriftSessionCap = 64
-	}
 	s := &Service{
 		cfg:           cfg,
 		plans:         cache.New[string, *Result](cfg.CacheSize),
 		sessions:      cache.New[string, *lancet.Session](cfg.SessionCacheSize),
-		driftSessions: cache.New[string, *driftSession](cfg.DriftSessionCap),
+		driftSessions: cache.New[string, *driftSession](driftSessionCap),
 	}
 	s.sessions.OnEvict(func(sess *lancet.Session) {
 		// Counters an in-flight computation accrues on the evicted session
@@ -181,9 +176,12 @@ func Open(cfg Config, dir string) (*Service, error) {
 }
 
 // session returns a view of the pooled session for the request's model and
-// cluster under the request's routing, building (and deduplicating
+// cluster under the request's workload, building (and deduplicating
 // concurrent builds of) the pooled session on first use. Views share the
-// pooled session's graph and cost model (DESIGN.md §9).
+// pooled session's graph and cost model (DESIGN.md §9). A drift re-plan's
+// streamed profile is installed on its fresh view, which has no profile to
+// supersede, so the install invalidates nothing in the shared cost model
+// (DESIGN.md §16).
 func (s *Service) session(c *canonical) (*lancet.Session, error) {
 	base, _, err := s.sessions.Do(c.sessionKey(), func() (*lancet.Session, error) {
 		return buildSession(c)
@@ -191,36 +189,55 @@ func (s *Service) session(c *canonical) (*lancet.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return base.WithWorkload(c.routing.workload()), nil
+	view := base.WithWorkload(c.routing.workload())
+	if c.profile != nil {
+		if err := view.SetWorkloadProfile(c.profile); err != nil {
+			return nil, err
+		}
+	}
+	return view, nil
+}
+
+// buildSession constructs the lancet session a canonical request's session
+// key names: cluster (uniform or hetero), topology and model, with no
+// workload — each request plans on a view of it (session). canonicalize
+// already validated every ingredient; rebuilding here is cheap and keeps
+// the cache key the single source of truth.
+func buildSession(c *canonical) (*lancet.Session, error) {
+	var cluster lancet.Cluster
+	var err error
+	if len(c.nodeClasses) > 0 {
+		cluster, err = lancet.NewHeteroCluster(c.nodeClasses...)
+	} else {
+		cluster, err = lancet.NewCluster(c.clusterType, c.gpus)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.topo != (TopologySpec{}) {
+		if cluster, err = cluster.WithTopology(c.topo.toTopology()); err != nil {
+			return nil, err
+		}
+	}
+	return lancet.NewSession(c.cfg, cluster)
 }
 
 // resultFor serves one framework's result through the two-tier plan store:
 // memory LRU hit, disk-artifact hit (promoted into the LRU), a share of an
 // identical request's computation in flight, or a fresh computation
 // written through to both tiers. The returned cache state is "hit",
-// "disk", "shared" or "miss". Every computation it runs is cold, so a
-// stored /v1/plan or /v1/sweep entry never depends on what was requested
-// before it.
-func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
-	return s.resultForWith(c, fw, nil, nil)
-}
-
-// resultForWith is resultFor with an explicit session provider and DP
-// hint: the drift loop serves its re-plans through the same two-tier store
-// (deduplicated, write-through, restart-restorable), but against a
-// dedicated session whose workload is a streamed profile rather than a
-// pooled parametric one (DESIGN.md §16). sessionFn runs only on a full
-// store miss; nil selects the pooled session. hint, when non-nil,
+// "disk", "shared" or "miss". hint, non-nil only for drift re-plans,
 // warm-starts the partition DP from the outgoing plan. It is absent from
-// the plan key although it can change the chosen plan (DESIGN.md §14):
-// the drift loop's keys carry the streamed profile's fingerprint, which no
-// /v1/plan or /v1/sweep request can spell.
-func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (*Result, string, error) {
+// the plan key although it can change the chosen plan (DESIGN.md §14): the
+// drift loop's keys carry the streamed profile's fingerprint, which no
+// /v1/plan or /v1/sweep request can spell, so every computation those
+// endpoints store is cold and never depends on what was requested before.
+func (s *Service) resultFor(c *canonical, fw string, hint []lancet.PipelineHint) (*Result, string, error) {
 	key := c.planKey(fw)
 	if r, ok := s.plans.Get(key); ok {
 		return r, "hit", nil
 	}
-	return s.fill(c, key, fw, hint, sessionFn)
+	return s.fill(c, key, fw, hint)
 }
 
 // fill serves a lookup of key that the memory tier missed through the
@@ -234,7 +251,7 @@ func (s *Service) resultForWith(c *canonical, fw string, hint []lancet.PipelineH
 // contained and returned as errors, so a bad grid point cannot take down
 // sweep workers (plain goroutines with no net/http recovery) or the whole
 // server.
-func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint, sessionFn func() (*lancet.Session, error)) (r *Result, state string, err error) {
+func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint) (r *Result, state string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r, state, err = nil, "error", fmt.Errorf("panic while planning %s: %v", fw, p)
@@ -247,25 +264,21 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint,
 				// The decode fills the fields planBody, sweeps and the
 				// drift loop read; the payload itself is served as is.
 				var res Result
-				if err := json.Unmarshal(payload, &res); err == nil {
+				if err := json.Unmarshal(payload, &res); err == nil && res.Framework == fw {
 					res.encoded = payload
 					fromDisk = true
 					return &res, nil
 				}
 				// A framed, checksummed artifact whose payload still isn't
-				// a Result is corrupt in a way the codec can't see; count
-				// it and recompute rather than serve a wrong plan.
+				// a Result of the key's framework (another encoding, null,
+				// another framework's result) is corrupt in a way the codec
+				// can't see; count it and recompute rather than serve a
+				// wrong plan.
 				s.disk.discard(key)
 			}
 		}
 		s.planMisses.Add(1)
-		var sess *lancet.Session
-		var err error
-		if sessionFn != nil {
-			sess, err = sessionFn()
-		} else {
-			sess, err = s.session(c)
-		}
+		sess, err := s.session(c)
 		if err != nil {
 			return nil, err
 		}
@@ -378,12 +391,12 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 			pending = make(chan outcome, 1)
 			go func() {
 				var o outcome
-				o.r, _, o.err = s.fill(c, key, c.baseline, nil, nil)
+				o.r, _, o.err = s.fill(c, key, c.baseline, nil)
 				pending <- o
 			}()
 		}
 	}
-	res, state, err := s.resultFor(c, c.framework)
+	res, state, err := s.resultFor(c, c.framework, nil)
 	if pending != nil {
 		o := <-pending
 		base = o.r
@@ -645,7 +658,7 @@ func (s *Service) sweepOne(req PlanRequest) SweepItem {
 	if err != nil {
 		return SweepItem{Request: req, Err: err.Error()}
 	}
-	res, _, err := s.resultFor(c, c.framework)
+	res, _, err := s.resultFor(c, c.framework, nil)
 	if err != nil {
 		return SweepItem{Request: c.echo(), Err: err.Error()}
 	}
@@ -706,7 +719,9 @@ type StatsResponse struct {
 	DPEvaluations int64 `json:"dp_evaluations"`
 	// CostModel aggregates lancet.CostStats over every pooled session
 	// plus the retired tally of evicted ones (monotonic across scrapes).
-	// Drift sessions' dedicated cost models are not included.
+	// Every Lancet plan prices on a pooled session's cost model, drift
+	// re-plans included; a Baseline call's own short-lived model is left
+	// out.
 	CostModel CostModelStats `json:"cost_model"`
 	// Drift is the /v1/routing control loop's counters (DESIGN.md §16).
 	Drift DriftStats `json:"drift"`

@@ -373,9 +373,11 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 // communication tables, skew tables and op-profile memo — so it costs one
 // small allocation, and any number of views may plan concurrently
 // (DESIGN.md §7, §9). Setting both workload knobs is an error at plan time,
-// as for any session. A view's SetWorkloadProfile invalidates prices in the
-// shared cost model, so a session that streams its workload should be its
-// own, not a view.
+// as for any session. A view starts without a streamed profile, so its
+// first SetWorkloadProfile supersedes nothing and invalidates nothing in
+// the shared cost model: the serving layer plans each drift re-plan's
+// streamed traffic this way, on a fresh view of a pooled session
+// (DESIGN.md §16).
 func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
 	return &Session{
 		Config:            s.Config,
@@ -450,14 +452,17 @@ func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 // SetWorkloadProfile installs a streamed routing profile as the session's
 // workload (DESIGN.md §16): plans planned from now on price against p's
 // traffic shape and simulation replays it, replacing the parametric gate
-// proxy entirely; passing nil reverts to the parametric workload. The drift
-// loop calls this each time a session's decayed traffic snapshot supersedes
-// the profile the live plan was built from. Plans computed before the swap
-// keep the workload they were planned for; replaying a stale plan under the
-// new traffic is a re-plan with Options.FixedPipelines set to its
-// pipelines. The superseded fingerprint's memoized prices are dropped from
-// the session's cost model, so a long-lived serving session does not
-// accumulate one interpolation table per drift step.
+// proxy entirely; passing nil reverts to the parametric workload. The
+// serving layer's drift loop installs each re-plan's decayed traffic
+// snapshot on a fresh WithWorkload view, where the call supersedes nothing.
+// Plans computed before a swap keep the workload they were planned for;
+// replaying a stale plan under the new traffic is a re-plan with
+// Options.FixedPipelines set to its pipelines. A swap that supersedes
+// another fingerprint drops that fingerprint's skew table from the cost
+// model, shared with every view of the session, so a session swapped in
+// place does not accumulate one interpolation table per swap; a table is
+// a pure function of cluster and profile, so the drop costs a view that
+// still prices the old profile a rebuild, never a different price.
 func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 	if err := s.costRAF.ValidateProfile(p); err != nil {
 		return err
