@@ -1,8 +1,6 @@
 package lancet_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"slices"
 	"testing"
@@ -38,24 +36,17 @@ func hintVariants() []hintVariant {
 	return vs
 }
 
-// TestHintedPlansGolden pins what warm-started plans choose and cost: for
+// TestHintedPlansGolden is the DP scan of the deprecated Options.Hint: for
 // GPT2-S, GPT2-L and ViT-S on 16×V100 and 64×V100, each of the twelve
 // variants is planned once per other variant, hinted by that variant's cold
-// plan, and the hinted plan's pipelines, DP evaluations and PredictUs go
-// into a SHA-256 per model and fleet (792 hinted plans). The hint's skip
-// certificate assumes a unimodal span-vs-k curve (DESIGN.md §14), so some
-// hinted plans differ from their cold plan; the hash pins those too.
+// plan (792 hinted plans), and every hinted plan must be its variant's
+// cold plan, the golden: the same pipelines, DP evaluations and PredictUs.
+// The DP sweeps every k of every window (DESIGN.md §14), so no hint can
+// steer it; the skip the hint once fed chose costlier plans for 24 of these
+// pairs.
 func TestHintedPlansGolden(t *testing.T) {
-	golden := map[[2]string]string{
-		{"gpt2-s", "v100x16"}: "bdb678a6a8a3e0c73b81c78e434b32df05a3fa8c57e4141b5d5688ef3f4a37fc",
-		{"gpt2-s", "v100x64"}: "13cd0ca540a31dca4726939e212f0ea5d1254bb2be5ed192e1f6d4e162976800",
-		{"gpt2-l", "v100x16"}: "c477861d694aa37249b8531f5a2744188b5c55c07b04730f908408d9af0fbfe3",
-		{"gpt2-l", "v100x64"}: "7370ed67ea715e1f70007ce916aa457a78d514b1acfda78852fbfa7d60a8cea2",
-		{"vit-s", "v100x16"}:  "d010b5f9b3ad1ed15c9480c0c8814030c552c9833eafc48462a21ba1cb1d5e30",
-		{"vit-s", "v100x64"}:  "2375548e797dfe34b1b6f8fa15c54b75ed4ec1332afe7838969a2dc52de32883",
-	}
 	variants := hintVariants()
-	differ := 0
+	scanned := 0
 	for _, m := range []string{"gpt2-s", "gpt2-l", "vit-s"} {
 		for _, f := range []string{"v100x16", "v100x64"} {
 			sessions := make(map[float64]*lancet.Session)
@@ -79,7 +70,6 @@ func TestHintedPlansGolden(t *testing.T) {
 				}
 				cold[i] = p
 			}
-			h := sha256.New()
 			for i, v := range variants {
 				for d, donor := range variants {
 					if d == i {
@@ -95,17 +85,16 @@ func TestHintedPlansGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s %v hinted by %v: %v", m, f, v, donor, err)
 					}
-					fmt.Fprintf(h, "%v <- %v: %v evals %d predict %v\n", v, donor, p.Pipelines, p.DPEvaluations, pred)
-					if !slices.Equal(p.Pipelines, cold[i].Pipelines) || pred != coldUs[i] {
-						differ++
+					scanned++
+					if !slices.Equal(p.Pipelines, cold[i].Pipelines) || p.DPEvaluations != cold[i].DPEvaluations || pred != coldUs[i] {
+						t.Errorf("%s %s %v hinted by %v: %v, %d evaluations, predicts %v us; cold %v, %d, %v us",
+							m, f, v, donor, p.Pipelines, p.DPEvaluations, pred, cold[i].Pipelines, cold[i].DPEvaluations, coldUs[i])
 					}
 				}
 			}
-			key := [2]string{m, f}
-			if got, want := hex.EncodeToString(h.Sum(nil)), golden[key]; got != want {
-				t.Errorf("%s %s: hinted plans hash %s, want %s", m, f, got, want)
-			}
 		}
 	}
-	t.Logf("%d hinted plans differ from their cold plan", differ)
+	if scanned != 792 {
+		t.Errorf("scanned %d hinted plans, want 792", scanned)
+	}
 }

@@ -125,10 +125,9 @@ func BenchmarkPartitionDP(b *testing.B) {
 	_ = sink
 }
 
-// windowSweep is the per-window work of Run's DP loop on a solvable window
-// (the full sweep, without the warm-start probe): solve the axes, cap k at
-// what they admit, price the boundary, index the window as a new start and
-// simulate every partition count from scratch.
+// windowSweep is the per-window work of Run's DP loop on a solvable window:
+// solve the axes, cap k at what they admit, price the boundary, index the
+// window as a new start and simulate every partition count from scratch.
 func windowSweep(g *ir.Graph, cm *cost.Model, window []*ir.Instr, pr cost.A2APricer, sc *dpScratch) float64 {
 	if !sc.solveAxes(g, window, true) {
 		panic("window must be solvable")
@@ -160,8 +159,7 @@ func startSweep(g *ir.Graph, cm *cost.Model, bounds []int, i int, pr cost.A2APri
 		kmax := min(8, sc.maxParts(g))
 		boundary := boundaryCostUs(g, cm, window, sc)
 		for k := 2; k <= kmax; k++ {
-			p, _ := sc.windowCost(cm, window, k, pr, 1, boundary)
-			sum += p
+			sum += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
 		}
 		priced++
 	}

@@ -43,18 +43,13 @@ type Options struct {
 	// optimizes the quantity the simulation will charge. 0 means 1 (full
 	// padded payload).
 	PayloadFraction float64
-	// Hint seeds the DP with a previous plan's chosen pipelines (only
-	// Start, End and K are consulted — DESIGN.md §14). For each candidate
-	// window the DP probes the hinted partition count's immediate
-	// neighborhood first; a strict local minimum at the hinted k is taken
-	// as the window's argmin, so the remaining k values are never
-	// evaluated. That certificate assumes the span-vs-k curve is unimodal,
-	// and it is not always: a window can have a strict local minimum at
-	// the hinted k and a cheaper k further out, so a hinted run can choose
-	// different, costlier ranges than a hint-free one. When the hint loses
-	// its probe the window falls back to the full k sweep, which reuses the
-	// probed candidates' prices instead of simulating them twice.
-	// The warm-start tests pin hinted ≡ hint-free on their fixtures only.
+	// Hint is ignored: every run sweeps every partition count of every
+	// window (DESIGN.md §14).
+	//
+	// Deprecated: the warm start it fed skipped a window's k sweep when the
+	// hinted k beat its neighbours, which could return costlier plans
+	// because span-vs-k is not unimodal. The field stays only until the
+	// benchmark module stops setting it.
 	Hint []Range
 }
 
@@ -176,24 +171,9 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			// window and add it to every candidate's simulated span (the same
 			// sum pipelineCost computed per candidate).
 			boundary := boundaryCostUs(g, cm, window, sc)
-			if hk := hintKFor(opts.Hint, bounds[i], bounds[j]-1); hk >= 2 && hk <= kmax {
-				if p, ok := probeHint(sc, cm, window, hk, kmax, pr, opts.PayloadFraction, boundary, res); ok {
-					// The hinted k strictly beat its probed neighborhood:
-					// under the unimodality invariant it is the full sweep's
-					// argmin for this window, so applying it alone leaves
-					// T[j]/best[j] exactly where the full sweep would.
-					if t := T[i] + p; t < T[j] {
-						T[j] = t
-						best[j] = choice{from: i, k: hk, pUs: p, sUs: serial}
-					}
-					continue
-				}
-			}
 			for k := 2; k <= kmax; k++ {
-				p, fresh := sc.windowCost(cm, window, k, pr, opts.PayloadFraction, boundary)
-				if fresh {
-					res.Evaluations++
-				}
+				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+				res.Evaluations++
 				if t := T[i] + p; t < T[j] {
 					T[j] = t
 					best[j] = choice{from: i, k: k, pUs: p, sUs: serial}
@@ -272,62 +252,6 @@ func makeGroups(prefix []float64, groupUs float64, buf []int) []int {
 	}
 	bounds = append(bounds, fwdEnd)
 	return bounds
-}
-
-// hintKFor returns the partition count of the hint range overlapping the
-// instruction window [lo, hi] (inclusive, input-graph program order) the
-// most, or 0 when no hint range overlaps it. Ties keep the earliest hint
-// range, matching program order.
-func hintKFor(hint []Range, lo, hi int) int {
-	bestK, bestOv := 0, 0
-	for _, h := range hint {
-		l, r := h.Start, h.End
-		if l < lo {
-			l = lo
-		}
-		if r > hi {
-			r = hi
-		}
-		if ov := r - l + 1; ov > bestOv {
-			bestOv, bestK = ov, h.K
-		}
-	}
-	return bestK
-}
-
-// probeHint evaluates the hinted partition count hk and its immediate
-// neighbors on the indexed window. ok reports the warm-start certificate:
-// hk strictly beats every probed neighbor (at the k-range boundary, its
-// single neighbor), in which case p is taken as the window's minimal
-// pipelined cost — exact only where the span-vs-k curve is unimodal
-// (see Options.Hint). Each probed k's simulation records the window it
-// priced, so a failed certificate hands its work to the full-sweep
-// fallback instead of discarding it.
-func probeHint(sc *dpScratch, cm *cost.Model, window []*ir.Instr, hk, kmax int, pr cost.A2APricer, frac, boundary float64, res *Result) (p float64, ok bool) {
-	lo, hi := hk-1, hk+1
-	if lo < 2 {
-		lo = 2
-	}
-	if hi > kmax {
-		hi = kmax
-	}
-	p, fresh := sc.windowCost(cm, window, hk, pr, frac, boundary)
-	if fresh {
-		res.Evaluations++
-	}
-	for k := lo; k <= hi; k++ {
-		if k == hk {
-			continue
-		}
-		pk, fresh := sc.windowCost(cm, window, k, pr, frac, boundary)
-		if fresh {
-			res.Evaluations++
-		}
-		if pk <= p {
-			return 0, false
-		}
-	}
-	return p, true
 }
 
 func windowHasA2A(window []*ir.Instr) bool {

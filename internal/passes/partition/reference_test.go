@@ -282,8 +282,9 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 
 // refPipelineSpan simulates a window's stage pipeline the direct way: the
 // issue order schedulePlan materializes, dependencies found through a
-// position map, and a fresh end-time map per call.
-func refPipelineSpan(g *ir.Graph, cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer) float64 {
+// position map, and a fresh end-time map per call. frac is the profiled
+// payload fraction (Options.PayloadFraction).
+func refPipelineSpan(g *ir.Graph, cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
 	pos := make(map[int]int, len(window))
 	for i, in := range window {
 		pos[in.ID] = i
@@ -306,7 +307,7 @@ func refPipelineSpan(g *ir.Graph, cm *cost.Model, window []*ir.Instr, k int, pr 
 				}
 			}
 		}
-		e := start + instanceDur(cm, in, k, pr, 1, &tmp)
+		e := start + instanceDur(cm, in, k, pr, frac, &tmp)
 		end[ref] = e
 		clock[stream] = e
 		if e > span {
@@ -329,7 +330,7 @@ func TestPipelineSpanMatchesReference(t *testing.T) {
 		for _, w := range dpWindows(g, cm) {
 			sc.prepareWindow(g, w)
 			for k := 2; k <= 8; k++ {
-				got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr)
+				got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr, 1)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s window @%d..@%d k=%d: span %v, reference %v",
 						name, w[0].ID, w[len(w)-1].ID, k, got, want)
@@ -377,7 +378,7 @@ func TestPipelineSpanResumeMatchesReference(t *testing.T) {
 								grewStage++
 							}
 						}
-						got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr)
+						got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr, 1)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s profiled=%v window @%d..@%d k=%d: resumed span %v, reference %v",
 								name, prof != nil, w[0].ID, w[len(w)-1].ID, k, got, want)

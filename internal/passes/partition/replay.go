@@ -59,10 +59,8 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		}
 		boundary := boundaryCostUs(g, cm, window, sc)
 		sc.prepareWindow(g, window)
-		p, fresh := sc.windowCost(cm, window, k, pr, opts.PayloadFraction, boundary)
-		if fresh {
-			res.Evaluations++
-		}
+		p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+		res.Evaluations++
 		serial := prefix[r.End+1] - prefix[r.Start]
 		res.ForwardUs += p - serial
 		res.Ranges = append(res.Ranges, Range{

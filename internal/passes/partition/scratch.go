@@ -154,18 +154,6 @@ func (sc *dpScratch) kState(k int) *kSim {
 	return st
 }
 
-// windowCost prices the indexed window partitioned k ways: pipelineSpan
-// plus the hoisted k-independent boundary cost. fresh reports whether the
-// (window, k) pair had not been priced yet — the quantity Run's
-// Evaluations counter tracks — so the warm-start probe and the full-sweep
-// fallback never count the same candidate twice; a repeat returns the
-// simulation's recorded span without simulating.
-func (sc *dpScratch) windowCost(cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac, boundary float64) (p float64, fresh bool) {
-	st := sc.kState(k)
-	fresh = st.start != sc.startGen || st.n != len(window)
-	return sc.pipelineSpan(cm, window, k, pr, frac) + boundary, fresh
-}
-
 // beginWindow starts the window index of a new DP start: an empty window
 // that extendWindow grows. Every per-k simulation of an earlier start is
 // stale from here on.

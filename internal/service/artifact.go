@@ -21,8 +21,9 @@ import (
 // The payload is the result's sealed encoding, Result.encoded: exactly
 // json.MarshalIndent(r, "  ", "  "), the bytes the result occupies one
 // level deep in an indented response. A disk hit serves it as it is read.
-// Version 1 stored json.Marshal(r) instead; any change to the payload's
-// bytes, including a change to Result's JSON encoding, bumps the version.
+// Version 1 stored json.Marshal(r) instead, and version 2's what-if
+// payloads carry cold_dp_evaluations; any change to the payload's bytes,
+// including a change to Result's JSON encoding, bumps the version.
 //
 // The encoding is canonical — no padding, no slack — and decodeArtifact
 // rejects trailing bytes, so every accepted artifact re-encodes to exactly
@@ -31,7 +32,7 @@ import (
 // are counted corrupt, recomputed and overwritten, never half-read.
 const (
 	artifactMagic   = "LANCETPL"
-	artifactVersion = 2
+	artifactVersion = 3
 
 	// artifactMaxBytes caps the lengths a decoder trusts before
 	// allocating; real artifacts are a few KB of JSON.

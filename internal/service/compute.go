@@ -35,9 +35,9 @@ type Result struct {
 	OverlapMs           float64 `json:"overlap_ms,omitempty"`
 	AllToAllMs          float64 `json:"a2a_ms,omitempty"`
 	Notes               string  `json:"notes,omitempty"`
-	// Pipelines records a Lancet plan's chosen partition pipelines. The
-	// drift loop seeds its next re-plan's DP from them (DESIGN.md §14,
-	// §16); they are serialized into disk artifacts like every other field.
+	// Pipelines records a Lancet plan's chosen partition pipelines: the
+	// plan shape a drift re-plan changes (DESIGN.md §16). They are
+	// serialized into disk artifacts like every other field.
 	Pipelines []lancet.PipelineHint `json:"pipelines,omitempty"`
 
 	// WhatIf carries the node-loss scenario answer when the request asked
@@ -86,10 +86,8 @@ type WhatIfResult struct {
 	ReplannedMs      float64 `json:"replanned_ms"`
 	DegradedSlowdown float64 `json:"degraded_slowdown"`
 	ReplanSpeedup    float64 `json:"replan_speedup"`
-	// ReplanDPEvaluations and ColdDPEvaluations are the warm-started and
-	// cold re-plan's partition-DP costs — what the stale plan's hint buys.
+	// ReplanDPEvaluations is the re-plan's partition-DP cost.
 	ReplanDPEvaluations int `json:"replan_dp_evaluations"`
-	ColdDPEvaluations   int `json:"cold_dp_evaluations"`
 }
 
 // Compute plans framework fw on the session and simulates one iteration
@@ -163,9 +161,8 @@ func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options, l
 			DegradedSlowdown:    rep.DegradedSlowdown,
 			ReplanSpeedup:       rep.ReplanSpeedup,
 			ReplanDPEvaluations: rep.ReplanEvaluations,
-			ColdDPEvaluations:   rep.ColdEvaluations,
 		}
-		res.evaluations += rep.ReplanEvaluations + rep.ColdEvaluations
+		res.evaluations += rep.ReplanEvaluations
 	}
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lancet"
 	"lancet/internal/netsim"
 	"lancet/internal/pool"
 )
@@ -27,6 +26,11 @@ const (
 // beyond it updates shed the re-plan (and retry on the next detection)
 // rather than queue unboundedly.
 const replanBacklog = 16
+
+// sessionCap bounds the session pool: the lancet sessions, one per model
+// and fleet, that every plan and re-plan runs on a workload view of
+// (DESIGN.md §9).
+const sessionCap = 32
 
 // driftSessionCap bounds the drift-session store. A drift session holds
 // its decayed accumulator and published plan; its re-plans run on the
@@ -74,11 +78,10 @@ type RoutingResponse struct {
 }
 
 // planSnapshot is one immutable published plan: the stored result, whose
-// sealed bytes are served verbatim until the next swap and whose pipelines
-// warm-start the next re-plan's DP, the traffic profile it was priced
-// against, and the session update count when it was built (plan age's
-// zero point). Swapped whole through driftSession.plan, so readers never
-// observe a torn plan.
+// sealed bytes are served verbatim until the next swap, the traffic
+// profile it was priced against, and the session update count when it was
+// built (plan age's zero point). Swapped whole through driftSession.plan,
+// so readers never observe a torn plan.
 type planSnapshot struct {
 	res     *Result
 	profile *netsim.RoutingProfile
@@ -119,13 +122,12 @@ func (s *Service) driftSessionFor(c *canonical) (*driftSession, error) {
 // newer snapshot already landed. It serves through the shared two-tier
 // plan store (resultFor), so re-plans are deduplicated, written through to
 // disk, restored on restart, and oscillating traffic that returns to a
-// planned shape hits the store instead of recomputing. hint warm-starts
-// the partition DP from the outgoing plan. A hint can change the chosen
-// plan (DESIGN.md §14); the drift loop keeps it because it cuts the
-// re-plan's DP work, and the first plan of a session is always cold.
-func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64, hint []lancet.PipelineHint) (*planSnapshot, error) {
+// planned shape hits the store instead of recomputing. A re-plan is a
+// cold plan like any other, so what it publishes depends on cur alone,
+// not on the plan it replaces (DESIGN.md §16).
+func (s *Service) replanOnce(d *driftSession, cur *netsim.RoutingProfile, builtAt int64) (*planSnapshot, error) {
 	cc := d.c.withProfile(cur)
-	res, _, err := s.resultFor(cc, cc.framework, hint)
+	res, _, err := s.resultFor(cc, cc.framework)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +226,7 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if snap = d.plan.Load(); snap == nil {
-			snap, err = s.replanOnce(d, cur, updates, nil)
+			snap, err = s.replanOnce(d, cur, updates)
 			d.replanning.Store(false)
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, err)
@@ -245,13 +247,13 @@ func (s *Service) handleRouting(w http.ResponseWriter, r *http.Request) {
 	if info.Detected {
 		s.driftDetected.Add(1)
 		if d.replanning.CompareAndSwap(false, true) {
-			builtAt, hint := updates, snap.res.Pipelines
+			builtAt := updates
 			accepted := s.replanQueue().TrySubmit(func() {
 				defer d.replanning.Store(false)
 				if gate := s.replanGate; gate != nil {
 					gate()
 				}
-				if _, err := s.replanOnce(d, cur, builtAt, hint); err != nil {
+				if _, err := s.replanOnce(d, cur, builtAt); err != nil {
 					s.replanErrs.Add(1)
 					return
 				}

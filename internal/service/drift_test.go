@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lancet"
 	"lancet/internal/netsim"
 )
 
@@ -639,10 +640,9 @@ func TestConfigZeroSelectsDriftDefaults(t *testing.T) {
 
 // BenchmarkServiceReplan measures a background drift re-plan: drift-replan's
 // job shape (GPT2-S on 32 V100s) re-planned through the plan store on a
-// view of its warm pooled session, hinted by the previous plan, to a
-// streamed Zipf profile no earlier iteration saw. Every iteration must
-// compute. perf_floor.txt's floor catches a re-plan that rebuilds its
-// session or stops warm-starting the DP.
+// view of its warm pooled session to a streamed Zipf profile no earlier
+// iteration saw. Every iteration must compute. perf_floor.txt's floor
+// catches a re-plan that rebuilds its session.
 func BenchmarkServiceReplan(b *testing.B) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -656,11 +656,10 @@ func BenchmarkServiceReplan(b *testing.B) {
 	}
 	// Warm the pooled session with a cold /v1/plan-style plan and the drift
 	// session's first plan, as in a long-lived server.
-	if _, _, err := svc.resultFor(c, c.framework, nil); err != nil {
+	if _, _, err := svc.resultFor(c, c.framework); err != nil {
 		b.Fatal(err)
 	}
-	snap, err := svc.replanOnce(d, netsim.UniformProfile(32), 0, nil)
-	if err != nil {
+	if _, err := svc.replanOnce(d, netsim.UniformProfile(32), 0); err != nil {
 		b.Fatal(err)
 	}
 	profiles := make([]*netsim.RoutingProfile, b.N)
@@ -671,12 +670,75 @@ func BenchmarkServiceReplan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap, err = svc.replanOnce(d, profiles[i], int64(i+1), snap.res.Pipelines); err != nil {
+		if _, err := svc.replanOnce(d, profiles[i], int64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	if n := svc.Computations() - warm; n != int64(b.N) {
 		b.Fatalf("%d computations over %d re-plans, want one each", n, b.N)
+	}
+}
+
+// TestDriftReplansArePure pins DESIGN.md §7 for drift keys: a drift
+// re-plan is a function of the traffic profile it plans for, not of the
+// plan it replaces. One GPT2-S 16×V100 job planned at γ 1000 streams
+// traffic that walks Zipf 1.2 → uniform → Zipf 0.6 → hot 0.5, and each of
+// the three landed re-plans the service then serves must be, byte for
+// byte, what Compute returns on a fresh session with the re-plan's
+// profile installed. A re-plan warm-started from the uniform plan chose
+// other pipelines for Zipf 0.6.
+func TestDriftReplansArePure(t *testing.T) {
+	svc := New(Config{DriftThreshold: 0.01, DecayHalfLife: 0.01})
+	defer svc.Close()
+	h := svc.Handler()
+	plan := PlanRequest{Baseline: BaselineNone, Options: PlanOptions{GroupUs: 1000}}
+	c, err := plan.canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func(p *netsim.RoutingProfile) RoutingResponse {
+		t.Helper()
+		w := postRouting(t, h, mustJSON(t, RoutingUpdate{Plan: plan, Counts: p.Counts()}))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", w.Code, w.Body)
+		}
+		return decodeRouting(t, w.Body)
+	}
+	update(netsim.ZipfProfile(16, 1.2))
+	d := driftSessionOf(t, svc, plan)
+	for i, p := range []*netsim.RoutingProfile{
+		netsim.UniformProfile(16),
+		netsim.ZipfProfile(16, 0.6),
+		netsim.HotExpertProfile(16, 0.5),
+	} {
+		if info := update(p).Drift; !info.Detected {
+			t.Fatalf("step %d: %+v, want a detected drift", i, info)
+		}
+		awaitReplans(t, svc, d, int64(i+1))
+		served := update(p) // the same traffic again: no drift, the landed plan
+		if served.Drift.Stale {
+			t.Fatalf("step %d: %+v after the re-plan landed, want a fresh plan", i, served.Drift)
+		}
+		sess, err := lancet.NewSession(c.cfg, lancet.MustCluster("V100", 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.SetWorkloadProfile(d.plan.Load().profile); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Compute(sess, c.framework, c.seed, c.opts.toLancet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.seal(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served.Result, want.encoded) {
+			t.Errorf("step %d: served re-plan\n%s\nwant (fresh session)\n%s", i, served.Result, want.encoded)
+		}
+	}
+	if st := svc.Stats().Drift; st.Replans != 3 || st.ReplanErrors != 0 {
+		t.Errorf("drift stats %+v, want 3 re-plans and no errors", st)
 	}
 }

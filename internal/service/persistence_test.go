@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"os"
@@ -249,7 +250,7 @@ func TestCorruptionAfterOpenDegradesOnGet(t *testing.T) {
 // still be counted corrupt and recomputed, never served.
 func TestFramedButUnparseablePayloadRecomputed(t *testing.T) {
 	fresh := postPlan(t, New(Config{}).Handler(), fastPlanBody)
-	other, _, err := New(Config{}).resultFor(canonicalBody(t, `{"framework": "deepspeed", "baseline": "none"}`), "deepspeed", nil)
+	other, _, err := New(Config{}).resultFor(canonicalBody(t, `{"framework": "deepspeed", "baseline": "none"}`), "deepspeed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +354,7 @@ func TestSealedResultGolden(t *testing.T) {
       "replanned_ms": 250.25,
       "degraded_slowdown": 2,
       "replan_speedup": 1.64,
-      "replan_dp_evaluations": 120,
-      "cold_dp_evaluations": 483
+      "replan_dp_evaluations": 120
     }
   }`
 	r := Result{
@@ -364,7 +364,7 @@ func TestSealedResultGolden(t *testing.T) {
 		Pipelines: []lancet.PipelineHint{{Start: 0, End: 10, K: 4}, {Start: 12, End: 20, K: 5}},
 		WhatIf: &WhatIfResult{LostNodes: []int{1, 3}, LostGPUs: 16, SurvivorGPUs: 16, IntactMs: 205.34,
 			DegradedMs: 410.5, ReplannedMs: 250.25, DegradedSlowdown: 2, ReplanSpeedup: 1.64,
-			ReplanDPEvaluations: 120, ColdDPEvaluations: 483},
+			ReplanDPEvaluations: 120},
 		evaluations: 7,
 	}
 	if err := r.seal(); err != nil {
@@ -377,10 +377,12 @@ func TestSealedResultGolden(t *testing.T) {
 	}
 }
 
-// TestVersion1StoreIsRecomputed upgrades a store written by codec version
-// 1, whose payload was json.Marshal(result): the artifact is counted
+// TestVersion1StoreIsRecomputed upgrades stores written by older codec
+// versions: version 1, whose payload was json.Marshal(result), and version
+// 2, whose sealed payload is the current encoding's bytes but could carry
+// what_if's dropped cold_dp_evaluations. Either artifact is counted
 // corrupt at open and on read, never served, recomputed, and overwritten
-// by a version-2 artifact that a restart serves from disk.
+// by a current-version artifact that a restart serves from disk.
 func TestVersion1StoreIsRecomputed(t *testing.T) {
 	fresh := New(Config{})
 	want := postPlan(t, fresh.Handler(), fastPlanBody)
@@ -393,41 +395,51 @@ func TestVersion1StoreIsRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := encodeArtifact(key, compact)
-	binary.BigEndian.PutUint32(v1[len(artifactMagic):], 1)
-	binary.BigEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
-	dir := t.TempDir()
-	path := filepath.Join(dir, (&diskStore{}).fileName(key))
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		version uint32
+		payload []byte
+	}{
+		{1, compact},
+		{2, res.encoded},
+	} {
+		t.Run(fmt.Sprintf("version %d", tc.version), func(t *testing.T) {
+			old := encodeArtifact(key, tc.payload)
+			binary.BigEndian.PutUint32(old[len(artifactMagic):], tc.version)
+			binary.BigEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+			dir := t.TempDir()
+			path := filepath.Join(dir, (&diskStore{}).fileName(key))
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	svc := openService(t, dir)
-	if ds := svc.Stats().DiskStore; ds.Corrupt != 1 || ds.Artifacts != 0 {
-		t.Errorf("open counted %d corrupt, restored %d; want 1, 0", ds.Corrupt, ds.Artifacts)
-	}
-	w := postPlan(t, svc.Handler(), fastPlanBody)
-	if got := w.Header().Get("X-Lancet-Cache"); w.Code != http.StatusOK || got != "miss" {
-		t.Fatalf("status %d, cache state %q, want a 200 miss: %s", w.Code, got, w.Body)
-	}
-	if !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("recomputed body differs from a fresh service's\n got %s\nwant %s", w.Body, want.Body)
-	}
-	if ds := svc.Stats().DiskStore; ds.Corrupt != 2 || ds.Artifacts != 1 {
-		t.Errorf("after the request %d corrupt, %d artifacts; want 2 (open and read), 1", ds.Corrupt, ds.Artifacts)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotKey, payload, err := decodeArtifact(b); err != nil || gotKey != key || !bytes.Equal(payload, res.encoded) {
-		t.Errorf("the repaired artifact is not version %d holding the sealed result: key %q, err %v\n%s",
-			artifactVersion, gotKey, err, payload)
-	}
+			svc := openService(t, dir)
+			if ds := svc.Stats().DiskStore; ds.Corrupt != 1 || ds.Artifacts != 0 {
+				t.Errorf("open counted %d corrupt, restored %d; want 1, 0", ds.Corrupt, ds.Artifacts)
+			}
+			w := postPlan(t, svc.Handler(), fastPlanBody)
+			if got := w.Header().Get("X-Lancet-Cache"); w.Code != http.StatusOK || got != "miss" {
+				t.Fatalf("status %d, cache state %q, want a 200 miss: %s", w.Code, got, w.Body)
+			}
+			if !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("recomputed body differs from a fresh service's\n got %s\nwant %s", w.Body, want.Body)
+			}
+			if ds := svc.Stats().DiskStore; ds.Corrupt != 2 || ds.Artifacts != 1 {
+				t.Errorf("after the request %d corrupt, %d artifacts; want 2 (open and read), 1", ds.Corrupt, ds.Artifacts)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotKey, payload, err := decodeArtifact(b); err != nil || gotKey != key || !bytes.Equal(payload, res.encoded) {
+				t.Errorf("the repaired artifact is not version %d holding the sealed result: key %q, err %v\n%s",
+					artifactVersion, gotKey, err, payload)
+			}
 
-	reopened := openService(t, dir)
-	w = postPlan(t, reopened.Handler(), fastPlanBody)
-	if got := w.Header().Get("X-Lancet-Cache"); got != "disk" || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("after a restart: cache state %q, body equal %t; want disk, true", got, bytes.Equal(w.Body.Bytes(), want.Body.Bytes()))
+			reopened := openService(t, dir)
+			w = postPlan(t, reopened.Handler(), fastPlanBody)
+			if got := w.Header().Get("X-Lancet-Cache"); got != "disk" || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("after a restart: cache state %q, body equal %t; want disk, true", got, bytes.Equal(w.Body.Bytes(), want.Body.Bytes()))
+			}
+		})
 	}
 }

@@ -239,7 +239,7 @@ func TestPlanBodyMatchesReferenceEncoder(t *testing.T) {
 			_, _, err := svc.plans.Fill(c.planKey(c.framework), func() (*Result, error) {
 				close(started)
 				<-release
-				r, _, err := New(Config{}).resultFor(c, c.framework, nil)
+				r, _, err := New(Config{}).resultFor(c, c.framework)
 				return r, err
 			})
 			leader <- err

@@ -94,11 +94,11 @@ func TestPlanColdShapesPoolByModelAndCluster(t *testing.T) {
 // BenchmarkServicePlanMiss measures the service's plan-store miss path on a
 // pooled session: one /v1/plan request for GPT2-S on 16×V100, rotating
 // uniform, Zipf 1.2 and hot 0.3 routing, each with a fresh seed and no
-// baseline. The pool holds one session, so a pool keyed on routing would
-// rebuild the graph and the cost model on every request; perf_floor.txt's
-// exact allocs/op floor catches that.
+// baseline. Every request must plan on the one pooled session, built once:
+// a pool keyed on routing would build a session per routing.
 func BenchmarkServicePlanMiss(b *testing.B) {
-	h := New(Config{SessionCacheSize: 1}).Handler()
+	svc := New(Config{})
+	h := svc.Handler()
 	serve := func(seed int64, rt *RoutingSpec) {
 		body, err := json.Marshal(PlanRequest{Baseline: BaselineNone, Seed: &seed, Routing: rt})
 		if err != nil {
@@ -119,5 +119,9 @@ func BenchmarkServicePlanMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve(int64(i), planColdRoutings[i%len(planColdRoutings)])
+	}
+	b.StopTimer()
+	if ss := svc.Stats().SessionStore; ss.Misses != 1 {
+		b.Fatalf("session store %+v, want one session built", ss)
 	}
 }

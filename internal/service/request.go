@@ -395,10 +395,9 @@ type PlanRequest struct {
 // WhatIfSpec is /v1/plan's fleet-scenario field (DESIGN.md §17).
 // lost_nodes drops the listed global node indices from the planned
 // cluster: the response's result carries a what_if block comparing the
-// stale plan's degraded replay against a warm-started re-plan on the
-// survivors. Requires framework "lancet"; incompatible with the drift
-// loop's nested plan (the streamed histogram is shaped for the intact
-// fleet).
+// stale plan's degraded replay against a re-plan on the survivors.
+// Requires framework "lancet"; incompatible with the drift loop's nested
+// plan (the streamed histogram is shaped for the intact fleet).
 type WhatIfSpec struct {
 	LostNodes []int `json:"lost_nodes"`
 }

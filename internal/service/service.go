@@ -35,8 +35,6 @@ const maxBodyBytes = 1 << 20
 type Config struct {
 	// CacheSize bounds the plan store (entries). Default 256.
 	CacheSize int
-	// SessionCacheSize bounds the session pool. Default 32.
-	SessionCacheSize int
 	// Parallel is the sweep worker-pool size. Default runtime.NumCPU().
 	Parallel int
 
@@ -129,9 +127,6 @@ func New(cfg Config) *Service {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
-	if cfg.SessionCacheSize <= 0 {
-		cfg.SessionCacheSize = 32
-	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.NumCPU()
 	}
@@ -144,7 +139,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:           cfg,
 		plans:         cache.New[string, *Result](cfg.CacheSize),
-		sessions:      cache.New[string, *lancet.Session](cfg.SessionCacheSize),
+		sessions:      cache.New[string, *lancet.Session](sessionCap),
 		driftSessions: cache.New[string, *driftSession](driftSessionCap),
 	}
 	s.sessions.OnEvict(func(sess *lancet.Session) {
@@ -226,18 +221,15 @@ func buildSession(c *canonical) (*lancet.Session, error) {
 // memory LRU hit, disk-artifact hit (promoted into the LRU), a share of an
 // identical request's computation in flight, or a fresh computation
 // written through to both tiers. The returned cache state is "hit",
-// "disk", "shared" or "miss". hint, non-nil only for drift re-plans,
-// warm-starts the partition DP from the outgoing plan. It is absent from
-// the plan key although it can change the chosen plan (DESIGN.md §14): the
-// drift loop's keys carry the streamed profile's fingerprint, which no
-// /v1/plan or /v1/sweep request can spell, so every computation those
-// endpoints store is cold and never depends on what was requested before.
-func (s *Service) resultFor(c *canonical, fw string, hint []lancet.PipelineHint) (*Result, string, error) {
+// "disk", "shared" or "miss". Every computation plans cold, so every
+// stored result, a drift re-plan's included, is a function of its plan
+// key alone (DESIGN.md §7).
+func (s *Service) resultFor(c *canonical, fw string) (*Result, string, error) {
 	key := c.planKey(fw)
 	if r, ok := s.plans.Get(key); ok {
 		return r, "hit", nil
 	}
-	return s.fill(c, key, fw, hint)
+	return s.fill(c, key, fw)
 }
 
 // fill serves a lookup of key that the memory tier missed through the
@@ -251,7 +243,7 @@ func (s *Service) resultFor(c *canonical, fw string, hint []lancet.PipelineHint)
 // contained and returned as errors, so a bad grid point cannot take down
 // sweep workers (plain goroutines with no net/http recovery) or the whole
 // server.
-func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint) (r *Result, state string, err error) {
+func (s *Service) fill(c *canonical, key, fw string) (r *Result, state string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r, state, err = nil, "error", fmt.Errorf("panic while planning %s: %v", fw, p)
@@ -283,9 +275,7 @@ func (s *Service) fill(c *canonical, key, fw string, hint []lancet.PipelineHint)
 			return nil, err
 		}
 		s.computations.Add(1)
-		opts := c.opts.toLancet()
-		opts.Hint = hint
-		res, err := Compute(sess, fw, c.seed, opts, c.lostNodes...)
+		res, err := Compute(sess, fw, c.seed, c.opts.toLancet(), c.lostNodes...)
 		if err != nil {
 			return nil, err
 		}
@@ -391,12 +381,12 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 			pending = make(chan outcome, 1)
 			go func() {
 				var o outcome
-				o.r, _, o.err = s.fill(c, key, c.baseline, nil)
+				o.r, _, o.err = s.fill(c, key, c.baseline)
 				pending <- o
 			}()
 		}
 	}
-	res, state, err := s.resultFor(c, c.framework, nil)
+	res, state, err := s.resultFor(c, c.framework)
 	if pending != nil {
 		o := <-pending
 		base = o.r
@@ -658,7 +648,7 @@ func (s *Service) sweepOne(req PlanRequest) SweepItem {
 	if err != nil {
 		return SweepItem{Request: req, Err: err.Error()}
 	}
-	res, _, err := s.resultFor(c, c.framework, nil)
+	res, _, err := s.resultFor(c, c.framework)
 	if err != nil {
 		return SweepItem{Request: c.echo(), Err: err.Error()}
 	}

@@ -493,17 +493,23 @@ func TestStatsAndHealthz(t *testing.T) {
 }
 
 func TestCostStatsSurviveSessionEviction(t *testing.T) {
-	svc := New(Config{SessionCacheSize: 1})
+	svc := New(Config{})
 	h := svc.Handler()
 	postPlan(t, h, `{"baseline": "none"}`) // Lancet plan exercises the session's cost model
 	before := svc.Stats().CostModel
 	if before.Hits+before.Misses == 0 {
 		t.Fatal("first session recorded no cost-model activity")
 	}
-	postPlan(t, h, `{"baseline": "none", "gate": "top2"}`) // new session key evicts the first
+	// 32 more session keys (the default batch is 16) fill the pool and
+	// evict the first session.
+	for batch := 17; batch <= 16+sessionCap; batch++ {
+		if w := postPlan(t, h, fmt.Sprintf(`{"framework": "raf", "baseline": "none", "batch": %d}`, batch)); w.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d, body %s", batch, w.Code, w.Body)
+		}
+	}
 	after := svc.Stats().CostModel
-	if svc.Stats().SessionStore.Evictions != 1 {
-		t.Fatalf("session evictions = %d, want 1", svc.Stats().SessionStore.Evictions)
+	if ss := svc.Stats().SessionStore; ss.Evictions != 1 || ss.Misses != sessionCap+1 {
+		t.Fatalf("session store %+v, want %d sessions built and 1 evicted", ss, sessionCap+1)
 	}
 	// Counters must be monotonic across pool churn: the evicted session's
 	// tally is retired, not dropped.

@@ -21,7 +21,10 @@ import (
 //	    {"error":{"code","message"}}, and the skew shorthand and /v1/sweep's
 //	    warm_start flag are unknown fields (400 bad_request). POST bodies
 //	    must hold one JSON value and nothing after it.
-const APIRevision = 3
+//	4 — what_if drops cold_dp_evaluations: every plan, a drift re-plan's
+//	    included, is a cold plan, so there is no warm re-plan to compare
+//	    (DESIGN.md §14, §17).
+const APIRevision = 4
 
 // VersionResponse is the body of GET /v1/version: everything a client
 // needs to decide whether it speaks this server's dialect — the module

@@ -28,7 +28,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -259,30 +258,26 @@ type Options struct {
 	// plan. The derived view must keep the session's GPU count, and its
 	// profile must be shaped for it.
 	View func(View) View
-	// Hint seeds the partition DP with a previous plan's chosen pipelines
-	// (Plan.Pipelines; DESIGN.md §14). A good hint cuts DP evaluations
-	// sharply: the DP probes each hinted partition count's neighborhood
-	// and skips the rest of the window's k sweep when it wins. The skip
-	// assumes the span-vs-k curve is unimodal, which it is not always, so
-	// a hinted plan can differ from (and cost more than) a hint-free one.
-	// Its users are the ones that re-plan from a plan they already serve:
-	// the service's drift re-plans, NodeLoss, ElasticResize and
-	// planbench's traced replay. Anything stored under a request's own key
-	// must plan without it. Exclusive with FixedPipelines.
+	// Hint is ignored: every plan runs the full partition DP (DESIGN.md
+	// §14).
+	//
+	// Deprecated: the warm start it fed could return costlier plans than a
+	// cold DP and saved little time once the DP resumed its pipeline
+	// simulations. The field stays only until the benchmark module stops
+	// setting it.
 	Hint []PipelineHint
 	// FixedPipelines replays a previous plan's chosen pipelines verbatim
 	// instead of running the partition DP: each range keeps its partition
 	// count (clamped to what the graph admits) and no partition decisions
 	// are revisited. This is the degraded-replay half of a node-loss
 	// what-if — "how does the stale plan behave on this fleet" (DESIGN.md
-	// §17). A replay runs no DP, so it cannot take a Hint: setting both is
-	// an error.
+	// §17).
 	FixedPipelines []PipelineHint
 }
 
-// PipelineHint is one chosen pipeline of a previous plan — the instruction
-// range (input-graph program order, inclusive) and partition count the
-// warm-started partition DP seeds itself from (DESIGN.md §14).
+// PipelineHint is one chosen pipeline of a plan: the instruction range
+// (input-graph program order, inclusive) and its partition count, which
+// Options.FixedPipelines replays (DESIGN.md §17).
 type PipelineHint struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -407,13 +402,14 @@ type Plan struct {
 	// DWOverlapUs is the predicted all-to-all time covered by scheduled
 	// weight-gradient computation.
 	DWOverlapUs float64
-	// DPEvaluations counts P(i,n,k) evaluations (optimization effort) —
-	// the quantity a warm-start hint reduces (DESIGN.md §14).
+	// DPEvaluations counts P(i,n,k) evaluations (optimization effort),
+	// summed over the partition pass's memory fallbacks; a FixedPipelines
+	// replay counts one per range it prices.
 	DPEvaluations int
 	// Pipelines lists the chosen pipelines in program order (instruction
 	// range + partition count; the counts are the plan shape that shifts
-	// under skewed routing): what Options.Hint warm-starts a re-plan from
-	// and what Options.FixedPipelines replays (DESIGN.md §14, §17).
+	// under skewed routing): what Options.FixedPipelines replays
+	// (DESIGN.md §17).
 	Pipelines []PipelineHint
 	// RhoUsed is the maximum-partition limit actually used after the OOM
 	// fallback (paper Sec. 7: rho=8, reduced to 4 then 2 when partition
@@ -510,10 +506,6 @@ func (s *Session) routingContext(wp *netsim.RoutingProfile) (*netsim.RoutingProf
 // plan keeps the workload installed when it is planned: a later
 // SetWorkloadProfile changes none of its outputs.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
-	if len(opts.Hint) > 0 && len(opts.FixedPipelines) > 0 {
-		return nil, fmt.Errorf("lancet: Options.Hint (%d pipelines) and Options.FixedPipelines (%d pipelines) are exclusive; set at most one",
-			len(opts.Hint), len(opts.FixedPipelines))
-	}
 	start := time.Now()
 	g := s.Built.Graph
 	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.costRAF}
@@ -568,15 +560,11 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 			MaxRangeGroups:   opts.MaxRangeGroups,
 			GatePartialBatch: s.Config.Gate.SupportsPartialBatch(),
 		}
-		// At most one of Hint and FixedPipelines is set (checked above).
 		var ranges []partition.Range
-		for _, h := range slices.Concat(opts.Hint, opts.FixedPipelines) {
+		for _, h := range opts.FixedPipelines {
 			ranges = append(ranges, partition.Range{Start: h.Start, End: h.End, K: h.K})
 		}
 		fixed := len(opts.FixedPipelines) > 0
-		if !fixed {
-			popts.Hint = ranges
-		}
 		popts.Profile, popts.PayloadFraction = view.Profile, frac
 		if popts.GroupUs == 0 {
 			popts.GroupUs = s.autoGroupUs(planCost)

@@ -43,9 +43,9 @@ func driftAlpha(chain, step int) float64 {
 // on a session of its own. On the 16×V100, 32×A100 and oversubscribed
 // 32×V100 fleets, each shuffle also interleaves four drift chains, one per
 // option set in driftChainOptions: five re-plans, each on a fresh view
-// with a streamed Zipf profile installed and hinted by the chain's
-// previous plan, as the service's drift loop plans them. Each must equal
-// the same chain on a dedicated session that swaps its profile in place.
+// with a streamed Zipf profile installed, as the service's drift loop
+// plans them. Each must equal the same chain on a dedicated session that
+// swaps its profile in place.
 // The chains stream more profiles than a cost model keeps skew tables, so
 // the shared session also evicts and rebuilds tables.
 func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
@@ -66,7 +66,7 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 			tasks = append(tasks, task{r, o})
 		}
 	}
-	compute := func(sess *lancet.Session, opts lancet.Options) ([]byte, []lancet.PipelineHint) {
+	compute := func(sess *lancet.Session, opts lancet.Options) []byte {
 		t.Helper()
 		res, err := service.Compute(sess, lancet.FrameworkLancet, 1, opts)
 		if err != nil {
@@ -76,18 +76,15 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return body, res.Pipelines
+		return body
 	}
-	// replan installs the chain step's profile on sess and plans it hinted
-	// by hint.
-	replan := func(sess *lancet.Session, chain, step int, hint []lancet.PipelineHint) ([]byte, []lancet.PipelineHint) {
+	// replan installs the chain step's profile on sess and plans it.
+	replan := func(sess *lancet.Session, chain, step int) []byte {
 		t.Helper()
 		if err := sess.SetWorkloadProfile(netsim.ZipfProfile(sess.Cluster.TotalGPUs(), driftAlpha(chain, step))); err != nil {
 			t.Fatal(err)
 		}
-		opts := driftChainOptions[chain]
-		opts.Hint = hint
-		return compute(sess, opts)
+		return compute(sess, driftChainOptions[chain])
 	}
 	for _, pair := range goldenShapes() {
 		if pair.routing != "uniform" {
@@ -99,7 +96,7 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[tk], _ = compute(sess, optionSets[tk.opts])
+			want[tk] = compute(sess, optionSets[tk.opts])
 		}
 		// A schedule entry is a cold task, or the next step of drift chain
 		// chain when chain >= 0.
@@ -119,11 +116,8 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var hint []lancet.PipelineHint
 				for step := range chainSteps {
-					var body []byte
-					body, hint = replan(sess, chain, step, hint)
-					wantChain[chain] = append(wantChain[chain], body)
+					wantChain[chain] = append(wantChain[chain], replan(sess, chain, step))
 					schedule = append(schedule, entry{chain: chain})
 				}
 			}
@@ -137,12 +131,11 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 			rand.New(rand.NewSource(order)).Shuffle(len(shuffled), func(i, j int) {
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			})
-			hints := make([][]lancet.PipelineHint, len(driftChainOptions))
 			steps := make([]int, len(driftChainOptions))
 			for _, e := range shuffled {
 				if e.chain < 0 {
 					r := viewRoutings[e.tk.routing]
-					if got, _ := compute(base.WithWorkload(r.skew, r.hot), optionSets[e.tk.opts]); !bytes.Equal(got, want[e.tk]) {
+					if got := compute(base.WithWorkload(r.skew, r.hot), optionSets[e.tk.opts]); !bytes.Equal(got, want[e.tk]) {
 						t.Errorf("%s %s, order %d, %s, options %+v: shared-session result\n%s\nwant (own session)\n%s",
 							pair.model, pair.fleet, order, r.name, optionSets[e.tk.opts], got, want[e.tk])
 					}
@@ -150,9 +143,7 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 				}
 				step := steps[e.chain]
 				steps[e.chain]++
-				var got []byte
-				got, hints[e.chain] = replan(base.WithWorkload(0, 0), e.chain, step, hints[e.chain])
-				if w := wantChain[e.chain][step]; !bytes.Equal(got, w) {
+				if got, w := replan(base.WithWorkload(0, 0), e.chain, step), wantChain[e.chain][step]; !bytes.Equal(got, w) {
 					t.Errorf("%s %s, order %d, drift chain %d step %d (Zipf %g), options %+v: shared-session re-plan\n%s\nwant (dedicated session)\n%s",
 						pair.model, pair.fleet, order, e.chain, step, driftAlpha(e.chain, step), driftChainOptions[e.chain], got, w)
 				}
