@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,5 +103,94 @@ func TestReadFloors(t *testing.T) {
 		if _, err := readFloors(path); err == nil {
 			t.Errorf("floor file %q should be rejected", bad)
 		}
+	}
+}
+
+// TestRatchetListsNameEveryFloor checks that every place naming the
+// ratcheted benchmarks names exactly the ones perf_floor.txt floors: the
+// -bench regex of CI's Perf ratchet step, of perf_floor.txt's refresh
+// comment and of README's gate command, and the prose lists in README and
+// DESIGN.md §13. A floored benchmark missing from a regex fails the gate
+// as "not found in bench output"; one missing from a list misleads.
+func TestRatchetListsNameEveryFloor(t *testing.T) {
+	root := filepath.Join("..", "..")
+	floors, err := readFloors(filepath.Join(root, "perf_floor.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, f := range floors {
+		want = append(want, f.name)
+	}
+	slices.Sort(want)
+	read := func(name string) string {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	check := func(where string, got []string) {
+		t.Helper()
+		slices.Sort(got)
+		var missing, extra []string
+		for _, n := range want {
+			if !slices.Contains(got, n) {
+				missing = append(missing, n)
+			}
+		}
+		for _, n := range got {
+			if !slices.Contains(want, n) {
+				extra = append(extra, n)
+			}
+		}
+		if len(missing) > 0 || len(extra) > 0 || len(got) != len(want) {
+			t.Errorf("%s: missing floored %v, names unfloored %v (%d names, %d floors)",
+				where, missing, extra, len(got), len(want))
+		}
+	}
+	for _, name := range []string{".github/workflows/ci.yml", "perf_floor.txt", "README.md"} {
+		regexes := benchRegexes(read(name))
+		if len(regexes) != 1 {
+			t.Errorf("%s: %d quoted -bench regexes, want 1", name, len(regexes))
+			continue
+		}
+		var got []string
+		for _, alt := range strings.Split(regexes[0], "|") {
+			got = append(got, strings.TrimSuffix(alt, "$"))
+		}
+		check(name+" -bench regex", got)
+	}
+	for _, list := range []struct{ file, from, to string }{
+		{"README.md", "benchmark). CI runs", "feeds the"},
+		{"DESIGN.md", "**Ratchet policy.**", "layers each have one"},
+	} {
+		text := read(list.file)
+		i := strings.Index(text, list.from)
+		j := strings.Index(text[max(i, 0):], list.to)
+		if i < 0 || j < 0 {
+			t.Errorf("%s: no list between %q and %q", list.file, list.from, list.to)
+			continue
+		}
+		check(list.file+" list", benchName.FindAllString(text[i:i+j], -1))
+	}
+}
+
+// benchName matches a benchmark function name.
+var benchName = regexp.MustCompile(`Benchmark[A-Za-z0-9]+`)
+
+// benchRegexes returns the single-quoted arguments of every -bench flag in
+// text.
+func benchRegexes(text string) []string {
+	var out []string
+	for {
+		_, after, ok := strings.Cut(text, "-bench '")
+		if !ok {
+			return out
+		}
+		re, rest, _ := strings.Cut(after, "'")
+		out = append(out, re)
+		text = rest
 	}
 }

@@ -710,8 +710,8 @@ type StatsResponse struct {
 	// CostModel aggregates lancet.CostStats over every pooled session
 	// plus the retired tally of evicted ones (monotonic across scrapes).
 	// Every Lancet plan prices on a pooled session's cost model, drift
-	// re-plans included; a Baseline call's own short-lived model is left
-	// out.
+	// re-plans included; the baselines' derived models (DESIGN.md §5) are
+	// left out.
 	CostModel CostModelStats `json:"cost_model"`
 	// Drift is the /v1/routing control loop's counters (DESIGN.md §16).
 	Drift DriftStats `json:"drift"`

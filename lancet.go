@@ -317,6 +317,12 @@ type Session struct {
 
 	costRAF *cost.Model
 
+	// tutel is the Tutel overlap-degree search, run by the first
+	// Baseline(FrameworkTutel) call and shared with every WithWorkload
+	// view: it depends on the built graph and the cluster, not on the
+	// workload (DESIGN.md §5).
+	tutel *tutelSearch
+
 	// streamed, when set via SetWorkloadProfile, replaces the parametric
 	// gate-proxy workload entirely: plans planned while it is installed
 	// price and replay this streamed traffic shape (DESIGN.md §16).
@@ -358,6 +364,7 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 		Cluster: cluster,
 		Built:   b,
 		costRAF: cost.NewModel(cluster),
+		tutel:   new(tutelSearch),
 	}, nil
 }
 
@@ -367,7 +374,10 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 // Config, Cluster, built graph and cost model — network model,
 // communication tables, skew tables and op-profile memo — so it costs one
 // small allocation, and any number of views may plan concurrently
-// (DESIGN.md §7, §9). Setting both workload knobs is an error at plan time,
+// (DESIGN.md §7, §9). It also shares the Tutel degree search: the first
+// Baseline(FrameworkTutel) call on the session or any of its views runs
+// it, and every later one, on any of them, reuses its outcome (DESIGN.md
+// §5). Setting both workload knobs is an error at plan time,
 // as for any session. A view starts without a streamed profile, so its
 // first SetWorkloadProfile supersedes nothing and invalidates nothing in
 // the shared cost model: the serving layer plans each drift re-plan's
@@ -381,6 +391,7 @@ func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
 		WorkloadSkew:      skew,
 		WorkloadHotExpert: hotExpert,
 		costRAF:           s.costRAF,
+		tutel:             s.tutel,
 	}
 }
 
@@ -397,7 +408,9 @@ type Plan struct {
 	// (rendered as the red crosses of paper Fig. 11).
 	OOM bool
 	// OptimizeTime is the wall-clock time the optimization passes took
-	// (paper Fig. 15).
+	// (paper Fig. 15). A Tutel plan times the session's degree search on
+	// the call that ran it and the rewrite of the chosen degree on every
+	// later call.
 	OptimizeTime time.Duration
 	// DWOverlapUs is the predicted all-to-all time covered by scheduled
 	// weight-gradient computation.
@@ -440,9 +453,10 @@ type CostStats = cost.CacheStats
 
 // CostStats reports the memoization counters of the session's shared RAF
 // cost model — the model Lancet plans, predictions and the partition DP
-// price against. Each Baseline call prices with a model derived from it
-// (the same network model and communication tables, its own memo), whose
-// counters are not included here.
+// price against. Baselines price with models derived from it (the same
+// network model and communication tables, their own memo): Tutel plans
+// on the one its session's degree search kept, every other Baseline call
+// on one of its own. Their counters are not included here.
 func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 
 // SetWorkloadProfile installs a streamed routing profile as the session's
@@ -644,6 +658,14 @@ func (s *Session) autoGroupUs(cm *cost.Model) float64 {
 // Baseline plans the model under one of the comparison frameworks:
 // FrameworkDeepSpeed, FrameworkRAF, FrameworkTutel or FrameworkFasterMoE.
 // Passing FrameworkLancet delegates to Lancet with default Options.
+//
+// Each plan prices on a cost model derived from the session's at the
+// framework's compute scale. Tutel's overlap degree is searched once per
+// session, views included: the first Tutel call runs the search and
+// returns the graph it chose, and every later call rewrites the chosen
+// degree and prices it on the model the search kept, so its plan prices
+// exactly like the first (DESIGN.md §5). A search that failed fails every
+// later Tutel call the same way.
 func (s *Session) Baseline(framework string) (*Plan, error) {
 	var spec baselines.Spec
 	switch framework {
@@ -660,23 +682,18 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("lancet: unknown framework %q", framework)
 	}
-	cm := s.costRAF.WithComputeScale(spec.ComputeScale)
-	plan := &Plan{Name: spec.Name, Framework: framework, costs: cm}
+	plan := &Plan{Name: spec.Name, Framework: framework}
+	if framework != FrameworkTutel {
+		plan.costs = s.costRAF.WithComputeScale(spec.ComputeScale)
+	}
 	start := time.Now()
 	switch framework {
 	case FrameworkTutel:
-		ex := &sim.Executor{Cost: cm, Predict: true}
-		g, degree, err := baselines.BestTutelPlan(s.Built, func(g *ir.Graph) (float64, error) {
-			tl, err := ex.Run(g)
-			if err != nil {
-				return 0, err
-			}
-			return tl.TotalUs, nil
-		})
+		g, degree, cm, err := s.tutel.plan(s.Built, s.costRAF)
 		if err != nil {
 			return nil, err
 		}
-		plan.Graph, plan.TutelDegree = g, degree
+		plan.Graph, plan.TutelDegree, plan.costs = g, degree, cm
 	case FrameworkFasterMoE:
 		prof, err := s.profile(s.streamed.Load(), 1)
 		if err != nil {
@@ -693,6 +710,68 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	plan.OptimizeTime = time.Since(start)
 	plan.OOM = spec.OOMs(s.Built)
 	return plan, nil
+}
+
+// tutelSearch is a session's Tutel overlap-degree search, run once. It
+// keeps the chosen degree and the cost model the search priced its
+// candidates on, never a graph: a pooled session would otherwise hold a
+// rewritten graph as long as it lives. The kept model only ever prices
+// rewrites of the chosen degree, every bucket of which the search already
+// memoized, so later plans price exactly like the search's (DESIGN.md §5).
+type tutelSearch struct {
+	once      sync.Once
+	done      bool // the search returned; unset after a panic
+	recovered any  // what a panicking search panicked with, re-raised by every call
+	err       error
+	degree    int
+	costs     *cost.Model
+}
+
+// plan returns the Tutel plan's graph, overlap degree and cost model,
+// running the search on the first call. That call returns the graph the
+// search chose; every later one rewrites the chosen degree again.
+func (t *tutelSearch) plan(b *model.Built, base *cost.Model) (*ir.Graph, int, *cost.Model, error) {
+	var g *ir.Graph
+	t.once.Do(func() { g = t.search(b, base) })
+	if !t.done {
+		panic(t.recovered)
+	}
+	if t.err != nil {
+		return nil, 0, nil, t.err
+	}
+	if g == nil {
+		var err error
+		if g, err = baselines.TutelPlan(b, t.degree); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	return g, t.degree, t.costs, nil
+}
+
+// search prices every candidate degree on a model derived from base and
+// records the outcome: the degree and model, or the error, never half of
+// them. A panic is recorded before it propagates.
+func (t *tutelSearch) search(b *model.Built, base *cost.Model) *ir.Graph {
+	defer func() {
+		if !t.done {
+			t.recovered = recover()
+			panic(t.recovered)
+		}
+	}()
+	cm := base.WithComputeScale(baselines.Tutel.ComputeScale)
+	ex := &sim.Executor{Cost: cm, Predict: true}
+	g, degree, err := baselines.BestTutelPlan(b, func(g *ir.Graph) (float64, error) {
+		tl, err := ex.Run(g)
+		if err != nil {
+			return 0, err
+		}
+		return tl.TotalUs, nil
+	})
+	if err == nil {
+		t.degree, t.costs = degree, cm
+	}
+	t.err, t.done = err, true
+	return g
 }
 
 // PredictUs returns the optimizer-visible iteration time estimate (cached

@@ -144,9 +144,10 @@ type ResizeStep struct {
 }
 
 // ElasticResize grows and shrinks a uniform fleet through the given GPU
-// schedule, planning each size once, and reports the per-size latency and
-// DP evaluation count. Every plan is a cold plan, so a size
-// plans the same wherever it falls in the schedule. The per-GPU batch
+// schedule and reports the per-size latency and DP evaluation count. Every
+// plan is a cold plan, so a size plans the same wherever it falls in the
+// schedule: each distinct size is planned and simulated once, and a size
+// the schedule returns to repeats its earlier step. The per-GPU batch
 // stays fixed, so the global batch scales with the fleet — the elasticity
 // semantics of a data-parallel resize.
 func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options, seed int64) ([]ResizeStep, error) {
@@ -156,6 +157,10 @@ func ElasticResize(cfg ModelConfig, gpuType string, schedule []int, opts Options
 	opts.FixedPipelines = nil
 	steps := make([]ResizeStep, 0, len(schedule))
 	for _, gpus := range schedule {
+		if i := slices.IndexFunc(steps, func(st ResizeStep) bool { return st.GPUs == gpus }); i >= 0 {
+			steps = append(steps, steps[i])
+			continue
+		}
 		cl, err := NewCluster(gpuType, gpus)
 		if err != nil {
 			return nil, fmt.Errorf("lancet: resize to %d GPUs: %w", gpus, err)

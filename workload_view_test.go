@@ -38,9 +38,10 @@ func driftAlpha(chain, step int) float64 {
 // first value priced in each half-octave FLOPs/bytes bucket, so a plan
 // could depend on what the shared session priced before it. On each of the
 // 15 plan-cold model × fleet pairs, three seeded shuffles of 3 routings × 6
-// option sets plan on views of one fresh session, and every
-// service.Compute result must equal, byte for byte, the same computation
-// on a session of its own. On the 16×V100, 32×A100 and oversubscribed
+// option sets plan on views of one fresh session, interleaved with a Tutel
+// baseline per routing, whose degree search the views share (DESIGN.md
+// §5), and every service.Compute result must equal, byte for byte, the
+// same computation on a session of its own. On the 16×V100, 32×A100 and oversubscribed
 // 32×V100 fleets, each shuffle also interleaves four drift chains, one per
 // option set in driftChainOptions: five re-plans, each on a fresh view
 // with a streamed Zipf profile installed, as the service's drift loop
@@ -59,18 +60,22 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 	}
 	driftChainOptions := optionSets[:4]
 	const chainSteps = 5
-	type task struct{ routing, opts int }
+	type task struct {
+		fw            string
+		routing, opts int
+	}
 	var tasks []task
 	for r := range viewRoutings {
 		for o := range optionSets {
-			tasks = append(tasks, task{r, o})
+			tasks = append(tasks, task{lancet.FrameworkLancet, r, o})
 		}
+		tasks = append(tasks, task{lancet.FrameworkTutel, r, 0})
 	}
-	compute := func(sess *lancet.Session, opts lancet.Options) []byte {
+	compute := func(sess *lancet.Session, fw string, opts lancet.Options) []byte {
 		t.Helper()
-		res, err := service.Compute(sess, lancet.FrameworkLancet, 1, opts)
+		res, err := service.Compute(sess, fw, 1, opts)
 		if err != nil {
-			t.Fatalf("compute %+v: %v", opts, err)
+			t.Fatalf("compute %s %+v: %v", fw, opts, err)
 		}
 		body, err := json.Marshal(&res)
 		if err != nil {
@@ -84,7 +89,7 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 		if err := sess.SetWorkloadProfile(netsim.ZipfProfile(sess.Cluster.TotalGPUs(), driftAlpha(chain, step))); err != nil {
 			t.Fatal(err)
 		}
-		return compute(sess, driftChainOptions[chain])
+		return compute(sess, lancet.FrameworkLancet, driftChainOptions[chain])
 	}
 	for _, pair := range goldenShapes() {
 		if pair.routing != "uniform" {
@@ -96,7 +101,7 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[tk] = compute(sess, optionSets[tk.opts])
+			want[tk] = compute(sess, tk.fw, optionSets[tk.opts])
 		}
 		// A schedule entry is a cold task, or the next step of drift chain
 		// chain when chain >= 0.
@@ -135,9 +140,9 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 			for _, e := range shuffled {
 				if e.chain < 0 {
 					r := viewRoutings[e.tk.routing]
-					if got := compute(base.WithWorkload(r.skew, r.hot), optionSets[e.tk.opts]); !bytes.Equal(got, want[e.tk]) {
-						t.Errorf("%s %s, order %d, %s, options %+v: shared-session result\n%s\nwant (own session)\n%s",
-							pair.model, pair.fleet, order, r.name, optionSets[e.tk.opts], got, want[e.tk])
+					if got := compute(base.WithWorkload(r.skew, r.hot), e.tk.fw, optionSets[e.tk.opts]); !bytes.Equal(got, want[e.tk]) {
+						t.Errorf("%s %s, order %d, %s, %s, options %+v: shared-session result\n%s\nwant (own session)\n%s",
+							pair.model, pair.fleet, order, r.name, e.tk.fw, optionSets[e.tk.opts], got, want[e.tk])
 					}
 					continue
 				}
