@@ -10,8 +10,8 @@ import (
 // TestConcurrentPlansShareSession is the regression test for the parallel
 // CLI path: all frameworks plan and simulate against one Session — and so
 // share its built graph and routing proxies — concurrently. Results must
-// match a serial run exactly (and the lazy graph-adjacency build must not
-// race; run with -race). Its second leg is the service's pooled path:
+// match a serial run exactly, and the shared graph, read-only once built,
+// must not race (run with -race). Its second leg is the service's pooled path:
 // workload views of one session plan the three plan-cold routings
 // concurrently, sharing its graph and cost model, and must match serial
 // plans on sessions of their own.

@@ -2,7 +2,6 @@ package lancet_test
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"lancet"
@@ -10,13 +9,14 @@ import (
 )
 
 // TestDependencyTablesMatchAdjacency checks the dependency table the
-// planner reads against the CSR rows it no longer builds. Over the 45
+// planner reads against scans of the instruction list. Over the 45
 // plan-cold shapes, every tensor of the model graph and of the Lancet,
-// Tutel and FasterMoE plan graphs must have LastUse equal to the largest
-// of its Consumers, or -1 when nothing consumes it. Then random adjacent
+// Tutel and FasterMoE plan graphs must have LastUse equal to the last
+// instruction reading it, or -1 when nothing does. Then random adjacent
 // swaps walk each model's program order through valid and invalid
-// schedules, and ValidateSchedule, which reads operands' producers, must
-// give every schedule the verdict of a check built on Preds.
+// schedules, and ValidateSchedule, which reads operands' producers from
+// the table, must give every schedule the verdict of a check that finds
+// each operand's producer among the instructions' outputs.
 func TestDependencyTablesMatchAdjacency(t *testing.T) {
 	models := map[string]*ir.Graph{}
 	for _, shape := range goldenShapes() {
@@ -39,11 +39,16 @@ func TestDependencyTablesMatchAdjacency(t *testing.T) {
 			graphs[fw] = bp.Graph
 		}
 		for name, g := range graphs {
-			for x := range g.Tensors {
-				want := -1
-				if c := g.Consumers(x); len(c) > 0 {
-					want = slices.Max(c)
+			last := make([]int, len(g.Tensors))
+			for x := range last {
+				last[x] = -1
+			}
+			for _, in := range g.Instrs {
+				for _, x := range in.Ins {
+					last[x] = in.ID
 				}
+			}
+			for x, want := range last {
 				if got := g.LastUse(x); got != want {
 					t.Fatalf("%v %s: LastUse(%%%d) = %d, want %d", shape, name, x, got, want)
 				}
@@ -60,7 +65,7 @@ func TestDependencyTablesMatchAdjacency(t *testing.T) {
 			order[i], order[i+1] = order[i+1], order[i]
 			got, want := g.ValidateSchedule(order) == nil, predsVerdict(g, order)
 			if got != want {
-				t.Fatalf("%s step %d: ValidateSchedule accepts=%v, the Preds check %v", name, step, got, want)
+				t.Fatalf("%s step %d: ValidateSchedule accepts=%v, the scan %v", name, step, got, want)
 			}
 			if got {
 				accepted++
@@ -75,16 +80,23 @@ func TestDependencyTablesMatchAdjacency(t *testing.T) {
 	}
 }
 
-// predsVerdict reports whether the permutation order places every
-// predecessor (the CSR rows) strictly before the instruction it feeds.
+// predsVerdict reports whether the permutation order places the producer
+// of every operand strictly before the instruction reading it, finding
+// each producer by a scan of the instructions' outputs.
 func predsVerdict(g *ir.Graph, order []int) bool {
+	producer := make(map[int]int)
+	for _, in := range g.Instrs {
+		for _, y := range in.Outs {
+			producer[y] = in.ID
+		}
+	}
 	pos := make([]int, len(order))
 	for p, id := range order {
 		pos[id] = p
 	}
-	for id := range g.Instrs {
-		for _, p := range g.Preds(id) {
-			if pos[p] >= pos[id] {
+	for _, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if p, ok := producer[x]; ok && pos[p] >= pos[in.ID] {
 				return false
 			}
 		}

@@ -1,11 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"slices"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Graph is an SSA-style instruction-sequence program: an ordered list of
 // instructions over a set of tensors. The list order is the default execution
@@ -22,23 +17,10 @@ type Graph struct {
 	// instruction producing each tensor and the last one consuming it.
 	// Emit fills it and grows it on demand, so tensors registered by
 	// appending to Tensors directly (as the rewrites do) are covered too.
-	// Every per-plan reader — the simulator, the partition DP and rewrite,
-	// the reachability passes — reads dependencies from here.
+	// It is the graph's only record of its edges: every reader — the
+	// simulator, the partition DP and rewrite, the reachability passes,
+	// PrioritySort — reads dependencies from here.
 	refs []tensorRefs
-
-	// consumers, succs and preds are CSR rows built once on first use, for
-	// the readers that walk successors (PrioritySort, DOT export): each
-	// relation is one flat array cut into capacity-capped slices, one per
-	// tensor or instruction. Construction and rewriting are
-	// single-goroutine, but a finished graph is read by concurrent plans
-	// and simulations (cmd/lancet -parallel shares one Session's graph
-	// across frameworks), so the build runs under adjMu and publishes
-	// through the built flag; readers after it take no lock.
-	adjMu     sync.Mutex
-	built     atomic.Bool
-	consumers [][]int
-	succs     [][]int
-	preds     [][]int
 }
 
 // tensorRefs is one tensor's entry in the dependency table: the
@@ -105,7 +87,6 @@ func (g *Graph) Emit(in *Instr) *Instr {
 		}
 		g.refs[o].producer = int32(in.ID)
 	}
-	g.built.Store(false)
 	return in
 }
 
@@ -137,8 +118,7 @@ func (g *Graph) Producer(id int) int {
 }
 
 // LastUse returns the last instruction ID consuming tensor id, or -1 when
-// no instruction does: the largest of Consumers(id), without building the
-// consumer rows.
+// no instruction does.
 func (g *Graph) LastUse(id int) int {
 	if id < 0 || id >= len(g.refs) {
 		return -1
@@ -146,139 +126,45 @@ func (g *Graph) LastUse(id int) int {
 	return int(g.refs[id].lastUse)
 }
 
-// Consumers returns the instruction IDs consuming tensor id, in program
-// order, once per operand that reads it.
-func (g *Graph) Consumers(id int) []int {
-	g.buildAdj()
-	if id < 0 || id >= len(g.consumers) {
-		return nil
-	}
-	return g.consumers[id]
-}
-
-// buildAdj builds the consumer and instruction adjacency rows if an Emit
-// has invalidated them (or they were never built).
-func (g *Graph) buildAdj() {
-	if g.built.Load() {
-		return
-	}
-	g.adjMu.Lock()
-	defer g.adjMu.Unlock()
-	if g.built.Load() {
-		return
-	}
-	n := len(g.Instrs)
-	nt := max(len(g.Tensors), len(g.refs))
-	operands := 0
-	for _, in := range g.Instrs {
-		operands += len(in.Ins)
-	}
-
-	// Consumers: one entry per operand, rows in tensor-ID order, each row
-	// in program order. preds[i] is the sorted distinct producers of
-	// instruction i's inputs; succs falls out of preds in ascending order
-	// by walking the instructions in order. The three share one array.
-	flat := make([]int, 0, 3*operands)
-	count := make([]int, max(nt, n)+1)
-	for _, in := range g.Instrs {
-		for _, x := range in.Ins {
-			if x >= 0 && x < nt {
-				count[x+1]++
-			}
-		}
-	}
-	g.consumers = make([][]int, nt)
-	for t := range g.consumers {
-		count[t+1] += count[t]
-	}
-	flat = flat[:count[nt]]
-	for _, in := range g.Instrs {
-		for _, x := range in.Ins {
-			if x >= 0 && x < nt {
-				flat[count[x]] = in.ID
-				count[x]++
-			}
-		}
-	}
-	for t, lo := 0, 0; t < nt; t++ {
-		g.consumers[t] = flat[lo:count[t]:count[t]]
-		lo = count[t]
-	}
-
-	g.preds = make([][]int, n)
-	clear(count)
-	for i, in := range g.Instrs {
-		lo := len(flat)
-		for _, x := range in.Ins {
-			if p := g.Producer(x); p >= 0 {
-				flat = append(flat, p)
-			}
-		}
-		row := flat[lo:]
-		slices.Sort(row)
-		row = slices.Compact(row)
-		flat = flat[:lo+len(row)]
-		g.preds[i] = flat[lo:len(flat):len(flat)]
-		for _, p := range row {
-			count[p+1]++
-		}
-	}
-	g.succs = make([][]int, n)
-	for i := 0; i < n; i++ {
-		count[i+1] += count[i]
-	}
-	base := len(flat)
-	flat = flat[:base+count[n]]
-	for i, row := range g.preds {
-		for _, p := range row {
-			flat[base+count[p]] = i
-			count[p]++
-		}
-	}
-	for i, lo := 0, base; i < n; i++ {
-		g.succs[i] = flat[lo : base+count[i] : base+count[i]]
-		lo = base + count[i]
-	}
-	g.built.Store(true)
-}
-
-// Succs returns the instructions directly depending on instruction id.
-func (g *Graph) Succs(id int) []int {
-	g.buildAdj()
-	return g.succs[id]
-}
-
-// Preds returns the instructions instruction id directly depends on.
-func (g *Graph) Preds(id int) []int {
-	g.buildAdj()
-	return g.preds[id]
-}
-
 // ReachableFrom returns the set (as a bitmap indexed by instruction ID) of
 // instructions transitively reachable from id, excluding id itself. It
-// walks the CSR rows, and is the reference Descendants is tested against.
+// builds successor lists from the operands' producers on each call, and is
+// the reference Descendants is tested against.
 func (g *Graph) ReachableFrom(id int) []bool {
-	g.buildAdj()
-	seen := make([]bool, len(g.Instrs))
-	stack := append([]int(nil), g.succs[id]...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
+	succs := make([][]int, len(g.Instrs))
+	for _, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= 0 {
+				succs[p] = append(succs[p], in.ID)
+			}
 		}
-		seen[cur] = true
-		stack = append(stack, g.succs[cur]...)
 	}
-	return seen
+	return g.walk(id, func(cur int, stack []int) []int {
+		return append(stack, succs[cur]...)
+	})
 }
 
 // ReachableTo returns the set of instructions from which id is transitively
-// reachable, excluding id itself: the reference for Ancestors.
+// reachable, excluding id itself: the reference for Ancestors. It walks
+// the operands' producers.
 func (g *Graph) ReachableTo(id int) []bool {
-	g.buildAdj()
+	return g.walk(id, func(cur int, stack []int) []int {
+		for _, x := range g.Instrs[cur].Ins {
+			if p := g.Producer(x); p >= 0 {
+				stack = append(stack, p)
+			}
+		}
+		return stack
+	})
+}
+
+// walk is the depth-first search behind ReachableFrom and ReachableTo:
+// push appends an instruction's neighbours to the stack, and walk marks
+// every instruction it pops. id itself is marked only if a cycle leads
+// back to it.
+func (g *Graph) walk(id int, push func(cur int, stack []int) []int) []bool {
 	seen := make([]bool, len(g.Instrs))
-	stack := append([]int(nil), g.preds[id]...)
+	stack := push(id, nil)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -286,7 +172,7 @@ func (g *Graph) ReachableTo(id int) []bool {
 			continue
 		}
 		seen[cur] = true
-		stack = append(stack, g.preds[cur]...)
+		stack = push(cur, stack)
 	}
 	return seen
 }
@@ -385,36 +271,4 @@ func (g *Graph) AllToAlls() []int {
 		}
 	}
 	return ids
-}
-
-// Stats summarizes a graph for reporting and tests.
-type Stats struct {
-	Instrs      int
-	CommInstrs  int
-	DWInstrs    int
-	TotalFLOPs  float64
-	CommBytes   int64
-	WeightBytes int64
-}
-
-// ComputeStats walks the graph once and aggregates counters.
-func (g *Graph) ComputeStats() Stats {
-	var s Stats
-	s.Instrs = len(g.Instrs)
-	for _, in := range g.Instrs {
-		if in.IsComm() {
-			s.CommInstrs++
-			s.CommBytes += in.Bytes
-		}
-		if in.IsDW() {
-			s.DWInstrs++
-		}
-		s.TotalFLOPs += in.FLOPs
-	}
-	for _, t := range g.Tensors {
-		if t.Kind == Weight {
-			s.WeightBytes += t.Bytes()
-		}
-	}
-	return s
 }

@@ -43,29 +43,16 @@ func TestGraphBasics(t *testing.T) {
 	if got := g.Producer(0); got != -1 {
 		t.Errorf("Producer(graph input) = %d, want -1", got)
 	}
-	if got := len(g.Consumers(ins[0].Outs[0])); got != 2 {
-		t.Errorf("a has %d consumers, want 2", got)
+	if got := g.LastUse(ins[0].Outs[0]); got != ins[2].ID {
+		t.Errorf("LastUse(a) = @%d, want @%d", got, ins[2].ID)
 	}
 }
 
-func TestAdjacency(t *testing.T) {
-	g, ins := buildDiamond(t)
-	if got := g.Succs(ins[0].ID); len(got) != 2 {
-		t.Errorf("Succs(mm1) = %v, want 2 entries", got)
-	}
-	if got := g.Preds(ins[3].ID); len(got) != 2 {
-		t.Errorf("Preds(add) = %v, want 2 entries", got)
-	}
-	if got := g.Preds(ins[0].ID); len(got) != 0 {
-		t.Errorf("Preds(mm1) = %v, want none", got)
-	}
-}
-
-// referenceAdj is the adjacency build the CSR rows replaced, kept as the
-// reference they are checked against: consumers appended once per operand
-// in program order, and per instruction the sorted distinct producers of
-// its inputs (preds) and the sorted distinct readers of its outputs
-// (succs).
+// referenceAdj is an adjacency build kept as the reference the dependency
+// table and PrioritySort are checked against: consumers appended once per
+// operand in program order, and per instruction the sorted distinct
+// producers of its inputs (preds) and the sorted distinct readers of its
+// outputs (succs).
 func referenceAdj(g *Graph) (preds, succs, consumers [][]int) {
 	consumers = make([][]int, len(g.Tensors))
 	preds = make([][]int, len(g.Instrs))
@@ -100,31 +87,25 @@ func dedup(xs []int) []int {
 	return out
 }
 
-// adjacencyMatches reports whether g's CSR rows equal the reference build,
-// and each tensor's LastUse the largest of its reference consumers (-1 for
-// none).
+// adjacencyMatches reports whether each tensor's LastUse is the largest
+// of its reference consumers (-1 for none).
 func adjacencyMatches(g *Graph) bool {
-	preds, succs, consumers := referenceAdj(g)
-	for i := range g.Instrs {
-		if !slices.Equal(g.Preds(i), preds[i]) || !slices.Equal(g.Succs(i), succs[i]) {
-			return false
-		}
-	}
+	_, _, consumers := referenceAdj(g)
 	for x := range g.Tensors {
 		last := -1
 		if len(consumers[x]) > 0 {
 			last = slices.Max(consumers[x])
 		}
-		if !slices.Equal(g.Consumers(x), consumers[x]) || g.LastUse(x) != last {
+		if g.LastUse(x) != last {
 			return false
 		}
 	}
 	return true
 }
 
-// Property: the CSR Preds, Succs and Consumers, and LastUse, equal the
-// reference build on random DAGs (whose instructions may read one tensor
-// twice), and again after an Emit invalidates a built graph.
+// Property: LastUse agrees with the reference consumers on random DAGs
+// (whose instructions may read one tensor twice), and again after one more
+// Emit reads a tensor twice.
 func TestAdjacencyMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 5+int(uint64(seed)%40))
@@ -138,34 +119,6 @@ func TestAdjacencyMatchesReferenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The CSR rows share flat arrays, so each row is capacity-capped:
-// appending to one reallocates instead of overwriting its neighbour.
-func TestAdjacencyRowAppendLeavesNeighbours(t *testing.T) {
-	g := randomDAG(3, 30)
-	rows := func() [][]int {
-		var all [][]int
-		for i := range g.Instrs {
-			all = append(all, g.Preds(i), g.Succs(i))
-		}
-		for x := range g.Tensors {
-			all = append(all, g.Consumers(x))
-		}
-		return all
-	}
-	want := make([][]int, 0)
-	for _, r := range rows() {
-		want = append(want, slices.Clone(r))
-	}
-	for _, r := range rows() {
-		_ = append(r, -7)
-	}
-	for i, r := range rows() {
-		if !slices.Equal(r, want[i]) {
-			t.Fatalf("row %d = %v after appending to the rows, want %v", i, r, want[i])
-		}
 	}
 }
 
@@ -229,12 +182,15 @@ func TestValidateScheduleRejectsViolations(t *testing.T) {
 // An instruction reading its own output is no schedule: Validate rejects
 // it, and so must ValidateSchedule and ReorderedCopy, whose callers (the
 // simulator among them) rely on every producer preceding its consumers.
+// PrioritySort never releases it or its readers, so its order comes back
+// short, as the reference walk's does.
 func TestValidateScheduleRejectsSelfConsumption(t *testing.T) {
 	g := NewGraph()
 	x := g.NewTensor("x", Shape{2}, F32, Activation)
 	y := g.NewTensor("y", Shape{2}, F32, Activation)
 	g.Emit(&Instr{Op: OpGeLU, Ins: []int{x.ID}, Outs: []int{}})
 	g.Emit(&Instr{Op: OpAdd, Ins: []int{x.ID, y.ID}, Outs: []int{y.ID}})
+	g.Emit(&Instr{Op: OpGeLU, Ins: []int{y.ID}, Outs: []int{}})
 	if err := g.Validate(); err == nil {
 		t.Error("Validate accepted a self-consuming instruction")
 	}
@@ -243,6 +199,14 @@ func TestValidateScheduleRejectsSelfConsumption(t *testing.T) {
 	}
 	if _, err := ReorderedCopy(g, g.DefaultSchedule()); err == nil {
 		t.Error("ReorderedCopy accepted a self-consuming instruction")
+	}
+	rank := []float64{0, 1, 2}
+	order, ref := PrioritySort(g, rank), refPrioritySort(g, rank)
+	if !slices.Equal(order, []int{0}) || !slices.Equal(ref, order) {
+		t.Errorf("PrioritySort = %v, reference %v, want [0]", order, ref)
+	}
+	if _, err := ReorderedCopy(g, order); err == nil {
+		t.Error("ReorderedCopy accepted PrioritySort's short order")
 	}
 }
 
@@ -302,8 +266,8 @@ func TestValidateCatchesForwardReference(t *testing.T) {
 	}
 }
 
-// The producer/consumer tables are dense slices indexed by tensor ID: IDs
-// outside them read as graph inputs nobody consumes, emitting an
+// The dependency table is a dense slice indexed by tensor ID: IDs
+// outside it read as graph inputs nobody consumes, emitting an
 // instruction that names an unknown tensor must not panic, and Validate
 // must still report that tensor.
 func TestProducerConsumerTablesBoundsChecked(t *testing.T) {
@@ -311,9 +275,6 @@ func TestProducerConsumerTablesBoundsChecked(t *testing.T) {
 	for _, id := range []int{-1, len(g.Tensors), 1 << 20} {
 		if p := g.Producer(id); p != -1 {
 			t.Errorf("Producer(%d) = %d, want -1", id, p)
-		}
-		if c := g.Consumers(id); c != nil {
-			t.Errorf("Consumers(%d) = %v, want none", id, c)
 		}
 		if u := g.LastUse(id); u != -1 {
 			t.Errorf("LastUse(%d) = %d, want -1", id, u)
@@ -331,28 +292,6 @@ func TestProducerConsumerTablesBoundsChecked(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an unknown tensor", name)
 		}
-	}
-}
-
-func TestStats(t *testing.T) {
-	g := NewGraph()
-	x := g.NewTensor("x", Shape{4, 4}, F16, Activation)
-	w := g.NewTensor("w", Shape{4, 4}, F16, Weight)
-	y := g.NewTensor("y", Shape{4, 4}, F16, Activation)
-	z := g.NewTensor("z", Shape{4, 4}, F16, Activation)
-	gw := g.NewTensor("gw", Shape{4, 4}, F16, Gradient)
-	g.Emit(&Instr{Op: OpMatMul, Ins: []int{x.ID, w.ID}, Outs: []int{y.ID}, FLOPs: 128})
-	g.Emit(&Instr{Op: OpAllToAll, Ins: []int{y.ID}, Outs: []int{z.ID}, Bytes: 32, CommDevices: 8})
-	g.Emit(&Instr{Op: OpMatMul, Grad: GradDW, Phase: Backward, Ins: []int{z.ID}, Outs: []int{gw.ID}, FLOPs: 128})
-	s := g.ComputeStats()
-	if s.Instrs != 3 || s.CommInstrs != 1 || s.DWInstrs != 1 {
-		t.Errorf("stats counts = %+v", s)
-	}
-	if s.TotalFLOPs != 256 || s.CommBytes != 32 {
-		t.Errorf("stats totals = %+v", s)
-	}
-	if s.WeightBytes != 4*4*2 {
-		t.Errorf("WeightBytes = %d, want 32", s.WeightBytes)
 	}
 }
 

@@ -4,7 +4,7 @@ package ir
 // directed paths, one bitset row of ⌈len(srcs)/64⌉ words per instruction.
 // Descendants and Ancestors build it in one pass over the dependency
 // table each, where ReachableFrom and ReachableTo, their reference, walk
-// the CSR rows once per source.
+// the table depth-first once per source.
 type Reach struct {
 	words int
 	rows  []uint64

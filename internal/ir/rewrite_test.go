@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,51 @@ func TestReorderedCopyProperty(t *testing.T) {
 		return ng.Validate() == nil && len(ng.Instrs) == len(g.Instrs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// refPrioritySort is Kahn's walk over referenceAdj's distinct preds and
+// succs with PrioritySort's (rank, ID) heap: the reference PrioritySort,
+// which counts and lists one edge per operand, is checked against.
+func refPrioritySort(g *Graph, rank []float64) []int {
+	preds, succs, _ := referenceAdj(g)
+	indeg := make([]int, len(g.Instrs))
+	h := &rankHeap{rank: rank}
+	for i := range g.Instrs {
+		indeg[i] = len(preds[i])
+		if indeg[i] == 0 {
+			h.push(i)
+		}
+	}
+	var order []int
+	for h.Len() > 0 {
+		cur := h.pop()
+		order = append(order, cur)
+		for _, s := range succs[cur] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				h.push(s)
+			}
+		}
+	}
+	return order
+}
+
+// Property: on random DAGs, whose instructions may read one tensor twice,
+// and with random ranks drawn from a few values so ties are common,
+// PrioritySort's order equals the reference walk's.
+func TestPrioritySortMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64, rankSeed int64) bool {
+		g := randomDAG(seed, 5+int(uint64(seed)%60))
+		rng := rand.New(rand.NewSource(rankSeed))
+		rank := make([]float64, len(g.Instrs))
+		for i := range rank {
+			rank[i] = float64(rng.Intn(6))
+		}
+		return slices.Equal(PrioritySort(g, rank), refPrioritySort(g, rank))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,11 +6,35 @@ package ir
 // issues first. Passes use it to express placement intent — move a dW right
 // after its all-to-all, push gradient all-reduces behind all-to-alls —
 // while dependencies always win.
+//
+// The in-degrees and successor lists come from the operands' producers, in
+// one pass and one allocation. Each operand edge gets a 1-based ID e:
+// succ[e-1] is its consumer and next[e-1] the ID of its producer's next
+// edge, head[p] is the ID of producer p's first edge, and ID 0 ends a
+// list. An instruction reading a tensor twice is counted and listed twice,
+// which releases it at the same pop as one edge would; the heap pops by
+// (rank, ID), so the order successors are listed in does not matter
+// either.
 func PrioritySort(g *Graph, rank []float64) []int {
 	n := len(g.Instrs)
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = len(g.Preds(i))
+	operands := 0
+	for _, in := range g.Instrs {
+		operands += len(in.Ins)
+	}
+	buf := make([]int32, 2*n+2*operands)
+	indeg, head := buf[:n], buf[n:2*n]
+	succ, next := buf[2*n:2*n+operands], buf[2*n+operands:]
+	edges := int32(0)
+	for i, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= 0 {
+				indeg[i]++
+				succ[edges] = int32(i)
+				next[edges] = head[p]
+				edges++
+				head[p] = edges
+			}
+		}
 	}
 	h := &rankHeap{rank: rank}
 	for i := 0; i < n; i++ {
@@ -22,10 +46,11 @@ func PrioritySort(g *Graph, rank []float64) []int {
 	for h.Len() > 0 {
 		cur := h.pop()
 		order = append(order, cur)
-		for _, s := range g.Succs(cur) {
+		for e := head[cur]; e != 0; e = next[e-1] {
+			s := succ[e-1]
 			indeg[s]--
 			if indeg[s] == 0 {
-				h.push(s)
+				h.push(int(s))
 			}
 		}
 	}

@@ -40,16 +40,15 @@ func TestSharedExpertAddsOps(t *testing.T) {
 	if got, want := len(sb.Graph.Instrs)-len(pb.Graph.Instrs), 9*nMoE; got != want {
 		t.Errorf("shared expert added %d instructions, want %d", got, want)
 	}
-	ps, ss := pb.Graph.ComputeStats(), sb.Graph.ComputeStats()
 	// +2 dW per MoE layer (shared ffn1/ffn2).
-	if got, want := ss.DWInstrs-ps.DWInstrs, 2*nMoE; got != want {
+	if got, want := dwCount(sb.Graph)-dwCount(pb.Graph), 2*nMoE; got != want {
 		t.Errorf("shared expert added %d dW ops, want %d", got, want)
 	}
 	// The all-to-all structure is untouched.
 	if len(sb.Graph.AllToAlls()) != len(pb.Graph.AllToAlls()) {
 		t.Error("shared expert must not change all-to-all count")
 	}
-	if ss.TotalFLOPs <= ps.TotalFLOPs {
+	if totalFLOPs(sb.Graph) <= totalFLOPs(pb.Graph) {
 		t.Error("shared expert must add compute")
 	}
 }
@@ -64,11 +63,9 @@ func TestSharedExpertWeightsAreSynced(t *testing.T) {
 		if in.Grad != ir.GradDW || !strings.Contains(in.Name, "shared_ffn") {
 			continue
 		}
-		for _, out := range in.Outs {
-			for _, c := range g.Consumers(out) {
-				if g.Instr(c).Op == ir.OpAllReduce {
-					synced++
-				}
+		for _, c := range consumers(g, in.Outs) {
+			if c.Op == ir.OpAllReduce {
+				synced++
 			}
 		}
 	}

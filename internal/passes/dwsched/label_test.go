@@ -10,8 +10,9 @@ import (
 )
 
 // refLabel is the labelling the bitset passes replaced, kept as their
-// reference: per all-to-all, one depth-first walk each way over the CSR
-// rows, and the dW instructions neither walk reaches, in program order.
+// reference: per all-to-all, one depth-first walk each way over the
+// dependency table, and the dW instructions neither walk reaches, in
+// program order.
 func refLabel(g *ir.Graph, a2as, dws []int) [][]int {
 	out := make([][]int, len(a2as))
 	for j, a := range a2as {

@@ -281,9 +281,9 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 }
 
 // refPipelineSpan simulates a window's stage pipeline the direct way: the
-// issue order schedulePlan materializes, dependencies found through a
-// position map, and a fresh end-time map per call. frac is the profiled
-// payload fraction (Options.PayloadFraction).
+// issue order schedulePlan materializes, dependencies found through the
+// operands' producers and a position map, and a fresh end-time map per
+// call. frac is the profiled payload fraction (Options.PayloadFraction).
 func refPipelineSpan(g *ir.Graph, cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
 	pos := make(map[int]int, len(window))
 	for i, in := range window {
@@ -300,8 +300,8 @@ func refPipelineSpan(g *ir.Graph, cm *cost.Model, window []*ir.Instr, k int, pr 
 			stream = 1
 		}
 		start := clock[stream]
-		for _, p := range g.Preds(in.ID) {
-			if d, ok := pos[p]; ok {
+		for _, x := range in.Ins {
+			if d, ok := pos[g.Producer(x)]; ok {
 				if e := end[instanceRef{d, ref.part}]; e > start {
 					start = e
 				}

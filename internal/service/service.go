@@ -531,17 +531,23 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Reject oversized grids before materializing a single point. The
 	// buffered cap exists because the whole response accumulates in
 	// memory; streaming flushes per point, so it only keeps a backstop.
-	points := int64(len(models)) * int64(len(clusters)) * int64(len(gpuCounts)) *
-		int64(len(gates)) * int64(len(frameworks))
+	// The count stops once it passes the backstop: the body bound keeps
+	// every dimension below 2^19 entries, so a count within the backstop
+	// times one more dimension cannot overflow, where the product of all
+	// five can wrap to 0.
+	points := int64(1)
+	for _, n := range []int{len(models), len(clusters), len(gpuCounts), len(gates), len(frameworks)} {
+		points *= int64(n)
+		if points > maxStreamSweepPoints {
+			writeError(w, http.StatusBadRequest,
+				codedf(CodeGridTooLarge, "sweep grid has more than %d points, the streaming limit", maxStreamSweepPoints))
+			return
+		}
+	}
 	if !req.Stream && points > maxSweepPoints {
 		writeError(w, http.StatusBadRequest,
 			codedf(CodeGridTooLarge, `sweep grid has %d points, limit %d for buffered responses; set "stream": true for an NDJSON stream without the cap`,
 				points, maxSweepPoints))
-		return
-	}
-	if points > maxStreamSweepPoints {
-		writeError(w, http.StatusBadRequest,
-			codedf(CodeGridTooLarge, "sweep grid has %d points, streaming limit %d", points, maxStreamSweepPoints))
 		return
 	}
 

@@ -398,6 +398,27 @@ func TestSweepRejectsOversizedGrid(t *testing.T) {
 	if msg := decodeError(t, w); !strings.Contains(msg, "1080") {
 		t.Errorf("error %q should name the grid size", msg)
 	}
+
+	// 65,536 entries in each of four dimensions: the product is 2^64,
+	// which an int64 count wraps to 0, from a body under the body bound.
+	zeros := strings.Repeat("0,", 1<<16-1) + "0"
+	empties := strings.Repeat(`"",`, 1<<16-1) + `""`
+	for _, stream := range []string{"false", "true"} {
+		body := `{"models": [` + empties + `], "clusters": [` + empties + `], "gates": [` + empties +
+			`], "gpus": [` + zeros + `], "stream": ` + stream + `}`
+		if len(body) > maxBodyBytes {
+			t.Fatalf("body is %d bytes, over the %d-byte bound", len(body), maxBodyBytes)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		New(Config{}).Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("stream %s: status = %d, want 400", stream, w.Code)
+		}
+		if e := decodeEnvelope(t, w); e.Err.Code != CodeGridTooLarge {
+			t.Errorf("stream %s: error code = %q, want %q", stream, e.Err.Code, CodeGridTooLarge)
+		}
+	}
 }
 
 func TestSweepStopsOnCanceledRequest(t *testing.T) {

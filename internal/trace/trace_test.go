@@ -65,24 +65,3 @@ func TestExport(t *testing.T) {
 		t.Error("communication must land on the comm-stream tid")
 	}
 }
-
-func TestExportDOT(t *testing.T) {
-	g := ir.NewGraph()
-	x := g.NewTensor("x", ir.Shape{4}, ir.F16, ir.Activation)
-	y := g.NewTensor("y", ir.Shape{4}, ir.F16, ir.Activation)
-	z := g.NewTensor("z", ir.Shape{4}, ir.F16, ir.Gradient)
-	g.Emit(&ir.Instr{Name: "mm", Op: ir.OpMatMul, FLOPs: 1, Ins: []int{x.ID}, Outs: []int{y.ID}})
-	g.Emit(&ir.Instr{Name: "a2a", Op: ir.OpAllToAll, Bytes: 1, CommDevices: 2, Ins: []int{y.ID}, Outs: []int{}})
-	g.Emit(&ir.Instr{Name: "dw", Op: ir.OpMatMul, Grad: ir.GradDW, FLOPs: 1, Ins: []int{y.ID}, Outs: []int{z.ID}})
-	dot := string(ExportDOT(g))
-	for _, want := range []string{
-		"digraph lancet", "n0 -> n1", "n0 -> n2",
-		"palegreen", // comm coloring
-		"orange",    // dW coloring
-		`"dw.dW"`,   // grad label
-	} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q", want)
-		}
-	}
-}
