@@ -5,7 +5,9 @@
 // (shared CI runners are slow and noisy; only order-of-magnitude
 // regressions should trip); allocs/op floors are exact — an allocation
 // sneaking back into a zero-alloc inner loop fails the build no matter how
-// fast the runner is.
+// fast the runner is; B/op floors allow a fixed x1.10 slack, for pooled
+// scratch that a collection drops and a run re-allocates, so allocation
+// volume that grows back at unchanged object counts fails the build too.
 //
 // Usage:
 //
@@ -26,11 +28,17 @@ import (
 	"strings"
 )
 
+// bytesTolerance is the B/op slack: a benchmark passes while its measured
+// minimum is at most floor × bytesTolerance. Allocation volume depends on
+// neither the runner's speed nor its load, so the slack is a constant, not
+// a flag like the ns/op tolerance.
+const bytesTolerance = 1.10
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lancet-perfgate: ")
 	var (
-		floorPath = flag.String("floor", "perf_floor.txt", "committed floor file: one '<benchmark> <ns/op> <allocs/op>' per line")
+		floorPath = flag.String("floor", "perf_floor.txt", "committed floor file: one '<benchmark> <ns/op> <allocs/op> <B/op>' per line")
 		tol       = flag.Float64("tol", 2.0, "ns/op tolerance multiplier (allocs/op is always exact)")
 		write     = flag.Bool("write", false, "print floor lines for the measured minima instead of gating")
 	)
@@ -48,7 +56,7 @@ func main() {
 		sort.Strings(names)
 		for _, n := range names {
 			m := mins[n]
-			fmt.Printf("%s %d %d\n", n, int64(m.ns), m.allocs)
+			fmt.Printf("%s %d %d %d\n", n, int64(m.ns), m.allocs, m.bytes)
 		}
 		return
 	}
@@ -62,22 +70,25 @@ func main() {
 		fmt.Println("REGRESSED:", v)
 	}
 	if len(violations) > 0 {
-		log.Fatalf("%d of %d perf floors violated (floor %s, ns tolerance x%g)",
-			len(violations), len(floors), *floorPath, *tol)
+		log.Fatalf("%d of %d perf floors violated (floor %s, ns tolerance x%g, B/op tolerance x%g)",
+			len(violations), len(floors), *floorPath, *tol, bytesTolerance)
 	}
-	fmt.Printf("perf gate ok: %d benchmarks within floors (%s, ns tolerance x%g)\n",
-		len(floors), *floorPath, *tol)
+	fmt.Printf("perf gate ok: %d benchmarks within floors (%s, ns tolerance x%g, B/op tolerance x%g)\n",
+		len(floors), *floorPath, *tol, bytesTolerance)
 }
 
-// sample is one benchmark's best (minimum) observation.
+// sample is one benchmark's best (minimum) observation. allocs and bytes
+// are -1 when the output reports none.
 type sample struct {
 	ns     float64
 	allocs int64
+	bytes  int64
 }
 
-// parseBench extracts ns/op and allocs/op from `go test -bench` output and
-// keeps the minimum per benchmark across repetitions. The -GOMAXPROCS
-// suffix is stripped so floors are portable across runner core counts.
+// parseBench extracts ns/op, allocs/op and B/op from `go test -bench`
+// output and keeps the minimum of each per benchmark across repetitions.
+// The -GOMAXPROCS suffix is stripped so floors are portable across runner
+// core counts.
 func parseBench(r io.Reader) (map[string]sample, error) {
 	mins := make(map[string]sample)
 	sc := bufio.NewScanner(r)
@@ -87,8 +98,7 @@ func parseBench(r io.Reader) (map[string]sample, error) {
 			continue
 		}
 		name := stripProcs(f[0])
-		var s sample
-		s.allocs = -1
+		s := sample{allocs: -1, bytes: -1}
 		// After "name N" the line is (value, unit) pairs.
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
@@ -100,22 +110,29 @@ func parseBench(r io.Reader) (map[string]sample, error) {
 				s.ns = v
 			case "allocs/op":
 				s.allocs = int64(v)
+			case "B/op":
+				s.bytes = int64(v)
 			}
 		}
 		if s.ns == 0 {
 			continue // a benchmark without ns/op (custom metrics only)
 		}
 		if prev, ok := mins[name]; ok {
-			if prev.ns < s.ns {
-				s.ns = prev.ns
-			}
-			if prev.allocs >= 0 && (s.allocs < 0 || prev.allocs < s.allocs) {
-				s.allocs = prev.allocs
-			}
+			s.ns = min(s.ns, prev.ns)
+			s.allocs = minReported(s.allocs, prev.allocs)
+			s.bytes = minReported(s.bytes, prev.bytes)
 		}
 		mins[name] = s
 	}
 	return mins, sc.Err()
+}
+
+// minReported is the smaller of two counts, where -1 means not reported.
+func minReported(a, b int64) int64 {
+	if a < 0 || (b >= 0 && b < a) {
+		return b
+	}
+	return a
 }
 
 // stripProcs removes a trailing -N GOMAXPROCS suffix, if any.
@@ -133,6 +150,7 @@ type floor struct {
 	name   string
 	ns     float64
 	allocs int64
+	bytes  int64
 }
 
 func readFloors(path string) ([]floor, error) {
@@ -147,15 +165,16 @@ func readFloors(path string) ([]floor, error) {
 			continue
 		}
 		f := strings.Fields(line)
-		if len(f) != 3 {
-			return nil, fmt.Errorf("%s:%d: want '<benchmark> <ns/op> <allocs/op>', got %q", path, ln+1, line)
+		if len(f) != 4 {
+			return nil, fmt.Errorf("%s:%d: want '<benchmark> <ns/op> <allocs/op> <B/op>', got %q", path, ln+1, line)
 		}
 		ns, err1 := strconv.ParseFloat(f[1], 64)
 		allocs, err2 := strconv.ParseInt(f[2], 10, 64)
-		if err1 != nil || err2 != nil || ns <= 0 || allocs < 0 {
+		bytes, err3 := strconv.ParseInt(f[3], 10, 64)
+		if err1 != nil || err2 != nil || err3 != nil || ns <= 0 || allocs < 0 || bytes < 0 {
 			return nil, fmt.Errorf("%s:%d: bad floor %q", path, ln+1, line)
 		}
-		floors = append(floors, floor{name: f[0], ns: ns, allocs: allocs})
+		floors = append(floors, floor{name: f[0], ns: ns, allocs: allocs, bytes: bytes})
 	}
 	if len(floors) == 0 {
 		return nil, fmt.Errorf("%s: no floors — the gate would be vacuous", path)
@@ -164,8 +183,10 @@ func readFloors(path string) ([]floor, error) {
 }
 
 // gate compares measured minima against the floors: ns/op within
-// floor*tol, allocs/op exact. A floored benchmark missing from the input
-// is a violation — a silently skipped benchmark must not pass the gate.
+// floor*tol, allocs/op exact, B/op within floor*bytesTolerance. A floored
+// benchmark missing from the input, or reporting no allocs/op or B/op
+// (run without b.ReportAllocs or -benchmem), is a violation — a silently
+// skipped check must not pass the gate.
 func gate(floors []floor, mins map[string]sample, tol float64) []string {
 	var out []string
 	for _, f := range floors {
@@ -178,9 +199,19 @@ func gate(floors []floor, mins map[string]sample, tol float64) []string {
 			out = append(out, fmt.Sprintf("%s: %.0f ns/op vs floor %.0f ns/op (limit %.0f at x%g tolerance)",
 				f.name, m.ns, f.ns, limit, tol))
 		}
-		if m.allocs > f.allocs {
+		switch {
+		case m.allocs < 0:
+			out = append(out, fmt.Sprintf("%s: no allocs/op in bench output", f.name))
+		case m.allocs > f.allocs:
 			out = append(out, fmt.Sprintf("%s: %d allocs/op vs floor %d allocs/op (exact)",
 				f.name, m.allocs, f.allocs))
+		}
+		switch limit := float64(f.bytes) * bytesTolerance; {
+		case m.bytes < 0:
+			out = append(out, fmt.Sprintf("%s: no B/op in bench output", f.name))
+		case float64(m.bytes) > limit:
+			out = append(out, fmt.Sprintf("%s: %d B/op vs floor %d B/op (limit %.0f at x%g tolerance)",
+				f.name, m.bytes, f.bytes, limit, bytesTolerance))
 		}
 	}
 	return out

@@ -43,9 +43,9 @@ func TestDependencyTablesMatchAdjacency(t *testing.T) {
 			for x := range last {
 				last[x] = -1
 			}
-			for _, in := range g.Instrs {
+			for i, in := range g.Instrs {
 				for _, x := range in.Ins {
-					last[x] = in.ID
+					last[x] = i
 				}
 			}
 			for x, want := range last {
@@ -85,18 +85,18 @@ func TestDependencyTablesMatchAdjacency(t *testing.T) {
 // each producer by a scan of the instructions' outputs.
 func predsVerdict(g *ir.Graph, order []int) bool {
 	producer := make(map[int]int)
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		for _, y := range in.Outs {
-			producer[y] = in.ID
+			producer[y] = i
 		}
 	}
 	pos := make([]int, len(order))
 	for p, id := range order {
 		pos[id] = p
 	}
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		for _, x := range in.Ins {
-			if p, ok := producer[x]; ok && pos[p] >= pos[in.ID] {
+			if p, ok := producer[x]; ok && pos[p] >= pos[i] {
 				return false
 			}
 		}

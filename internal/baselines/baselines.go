@@ -136,23 +136,28 @@ func FasterMoEPlan(b *model.Built, shadowShare float64) (*ir.Graph, error) {
 	if shadowShare < 2*uniform {
 		shadowShare = 0 // not worth replicating anything
 	}
-	// Copy the graph so payload edits don't touch the original.
-	g, err := ir.ReorderedCopy(b.Graph, b.Graph.DefaultSchedule())
-	if err != nil {
-		return nil, err
-	}
+	g := b.Graph
 	if shadowShare > 0 {
+		// The graph's instructions are shared and never written
+		// (DESIGN.md §2, §7): each one the payload edits touch is replaced
+		// by a copy of its own, and the rest stay shared.
 		cfg := b.Config
 		shadowWeights := 2 * int64(cfg.Hidden) * int64(cfg.FFNMult*cfg.Hidden) * cfg.DType.Size()
-		for _, in := range g.Instrs {
-			if in.Op == ir.OpAllToAll {
-				in.Bytes = int64(float64(in.Bytes) * (1 - shadowShare))
+		g = ir.Derive(b.Graph, 0, len(b.Graph.Instrs))
+		for _, in := range b.Graph.Instrs {
+			switch {
+			case in.Op == ir.OpAllToAll:
+				c := *in
+				c.Bytes = int64(float64(in.Bytes) * (1 - shadowShare))
+				in = &c
+			case in.Op == ir.OpAllReduce && in.Layer >= 0 && cfg.IsMoELayer(in.Layer):
+				// The shadowed expert's gradients ride each MoE layer's
+				// existing gradient bucket.
+				c := *in
+				c.Bytes += shadowWeights
+				in = &c
 			}
-			// The shadowed expert's gradients ride each MoE layer's
-			// existing gradient bucket.
-			if in.Op == ir.OpAllReduce && in.Layer >= 0 && cfg.IsMoELayer(in.Layer) {
-				in.Bytes += shadowWeights
-			}
+			g.Emit(in)
 		}
 	}
 	// FasterMoE's smart schedule: pairwise a2a/expert overlap == capacity

@@ -68,7 +68,13 @@ func (s *shard[K]) put(k K, v float64) {
 // and uniform replays. Communication predictions interpolate the profiled
 // table on every call.
 type Model struct {
+	// Cluster is the fleet the model prices. It is read-only after
+	// NewModel, which derives the model's fleet scalars from it.
 	Cluster hw.Cluster
+
+	// fleet holds the cluster scalars every pricing call reads, derived
+	// once in NewModel and shared by WithComputeScale.
+	fleet fleet
 
 	// computeScale scales compute throughput to model framework codegen
 	// differences (e.g. PyTorch kernels vs RAF compiler output). 1.0 is
@@ -101,6 +107,39 @@ type Model struct {
 	allreduceTable []commPoint
 	allgatherTable []commPoint
 	tableDevices   int
+}
+
+// fleet is the cluster as the closed forms price it: the values of the
+// hw.Cluster accessors they call, computed once per model because the
+// accessors take the cluster by value and, on a uniform fleet, build a
+// one-class list per call, while pricing runs per instruction.
+type fleet struct {
+	slowestTFLOPs, fastestTFLOPs float64
+	// straggler names the slowest class; mixed reports whether the fleet
+	// has one (hw.Cluster.StragglerClass).
+	straggler string
+	mixed     bool
+	// gpusPerNode is the smallest node size, rackNodes the nodes per rack
+	// switch and totalGPUs the fleet size.
+	gpusPerNode, rackNodes, totalGPUs int
+	// Per-GPU bandwidths (GB/s) of the NVLink, NIC and spine tiers.
+	nvlinkGBs, nicGBs, spineGBs float64
+}
+
+func newFleet(c hw.Cluster) fleet {
+	straggler, mixed := c.StragglerClass()
+	return fleet{
+		slowestTFLOPs: c.SlowestTFLOPs(),
+		fastestTFLOPs: c.FastestTFLOPs(),
+		straggler:     straggler.Name,
+		mixed:         mixed,
+		gpusPerNode:   c.MinGPUsPerNode(),
+		rackNodes:     c.RackNodes(),
+		totalGPUs:     c.TotalGPUs(),
+		nvlinkGBs:     c.MinNVLinkGBs(),
+		nicGBs:        c.PerGPUNICGBs(),
+		spineGBs:      c.SpineGBsPerGPU(),
+	}
 }
 
 type profileKey struct {
@@ -140,16 +179,17 @@ const maxProfiledBytes = int64(1) << 31 // 2 GiB
 func NewModel(c hw.Cluster) *Model {
 	m := &Model{
 		Cluster:      c,
+		fleet:        newFleet(c),
 		computeScale: 1.0,
 		net:          netsim.New(c),
 		skewTabs:     cache.New[uint64, *skewTable](skewTableCap),
 	}
-	m.buildCommTables(c.TotalGPUs())
+	m.buildCommTables(m.fleet.totalGPUs)
 	return m
 }
 
 // WithComputeScale returns a model for the same cluster at another compute
-// scale. It shares m's network simulator and profiled
+// scale. It shares m's fleet scalars, network simulator and profiled
 // communication tables, which are read-only once built and do not depend
 // on the compute scale, and starts with an empty memo and zeroed counters: a
 // memo entry holds the first-priced value of its FLOPs/bytes bucket, so a
@@ -158,6 +198,7 @@ func NewModel(c hw.Cluster) *Model {
 func (m *Model) WithComputeScale(scale float64) *Model {
 	return &Model{
 		Cluster:        m.Cluster,
+		fleet:          m.fleet,
 		computeScale:   scale,
 		net:            m.net,
 		skewTabs:       cache.New[uint64, *skewTable](skewTableCap),
@@ -217,7 +258,7 @@ func (m *Model) Stats() CacheStats {
 // streaming multiprocessors; utilization ramps with work following
 // u(f) = MaxUtilization * f / (f + f_half).
 func (m *Model) effFLOPSAt(flops, peakTFLOPs float64) float64 {
-	g := m.Cluster.Node.GPU
+	g := &m.Cluster.Node.GPU
 	fHalf := g.SaturationGFLOP * 1e9
 	util := g.MaxUtilization * flops / (flops + fHalf)
 	return peakTFLOPs * 1e12 * util
@@ -228,7 +269,7 @@ func (m *Model) effFLOPSAt(flops, peakTFLOPs float64) float64 {
 // time. On a mixed fleet the SPMD iteration waits for its slowest replica,
 // so the roofline runs at the weakest class's throughput (DESIGN.md §12).
 func (m *Model) GroundComputeUs(in *ir.Instr) float64 {
-	return m.groundComputeUsAt(in, m.Cluster.SlowestTFLOPs())
+	return m.groundComputeUsAt(in, m.fleet.slowestTFLOPs)
 }
 
 // groundComputeUsAt prices a compute instruction at a specific per-GPU peak
@@ -240,7 +281,7 @@ func (m *Model) groundComputeUsAt(in *ir.Instr, peakTFLOPs float64) float64 {
 		// into contiguous buffers) costs nothing.
 		return 0
 	}
-	g := m.Cluster.Node.GPU
+	g := &m.Cluster.Node.GPU
 	kernels := 1.0
 	if in.Kernels > 1 {
 		kernels = float64(in.Kernels)
@@ -262,15 +303,15 @@ func (m *Model) groundComputeUsAt(in *ir.Instr, peakTFLOPs float64) float64 {
 // class lags the fastest, plus the lagging class's name. Uniform fleets and
 // communication instructions report no straggler.
 func (m *Model) ComputeStragglerUs(in *ir.Instr) (string, float64) {
-	straggler, ok := m.Cluster.StragglerClass()
-	if !ok || in.IsComm() {
+	f := &m.fleet
+	if !f.mixed || in.IsComm() {
 		return "", 0
 	}
-	extra := m.GroundComputeUs(in) - m.groundComputeUsAt(in, m.Cluster.FastestTFLOPs())
+	extra := m.GroundComputeUs(in) - m.groundComputeUsAt(in, f.fastestTFLOPs)
 	if extra <= 0 {
-		return straggler.Name, 0
+		return f.straggler, 0
 	}
-	return straggler.Name, extra
+	return f.straggler, extra
 }
 
 // groundAllToAllUs prices an all-to-all where every device exchanges
@@ -303,13 +344,13 @@ func (m *Model) a2aTierUs(bytesPerDevice int64, devices int) [hw.NumTiers]float6
 	if devices <= 1 || bytesPerDevice <= 0 {
 		return tiers
 	}
-	c := m.Cluster
-	gpn := c.MinGPUsPerNode()
+	f := &m.fleet
+	gpn := f.gpusPerNode
 	if devices < gpn {
 		gpn = devices
 	}
 	nodes := (devices + gpn - 1) / gpn
-	rackNodes := c.RackNodes()
+	rackNodes := f.rackNodes
 	if rackNodes > nodes {
 		rackNodes = nodes
 	}
@@ -329,12 +370,12 @@ func (m *Model) a2aTierUs(bytesPerDevice int64, devices int) [hw.NumTiers]float6
 	intraBytes := perPeer * intraPeers
 	interBytes := perPeer * interPeers // NIC carries rack and spine traffic alike
 	spineBytes := perPeer * spinePeers
-	tiers[hw.TierNVLink] = intraBytes / (effBW(c.MinNVLinkGBs(), intraBytes) * 1e9) * 1e6
+	tiers[hw.TierNVLink] = intraBytes / (effBW(f.nvlinkGBs, intraBytes) * 1e9) * 1e6
 	if interPeers > 0 {
-		tiers[hw.TierNIC] = interBytes / (effBW(c.PerGPUNICGBs(), interBytes) * 1e9) * 1e6
+		tiers[hw.TierNIC] = interBytes / (effBW(f.nicGBs, interBytes) * 1e9) * 1e6
 	}
 	if spinePeers > 0 {
-		tiers[hw.TierSpine] = spineBytes / (effBW(c.SpineGBsPerGPU(), spineBytes) * 1e9) * 1e6
+		tiers[hw.TierSpine] = spineBytes / (effBW(f.spineGBs, spineBytes) * 1e9) * 1e6
 	}
 	return tiers
 }
@@ -344,7 +385,7 @@ func (m *Model) a2aTierUs(bytesPerDevice int64, devices int) [hw.NumTiers]float6
 // behind the simulator's per-tier breakdown.
 func (m *Model) A2ATierUs(bytesPerDevice int64, devices int) [hw.NumTiers]float64 {
 	if devices == 0 {
-		devices = m.Cluster.TotalGPUs()
+		devices = m.fleet.totalGPUs
 	}
 	return m.a2aTierUs(bytesPerDevice, devices)
 }
@@ -392,10 +433,10 @@ func (m *Model) groundHierarchicalUs(bytes int64, devices int, directions float6
 	if devices <= 1 || bytes <= 0 {
 		return 0
 	}
-	c := m.Cluster
-	gpn := c.MinGPUsPerNode()
+	f := &m.fleet
+	gpn := f.gpusPerNode
 	nodes := (devices + gpn - 1) / gpn
-	rackNodes := c.RackNodes()
+	rackNodes := f.rackNodes
 	if rackNodes > nodes {
 		rackNodes = nodes
 	}
@@ -404,7 +445,7 @@ func (m *Model) groundHierarchicalUs(bytes int64, devices int, directions float6
 	alpha := 20.0 + 1.5*math.Log2(float64(devices))
 
 	// Intra-node reduce-scatter/all-gather over NVLink.
-	intra := directions * vol * float64(gpn-1) / float64(gpn) / (effBW(c.MinNVLinkGBs(), vol) * 1e9) * 1e6
+	intra := directions * vol * float64(gpn-1) / float64(gpn) / (effBW(f.nvlinkGBs, vol) * 1e9) * 1e6
 	if gpn <= 1 {
 		intra = 0
 	}
@@ -412,13 +453,13 @@ func (m *Model) groundHierarchicalUs(bytes int64, devices int, directions float6
 	rack := 0.0
 	shard := vol / float64(gpn)
 	if rackNodes > 1 {
-		rack = directions * shard * float64(rackNodes-1) / float64(rackNodes) / (effBW(c.PerGPUNICGBs(), shard) * 1e9) * 1e6
+		rack = directions * shard * float64(rackNodes-1) / float64(rackNodes) / (effBW(f.nicGBs, shard) * 1e9) * 1e6
 	}
 	// Inter-rack ring over the rack-sharded slice, across the spine.
 	spine := 0.0
 	if racks > 1 {
 		rackShard := shard / float64(rackNodes)
-		spine = directions * rackShard * float64(racks-1) / float64(racks) / (effBW(c.SpineGBsPerGPU(), rackShard) * 1e9) * 1e6
+		spine = directions * rackShard * float64(racks-1) / float64(racks) / (effBW(f.spineGBs, rackShard) * 1e9) * 1e6
 	}
 	return alpha + intra + rack + spine
 }
@@ -501,7 +542,7 @@ func (m *Model) ActualInstr(in *ir.Instr) float64 {
 
 func (m *Model) groundCommUs(op ir.OpKind, bytes int64, devices int) float64 {
 	if devices == 0 {
-		devices = m.Cluster.TotalGPUs()
+		devices = m.fleet.totalGPUs
 	}
 	switch op {
 	case ir.OpAllToAll:
@@ -523,7 +564,7 @@ func (m *Model) ValidateProfile(prof *netsim.RoutingProfile) error {
 	if prof == nil {
 		return nil
 	}
-	if g := m.Cluster.TotalGPUs(); prof.Devices() != g {
+	if g := m.fleet.totalGPUs; prof.Devices() != g {
 		return fmt.Errorf("cost: routing profile is shaped for %d devices, cluster has %d",
 			prof.Devices(), g)
 	}
@@ -587,7 +628,7 @@ func (p A2APricer) Profiled() bool { return p.prof != nil }
 //lancet:hotpath
 func (p A2APricer) SkewedUs(bytesPerDevice int64) float64 {
 	if p.prof == nil {
-		return p.m.groundAllToAllUs(bytesPerDevice, p.m.Cluster.TotalGPUs())
+		return p.m.groundAllToAllUs(bytesPerDevice, p.m.fleet.totalGPUs)
 	}
 	if bytesPerDevice <= 0 {
 		return 0

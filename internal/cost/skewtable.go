@@ -148,7 +148,7 @@ func (m *Model) UniformReplayUs(bytesPerDevice int64) float64 {
 		m.hits.Add(1)
 		return t
 	}
-	t, err := m.net.AllToAllUs(netsim.UniformMatrix(m.Cluster.TotalGPUs(), bytesPerDevice))
+	t, err := m.net.AllToAllUs(netsim.UniformMatrix(m.fleet.totalGPUs, bytesPerDevice))
 	if err != nil {
 		panic(fmt.Sprintf("cost: netsim rejected a uniform matrix: %v", err))
 	}

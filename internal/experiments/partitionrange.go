@@ -122,7 +122,7 @@ func sweepForwardTime(b *model.Built, cm *cost.Model, fwdEnd int, serialFwd, ran
 		}
 		best := math.Inf(1)
 		for k := 2; k <= 8; k++ {
-			if p := partition.PipelinePredictUs(g, cm, window, asg, k); p < best {
+			if p := partition.PipelinePredictUs(g, cm, start, end, asg, k); p < best {
 				best = p
 			}
 		}

@@ -6,9 +6,11 @@ import "fmt"
 // instructions over a set of tensors. The list order is the default execution
 // schedule; passes reorder and rewrite it.
 //
-// Tensors and the operand slices (Ins, Outs) of emitted instructions are
-// immutable: rewrites share them with the graph they rewrite instead of
-// copying them (DESIGN.md §2).
+// An instruction's ID is its position in Instrs. Tensors and emitted
+// instructions, operand slices (Ins, Outs) included, are immutable:
+// rewrites share them with the graph they rewrite instead of copying them,
+// and a caller that edits an instruction edits a copy of its own
+// (DESIGN.md §2, §7).
 type Graph struct {
 	Tensors []*Tensor
 	Instrs  []*Instr
@@ -61,10 +63,13 @@ func (g *Graph) NewTensor(name string, shape Shape, dt DType, kind TensorKind) *
 
 // Emit appends an instruction to the program and records it in the
 // dependency table: as the producer of its outputs and, since it is the
-// latest instruction, as the last use of its registered inputs. The
-// instruction's ID is assigned; Group/SrcID default to -1 when unset.
-func (g *Graph) Emit(in *Instr) *Instr {
-	in.ID = len(g.Instrs)
+// latest instruction, as the last use of its registered inputs. It returns
+// the instruction's position, which is its ID: nothing else names it.
+// Group/SrcID default to -1 when unset; an instruction that was emitted
+// before already carries them, so re-emitting it into a rewrite only reads
+// it (DESIGN.md §7).
+func (g *Graph) Emit(in *Instr) int {
+	id := len(g.Instrs)
 	if in.Group == 0 && in.NumParts == 0 {
 		in.Group = -1
 		in.SrcID = -1
@@ -75,7 +80,7 @@ func (g *Graph) Emit(in *Instr) *Instr {
 			continue // Validate reports the unknown tensor
 		}
 		g.cover(x)
-		g.refs[x].lastUse = int32(in.ID)
+		g.refs[x].lastUse = int32(id)
 	}
 	for _, o := range in.Outs {
 		if o < 0 {
@@ -83,11 +88,11 @@ func (g *Graph) Emit(in *Instr) *Instr {
 		}
 		g.cover(o)
 		if prev := g.refs[o].producer; prev >= 0 {
-			panic(fmt.Sprintf("ir: tensor %%%d has two producers: @%d and @%d", o, prev, in.ID))
+			panic(fmt.Sprintf("ir: tensor %%%d has two producers: @%d and @%d", o, prev, id))
 		}
-		g.refs[o].producer = int32(in.ID)
+		g.refs[o].producer = int32(id)
 	}
-	return in
+	return id
 }
 
 // cover grows the dependency table to cover tensor id, and at least every
@@ -132,10 +137,10 @@ func (g *Graph) LastUse(id int) int {
 // the reference Descendants is tested against.
 func (g *Graph) ReachableFrom(id int) []bool {
 	succs := make([][]int, len(g.Instrs))
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		for _, x := range in.Ins {
 			if p := g.Producer(x); p >= 0 {
-				succs[p] = append(succs[p], in.ID)
+				succs[p] = append(succs[p], i)
 			}
 		}
 	}
@@ -193,25 +198,23 @@ func (g *Graph) Independent(a, b int) bool {
 	return !to[b]
 }
 
-// Validate checks the structural invariants: instruction IDs match their
-// positions, every consumed tensor exists, and the program order is a valid
-// topological order (each instruction appears after all its producers).
+// Validate checks the structural invariants: every consumed tensor exists,
+// and the program order is a valid topological order (each instruction
+// appears after all its producers). An instruction's ID is its position,
+// so there is no ID to check against it.
 func (g *Graph) Validate() error {
 	for i, in := range g.Instrs {
-		if in.ID != i {
-			return fmt.Errorf("ir: instruction at position %d has ID %d", i, in.ID)
-		}
 		for _, x := range in.Ins {
 			if x < 0 || x >= len(g.Tensors) {
-				return fmt.Errorf("ir: @%d consumes unknown tensor %%%d", in.ID, x)
+				return fmt.Errorf("ir: @%d consumes unknown tensor %%%d", i, x)
 			}
 			if p := g.Producer(x); p >= i {
-				return fmt.Errorf("ir: @%d consumes %%%d produced later by @%d", in.ID, x, p)
+				return fmt.Errorf("ir: @%d consumes %%%d produced later by @%d", i, x, p)
 			}
 		}
 		for _, y := range in.Outs {
 			if y < 0 || y >= len(g.Tensors) {
-				return fmt.Errorf("ir: @%d produces unknown tensor %%%d", in.ID, y)
+				return fmt.Errorf("ir: @%d produces unknown tensor %%%d", i, y)
 			}
 		}
 	}
@@ -238,15 +241,15 @@ func (g *Graph) ValidateSchedule(order []int) error {
 		}
 		pos[id] = p
 	}
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		for _, x := range in.Ins {
 			p := g.Producer(x)
 			switch {
 			case p < 0:
-			case p == in.ID:
-				return fmt.Errorf("ir: @%d consumes its own output %%%d", in.ID, x)
-			case pos[p] > pos[in.ID]:
-				return fmt.Errorf("ir: @%d scheduled before its dependency @%d", in.ID, p)
+			case p == i:
+				return fmt.Errorf("ir: @%d consumes its own output %%%d", i, x)
+			case pos[p] > pos[i]:
+				return fmt.Errorf("ir: @%d scheduled before its dependency @%d", i, p)
 			}
 		}
 	}
@@ -265,9 +268,9 @@ func (g *Graph) DefaultSchedule() []int {
 // AllToAlls returns the IDs of all all-to-all instructions in program order.
 func (g *Graph) AllToAlls() []int {
 	var ids []int
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		if in.Op == OpAllToAll {
-			ids = append(ids, in.ID)
+			ids = append(ids, i)
 		}
 	}
 	return ids

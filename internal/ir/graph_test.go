@@ -14,7 +14,7 @@ import (
 //	b = gelu(a)
 //	c = matmul(a, w2)   // independent of b
 //	d = add(b, c)
-func buildDiamond(t *testing.T) (*Graph, []*Instr) {
+func buildDiamond(t *testing.T) (*Graph, []int) {
 	t.Helper()
 	g := NewGraph()
 	x := g.NewTensor("x", Shape{4, 8}, F32, Activation)
@@ -29,7 +29,7 @@ func buildDiamond(t *testing.T) (*Graph, []*Instr) {
 	i1 := g.Emit(&Instr{Name: "gelu", Op: OpGeLU, Ins: []int{a.ID}, Outs: []int{b.ID}})
 	i2 := g.Emit(&Instr{Name: "mm2", Op: OpMatMul, Ins: []int{a.ID, w2.ID}, Outs: []int{c.ID}})
 	i3 := g.Emit(&Instr{Name: "add", Op: OpAdd, Ins: []int{b.ID, c.ID}, Outs: []int{d.ID}})
-	return g, []*Instr{i0, i1, i2, i3}
+	return g, []int{i0, i1, i2, i3}
 }
 
 func TestGraphBasics(t *testing.T) {
@@ -37,14 +37,14 @@ func TestGraphBasics(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := g.Producer(ins[0].Outs[0]); got != ins[0].ID {
-		t.Errorf("Producer(a) = @%d, want @%d", got, ins[0].ID)
+	if got := g.Producer(g.Instr(ins[0]).Outs[0]); got != ins[0] {
+		t.Errorf("Producer(a) = @%d, want @%d", got, ins[0])
 	}
 	if got := g.Producer(0); got != -1 {
 		t.Errorf("Producer(graph input) = %d, want -1", got)
 	}
-	if got := g.LastUse(ins[0].Outs[0]); got != ins[2].ID {
-		t.Errorf("LastUse(a) = @%d, want @%d", got, ins[2].ID)
+	if got := g.LastUse(g.Instr(ins[0]).Outs[0]); got != ins[2] {
+		t.Errorf("LastUse(a) = @%d, want @%d", got, ins[2])
 	}
 }
 
@@ -57,12 +57,12 @@ func referenceAdj(g *Graph) (preds, succs, consumers [][]int) {
 	consumers = make([][]int, len(g.Tensors))
 	preds = make([][]int, len(g.Instrs))
 	succs = make([][]int, len(g.Instrs))
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		for _, x := range in.Ins {
-			consumers[x] = append(consumers[x], in.ID)
+			consumers[x] = append(consumers[x], i)
 			if p := g.Producer(x); p >= 0 {
-				preds[in.ID] = append(preds[in.ID], p)
-				succs[p] = append(succs[p], in.ID)
+				preds[i] = append(preds[i], p)
+				succs[p] = append(succs[p], i)
 			}
 		}
 	}
@@ -124,17 +124,17 @@ func TestAdjacencyMatchesReferenceProperty(t *testing.T) {
 
 func TestReachability(t *testing.T) {
 	g, ins := buildDiamond(t)
-	from0 := g.ReachableFrom(ins[0].ID)
-	for _, id := range []int{ins[1].ID, ins[2].ID, ins[3].ID} {
+	from0 := g.ReachableFrom(ins[0])
+	for _, id := range []int{ins[1], ins[2], ins[3]} {
 		if !from0[id] {
 			t.Errorf("@%d should be reachable from mm1", id)
 		}
 	}
-	if from0[ins[0].ID] {
+	if from0[ins[0]] {
 		t.Error("a node must not be reachable from itself in a DAG")
 	}
-	to3 := g.ReachableTo(ins[3].ID)
-	for _, id := range []int{ins[0].ID, ins[1].ID, ins[2].ID} {
+	to3 := g.ReachableTo(ins[3])
+	for _, id := range []int{ins[0], ins[1], ins[2]} {
 		if !to3[id] {
 			t.Errorf("@%d should reach add", id)
 		}
@@ -144,13 +144,13 @@ func TestReachability(t *testing.T) {
 func TestIndependent(t *testing.T) {
 	g, ins := buildDiamond(t)
 	// gelu and mm2 are the two sides of the diamond: independent.
-	if !g.Independent(ins[1].ID, ins[2].ID) {
+	if !g.Independent(ins[1], ins[2]) {
 		t.Error("gelu and mm2 must be independent")
 	}
-	if g.Independent(ins[0].ID, ins[3].ID) {
+	if g.Independent(ins[0], ins[3]) {
 		t.Error("mm1 and add are ordered, not independent")
 	}
-	if g.Independent(ins[0].ID, ins[0].ID) {
+	if g.Independent(ins[0], ins[0]) {
 		t.Error("an instruction is not independent of itself")
 	}
 }
@@ -158,7 +158,7 @@ func TestIndependent(t *testing.T) {
 func TestValidateScheduleAcceptsLegalReorder(t *testing.T) {
 	g, ins := buildDiamond(t)
 	// Swap the two independent middle instructions.
-	order := []int{ins[0].ID, ins[2].ID, ins[1].ID, ins[3].ID}
+	order := []int{ins[0], ins[2], ins[1], ins[3]}
 	if err := g.ValidateSchedule(order); err != nil {
 		t.Errorf("legal reorder rejected: %v", err)
 	}
@@ -167,10 +167,10 @@ func TestValidateScheduleAcceptsLegalReorder(t *testing.T) {
 func TestValidateScheduleRejectsViolations(t *testing.T) {
 	g, ins := buildDiamond(t)
 	cases := map[string][]int{
-		"dependency violation": {ins[1].ID, ins[0].ID, ins[2].ID, ins[3].ID},
-		"duplicate":            {ins[0].ID, ins[0].ID, ins[2].ID, ins[3].ID},
-		"short":                {ins[0].ID, ins[1].ID},
-		"out of range":         {ins[0].ID, ins[1].ID, ins[2].ID, 99},
+		"dependency violation": {ins[1], ins[0], ins[2], ins[3]},
+		"duplicate":            {ins[0], ins[0], ins[2], ins[3]},
+		"short":                {ins[0], ins[1]},
+		"out of range":         {ins[0], ins[1], ins[2], 99},
 	}
 	for name, order := range cases {
 		if err := g.ValidateSchedule(order); err == nil {

@@ -118,9 +118,11 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", int(p))
 }
 
-// Instr is one instruction in the IR sequence.
+// Instr is one instruction in the IR sequence. It carries no ID: an
+// instruction is named by its position in its graph's Instrs, and one
+// instruction may sit at different positions in the graphs that share it
+// (DESIGN.md §2).
 type Instr struct {
-	ID    int
 	Name  string
 	Op    OpKind
 	Grad  GradKind
@@ -150,7 +152,8 @@ type Instr struct {
 	// Partition bookkeeping, set by the operator partition pass.
 	// Group identifies the pipeline this partitioned instruction belongs
 	// to (-1 when not partitioned). PartIdx in [0,NumParts) is the
-	// micro-partition index. SrcID is the original instruction's ID.
+	// micro-partition index. SrcID is the original instruction's position
+	// in the graph the partition pass rewrote.
 	Group    int
 	PartIdx  int
 	NumParts int
@@ -172,5 +175,5 @@ func (in *Instr) String() string {
 	if in.Grad != GradNone {
 		g = "." + in.Grad.String()
 	}
-	return fmt.Sprintf("@%d %s%s(%s)", in.ID, in.Op, g, in.Name)
+	return fmt.Sprintf("%s%s(%s)", in.Op, g, in.Name)
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,11 @@ func TestReorderedCopyPreservesStructure(t *testing.T) {
 		rank[i] = float64(len(rank) - i)
 	}
 	order := PrioritySort(g, rank)
+	snapshot := make([]Instr, len(g.Instrs))
+	for i, in := range g.Instrs {
+		snapshot[i] = *in
+		snapshot[i].Ins, snapshot[i].Outs = slices.Clone(in.Ins), slices.Clone(in.Outs)
+	}
 	ng, err := ReorderedCopy(g, order)
 	if err != nil {
 		t.Fatal(err)
@@ -56,19 +62,22 @@ func TestReorderedCopyPreservesStructure(t *testing.T) {
 			}
 		}
 	}
-	// Sharing contract (DESIGN.md §2): the copy holds the input's tensors,
-	// and its instructions are its own, so editing a copied instruction's
-	// scalar fields leaves the input's unchanged.
+	// Sharing contract (DESIGN.md §2): the copy holds the input's tensors
+	// and instructions, and writes to neither, so every input instruction
+	// reads as it did before the copy.
 	for i, tt := range g.Tensors {
 		if ng.Tensors[i] != tt {
 			t.Fatalf("tensor %%%d was cloned, want the input's *Tensor", i)
 		}
 	}
 	for i, id := range order {
-		before := g.Instr(id).Bytes
-		ng.Instr(i).Bytes = before + 7
-		if g.Instr(id).Bytes != before {
-			t.Fatalf("writing the copy's @%d Bytes changed the input's @%d", i, id)
+		if ng.Instr(i) != g.Instr(id) {
+			t.Fatalf("the copy's @%d is a copy of the input's @%d, want the input's *Instr", i, id)
+		}
+	}
+	for id, in := range g.Instrs {
+		if !reflect.DeepEqual(*in, snapshot[id]) {
+			t.Fatalf("ReorderedCopy wrote to the input's @%d: %+v, was %+v", id, *in, snapshot[id])
 		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"lancet/internal/ir"
 )
 
-// MoEHandles records the instruction IDs of one MoE layer's operators, used
-// by the partition pass and by experiments to locate the focus region.
+// MoEHandles records the instruction IDs of one MoE layer's operators —
+// their positions in the built graph — used by the partition pass and by
+// experiments to locate the focus region.
 type MoEHandles struct {
 	Layer int
 	// Forward pass.
@@ -352,14 +353,14 @@ func (bd *builder) emitMoEForward(l int, la *layerActs) {
 		Ins: []int{la.ln2Out.ID, la.wgate.ID}, Outs: []int{la.gateOut.ID, la.gateMeta.ID},
 		FLOPs: mmFLOPs(t, e, h),
 		Bytes: bd.actBytes(int64(t)*int64(h), 2),
-	}).ID
+	})
 
 	la.dispOut = bd.act(pfx+"a2a_dispatch_out", e, c, h)
 	la.h.DispatchA2A = g.Emit(&ir.Instr{
 		Name: pfx + "a2a_dispatch", Op: ir.OpAllToAll, Phase: ir.Forward, Layer: l,
 		Ins: []int{la.gateOut.ID}, Outs: []int{la.dispOut.ID},
 		Bytes: a2aBytes, CommDevices: bd.gpus,
-	}).ID
+	})
 
 	if bd.cfg.SharedExpert {
 		// The shared expert depends only on ln2 output, so the compute
@@ -390,21 +391,21 @@ func (bd *builder) emitMoEForward(l int, la *layerActs) {
 		Ins: []int{la.dispOut.ID, la.wexp1.ID, la.wexp2.ID}, Outs: []int{la.expOut.ID},
 		FLOPs:   4 * float64(e) * float64(c) * float64(h) * float64(ffn),
 		Kernels: 2 * el, // one GEMM per local expert per projection
-	}).ID
+	})
 
 	la.combOut = bd.act(pfx+"a2a_combine_out", e, c, h)
 	la.h.CombineA2A = g.Emit(&ir.Instr{
 		Name: pfx + "a2a_combine", Op: ir.OpAllToAll, Phase: ir.Forward, Layer: l,
 		Ins: []int{la.expOut.ID}, Outs: []int{la.combOut.ID},
 		Bytes: a2aBytes, CommDevices: bd.gpus,
-	}).ID
+	})
 
 	la.gatherOut = bd.act(pfx+"moe_out", b, s, h)
 	la.h.Gather = g.Emit(&ir.Instr{
 		Name: pfx + "moe_gather", Op: ir.OpMoEGather, Phase: ir.Forward, Layer: l,
 		Ins: []int{la.combOut.ID, la.gateMeta.ID}, Outs: []int{la.gatherOut.ID},
 		Bytes: bd.actBytes(int64(t)*int64(h), 2),
-	}).ID
+	})
 
 	residIns := []int{la.resid.ID, la.gatherOut.ID}
 	if bd.cfg.SharedExpert {
@@ -577,14 +578,14 @@ func (bd *builder) emitMoEBackward(la *layerActs, dOut *ir.Tensor) (*ir.Tensor, 
 		Name: pfx + "moe_gather", Op: ir.OpMoEGather, Grad: ir.GradDX, Phase: ir.Backward, Layer: l,
 		Ins: []int{dOut.ID, la.gateMeta.ID}, Outs: []int{dComb.ID},
 		Bytes: bd.actBytes(int64(t)*int64(h), 2),
-	}).ID
+	})
 
 	dExpOut := bd.grad(pfx+"d_experts_out", e, c, h)
 	la.h.BwdCombineA2A = g.Emit(&ir.Instr{
 		Name: pfx + "a2a_combine", Op: ir.OpAllToAll, Grad: ir.GradDX, Phase: ir.Backward, Layer: l,
 		Ins: []int{dComb.ID}, Outs: []int{dExpOut.ID},
 		Bytes: a2aBytes, CommDevices: bd.gpus,
-	}).ID
+	})
 
 	dExpIn := bd.grad(pfx+"d_experts_in", e, c, h)
 	la.h.BwdExpertsDX = g.Emit(&ir.Instr{
@@ -592,7 +593,7 @@ func (bd *builder) emitMoEBackward(la *layerActs, dOut *ir.Tensor) (*ir.Tensor, 
 		Ins: []int{dExpOut.ID, la.wexp1.ID, la.wexp2.ID, la.dispOut.ID}, Outs: []int{dExpIn.ID},
 		FLOPs:   4 * float64(e) * float64(c) * float64(h) * float64(ffn),
 		Kernels: 2 * el,
-	}).ID
+	})
 	dWexp1 := bd.grad(pfx+"dw_exp1", el, h, ffn)
 	dWexp2 := bd.grad(pfx+"dw_exp2", el, ffn, h)
 	la.h.BwdExpertsDW = g.Emit(&ir.Instr{
@@ -600,7 +601,7 @@ func (bd *builder) emitMoEBackward(la *layerActs, dOut *ir.Tensor) (*ir.Tensor, 
 		Ins: []int{la.dispOut.ID, dExpOut.ID}, Outs: []int{dWexp1.ID, dWexp2.ID},
 		FLOPs:   4 * float64(e) * float64(c) * float64(h) * float64(ffn),
 		Kernels: 2 * el,
-	}).ID
+	})
 	la.h.bwdExpDW1, la.h.bwdExpDW2 = dWexp1.ID, dWexp2.ID
 
 	dGateOut := bd.grad(pfx+"d_gate_dispatch", e, c, h)
@@ -608,7 +609,7 @@ func (bd *builder) emitMoEBackward(la *layerActs, dOut *ir.Tensor) (*ir.Tensor, 
 		Name: pfx + "a2a_dispatch", Op: ir.OpAllToAll, Grad: ir.GradDX, Phase: ir.Backward, Layer: l,
 		Ins: []int{dExpIn.ID}, Outs: []int{dGateOut.ID},
 		Bytes: a2aBytes, CommDevices: bd.gpus,
-	}).ID
+	})
 
 	dResid := bd.grad(pfx+"d_ln2_out_moe", b, s, h)
 	la.h.BwdGate = g.Emit(&ir.Instr{
@@ -616,14 +617,14 @@ func (bd *builder) emitMoEBackward(la *layerActs, dOut *ir.Tensor) (*ir.Tensor, 
 		Ins: []int{dGateOut.ID, la.gateMeta.ID, la.wgate.ID}, Outs: []int{dResid.ID},
 		FLOPs: mmFLOPs(t, h, e),
 		Bytes: bd.actBytes(int64(t)*int64(h), 2),
-	}).ID
+	})
 
 	dWgate := bd.grad(pfx+"dw_gate", h, e)
 	la.h.gateDW = g.Emit(&ir.Instr{
 		Name: pfx + "gate", Op: ir.OpGate, Grad: ir.GradDW, Phase: ir.Backward, Layer: l,
 		Ins: []int{la.ln2Out.ID, dGateOut.ID, la.gateMeta.ID}, Outs: []int{dWgate.ID},
 		FLOPs: mmFLOPs(h, e, t),
-	}).ID
+	})
 	grads := []*ir.Tensor{dWgate}
 	weights := []*ir.Tensor{la.wgate}
 

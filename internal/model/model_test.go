@@ -222,9 +222,9 @@ func TestDWIndependentOfEarlierA2A(t *testing.T) {
 	}
 	// Find layer 11's attn-proj dW.
 	var dwProj11 int = -1
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		if in.Layer == l11.Layer && in.Grad == ir.GradDW && in.Op == ir.OpMatMul {
-			dwProj11 = in.ID
+			dwProj11 = i
 			break
 		}
 	}
@@ -288,7 +288,7 @@ func TestExpertWeightsNotAllReduced(t *testing.T) {
 		dw := g.Instr(h.BwdExpertsDW)
 		for _, c := range consumers(g, dw.Outs) {
 			if c.Op == ir.OpAllReduce {
-				t.Errorf("layer %d: expert grads feed all-reduce @%d", h.Layer, c.ID)
+				t.Errorf("layer %d: expert grads feed all-reduce %s", h.Layer, c.Name)
 			}
 		}
 	}

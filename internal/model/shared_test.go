@@ -81,9 +81,9 @@ func TestSharedExpertIndependentOfA2A(t *testing.T) {
 	g := sb.Graph
 	for _, h := range sb.MoE {
 		var sharedFwd []int
-		for _, in := range g.Instrs {
+		for i, in := range g.Instrs {
 			if in.Layer == h.Layer && in.Phase == ir.Forward && strings.Contains(in.Name, "shared_") {
-				sharedFwd = append(sharedFwd, in.ID)
+				sharedFwd = append(sharedFwd, i)
 			}
 		}
 		if len(sharedFwd) != 3 {

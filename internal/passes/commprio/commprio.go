@@ -34,10 +34,10 @@ func Run(g *ir.Graph) (*Result, error) {
 
 	rank := make([]float64, len(g.Instrs))
 	var ars []int
-	for _, in := range g.Instrs {
-		rank[in.ID] = float64(in.ID)
-		if in.Op == ir.OpAllReduce && in.ID < lastA2A {
-			ars = append(ars, in.ID)
+	for i, in := range g.Instrs {
+		rank[i] = float64(i)
+		if in.Op == ir.OpAllReduce && i < lastA2A {
+			ars = append(ars, i)
 		}
 	}
 	// One forward bitset pass labels every all-to-all with the all-reduces

@@ -35,22 +35,22 @@ func TestRunMovesAllReducesBehindA2As(t *testing.T) {
 		t.Fatalf("rewritten graph invalid: %v", err)
 	}
 	// Every all-reduce that used to precede an independent all-to-all must
-	// now follow it (the hop that removes the head-of-line block). Locate
-	// instructions across graphs by name signature.
-	pos := make(map[string]int)
-	for _, in := range res.Graph.Instrs {
-		pos[in.Name+"/"+in.Op.String()+"/"+in.Grad.String()] = in.ID
+	// now follow it (the hop that removes the head-of-line block). The
+	// rewrite shares the input's instructions, so they are located across
+	// graphs by pointer.
+	pos := make(map[*ir.Instr]int)
+	for i, in := range res.Graph.Instrs {
+		pos[in] = i
 	}
-	sig := func(in *ir.Instr) string { return in.Name + "/" + in.Op.String() + "/" + in.Grad.String() }
 	g := b.Graph
-	for _, in := range g.Instrs {
+	for id, in := range g.Instrs {
 		if in.Op != ir.OpAllReduce {
 			continue
 		}
-		reach := g.ReachableFrom(in.ID)
+		reach := g.ReachableFrom(id)
 		for _, a := range g.AllToAlls() {
-			if a > in.ID && !reach[a] {
-				arPos, aPos := pos[sig(in)], pos[sig(g.Instr(a))]
+			if a > id && !reach[a] {
+				arPos, aPos := pos[in], pos[g.Instr(a)]
 				if arPos < aPos {
 					t.Errorf("all-reduce %s still precedes the a2a %s it blocked",
 						in.Name, g.Instr(a).Name)

@@ -32,8 +32,8 @@ const (
 type Result struct {
 	// Graph is the rewritten program whose order embeds the schedule.
 	Graph *ir.Graph
-	// Assignments maps dW instruction ID -> all-to-all instruction ID (IDs
-	// in the input graph).
+	// Assignments maps dW instruction ID -> all-to-all instruction ID
+	// (positions in the input graph).
 	Assignments map[int]int
 	// OverlappedUs is the predicted total all-to-all time covered by
 	// scheduled dW computation.
@@ -54,19 +54,21 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	// ---- Labelling (Sec. 4.1) ----
 	a2as := g.AllToAlls()
 	var dws []int
-	for _, in := range g.Instrs {
+	for i, in := range g.Instrs {
 		if in.IsDW() {
-			dws = append(dws, in.ID)
+			dws = append(dws, i)
 		}
 	}
 	overlappable := label(g, a2as, dws)
 
 	// ---- Scheduling (Sec. 4.2, Algorithm 1) ----
-	tW := make(map[int]float64, len(dws))
+	// Candidates are instruction positions, which are dense, so their
+	// durations and used marks are slices indexed by position.
+	tW := make([]float64, len(g.Instrs))
 	for _, w := range dws {
 		tW[w] = cm.PredictInstr(g.Instr(w))
 	}
-	used := make(map[int]bool, len(dws))
+	used := make([]bool, len(g.Instrs))
 	for j, a := range a2as {
 		cands := overlappable[j]
 		if len(cands) == 0 {
@@ -96,8 +98,8 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	// program order, so the final order is produced by a priority-driven
 	// topological sort: desired positions guide, dependencies always win.
 	rank := make([]float64, len(g.Instrs))
-	for _, in := range g.Instrs {
-		rank[in.ID] = float64(in.ID)
+	for i := range rank {
+		rank[i] = float64(i)
 	}
 	byA2A := make(map[int][]int, len(a2as))
 	for w, a := range res.Assignments {
@@ -136,7 +138,8 @@ func label(g *ir.Graph, a2as, dws []int) [][]int {
 }
 
 // pick selects the next dW candidate per the strategy, or -1 if none remain.
-func pick(cands []int, used map[int]bool, tW map[int]float64, tu float64, s Strategy) int {
+// used and tW are indexed by instruction position.
+func pick(cands []int, used []bool, tW []float64, tu float64, s Strategy) int {
 	best, bestDiff := -1, math.Inf(1)
 	for _, j := range cands {
 		if used[j] {

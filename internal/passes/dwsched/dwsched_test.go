@@ -87,15 +87,15 @@ func TestMovedDWFollowsItsAllToAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Locate instructions in the new graph by (Name, Op, Grad) signature.
-	pos := make(map[string]int)
-	for _, in := range res.Graph.Instrs {
-		pos[in.Name+"/"+in.Op.String()+"/"+in.Grad.String()] = in.ID
+	// The rewrite shares the input's instructions, so they are located in
+	// the new graph by pointer.
+	pos := make(map[*ir.Instr]int)
+	for i, in := range res.Graph.Instrs {
+		pos[in] = i
 	}
-	sig := func(in *ir.Instr) string { return in.Name + "/" + in.Op.String() + "/" + in.Grad.String() }
 	for w, a := range res.Assignments {
-		wPos, ok1 := pos[sig(b.Graph.Instr(w))]
-		aPos, ok2 := pos[sig(b.Graph.Instr(a))]
+		wPos, ok1 := pos[b.Graph.Instr(w)]
+		aPos, ok2 := pos[b.Graph.Instr(a)]
 		if !ok1 || !ok2 {
 			t.Fatalf("could not locate moved instrs in new graph")
 		}

@@ -82,9 +82,9 @@ func TestLabelMatchesReference(t *testing.T) {
 	for name, g := range graphs {
 		a2as := g.AllToAlls()
 		var dws []int
-		for _, in := range g.Instrs {
+		for i, in := range g.Instrs {
 			if in.IsDW() {
-				dws = append(dws, in.ID)
+				dws = append(dws, i)
 			}
 		}
 		if len(a2as) == 0 || len(dws) == 0 {

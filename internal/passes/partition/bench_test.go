@@ -65,7 +65,7 @@ func BenchmarkPipelineCost(b *testing.B) {
 	asg := InferAxes(built.Graph, window, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipelineCost(built.Graph, cm, window, asg, 4, nil, 1)
+		pipelineCost(built.Graph, cm, h.Gate, h.Gather, asg, 4, nil, 1)
 	}
 }
 
@@ -116,11 +116,11 @@ func BenchmarkPartitionDP(b *testing.B) {
 	defer putScratch(sc)
 	sc.beginSweep(len(built.Graph.Instrs))
 	// Warm the memoized instruction profiles and the scratch arenas.
-	sink := windowSweep(built.Graph, cm, window, pr, sc)
+	sink := windowSweep(built.Graph, cm, h.Gate, window, pr, sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += windowSweep(built.Graph, cm, window, pr, sc)
+		sink += windowSweep(built.Graph, cm, h.Gate, window, pr, sc)
 	}
 	_ = sink
 }
@@ -128,13 +128,13 @@ func BenchmarkPartitionDP(b *testing.B) {
 // windowSweep is the per-window work of Run's DP loop on a solvable window:
 // solve the axes, cap k at what they admit, price the boundary, index the
 // window as a new start and simulate every partition count from scratch.
-func windowSweep(g *ir.Graph, cm *cost.Model, window []*ir.Instr, pr cost.A2APricer, sc *dpScratch) float64 {
+func windowSweep(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, pr cost.A2APricer, sc *dpScratch) float64 {
 	if !sc.solveAxes(g, window, true) {
 		panic("window must be solvable")
 	}
 	kmax := min(8, sc.maxParts(g))
-	boundary := boundaryCostUs(g, cm, window, sc)
-	sc.prepareWindow(g, window)
+	boundary := boundaryCostUs(g, cm, start, window, sc)
+	sc.prepareWindow(g, start, window)
 	sum := 0.0
 	for k := 2; k <= kmax; k++ {
 		sum += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
@@ -148,7 +148,7 @@ func windowSweep(g *ir.Graph, cm *cost.Model, window []*ir.Instr, pr cost.A2APri
 // every partition count up to 8 through the resumed simulations. It
 // returns the summed prices and the number of windows priced.
 func startSweep(g *ir.Graph, cm *cost.Model, bounds []int, i int, pr cost.A2APricer, sc *dpScratch) (float64, int) {
-	sc.beginWindow()
+	sc.beginWindow(bounds[i])
 	sum, priced := 0.0, 0
 	for j := i + 1; j < len(bounds) && j <= i+12; j++ {
 		window := g.Instrs[bounds[i]:bounds[j]]
@@ -157,7 +157,7 @@ func startSweep(g *ir.Graph, cm *cost.Model, bounds []int, i int, pr cost.A2APri
 			continue
 		}
 		kmax := min(8, sc.maxParts(g))
-		boundary := boundaryCostUs(g, cm, window, sc)
+		boundary := boundaryCostUs(g, cm, bounds[i], window, sc)
 		for k := 2; k <= kmax; k++ {
 			sum += sc.pipelineSpan(cm, window, k, pr, 1) + boundary
 		}

@@ -63,9 +63,9 @@ func newDPOracle(g *ir.Graph, cm *cost.Model, opts Options) *dpOracle {
 			hasA2A := slices.ContainsFunc(w, func(in *ir.Instr) bool { return in.Op == ir.OpAllToAll })
 			if asg := refInferAxes(g, w, opts.GatePartialBatch); hasA2A && asg != nil {
 				sc.loadAxes(g, asg)
-				boundary := boundaryCostUs(g, cm, w, sc)
+				boundary := boundaryCostUs(g, cm, o.bounds[i], w, sc)
 				for k := 2; k <= min(opts.MaxPartitions, refMaxParts(g, asg)); k++ {
-					p = append(p, refPipelineSpan(g, cm, w, k, pr, opts.PayloadFraction)+boundary)
+					p = append(p, refPipelineSpan(g, cm, o.bounds[i], w, k, pr, opts.PayloadFraction)+boundary)
 				}
 			}
 			o.prices[[2]int{i, j}] = p

@@ -149,7 +149,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 		if opts.MaxRangeGroups < n-i {
 			last = i + opts.MaxRangeGroups
 		}
-		sc.beginWindow()
+		sc.beginWindow(bounds[i])
 		hasA2A := false
 		for j := i + 1; j <= last; j++ {
 			window := g.Instrs[bounds[i]:bounds[j]]
@@ -170,7 +170,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 			// The boundary plumbing cost is k-independent; price it once per
 			// window and add it to every candidate's simulated span (the same
 			// sum pipelineCost computed per candidate).
-			boundary := boundaryCostUs(g, cm, window, sc)
+			boundary := boundaryCostUs(g, cm, bounds[i], window, sc)
 			for k := 2; k <= kmax; k++ {
 				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
 				res.Evaluations++

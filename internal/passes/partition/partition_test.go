@@ -26,16 +26,22 @@ func buildFixture(t *testing.T) (*model.Built, *cost.Model) {
 
 // window slices the forward MoE core instructions of the first MoE layer.
 func moeWindow(b *model.Built, withGate, withGather bool) []*ir.Instr {
+	start, end := moeRange(b, withGate, withGather)
+	return b.Graph.Instrs[start : end+1]
+}
+
+// moeRange is moeWindow's first and last program position.
+func moeRange(b *model.Built, withGate, withGather bool) (start, end int) {
 	h := b.MoE[len(b.MoE)-1] // built in backward order; last entry is layer 1
-	start := h.DispatchA2A
+	start = h.DispatchA2A
 	if withGate {
 		start = h.Gate
 	}
-	end := h.CombineA2A
+	end = h.CombineA2A
 	if withGather {
 		end = h.Gather
 	}
-	return b.Graph.Instrs[start : end+1]
+	return start, end
 }
 
 func TestInferAxesCapacityOnly(t *testing.T) {
@@ -175,18 +181,19 @@ func TestSchedulePlanOrder(t *testing.T) {
 func TestPipelineCostShape(t *testing.T) {
 	b, cm := buildFixture(t)
 	w := moeWindow(b, true, true)
+	start, end := moeRange(b, true, true)
 	asg := InferAxes(b.Graph, w, true)
 	if asg == nil {
 		t.Fatal("window not partitionable")
 	}
 	serial := serialCost(cm, w, nil, 1)
-	p2 := pipelineCost(b.Graph, cm, w, asg, 2, nil, 1)
+	p2 := pipelineCost(b.Graph, cm, start, end, asg, 2, nil, 1)
 	if p2 >= serial {
 		t.Errorf("k=2 pipeline (%v us) should beat serial (%v us)", p2, serial)
 	}
 	// Extreme partitioning pays launch overhead: cost grows again.
-	p2x := pipelineCost(b.Graph, cm, w, asg, 2, nil, 1)
-	pBig := pipelineCost(b.Graph, cm, w, asg, 64, nil, 1)
+	p2x := pipelineCost(b.Graph, cm, start, end, asg, 2, nil, 1)
+	pBig := pipelineCost(b.Graph, cm, start, end, asg, 64, nil, 1)
 	if pBig <= p2x {
 		t.Errorf("k=64 (%v us) should cost more than k=2 (%v us)", pBig, p2x)
 	}
@@ -422,9 +429,9 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.beginSweep(len(b.Graph.Instrs))
-	sink := windowSweep(b.Graph, cm, w, pr, sc)
+	sink := windowSweep(b.Graph, cm, h.Gate, w, pr, sc)
 	if allocs := testing.AllocsPerRun(100, func() {
-		sink += windowSweep(b.Graph, cm, w, pr, sc)
+		sink += windowSweep(b.Graph, cm, h.Gate, w, pr, sc)
 	}); allocs != 0 {
 		t.Errorf("DP inner loop allocates %v per run, want 0", allocs)
 	}

@@ -116,10 +116,10 @@ func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac fl
 // visited in program order (deterministic, unlike the map iteration it
 // replaces). A window is a contiguous program range, so a tensor it
 // produces has a consumer outside it exactly when its last use comes
-// after the window's last instruction.
+// after the window's last instruction, at position start+len(window)-1.
 //
 //lancet:hotpath
-func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScratch) float64 {
+func boundaryCostUs(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, sc *dpScratch) float64 {
 	sc.prodT = grow(sc.prodT, len(g.Tensors))
 	sc.seenT = grow(sc.seenT, len(g.Tensors))
 	sc.markGen++
@@ -145,7 +145,7 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScrat
 			}
 		}
 	}
-	last := window[len(window)-1].ID
+	last := start + len(window) - 1
 	for _, in := range window {
 		for _, t := range in.Outs {
 			if sc.axisOf(t) == AxisIrr && g.LastUse(t) > last {
@@ -160,19 +160,20 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, sc *dpScrat
 // end-to-end time of the partitioned window (Sec. 5.3). Each instance's
 // start time is the maximum of (i) the end of the instances it depends on
 // and (ii) the end of the previous instance on its stream. This is the
-// standalone form for external callers and tests: it indexes the window as
-// a new start and simulates it from scratch. Run drives the decomposed
-// pieces (extendWindow / pipelineSpan resumed across extensions / hoisted
-// boundary cost) directly on its own scratch.
-func pipelineCost(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignment, k int, prof *netsim.RoutingProfile, frac float64) float64 {
+// standalone form for external callers and tests: it indexes the window
+// g.Instrs[start:end+1] as a new start and simulates it from scratch. Run
+// drives the decomposed pieces (extendWindow / pipelineSpan resumed across
+// extensions / hoisted boundary cost) directly on its own scratch.
+func pipelineCost(g *ir.Graph, cm *cost.Model, start, end int, asg Assignment, k int, prof *netsim.RoutingProfile, frac float64) float64 {
 	pr := cm.NewA2APricer(prof)
 	sc := getScratch()
 	defer putScratch(sc)
+	window := g.Instrs[start : end+1]
 	sc.beginSweep(len(g.Instrs))
-	sc.prepareWindow(g, window)
+	sc.prepareWindow(g, start, window)
 	span := sc.pipelineSpan(cm, window, k, pr, frac)
 	sc.loadAxes(g, asg)
-	return span + boundaryCostUs(g, cm, window, sc)
+	return span + boundaryCostUs(g, cm, start, window, sc)
 }
 
 // serialCost is the unpartitioned execution time of the window: the plain

@@ -89,7 +89,7 @@ func TestPipelineCostLowerBound(t *testing.T) {
 	window := b.Graph.Instrs[h.Gate : h.Gather+1]
 	asg := InferAxes(b.Graph, window, true)
 	for k := 2; k <= 8; k *= 2 {
-		p := pipelineCost(b.Graph, cm, window, asg, k, nil, 1)
+		p := pipelineCost(b.Graph, cm, h.Gate, h.Gather, asg, k, nil, 1)
 		// One partition's chain: every op at 1/k size, run serially.
 		chain := 0.0
 		var tmp ir.Instr

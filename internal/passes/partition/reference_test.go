@@ -221,15 +221,16 @@ func dpBounds(g *ir.Graph, cm *cost.Model) []int {
 
 // dpWindows returns every candidate window Run's DP visits on g under
 // default options and uniform pricing: the group windows
-// [bounds[i], bounds[j]) spanning at most MaxRangeGroups groups.
-func dpWindows(g *ir.Graph, cm *cost.Model) [][]*ir.Instr {
+// [bounds[i], bounds[j]) spanning at most MaxRangeGroups groups, as
+// program positions {start, end} with end exclusive.
+func dpWindows(g *ir.Graph, cm *cost.Model) [][2]int {
 	var opts Options
 	opts.fillDefaults()
 	bounds := dpBounds(g, cm)
-	var ws [][]*ir.Instr
+	var ws [][2]int
 	for j := 1; j < len(bounds); j++ {
 		for i := max(0, j-opts.MaxRangeGroups); i < j; i++ {
-			ws = append(ws, g.Instrs[bounds[i]:bounds[j]])
+			ws = append(ws, [2]int{bounds[i], bounds[j]})
 		}
 	}
 	return ws
@@ -246,12 +247,13 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 		windows := dpWindows(g, cost.NewModel(b.Cluster))
 		for _, gatePartial := range []bool{true, false} {
 			solvable := 0
-			for _, w := range windows {
+			for _, lh := range windows {
+				w := g.Instrs[lh[0]:lh[1]]
 				ref := refInferAxes(g, w, gatePartial)
 				ok := sc.solveAxes(g, w, gatePartial)
 				if ok != (ref != nil) {
 					t.Fatalf("%s gatePartial=%v window @%d..@%d: solvable %v, reference %v",
-						name, gatePartial, w[0].ID, w[len(w)-1].ID, ok, ref != nil)
+						name, gatePartial, lh[0], lh[1]-1, ok, ref != nil)
 				}
 				if !ok {
 					continue
@@ -260,16 +262,16 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 				for id := range g.Tensors {
 					if got, want := sc.axisOf(id), ref[id]; got != want {
 						t.Fatalf("%s gatePartial=%v window @%d..@%d: tensor %%%d axis %v, reference %v",
-							name, gatePartial, w[0].ID, w[len(w)-1].ID, id, got, want)
+							name, gatePartial, lh[0], lh[1]-1, id, got, want)
 					}
 				}
 				if got := sc.assignment(); !maps.Equal(got, ref) {
 					t.Fatalf("%s gatePartial=%v window @%d..@%d: assignment covers %d tensors, reference %d",
-						name, gatePartial, w[0].ID, w[len(w)-1].ID, len(got), len(ref))
+						name, gatePartial, lh[0], lh[1]-1, len(got), len(ref))
 				}
 				if got, want := sc.maxParts(g), refMaxParts(g, ref); got != want {
 					t.Fatalf("%s gatePartial=%v window @%d..@%d: maxParts %d, reference %d",
-						name, gatePartial, w[0].ID, w[len(w)-1].ID, got, want)
+						name, gatePartial, lh[0], lh[1]-1, got, want)
 				}
 			}
 			if solvable == 0 || solvable == len(windows) {
@@ -284,10 +286,10 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 // issue order schedulePlan materializes, dependencies found through the
 // operands' producers and a position map, and a fresh end-time map per
 // call. frac is the profiled payload fraction (Options.PayloadFraction).
-func refPipelineSpan(g *ir.Graph, cm *cost.Model, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
+func refPipelineSpan(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
 	pos := make(map[int]int, len(window))
-	for i, in := range window {
-		pos[in.ID] = i
+	for i := range window {
+		pos[start+i] = i
 	}
 	end := make(map[instanceRef]float64)
 	var clock [2]float64
@@ -327,13 +329,14 @@ func TestPipelineSpanMatchesReference(t *testing.T) {
 		cm := cost.NewModel(b.Cluster)
 		pr := cm.NewA2APricer(nil)
 		sc.beginSweep(len(g.Instrs))
-		for _, w := range dpWindows(g, cm) {
-			sc.prepareWindow(g, w)
+		for _, lh := range dpWindows(g, cm) {
+			w := g.Instrs[lh[0]:lh[1]]
+			sc.prepareWindow(g, lh[0], w)
 			for k := 2; k <= 8; k++ {
-				got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr, 1)
+				got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, lh[0], w, k, pr, 1)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s window @%d..@%d k=%d: span %v, reference %v",
-						name, w[0].ID, w[len(w)-1].ID, k, got, want)
+						name, lh[0], lh[1]-1, k, got, want)
 				}
 			}
 		}
@@ -363,7 +366,7 @@ func TestPipelineSpanResumeMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewPCG(20, 1))
 			grewStage, newStage := 0, 0
 			for i := 0; i < n; i++ {
-				sc.beginWindow()
+				sc.beginWindow(bounds[i])
 				for j := i + 1; j <= min(n, i+opts.MaxRangeGroups); j++ {
 					w := g.Instrs[bounds[i]:bounds[j]]
 					sc.extendWindow(g, w)
@@ -378,10 +381,10 @@ func TestPipelineSpanResumeMatchesReference(t *testing.T) {
 								grewStage++
 							}
 						}
-						got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, w, k, pr, 1)
+						got, want := sc.pipelineSpan(cm, w, k, pr, 1), refPipelineSpan(g, cm, bounds[i], w, k, pr, 1)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s profiled=%v window @%d..@%d k=%d: resumed span %v, reference %v",
-								name, prof != nil, w[0].ID, w[len(w)-1].ID, k, got, want)
+								name, prof != nil, bounds[i], bounds[j]-1, k, got, want)
 						}
 					}
 				}

@@ -57,8 +57,8 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		if k < 2 {
 			continue
 		}
-		boundary := boundaryCostUs(g, cm, window, sc)
-		sc.prepareWindow(g, window)
+		boundary := boundaryCostUs(g, cm, r.Start, window, sc)
+		sc.prepareWindow(g, r.Start, window)
 		p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
 		res.Evaluations++
 		serial := prefix[r.End+1] - prefix[r.Start]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"lancet/internal/cost"
 	"lancet/internal/ir"
@@ -17,10 +18,11 @@ import (
 // (Fig. 8b). The rewritten graph's program order is the execution schedule.
 // Ranges may come in any order (Tutel's interleave forward and backward
 // windows); each pipeline's group ID is its range's index. The rewritten
-// graph shares g's tensors and the operand slices of every instruction it
-// copies unchanged (DESIGN.md §2). Run and Replay apply the DP's ranges;
-// the Tutel baseline applies externally constructed ones, fixing its
-// partition to the a2a+experts core instead of searching.
+// graph shares g's tensors and every instruction outside a pipeline
+// (DESIGN.md §2): only micro-instances and split/reconstruct ops are new.
+// Run and Replay apply the DP's ranges; the Tutel baseline applies
+// externally constructed ones, fixing its partition to the a2a+experts
+// core instead of searching.
 func Apply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 	byStart := make([]int, len(ranges))
 	for i := range byStart {
@@ -49,34 +51,35 @@ func Apply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 		extraTensors += r.K * len(r.Axes)
 	}
 
-	rw := newRewriter(g, extraTensors, kept+extraInstrs)
-	unchanged := make([]ir.Instr, 0, kept)
-	copyInstrs := func(ins []*ir.Instr) {
-		for _, in := range ins {
-			unchanged = append(unchanged, *in)
-			rw.ng.Emit(&unchanged[len(unchanged)-1])
-		}
-	}
+	rw := getRewriter(g, extraTensors, kept+extraInstrs)
+	defer putRewriter(rw)
+	ng := rw.ng
 	pos := 0
 	for _, i := range byStart {
 		r := &ranges[i]
-		copyInstrs(g.Instrs[pos:r.Start])
+		for _, in := range g.Instrs[pos:r.Start] {
+			ng.Emit(in)
+		}
 		if err := rw.emitPipeline(r, i); err != nil {
 			return nil, err
 		}
 		pos = r.End + 1
 	}
-	copyInstrs(g.Instrs[pos:])
-	if err := rw.ng.Validate(); err != nil {
+	for _, in := range g.Instrs[pos:] {
+		ng.Emit(in)
+	}
+	if err := ng.Validate(); err != nil {
 		return nil, fmt.Errorf("rewritten graph invalid: %w", err)
 	}
-	return rw.ng, nil
+	return ng, nil
 }
 
 // rewriter is the working set of one Apply call. Produced and
 // already-split tensors, and each tensor's pieces, are generation-stamped
 // arrays indexed by the input graph's tensor IDs: bumping gen at each
-// pipeline invalidates every entry.
+// pipeline invalidates every entry. The arrays are pooled across calls
+// like the DP's scratch, and gen only grows, so a stamp left by an earlier
+// call never matches.
 type rewriter struct {
 	g, ng    *ir.Graph
 	gen      uint64
@@ -88,16 +91,28 @@ type rewriter struct {
 	partBase []int
 }
 
-func newRewriter(g *ir.Graph, extraTensors, instrs int) *rewriter {
+var rewriterPool = sync.Pool{New: func() any { return new(rewriter) }}
+
+// getRewriter borrows a rewriter whose marks cover g's tensors and starts
+// the rewrite of g.
+func getRewriter(g *ir.Graph, extraTensors, instrs int) *rewriter {
+	rw := rewriterPool.Get().(*rewriter)
 	nt := len(g.Tensors)
-	marks := make([]uint64, 3*nt)
-	return &rewriter{
-		g: g, ng: ir.Derive(g, extraTensors, instrs),
-		produced: marks[:nt],
-		seen:     marks[nt : 2*nt],
-		partGen:  marks[2*nt:],
-		partBase: make([]int, nt),
+	if cap(rw.partBase) < nt {
+		marks := make([]uint64, 3*nt)
+		rw.produced, rw.seen, rw.partGen = marks[:nt], marks[nt:2*nt], marks[2*nt:]
+		rw.partBase = make([]int, nt)
 	}
+	rw.produced, rw.seen, rw.partGen = rw.produced[:nt], rw.seen[:nt], rw.partGen[:nt]
+	rw.partBase = rw.partBase[:nt]
+	rw.g, rw.ng = g, ir.Derive(g, extraTensors, instrs)
+	return rw
+}
+
+// putRewriter returns rw to the pool without the graphs it worked on.
+func putRewriter(rw *rewriter) {
+	rw.g, rw.ng = nil, nil
+	rewriterPool.Put(rw)
 }
 
 // parts returns the ID of piece 0 of tensor t's k-way split in this
@@ -188,7 +203,7 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 		c.Group = groupID
 		c.PartIdx = ref.part
 		c.NumParts = k
-		c.SrcID = in.ID
+		c.SrcID = r.Start + ref.pos
 		c.Ins, ops = ops[:len(in.Ins):len(in.Ins)], ops[len(in.Ins):]
 		for i, t := range in.Ins {
 			c.Ins[i] = t
@@ -254,7 +269,8 @@ func scaledShape(s ir.Shape, axis Axis, k, p int) ir.Shape {
 }
 
 // PipelinePredictUs exposes the pipeline scheduler's P(i,n,k) estimate for
-// an externally constructed window, priced under uniform routing.
-func PipelinePredictUs(g *ir.Graph, cm *cost.Model, window []*ir.Instr, asg Assignment, k int) float64 {
-	return pipelineCost(g, cm, window, asg, k, nil, 1)
+// an externally constructed window, the instructions [start, end] of g
+// (inclusive, like a Range), priced under uniform routing.
+func PipelinePredictUs(g *ir.Graph, cm *cost.Model, start, end int, asg Assignment, k int) float64 {
+	return pipelineCost(g, cm, start, end, asg, k, nil, 1)
 }

@@ -31,12 +31,14 @@ type dpScratch struct {
 	best   []choice
 
 	// Window index (beginWindow, extendWindow) of the windows of one DP
-	// start, which only ever grow at the end: the window-local dependency
+	// start, which only ever grow at the end: the program position of the
+	// start's first instruction (winStart), the window-local dependency
 	// edges of position pos that cross streams as
 	// depBuf[depOff[pos]:depOff[pos+1]], and the stages (see stageOf):
 	// stage s covers the contiguous positions [stOff[s], stOff[s+1]) and
 	// runs on stream stStream[s]. startGen stamps the per-k simulations
 	// that belong to this start.
+	winStart int
 	depOff   []int
 	depBuf   []int
 	stOff    []int
@@ -75,7 +77,7 @@ type dpScratch struct {
 // kSim is one partition count's share of a DP sweep: a duration memo and
 // the resumable pipeline simulation of the current start's window.
 type kSim struct {
-	// dur memoizes instanceDur by instruction ID for this sweep (negative:
+	// dur memoizes instanceDur by program position for this sweep (negative:
 	// not priced yet). A duration depends only on the instruction and k —
 	// the pricer, model and payload fraction are fixed for a sweep — and
 	// overlapping windows revisit the same instructions.
@@ -154,11 +156,13 @@ func (sc *dpScratch) kState(k int) *kSim {
 	return st
 }
 
-// beginWindow starts the window index of a new DP start: an empty window
-// that extendWindow grows. Every per-k simulation of an earlier start is
-// stale from here on.
-func (sc *dpScratch) beginWindow() {
+// beginWindow starts the window index of a new DP start, whose first
+// instruction sits at program position start: an empty window that
+// extendWindow grows. Every per-k simulation of an earlier start is stale
+// from here on.
+func (sc *dpScratch) beginWindow(start int) {
 	sc.startGen++
+	sc.winStart = start
 	sc.depOff = append(sc.depOff[:0], 0)
 	sc.depBuf = sc.depBuf[:0]
 	sc.stOff = append(sc.stOff[:0], 0)
@@ -171,7 +175,7 @@ func (sc *dpScratch) beginWindow() {
 // producer of the position's operands once). IDs are program positions
 // and every producer precedes its consumers (ir.Graph.Validate), so a
 // producer lies in the window exactly when its ID is at least the
-// window's first, and the edges of earlier positions never change. A
+// window's start, and the edges of earlier positions never change. A
 // producer on the instruction's own stream is dropped: it was issued
 // earlier on that stream, and durations are non-negative, so it ended at
 // or before the stream clock the instruction starts from and can never
@@ -181,7 +185,7 @@ func (sc *dpScratch) extendWindow(g *ir.Graph, window []*ir.Instr) {
 	if from == len(window) {
 		return
 	}
-	base := window[0].ID
+	base := sc.winStart
 	sc.stOff = sc.stOff[:len(sc.stStream)] // drop the old window end
 	for pos := from; pos < len(window); pos++ {
 		in := window[pos]
@@ -206,10 +210,11 @@ func (sc *dpScratch) extendWindow(g *ir.Graph, window []*ir.Instr) {
 	sc.stOff = append(sc.stOff, len(window))
 }
 
-// prepareWindow indexes window as a new start: the form for callers that
-// price a single window (Replay, pipelineCost, tests).
-func (sc *dpScratch) prepareWindow(g *ir.Graph, window []*ir.Instr) {
-	sc.beginWindow()
+// prepareWindow indexes window, which starts at program position start,
+// as a new start: the form for callers that price a single window (Replay,
+// pipelineCost, tests).
+func (sc *dpScratch) prepareWindow(g *ir.Graph, start int, window []*ir.Instr) {
+	sc.beginWindow(start)
 	sc.extendWindow(g, window)
 }
 
@@ -245,8 +250,7 @@ func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr 
 	} else {
 		st.start, st.end = sc.startGen, st.end[:0]
 	}
-	base := window[0].ID
-	durs := st.dur[base : base+n]
+	durs := st.dur[sc.winStart : sc.winStart+n]
 	for pos := sc.stOff[s]; pos < n; pos++ {
 		if durs[pos] < 0 {
 			durs[pos] = instanceDur(cm, window[pos], k, pr, frac, &sc.tmp)

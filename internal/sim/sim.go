@@ -75,6 +75,8 @@ type Breakdown struct {
 
 // Timeline is the result of a simulated iteration.
 type Timeline struct {
+	// Spans lists every executed instruction in program order. Only
+	// RunTraced fills it; Run leaves it nil.
 	Spans   []Span
 	TotalUs float64
 	Breakdown
@@ -100,36 +102,51 @@ type Executor struct {
 	Predict bool
 	// A2ABytesOverride substitutes the actual (irregular, unpadded)
 	// payload for specific all-to-all instructions, priced with the
-	// two-phase irregular exchange of Fig. 10. Keyed by instruction ID.
+	// two-phase irregular exchange of Fig. 10. Keyed by instruction ID,
+	// the instruction's position in the program run.
 	A2ABytesOverride map[int]int64
 	// A2ADurOverrideUs overrides specific all-to-all durations outright
 	// (microseconds), for callers that price irregular transfer matrices
-	// with a link-level network simulator. Takes precedence over
-	// A2ABytesOverride; ignored in Predict mode.
+	// with a link-level network simulator. Keyed like A2ABytesOverride,
+	// over which it takes precedence; ignored in Predict mode.
 	A2ADurOverrideUs map[int]float64
 }
 
 // runScratch is the reusable working set of one simulated iteration: the
-// per-instruction end-time array and the interval buffers of the breakdown
-// computation. Pooled so concurrent sessions (parallel /v1/plan requests,
-// cmd/lancet -parallel) replay without contending on fresh allocations
-// (DESIGN.md §13). The Spans slice is NOT pooled — it is returned to the
-// caller inside the Timeline.
+// per-instruction end-time array, the spans, the interval buffers of the
+// breakdown computation and the jitter source. Pooled so concurrent
+// sessions (parallel /v1/plan requests, cmd/lancet -parallel) replay
+// without contending on fresh allocations (DESIGN.md §13). The spans never
+// leave the scratch: RunTraced hands the caller a copy.
 type runScratch struct {
 	end                    []float64
+	spans                  []Span
 	comm, comp, a2a        []interval
 	mergedComm, mergedComp []interval
 	mergedA2A              []interval
+	// rng draws from src, which every jittered run reseeds, so one source
+	// serves both of its streams.
+	src rand.Source
+	rng *rand.Rand
 }
 
-var runPool = sync.Pool{New: func() any { return new(runScratch) }}
+var runPool = sync.Pool{New: func() any {
+	src := rand.NewSource(0)
+	return &runScratch{src: src, rng: rand.New(src)}
+}}
 
-// Run executes g's program order and returns its timeline. Each
-// instruction is ready when its stream is free and the producers of its
-// operands have ended. A program that reads a tensor at or before the
+// Run executes g's program order and returns its timeline, without spans.
+// Each instruction is ready when its stream is free and the producers of
+// its operands have ended. A program that reads a tensor at or before the
 // instruction producing it is not a schedule, and Run rejects it before
 // pricing anything.
-func (e *Executor) Run(g *ir.Graph) (*Timeline, error) {
+func (e *Executor) Run(g *ir.Graph) (*Timeline, error) { return e.run(g, false) }
+
+// RunTraced is Run, with every instruction's span in Timeline.Spans: the
+// form trace export needs.
+func (e *Executor) RunTraced(g *ir.Graph) (*Timeline, error) { return e.run(g, true) }
+
+func (e *Executor) run(g *ir.Graph, traced bool) (*Timeline, error) {
 	for id, in := range g.Instrs {
 		for _, x := range in.Ins {
 			if p := g.Producer(x); p >= id {
@@ -139,16 +156,19 @@ func (e *Executor) Run(g *ir.Graph) (*Timeline, error) {
 	}
 	sc := runPool.Get().(*runScratch)
 	defer runPool.Put(sc)
-	// Only jittered runs draw from the jitter stream; Predict runs skip
-	// seeding a source they would never read.
-	var rng *rand.Rand
-	if !e.Predict && e.JitterPct > 0 {
-		rng = rand.New(rand.NewSource(e.Seed))
-	}
+	// Only jittered runs draw from the source; Predict runs skip seeding a
+	// source they would never read. The run-wide factor draws first from
+	// seed^0x5eed, then the per-op stream restarts from seed: the two
+	// streams a fresh source per seed would give.
 	sysScale := 1.0
 	if !e.Predict && e.SystematicPct > 0 {
-		sysRng := rand.New(rand.NewSource(e.Seed ^ 0x5eed))
-		sysScale = 1 + (sysRng.Float64()*2-1)*e.SystematicPct
+		sc.src.Seed(e.Seed ^ 0x5eed)
+		sysScale = 1 + (sc.rng.Float64()*2-1)*e.SystematicPct
+	}
+	var rng *rand.Rand
+	if !e.Predict && e.JitterPct > 0 {
+		sc.src.Seed(e.Seed)
+		rng = sc.rng
 	}
 	// end[id] needs no clearing between runs: every producer precedes its
 	// consumers (checked above), so its entry is written before it is read.
@@ -157,7 +177,8 @@ func (e *Executor) Run(g *ir.Graph) (*Timeline, error) {
 	}
 	end := sc.end[:len(g.Instrs)]
 	var clock [2]float64 // per-stream frontier
-	tl := &Timeline{Spans: make([]Span, 0, len(g.Instrs))}
+	spans := sc.spans[:0]
+	tl := &Timeline{}
 
 	irregularUs := 0.0
 	var tierUs [hw.NumTiers]float64
@@ -174,12 +195,12 @@ func (e *Executor) Run(g *ir.Graph) (*Timeline, error) {
 				ready = end[p]
 			}
 		}
-		dur, irregular := e.duration(in, rng)
+		dur, irregular := e.duration(id, in, rng)
 		dur *= sysScale
 		span := Span{Instr: id, Stream: stream, StartUs: ready, EndUs: ready + dur}
 		end[id] = span.EndUs
 		clock[stream] = span.EndUs
-		tl.Spans = append(tl.Spans, span)
+		spans = append(spans, span)
 		if irregular {
 			irregularUs += dur
 		}
@@ -205,21 +226,25 @@ func (e *Executor) Run(g *ir.Graph) (*Timeline, error) {
 			tl.TotalUs = span.EndUs
 		}
 	}
-	tl.Breakdown = computeBreakdown(g, tl.Spans, sc)
+	sc.spans = spans
+	tl.Breakdown = computeBreakdown(g, spans, sc)
+	if traced {
+		tl.Spans = slices.Clone(spans)
+	}
 	tl.IrregularA2AUs = irregularUs
 	tl.A2ATierUs = tierUs
 	tl.StragglerClassUs = stragglerUs
 	return tl, nil
 }
 
-// duration prices one instruction and reports whether an irregular
-// all-to-all path (duration or payload override) supplied it.
+// duration prices instruction in, at position id, and reports whether an
+// irregular all-to-all path (duration or payload override) supplied it.
 //
 //lancet:hotpath
-func (e *Executor) duration(in *ir.Instr, rng *rand.Rand) (float64, bool) {
+func (e *Executor) duration(id int, in *ir.Instr, rng *rand.Rand) (float64, bool) {
 	var dur float64
 	if in.Op == ir.OpAllToAll && !e.Predict && e.A2ADurOverrideUs != nil {
-		if d, ok := e.A2ADurOverrideUs[in.ID]; ok {
+		if d, ok := e.A2ADurOverrideUs[id]; ok {
 			if e.JitterPct > 0 {
 				d *= 1 + (rng.Float64()*2-1)*e.JitterPct
 			}
@@ -229,7 +254,7 @@ func (e *Executor) duration(in *ir.Instr, rng *rand.Rand) (float64, bool) {
 	irregular := false
 	switch {
 	case in.Op == ir.OpAllToAll && e.A2ABytesOverride != nil:
-		if b, ok := e.A2ABytesOverride[in.ID]; ok {
+		if b, ok := e.A2ABytesOverride[id]; ok {
 			if e.Predict {
 				dur = e.Cost.PredictIrregularA2A(b, in.CommDevices)
 			} else {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lancet/internal/cost"
@@ -33,7 +35,7 @@ func fixture() (*ir.Graph, *cost.Model) {
 func TestRunBasicOrdering(t *testing.T) {
 	g, m := fixture()
 	ex := &Executor{Cost: m}
-	tl, err := ex.Run(g)
+	tl, err := ex.RunTraced(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +120,11 @@ func TestSystematicJitterSharedAcrossPlans(t *testing.T) {
 	// simulated with the same seed get the same systematic scale, so
 	// same-seed framework comparisons stay fair.
 	g, m := fixture()
-	base, err := (&Executor{Cost: m, SystematicPct: 0.05, Seed: 9}).Run(g)
+	base, err := (&Executor{Cost: m, SystematicPct: 0.05, Seed: 9}).RunTraced(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := (&Executor{Cost: m}).Run(g)
+	clean, err := (&Executor{Cost: m}).RunTraced(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +171,64 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 	}
 	if run(1) == run(2) {
 		t.Error("different seeds should differ")
+	}
+}
+
+// Run and RunTraced simulate the same iteration; only RunTraced hands out
+// spans, and those are the caller's: a later run does not write them.
+func TestRunTracedMatchesRun(t *testing.T) {
+	g, m := fixture()
+	ex := &Executor{Cost: m, JitterPct: 0.05, SystematicPct: 0.04, Seed: 3}
+	plain, err := ex.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := ex.RunTraced(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Spans != nil {
+		t.Errorf("Run returned %d spans, want none", len(plain.Spans))
+	}
+	if len(traced.Spans) != len(g.Instrs) {
+		t.Fatalf("RunTraced returned %d spans, want %d", len(traced.Spans), len(g.Instrs))
+	}
+	if traced.TotalUs != plain.TotalUs || traced.Breakdown.OverlapUs != plain.Breakdown.OverlapUs {
+		t.Errorf("RunTraced %v us (overlap %v), Run %v us (overlap %v)",
+			traced.TotalUs, traced.OverlapUs, plain.TotalUs, plain.OverlapUs)
+	}
+	kept := slices.Clone(traced.Spans)
+	if _, err := (&Executor{Cost: m, JitterPct: 0.05, Seed: 4}).Run(g); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(traced.Spans, kept) {
+		t.Error("a later run rewrote the spans RunTraced returned")
+	}
+}
+
+// The pooled source, reseeded per run, must draw the streams a fresh
+// source per seed draws: the run-wide factor from seed^0x5eed and the
+// per-op jitter, in program order, from seed.
+func TestJitterStreamsMatchFreshSources(t *testing.T) {
+	g, m := fixture()
+	const jit, sys, seed = 0.05, 0.04, 11
+	clean, err := (&Executor{Cost: m}).RunTraced(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the second run reuses a reseeded pooled source
+		got, err := (&Executor{Cost: m, JitterPct: jit, SystematicPct: sys, Seed: seed}).RunTraced(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := 1 + (rand.New(rand.NewSource(seed^0x5eed)).Float64()*2-1)*sys
+		perOp := rand.New(rand.NewSource(seed))
+		for i, s := range got.Spans {
+			want := (clean.Spans[i].EndUs - clean.Spans[i].StartUs) * (1 + (perOp.Float64()*2-1)*jit) * scale
+			if d := s.EndUs - s.StartUs; math.Abs(d-want) > 1e-9*want {
+				t.Fatalf("span %d lasts %v us, want %v", i, d, want)
+			}
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func TestExport(t *testing.T) {
 	g.Emit(&ir.Instr{Name: "a2a", Op: ir.OpAllToAll, Bytes: 1 << 20, CommDevices: 16,
 		Ins: []int{y.ID}, Outs: []int{z.ID}, PartIdx: 1, NumParts: 4})
 	cm := cost.NewModel(hw.V100Cluster(2))
-	tl, err := (&sim.Executor{Cost: cm}).Run(g)
+	tl, err := (&sim.Executor{Cost: cm}).RunTraced(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -835,7 +835,11 @@ type Report struct {
 // functionally routing a token batch (the padded buffers baselines send
 // are replaced by what the gate actually dispatched).
 func (p *Plan) Simulate(seed int64) (*Report, error) {
-	tl, err := p.run(seed)
+	ex, err := p.executor(seed)
+	if err != nil {
+		return nil, err
+	}
+	tl, err := ex.Run(p.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -877,27 +881,31 @@ func (p *Plan) MustSimulate(seed int64) *Report {
 // ChromeTrace renders one simulated iteration as Chrome trace-event JSON:
 // the same iteration Simulate(seed) reports.
 func (p *Plan) ChromeTrace(seed int64) ([]byte, error) {
-	tl, err := p.run(seed)
+	ex, err := p.executor(seed)
+	if err != nil {
+		return nil, err
+	}
+	tl, err := ex.RunTraced(p.Graph)
 	if err != nil {
 		return nil, err
 	}
 	return trace.Export(p.Graph, tl)
 }
 
-// run simulates one seeded iteration of the plan — the single executor
-// set-up behind Simulate and ChromeTrace: execution jitter, systematic
-// per-op drift and, for Lancet plans, the irregular all-to-all byte and
-// duration overrides.
-func (p *Plan) run(seed int64) (*sim.Timeline, error) {
-	ex := &sim.Executor{Cost: p.costs, JitterPct: 0.02, SystematicPct: 0.04, Seed: seed}
+// executor sets up one seeded iteration of the plan — the single executor
+// behind Simulate and ChromeTrace: execution jitter, systematic per-op
+// drift and, for Lancet plans, the irregular all-to-all byte and duration
+// overrides.
+func (p *Plan) executor(seed int64) (sim.Executor, error) {
+	ex := sim.Executor{Cost: p.costs, JitterPct: 0.02, SystematicPct: 0.04, Seed: seed}
 	if p.irregular != nil {
 		ov, err := p.irregular()
 		if err != nil {
-			return nil, err
+			return sim.Executor{}, err
 		}
 		ex.A2ABytesOverride, ex.A2ADurOverrideUs = ov.bytes, ov.durUs
 	}
-	return ex.Run(p.Graph)
+	return ex, nil
 }
 
 // irregularOverrides derives per-all-to-all actual payloads of graph g
@@ -916,7 +924,7 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2
 	perTokenBytes := int64(s.Config.Hidden) * s.Config.DType.Size()
 	var sizeExchange float64
 	var sizeExchangeDone bool
-	for _, in := range g.Instrs {
+	for id, in := range g.Instrs {
 		if in.Op != ir.OpAllToAll {
 			continue
 		}
@@ -936,7 +944,7 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2
 		if m >= len(p.shares) {
 			m = len(p.shares) - 1
 		}
-		ov.bytes[in.ID] = int64(p.shares[m] * float64(s.Built.A2ABytes))
+		ov.bytes[id] = int64(p.shares[m] * float64(s.Built.A2ABytes))
 		// Only skewed workloads carry a network profile.
 		if p.net != nil && p.devices == s.Cluster.TotalGPUs() {
 			if ov.durUs == nil {
@@ -974,7 +982,7 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2
 				sizeExchange = s.costRAF.UniformReplayUs(int64(p.devices) * 4)
 				sizeExchangeDone = true
 			}
-			ov.durUs[in.ID] = t + sizeExchange
+			ov.durUs[id] = t + sizeExchange
 		}
 	}
 	return ov, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strings"
 	"testing"
 
 	"lancet"
@@ -68,17 +69,18 @@ func (s goldenShape) session() (*lancet.Session, error) {
 }
 
 // dumpGraph writes a canonical text form of g: every tensor's ID, name,
-// shape, dtype and kind, then every instruction field, operands included.
-// Floats print in their shortest exact form, so equal dumps mean equal
-// graphs.
+// shape, dtype and kind, then every instruction's position and fields,
+// operands included. Floats print in their shortest exact form, so equal
+// dumps mean equal graphs. The position prints where ir.Instr once kept an
+// ID field equal to it, so the dump reads as it did then.
 func dumpGraph(w hash.Hash, g *ir.Graph) {
 	fmt.Fprintf(w, "tensors %d\n", len(g.Tensors))
 	for _, t := range g.Tensors {
 		fmt.Fprintf(w, "%d %q %v %d %d\n", t.ID, t.Name, []int(t.Shape), t.DType, t.Kind)
 	}
 	fmt.Fprintf(w, "instrs %d\n", len(g.Instrs))
-	for _, in := range g.Instrs {
-		fmt.Fprintf(w, "%+v\n", *in)
+	for i, in := range g.Instrs {
+		fmt.Fprintf(w, "{ID:%d %s\n", i, strings.TrimPrefix(fmt.Sprintf("%+v", *in), "{"))
 	}
 }
 
