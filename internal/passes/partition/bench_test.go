@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strings"
 	"testing"
 
 	"lancet/internal/cost"
@@ -166,24 +167,23 @@ func startSweep(g *ir.Graph, cm *cost.Model, bounds []int, i int, pr cost.A2APri
 	return sum, priced
 }
 
-// BenchmarkRewrite measures the graph rewrite alone: Apply of the DP's
-// ranges for GPT2-L-MoE on 32×A100 to its dW-scheduled graph, planned with
-// the options a Lancet session uses. The rewritten graph shares the input's
-// tensors and unchanged operand slices, so its allocations are the new
-// pieces, the micro-instances and the plumbing ops (ratcheted by
-// perf_floor.txt).
-func BenchmarkRewrite(b *testing.B) {
-	cfg := model.GPT2LMoE()
-	cfg.BatchPerGPU = cfg.PaperBatchSize("A100")
-	cl := hw.A100Cluster(4)
+// sessionFixture builds cfg on cl at the paper's batch size for the
+// fleet's base GPU, runs the dW scheduling pass a Lancet session runs
+// before partitioning, and returns the scheduled graph, its cost model and
+// the partition options a session plans it with: a γ of about five groups
+// per MoE layer, ι of 7 groups, ρ of 8.
+func sessionFixture(tb testing.TB, cfg model.Config, cl hw.Cluster) (*ir.Graph, *cost.Model, Options) {
+	tb.Helper()
+	base, _, _ := strings.Cut(cl.Name, "+")
+	cfg.BatchPerGPU = cfg.PaperBatchSize(base)
 	built, err := model.Build(cfg, cl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cm := cost.NewModel(cl)
 	dw, err := dwsched.Run(built.Graph, cm, dwsched.Options{Strategy: dwsched.BestFit})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fwd := 0.0
 	for _, in := range built.Graph.Instrs {
@@ -192,11 +192,46 @@ func BenchmarkRewrite(b *testing.B) {
 		}
 		fwd += cm.PredictInstr(in)
 	}
-	res, err := Run(dw.Graph, cm, Options{
+	return dw.Graph, cm, Options{
 		GroupUs:          fwd / float64(5*cfg.NumMoELayers()),
 		MaxRangeGroups:   7,
+		MaxPartitions:    8,
 		GatePartialBatch: cfg.Gate.SupportsPartialBatch(),
-	})
+	}
+}
+
+// gpt2LFixture is sessionFixture for GPT2-L-MoE on 32×A100, the largest
+// DP of the plan-cold mix.
+func gpt2LFixture(tb testing.TB) (*ir.Graph, *cost.Model, Options) {
+	tb.Helper()
+	return sessionFixture(tb, model.GPT2LMoE(), hw.A100Cluster(4))
+}
+
+// BenchmarkPartitionPassGPT2L measures Run — the DP, axis inference and
+// rewrite — on GPT2-L-MoE's dW-scheduled graph on 32×A100, planned with
+// the options a Lancet session uses. Its 24 layers repeat one
+// dense-and-MoE pair, so the DP prices most windows once and reuses the
+// prices for the repeats (ratcheted by perf_floor.txt).
+func BenchmarkPartitionPassGPT2L(b *testing.B) {
+	g, cm, opts := gpt2LFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(g, cm, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRewrite measures the graph rewrite alone: Apply of the DP's
+// ranges for GPT2-L-MoE on 32×A100 to its dW-scheduled graph, planned with
+// the options a Lancet session uses. The rewritten graph shares the input's
+// tensors and unchanged operand slices, so its allocations are the new
+// pieces, the micro-instances and the plumbing ops (ratcheted by
+// perf_floor.txt).
+func BenchmarkRewrite(b *testing.B) {
+	g, cm, opts := gpt2LFixture(b)
+	res, err := Run(g, cm, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +241,7 @@ func BenchmarkRewrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Apply(dw.Graph, res.Ranges); err != nil {
+		if _, err := Apply(g, res.Ranges); err != nil {
 			b.Fatal(err)
 		}
 	}

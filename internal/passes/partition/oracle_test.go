@@ -204,13 +204,21 @@ func TestRunMatchesBruteForceOracle(t *testing.T) {
 }
 
 // cappedZipf is the routed traffic of Zipf(alpha) gate counts on devices
-// devices under a capacity factor of 1.25, the form a Lancet session hands
-// the pass: each device's ingress clipped at 1.25 times the mean, and the
-// routed share of the padded payload.
+// devices (see cappedProfile).
 func cappedZipf(t *testing.T, devices int, alpha float64) (*netsim.RoutingProfile, float64) {
 	t.Helper()
+	return cappedProfile(t, netsim.ZipfProfile(devices, alpha))
+}
+
+// cappedProfile is the routed traffic of the offered gate counts under a
+// capacity factor of 1.25, the form a Lancet session hands the pass: each
+// device's ingress clipped at 1.25 times the mean, and the routed share of
+// the padded payload.
+func cappedProfile(t *testing.T, offeredProfile *netsim.RoutingProfile) (*netsim.RoutingProfile, float64) {
+	t.Helper()
 	const capacityFactor = 1.25
-	counts := netsim.ZipfProfile(devices, alpha).Counts()
+	counts := offeredProfile.Counts()
+	devices := len(counts)
 	ingress := make([]float64, devices)
 	offered := 0.0
 	for _, row := range counts {

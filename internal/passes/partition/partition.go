@@ -84,7 +84,9 @@ type Result struct {
 	Graph *ir.Graph
 	// Ranges are the chosen pipelines.
 	Ranges []Range
-	// Evaluations counts P(i,n,k) pipeline-cost evaluations performed.
+	// Evaluations counts the P(i,n,k) pipeline candidates the DP
+	// considered, reused prices included: a window whose price is reused
+	// from a repeated block counts as if it had been simulated again.
 	Evaluations int
 	// ForwardUs is T(N), the DP's predicted optimal forward time.
 	ForwardUs float64
@@ -102,20 +104,12 @@ type choice struct {
 	sUs  float64
 }
 
-// Run executes the operator partition pass. The DP sweep runs entirely on a
-// pooled scratch arena — prefix and DP tables, the per-window axis solution,
-// the window index, one resumable pipeline simulation per partition count —
-// and prices all-to-alls through a batched pricer acquired once up front,
-// so the window loop performs no allocations and no per-candidate cache
-// round-trips in steady state (DESIGN.md §13).
-//
-// The window loop is push-ordered: for each start group i it grows the
-// window (i, j] one group at a time, so the window index and every k's
-// simulation extend the previous window's instead of being rebuilt, and it
-// pushes each window's candidates into T[j]. T[i] is final by then (every
-// window ending at i starts earlier), and each T[j] receives its
-// candidates in ascending (i, k) order, so of equal-cost candidates the
-// first in that order wins.
+// Run executes the operator partition pass. The DP sweep (dpScratch.sweep)
+// runs entirely on a pooled scratch arena and prices all-to-alls through a
+// batched pricer acquired once up front, so it performs no allocations and
+// no per-candidate cache round-trips in steady state (DESIGN.md §13).
+// Evaluations counts every (window, k) candidate the sweep considers,
+// including those whose price it reuses from a repeated block.
 func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	if err := cm.ValidateProfile(opts.Profile); err != nil {
@@ -124,65 +118,10 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	pr := cm.NewA2APricer(opts.Profile)
 	sc := getScratch()
 	defer putScratch(sc)
-	fwdEnd := sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
-	sc.beginSweep(fwdEnd)
-	prefix := sc.prefix
-	sc.bounds = makeGroups(prefix, opts.GroupUs, sc.bounds[:0])
-	bounds := sc.bounds
-	n := len(bounds) - 1 // number of groups
-
-	res := &Result{}
-	sc.T = grow(sc.T, n+1)
-	sc.best = grow(sc.best, n+1)
-	T, best := sc.T, sc.best
-	T[0] = 0
-	for j := 1; j <= n; j++ {
-		// best[j] is reset too: when no candidate has a finite cost (an
-		// overflowing price), nothing overwrites it, and the backtrack must
-		// not follow choices an earlier run left in the pooled scratch.
-		T[j], best[j] = math.Inf(1), choice{}
-	}
-	for i := 0; i < n; i++ {
-		// The last group a window from i may end at, written so that a
-		// MaxRangeGroups near MaxInt cannot overflow.
-		last := n
-		if opts.MaxRangeGroups < n-i {
-			last = i + opts.MaxRangeGroups
-		}
-		sc.beginWindow(bounds[i])
-		hasA2A := false
-		for j := i + 1; j <= last; j++ {
-			window := g.Instrs[bounds[i]:bounds[j]]
-			sc.extendWindow(g, window)
-			hasA2A = hasA2A || windowHasA2A(g.Instrs[bounds[j-1]:bounds[j]])
-			serial := prefix[bounds[j]] - prefix[bounds[i]]
-			if t := T[i] + serial; t < T[j] {
-				T[j] = t
-				best[j] = choice{from: i, k: 1, sUs: serial}
-			}
-			if !hasA2A || !sc.solveAxes(g, window, opts.GatePartialBatch) {
-				continue
-			}
-			kmax := opts.MaxPartitions
-			if m := sc.maxParts(g); m < kmax {
-				kmax = m
-			}
-			// The boundary plumbing cost is k-independent; price it once per
-			// window and add it to every candidate's simulated span (the same
-			// sum pipelineCost computed per candidate).
-			boundary := boundaryCostUs(g, cm, bounds[i], window, sc)
-			for k := 2; k <= kmax; k++ {
-				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
-				res.Evaluations++
-				if t := T[i] + p; t < T[j] {
-					T[j] = t
-					best[j] = choice{from: i, k: k, pUs: p, sUs: serial}
-				}
-			}
-		}
-	}
-	res.ForwardUs = T[n]
-	res.SerialForwardUs = prefix[fwdEnd]
+	fwdEnd, evals := sc.sweep(g, cm, pr, opts)
+	bounds, best := sc.bounds, sc.best
+	n := len(bounds) - 1
+	res := &Result{Evaluations: evals, ForwardUs: sc.T[n], SerialForwardUs: sc.prefix[fwdEnd]}
 
 	// Backtrack the chosen ranges, re-solving each one's axes: the solver
 	// is deterministic, so this is the assignment the window was priced
@@ -209,6 +148,91 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	}
 	res.Graph = ng
 	return res, nil
+}
+
+// sweep runs the DP over g's forward prefix on the scratch: it prices the
+// prefix, cuts it into groups (sc.bounds) and fills T and best, where T[j]
+// is the cheapest forward time of the first j groups and best[j] the last
+// window of that cover. It returns the forward length and the number of
+// (window, k) candidates considered.
+//
+// The window loop is push-ordered: for each start group i it grows the
+// window (i, j] one group at a time, so the window index and every k's
+// simulation extend the previous window's instead of being rebuilt, and it
+// pushes each window's candidates into T[j]. T[i] is final by then (every
+// window ending at i starts earlier), and each T[j] receives its
+// candidates in ascending (i, k) order, so of equal-cost candidates the
+// first in that order wins.
+//
+// A start whose leading groups are an exact translate of an earlier
+// start's (matchStart) replays that start's recorded candidates for those
+// windows, bit-identical to what indexing, solving and simulating them
+// would give, and sweeps only the windows reaching past them. Every start
+// records its candidates, reused or fresh, for later starts.
+//
+//lancet:hotpath
+func (sc *dpScratch) sweep(g *ir.Graph, cm *cost.Model, pr cost.A2APricer, opts Options) (fwdEnd, evals int) {
+	fwdEnd = sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
+	sc.beginSweep(fwdEnd)
+	prefix := sc.prefix
+	sc.bounds = makeGroups(prefix, opts.GroupUs, sc.bounds[:0])
+	bounds := sc.bounds
+	n := len(bounds) - 1 // number of groups
+
+	sc.T = grow(sc.T, n+1)
+	sc.best = grow(sc.best, n+1)
+	T, best := sc.T, sc.best
+	T[0] = 0
+	for j := 1; j <= n; j++ {
+		// best[j] is reset too: when no candidate has a finite cost (an
+		// overflowing price), nothing overwrites it, and the backtrack must
+		// not follow choices an earlier run left in the pooled scratch.
+		T[j], best[j] = math.Inf(1), choice{}
+	}
+	sc.beginMatch(n)
+	for i := 0; i < n; i++ {
+		// The last group a window from i may end at, written so that a
+		// MaxRangeGroups near MaxInt cannot overflow.
+		last := n
+		if opts.MaxRangeGroups < n-i {
+			last = i + opts.MaxRangeGroups
+		}
+		sc.recOff[i] = len(sc.recs)
+		j, hasA2A := i+1, false
+		if r, m := sc.matchStart(g, i, last-i); m > 0 {
+			var reused int
+			hasA2A, reused = sc.replay(g, i, r, m)
+			evals += reused
+			j += m
+		}
+		sc.beginWindow(bounds[i])
+		for ; j <= last; j++ {
+			window := g.Instrs[bounds[i]:bounds[j]]
+			sc.extendWindow(g, window)
+			hasA2A = hasA2A || windowHasA2A(g.Instrs[bounds[j-1]:bounds[j]])
+			serial := prefix[bounds[j]] - prefix[bounds[i]]
+			sc.offer(j, serial, choice{from: i, k: 1, sUs: serial})
+			if !hasA2A || !sc.solveAxes(g, window, opts.GatePartialBatch) {
+				continue
+			}
+			kmax := opts.MaxPartitions
+			if m := sc.maxParts(g); m < kmax {
+				kmax = m
+			}
+			// The boundary plumbing cost is k-independent; price it once per
+			// window and add it to every candidate's simulated span (the same
+			// sum pipelineCost computed per candidate).
+			boundary := boundaryCostUs(g, cm, bounds[i], window, sc)
+			for k := 2; k <= kmax; k++ {
+				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+				evals++
+				sc.offer(j, p, choice{from: i, k: k, pUs: p, sUs: serial})
+				sc.record(candRec{d: int32(j - i), k: int32(k), us: p})
+			}
+		}
+	}
+	sc.recOff[n] = len(sc.recs)
+	return fwdEnd, evals
 }
 
 // pricePrefix prices every forward instruction once up front and returns

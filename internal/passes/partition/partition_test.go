@@ -416,8 +416,10 @@ func TestOptionsDefaults(t *testing.T) {
 // The DP inner loop — axis inference, window index, boundary cost,
 // pipeline-span sweep — must not allocate once the scratch arenas and
 // instruction-profile caches are warm (DESIGN.md §13), neither on one
-// window indexed and simulated from scratch nor across every window of one
-// start, where the index and the simulations resume.
+// window indexed and simulated from scratch, nor across every window of one
+// start, where the index and the simulations resume, nor over the whole
+// sweep of GPT2-L's graph, whose starts mostly match an earlier block and
+// replay its recorded candidates.
 func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
@@ -453,5 +455,16 @@ func TestDPInnerLoopZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("DP loop over one start allocates %v per run, want 0", allocs)
 	}
+
+	g, lcm, opts := gpt2LFixture(t)
+	opts.fillDefaults()
+	lpr := lcm.NewA2APricer(nil)
+	_, evals := sc.sweep(g, lcm, lpr, opts)
+	if allocs := testing.AllocsPerRun(20, func() {
+		_, evals = sc.sweep(g, lcm, lpr, opts)
+	}); allocs != 0 {
+		t.Errorf("whole DP sweep allocates %v per run, want 0", allocs)
+	}
+	sink += float64(evals)
 	_ = sink
 }

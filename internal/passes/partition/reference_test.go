@@ -1,9 +1,11 @@
 package partition
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"lancet/internal/cost"
@@ -394,5 +396,244 @@ func TestPipelineSpanResumeMatchesReference(t *testing.T) {
 					name, prof != nil, grewStage, newStage)
 			}
 		}
+	}
+}
+
+// refRun is Run's DP without the repeated-block reuse, kept as its slower
+// reference: every start indexes, solves and simulates every one of its
+// windows, on the scratch's resumed simulations, and the chosen ranges are
+// backtracked and re-solved as Run does. It returns no rewritten graph,
+// and it returns every partitioned candidate it priced, start by start in
+// sweep order, as Run's sweep records them.
+func refRun(g *ir.Graph, cm *cost.Model, opts Options) (*Result, []candRec) {
+	opts.fillDefaults()
+	pr := cm.NewA2APricer(opts.Profile)
+	sc := getScratch()
+	defer putScratch(sc)
+	fwdEnd := sc.pricePrefix(g, cm, pr, opts.PayloadFraction)
+	sc.beginSweep(fwdEnd)
+	prefix := sc.prefix
+	bounds := makeGroups(prefix, opts.GroupUs, nil)
+	n := len(bounds) - 1
+
+	res := &Result{}
+	var cands []candRec
+	T := make([]float64, n+1)
+	best := make([]choice, n+1)
+	for j := 1; j <= n; j++ {
+		T[j] = math.Inf(1)
+	}
+	for i := 0; i < n; i++ {
+		last := n
+		if opts.MaxRangeGroups < n-i {
+			last = i + opts.MaxRangeGroups
+		}
+		sc.beginWindow(bounds[i])
+		hasA2A := false
+		for j := i + 1; j <= last; j++ {
+			window := g.Instrs[bounds[i]:bounds[j]]
+			sc.extendWindow(g, window)
+			hasA2A = hasA2A || windowHasA2A(g.Instrs[bounds[j-1]:bounds[j]])
+			serial := prefix[bounds[j]] - prefix[bounds[i]]
+			if t := T[i] + serial; t < T[j] {
+				T[j] = t
+				best[j] = choice{from: i, k: 1, sUs: serial}
+			}
+			if !hasA2A || !sc.solveAxes(g, window, opts.GatePartialBatch) {
+				continue
+			}
+			kmax := opts.MaxPartitions
+			if m := sc.maxParts(g); m < kmax {
+				kmax = m
+			}
+			boundary := boundaryCostUs(g, cm, bounds[i], window, sc)
+			for k := 2; k <= kmax; k++ {
+				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+				res.Evaluations++
+				cands = append(cands, candRec{d: int32(j - i), k: int32(k), us: p})
+				if t := T[i] + p; t < T[j] {
+					T[j] = t
+					best[j] = choice{from: i, k: k, pUs: p, sUs: serial}
+				}
+			}
+		}
+	}
+	res.ForwardUs = T[n]
+	res.SerialForwardUs = prefix[fwdEnd]
+	for j := n; j > 0; {
+		c := best[j]
+		if c.k >= 2 {
+			sc.solveAxes(g, g.Instrs[bounds[c.from]:bounds[j]], opts.GatePartialBatch)
+			res.Ranges = append(res.Ranges, Range{
+				Start: bounds[c.from], End: bounds[j] - 1,
+				K: c.k, Axes: sc.assignment(), PredictedUs: c.pUs, SerialUs: c.sUs,
+			})
+		}
+		j = c.from
+	}
+	slices.Reverse(res.Ranges)
+	return res, cands
+}
+
+// dpMatches runs Run's sweep on g and reports, per DP start, the earlier
+// start it repeats and the number of leading groups the two share (r = -1
+// when there is none), every candidate the sweep recorded, in sweep order,
+// and how many of them it reused. It walks the start table again, in the
+// sweep's order, over the sweep's groups and records.
+func dpMatches(g *ir.Graph, cm *cost.Model, opts Options) (match [][2]int, recs []candRec, reused int) {
+	opts.fillDefaults()
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.sweep(g, cm, cm.NewA2APricer(opts.Profile), opts)
+	n := len(sc.bounds) - 1
+	sc.matchGen++
+	for i := 0; i < n; i++ {
+		r, m := sc.matchStart(g, i, min(n-i, opts.MaxRangeGroups))
+		if m == 0 {
+			r = -1
+		}
+		match = append(match, [2]int{r, m})
+		for _, c := range sc.recs[sc.recOff[i]:sc.recOff[i+1]] {
+			if int(c.d) <= m {
+				reused++
+			}
+		}
+	}
+	return match, slices.Clone(sc.recs), reused
+}
+
+// sameCandidates fails t unless the candidates Run's sweep recorded equal
+// the reference sweep's, price for price bit for bit, so a reused price
+// that differs fails even where it does not change the plan.
+func sameCandidates(t *testing.T, name string, got, want []candRec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, reference %d", name, len(got), len(want))
+	}
+	for x, c := range got {
+		w := want[x]
+		if c.d != w.d || c.k != w.k || math.Float64bits(c.us) != math.Float64bits(w.us) {
+			t.Fatalf("%s: candidate %d is %d groups at k=%d for %v us, reference %d groups at k=%d for %v us",
+				name, x, c.d, c.k, c.us, w.d, w.k, w.us)
+		}
+	}
+}
+
+// sameResult fails t unless Run's result got equals the reference sweep's
+// want: the same ranges with the same axes and bit-equal prices, the same
+// evaluation count and bit-equal forward times.
+func sameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	bits := math.Float64bits
+	if got.Evaluations != want.Evaluations || bits(got.ForwardUs) != bits(want.ForwardUs) ||
+		bits(got.SerialForwardUs) != bits(want.SerialForwardUs) || len(got.Ranges) != len(want.Ranges) {
+		t.Fatalf("%s: %d evaluations, forward %v of serial %v us, %d ranges; reference %d, %v of %v us, %d",
+			name, got.Evaluations, got.ForwardUs, got.SerialForwardUs, len(got.Ranges),
+			want.Evaluations, want.ForwardUs, want.SerialForwardUs, len(want.Ranges))
+	}
+	for i, r := range got.Ranges {
+		w := want.Ranges[i]
+		if r.Start != w.Start || r.End != w.End || r.K != w.K || !maps.Equal(r.Axes, w.Axes) ||
+			bits(r.PredictedUs) != bits(w.PredictedUs) || bits(r.SerialUs) != bits(w.SerialUs) {
+			t.Fatalf("%s: range %d is @%d..@%d k=%d at %v of serial %v us; reference @%d..@%d k=%d at %v of %v us (axes equal %t)",
+				name, i, r.Start, r.End, r.K, r.PredictedUs, r.SerialUs,
+				w.Start, w.End, w.K, w.PredictedUs, w.SerialUs, maps.Equal(r.Axes, w.Axes))
+		}
+	}
+}
+
+// Run reuses a repeated block's candidate prices; the reference sweep
+// prices every window afresh. The two must agree on every dW-scheduled
+// plan-cold graph (GPT2-S, GPT2-L and ViT-S on the five planbench fleets)
+// under session options, each with uniform, capacity-clipped Zipf 1.2 and
+// capacity-clipped hot-expert 0.3 routing at its payload fraction, with a
+// partial-batch gate and with BPR, and under each routing at ι of 1, 3
+// and 12 groups, ρ of 2 and 64, and γ at half and twice the session's.
+func TestRunMatchesReferenceSweep(t *testing.T) {
+	a100, err := hw.ClassForGPU("A100", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v100, err := hw.ClassForGPU("V100", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := hw.ClusterFromClasses([]hw.NodeClass{a100, v100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spine, err := hw.V100Cluster(4).WithTopology(hw.Topology{NodesPerRack: 2, Oversubscription: 4}.DefaultRacks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := []hw.Cluster{hw.V100Cluster(2), hw.A100Cluster(4), hw.V100Cluster(8), mixed, spine}
+	reused, evals := 0, 0
+	for _, cfg := range []model.Config{model.GPT2SMoE(), model.GPT2LMoE(), model.ViTSMoE()} {
+		for _, cl := range fleets {
+			g, cm, session := sessionFixture(t, cfg, cl)
+			zipf, zipfFrac := cappedProfile(t, netsim.ZipfProfile(cl.TotalGPUs(), 1.2))
+			hot, hotFrac := cappedProfile(t, netsim.HotExpertProfile(cl.TotalGPUs(), 0.3))
+			type named struct {
+				name string
+				opts Options
+			}
+			var cases []named
+			for _, w := range []struct {
+				name string
+				prof *netsim.RoutingProfile
+				frac float64
+			}{{"uniform", nil, 1}, {"zipf1.2", zipf, zipfFrac}, {"hot0.3", hot, hotFrac}} {
+				routed := session
+				routed.Profile, routed.PayloadFraction = w.prof, w.frac
+				for _, gate := range []bool{true, false} {
+					o := routed
+					o.GatePartialBatch = gate
+					cases = append(cases, named{fmt.Sprintf("%s partial-batch gate=%t", w.name, gate), o})
+				}
+				for _, groups := range []int{1, 3, 12} {
+					o := routed
+					o.MaxRangeGroups = groups
+					cases = append(cases, named{fmt.Sprintf("%s iota=%d", w.name, groups), o})
+				}
+				for _, rho := range []int{2, 64} {
+					o := routed
+					o.MaxPartitions = rho
+					cases = append(cases, named{fmt.Sprintf("%s rho=%d", w.name, rho), o})
+				}
+				for _, scale := range []float64{0.5, 2} {
+					o := routed
+					o.GroupUs *= scale
+					cases = append(cases, named{fmt.Sprintf("%s gamma=%gx", w.name, scale), o})
+				}
+			}
+			for _, c := range cases {
+				name := fmt.Sprintf("%s on %s %s", cfg.Name, cl.Name, c.name)
+				res, err := Run(g, cm, c.opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				ref, cands := refRun(g, cm, c.opts)
+				sameResult(t, name, res, ref)
+				_, recs, r := dpMatches(g, cm, c.opts)
+				sameCandidates(t, name, recs, cands)
+				reused, evals = reused+r, evals+len(recs)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Errorf("no candidate of %d was reused: the comparison never exercised the reuse", evals)
+	}
+	t.Logf("%d of %d candidates reused", reused, evals)
+}
+
+// On GPT2-L 32×A100 under session options most DP candidates repeat an
+// earlier block's: at least 75% must be reused (1,351 of 1,575 when this
+// was written), so a matcher that stops matching fails a test and not only
+// the benchmark.
+func TestRunReusesRepeatedBlocks(t *testing.T) {
+	g, cm, opts := gpt2LFixture(t)
+	_, recs, reused := dpMatches(g, cm, opts)
+	if reused*4 < len(recs)*3 {
+		t.Errorf("reused %d of %d candidates, want at least 75%%", reused, len(recs))
 	}
 }

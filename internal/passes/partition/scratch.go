@@ -16,13 +16,14 @@ import (
 
 // dpScratch is the reusable working set of one partition-pass DP sweep
 // (DESIGN.md §13): the prefix/DP tables, the window index of the current
-// DP start, and one resumable pipeline simulation per partition count. All
-// of it is borrowed from a sync.Pool and grown monotonically, so the DP
-// inner loop — durations, clock simulation, boundary costs — allocates
-// nothing in steady state. Window-local marks (produced/seen tensors) are
-// generation-stamped arrays indexed by instruction or tensor ID instead of
-// per-window maps: bumping the generation invalidates every stale entry in
-// O(1).
+// DP start, one resumable pipeline simulation per partition count, and
+// the start table and candidate records that let a repeated block reuse
+// an earlier block's prices. All of it is borrowed from a sync.Pool and
+// grown monotonically, so the DP inner loop — durations, clock
+// simulation, boundary costs — allocates nothing in steady state.
+// Window-local marks (produced/seen tensors) are generation-stamped arrays
+// indexed by instruction or tensor ID instead of per-window maps: bumping
+// the generation invalidates every stale entry in O(1).
 type dpScratch struct {
 	// DP tables (Run).
 	prefix []float64
@@ -67,6 +68,15 @@ type dpScratch struct {
 	prodT   []uint64
 	seenT   []uint64
 	markGen uint64
+
+	// Repeated blocks (matchStart, replay): the start table, open
+	// addressing over a power-of-two length with entries stamped with
+	// matchGen, and the candidate records of every start of the sweep,
+	// start i's as recs[recOff[i]:recOff[i+1]] in sweep order.
+	slots    []startSlot
+	matchGen uint64
+	recs     []candRec
+	recOff   []int
 
 	// tmp is the scratch instruction micro-partition and reconstruct
 	// pricing hand to the cost model instead of allocating a copy per

@@ -99,19 +99,27 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 
 // TestPlanHugeKnobsStayBounded pins that one request cannot exhaust the
 // server through the DP's knobs: the partition DP's memory follows the
-// partition counts its windows admit, not max_partitions, and a
-// max_range_groups near MaxInt bounds nothing but does not overflow.
+// partition counts its windows admit, not max_partitions, its candidate
+// records follow the candidates it considers, and a max_range_groups near
+// MaxInt bounds nothing but does not overflow. A tiny group_us with an
+// unbounded range is where the records are largest: 175,185 candidates
+// on the default GPT2-S 16×V100.
 func TestPlanHugeKnobsStayBounded(t *testing.T) {
 	h := New(Config{}).Handler()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	w := postPlan(t, h, `{"baseline": "none", "options": {"max_partitions": 100000}}`)
-	runtime.ReadMemStats(&after)
-	if w.Code != http.StatusOK {
-		t.Fatalf("max_partitions 100000: status %d, body %s", w.Code, w.Body)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
-		t.Errorf("max_partitions 100000 allocated %d MiB, want < 64 MiB", grew>>20)
+	for _, body := range []string{
+		`{"baseline": "none", "options": {"max_partitions": 100000}}`,
+		`{"baseline": "none", "options": {"group_us": 1e-6, "max_range_groups": 9223372036854775807, "max_partitions": 100000}}`,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := postPlan(t, h, body)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", body, w.Code, w.Body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Errorf("%s allocated %d MiB, want < 64 MiB", body, grew>>20)
+		}
 	}
 	for _, body := range []string{
 		`{"baseline": "none", "options": {"max_partitions": 4611686018427387904}}`,

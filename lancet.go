@@ -415,9 +415,10 @@ type Plan struct {
 	// DWOverlapUs is the predicted all-to-all time covered by scheduled
 	// weight-gradient computation.
 	DWOverlapUs float64
-	// DPEvaluations counts P(i,n,k) evaluations (optimization effort),
-	// summed over the partition pass's memory fallbacks; a FixedPipelines
-	// replay counts one per range it prices.
+	// DPEvaluations counts the P(i,n,k) candidates the partition DP
+	// considered (optimization effort), prices it reused from a repeated
+	// block included, summed over the pass's memory fallbacks; a
+	// FixedPipelines replay counts one per range it prices.
 	DPEvaluations int
 	// Pipelines lists the chosen pipelines in program order (instruction
 	// range + partition count; the counts are the plan shape that shifts
