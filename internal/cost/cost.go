@@ -36,7 +36,10 @@ import (
 
 // cacheShards stripes the op-profile memo so concurrent predictions from
 // parallel experiments or passes rarely contend on the same lock.
-const cacheShards = 32
+const (
+	cacheShardBits = 5
+	cacheShards    = 1 << cacheShardBits
+)
 
 // shard is one lock-striped slice of a memoization map.
 type shard[K comparable] struct {
@@ -142,16 +145,43 @@ func newFleet(c hw.Cluster) fleet {
 	}
 }
 
+// profileKey is the op-profile memo's key: one entry per (operator, grad
+// kind, half-octave FLOPs bucket, half-octave bytes bucket, device count,
+// partition count). The first four pack into word — the buckets are below
+// 128 (bucket's range over every int64) and fit a byte each, and op and
+// grad are enums that fit 32 and 16 bits — so the key is exact in 24 bytes
+// and every field unpacks to the value it was built from.
 type profileKey struct {
-	op       ir.OpKind
-	grad     ir.GradKind
-	flops    int64 // bucketed
-	bytes    int64
+	word     uint64 // op<<32 | grad<<16 | bytes bucket<<8 | FLOPs bucket
 	devices  int
 	numParts int
 }
 
-// fnvMix folds int64 fields into an FNV-1a hash for shard selection.
+//lancet:hotpath
+func newProfileKey(in *ir.Instr) profileKey {
+	return profileKey{
+		word: uint64(uint32(in.Op))<<32 | uint64(uint16(in.Grad))<<16 |
+			uint64(bucket(in.Bytes))<<8 | uint64(bucket(int64(in.FLOPs))),
+		devices: in.CommDevices, numParts: in.NumParts,
+	}
+}
+
+func (k profileKey) op() ir.OpKind     { return ir.OpKind(int32(k.word >> 32)) }
+func (k profileKey) grad() ir.GradKind { return ir.GradKind(int16(k.word >> 16)) }
+func (k profileKey) bytes() int64      { return int64(uint8(k.word >> 8)) }
+func (k profileKey) flops() int64      { return int64(uint8(k.word)) }
+
+// shard picks the key's memo shard by one multiply-shift (Fibonacci
+// hashing) of the packed word with the two ints folded into its unused
+// bits.
+//
+//lancet:hotpath
+func (k profileKey) shard() uint64 {
+	h := k.word ^ uint64(k.numParts)<<20 ^ uint64(k.devices)<<40
+	return h * 0x9e3779b97f4a7c15 >> (64 - cacheShardBits)
+}
+
+// fnvMix folds int64 fields into an FNV-1a hash.
 func fnvMix(vs ...int64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range vs {
@@ -159,10 +189,6 @@ func fnvMix(vs ...int64) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func (k profileKey) shard() uint64 {
-	return fnvMix(int64(k.op), int64(k.grad), k.flops, k.bytes, int64(k.devices), int64(k.numParts)) % cacheShards
 }
 
 type commPoint struct {
@@ -486,11 +512,7 @@ func (m *Model) PredictInstr(in *ir.Instr) float64 {
 	if in.IsComm() {
 		return m.PredictComm(in.Op, in.Bytes, in.CommDevices)
 	}
-	key := profileKey{
-		op: in.Op, grad: in.Grad,
-		flops: bucket(int64(in.FLOPs)), bytes: bucket(in.Bytes),
-		devices: in.CommDevices, numParts: in.NumParts,
-	}
+	key := newProfileKey(in)
 	s := &m.profiles[key.shard()]
 	if t, ok := s.get(key); ok {
 		m.hits.Add(1)
@@ -750,6 +772,6 @@ var bucketThresholds = func() [128]int64 {
 // measurementNoise derives a deterministic pseudo-random perturbation in
 // [-0.015, 0.015] from the profile key.
 func measurementNoise(k profileKey) float64 {
-	h := fnvMix(int64(k.op), int64(k.grad), k.flops, k.bytes, int64(k.devices), int64(k.numParts))
+	h := fnvMix(int64(k.op()), int64(k.grad()), k.flops(), k.bytes(), int64(k.devices), int64(k.numParts))
 	return (float64(h%2001)/1000.0 - 1.0) * 0.015
 }

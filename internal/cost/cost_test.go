@@ -311,7 +311,7 @@ func TestInterpolationMonotonicProperty(t *testing.T) {
 // Property: measurement noise is bounded and deterministic.
 func TestMeasurementNoiseProperty(t *testing.T) {
 	f := func(op, fl, by uint16) bool {
-		k := profileKey{op: ir.OpKind(op % 16), flops: int64(fl), bytes: int64(by)}
+		k := newProfileKey(&ir.Instr{Op: ir.OpKind(op % 16), FLOPs: float64(fl), Bytes: int64(by)})
 		n1, n2 := measurementNoise(k), measurementNoise(k)
 		return n1 == n2 && n1 >= -0.015 && n1 <= 0.015
 	}

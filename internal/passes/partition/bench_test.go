@@ -11,14 +11,14 @@ import (
 	"lancet/internal/passes/dwsched"
 )
 
-func benchFixture(b *testing.B) (*model.Built, *cost.Model) {
-	b.Helper()
+func benchFixture(tb testing.TB) (*model.Built, *cost.Model) {
+	tb.Helper()
 	cfg := model.GPT2SMoE()
 	cfg.BatchPerGPU = 16
 	cl := hw.V100Cluster(2)
 	built, err := model.Build(cfg, cl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return built, cost.NewModel(cl)
 }

@@ -382,21 +382,25 @@ func TestGroupsCoverForwardExactly(t *testing.T) {
 
 func TestScaledShape(t *testing.T) {
 	s := ir.Shape{7, 10, 3}
-	if got := scaledShape(s, AxisBatch, 2, 0); got[0] != 4 {
-		t.Errorf("first batch piece dim = %d, want 4", got[0])
+	if dim, n, _ := splitLen(s, AxisBatch, 2, 0); dim != 0 || n != 4 {
+		t.Errorf("first batch piece dim %d = %d, want dim 0 = 4", dim, n)
 	}
-	if got := scaledShape(s, AxisBatch, 2, 1); got[0] != 3 {
-		t.Errorf("second batch piece dim = %d, want 3", got[0])
+	if _, n, _ := splitLen(s, AxisBatch, 2, 1); n != 3 {
+		t.Errorf("second batch piece dim = %d, want 3", n)
 	}
-	if got := scaledShape(s, AxisCap, 5, 0); got[1] != 2 {
-		t.Errorf("capacity piece dim = %d, want 2", got[1])
+	if dim, n, _ := splitLen(s, AxisCap, 5, 0); dim != 1 || n != 2 {
+		t.Errorf("capacity piece dim %d = %d, want dim 1 = 2", dim, n)
 	}
 	total := 0
 	for p := 0; p < 3; p++ {
-		total += scaledShape(s, AxisIrr, 3, p)[1]
+		_, n, _ := splitLen(s, AxisIrr, 3, p)
+		total += n
 	}
 	if total != 10 {
 		t.Errorf("pieces don't cover the axis: %d != 10", total)
+	}
+	if _, _, ok := splitLen(s, AxisPartial, 3, 0); ok {
+		t.Error("partial-sum pieces keep the full shape")
 	}
 }
 

@@ -36,52 +36,6 @@ func a2aProfiledUs(in *ir.Instr, k int, pr cost.A2APricer, frac float64) float64
 	return t
 }
 
-// stageOf assigns each window position to a pipeline stage: a stage is a
-// maximal run of instructions that execute consecutively on the same stream
-// (all computation or all communication), per Sec. 5.3.
-func stageOf(window []*ir.Instr) []int {
-	st := make([]int, len(window))
-	cur := 0
-	for i, in := range window {
-		if i > 0 && in.IsComm() != window[i-1].IsComm() {
-			cur++
-		}
-		st[i] = cur
-	}
-	return st
-}
-
-// instanceRef identifies one micro-partition instance of a window op.
-type instanceRef struct {
-	pos  int // index into the window
-	part int
-}
-
-// schedulePlan returns the pipeline issue order of Fig. 9: stages in order;
-// within a stage, partitions in index order; within a stage-partition pair,
-// original program order. The DP hot path walks the same order over the
-// scratch arenas, resuming across window extensions
-// (dpScratch.pipelineSpan); this materialized form remains for the
-// rewrite, which needs the plan as a value.
-func schedulePlan(window []*ir.Instr, k int) []instanceRef {
-	st := stageOf(window)
-	nStages := 0
-	if len(window) > 0 {
-		nStages = st[len(window)-1] + 1
-	}
-	plan := make([]instanceRef, 0, len(window)*k)
-	for s := 0; s < nStages; s++ {
-		for p := 0; p < k; p++ {
-			for pos, stage := range st {
-				if stage == s {
-					plan = append(plan, instanceRef{pos, p})
-				}
-			}
-		}
-	}
-	return plan
-}
-
 // instanceDur prices one micro-partition of an op. All-to-alls use the
 // paper's static-shape approximation (query the profiled table at C/n —
 // or, under a routing profile, the skew interpolation table at C/n with

@@ -284,6 +284,51 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 	}
 }
 
+// stageOf assigns each window position to a pipeline stage: a stage is a
+// maximal run of instructions that execute consecutively on the same stream
+// (all computation or all communication), per Sec. 5.3.
+func stageOf(window []*ir.Instr) []int {
+	st := make([]int, len(window))
+	cur := 0
+	for i, in := range window {
+		if i > 0 && in.IsComm() != window[i-1].IsComm() {
+			cur++
+		}
+		st[i] = cur
+	}
+	return st
+}
+
+// instanceRef identifies one micro-partition instance of a window op.
+type instanceRef struct {
+	pos  int // index into the window
+	part int
+}
+
+// schedulePlan returns the pipeline issue order of Fig. 9: stages in order;
+// within a stage, partitions in index order; within a stage-partition pair,
+// original program order. The DP (dpScratch.pipelineSpan) and the rewrite
+// (rewriter.emitPipeline) walk the same order over stage offsets; this
+// materialized form is their reference.
+func schedulePlan(window []*ir.Instr, k int) []instanceRef {
+	st := stageOf(window)
+	nStages := 0
+	if len(window) > 0 {
+		nStages = st[len(window)-1] + 1
+	}
+	plan := make([]instanceRef, 0, len(window)*k)
+	for s := 0; s < nStages; s++ {
+		for p := 0; p < k; p++ {
+			for pos, stage := range st {
+				if stage == s {
+					plan = append(plan, instanceRef{pos, p})
+				}
+			}
+		}
+	}
+	return plan
+}
+
 // refPipelineSpan simulates a window's stage pipeline the direct way: the
 // issue order schedulePlan materializes, dependencies found through the
 // operands' producers and a position map, and a fresh end-time map per

@@ -35,10 +35,10 @@ type dpScratch struct {
 	// start, which only ever grow at the end: the program position of the
 	// start's first instruction (winStart), the window-local dependency
 	// edges of position pos that cross streams as
-	// depBuf[depOff[pos]:depOff[pos+1]], and the stages (see stageOf):
-	// stage s covers the contiguous positions [stOff[s], stOff[s+1]) and
-	// runs on stream stStream[s]. startGen stamps the per-k simulations
-	// that belong to this start.
+	// depBuf[depOff[pos]:depOff[pos+1]], and the stages, maximal runs of
+	// instructions on one stream (Sec. 5.3): stage s covers the contiguous
+	// positions [stOff[s], stOff[s+1]) and runs on stream stStream[s].
+	// startGen stamps the per-k simulations that belong to this start.
 	winStart int
 	depOff   []int
 	depBuf   []int
@@ -231,8 +231,8 @@ func (sc *dpScratch) prepareWindow(g *ir.Graph, start int, window []*ir.Instr) {
 // pipelineSpan simulates the stage pipeline of the indexed window at
 // partition count k and returns its end-to-end span — pipelineCost minus
 // the k-independent boundary cost, which Run hoists out of the k loop. The
-// issue order and arithmetic are those of the schedulePlan walk (stages in
-// order; within a stage, partitions; within both, program order), and each
+// issue order is Fig. 9's, the order the rewrite emits (stages in order;
+// within a stage, partitions; within both, program order), and each
 // stage-partition pair walks only its stage's positions. An instance
 // starts at its stream's clock or at the latest end of its dependencies on
 // the other stream, whichever is later. Durations are non-negative, so the

@@ -335,6 +335,7 @@ type routingProfile struct {
 	devices int
 	tokens  int     // proxy tokens per device
 	counts  [][]int // aggregate send matrix [src][dst] in tokens
+	routed  int64   // the sum of counts: tokens routed in total
 	// shares[m] is the fraction of the padded per-device payload
 	// micro-batch m of the split actually moves.
 	shares []float64
@@ -958,14 +959,8 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2
 			// The micro a2a moves the profile's traffic shape at a mean
 			// per-device payload of this micro-batch's routed share, scaled
 			// from proxy tokens to the real batch.
-			routedTokens := int64(0)
-			for _, row := range p.counts {
-				for _, c := range row {
-					routedTokens += int64(c)
-				}
-			}
 			scale := float64(s.Config.TokensPerGPU()) / float64(p.tokens) * microFrac
-			meanBytes := int64(scale * float64(routedTokens) * float64(perTokenBytes) / float64(p.devices))
+			meanBytes := int64(scale * float64(p.routed) * float64(perTokenBytes) / float64(p.devices))
 			t := s.costRAF.AllToAllSkewedUs(meanBytes, p.net)
 			// Capacity caps every (source, expert) pair at C tokens, so an
 			// irregular exchange can never exceed the padded one on any
@@ -1086,6 +1081,11 @@ func (key proxyKey) run() (*routingProfile, error) {
 		counts:         stats.SendTokens,
 		hotExpertShare: stats.HottestExpertShare(),
 	}
+	for _, row := range stats.SendTokens {
+		for _, c := range row {
+			p.routed += int64(c)
+		}
+	}
 	if key.skew > 0 || key.hot > 0 {
 		np, err := netsim.ProfileFromCounts(stats.SendTokens)
 		if err != nil {
@@ -1174,6 +1174,7 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 		devices:        devices,
 		tokens:         tokens,
 		counts:         counts,
+		routed:         routed,
 		shares:         shares,
 		hotExpertShare: net.MaxIngressShare(),
 		net:            net,

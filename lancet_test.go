@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"lancet/internal/netsim"
 )
 
 // ExampleNewSession builds a session for the paper's default configuration
@@ -250,8 +252,19 @@ func TestRoutingProfileSaneAndCached(t *testing.T) {
 			routed += c
 		}
 	}
-	if routed == 0 || len(p.counts) != p.devices {
+	if routed == 0 || len(p.counts) != p.devices || int64(routed) != p.routed {
 		t.Errorf("profile incomplete: %+v", p)
+	}
+	// A streamed profile's total is its capped send matrix's sum too.
+	sp := syntheticProfile(netsim.ZipfProfile(s.Cluster.TotalGPUs(), 1.2), 4, s.Config.CapacityFactor)
+	streamed := int64(0)
+	for _, row := range sp.counts {
+		for _, c := range row {
+			streamed += int64(c)
+		}
+	}
+	if streamed == 0 || streamed != sp.routed {
+		t.Errorf("streamed profile routes %d tokens, its send matrix sums to %d", sp.routed, streamed)
 	}
 	p2, err := s.profile(nil, 4)
 	if err != nil {
