@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"strings"
 	"testing"
 
 	"lancet"
@@ -69,10 +68,10 @@ func (s goldenShape) session() (*lancet.Session, error) {
 }
 
 // dumpGraph writes a canonical text form of g: every tensor's ID, name,
-// shape, dtype and kind, then every instruction's position and fields,
-// operands included. Floats print in their shortest exact form, so equal
-// dumps mean equal graphs. The position prints where ir.Instr once kept an
-// ID field equal to it, so the dump reads as it did then.
+// shape, dtype and kind, then every instruction's position and each of
+// its fields by name, operands included. Floats print in their shortest
+// exact form, so equal dumps mean equal graphs. The position prints where
+// ir.Instr once kept an ID field equal to it.
 func dumpGraph(w hash.Hash, g *ir.Graph) {
 	fmt.Fprintf(w, "tensors %d\n", len(g.Tensors))
 	for _, t := range g.Tensors {
@@ -80,7 +79,8 @@ func dumpGraph(w hash.Hash, g *ir.Graph) {
 	}
 	fmt.Fprintf(w, "instrs %d\n", len(g.Instrs))
 	for i, in := range g.Instrs {
-		fmt.Fprintf(w, "{ID:%d %s\n", i, strings.TrimPrefix(fmt.Sprintf("%+v", *in), "{"))
+		fmt.Fprintf(w, "{ID:%d Name:%s Op:%v Grad:%v Phase:%v Layer:%d Ins:%v Outs:%v FLOPs:%v Bytes:%d CommDevices:%d Kernels:%d PartIdx:%d NumParts:%d}\n",
+			i, in.Name, in.Op, in.Grad, in.Phase, in.Layer, in.Ins, in.Outs, in.FLOPs, in.Bytes, in.CommDevices, in.Kernels, in.PartIdx, in.NumParts)
 	}
 }
 
@@ -99,51 +99,51 @@ func graphHash(g *ir.Graph) string {
 // tensor or operand slice it shares with its input fails here.
 func TestRewrittenGraphsGolden(t *testing.T) {
 	golden := map[goldenShape]string{
-		{"gpt2-s", "v100x16", "uniform"}:          "b818f50466a7bbd0cf9163dc36883ea5dba1751670b76bf0fd494d661c3f9282",
-		{"gpt2-s", "v100x16", "zipf1.2"}:          "b818f50466a7bbd0cf9163dc36883ea5dba1751670b76bf0fd494d661c3f9282",
-		{"gpt2-s", "v100x16", "hot0.3"}:           "4d77cbfea30e244b1c44fc6a24af96fe2f84246aeabf3858338a7a3d95a5f854",
-		{"gpt2-s", "a100x32", "uniform"}:          "89a4ee42a736b6d68072ef418a1060e66625aa3f88520e7d76dbe1162f36b784",
-		{"gpt2-s", "a100x32", "zipf1.2"}:          "0e4728427aa5b80b38528fdb66d0d282196c167adfb7e3555d2c1204575b9be5",
-		{"gpt2-s", "a100x32", "hot0.3"}:           "c1a327003421ff3ccb98429c24c8f622de0f7fda00e94d8f203df6ac58b8358a",
-		{"gpt2-s", "v100x64", "uniform"}:          "a9e8854e3bb608813f4171c808a23a391b3ca44a06ca24a975732aefd2d05729",
-		{"gpt2-s", "v100x64", "zipf1.2"}:          "c5532797a805239fee6b87fb2380923ca0f0ab218a24e2091aaf32a826b5b2a1",
-		{"gpt2-s", "v100x64", "hot0.3"}:           "cdb1b8a41fe50f48717b45746f1ec8d4382b6311221b5093016b9d1011bdc60b",
-		{"gpt2-s", "2a100+2v100", "uniform"}:      "21dbd7b4fcbc5c97406bb8c6c1f285f2d31690562d13e4047a492daeb43f6ac5",
-		{"gpt2-s", "2a100+2v100", "zipf1.2"}:      "e59a93e7f6634aea4da5f93633157c0dfa1cb22189eaaf2ca3bb707ca129fea4",
-		{"gpt2-s", "2a100+2v100", "hot0.3"}:       "08fa16ab89e34dd82760bc760bb514afbf8942966637bc72a21dcadbe682080f",
-		{"gpt2-s", "v100x32-oversub4", "uniform"}: "2791094057362149c2b10b4781d592678c2d8880f46a1d58aee6d23c9b7a9cb5",
-		{"gpt2-s", "v100x32-oversub4", "zipf1.2"}: "290ee186ffa1c1b9a4acc6156a2c55b3fe8c587f11501e33d378113f220578f0",
-		{"gpt2-s", "v100x32-oversub4", "hot0.3"}:  "acf0c0e90e346226697969d6a2f7d7a1895a13cd909d0eff5f324b297b515b1e",
-		{"gpt2-l", "v100x16", "uniform"}:          "238d0a90a49a0b5d2752c9926b75aaef6bc0d1ea239f34c22e84b6e0309c58c6",
-		{"gpt2-l", "v100x16", "zipf1.2"}:          "238d0a90a49a0b5d2752c9926b75aaef6bc0d1ea239f34c22e84b6e0309c58c6",
-		{"gpt2-l", "v100x16", "hot0.3"}:           "d67135c0f528b374db645d01798898de7577b75d0e52b67b9700f59fb9e9b075",
-		{"gpt2-l", "a100x32", "uniform"}:          "9174dce6a02b964b6cd2e0dc7df271a62be552e21b0c32546d74df1970a293f3",
-		{"gpt2-l", "a100x32", "zipf1.2"}:          "144672b398345799a6650c5e0524e6ef0bdd5c519f3cc760af81310388cce149",
-		{"gpt2-l", "a100x32", "hot0.3"}:           "0c985f5966a21cd37959cf791d95f6519550f550c5b3044ec1dd88e01b45a276",
-		{"gpt2-l", "v100x64", "uniform"}:          "2a7e1c8b128fb3d7ef742ef716fe4c24517d1dc1c38fe4b5751d664060f1474d",
-		{"gpt2-l", "v100x64", "zipf1.2"}:          "bb0efb56d1a6548c1560d820d805e6d71176d191ca5bc9909323c73e1b0b7e64",
-		{"gpt2-l", "v100x64", "hot0.3"}:           "980ba44f9d4f814632080723dd925822c23271c84517eb18ac1e126ae9ac44c8",
-		{"gpt2-l", "2a100+2v100", "uniform"}:      "aa2118fab40e2b973b33ad9af12b42e7fdc7d489003631e891168ebfeb9c7c9b",
-		{"gpt2-l", "2a100+2v100", "zipf1.2"}:      "482a3e55564e8c8d7daefadce9ca1bb8aab88b4d6ce5f1fa9dcf4a003836fdd6",
-		{"gpt2-l", "2a100+2v100", "hot0.3"}:       "e34c3e21211a10c2651f55da4ecb91430c4c793230db63a5426701be30d184de",
-		{"gpt2-l", "v100x32-oversub4", "uniform"}: "b1ceabac368550083c50ad118c36e96a83786bc1670fa709fa07e05ef029af4d",
-		{"gpt2-l", "v100x32-oversub4", "zipf1.2"}: "272b266c827b7198756cd88fdf195ad56992794a3e26a3e3f68ee0e26e0ab7e8",
-		{"gpt2-l", "v100x32-oversub4", "hot0.3"}:  "6c09f7bbfcccd8eab13a1c50d91880cc7cd533bab2cc595b3115dc7713bf1cd5",
-		{"vit-s", "v100x16", "uniform"}:           "bf979d0fcb1b30d4ba45d6c510fcd0adc0d68ba0680a9a90a1f52442b6c9b1c8",
-		{"vit-s", "v100x16", "zipf1.2"}:           "bf979d0fcb1b30d4ba45d6c510fcd0adc0d68ba0680a9a90a1f52442b6c9b1c8",
-		{"vit-s", "v100x16", "hot0.3"}:            "bf979d0fcb1b30d4ba45d6c510fcd0adc0d68ba0680a9a90a1f52442b6c9b1c8",
-		{"vit-s", "a100x32", "uniform"}:           "21160a7421618aaf51681a5615e0e6dbf89a03cec85518ad9367a445a7cbfa58",
-		{"vit-s", "a100x32", "zipf1.2"}:           "0624bae8363b936c80085a87ae5615567e395338c9187c8c8b20539947834420",
-		{"vit-s", "a100x32", "hot0.3"}:            "22ff137a42797bfbee69f2874dccc9787ac8862f72615291e70b412d432e7440",
-		{"vit-s", "v100x64", "uniform"}:           "75e23c7b1e342a0624f10bf758e06616db576fc18bb29a28b287fe4ebaa6d941",
-		{"vit-s", "v100x64", "zipf1.2"}:           "dea6f4ad06ace523ec8516d62368bb8c8d1f52c35860cc0a50397a26b2f4d1d7",
-		{"vit-s", "v100x64", "hot0.3"}:            "086eb92016a6b213e880c14bc9a45182550112496c695315c865b2861bf56a5e",
-		{"vit-s", "2a100+2v100", "uniform"}:       "92eebf2ce93aadfd18bad69301e5de594299f6695928efb2c89d79a25d0680a8",
-		{"vit-s", "2a100+2v100", "zipf1.2"}:       "9c81444521ae65cb7bb81e7a17a42cac75683ecbe98424cfc6d2905a3564ccf7",
-		{"vit-s", "2a100+2v100", "hot0.3"}:        "8b476226f0bb768c9d8a28a47bb5232ac6a3afc0fa2e211247a5bb177492ff5a",
-		{"vit-s", "v100x32-oversub4", "uniform"}:  "dfe5fd9e6d6d6d598ece7b257437867e6c79e262adebd57c144beece44ad4571",
-		{"vit-s", "v100x32-oversub4", "zipf1.2"}:  "a91856f27672407f4919f1f18ad6bba6974c2acf348313e7445b3028c8d3e825",
-		{"vit-s", "v100x32-oversub4", "hot0.3"}:   "31a33d46271fbe4d46047444b89442da4e86aea8de3416484251c8c588e8ab7a",
+		{"gpt2-s", "v100x16", "uniform"}:          "7f3f6475132d0b877585a12ceaeca922563f745c33b8fd3ea083302dd43ebab0",
+		{"gpt2-s", "v100x16", "zipf1.2"}:          "7f3f6475132d0b877585a12ceaeca922563f745c33b8fd3ea083302dd43ebab0",
+		{"gpt2-s", "v100x16", "hot0.3"}:           "f9e536a77a7439c8040f24786edd159636896f0d013fb1076f72f8f22e3e8075",
+		{"gpt2-s", "a100x32", "uniform"}:          "3452566bc5aa76a7a08bf1b438e63f41e58823de56c25eae326e69ac33b11695",
+		{"gpt2-s", "a100x32", "zipf1.2"}:          "d466fdb6475336c3e001448cca29d229b265e3ee09bbd8f00248181468685770",
+		{"gpt2-s", "a100x32", "hot0.3"}:           "fe6c2352f002167a02c236b1b606f3e4efcbf03752190a558034e5df4472c35a",
+		{"gpt2-s", "v100x64", "uniform"}:          "db585a05a963de3271712c4ebf0ec7a6cdf8c95c102f2ced51b9e3ab4140f68e",
+		{"gpt2-s", "v100x64", "zipf1.2"}:          "cf929ddea660e8adb5ed86fa0019371330b7126e5299be310589b025f9255092",
+		{"gpt2-s", "v100x64", "hot0.3"}:           "a2ecd510588fba1875b28356c3bf115a5b726debce23330a101c24d86055fb4c",
+		{"gpt2-s", "2a100+2v100", "uniform"}:      "5984a82421ec8987045ecc4520553ce147747aa3652e0df9eed11a0ee5128451",
+		{"gpt2-s", "2a100+2v100", "zipf1.2"}:      "ba21acece670481e19b5732e4f5851cf5e61a46e309b1d7ca182fda313048e96",
+		{"gpt2-s", "2a100+2v100", "hot0.3"}:       "2cd5e92c4c02771982c45039919e7b6a2c9aab751b38f9aa1e02aadc241c5031",
+		{"gpt2-s", "v100x32-oversub4", "uniform"}: "b1ca17e3740b7abb9ac3b65bf8e9d3200cba0c3f286a3c2941dfd5ebcfd50a41",
+		{"gpt2-s", "v100x32-oversub4", "zipf1.2"}: "0f75ae5d119645bfebe89d0bfc3fc06531978fa42d1c72b57cb81ef4c9620cc8",
+		{"gpt2-s", "v100x32-oversub4", "hot0.3"}:  "cf446985214ed267c2dbeefa85020a950f22bc5d80c2c0d345db2c7d7029bfb0",
+		{"gpt2-l", "v100x16", "uniform"}:          "8f61d37a4de0c999491e419ace42dd3078408248829afd77cfeeaf36a49fd4c4",
+		{"gpt2-l", "v100x16", "zipf1.2"}:          "8f61d37a4de0c999491e419ace42dd3078408248829afd77cfeeaf36a49fd4c4",
+		{"gpt2-l", "v100x16", "hot0.3"}:           "8d54a280ad7df988a8f6b12971c127cd150d2b58386bfea39ca4059423c5b851",
+		{"gpt2-l", "a100x32", "uniform"}:          "7f93732730f422bdbae404f07e7fc4e8e42d25c563aa412562fd011ee5f3aacf",
+		{"gpt2-l", "a100x32", "zipf1.2"}:          "b668d1c938f453e917a9bd56c545cf1e1a492320466d2898ccba5321e7a79dec",
+		{"gpt2-l", "a100x32", "hot0.3"}:           "c893f543c4143910b3bbafd6fdb3bfe18e2fda8fb6ae3fae7f13af9bd25a7099",
+		{"gpt2-l", "v100x64", "uniform"}:          "d5febf714f36d17c71f4e0dc5f6a0a6dd6620a4c0d4b4bfcd20a7fb3494af1a1",
+		{"gpt2-l", "v100x64", "zipf1.2"}:          "e3d4c493cf133efeb4fa6730b1066cec08b1de280a73345cc79731f7e92787ce",
+		{"gpt2-l", "v100x64", "hot0.3"}:           "f945fb10d27ef0d32b1ae13a53d998c8b8a97dc27fa72319988277f8d1078bb8",
+		{"gpt2-l", "2a100+2v100", "uniform"}:      "9b6f20fb20907c3f4afb5601b0b9e4eb012e90fbe479dec340fdbeb1d0448d5b",
+		{"gpt2-l", "2a100+2v100", "zipf1.2"}:      "c49594f7ab3c5f15777d3de605fd192e453cdc23e5a32f93f4628593c1359c44",
+		{"gpt2-l", "2a100+2v100", "hot0.3"}:       "8cebab77c6895b740661ebee77c0888dafc7afbc4d8660162a2b034ae5d76eb5",
+		{"gpt2-l", "v100x32-oversub4", "uniform"}: "860f6562e196e85bea7af9cf267303fb298ed9f7a6d2213c2362dc64c66ae295",
+		{"gpt2-l", "v100x32-oversub4", "zipf1.2"}: "acb642632d114ab912463931fcbfca2c35a641785bb7ee6b97de056a946f20c3",
+		{"gpt2-l", "v100x32-oversub4", "hot0.3"}:  "ca4b3112a02195348589718c848dc08a1df17a0c6a9a7e3818f2ac02427fdafe",
+		{"vit-s", "v100x16", "uniform"}:           "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
+		{"vit-s", "v100x16", "zipf1.2"}:           "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
+		{"vit-s", "v100x16", "hot0.3"}:            "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
+		{"vit-s", "a100x32", "uniform"}:           "5e31172220502d630e3a15bd29550ca5701a8e4be4c4c3de05a44a28ab69f6d6",
+		{"vit-s", "a100x32", "zipf1.2"}:           "e9a7e6eb9dcb24c998a732c0926c51de1f4eeb077d89c99ac5833fc6798b4941",
+		{"vit-s", "a100x32", "hot0.3"}:            "b51df2c7a934f73eb524b5261b119740fe913c7a00c23020c7b0f9c58aa2c38c",
+		{"vit-s", "v100x64", "uniform"}:           "c5df6c1982bd5d67b91d7066e5eb21dc37d569776e8b40add66d901b9f799c97",
+		{"vit-s", "v100x64", "zipf1.2"}:           "0484418fe928bb3a259ec67c0015a0d97e1e77c3bdea182fc92a6edba80b3dd4",
+		{"vit-s", "v100x64", "hot0.3"}:            "3e79b315cef1efe0f600b613687235d8d12b10efdfcaa2a2e6910088d32e90bc",
+		{"vit-s", "2a100+2v100", "uniform"}:       "ac15da3862be841bbd6a6e853506c2eecb030127709543a8a313fe853c5728f6",
+		{"vit-s", "2a100+2v100", "zipf1.2"}:       "06546490acc4642f0820f37ccd5d05bf7b9241c0f212c65c71b758e9fe7af361",
+		{"vit-s", "2a100+2v100", "hot0.3"}:        "291ca2509f3bd9ccd286e23413e8eeab527139315bdebb38321e1723565e578c",
+		{"vit-s", "v100x32-oversub4", "uniform"}:  "f294dde2a552d45743eec5da6f8f22f39758d0caef6ae492eac2021c1ce96766",
+		{"vit-s", "v100x32-oversub4", "zipf1.2"}:  "3619e280b383ff709974598d992f84775c88c36f7d61477322c287912c0b4e36",
+		{"vit-s", "v100x32-oversub4", "hot0.3"}:   "ef183eb0167e04da5c7278d69f08db31e92ed372e9e3dadaa76f1ce7edf37c96",
 	}
 	models := []string{"gpt2-s", "gpt2-l", "vit-s"}
 	fleets := []string{"v100x16", "a100x32", "v100x64", "2a100+2v100", "v100x32-oversub4"}
