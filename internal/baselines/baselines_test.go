@@ -7,6 +7,7 @@ import (
 	"lancet/internal/hw"
 	"lancet/internal/ir"
 	"lancet/internal/model"
+	"lancet/internal/passes/partition"
 	"lancet/internal/sim"
 )
 
@@ -60,9 +61,20 @@ func TestTutelPlanPartitionsBothDirections(t *testing.T) {
 		t.Errorf("partitioned a2a instances fwd=%d bwd=%d, want %d each", fwd, bwd, 2*nMoE*4)
 	}
 	// Tutel partitions on the capacity axis only — never the irregular one.
-	for _, in := range g.Instrs {
-		if in.NumParts > 1 && in.Op == ir.OpAllToAll && in.PartAxis != 2 {
-			t.Errorf("a2a instance %s uses axis %d, want capacity", in.Name, in.PartAxis)
+	for _, h := range b.MoE {
+		for _, w := range [][2]int{{h.DispatchA2A, h.CombineA2A}, {h.BwdCombineA2A, h.BwdDispatchA2A}} {
+			window := b.Graph.Instrs[w[0] : w[1]+1]
+			axes := partition.InferAxes(b.Graph, window, false)
+			for _, in := range window {
+				if in.Op != ir.OpAllToAll {
+					continue
+				}
+				for _, o := range in.Outs {
+					if axes[o] != partition.AxisCap {
+						t.Errorf("a2a %s output %%%d uses axis %s, want capacity", in.Name, o, axes[o])
+					}
+				}
+			}
 		}
 	}
 }

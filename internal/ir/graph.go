@@ -65,15 +65,10 @@ func (g *Graph) NewTensor(name string, shape Shape, dt DType, kind TensorKind) *
 // dependency table: as the producer of its outputs and, since it is the
 // latest instruction, as the last use of its registered inputs. It returns
 // the instruction's position, which is its ID: nothing else names it.
-// Group/SrcID default to -1 when unset; an instruction that was emitted
-// before already carries them, so re-emitting it into a rewrite only reads
-// it (DESIGN.md §7).
+// Emit only reads in, so the graphs that share an instruction may emit it
+// concurrently (DESIGN.md §7).
 func (g *Graph) Emit(in *Instr) int {
 	id := len(g.Instrs)
-	if in.Group == 0 && in.NumParts == 0 {
-		in.Group = -1
-		in.SrcID = -1
-	}
 	g.Instrs = append(g.Instrs, in)
 	for _, x := range in.Ins {
 		if x < 0 || x >= len(g.Tensors) {

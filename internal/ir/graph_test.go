@@ -2,8 +2,10 @@ package ir
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -239,6 +241,42 @@ func TestReachMatchesReferenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEmitNeverWritesItsInstruction pins that Emit only reads the
+// instruction it appends (DESIGN.md §7): a freshly built instruction
+// equals its copy after Emit, operands included, and two graphs may emit
+// one instruction at once, which -race checks.
+func TestEmitNeverWritesItsInstruction(t *testing.T) {
+	fresh := func() *Instr {
+		return &Instr{Name: "mm", Op: OpMatMul, Ins: []int{0, 1}, Outs: []int{2}}
+	}
+	graph := func() *Graph {
+		g := NewGraph()
+		g.NewTensor("x", Shape{4, 8}, F32, Activation)
+		g.NewTensor("w", Shape{8, 8}, F32, Weight)
+		g.NewTensor("y", Shape{4, 8}, F32, Activation)
+		return g
+	}
+	in := fresh()
+	want := *in
+	want.Ins, want.Outs = slices.Clone(in.Ins), slices.Clone(in.Outs)
+	graph().Emit(in)
+	if !reflect.DeepEqual(*in, want) {
+		t.Errorf("Emit wrote its instruction: %+v, built as %+v", *in, want)
+	}
+
+	in = fresh()
+	var wg sync.WaitGroup
+	for range 2 {
+		g := graph()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Emit(in)
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEmitRejectsDoubleProducer(t *testing.T) {

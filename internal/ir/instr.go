@@ -149,19 +149,12 @@ type Instr struct {
 	// lowers per-kernel efficiency and multiplies launch overhead.
 	Kernels int
 
-	// Partition bookkeeping, set by the operator partition pass.
-	// Group identifies the pipeline this partitioned instruction belongs
-	// to (-1 when not partitioned). PartIdx in [0,NumParts) is the
-	// micro-partition index. SrcID is the original instruction's position
-	// in the graph the partition pass rewrote.
-	Group    int
+	// Partition bookkeeping, set by the operator partition pass. NumParts
+	// is the pipeline's partition count on every instruction it emits
+	// (split and reconstruct ops too) and 0 elsewhere; PartIdx in
+	// [0,NumParts) is a micro-instance's partition index.
 	PartIdx  int
 	NumParts int
-	SrcID    int
-	// PartAxis records the partition axis of the instruction's output
-	// (values follow partition.Axis: 0 none, 1 batch, 2 capacity, 3
-	// irregular).
-	PartAxis int
 }
 
 // IsComm reports whether the instruction runs on the communication stream.

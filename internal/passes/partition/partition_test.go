@@ -300,19 +300,48 @@ func TestRewriteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every original instruction is either present verbatim or replaced by
-	// exactly K instances.
-	counts := make(map[int]int) // SrcID -> instance count
-	for _, in := range res.Graph.Instrs {
-		if in.SrcID >= 0 {
-			counts[in.SrcID]++
+	// Every instruction of a range is replaced by exactly K instances: the
+	// same op under the same name, one per partition index. Ops that share
+	// a name and op count together.
+	type source struct {
+		name string
+		op   ir.OpKind
+		k    int
+	}
+	want := make(map[source]int) // window ops per source
+	for _, r := range res.Ranges {
+		for _, in := range b.Graph.Instrs[r.Start : r.End+1] {
+			want[source{in.Name, in.Op, r.K}]++
 		}
 	}
-	for _, r := range res.Ranges {
-		for id := r.Start; id <= r.End; id++ {
-			if counts[id] != r.K {
-				t.Errorf("@%d: %d instances, want %d", id, counts[id], r.K)
+	got := make(map[source][]int) // instances per source and partition index
+	for _, in := range res.Graph.Instrs {
+		if in.NumParts == 0 || in.Op == ir.OpPartitionSplit || in.Op == ir.OpReconstruct {
+			continue
+		}
+		if in.PartIdx < 0 || in.PartIdx >= in.NumParts {
+			t.Fatalf("%s: partition %d of %d", in.Name, in.PartIdx, in.NumParts)
+		}
+		s := source{in.Name, in.Op, in.NumParts}
+		if got[s] == nil {
+			got[s] = make([]int, s.k)
+		}
+		got[s][in.PartIdx]++
+	}
+	for s, n := range want {
+		if len(got[s]) != s.k {
+			t.Errorf("%s %s: no %d-way instances", s.op, s.name, s.k)
+			continue
+		}
+		for p, c := range got[s] {
+			if c != n {
+				t.Errorf("%s %s: %d instances of partition %d/%d, want %d", s.op, s.name, c, p, s.k, n)
 			}
+		}
+	}
+	for s := range got {
+		if want[s] == 0 {
+			t.Errorf("%s %s: %d-way instances of no window op", s.op, s.name, s.k)
 		}
 	}
 	// All-to-all payloads of instances must sum back to the original.

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +31,39 @@ func TestRewriteFLOPConservation(t *testing.T) {
 	}
 }
 
+// plumbingAxes returns the axis of the tensor each split or reconstruct
+// op of res.Graph splits or restores, in the range whose pipeline emitted
+// the op. The rewrite emits each range's pipeline contiguously, in start
+// order: its split ops, K micro-instances of each window op, then its
+// reconstruct ops.
+func plumbingAxes(t *testing.T, res *Result) map[*ir.Instr]Axis {
+	t.Helper()
+	out := res.Graph.Instrs
+	axes := make(map[*ir.Instr]Axis)
+	at, pos := 0, 0
+	for _, r := range slices.SortedFunc(slices.Values(res.Ranges), func(a, b Range) int { return cmp.Compare(a.Start, b.Start) }) {
+		at += r.Start - pos // instructions the rewrite kept
+		for ; at < len(out) && out[at].Op == ir.OpPartitionSplit; at++ {
+			axes[out[at]] = r.Axes[out[at].Ins[0]]
+		}
+		for end := at + r.K*(r.End-r.Start+1); at < end; at++ {
+			if in := out[at]; in.NumParts != r.K || in.Op == ir.OpPartitionSplit || in.Op == ir.OpReconstruct {
+				t.Fatalf("@%d %s: not a micro-instance of [%d,%d]", at, in, r.Start, r.End)
+			}
+		}
+		for ; at < len(out) && out[at].Op == ir.OpReconstruct; at++ {
+			axes[out[at]] = r.Axes[out[at].Outs[0]]
+		}
+		pos = r.End + 1
+	}
+	for _, in := range out {
+		if _, ok := axes[in]; !ok && (in.Op == ir.OpPartitionSplit || in.Op == ir.OpReconstruct) {
+			t.Fatalf("%s: outside every pipeline", in)
+		}
+	}
+	return axes
+}
+
 // Batch- and capacity-axis splits are views (free); only irregular
 // boundaries pay memory traffic.
 func TestPlumbingCosts(t *testing.T) {
@@ -37,16 +72,13 @@ func TestPlumbingCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range res.Graph.Instrs {
-		if in.Op != ir.OpPartitionSplit && in.Op != ir.OpReconstruct {
-			continue
-		}
-		irr := in.PartAxis == int(AxisIrr)
+	for in, axis := range plumbingAxes(t, res) {
+		irr := axis == AxisIrr
 		if irr && in.Bytes == 0 {
 			t.Errorf("%s: irregular boundary op should cost memory traffic", in.Name)
 		}
 		if !irr && in.Bytes != 0 {
-			t.Errorf("%s: view boundary op (axis %d) should be free", in.Name, in.PartAxis)
+			t.Errorf("%s: view boundary op (axis %s) should be free", in.Name, axis)
 		}
 		if dur := cm.PredictInstr(in); !irr && dur != 0 {
 			t.Errorf("%s: view op priced at %v us, want 0", in.Name, dur)
@@ -62,13 +94,13 @@ func TestInstanceShapesTile(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := res.Graph
-	for _, in := range g.Instrs {
-		if in.Op != ir.OpReconstruct || in.PartAxis == int(AxisPartial) {
+	for in, axis := range plumbingAxes(t, res) {
+		if in.Op != ir.OpReconstruct || axis == AxisPartial {
 			continue
 		}
 		orig := g.Tensor(in.Outs[0])
 		dim := 0
-		if Axis(in.PartAxis) != AxisBatch && len(orig.Shape) >= 2 {
+		if axis != AxisBatch && len(orig.Shape) >= 2 {
 			dim = 1
 		}
 		sum := 0

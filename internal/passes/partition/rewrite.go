@@ -17,8 +17,7 @@ import (
 // Reconstruct ops restore tensors the rest of the graph consumes
 // (Fig. 8b). The rewritten graph's program order is the execution schedule.
 // Ranges may come in any order (Tutel's interleave forward and backward
-// windows); each pipeline's group ID is its range's index. The rewritten
-// graph shares g's tensors and every instruction outside a pipeline
+// windows). The rewritten graph shares g's tensors and every instruction outside a pipeline
 // (DESIGN.md §2): only micro-instances and split/reconstruct ops are new.
 // The validation pass sizes the rewrite exactly, so everything new is
 // carved from one slab per kind the rewritten graph owns: piece tensors,
@@ -69,7 +68,7 @@ func (rw *rewriter) apply(ranges []Range) (*ir.Graph, error) {
 		for _, in := range g.Instrs[pos:r.Start] {
 			ng.Emit(in)
 		}
-		if err := rw.emitPipeline(r, i); err != nil {
+		if err := rw.emitPipeline(r); err != nil {
 			return nil, err
 		}
 		pos = r.End + 1
@@ -317,7 +316,7 @@ func (rw *rewriter) parts(t int, axis Axis, k int) int {
 // DP simulates), and a reconstruct op per output consumed after the
 // window. A tensor with no entry in r.Axes reads as NP when consumed and
 // is an error when produced.
-func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
+func (rw *rewriter) emitPipeline(r *Range) error {
 	g, ng := rw.g, rw.ng
 	window := g.Instrs[r.Start : r.End+1]
 	k := r.K
@@ -364,7 +363,7 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 			*c = ir.Instr{
 				Op: ir.OpPartitionSplit, Phase: ir.Forward, Layer: in.Layer,
 				Ins: ins, Outs: outs, Bytes: bytes,
-				Group: groupID, NumParts: k, SrcID: -1, PartAxis: int(axis),
+				NumParts: k,
 			}
 			ng.Emit(c)
 		}
@@ -380,10 +379,8 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 				*c = *in
 				c.FLOPs /= float64(k)
 				c.Bytes /= int64(k)
-				c.Group = groupID
 				c.PartIdx = p
 				c.NumParts = k
-				c.SrcID = r.Start + pos
 				c.Ins = rw.operands(len(in.Ins))
 				for i, t := range in.Ins {
 					c.Ins[i] = t
@@ -398,7 +395,6 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 						return fmt.Errorf("no axis for tensor %%%d produced by %s", t, in.Name)
 					}
 					c.Outs[i] = rw.parts(t, axis, k) + p
-					c.PartAxis = int(axis)
 				}
 				ng.Emit(c)
 			}
@@ -427,7 +423,7 @@ func (rw *rewriter) emitPipeline(r *Range, groupID int) error {
 			*c = ir.Instr{
 				Op: ir.OpReconstruct, Phase: ir.Forward, Layer: in.Layer,
 				Ins: ins, Outs: outs, Bytes: bytes,
-				Group: groupID, NumParts: k, SrcID: -1, PartAxis: int(axis),
+				NumParts: k,
 			}
 			ng.Emit(c)
 		}

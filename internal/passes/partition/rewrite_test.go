@@ -39,7 +39,7 @@ func refApply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 		for _, in := range g.Instrs[pos:r.Start] {
 			ng.Emit(in)
 		}
-		if err := refEmitPipeline(g, ng, r, i); err != nil {
+		if err := refEmitPipeline(g, ng, r); err != nil {
 			return nil, err
 		}
 		pos = r.End + 1
@@ -53,7 +53,7 @@ func refApply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 	return ng, nil
 }
 
-func refEmitPipeline(g, ng *ir.Graph, r *Range, groupID int) error {
+func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 	window := g.Instrs[r.Start : r.End+1]
 	k := r.K
 	produced := map[int]bool{}
@@ -115,8 +115,7 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range, groupID int) error {
 			ng.Emit(&ir.Instr{
 				Name: g.Tensor(t).Name + ".split", Op: ir.OpPartitionSplit,
 				Phase: ir.Forward, Layer: in.Layer,
-				Ins: []int{t}, Outs: ids(base), Bytes: bytes,
-				Group: groupID, NumParts: k, SrcID: -1, PartAxis: int(axis),
+				Ins: []int{t}, Outs: ids(base), Bytes: bytes, NumParts: k,
 			})
 		}
 	}
@@ -125,7 +124,7 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range, groupID int) error {
 		c := *in
 		c.FLOPs /= float64(k)
 		c.Bytes /= int64(k)
-		c.Group, c.PartIdx, c.NumParts, c.SrcID = groupID, ref.part, k, r.Start+ref.pos
+		c.PartIdx, c.NumParts = ref.part, k
 		c.Ins = slices.Clone(in.Ins)
 		for i, t := range in.Ins {
 			if r.Axes[t] == AxisNP {
@@ -141,7 +140,6 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range, groupID int) error {
 				return fmt.Errorf("no axis for tensor %%%d produced by %s", t, in.Name)
 			}
 			c.Outs[i] = base + ref.part
-			c.PartAxis = int(r.Axes[t])
 		}
 		ng.Emit(&c)
 	}
@@ -158,8 +156,7 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range, groupID int) error {
 			ng.Emit(&ir.Instr{
 				Name: g.Tensor(t).Name + ".reconstruct", Op: ir.OpReconstruct,
 				Phase: ir.Forward, Layer: in.Layer,
-				Ins: ids(partBase[t]), Outs: []int{t}, Bytes: bytes,
-				Group: groupID, NumParts: k, SrcID: -1, PartAxis: int(axis),
+				Ins: ids(partBase[t]), Outs: []int{t}, Bytes: bytes, NumParts: k,
 			})
 		}
 	}

@@ -9,11 +9,11 @@ import (
 
 // sharing checks that out shares input's instructions: every instruction
 // outside a pipeline is one of input's *ir.Instr, each at most once, and
-// every pipeline instruction is fresh. fresh reports whether an
-// instruction outside a pipeline may be a new one (FasterMoE's edited
-// payloads); it returns how many were. The shared instructions and the
-// distinct sources of the micro-instances must account for every input
-// instruction.
+// every pipeline instruction (one with NumParts set) is fresh. fresh
+// reports whether an instruction outside a pipeline may be a new one
+// (FasterMoE's edited payloads); it returns how many were. The shared
+// instructions and the sources of the micro-instances, one per partition
+// 0 instance, must account for every input instruction.
 func sharing(t *testing.T, name string, input, out *ir.Graph, fresh func(*ir.Instr) bool) int {
 	t.Helper()
 	pos := make(map[*ir.Instr]int, len(input.Instrs))
@@ -21,17 +21,16 @@ func sharing(t *testing.T, name string, input, out *ir.Graph, fresh func(*ir.Ins
 		pos[in] = i
 	}
 	seen := make(map[*ir.Instr]bool)
-	sources := make(map[int]bool)
-	edited := 0
+	sources, edited := 0, 0
 	for i, in := range out.Instrs {
 		_, shared := pos[in]
 		switch {
-		case in.Group >= 0:
+		case in.NumParts > 0:
 			if shared {
 				t.Errorf("%s: pipeline instruction @%d %s is the input's", name, i, in.Name)
 			}
-			if in.Op != ir.OpPartitionSplit && in.Op != ir.OpReconstruct {
-				sources[in.SrcID] = true
+			if in.PartIdx == 0 && in.Op != ir.OpPartitionSplit && in.Op != ir.OpReconstruct {
+				sources++
 			}
 		case shared:
 			if seen[in] {
@@ -44,9 +43,9 @@ func sharing(t *testing.T, name string, input, out *ir.Graph, fresh func(*ir.Ins
 			t.Errorf("%s: @%d %s is a copy of an unchanged instruction", name, i, in.Name)
 		}
 	}
-	if got := len(seen) + edited + len(sources); got != len(input.Instrs) {
+	if got := len(seen) + edited + sources; got != len(input.Instrs) {
 		t.Errorf("%s: %d shared, %d edited and %d partitioned instructions, input has %d",
-			name, len(seen), edited, len(sources), len(input.Instrs))
+			name, len(seen), edited, sources, len(input.Instrs))
 	}
 	return edited
 }
