@@ -594,12 +594,11 @@ func (m *Model) ValidateProfile(prof *netsim.RoutingProfile) error {
 }
 
 // InvalidateProfile drops the interpolation table of the routing profile
-// with the given content fingerprint. The drift loop (DESIGN.md §16) calls
-// this when a session's workload profile is replaced — the superseded
-// traffic shape will not be queried again, and a long-lived serving process
-// must not accumulate one table per drift step forever. Other profiles'
-// tables (and the uniform comm tables) are untouched, so concurrent
-// predictions for live profiles never observe an invalidation.
+// with the given content fingerprint. The serving path never calls it:
+// the registry's least-recently-used bound is what keeps a long-lived
+// process from accumulating one table per profile (DESIGN.md §16). Other
+// profiles' tables (and the uniform comm tables) are untouched, so
+// concurrent predictions for live profiles never observe an invalidation.
 func (m *Model) InvalidateProfile(fp uint64) { m.skewTabs.Delete(fp) }
 
 // AllToAllSkewedUs prices an all-to-all whose per-pair traffic follows the

@@ -17,7 +17,6 @@ type MoEHandles struct {
 	// Backward pass.
 	BwdGather, BwdCombineA2A, BwdExpertsDX, BwdExpertsDW, BwdDispatchA2A, BwdGate int
 
-	gateDW               int // instruction ID of the gate weight-gradient op
 	bwdExpDW1, bwdExpDW2 int // tensor IDs of the expert weight gradients
 }
 
@@ -620,7 +619,7 @@ func (bd *builder) emitMoEBackward(la *layerActs, dOut *ir.Tensor) (*ir.Tensor, 
 	})
 
 	dWgate := bd.grad(pfx+"dw_gate", h, e)
-	la.h.gateDW = g.Emit(&ir.Instr{
+	g.Emit(&ir.Instr{
 		Name: pfx + "gate", Op: ir.OpGate, Grad: ir.GradDW, Phase: ir.Backward, Layer: l,
 		Ins: []int{la.ln2Out.ID, dGateOut.ID, la.gateMeta.ID}, Outs: []int{dWgate.ID},
 		FLOPs: mmFLOPs(h, e, t),

@@ -34,8 +34,6 @@ import (
 // A Network is safe for concurrent use; hold one per cost model or session
 // rather than building one per replay.
 type Network struct {
-	Cluster hw.Cluster
-
 	g    int
 	tier []hw.Tier              // tier[src*g+dst]: path tier of each pair
 	bw   [hw.NumTiers][]float64 // bw[t][dev]: peak bytes/sec of dev on tier t
@@ -57,7 +55,7 @@ type drainScratch struct {
 //lancet:alloc-ok
 func New(c hw.Cluster) *Network {
 	g := c.TotalGPUs()
-	n := &Network{Cluster: c, g: g, tier: make([]hw.Tier, g*g)}
+	n := &Network{g: g, tier: make([]hw.Tier, g*g)}
 	for src := 0; src < g; src++ {
 		for dst := 0; dst < g; dst++ {
 			if src != dst {

@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -333,16 +334,15 @@ type Session struct {
 // the simulator about a configuration's dispatch traffic.
 type routingProfile struct {
 	devices int
-	tokens  int     // proxy tokens per device
-	counts  [][]int // aggregate send matrix [src][dst] in tokens
-	routed  int64   // the sum of counts: tokens routed in total
+	tokens  int   // proxy tokens per device
+	routed  int64 // tokens routed in total
 	// shares[m] is the fraction of the padded per-device payload
 	// micro-batch m of the split actually moves.
 	shares []float64
 	// hotExpertShare is the fraction of routed tokens on the single most
 	// popular expert (drives FasterMoE-style shadowing).
 	hotExpertShare float64
-	// net is the counts histogram packaged for the link-level pricing path
+	// net is the send matrix packaged for the link-level pricing path
 	// (cost.AllToAllSkewedUs, the partition DP, the simulator replay).
 	net *netsim.RoutingProfile
 }
@@ -469,19 +469,17 @@ func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 // snapshot on a fresh WithWorkload view, where the call supersedes nothing.
 // Plans computed before a swap keep the workload they were planned for;
 // replaying a stale plan under the new traffic is a re-plan with
-// Options.FixedPipelines set to its pipelines. A swap that supersedes
-// another fingerprint drops that fingerprint's skew table from the cost
-// model, shared with every view of the session, so a session swapped in
-// place does not accumulate one interpolation table per swap; a table is
-// a pure function of cluster and profile, so the drop costs a view that
-// still prices the old profile a rebuild, never a different price.
+// Options.FixedPipelines set to its pipelines. The swap validates p and
+// stores it, and writes nothing the session's views share. A session
+// swapped in place adds one skew table per profile to the cost model they
+// share, whose registry evicts its least recently used tables past a
+// fixed cap; a table is a pure function of cluster and profile, so one
+// kept past its swap changes no price.
 func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 	if err := s.costRAF.ValidateProfile(p); err != nil {
 		return err
 	}
-	if old := s.streamed.Swap(p); old != nil && (p == nil || p.Fingerprint() != old.Fingerprint()) {
-		s.costRAF.InvalidateProfile(old.Fingerprint())
-	}
+	s.streamed.Store(p)
 	return nil
 }
 
@@ -1048,11 +1046,13 @@ func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, er
 	return p, err
 }
 
-// run computes the proxy: the functional gate run on a scaled-down token
-// batch of the key's workload.
-func (key proxyKey) run() (*routingProfile, error) {
-	devices := key.devices
-	tokens := 256
+// proxyTokens is the routing proxy's batch: tokens per device.
+const proxyTokens = 256
+
+// route runs the key's gate functionally over a scaled-down token batch
+// of its workload.
+func (key proxyKey) route() (*moe.Stats, error) {
+	devices, tokens := key.devices, proxyTokens
 	experts := devices * key.expertsPerGPU
 	capacity := int(float64(tokens*key.gate.TopK()) / float64(experts) * key.capacityFactor)
 	if capacity < 1 {
@@ -1075,10 +1075,17 @@ func (key proxyKey) run() (*routingProfile, error) {
 		inputs = makeProxyInputs(devices, tokens, 16)
 	}
 	_, stats := layer.RouteOnly(inputs, gateFor(key.gate), key.k)
+	return stats, nil
+}
 
+// run computes the proxy from the gate's dispatch statistics.
+func (key proxyKey) run() (*routingProfile, error) {
+	stats, err := key.route()
+	if err != nil {
+		return nil, err
+	}
 	p := &routingProfile{
-		devices: devices, tokens: tokens,
-		counts:         stats.SendTokens,
+		devices: key.devices, tokens: proxyTokens,
 		hotExpertShare: stats.HottestExpertShare(),
 	}
 	for _, row := range stats.SendTokens {
@@ -1136,24 +1143,21 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 		}
 	}
 	capPer := float64(offered) * capacityFactor / float64(devices)
-	counts := make([][]int, devices)
-	routed := int64(0)
-	capped := false
-	for i, row := range counts64 {
-		counts[i] = make([]int, devices)
-		for j, v := range row {
-			d := float64(v)
-			if ingress[j] > capPer {
-				d = d * capPer / ingress[j]
-				capped = true
+	net, routed := wp, offered
+	if slices.ContainsFunc(ingress, func(in float64) bool { return in > capPer }) {
+		counts := make([][]int, devices)
+		routed = 0
+		for i, row := range counts64 {
+			counts[i] = make([]int, devices)
+			for j, v := range row {
+				d := float64(v)
+				if ingress[j] > capPer {
+					d = d * capPer / ingress[j]
+				}
+				counts[i][j] = int(math.Round(d))
+				routed += int64(counts[i][j])
 			}
-			c := int(math.Round(d))
-			counts[i][j] = c
-			routed += int64(c)
 		}
-	}
-	net := wp
-	if capped {
 		if np, err := netsim.ProfileFromCounts(counts); err == nil {
 			net = np
 		}
@@ -1173,7 +1177,6 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 	return &routingProfile{
 		devices:        devices,
 		tokens:         tokens,
-		counts:         counts,
 		routed:         routed,
 		shares:         shares,
 		hotExpertShare: net.MaxIngressShare(),

@@ -246,25 +246,58 @@ func TestRoutingProfileSaneAndCached(t *testing.T) {
 	if total > 1.0001 {
 		t.Errorf("micro shares sum to %v > 1", total)
 	}
-	routed := 0
-	for _, row := range p.counts {
+	// The proxy routes what its gate sends.
+	stats, err := proxyKey{devices: 16, expertsPerGPU: s.Config.ExpertsPerGPU, k: 4,
+		gate: s.Config.Gate, capacityFactor: s.Config.CapacityFactor}.route()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := int64(0)
+	for _, row := range stats.SendTokens {
 		for _, c := range row {
-			routed += c
+			routed += int64(c)
 		}
 	}
-	if routed == 0 || len(p.counts) != p.devices || int64(routed) != p.routed {
-		t.Errorf("profile incomplete: %+v", p)
+	if routed == 0 || len(stats.SendTokens) != p.devices || routed != p.routed {
+		t.Errorf("profile routes %d tokens on %d devices, its gate sends %d on %d",
+			p.routed, p.devices, routed, len(stats.SendTokens))
 	}
-	// A streamed profile's total is its capped send matrix's sum too.
-	sp := syntheticProfile(netsim.ZipfProfile(s.Cluster.TotalGPUs(), 1.2), 4, s.Config.CapacityFactor)
-	streamed := int64(0)
-	for _, row := range sp.counts {
-		for _, c := range row {
-			streamed += int64(c)
+	// A streamed profile routes its send matrix with every destination
+	// clipped at its capacity: Zipf 1.2 clips the hottest, a uniform
+	// profile none.
+	for _, c := range []struct {
+		wp      *netsim.RoutingProfile
+		clipped bool
+	}{
+		{netsim.ZipfProfile(16, 1.2), true},
+		{netsim.UniformProfile(16), false},
+	} {
+		counts := c.wp.Counts()
+		offered, ingress := int64(0), make([]float64, len(counts))
+		for _, row := range counts {
+			for j, v := range row {
+				offered += v
+				ingress[j] += float64(v)
+			}
 		}
-	}
-	if streamed == 0 || streamed != sp.routed {
-		t.Errorf("streamed profile routes %d tokens, its send matrix sums to %d", sp.routed, streamed)
+		capPer := float64(offered) * s.Config.CapacityFactor / float64(len(counts))
+		want, clipped := int64(0), false
+		for _, row := range counts {
+			for j, v := range row {
+				d := float64(v)
+				if ingress[j] > capPer {
+					d, clipped = d*capPer/ingress[j], true
+				}
+				want += int64(math.Round(d))
+			}
+		}
+		sp := syntheticProfile(c.wp, 4, s.Config.CapacityFactor)
+		if clipped != c.clipped || want == 0 || sp.routed != want {
+			t.Errorf("streamed profile routes %d tokens, its send matrix clipped (%v) sums to %d", sp.routed, clipped, want)
+		}
+		if (sp.net != c.wp) != clipped {
+			t.Errorf("streamed profile prices a new matrix %v, clipped %v", sp.net != c.wp, clipped)
+		}
 	}
 	p2, err := s.profile(nil, 4)
 	if err != nil {

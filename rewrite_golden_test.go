@@ -217,9 +217,9 @@ func writePrices(w hash.Hash, name string, p *lancet.Plan) error {
 // the Tutel and FasterMoE plans' PredictUs and Simulate(17) — by a SHA-256
 // per shape, so a pricing change that moves any of them by one bit fails
 // here. The streamed leg re-plans each model on 16×V100 under Zipf 1.4, hot
-// 0.6, then Zipf 1.4 again: each swap invalidates the superseded profile's
-// memoized prices (DESIGN.md §16), so the third plan must price exactly like
-// the first.
+// 0.6, then Zipf 1.4 again: a swap leaves the superseded profile's skew
+// table in the cost model the session shares (DESIGN.md §16), so the third
+// plan prices on the first plan's table and must price exactly like it.
 func TestPlanPricesGolden(t *testing.T) {
 	golden := map[goldenShape]string{
 		{"gpt2-s", "v100x16", "uniform"}:          "37c4e07f141a2c4faded971857cb8684c5538d8f3164f8565bbfdc03cd7b2126",
