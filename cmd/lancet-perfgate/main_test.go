@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -132,23 +131,25 @@ func TestReadFloors(t *testing.T) {
 	}
 }
 
-// TestRatchetListsNameEveryFloor checks that every place naming the
-// ratcheted benchmarks names exactly the ones perf_floor.txt floors: the
-// -bench regex of CI's Perf ratchet step, of perf_floor.txt's refresh
-// comment and of README's gate command, and the prose lists in README and
-// DESIGN.md §13. A floored benchmark missing from a regex fails the gate
-// as "not found in bench output"; one missing from a list misleads.
+// ratchetBench is the -bench flag of every command that runs the
+// ratcheted benchmarks: its regex is derived from perf_floor.txt's first
+// column, so the file is the only list of them.
+const ratchetBench = `-bench "$(awk '!/^#/ && NF {printf "%s%s$", s, $1; s="|"}' perf_floor.txt)"`
+
+// TestRatchetListsNameEveryFloor checks that every command running the
+// ratcheted benchmarks — CI's Perf ratchet step, perf_floor.txt's refresh
+// comment and README's gate command — derives its -bench regex from
+// perf_floor.txt over the whole module, that the derivation names exactly
+// the benchmarks the gate floors, and that no -bench literal in those
+// files lists benchmark names: a second list would drift from the file,
+// and a floored benchmark missing from a regex fails the gate as "not
+// found in bench output".
 func TestRatchetListsNameEveryFloor(t *testing.T) {
 	root := filepath.Join("..", "..")
 	floors, err := readFloors(filepath.Join(root, "perf_floor.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	for _, f := range floors {
-		want = append(want, f.name)
-	}
-	slices.Sort(want)
 	read := func(name string) string {
 		t.Helper()
 		data, err := os.ReadFile(filepath.Join(root, name))
@@ -157,66 +158,39 @@ func TestRatchetListsNameEveryFloor(t *testing.T) {
 		}
 		return string(data)
 	}
-	check := func(where string, got []string) {
-		t.Helper()
-		slices.Sort(got)
-		var missing, extra []string
-		for _, n := range want {
-			if !slices.Contains(got, n) {
-				missing = append(missing, n)
-			}
-		}
-		for _, n := range got {
-			if !slices.Contains(want, n) {
-				extra = append(extra, n)
-			}
-		}
-		if len(missing) > 0 || len(extra) > 0 || len(got) != len(want) {
-			t.Errorf("%s: missing floored %v, names unfloored %v (%d names, %d floors)",
-				where, missing, extra, len(got), len(want))
-		}
-	}
 	for _, name := range []string{".github/workflows/ci.yml", "perf_floor.txt", "README.md"} {
-		regexes := benchRegexes(read(name))
-		if len(regexes) != 1 {
-			t.Errorf("%s: %d quoted -bench regexes, want 1", name, len(regexes))
-			continue
+		text := read(name)
+		if n := strings.Count(text, ratchetBench); n != 1 {
+			t.Errorf("%s: %d -bench flags derived from perf_floor.txt, want 1", name, n)
 		}
-		var got []string
-		for _, alt := range strings.Split(regexes[0], "|") {
-			got = append(got, strings.TrimSuffix(alt, "$"))
+		_, after, _ := strings.Cut(text, ratchetBench)
+		if cmd, _, _ := strings.Cut(after, "|"); !strings.HasSuffix(strings.TrimSpace(cmd), " ./...") {
+			t.Errorf("%s: the command with the derived -bench flag does not run over ./...", name)
 		}
-		check(name+" -bench regex", got)
+		for _, flag := range benchFlag.FindAllString(text, -1) {
+			if benchName.MatchString(flag) {
+				t.Errorf("%s: %q lists benchmarks by name", name, flag)
+			}
+		}
 	}
-	for _, list := range []struct{ file, from, to string }{
-		{"README.md", "benchmark). CI runs", "feeds the"},
-		{"DESIGN.md", "**Ratchet policy.**", "layers each have one"},
-	} {
-		text := read(list.file)
-		i := strings.Index(text, list.from)
-		j := strings.Index(text[max(i, 0):], list.to)
-		if i < 0 || j < 0 {
-			t.Errorf("%s: no list between %q and %q", list.file, list.from, list.to)
-			continue
+	// What the awk program reads: the first field of every line that is
+	// neither a comment nor blank.
+	var derived, want []string
+	for _, line := range strings.Split(read("perf_floor.txt"), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && !strings.HasPrefix(line, "#") {
+			derived = append(derived, f[0]+"$")
 		}
-		check(list.file+" list", benchName.FindAllString(text[i:i+j], -1))
+	}
+	for _, f := range floors {
+		want = append(want, f.name+"$")
+	}
+	if got, want := strings.Join(derived, "|"), strings.Join(want, "|"); got != want {
+		t.Errorf("awk derives -bench %q from perf_floor.txt, the gate floors %q", got, want)
 	}
 }
 
 // benchName matches a benchmark function name.
 var benchName = regexp.MustCompile(`Benchmark[A-Za-z0-9]+`)
 
-// benchRegexes returns the single-quoted arguments of every -bench flag in
-// text.
-func benchRegexes(text string) []string {
-	var out []string
-	for {
-		_, after, ok := strings.Cut(text, "-bench '")
-		if !ok {
-			return out
-		}
-		re, rest, _ := strings.Cut(after, "'")
-		out = append(out, re)
-		text = rest
-	}
-}
+// benchFlag matches a -bench flag and the rest of its line.
+var benchFlag = regexp.MustCompile(`-bench[ =].*`)
