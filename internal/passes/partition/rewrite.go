@@ -17,8 +17,9 @@ import (
 // Reconstruct ops restore tensors the rest of the graph consumes
 // (Fig. 8b). The rewritten graph's program order is the execution schedule.
 // Ranges may come in any order (Tutel's interleave forward and backward
-// windows). The rewritten graph shares g's tensors and every instruction outside a pipeline
-// (DESIGN.md §2): only micro-instances and split/reconstruct ops are new.
+// windows). The rewritten graph shares g's tensors and every instruction
+// outside a pipeline (DESIGN.md §2): only micro-instances and
+// split/reconstruct ops are new.
 // The validation pass sizes the rewrite exactly, so everything new is
 // carved from one slab per kind the rewritten graph owns: piece tensors,
 // their shapes, instructions, operand lists, and one string every new
