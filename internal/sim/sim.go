@@ -316,24 +316,16 @@ func computeBreakdown(g *ir.Graph, spans []Span, sc *runScratch) Breakdown {
 type interval struct{ lo, hi float64 }
 
 // merge coalesces overlapping intervals into dst (reused backing storage).
-// Sorting is by lower bound; ties between equal lower bounds coalesce to
-// the same result regardless of their relative order, so the unstable sort
-// is deterministic in effect.
+// xs must be sorted by lower bound. computeBreakdown's are without a sort:
+// each stream issues in program order from a clock that never moves back,
+// so a stream's spans, and the all-to-alls among the comm stream's, start
+// in order.
 //
 //lancet:hotpath
 func merge(dst, xs []interval) []interval {
 	if len(xs) == 0 {
 		return dst[:0]
 	}
-	slices.SortFunc(xs, func(a, b interval) int {
-		switch {
-		case a.lo < b.lo:
-			return -1
-		case a.lo > b.lo:
-			return 1
-		}
-		return 0
-	})
 	out := append(dst[:0], xs[0])
 	for _, x := range xs[1:] {
 		last := &out[len(out)-1]

@@ -323,7 +323,7 @@ func TestBreakdownCategories(t *testing.T) {
 }
 
 func TestIntervalHelpers(t *testing.T) {
-	merged := merge(nil, []interval{{5, 7}, {1, 3}, {2, 4}})
+	merged := merge(nil, []interval{{1, 3}, {2, 4}, {5, 7}})
 	if len(merged) != 2 || merged[0].lo != 1 || merged[0].hi != 4 {
 		t.Errorf("merge = %v", merged)
 	}

@@ -324,6 +324,12 @@ type Session struct {
 	// workload (DESIGN.md §5).
 	tutel *tutelSearch
 
+	// schedules holds, per passKey, the graph the partition pass starts
+	// from when a plan prices on costRAF, computed by the first Lancet
+	// call that needs it and shared with every WithWorkload view: like the
+	// Tutel search, it does not depend on the workload (DESIGN.md §4).
+	schedules *[numPassKeys]onceValue[scheduled]
+
 	// streamed, when set via SetWorkloadProfile, replaces the parametric
 	// gate-proxy workload entirely: plans planned while it is installed
 	// price and replay this streamed traffic shape (DESIGN.md §16).
@@ -361,11 +367,12 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		Config:  cfg,
-		Cluster: cluster,
-		Built:   b,
-		costRAF: cost.NewModel(cluster),
-		tutel:   new(tutelSearch),
+		Config:    cfg,
+		Cluster:   cluster,
+		Built:     b,
+		costRAF:   cost.NewModel(cluster),
+		tutel:     new(tutelSearch),
+		schedules: new([numPassKeys]onceValue[scheduled]),
 	}, nil
 }
 
@@ -378,7 +385,12 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 // (DESIGN.md §7, §9). It also shares the Tutel degree search: the first
 // Baseline(FrameworkTutel) call on the session or any of its views runs
 // it, and every later one, on any of them, reuses its outcome (DESIGN.md
-// §5). Setting both workload knobs is an error at plan time,
+// §5). It shares the dW schedule the same way: the first Lancet call per
+// combination of PrioritizeAllToAll, DisableDWSchedule and DWFirstFit
+// runs those passes, and every later one that prices on the session's
+// cost model starts its partition pass from their graph, so its
+// Plan.OptimizeTime no longer includes them (DESIGN.md §4). Setting both
+// workload knobs is an error at plan time,
 // as for any session. A view starts without a streamed profile, so its
 // first SetWorkloadProfile supersedes nothing and invalidates nothing in
 // the shared cost model: the serving layer plans each drift re-plan's
@@ -393,6 +405,7 @@ func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
 		WorkloadHotExpert: hotExpert,
 		costRAF:           s.costRAF,
 		tutel:             s.tutel,
+		schedules:         s.schedules,
 	}
 }
 
@@ -411,7 +424,9 @@ type Plan struct {
 	// OptimizeTime is the wall-clock time the optimization passes took
 	// (paper Fig. 15). A Tutel plan times the session's degree search on
 	// the call that ran it and the rewrite of the chosen degree on every
-	// later call.
+	// later call. A Lancet plan times the dW schedule only on the call
+	// that ran it for its options (see WithWorkload); Fig. 15 plans each
+	// configuration on a fresh session, so its column times both passes.
 	OptimizeTime time.Duration
 	// DWOverlapUs is the predicted all-to-all time covered by scheduled
 	// weight-gradient computation.
@@ -492,16 +507,27 @@ func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
 // destinations — which is the shape planning prices and simulation
 // replays.
 func (s *Session) RoutingProfile() (*netsim.RoutingProfile, error) {
-	prof, _, err := s.routingContext(s.streamed.Load())
+	prof, _, err := s.routingContext(s.streamedProfile())
 	return prof, err
 }
 
+// streamedProfile packages the installed streamed profile with
+// syntheticProfile, or returns nil when none is installed. A Lancet plan
+// calls it once and derives every partition count's statistics from it.
+func (s *Session) streamedProfile() *routingProfile {
+	wp := s.streamed.Load()
+	if wp == nil {
+		return nil
+	}
+	return syntheticProfile(wp, s.Config.CapacityFactor)
+}
+
 // routingContext returns the routing profile of the workload — the
-// streamed profile wp, or the parametric one when wp is nil — plus the
-// fraction of the padded all-to-all payload it actually routes: the two
-// inputs the partition DP needs to price all-to-alls the way the simulator
-// will replay them. Balanced workloads return (nil, 1).
-func (s *Session) routingContext(wp *netsim.RoutingProfile) (*netsim.RoutingProfile, float64, error) {
+// packaged streamed profile wp, or the parametric one when wp is nil —
+// plus the fraction of the padded all-to-all payload it actually routes:
+// the two inputs the partition DP needs to price all-to-alls the way the
+// simulator will replay them. Balanced workloads return (nil, 1).
+func (s *Session) routingContext(wp *routingProfile) (*netsim.RoutingProfile, float64, error) {
 	if wp == nil && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
 		return nil, 1, nil
 	}
@@ -521,13 +547,12 @@ func (s *Session) routingContext(wp *netsim.RoutingProfile) (*netsim.RoutingProf
 // SetWorkloadProfile changes none of its outputs.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
 	start := time.Now()
-	g := s.Built.Graph
 	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.costRAF}
 
 	// The passes price view with planCost; simulation (plan.costs) always
 	// replays reality. The two differ only under Options.View, whose view
 	// gets a cost model of its own unless it keeps the real cluster.
-	wp := s.streamed.Load()
+	wp := s.streamedProfile()
 	prof, frac, err := s.routingContext(wp)
 	if err != nil {
 		return nil, fmt.Errorf("lancet: routing profile: %w", err)
@@ -546,26 +571,12 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 		}
 	}
 
-	if opts.PrioritizeAllToAll {
-		res, err := commprio.Run(g)
-		if err != nil {
-			return nil, fmt.Errorf("lancet: comm priority pass: %w", err)
-		}
-		g = res.Graph
+	sched, err := s.schedule(opts.passKey(), planCost)
+	if err != nil {
+		return nil, err
 	}
-
-	if !opts.DisableDWSchedule {
-		strat := dwsched.BestFit
-		if opts.DWFirstFit {
-			strat = dwsched.FirstFit
-		}
-		res, err := dwsched.Run(g, planCost, dwsched.Options{Strategy: strat})
-		if err != nil {
-			return nil, fmt.Errorf("lancet: dW schedule pass: %w", err)
-		}
-		g = res.Graph
-		plan.DWOverlapUs = res.OverlappedUs
-	}
+	g := sched.graph
+	plan.DWOverlapUs = sched.dwOverlapUs
 
 	if !opts.DisablePartition {
 		popts := partition.Options{
@@ -624,6 +635,78 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 	plan.OptimizeTime = time.Since(start)
 	plan.OOM = !s.Built.FitsMemory(model.MemoryCompiled)
 	return plan, nil
+}
+
+// passKey packs what the routing-free passes read of Options, one bit
+// each; it numbers a session's schedules.
+type passKey uint8
+
+const (
+	passPrioritize passKey = 1 << iota // Options.PrioritizeAllToAll
+	passSkipDW                         // Options.DisableDWSchedule
+	passFirstFit                       // Options.DWFirstFit
+
+	numPassKeys = 8
+)
+
+func (o Options) passKey() passKey {
+	var k passKey
+	if o.PrioritizeAllToAll {
+		k |= passPrioritize
+	}
+	if o.DisableDWSchedule {
+		k |= passSkipDW
+	}
+	if o.DWFirstFit {
+		k |= passFirstFit
+	}
+	return k
+}
+
+// scheduled is the graph the partition pass starts from and the
+// all-to-all time its dW schedule covers.
+type scheduled struct {
+	graph       *ir.Graph
+	dwOverlapUs float64
+}
+
+// dwRun runs the dW schedule pass; tests wrap it to count pass runs.
+var dwRun = dwsched.Run
+
+// schedule returns the graph the partition pass starts from under key,
+// priced on cm. The passes read the built graph, cm and key, never the
+// workload, so on the session's own model their outcome is computed once
+// per key and shared by every view (DESIGN.md §4); a model of the plan's
+// own, under a View with another cluster, runs them per call.
+func (s *Session) schedule(key passKey, cm *cost.Model) (scheduled, error) {
+	if cm != s.costRAF {
+		return runPasses(s.Built.Graph, cm, key)
+	}
+	return s.schedules[key].get(func() (scheduled, error) { return runPasses(s.Built.Graph, cm, key) })
+}
+
+// runPasses runs the passes key selects on g, pricing on cm: the
+// all-to-all prioritization, then the dW schedule.
+func runPasses(g *ir.Graph, cm *cost.Model, key passKey) (scheduled, error) {
+	if key&passPrioritize != 0 {
+		res, err := commprio.Run(g)
+		if err != nil {
+			return scheduled{}, fmt.Errorf("lancet: comm priority pass: %w", err)
+		}
+		g = res.Graph
+	}
+	if key&passSkipDW != 0 {
+		return scheduled{graph: g}, nil
+	}
+	strat := dwsched.BestFit
+	if key&passFirstFit != 0 {
+		strat = dwsched.FirstFit
+	}
+	res, err := dwRun(g, cm, dwsched.Options{Strategy: strat})
+	if err != nil {
+		return scheduled{}, fmt.Errorf("lancet: dW schedule pass: %w", err)
+	}
+	return scheduled{res.Graph, res.OverlappedUs}, nil
 }
 
 // partitionFits reports whether the chosen pipelines' staging buffers
@@ -695,7 +778,7 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 		}
 		plan.Graph, plan.TutelDegree, plan.costs = g, degree, cm
 	case FrameworkFasterMoE:
-		prof, err := s.profile(s.streamed.Load(), 1)
+		prof, err := s.profile(s.streamedProfile(), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -719,59 +802,80 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 // rewrites of the chosen degree, every bucket of which the search already
 // memoized, so later plans price exactly like the search's (DESIGN.md §5).
 type tutelSearch struct {
-	once      sync.Once
-	done      bool // the search returned; unset after a panic
-	recovered any  // what a panicking search panicked with, re-raised by every call
-	err       error
-	degree    int
-	costs     *cost.Model
+	onceValue[tutelChoice]
+}
+
+// tutelChoice is what a successful search keeps.
+type tutelChoice struct {
+	degree int
+	costs  *cost.Model
 }
 
 // plan returns the Tutel plan's graph, overlap degree and cost model,
-// running the search on the first call. That call returns the graph the
-// search chose; every later one rewrites the chosen degree again.
+// running the search on the first call. The search prices every
+// candidate degree on a model derived from base and keeps the degree and
+// the model, or the error, never half of them. The call that ran it
+// returns the graph the search chose; every later one rewrites the chosen
+// degree again.
 func (t *tutelSearch) plan(b *model.Built, base *cost.Model) (*ir.Graph, int, *cost.Model, error) {
 	var g *ir.Graph
-	t.once.Do(func() { g = t.search(b, base) })
-	if !t.done {
-		panic(t.recovered)
-	}
-	if t.err != nil {
-		return nil, 0, nil, t.err
+	c, err := t.get(func() (tutelChoice, error) {
+		cm := base.WithComputeScale(baselines.Tutel.ComputeScale)
+		ex := &sim.Executor{Cost: cm, Predict: true}
+		chosen, degree, err := baselines.BestTutelPlan(b, func(g *ir.Graph) (float64, error) {
+			tl, err := ex.Run(g)
+			if err != nil {
+				return 0, err
+			}
+			return tl.TotalUs, nil
+		})
+		if err != nil {
+			return tutelChoice{}, err
+		}
+		g = chosen
+		return tutelChoice{degree, cm}, nil
+	})
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	if g == nil {
-		var err error
-		if g, err = baselines.TutelPlan(b, t.degree); err != nil {
+		if g, err = baselines.TutelPlan(b, c.degree); err != nil {
 			return nil, 0, nil, err
 		}
 	}
-	return g, t.degree, t.costs, nil
+	return g, c.degree, c.costs, nil
 }
 
-// search prices every candidate degree on a model derived from base and
-// records the outcome: the degree and model, or the error, never half of
-// them. A panic is recorded before it propagates.
-func (t *tutelSearch) search(b *model.Built, base *cost.Model) *ir.Graph {
-	defer func() {
-		if !t.done {
-			t.recovered = recover()
-			panic(t.recovered)
-		}
-	}()
-	cm := base.WithComputeScale(baselines.Tutel.ComputeScale)
-	ex := &sim.Executor{Cost: cm, Predict: true}
-	g, degree, err := baselines.BestTutelPlan(b, func(g *ir.Graph) (float64, error) {
-		tl, err := ex.Run(g)
-		if err != nil {
-			return 0, err
-		}
-		return tl.TotalUs, nil
+// onceValue runs a computation once and gives every call its outcome:
+// the value and error it returned or, if it panicked, the same panic,
+// like sync.OnceValues. It is a plain value rather than a closure, so a
+// session allocates its memos in one piece.
+type onceValue[T any] struct {
+	once      sync.Once
+	done      bool // the computation returned; unset after a panic
+	recovered any  // what a panicking computation panicked with
+	val       T
+	err       error
+}
+
+// get runs f on the first call and returns its outcome on every call. A
+// panic is recorded before it propagates, and every later call re-raises
+// it.
+func (o *onceValue[T]) get(f func() (T, error)) (T, error) {
+	o.once.Do(func() {
+		defer func() {
+			if !o.done {
+				o.recovered = recover()
+				panic(o.recovered)
+			}
+		}()
+		o.val, o.err = f()
+		o.done = true
 	})
-	if err == nil {
-		t.degree, t.costs = degree, cm
+	if !o.done {
+		panic(o.recovered)
 	}
-	t.err, t.done = err, true
-	return g
+	return o.val, o.err
 }
 
 // PredictUs returns the optimizer-visible iteration time estimate (cached
@@ -909,8 +1013,9 @@ func (p *Plan) executor(seed int64) (sim.Executor, error) {
 }
 
 // irregularOverrides derives per-all-to-all actual payloads of graph g
-// under the workload wp (nil: the parametric one) from a functional
-// routing run: micro-partition m of a k-way split carries the tokens its
+// under the workload wp (the packaged streamed profile, nil: the
+// parametric one) from a functional routing run, or from wp's even split:
+// micro-partition m of a k-way split carries the tokens its
 // micro-batch actually routed (paper Fig. 5c), and even unpartitioned
 // all-to-alls shed their zero padding (Fig. 10). Balanced workloads are
 // priced by payload; skewed workloads additionally price the routing
@@ -918,7 +1023,7 @@ func (p *Plan) executor(seed int64) (sim.Executor, error) {
 // the cost model's AllToAllSkewedUs, which interpolates the profile's skew
 // table, built once per session and profile — where the hot expert's
 // device bounds completion (DESIGN.md §10).
-func (s *Session) irregularOverrides(g *ir.Graph, wp *netsim.RoutingProfile) (a2aOverrides, error) {
+func (s *Session) irregularOverrides(g *ir.Graph, wp *routingProfile) (a2aOverrides, error) {
 	ov := a2aOverrides{bytes: make(map[int]int64)}
 	profiles := make(map[int]*routingProfile) // per-k dispatch statistics
 	perTokenBytes := int64(s.Config.Hidden) * s.Config.DType.Size()
@@ -1020,17 +1125,18 @@ var proxyCache = cache.New[proxyKey, *routingProfile](proxyMemoCap)
 var proxyRun = proxyKey.run
 
 // profile returns the dispatch statistics of the workload split into k
-// micro-batches: the streamed profile wp packaged by syntheticProfile or,
-// when wp is nil, the functional gate run on a scaled-down token batch of
-// the parametric workload (the routing distribution depends on token and
-// expert counts, not hidden width), memoized process-wide.
-func (s *Session) profile(wp *netsim.RoutingProfile, k int) (*routingProfile, error) {
+// micro-batches: the even split of wp, a streamed profile packaged by
+// syntheticProfile, or, when wp is nil, the functional gate run on a
+// scaled-down token batch of the parametric workload (the routing
+// distribution depends on token and expert counts, not hidden width),
+// memoized process-wide.
+func (s *Session) profile(wp *routingProfile, k int) (*routingProfile, error) {
 	if s.WorkloadSkew > 0 && s.WorkloadHotExpert > 0 {
 		return nil, fmt.Errorf("lancet: WorkloadSkew (%g) and WorkloadHotExpert (%g) are exclusive; set at most one",
 			s.WorkloadSkew, s.WorkloadHotExpert)
 	}
 	if wp != nil {
-		return syntheticProfile(wp, k, s.Config.CapacityFactor), nil
+		return wp.evenSplit(k), nil
 	}
 	devices := s.Cluster.TotalGPUs()
 	if devices > 16 && s.WorkloadSkew <= 0 && s.WorkloadHotExpert <= 0 {
@@ -1111,13 +1217,14 @@ func (key proxyKey) run() (*routingProfile, error) {
 	return p, nil
 }
 
-// syntheticProfile packages a streamed routing profile as the per-k
-// dispatch statistics the planner and simulator consume. The streamed
-// histogram carries no micro-batch structure, so a k-way split is modeled
-// as k equal shares of the delivered payload each moving the same traffic
-// shape; tokens is the histogram's per-device mean, which makes the replay
-// scale in irregularOverrides resolve to the session's full per-GPU token
-// budget (capped at the padded cost, as always).
+// syntheticProfile packages a streamed routing profile as the dispatch
+// statistics the planner and simulator consume, for one micro-batch. The
+// streamed histogram carries no micro-batch structure, so a k-way split is
+// modeled as k equal shares of the delivered payload each moving the same
+// traffic shape (evenSplit); tokens is the histogram's per-device mean,
+// which makes the replay scale in irregularOverrides resolve to the
+// session's full per-GPU token budget (capped at the padded cost, as
+// always).
 //
 // Capacity applies to streamed traffic exactly as the functional gate
 // applies it to proxied batches: each destination absorbs at most its
@@ -1128,7 +1235,7 @@ func (key proxyKey) run() (*routingProfile, error) {
 // RouteOnly reports for a skewed batch — which is what lets the partition
 // DP price a drifted profile below the padded ceiling and choose a
 // different plan for it.
-func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) *routingProfile {
+func syntheticProfile(wp *netsim.RoutingProfile, capacityFactor float64) *routingProfile {
 	if capacityFactor <= 0 {
 		capacityFactor = 1
 	}
@@ -1167,21 +1274,30 @@ func syntheticProfile(wp *netsim.RoutingProfile, k int, capacityFactor float64) 
 		tokens = 1
 	}
 	// The padded exchange carries capacityFactor times the offered volume;
-	// shares are the delivered fraction of it, split evenly across the k
-	// micro-batches.
-	share := float64(routed) / (float64(offered) * capacityFactor)
-	shares := make([]float64, k)
-	for i := range shares {
-		shares[i] = share / float64(k)
-	}
+	// the one share is the delivered fraction of it.
 	return &routingProfile{
 		devices:        devices,
 		tokens:         tokens,
 		routed:         routed,
-		shares:         shares,
+		shares:         []float64{float64(routed) / (float64(offered) * capacityFactor)},
 		hotExpertShare: net.MaxIngressShare(),
 		net:            net,
 	}
+}
+
+// evenSplit returns the statistics of p, a one-micro-batch profile from
+// syntheticProfile, split into k micro-batches that each carry an equal
+// share of its payload.
+func (p *routingProfile) evenSplit(k int) *routingProfile {
+	if k == 1 {
+		return p
+	}
+	q := *p
+	q.shares = make([]float64, k)
+	for i := range q.shares {
+		q.shares[i] = p.shares[0] / float64(k)
+	}
+	return &q
 }
 
 // makeProxyInputs builds deterministic token batches for the routing proxy.

@@ -291,7 +291,7 @@ func TestRoutingProfileSaneAndCached(t *testing.T) {
 				want += int64(math.Round(d))
 			}
 		}
-		sp := syntheticProfile(c.wp, 4, s.Config.CapacityFactor)
+		sp := syntheticProfile(c.wp, s.Config.CapacityFactor)
 		if clipped != c.clipped || want == 0 || sp.routed != want {
 			t.Errorf("streamed profile routes %d tokens, its send matrix clipped (%v) sums to %d", sp.routed, clipped, want)
 		}

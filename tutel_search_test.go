@@ -145,7 +145,7 @@ func TestTutelSearchMatchesUncachedSearch(t *testing.T) {
 						want.degree, want.predict, *want.report, want.oom)
 				}
 			}
-			if kept := base.tutel.costs.Stats().Misses; kept != searched {
+			if kept := base.tutel.val.costs.Stats().Misses; kept != searched {
 				t.Errorf("%s %s: the kept model took %d memo misses, the search %d", name, fleet.name, kept, searched)
 			}
 		}
@@ -179,8 +179,8 @@ func TestTutelSearchFailureIsSticky(t *testing.T) {
 			t.Errorf("call %d: error %v, first call %v", i, err, first)
 		}
 	}
-	if s.tutel.degree != 0 || s.tutel.costs != nil {
-		t.Errorf("failed search kept degree %d, model %v", s.tutel.degree, s.tutel.costs)
+	if s.tutel.val.degree != 0 || s.tutel.val.costs != nil {
+		t.Errorf("failed search kept degree %d, model %v", s.tutel.val.degree, s.tutel.val.costs)
 	}
 
 	search := new(tutelSearch)
@@ -193,7 +193,7 @@ func TestTutelSearchFailureIsSticky(t *testing.T) {
 	if p1 == nil || fmt.Sprint(p1) != fmt.Sprint(p2) {
 		t.Errorf("search panics %v, then %v", p1, p2)
 	}
-	if search.done || search.degree != 0 || search.costs != nil {
-		t.Errorf("panicked search left done %v, degree %d, model %v", search.done, search.degree, search.costs)
+	if search.done || search.val.degree != 0 || search.val.costs != nil {
+		t.Errorf("panicked search left done %v, degree %d, model %v", search.done, search.val.degree, search.val.costs)
 	}
 }

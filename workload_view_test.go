@@ -37,11 +37,13 @@ func driftAlpha(chain, step int) float64 {
 // of one session share its cost model, whose op-profile memo keeps the
 // first value priced in each half-octave FLOPs/bytes bucket, so a plan
 // could depend on what the shared session priced before it. On each of the
-// 15 plan-cold model × fleet pairs, three seeded shuffles of 3 routings × 6
+// 15 plan-cold model × fleet pairs, three seeded shuffles of 3 routings × 7
 // option sets plan on views of one fresh session, interleaved with a Tutel
 // baseline per routing, whose degree search the views share (DESIGN.md
-// §5), and every service.Compute result must equal, byte for byte, the
-// same computation on a session of its own. On the 16×V100, 32×A100 and oversubscribed
+// §5). The views also share the schedule memo (DESIGN.md §4), and the
+// option sets set each option it is keyed by. Every service.Compute
+// result must equal, byte for byte, the same computation on a session of
+// its own. On the 16×V100, 32×A100 and oversubscribed
 // 32×V100 fleets, each shuffle also interleaves four drift chains, one per
 // option set in driftChainOptions: five re-plans, each on a fresh view
 // with a streamed Zipf profile installed, as the service's drift loop
@@ -57,6 +59,7 @@ func TestPlansIgnoreSharedSessionHistory(t *testing.T) {
 		{DisableDWSchedule: true},
 		{PrioritizeAllToAll: true},
 		{MaxRangeGroups: 3},
+		{DWFirstFit: true},
 	}
 	driftChainOptions := optionSets[:4]
 	const chainSteps = 5
