@@ -34,14 +34,7 @@ import (
 	"lancet/internal/netsim"
 )
 
-// cacheShards stripes the op-profile memo so concurrent predictions from
-// parallel experiments or passes rarely contend on the same lock.
-const (
-	cacheShardBits = 5
-	cacheShards    = 1 << cacheShardBits
-)
-
-// shard is one lock-striped slice of a memoization map.
+// shard is a mutex-guarded memoization map.
 type shard[K comparable] struct {
 	mu sync.Mutex
 	m  map[K]float64
@@ -65,7 +58,7 @@ func (s *shard[K]) put(k K, v float64) {
 }
 
 // Model prices instructions on a given cluster. It is safe for concurrent
-// use: the op-profile memo is mutex-striped, so parallel experiments
+// use: the op-profile memo is read without a lock, so parallel experiments
 // sharing a model shape scale across cores. It memoizes only what costs
 // more to compute than to look up (DESIGN.md §3): op profiles, skew tables
 // and uniform replays. Communication predictions interpolate the profiled
@@ -85,7 +78,11 @@ type Model struct {
 	// model with its own memo.
 	computeScale float64
 
-	profiles [cacheShards]shard[profileKey]
+	// profiles is the op-profile memo (DESIGN.md §3): lookups load the
+	// current table and read it without a lock; misses insert under
+	// profilesMu, which also serializes growth.
+	profiles   atomic.Pointer[profileTable]
+	profilesMu sync.Mutex
 
 	// net is the persistent link-level simulator for the cluster: its
 	// pair-tier index and drain arenas are built once and shared by every
@@ -171,14 +168,88 @@ func (k profileKey) grad() ir.GradKind { return ir.GradKind(int16(k.word >> 16))
 func (k profileKey) bytes() int64      { return int64(uint8(k.word >> 8)) }
 func (k profileKey) flops() int64      { return int64(uint8(k.word)) }
 
-// shard picks the key's memo shard by one multiply-shift (Fibonacci
-// hashing) of the packed word with the two ints folded into its unused
-// bits.
+// hash is one multiply (Fibonacci hashing) of the packed word with the
+// two ints folded into its unused bits; a table indexes by its top bits.
 //
 //lancet:hotpath
-func (k profileKey) shard() uint64 {
+func (k profileKey) hash() uint64 {
 	h := k.word ^ uint64(k.numParts)<<20 ^ uint64(k.devices)<<40
-	return h * 0x9e3779b97f4a7c15 >> (64 - cacheShardBits)
+	return h * 0x9e3779b97f4a7c15
+}
+
+// profileTable is one generation of the op-profile memo: open addressing
+// with linear probing over a power-of-two slot array, grown before it is
+// half full. A slot is written once, under Model.profilesMu, and then
+// published by its full flag, so a reader that sees the flag set reads
+// the key and price that were stored before it. Entries never change or
+// move within a table; growth copies them into a new table and publishes
+// that one, and a reader still probing the old table finds every entry
+// it held.
+type profileTable struct {
+	slots []profileSlot
+	shift uint // 64 - log2(len(slots)): hash >> shift is the home slot
+	used  int  // slots filled; read and written under Model.profilesMu
+}
+
+type profileSlot struct {
+	key   profileKey
+	price float64
+	full  atomic.Bool
+}
+
+// profileTableBits sizes a model's first table: 256 slots hold 128
+// profiles, and one growth holds the 130–160 a planning session prices.
+const profileTableBits = 8
+
+func newProfileTable(bits uint) *profileTable {
+	return &profileTable{slots: make([]profileSlot, 1<<bits), shift: 64 - bits}
+}
+
+// lookup returns the price stored under k, without a lock. A miss is
+// final only for this table: an insert may since have published k in a
+// grown one.
+//
+//lancet:hotpath
+func (t *profileTable) lookup(k profileKey) (float64, bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i := k.hash() >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if !s.full.Load() {
+			return 0, false
+		}
+		if s.key == k {
+			return s.price, true
+		}
+	}
+}
+
+// insert stores price under k, which the table does not hold, and
+// publishes it. The caller holds Model.profilesMu and has left room.
+func (t *profileTable) insert(k profileKey, price float64) {
+	mask := uint64(len(t.slots) - 1)
+	i := k.hash() >> t.shift
+	for t.slots[i].full.Load() {
+		i = (i + 1) & mask
+	}
+	s := &t.slots[i]
+	s.key, s.price = k, price
+	s.full.Store(true)
+	t.used++
+}
+
+// grown returns a table of twice t's size holding t's entries (a first
+// table when t is nil). The caller holds Model.profilesMu.
+func (t *profileTable) grown() *profileTable {
+	if t == nil {
+		return newProfileTable(profileTableBits)
+	}
+	g := newProfileTable(64 - t.shift + 1)
+	for i := range t.slots {
+		if s := &t.slots[i]; s.full.Load() {
+			g.insert(s.key, s.price)
+		}
+	}
+	return g
 }
 
 // fnvMix folds int64 fields into an FNV-1a hash.
@@ -513,18 +584,39 @@ func (m *Model) PredictInstr(in *ir.Instr) float64 {
 		return m.PredictComm(in.Op, in.Bytes, in.CommDevices)
 	}
 	key := newProfileKey(in)
-	s := &m.profiles[key.shard()]
-	if t, ok := s.get(key); ok {
-		m.hits.Add(1)
-		return t
+	if tab := m.profiles.Load(); tab != nil {
+		if t, ok := tab.lookup(key); ok {
+			m.hits.Add(1)
+			return t
+		}
+	}
+	return m.profile(key, in)
+}
+
+// profile is PredictInstr's miss path. Under the insert mutex it probes
+// the current table again and returns the price found there, counted as
+// a hit, or takes the profile and publishes it: the first insert of a key
+// wins, so every caller gets one price per key even when first
+// predictions of shapes that share its bucket race.
+func (m *Model) profile(key profileKey, in *ir.Instr) float64 {
+	m.profilesMu.Lock()
+	defer m.profilesMu.Unlock()
+	tab := m.profiles.Load()
+	if tab != nil {
+		if t, ok := tab.lookup(key); ok {
+			m.hits.Add(1)
+			return t
+		}
+	}
+	if tab == nil || 2*(tab.used+1) > len(tab.slots) {
+		tab = tab.grown()
+		m.profiles.Store(tab)
 	}
 	// A single profiling measurement of the ground truth. Real profiling
 	// observes one noisy sample; we reproduce that with a deterministic
-	// per-shape perturbation of up to +-1.5%. Concurrent first predictions
-	// of the same shape compute the same deterministic value, so a racing
-	// double-put is harmless.
+	// per-shape perturbation of up to +-1.5%.
 	t := m.GroundComputeUs(in) * (1 + measurementNoise(key))
-	s.put(key, t)
+	tab.insert(key, t)
 	m.misses.Add(1)
 	m.profiled.Add(1)
 	return t

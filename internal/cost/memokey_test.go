@@ -3,6 +3,7 @@ package cost
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,6 +21,10 @@ type refProfileKey struct {
 	devices  int
 	numParts int
 }
+
+// cacheShards stripes the reference memo like the mutex-guarded maps the
+// op-profile table replaced.
+const cacheShards = 32
 
 // refMemo is the reference op-profile memo: the 48-byte key, a shard
 // picked by FNV-1a over its six fields, and the same counters. Its prices
@@ -115,6 +120,71 @@ func TestProfileKeyMatchesReference(t *testing.T) {
 		if s.Hits == 0 || s.Misses < 1000 {
 			t.Errorf("%s: the stream must both hit and miss often: %+v", c.Name, s)
 		}
+	}
+}
+
+// Racing first predictions get one price per key: eight goroutines price
+// one seeded stream in the same order on a fresh model whose table grows
+// from empty several times meanwhile, so they race for every first
+// insert. The odd goroutines price a twin of each instruction, two more
+// kernels of the same work: the same key at another price, so a racing
+// overwrite would show. Every goroutine must see one price per key, all
+// goroutines the same one, and the counters must sum to the lookups with
+// one profile per key.
+func TestProfileTableRacesToOnePrice(t *testing.T) {
+	m := NewModel(hw.V100Cluster(2))
+	stream := computeStream(2, 20000)
+	twins := make([]*ir.Instr, len(stream))
+	keys, split := make(map[profileKey]bool), 0
+	for i, in := range stream {
+		tw := *in
+		tw.Kernels += 2
+		twins[i] = &tw
+		keys[newProfileKey(in)] = true
+		if m.GroundComputeUs(in) != m.GroundComputeUs(&tw) {
+			split++
+		}
+	}
+	if split < len(stream)/2 || len(keys) < 4<<profileTableBits {
+		t.Fatalf("%d keys, %d of %d twins priced apart: the stream must grow the table and split keys", len(keys), split, len(stream))
+	}
+	const workers = 8
+	seen := make([]map[profileKey]float64, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range workers {
+		ins := stream
+		if w%2 == 1 {
+			ins = twins
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prices := make(map[profileKey]float64)
+			<-start
+			for _, in := range ins {
+				k, p := newProfileKey(in), m.PredictInstr(in)
+				if q, ok := prices[k]; ok && math.Float64bits(q) != math.Float64bits(p) {
+					t.Errorf("goroutine %d: key %+v priced %v, then %v", w, k, q, p)
+					return
+				}
+				prices[k] = p
+			}
+			seen[w] = prices
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for k, p := range seen[w] {
+			if q := seen[0][k]; math.Float64bits(q) != math.Float64bits(p) {
+				t.Fatalf("key %+v: goroutine 0 saw %v, goroutine %d %v", k, q, w, p)
+			}
+		}
+	}
+	s := m.Stats()
+	if s.Hits+s.Misses != workers*int64(len(stream)) || s.Misses != int64(len(keys)) || s.ProfiledOps != s.Misses {
+		t.Errorf("counters %+v over %d lookups of %d keys", s, workers*len(stream), len(keys))
 	}
 }
 

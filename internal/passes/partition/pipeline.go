@@ -41,23 +41,22 @@ func a2aProfiledUs(in *ir.Instr, k int, pr cost.A2APricer, frac float64) float64
 // or, under a routing profile, the skew interpolation table at C/n with
 // the same traffic shape); compute ops are re-profiled at 1/k of their
 // work, which captures kernel launch overhead and SM under-utilization of
-// small kernels. tmp is caller-owned scratch for the micro-partition
-// instruction, so the hot loop allocates no copies; the cost model only
-// reads its scalar fields.
+// small kernels. The micro-partition is a stack copy: the cost model
+// only reads its scalar fields, and its argument does not escape.
 //
 //lancet:hotpath
-func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac float64, tmp *ir.Instr) float64 {
+func instanceDur(cm *cost.Model, in *ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
 	if in.Op == ir.OpAllToAll {
 		if pr.Profiled() {
 			return a2aProfiledUs(in, k, pr, frac)
 		}
 		return pr.PartitionedUs(in.Bytes, in.CommDevices, k)
 	}
-	*tmp = *in
-	tmp.FLOPs /= float64(k)
-	tmp.Bytes /= int64(k)
-	tmp.NumParts = k
-	return cm.PredictInstr(tmp)
+	micro := *in
+	micro.FLOPs /= float64(k)
+	micro.Bytes /= int64(k)
+	micro.NumParts = k
+	return cm.PredictInstr(&micro)
 }
 
 // boundaryCostUs prices the Partition/Reconstruct plumbing at the pipeline
@@ -85,8 +84,7 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, 
 	}
 	total := 0.0
 	copyCost := func(t int) float64 {
-		sc.tmp = ir.Instr{Op: ir.OpReconstruct, Bytes: 2 * g.Tensor(t).Bytes()}
-		return cm.PredictInstr(&sc.tmp)
+		return cm.PredictInstr(&ir.Instr{Op: ir.OpReconstruct, Bytes: 2 * g.Tensor(t).Bytes()})
 	}
 	for _, in := range window {
 		for _, t := range in.Ins {

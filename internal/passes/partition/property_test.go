@@ -124,9 +124,8 @@ func TestPipelineCostLowerBound(t *testing.T) {
 		p := pipelineCost(b.Graph, cm, h.Gate, h.Gather, asg, k, nil, 1)
 		// One partition's chain: every op at 1/k size, run serially.
 		chain := 0.0
-		var tmp ir.Instr
 		for _, in := range window {
-			chain += instanceDur(cm, in, k, cm.NewA2APricer(nil), 1, &tmp)
+			chain += instanceDur(cm, in, k, cm.NewA2APricer(nil), 1)
 		}
 		if p < chain-1e-6 {
 			t.Errorf("k=%d: pipeline %v us below single-chain critical path %v us", k, p, chain)

@@ -340,7 +340,6 @@ func refPipelineSpan(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr,
 	}
 	end := make(map[instanceRef]float64)
 	var clock [2]float64
-	var tmp ir.Instr
 	span := 0.0
 	for _, ref := range schedulePlan(window, k) {
 		in := window[ref.pos]
@@ -356,7 +355,7 @@ func refPipelineSpan(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr,
 				}
 			}
 		}
-		e := start + instanceDur(cm, in, k, pr, frac, &tmp)
+		e := start + instanceDur(cm, in, k, pr, frac)
 		end[ref] = e
 		clock[stream] = e
 		if e > span {

@@ -77,11 +77,6 @@ type dpScratch struct {
 	matchGen uint64
 	recs     []candRec
 	recOff   []int
-
-	// tmp is the scratch instruction micro-partition and reconstruct
-	// pricing hand to the cost model instead of allocating a copy per
-	// candidate.
-	tmp ir.Instr
 }
 
 // kSim is one partition count's share of a DP sweep: a duration memo and
@@ -263,7 +258,7 @@ func (sc *dpScratch) pipelineSpan(cm *cost.Model, window []*ir.Instr, k int, pr 
 	durs := st.dur[sc.winStart : sc.winStart+n]
 	for pos := sc.stOff[s]; pos < n; pos++ {
 		if durs[pos] < 0 {
-			durs[pos] = instanceDur(cm, window[pos], k, pr, frac, &sc.tmp)
+			durs[pos] = instanceDur(cm, window[pos], k, pr, frac)
 		}
 	}
 	st.end = extend(st.end, n*k)

@@ -114,7 +114,7 @@ type Executor struct {
 
 // runScratch is the reusable working set of one simulated iteration: the
 // per-instruction end-time array, the spans, the interval buffers of the
-// breakdown computation and the jitter source. Pooled so concurrent
+// breakdown computation and the per-op jitter source. Pooled so concurrent
 // sessions (parallel /v1/plan requests, cmd/lancet -parallel) replay
 // without contending on fresh allocations (DESIGN.md §13). The spans never
 // leave the scratch: RunTraced hands the caller a copy.
@@ -124,8 +124,7 @@ type runScratch struct {
 	comm, comp, a2a        []interval
 	mergedComm, mergedComp []interval
 	mergedA2A              []interval
-	// rng draws from src, which every jittered run reseeds, so one source
-	// serves both of its streams.
+	// rng draws from src, which every run with per-op jitter reseeds.
 	src rand.Source
 	rng *rand.Rand
 }
@@ -156,14 +155,14 @@ func (e *Executor) run(g *ir.Graph, traced bool) (*Timeline, error) {
 	}
 	sc := runPool.Get().(*runScratch)
 	defer runPool.Put(sc)
-	// Only jittered runs draw from the source; Predict runs skip seeding a
-	// source they would never read. The run-wide factor draws first from
-	// seed^0x5eed, then the per-op stream restarts from seed: the two
-	// streams a fresh source per seed would give.
+	// Only jittered runs draw random numbers; Predict runs skip seeding a
+	// source they would never read. The run-wide factor is the first draw
+	// of a source seeded with seed^0x5eed, computed without seeding one,
+	// and the per-op stream is a source seeded with seed: the two streams
+	// a fresh source per seed would give.
 	sysScale := 1.0
 	if !e.Predict && e.SystematicPct > 0 {
-		sc.src.Seed(e.Seed ^ 0x5eed)
-		sysScale = 1 + (sc.rng.Float64()*2-1)*e.SystematicPct
+		sysScale = 1 + (firstFloat64(e.Seed^0x5eed)*2-1)*e.SystematicPct
 	}
 	var rng *rand.Rand
 	if !e.Predict && e.JitterPct > 0 {
@@ -182,7 +181,11 @@ func (e *Executor) run(g *ir.Graph, traced bool) (*Timeline, error) {
 
 	irregularUs := 0.0
 	var tierUs [hw.NumTiers]float64
-	var stragglerUs map[string]float64
+	// Every compute penalty of a mixed fleet goes to its one straggler
+	// class, so the run sums a float and builds the map once.
+	var straggler string
+	var lagUs float64
+	lagged := false
 	hetero := e.Cost.Cluster.Heterogeneous()
 	for id, in := range g.Instrs {
 		stream := StreamCompute
@@ -216,10 +219,7 @@ func (e *Executor) run(g *ir.Graph, traced bool) (*Timeline, error) {
 			// class, scaled by the run's systematic factor like the span
 			// itself (per-op jitter averages out of the aggregate).
 			if class, extra := e.Cost.ComputeStragglerUs(in); extra > 0 {
-				if stragglerUs == nil {
-					stragglerUs = make(map[string]float64)
-				}
-				stragglerUs[class] += extra * sysScale
+				straggler, lagUs, lagged = class, lagUs+extra*sysScale, true
 			}
 		}
 		if span.EndUs > tl.TotalUs {
@@ -233,7 +233,9 @@ func (e *Executor) run(g *ir.Graph, traced bool) (*Timeline, error) {
 	}
 	tl.IrregularA2AUs = irregularUs
 	tl.A2ATierUs = tierUs
-	tl.StragglerClassUs = stragglerUs
+	if lagged {
+		tl.StragglerClassUs = map[string]float64{straggler: lagUs}
+	}
 	return tl, nil
 }
 

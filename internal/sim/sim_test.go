@@ -232,6 +232,26 @@ func TestJitterStreamsMatchFreshSources(t *testing.T) {
 	}
 }
 
+// firstFloat64 must draw what a freshly seeded math/rand source draws
+// first, bit for bit: on the zero seed, on both signs of multiples of and
+// neighbours to the Lehmer modulus 2^31-1, on the int64 bounds and on
+// 20,000 seeded random int64s of every magnitude.
+func TestFirstFloat64MatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	seeds := []int64{0, 1, -1, 2, 89482311, -89482311, m - 1, m, m + 1, 2 * m, -m, -2 * m,
+		m * m, -m * m, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1,
+		math.MaxInt64 / m * m, math.MinInt64 / m * m, 11 ^ 0x5eed}
+	rng := rand.New(rand.NewSource(1))
+	for range 20000 {
+		seeds = append(seeds, rng.Int63()>>rng.Intn(63)*int64(1-2*rng.Intn(2)))
+	}
+	for _, seed := range seeds {
+		if got, want := firstFloat64(seed), rand.New(rand.NewSource(seed)).Float64(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: first draw %v, math/rand %v", seed, got, want)
+		}
+	}
+}
+
 func TestPredictModeMatchesActualClosely(t *testing.T) {
 	g, m := fixture()
 	actual, err := (&Executor{Cost: m}).Run(g)

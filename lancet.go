@@ -330,6 +330,12 @@ type Session struct {
 	// Tutel search, it does not depend on the workload (DESIGN.md §4).
 	schedules *[numPassKeys]onceValue[scheduled]
 
+	// groupUs holds the DP group size autoGroupUs prices on costRAF,
+	// computed by the first Lancet call that needs it and shared with
+	// every WithWorkload view like the schedules: it reads only the built
+	// graph and the session's cost model.
+	groupUs *onceValue[float64]
+
 	// streamed, when set via SetWorkloadProfile, replaces the parametric
 	// gate-proxy workload entirely: plans planned while it is installed
 	// price and replay this streamed traffic shape (DESIGN.md §16).
@@ -373,6 +379,7 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 		costRAF:   cost.NewModel(cluster),
 		tutel:     new(tutelSearch),
 		schedules: new([numPassKeys]onceValue[scheduled]),
+		groupUs:   new(onceValue[float64]),
 	}, nil
 }
 
@@ -406,6 +413,7 @@ func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
 		costRAF:           s.costRAF,
 		tutel:             s.tutel,
 		schedules:         s.schedules,
+		groupUs:           s.groupUs,
 	}
 }
 
@@ -447,6 +455,10 @@ type Plan struct {
 	RhoUsed int
 
 	costs *cost.Model
+	// predictedUs, when set, is PredictUs's answer, known without a
+	// simulation: a Tutel plan's, from its session's degree search, which
+	// ran the chosen degree's graph in predict mode on costs.
+	predictedUs *float64
 	// irregular returns a Lancet plan's irregular all-to-all overrides,
 	// derived once, on first use, from the workload the plan was planned
 	// for (DESIGN.md §13). Nil for baselines, which send padded buffers.
@@ -592,7 +604,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 		fixed := len(opts.FixedPipelines) > 0
 		popts.Profile, popts.PayloadFraction = view.Profile, frac
 		if popts.GroupUs == 0 {
-			popts.GroupUs = s.autoGroupUs(planCost)
+			popts.GroupUs = s.groupSize(planCost)
 		}
 		if popts.MaxRangeGroups == 0 {
 			popts.MaxRangeGroups = 7 // ~ five groups between MoE layers plus the core
@@ -720,6 +732,17 @@ func (s *Session) partitionFits(res *partition.Result) bool {
 	return float64(s.Built.MemoryBytes(model.MemoryCompiled)+staging) <= s.Cluster.MemBytes()
 }
 
+// groupSize returns autoGroupUs(cm): once per session on the session's
+// own model, per call on a model of the plan's own (a View with another
+// cluster).
+func (s *Session) groupSize(cm *cost.Model) float64 {
+	if cm != s.costRAF {
+		return s.autoGroupUs(cm)
+	}
+	g, _ := s.groupUs.get(func() (float64, error) { return s.autoGroupUs(cm), nil })
+	return g
+}
+
 // autoGroupUs sizes gamma so roughly five groups fit between consecutive
 // MoE layers (paper Sec. 7, hyper-parameters), priced with the planner's
 // cost model so a topology-blind planner also groups blind.
@@ -772,11 +795,12 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	start := time.Now()
 	switch framework {
 	case FrameworkTutel:
-		g, degree, cm, err := s.tutel.plan(s.Built, s.costRAF)
+		g, c, err := s.tutel.plan(s.Built, s.costRAF)
 		if err != nil {
 			return nil, err
 		}
-		plan.Graph, plan.TutelDegree, plan.costs = g, degree, cm
+		plan.Graph, plan.TutelDegree, plan.costs = g, c.degree, c.costs
+		plan.predictedUs = &c.predictedUs
 	case FrameworkFasterMoE:
 		prof, err := s.profile(s.streamedProfile(), 1)
 		if err != nil {
@@ -805,45 +829,51 @@ type tutelSearch struct {
 	onceValue[tutelChoice]
 }
 
-// tutelChoice is what a successful search keeps.
+// tutelChoice is what a successful search keeps: the degree, the model
+// and the predicted iteration time of the chosen degree's graph, which is
+// every Tutel plan's PredictUs.
 type tutelChoice struct {
-	degree int
-	costs  *cost.Model
+	degree      int
+	costs       *cost.Model
+	predictedUs float64
 }
 
-// plan returns the Tutel plan's graph, overlap degree and cost model,
-// running the search on the first call. The search prices every
-// candidate degree on a model derived from base and keeps the degree and
-// the model, or the error, never half of them. The call that ran it
-// returns the graph the search chose; every later one rewrites the chosen
-// degree again.
-func (t *tutelSearch) plan(b *model.Built, base *cost.Model) (*ir.Graph, int, *cost.Model, error) {
+// plan returns the Tutel plan's graph and the search's choice, running
+// the search on the first call. The search prices every candidate degree
+// on a model derived from base and keeps the choice, or the error, never
+// half of it. The call that ran it returns the graph the search chose;
+// every later one rewrites the chosen degree again.
+func (t *tutelSearch) plan(b *model.Built, base *cost.Model) (*ir.Graph, *tutelChoice, error) {
 	var g *ir.Graph
-	c, err := t.get(func() (tutelChoice, error) {
+	_, err := t.get(func() (tutelChoice, error) {
 		cm := base.WithComputeScale(baselines.Tutel.ComputeScale)
 		ex := &sim.Executor{Cost: cm, Predict: true}
+		var predicted []float64 // per candidate, in search order
+		var candidates []*ir.Graph
 		chosen, degree, err := baselines.BestTutelPlan(b, func(g *ir.Graph) (float64, error) {
 			tl, err := ex.Run(g)
 			if err != nil {
 				return 0, err
 			}
+			candidates, predicted = append(candidates, g), append(predicted, tl.TotalUs)
 			return tl.TotalUs, nil
 		})
 		if err != nil {
 			return tutelChoice{}, err
 		}
 		g = chosen
-		return tutelChoice{degree, cm}, nil
+		return tutelChoice{degree, cm, predicted[slices.Index(candidates, chosen)]}, nil
 	})
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
+	c := &t.val // written once, by the search; read-only since
 	if g == nil {
 		if g, err = baselines.TutelPlan(b, c.degree); err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 	}
-	return g, c.degree, c.costs, nil
+	return g, c, nil
 }
 
 // onceValue runs a computation once and gives every call its outcome:
@@ -882,8 +912,15 @@ func (o *onceValue[T]) get(f func() (T, error)) (T, error) {
 // profiles, interpolated comm tables, C/n static-shape approximation) —
 // the "predicted time" axis of paper Fig. 14. For Lancet plans the
 // expected irregular payloads, known from the compile-time profiling
-// batch, feed the same interpolated table.
+// batch, feed the same interpolated table. A Tutel plan returns the
+// prediction its session's degree search made of the chosen degree's
+// graph, on the model the plan prices on, which memoized every bucket
+// that graph reads: simulating the graph again would return the same
+// value (DESIGN.md §5).
 func (p *Plan) PredictUs() (float64, error) {
+	if p.predictedUs != nil {
+		return *p.predictedUs, nil
+	}
 	ex := &sim.Executor{Cost: p.costs, Predict: true}
 	if p.irregular != nil {
 		ov, err := p.irregular()

@@ -2,6 +2,7 @@ package lancet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -65,6 +66,36 @@ func uncachedTutel(t *testing.T, cfg ModelConfig, cl Cluster) (tutelPrices, int6
 	return want, searched, cm.Stats().Misses
 }
 
+// planColdFleets are the five fleets of the plan-cold mix: 16×V100,
+// 32×A100, 64×V100, a mixed 2×A100 + 2×V100-node fleet and 32×V100 at two
+// nodes per rack behind a 4:1 oversubscribed spine.
+var planColdFleets = []struct {
+	name  string
+	build func() (Cluster, error)
+}{
+	{"v100x16", func() (Cluster, error) { return NewCluster("V100", 16) }},
+	{"a100x32", func() (Cluster, error) { return NewCluster("A100", 32) }},
+	{"v100x64", func() (Cluster, error) { return NewCluster("V100", 64) }},
+	{"2a100+2v100", func() (Cluster, error) {
+		a, err := ClassForGPU("A100", 2)
+		if err != nil {
+			return Cluster{}, err
+		}
+		v, err := ClassForGPU("V100", 2)
+		if err != nil {
+			return Cluster{}, err
+		}
+		return NewHeteroCluster(a, v)
+	}},
+	{"v100x32-oversub4", func() (Cluster, error) {
+		cl, err := NewCluster("V100", 32)
+		if err != nil {
+			return Cluster{}, err
+		}
+		return cl.WithTopology(Topology{NodesPerRack: 2, Oversubscription: 4}.DefaultRacks())
+	}},
+}
+
 // TestTutelSearchMatchesUncachedSearch pins the session's Tutel memo
 // (DESIGN.md §5) against the search it replaces. On each model × fleet,
 // eight goroutines call Baseline(FrameworkTutel) at once on views of one
@@ -75,26 +106,7 @@ func uncachedTutel(t *testing.T, cfg ModelConfig, cl Cluster) (tutelPrices, int6
 // takes no memo miss, so the kept model ends with exactly the misses the
 // search took, however many plans priced on it.
 func TestTutelSearchMatchesUncachedSearch(t *testing.T) {
-	mixed := func() (Cluster, error) {
-		a, err := ClassForGPU("A100", 2)
-		if err != nil {
-			return Cluster{}, err
-		}
-		v, err := ClassForGPU("V100", 2)
-		if err != nil {
-			return Cluster{}, err
-		}
-		return NewHeteroCluster(a, v)
-	}
-	fleets := []struct {
-		name  string
-		build func() (Cluster, error)
-	}{
-		{"v100x16", func() (Cluster, error) { return NewCluster("V100", 16) }},
-		{"a100x32", func() (Cluster, error) { return NewCluster("A100", 32) }},
-		{"v100x64", func() (Cluster, error) { return NewCluster("V100", 64) }},
-		{"2a100+2v100", mixed},
-	}
+	fleets := planColdFleets[:4]
 	workloads := []struct{ skew, hot float64 }{{0, 0}, {1.2, 0}, {0, 0.3}}
 	const callers = 8
 	for _, name := range []string{"gpt2-s", "gpt2-l", "vit-s"} {
@@ -147,6 +159,51 @@ func TestTutelSearchMatchesUncachedSearch(t *testing.T) {
 			}
 			if kept := base.tutel.val.costs.Stats().Misses; kept != searched {
 				t.Errorf("%s %s: the kept model took %d memo misses, the search %d", name, fleet.name, kept, searched)
+			}
+		}
+	}
+}
+
+// TestTutelPredictionIsTheSearchs pins that a Tutel plan's PredictUs,
+// the prediction its session's degree search made of the chosen degree's
+// graph, is what a fresh predict-mode simulation of the plan's graph on
+// the plan's model returns, bit for bit. On each of the 15 plan-cold
+// model × fleet pairs it checks the call that ran the search, a later
+// call on the session and calls on a Zipf 1.2 and a hot 0.3 view.
+func TestTutelPredictionIsTheSearchs(t *testing.T) {
+	for _, name := range []string{"gpt2-s", "gpt2-l", "vit-s"} {
+		cfg, err := ParseModel(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fleet := range planColdFleets {
+			cl, err := fleet.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSession(cfg, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sess := range []*Session{s, s, s.WithWorkload(1.2, 0), s.WithWorkload(0, 0.3)} {
+				p, err := sess.Baseline(FrameworkTutel)
+				if err != nil {
+					t.Fatalf("%s %s call %d: %v", name, fleet.name, i, err)
+				}
+				if p.predictedUs == nil {
+					t.Fatalf("%s %s call %d: the plan carries no prediction", name, fleet.name, i)
+				}
+				got, err := p.PredictUs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tl, err := (&sim.Executor{Cost: p.costs, Predict: true}).Run(p.Graph)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(tl.TotalUs) {
+					t.Errorf("%s %s call %d: PredictUs %v, a fresh simulation %v", name, fleet.name, i, got, tl.TotalUs)
+				}
 			}
 		}
 	}
