@@ -100,9 +100,8 @@ func BenchmarkPlanCold(b *testing.B) {
 }
 
 // BenchmarkTutelBaseline measures Session.Baseline("tutel") on a warm
-// session, whose degree search has already run: one rewrite of the chosen
-// degree, priced later on the model the search kept. perf_floor.txt
-// ratchets it.
+// session, whose degree search has already run: the call returns the
+// graph the search chose, with no rewrite. perf_floor.txt ratchets it.
 func BenchmarkTutelBaseline(b *testing.B) {
 	sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 16))
 	if err != nil {

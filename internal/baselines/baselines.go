@@ -96,25 +96,26 @@ func TutelPlan(b *model.Built, degree int) (*ir.Graph, error) {
 }
 
 // BestTutelPlan searches TutelDegrees with the predictor and returns the
-// fastest plan, mirroring the paper's per-experiment degree search.
-func BestTutelPlan(b *model.Built, predict func(*ir.Graph) (float64, error)) (*ir.Graph, int, error) {
+// fastest plan, its degree and its predicted time, mirroring the paper's
+// per-experiment degree search.
+func BestTutelPlan(b *model.Built, predict func(*ir.Graph) (float64, error)) (*ir.Graph, int, float64, error) {
 	bestT := math.Inf(1)
 	var bestG *ir.Graph
 	bestD := 1
 	for _, d := range TutelDegrees {
 		g, err := TutelPlan(b, d)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		t, err := predict(g)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if t < bestT {
 			bestT, bestG, bestD = t, g, d
 		}
 	}
-	return bestG, bestD, nil
+	return bestG, bestD, bestT, nil
 }
 
 // FasterMoE is the PPoPP'22 system (He et al., discussed in paper Sec. 8):

@@ -109,7 +109,7 @@ func TestBestTutelPlanPicksFastest(t *testing.T) {
 		}
 		return tl.TotalUs, nil
 	}
-	g, d, err := BestTutelPlan(b, predict)
+	g, d, us, err := BestTutelPlan(b, predict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +119,9 @@ func TestBestTutelPlanPicksFastest(t *testing.T) {
 	tBest, err := predict(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if us != tBest {
+		t.Errorf("BestTutelPlan reports %v us for the selected degree %d, its prediction is %v us", us, d, tBest)
 	}
 	for _, dd := range TutelDegrees {
 		gg, err := TutelPlan(b, dd)

@@ -34,35 +34,12 @@ import (
 	"lancet/internal/netsim"
 )
 
-// shard is a mutex-guarded memoization map.
-type shard[K comparable] struct {
-	mu sync.Mutex
-	m  map[K]float64
-}
-
-//lancet:hotpath
-func (s *shard[K]) get(k K) (float64, bool) {
-	s.mu.Lock()
-	v, ok := s.m[k]
-	s.mu.Unlock()
-	return v, ok
-}
-
-func (s *shard[K]) put(k K, v float64) {
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[K]float64)
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
 // Model prices instructions on a given cluster. It is safe for concurrent
 // use: the op-profile memo is read without a lock, so parallel experiments
 // sharing a model shape scale across cores. It memoizes only what costs
 // more to compute than to look up (DESIGN.md §3): op profiles, skew tables
-// and uniform replays. Communication predictions interpolate the profiled
-// table on every call.
+// and the size-exchange replay. Communication predictions interpolate the
+// profiled table on every call.
 type Model struct {
 	// Cluster is the fleet the model prices. It is read-only after
 	// NewModel, which derives the model's fleet scalars from it.
@@ -95,12 +72,16 @@ type Model struct {
 	// skewtable.go).
 	skewTabs *cache.Cache[uint64, *skewTable]
 
-	// uniReplay memoizes link-level replays of uniform matrices (the
-	// irregular size-exchange phase) on their per-device payload.
-	uniReplay shard[int64]
+	// sizeExchange memoizes SizeExchangeUs, the one uniform replay a
+	// model prices.
+	sizeExchange struct {
+		once sync.Once
+		us   float64
+		err  error
+	}
 
 	profiled atomic.Int64 // ground-truth profiles taken (profile-memo misses)
-	hits     atomic.Int64 // memo lookups served: profiles, skew tables, uniform replays
+	hits     atomic.Int64 // memo lookups served: profiles, skew tables, the size exchange
 	misses   atomic.Int64 // memo lookups computed fresh, skew-table builds included
 
 	a2aTable       []commPoint // per-device bytes -> us, fixed device count
@@ -320,9 +301,9 @@ func (m *Model) buildCommTables(devices int) {
 
 // CacheStats reports the memoization layer's effectiveness. Hits and Misses
 // count lookups in the three memos: op profiles (a miss takes a profile),
-// skew tables (a miss builds a profile's table, a hit reuses it) and
-// uniform replays. Communication predictions are not memoized and not
-// counted.
+// skew tables (a miss builds a profile's table, a hit reuses it) and the
+// size-exchange replay (the first call misses, every later one hits).
+// Communication predictions are not memoized and not counted.
 type CacheStats struct {
 	Hits        int64
 	Misses      int64

@@ -168,13 +168,13 @@ func TestCacheStatsCounters(t *testing.T) {
 		t.Errorf("want 1 miss / 1 hit, got %+v", s)
 	}
 
-	// A skew table's build is a miss and each reuse a hit; a uniform
-	// replay misses once, then hits.
+	// A skew table's build is a miss and each reuse a hit; the size
+	// exchange misses once, then hits.
 	prof := netsim.ZipfProfile(g, 1.2)
 	m.AllToAllSkewedUs(8<<20, prof)
 	m.AllToAllSkewedUs(4<<20, prof)
-	m.UniformReplayUs(int64(g) * 4)
-	m.UniformReplayUs(int64(g) * 4)
+	m.SizeExchangeUs()
+	m.SizeExchangeUs()
 	s = m.Stats()
 	if s.Misses != 3 || s.Hits != 3 {
 		t.Errorf("want 3 misses / 3 hits total, got %+v", s)

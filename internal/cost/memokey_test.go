@@ -26,13 +26,19 @@ type refProfileKey struct {
 // op-profile table replaced.
 const cacheShards = 32
 
+// refShard is one stripe of the reference memo: a mutex-guarded map.
+type refShard struct {
+	mu sync.Mutex
+	m  map[refProfileKey]float64
+}
+
 // refMemo is the reference op-profile memo: the 48-byte key, a shard
 // picked by FNV-1a over its six fields, and the same counters. Its prices
 // are the model's ground truth perturbed by the noise of the unpacked
 // fields, so the packed memo must match it bit for bit.
 type refMemo struct {
 	m                      *Model
-	shards                 [cacheShards]shard[refProfileKey]
+	shards                 [cacheShards]refShard
 	hits, misses, profiled atomic.Int64
 }
 
@@ -44,12 +50,17 @@ func (r *refMemo) predict(in *ir.Instr) float64 {
 	}
 	h := fnvMix(int64(key.op), int64(key.grad), key.flops, key.bytes, int64(key.devices), int64(key.numParts))
 	s := &r.shards[h%cacheShards]
-	if t, ok := s.get(key); ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.m[key]; ok {
 		r.hits.Add(1)
 		return t
 	}
 	t := r.m.GroundComputeUs(in) * (1 + (float64(h%2001)/1000.0-1.0)*0.015)
-	s.put(key, t)
+	if s.m == nil {
+		s.m = make(map[refProfileKey]float64)
+	}
+	s.m[key] = t
 	r.misses.Add(1)
 	r.profiled.Add(1)
 	return t

@@ -137,22 +137,27 @@ func (m *Model) exactSkewedUs(bytesPerDevice int64, prof *netsim.RoutingProfile)
 	return t
 }
 
-// UniformReplayUs prices a *uniform* all-to-all of bytesPerDevice on the
-// link-level simulator (not the closed form) and memoizes the result — the
-// replay bound the session's irregular-override path charges for the
-// size-exchange phase. Byte-identical to draining
-// netsim.UniformMatrix(devices, bytesPerDevice) on a fresh Network.
-func (m *Model) UniformReplayUs(bytesPerDevice int64) float64 {
-	s := &m.uniReplay
-	if t, ok := s.get(bytesPerDevice); ok {
+// SizeExchangeUs prices the size-exchange phase of an irregular
+// all-to-all, which sends 4 bytes to every device pair, by replaying that
+// uniform matrix on the link-level simulator (not the closed form), once
+// per model: the first call is counted as a miss, every later one as a
+// hit. Byte-identical to draining netsim.UniformMatrix(devices, 4*devices)
+// on a fresh Network.
+func (m *Model) SizeExchangeUs() float64 {
+	x := &m.sizeExchange
+	ran := false
+	x.once.Do(func() {
+		n := m.fleet.totalGPUs
+		x.us, x.err = m.net.AllToAllUs(netsim.UniformMatrix(n, int64(n)*4))
+		ran = true
+	})
+	if x.err != nil {
+		panic(fmt.Sprintf("cost: netsim rejected a uniform matrix: %v", x.err))
+	}
+	if ran {
+		m.misses.Add(1)
+	} else {
 		m.hits.Add(1)
-		return t
 	}
-	t, err := m.net.AllToAllUs(netsim.UniformMatrix(m.fleet.totalGPUs, bytesPerDevice))
-	if err != nil {
-		panic(fmt.Sprintf("cost: netsim rejected a uniform matrix: %v", err))
-	}
-	s.put(bytesPerDevice, t)
-	m.misses.Add(1)
-	return t
+	return x.us
 }

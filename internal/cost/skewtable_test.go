@@ -115,22 +115,20 @@ func TestPricerMatchesModelPaths(t *testing.T) {
 	}
 }
 
-// The uniform replay memo must reproduce a fresh link-level drain of the
-// same uniform matrix byte-identically (the session's size-exchange bound).
+// The size-exchange memo must reproduce a fresh link-level drain of the
+// same uniform matrix, 4 bytes per device pair, byte-identically.
 func TestUniformReplayMatchesFreshNetsim(t *testing.T) {
 	m := newTestModel()
 	g := m.Cluster.TotalGPUs()
-	for _, bytes := range []int64{int64(g) * 4, 1 << 20} {
-		want, err := netsim.New(m.Cluster).AllToAllUs(netsim.UniformMatrix(g, bytes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.UniformReplayUs(bytes); got != want {
-			t.Errorf("UniformReplayUs(%d) = %v, want %v", bytes, got, want)
-		}
-		if got := m.UniformReplayUs(bytes); got != want {
-			t.Errorf("memoized UniformReplayUs(%d) = %v, want %v", bytes, got, want)
-		}
+	want, err := netsim.New(m.Cluster).AllToAllUs(netsim.UniformMatrix(g, int64(g)*4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SizeExchangeUs(); got != want {
+		t.Errorf("SizeExchangeUs() = %v, want %v", got, want)
+	}
+	if got := m.SizeExchangeUs(); got != want {
+		t.Errorf("memoized SizeExchangeUs() = %v, want %v", got, want)
 	}
 }
 

@@ -145,18 +145,43 @@ func TestEndToEndSpeedup(t *testing.T) {
 	}
 }
 
+// TestBestFitBeatsFirstFit builds a graph on which the two strategies
+// part: all-to-alls A and B of one size, a dW x that depends on neither
+// and comes first in program order, at about 0.6 t_A, and a dW z that
+// consumes B's output, at just over t_A. First-fit fills A with x, then
+// z, and leaves B nothing it may overlap; best-fit fills A with z alone
+// and B with x.
 func TestBestFitBeatsFirstFit(t *testing.T) {
-	b, cm := buildFixture(t)
-	best, err := Run(b.Graph, cm, Options{Strategy: BestFit})
+	g := ir.NewGraph()
+	tensor := func(name string) int { return g.NewTensor(name, ir.Shape{8}, ir.F16, ir.Activation).ID }
+	emit := func(in *ir.Instr) *ir.Instr { g.Emit(in); return in }
+	dW := func(flops float64, in int, name string) *ir.Instr {
+		return emit(&ir.Instr{Op: ir.OpMatMul, Grad: ir.GradDW, FLOPs: flops, Bytes: 1 << 20, Ins: []int{in}, Outs: []int{tensor(name)}})
+	}
+	a2a := func(name string) *ir.Instr {
+		return emit(&ir.Instr{Op: ir.OpAllToAll, Bytes: 64 << 20, CommDevices: 16, Ins: []int{tensor(name + ".in")}, Outs: []int{tensor(name + ".out")}})
+	}
+	x := dW(7.2e11, tensor("x.in"), "x.grad")
+	a := a2a("a")
+	b := a2a("b")
+	z := dW(1.3e12, b.Outs[0], "z.grad")
+
+	cm := cost.NewModel(hw.V100Cluster(2))
+	tA, tx, tz := cm.PredictInstr(a), cm.PredictInstr(x), cm.PredictInstr(z)
+	if !(tx < tA && tz >= tA && tz-tA < tA-tx) {
+		t.Fatalf("t_A %v, t_x %v, t_z %v µs: best-fit must prefer z for A, and z alone must cover it", tA, tx, tz)
+	}
+	best, err := Run(g, cm, Options{Strategy: BestFit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Run(b.Graph, cm, Options{Strategy: FirstFit})
+	first, err := Run(g, cm, Options{Strategy: FirstFit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.OverlappedUs < first.OverlappedUs {
-		t.Errorf("best-fit overlap %v < first-fit %v", best.OverlappedUs, first.OverlappedUs)
+	if best.OverlappedUs <= first.OverlappedUs {
+		t.Errorf("best-fit overlap %v µs <= first-fit %v µs (assignments %v, %v)",
+			best.OverlappedUs, first.OverlappedUs, best.Assignments, first.Assignments)
 	}
 }
 

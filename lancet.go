@@ -291,12 +291,16 @@ type PipelineHint struct {
 // A Session is safe for concurrent use once built: plans may be computed
 // and simulated from multiple goroutines while SetWorkloadProfile swaps the
 // streamed workload, because each Lancet plan keeps the workload it was
-// planned for (DESIGN.md §7). The shared cost model is lock-striped and
-// routing proxies are memoized process-wide. This is what lets cmd/lancet
-// plan frameworks in parallel and lets the serving layer (cmd/lancet-serve)
-// pool sessions across requests. Writing WorkloadSkew or WorkloadHotExpert
-// races with planning; to plan another parametric workload on a session in
-// use, take a WithWorkload view instead.
+// planned for (DESIGN.md §7). The shared cost model reads its op-profile
+// memo without a lock and routing proxies are memoized process-wide. This
+// is what lets cmd/lancet plan frameworks in parallel and lets the serving
+// layer (cmd/lancet-serve) pool sessions across requests. What depends
+// only on the built graph and the cluster — the Tutel baseline's graph,
+// the dW schedule of each option key and gamma — is derived once, on
+// first use, and kept as long as the session, so a warm Tutel call
+// rewrites and searches nothing. Writing WorkloadSkew or
+// WorkloadHotExpert races with planning; to plan another parametric
+// workload on a session in use, take a WithWorkload view instead.
 type Session struct {
 	Config  ModelConfig
 	Cluster Cluster
@@ -316,25 +320,9 @@ type Session struct {
 	// set returns an error.
 	WorkloadHotExpert float64
 
-	costRAF *cost.Model
-
-	// tutel is the Tutel overlap-degree search, run by the first
-	// Baseline(FrameworkTutel) call and shared with every WithWorkload
-	// view: it depends on the built graph and the cluster, not on the
-	// workload (DESIGN.md §5).
-	tutel *tutelSearch
-
-	// schedules holds, per passKey, the graph the partition pass starts
-	// from when a plan prices on costRAF, computed by the first Lancet
-	// call that needs it and shared with every WithWorkload view: like the
-	// Tutel search, it does not depend on the workload (DESIGN.md §4).
-	schedules *[numPassKeys]onceValue[scheduled]
-
-	// groupUs holds the DP group size autoGroupUs prices on costRAF,
-	// computed by the first Lancet call that needs it and shared with
-	// every WithWorkload view like the schedules: it reads only the built
-	// graph and the session's cost model.
-	groupUs *onceValue[float64]
+	// derived holds the session's cost model and what is computed from it
+	// and the built graph, shared with every WithWorkload view.
+	derived *derived
 
 	// streamed, when set via SetWorkloadProfile, replaces the parametric
 	// gate-proxy workload entirely: plans planned while it is installed
@@ -373,14 +361,29 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		Config:    cfg,
-		Cluster:   cluster,
-		Built:     b,
-		costRAF:   cost.NewModel(cluster),
-		tutel:     new(tutelSearch),
-		schedules: new([numPassKeys]onceValue[scheduled]),
-		groupUs:   new(onceValue[float64]),
+		Config:  cfg,
+		Cluster: cluster,
+		Built:   b,
+		derived: &derived{costs: cost.NewModel(cluster)},
 	}, nil
+}
+
+// derived is a cost model and what a session computes from it and the
+// built graph, each part once, on first use. None of it reads the
+// workload, so a session and its WithWorkload views share one record
+// (DESIGN.md §4, §5). A plan whose View prices another cluster builds a
+// record of its own for that call.
+type derived struct {
+	// costs is the model every part is priced on: the session's RAF cost
+	// model, or a View's.
+	costs *cost.Model
+	// tutel is the Tutel overlap-degree search (searchTutel).
+	tutel onceValue[tutelChoice]
+	// schedules holds, per passKey, the graph the partition pass starts
+	// from (runPasses).
+	schedules [numPassKeys]onceValue[scheduled]
+	// groupUs is the DP group size gamma (autoGroupUs).
+	groupUs onceValue[float64]
 }
 
 // WithWorkload returns a session for the same model and cluster under
@@ -389,20 +392,19 @@ func NewSession(cfg ModelConfig, cluster Cluster) (*Session, error) {
 // Config, Cluster, built graph and cost model — network model,
 // communication tables, skew tables and op-profile memo — so it costs one
 // small allocation, and any number of views may plan concurrently
-// (DESIGN.md §7, §9). It also shares the Tutel degree search: the first
-// Baseline(FrameworkTutel) call on the session or any of its views runs
-// it, and every later one, on any of them, reuses its outcome (DESIGN.md
-// §5). It shares the dW schedule the same way: the first Lancet call per
-// combination of PrioritizeAllToAll, DisableDWSchedule and DWFirstFit
-// runs those passes, and every later one that prices on the session's
-// cost model starts its partition pass from their graph, so its
+// (DESIGN.md §7, §9). It also shares what the session derives from them:
+// the first Baseline(FrameworkTutel) call on the session or any of its
+// views runs the degree search, and every later one, on any of them,
+// returns the graph it chose with no rewrite (DESIGN.md §5); the first
+// Lancet call per combination of PrioritizeAllToAll, DisableDWSchedule and
+// DWFirstFit runs those passes, and every later one that prices on the
+// session's cost model starts its partition pass from their graph, so its
 // Plan.OptimizeTime no longer includes them (DESIGN.md §4). Setting both
-// workload knobs is an error at plan time,
-// as for any session. A view starts without a streamed profile, so its
-// first SetWorkloadProfile supersedes nothing and invalidates nothing in
-// the shared cost model: the serving layer plans each drift re-plan's
-// streamed traffic this way, on a fresh view of a pooled session
-// (DESIGN.md §16).
+// workload knobs is an error at plan time, as for any session. A view
+// starts without a streamed profile, so its first SetWorkloadProfile
+// supersedes nothing and invalidates nothing in the shared cost model:
+// the serving layer plans each drift re-plan's streamed traffic this way,
+// on a fresh view of a pooled session (DESIGN.md §16).
 func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
 	return &Session{
 		Config:            s.Config,
@@ -410,10 +412,7 @@ func (s *Session) WithWorkload(skew, hotExpert float64) *Session {
 		Built:             s.Built,
 		WorkloadSkew:      skew,
 		WorkloadHotExpert: hotExpert,
-		costRAF:           s.costRAF,
-		tutel:             s.tutel,
-		schedules:         s.schedules,
-		groupUs:           s.groupUs,
+		derived:           s.derived,
 	}
 }
 
@@ -431,10 +430,11 @@ type Plan struct {
 	OOM bool
 	// OptimizeTime is the wall-clock time the optimization passes took
 	// (paper Fig. 15). A Tutel plan times the session's degree search on
-	// the call that ran it and the rewrite of the chosen degree on every
-	// later call. A Lancet plan times the dW schedule only on the call
-	// that ran it for its options (see WithWorkload); Fig. 15 plans each
-	// configuration on a fresh session, so its column times both passes.
+	// the call that ran it, and no pass on a later call, which returns the
+	// graph the search chose. A Lancet plan times the dW schedule only on
+	// the call that ran it for its options (see WithWorkload); Fig. 15
+	// plans each configuration on a fresh session, so its column times
+	// both passes.
 	OptimizeTime time.Duration
 	// DWOverlapUs is the predicted all-to-all time covered by scheduled
 	// weight-gradient computation.
@@ -457,7 +457,7 @@ type Plan struct {
 	costs *cost.Model
 	// predictedUs, when set, is PredictUs's answer, known without a
 	// simulation: a Tutel plan's, from its session's degree search, which
-	// ran the chosen degree's graph in predict mode on costs.
+	// ran Graph in predict mode on costs.
 	predictedUs *float64
 	// irregular returns a Lancet plan's irregular all-to-all overrides,
 	// derived once, on first use, from the workload the plan was planned
@@ -486,7 +486,7 @@ type CostStats = cost.CacheStats
 // network model and communication tables, their own memo): Tutel plans
 // on the one its session's degree search kept, every other Baseline call
 // on one of its own. Their counters are not included here.
-func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
+func (s *Session) CostStats() CostStats { return s.derived.costs.Stats() }
 
 // SetWorkloadProfile installs a streamed routing profile as the session's
 // workload (DESIGN.md §16): plans planned from now on price against p's
@@ -503,7 +503,7 @@ func (s *Session) CostStats() CostStats { return s.costRAF.Stats() }
 // fixed cap; a table is a pure function of cluster and profile, so one
 // kept past its swap changes no price.
 func (s *Session) SetWorkloadProfile(p *netsim.RoutingProfile) error {
-	if err := s.costRAF.ValidateProfile(p); err != nil {
+	if err := s.derived.costs.ValidateProfile(p); err != nil {
 		return err
 	}
 	s.streamed.Store(p)
@@ -559,31 +559,32 @@ func (s *Session) routingContext(wp *routingProfile) (*netsim.RoutingProfile, fl
 // SetWorkloadProfile changes none of its outputs.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
 	start := time.Now()
-	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.costRAF}
+	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.derived.costs}
 
-	// The passes price view with planCost; simulation (plan.costs) always
+	// The passes price view on d.costs; simulation (plan.costs) always
 	// replays reality. The two differ only under Options.View, whose view
-	// gets a cost model of its own unless it keeps the real cluster.
+	// gets a record of its own unless it keeps the real cluster.
 	wp := s.streamedProfile()
 	prof, frac, err := s.routingContext(wp)
 	if err != nil {
 		return nil, fmt.Errorf("lancet: routing profile: %w", err)
 	}
-	view, planCost := View{Cluster: s.Cluster, Profile: prof}, s.costRAF
+	view, d := View{Cluster: s.Cluster, Profile: prof}, s.derived
 	if opts.View != nil {
 		view = opts.View(view)
 		if got, want := view.Cluster.TotalGPUs(), s.Cluster.TotalGPUs(); got != want {
 			return nil, fmt.Errorf("lancet: view has %d GPUs, session has %d", got, want)
 		}
 		if !reflect.DeepEqual(view.Cluster, s.Cluster) {
-			planCost = cost.NewModel(view.Cluster)
+			d = &derived{costs: cost.NewModel(view.Cluster)}
 		}
-		if err := planCost.ValidateProfile(view.Profile); err != nil {
+		if err := d.costs.ValidateProfile(view.Profile); err != nil {
 			return nil, fmt.Errorf("lancet: view profile: %w", err)
 		}
 	}
 
-	sched, err := s.schedule(opts.passKey(), planCost)
+	key := opts.passKey()
+	sched, err := d.schedules[key].get(func() (scheduled, error) { return runPasses(s.Built.Graph, d.costs, key) })
 	if err != nil {
 		return nil, err
 	}
@@ -604,7 +605,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 		fixed := len(opts.FixedPipelines) > 0
 		popts.Profile, popts.PayloadFraction = view.Profile, frac
 		if popts.GroupUs == 0 {
-			popts.GroupUs = s.groupSize(planCost)
+			popts.GroupUs, _ = d.groupUs.get(func() (float64, error) { return s.autoGroupUs(d.costs), nil })
 		}
 		if popts.MaxRangeGroups == 0 {
 			popts.MaxRangeGroups = 7 // ~ five groups between MoE layers plus the core
@@ -620,9 +621,9 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 			var res *partition.Result
 			var err error
 			if fixed {
-				res, err = partition.Replay(g, planCost, popts, ranges)
+				res, err = partition.Replay(g, d.costs, popts, ranges)
 			} else {
-				res, err = partition.Run(g, planCost, popts)
+				res, err = partition.Run(g, d.costs, popts)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("lancet: partition pass: %w", err)
@@ -685,20 +686,10 @@ type scheduled struct {
 // dwRun runs the dW schedule pass; tests wrap it to count pass runs.
 var dwRun = dwsched.Run
 
-// schedule returns the graph the partition pass starts from under key,
-// priced on cm. The passes read the built graph, cm and key, never the
-// workload, so on the session's own model their outcome is computed once
-// per key and shared by every view (DESIGN.md §4); a model of the plan's
-// own, under a View with another cluster, runs them per call.
-func (s *Session) schedule(key passKey, cm *cost.Model) (scheduled, error) {
-	if cm != s.costRAF {
-		return runPasses(s.Built.Graph, cm, key)
-	}
-	return s.schedules[key].get(func() (scheduled, error) { return runPasses(s.Built.Graph, cm, key) })
-}
-
 // runPasses runs the passes key selects on g, pricing on cm: the
-// all-to-all prioritization, then the dW schedule.
+// all-to-all prioritization, then the dW schedule. They read g, cm and
+// key, never the workload, so a record runs them once per key
+// (DESIGN.md §4).
 func runPasses(g *ir.Graph, cm *cost.Model, key passKey) (scheduled, error) {
 	if key&passPrioritize != 0 {
 		res, err := commprio.Run(g)
@@ -732,17 +723,6 @@ func (s *Session) partitionFits(res *partition.Result) bool {
 	return float64(s.Built.MemoryBytes(model.MemoryCompiled)+staging) <= s.Cluster.MemBytes()
 }
 
-// groupSize returns autoGroupUs(cm): once per session on the session's
-// own model, per call on a model of the plan's own (a View with another
-// cluster).
-func (s *Session) groupSize(cm *cost.Model) float64 {
-	if cm != s.costRAF {
-		return s.autoGroupUs(cm)
-	}
-	g, _ := s.groupUs.get(func() (float64, error) { return s.autoGroupUs(cm), nil })
-	return g
-}
-
 // autoGroupUs sizes gamma so roughly five groups fit between consecutive
 // MoE layers (paper Sec. 7, hyper-parameters), priced with the planner's
 // cost model so a topology-blind planner also groups blind.
@@ -767,10 +747,9 @@ func (s *Session) autoGroupUs(cm *cost.Model) float64 {
 //
 // Each plan prices on a cost model derived from the session's at the
 // framework's compute scale. Tutel's overlap degree is searched once per
-// session, views included: the first Tutel call runs the search and
-// returns the graph it chose, and every later call rewrites the chosen
-// degree and prices it on the model the search kept, so its plan prices
-// exactly like the first (DESIGN.md §5). A search that failed fails every
+// session, views included: the first Tutel call runs the search, and
+// every call returns the graph it chose, priced on the model the search
+// kept, with no rewrite (DESIGN.md §5). A search that failed fails every
 // later Tutel call the same way.
 func (s *Session) Baseline(framework string) (*Plan, error) {
 	var spec baselines.Spec
@@ -790,16 +769,17 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	}
 	plan := &Plan{Name: spec.Name, Framework: framework}
 	if framework != FrameworkTutel {
-		plan.costs = s.costRAF.WithComputeScale(spec.ComputeScale)
+		plan.costs = s.derived.costs.WithComputeScale(spec.ComputeScale)
 	}
 	start := time.Now()
 	switch framework {
 	case FrameworkTutel:
-		g, c, err := s.tutel.plan(s.Built, s.costRAF)
-		if err != nil {
+		t := &s.derived.tutel
+		if _, err := t.get(func() (tutelChoice, error) { return searchTutel(s.Built, s.derived.costs) }); err != nil {
 			return nil, err
 		}
-		plan.Graph, plan.TutelDegree, plan.costs = g, c.degree, c.costs
+		c := &t.val // written once, by the search; read-only since
+		plan.Graph, plan.TutelDegree, plan.costs = c.graph, c.degree, c.costs
 		plan.predictedUs = &c.predictedUs
 	case FrameworkFasterMoE:
 		prof, err := s.profile(s.streamedProfile(), 1)
@@ -819,61 +799,35 @@ func (s *Session) Baseline(framework string) (*Plan, error) {
 	return plan, nil
 }
 
-// tutelSearch is a session's Tutel overlap-degree search, run once. It
-// keeps the chosen degree and the cost model the search priced its
-// candidates on, never a graph: a pooled session would otherwise hold a
-// rewritten graph as long as it lives. The kept model only ever prices
-// rewrites of the chosen degree, every bucket of which the search already
-// memoized, so later plans price exactly like the search's (DESIGN.md §5).
-type tutelSearch struct {
-	onceValue[tutelChoice]
-}
-
-// tutelChoice is what a successful search keeps: the degree, the model
-// and the predicted iteration time of the chosen degree's graph, which is
-// every Tutel plan's PredictUs.
+// tutelChoice is what a successful Tutel search keeps: the chosen graph,
+// its degree, the model the search priced it on and its predicted
+// iteration time, which is every Tutel plan's PredictUs.
 type tutelChoice struct {
+	graph       *ir.Graph
 	degree      int
 	costs       *cost.Model
 	predictedUs float64
 }
 
-// plan returns the Tutel plan's graph and the search's choice, running
-// the search on the first call. The search prices every candidate degree
-// on a model derived from base and keeps the choice, or the error, never
-// half of it. The call that ran it returns the graph the search chose;
-// every later one rewrites the chosen degree again.
-func (t *tutelSearch) plan(b *model.Built, base *cost.Model) (*ir.Graph, *tutelChoice, error) {
-	var g *ir.Graph
-	_, err := t.get(func() (tutelChoice, error) {
-		cm := base.WithComputeScale(baselines.Tutel.ComputeScale)
-		ex := &sim.Executor{Cost: cm, Predict: true}
-		var predicted []float64 // per candidate, in search order
-		var candidates []*ir.Graph
-		chosen, degree, err := baselines.BestTutelPlan(b, func(g *ir.Graph) (float64, error) {
-			tl, err := ex.Run(g)
-			if err != nil {
-				return 0, err
-			}
-			candidates, predicted = append(candidates, g), append(predicted, tl.TotalUs)
-			return tl.TotalUs, nil
-		})
+// searchTutel runs the Tutel overlap-degree search: it predicts every
+// candidate degree's graph on a model derived from base at Tutel's
+// compute scale and keeps the fastest. The kept model only ever prices
+// that graph, every bucket of which the search memoized, so every plan
+// prices exactly like the search's (DESIGN.md §5).
+func searchTutel(b *model.Built, base *cost.Model) (tutelChoice, error) {
+	cm := base.WithComputeScale(baselines.Tutel.ComputeScale)
+	ex := &sim.Executor{Cost: cm, Predict: true}
+	g, degree, us, err := baselines.BestTutelPlan(b, func(g *ir.Graph) (float64, error) {
+		tl, err := ex.Run(g)
 		if err != nil {
-			return tutelChoice{}, err
+			return 0, err
 		}
-		g = chosen
-		return tutelChoice{degree, cm, predicted[slices.Index(candidates, chosen)]}, nil
+		return tl.TotalUs, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return tutelChoice{}, err
 	}
-	c := &t.val // written once, by the search; read-only since
-	if g == nil {
-		if g, err = baselines.TutelPlan(b, c.degree); err != nil {
-			return nil, nil, err
-		}
-	}
-	return g, c, nil
+	return tutelChoice{g, degree, cm, us}, nil
 }
 
 // onceValue runs a computation once and gives every call its outcome:
@@ -1064,8 +1018,8 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *routingProfile) (a2aOverri
 	ov := a2aOverrides{bytes: make(map[int]int64)}
 	profiles := make(map[int]*routingProfile) // per-k dispatch statistics
 	perTokenBytes := int64(s.Config.Hidden) * s.Config.DType.Size()
+	cm := s.derived.costs
 	var sizeExchange float64
-	var sizeExchangeDone bool
 	for id, in := range g.Instrs {
 		if in.Op != ir.OpAllToAll {
 			continue
@@ -1091,6 +1045,10 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *routingProfile) (a2aOverri
 		if p.net != nil && p.devices == s.Cluster.TotalGPUs() {
 			if ov.durUs == nil {
 				ov.durUs = make(map[int]float64)
+				// The size-exchange phase replays a uniform 4-byte-per-pair
+				// matrix, once per cost model (p.devices == TotalGPUs holds
+				// here, per the guard above).
+				sizeExchange = cm.SizeExchangeUs()
 			}
 			microFrac := 0.0
 			if total := sumf(p.shares); total > 0 {
@@ -1101,22 +1059,14 @@ func (s *Session) irregularOverrides(g *ir.Graph, wp *routingProfile) (a2aOverri
 			// from proxy tokens to the real batch.
 			scale := float64(s.Config.TokensPerGPU()) / float64(p.tokens) * microFrac
 			meanBytes := int64(scale * float64(p.routed) * float64(perTokenBytes) / float64(p.devices))
-			t := s.costRAF.AllToAllSkewedUs(meanBytes, p.net)
+			t := cm.AllToAllSkewedUs(meanBytes, p.net)
 			// Capacity caps every (source, expert) pair at C tokens, so an
 			// irregular exchange can never exceed the padded one on any
 			// link; cap at the padded cost to keep the two pricing models
 			// consistent.
-			padded := s.costRAF.ActualInstr(in)
+			padded := cm.ActualInstr(in)
 			if t > padded {
 				t = padded
-			}
-			if !sizeExchangeDone {
-				// The size-exchange phase replays a uniform 4-byte-per-pair
-				// matrix; the cost model memoizes the replay on its persistent
-				// network simulator (p.devices == TotalGPUs holds here, per
-				// the guard above).
-				sizeExchange = s.costRAF.UniformReplayUs(int64(p.devices) * 4)
-				sizeExchangeDone = true
 			}
 			ov.durUs[id] = t + sizeExchange
 		}

@@ -141,10 +141,11 @@ func TestDWScheduleRunsOncePerKey(t *testing.T) {
 }
 
 // TestFlatViewRunsItsOwnSchedule pins the memo's bound: a View.Flat plan
-// on the oversubscribed 32×V100 fleet prices on a model of its own, so it
+// on the oversubscribed 32×V100 fleet prices on a record of its own, so it
 // runs the passes on every call instead of reading the schedule the
 // session priced on its real spine, and it equals the same plan on a
-// session of its own.
+// session of its own. It fills no schedule slot and no gamma in the
+// session's record, whose first real-spine plans run the pass once.
 func TestFlatViewRunsItsOwnSchedule(t *testing.T) {
 	runs := countDWRuns(t)
 	over := func() *Session {
@@ -159,9 +160,27 @@ func TestFlatViewRunsItsOwnSchedule(t *testing.T) {
 		return s
 	}
 	flat := Options{View: func(v View) View { return v.Flat() }}
-	want, err := over().Lancet(flat)
+	first := over()
+	want, err := first.Lancet(flat)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for key := range first.derived.schedules {
+		if first.derived.schedules[key].done {
+			t.Errorf("a flat plan filled the session's schedule slot %d", key)
+		}
+	}
+	if first.derived.groupUs.done {
+		t.Error("a flat plan filled the session's gamma")
+	}
+	before := runs.Load()
+	for _, s := range []*Session{first, first.WithWorkload(0, 0)} {
+		if _, err := s.Lancet(Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runs.Load() - before; n != 1 {
+		t.Errorf("two real-spine plans after a flat one ran the dW pass %d times, want 1", n)
 	}
 	sess := over()
 	onSpine, err := sess.Lancet(Options{})
@@ -171,7 +190,7 @@ func TestFlatViewRunsItsOwnSchedule(t *testing.T) {
 	if onSpine.DWOverlapUs == want.DWOverlapUs {
 		t.Fatalf("the real and the flat spine schedule the same dW overlap, %v µs: the test cannot tell them apart", want.DWOverlapUs)
 	}
-	before := runs.Load()
+	before = runs.Load()
 	for _, s := range []*Session{sess, sess.WithWorkload(0, 0)} {
 		got, err := s.Lancet(flat)
 		if err != nil {
@@ -241,7 +260,7 @@ func TestScheduleFailureIsSticky(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Errorf("three calls ran the panicking pass %d times, want once", n)
 	}
-	if m := &s.schedules[0]; m.done || m.val.graph != nil {
+	if m := &s.derived.schedules[0]; m.done || m.val.graph != nil {
 		t.Errorf("a panicked pass left done %v, graph %p", m.done, m.val.graph)
 	}
 }

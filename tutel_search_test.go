@@ -45,9 +45,9 @@ func uncachedTutel(t *testing.T, cfg ModelConfig, cl Cluster) (tutelPrices, int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := s.costRAF.WithComputeScale(baselines.Tutel.ComputeScale)
+	cm := s.derived.costs.WithComputeScale(baselines.Tutel.ComputeScale)
 	ex := &sim.Executor{Cost: cm, Predict: true}
-	g, degree, err := baselines.BestTutelPlan(s.Built, func(g *ir.Graph) (float64, error) {
+	g, degree, _, err := baselines.BestTutelPlan(s.Built, func(g *ir.Graph) (float64, error) {
 		tl, err := ex.Run(g)
 		if err != nil {
 			return 0, err
@@ -157,7 +157,7 @@ func TestTutelSearchMatchesUncachedSearch(t *testing.T) {
 						want.degree, want.predict, *want.report, want.oom)
 				}
 			}
-			if kept := base.tutel.val.costs.Stats().Misses; kept != searched {
+			if kept := base.derived.tutel.val.costs.Stats().Misses; kept != searched {
 				t.Errorf("%s %s: the kept model took %d memo misses, the search %d", name, fleet.name, kept, searched)
 			}
 		}
@@ -169,7 +169,8 @@ func TestTutelSearchMatchesUncachedSearch(t *testing.T) {
 // graph, is what a fresh predict-mode simulation of the plan's graph on
 // the plan's model returns, bit for bit. On each of the 15 plan-cold
 // model × fleet pairs it checks the call that ran the search, a later
-// call on the session and calls on a Zipf 1.2 and a hot 0.3 view.
+// call on the session and calls on a Zipf 1.2 and a hot 0.3 view, and
+// that every later call returns the first call's graph.
 func TestTutelPredictionIsTheSearchs(t *testing.T) {
 	for _, name := range []string{"gpt2-s", "gpt2-l", "vit-s"} {
 		cfg, err := ParseModel(name, 0)
@@ -185,10 +186,16 @@ func TestTutelPredictionIsTheSearchs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var first *ir.Graph
 			for i, sess := range []*Session{s, s, s.WithWorkload(1.2, 0), s.WithWorkload(0, 0.3)} {
 				p, err := sess.Baseline(FrameworkTutel)
 				if err != nil {
 					t.Fatalf("%s %s call %d: %v", name, fleet.name, i, err)
+				}
+				if i == 0 {
+					first = p.Graph
+				} else if p.Graph != first {
+					t.Errorf("%s %s call %d: graph %p, the first call's %p", name, fleet.name, i, p.Graph, first)
 				}
 				if p.predictedUs == nil {
 					t.Fatalf("%s %s call %d: the plan carries no prediction", name, fleet.name, i)
@@ -212,7 +219,7 @@ func TestTutelPredictionIsTheSearchs(t *testing.T) {
 // TestTutelSearchFailureIsSticky pins the memo's failure paths: a search
 // that errors fails every later Tutel call on the session and its views
 // with the same error, and one that panics re-raises the same value on
-// every call. Neither leaves a degree or a model behind.
+// every call. Neither leaves a graph, a degree or a model behind.
 func TestTutelSearchFailureIsSticky(t *testing.T) {
 	s, err := NewSession(GPT2SMoE(0), MustCluster("V100", 16))
 	if err != nil {
@@ -236,21 +243,22 @@ func TestTutelSearchFailureIsSticky(t *testing.T) {
 			t.Errorf("call %d: error %v, first call %v", i, err, first)
 		}
 	}
-	if s.tutel.val.degree != 0 || s.tutel.val.costs != nil {
-		t.Errorf("failed search kept degree %d, model %v", s.tutel.val.degree, s.tutel.val.costs)
+	if c := s.derived.tutel.val; c.graph != nil || c.degree != 0 || c.costs != nil {
+		t.Errorf("failed search kept graph %p, degree %d, model %v", c.graph, c.degree, c.costs)
 	}
 
-	search := new(tutelSearch)
+	search := new(onceValue[tutelChoice])
 	panicOf := func() (v any) {
 		defer func() { v = recover() }()
-		search.plan(s.Built, nil) // a nil base model panics in the search
+		// A nil base model panics in the search.
+		search.get(func() (tutelChoice, error) { return searchTutel(s.Built, nil) })
 		return nil
 	}
 	p1, p2 := panicOf(), panicOf()
 	if p1 == nil || fmt.Sprint(p1) != fmt.Sprint(p2) {
 		t.Errorf("search panics %v, then %v", p1, p2)
 	}
-	if search.done || search.val.degree != 0 || search.val.costs != nil {
-		t.Errorf("panicked search left done %v, degree %d, model %v", search.done, search.val.degree, search.val.costs)
+	if c := search.val; search.done || c.graph != nil || c.degree != 0 || c.costs != nil {
+		t.Errorf("panicked search left done %v, graph %p, degree %d, model %v", search.done, c.graph, c.degree, c.costs)
 	}
 }
