@@ -73,26 +73,14 @@ func TutelPlan(b *model.Built, degree int) (*ir.Graph, error) {
 	if degree > b.CapacityC {
 		degree = b.CapacityC
 	}
-	g := b.Graph
-	var ranges []partition.Range
-	addWindow := func(start, end int) error {
-		window := g.Instrs[start : end+1]
-		asg := partition.InferAxes(g, window, false)
-		if asg == nil {
-			return fmt.Errorf("baselines: a2a+experts window [@%d,@%d] not partitionable", start, end)
-		}
-		ranges = append(ranges, partition.Range{Start: start, End: end, K: degree, Axes: asg})
-		return nil
-	}
+	ranges := make([]partition.Range, 0, 2*len(b.MoE))
 	for _, h := range b.MoE {
-		if err := addWindow(h.DispatchA2A, h.CombineA2A); err != nil {
-			return nil, err
-		}
-		if err := addWindow(h.BwdCombineA2A, h.BwdDispatchA2A); err != nil {
-			return nil, err
-		}
+		ranges = append(ranges,
+			partition.Range{Start: h.DispatchA2A, End: h.CombineA2A, K: degree},
+			partition.Range{Start: h.BwdCombineA2A, End: h.BwdDispatchA2A, K: degree})
 	}
-	return partition.Apply(g, ranges)
+	// The cores hold no gate, so the gate's routing never binds their axes.
+	return partition.Apply(b.Graph, ranges, false)
 }
 
 // BestTutelPlan searches TutelDegrees with the predictor and returns the

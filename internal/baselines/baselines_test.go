@@ -7,7 +7,6 @@ import (
 	"lancet/internal/hw"
 	"lancet/internal/ir"
 	"lancet/internal/model"
-	"lancet/internal/passes/partition"
 	"lancet/internal/sim"
 )
 
@@ -61,21 +60,25 @@ func TestTutelPlanPartitionsBothDirections(t *testing.T) {
 		t.Errorf("partitioned a2a instances fwd=%d bwd=%d, want %d each", fwd, bwd, 2*nMoE*4)
 	}
 	// Tutel partitions on the capacity axis only — never the irregular one.
-	for _, h := range b.MoE {
-		for _, w := range [][2]int{{h.DispatchA2A, h.CombineA2A}, {h.BwdCombineA2A, h.BwdDispatchA2A}} {
-			window := b.Graph.Instrs[w[0] : w[1]+1]
-			axes := partition.InferAxes(b.Graph, window, false)
-			for _, in := range window {
-				if in.Op != ir.OpAllToAll {
-					continue
-				}
-				for _, o := range in.Outs {
-					if axes[o] != partition.AxisCap {
-						t.Errorf("a2a %s output %%%d uses axis %s, want capacity", in.Name, o, axes[o])
-					}
-				}
-			}
+	// A capacity split or reconstruct is a free view of the dispatch
+	// buffer and carries no bytes; an irregular one regroups tokens and
+	// moves twice the tensor.
+	splits, reconstructs := 0, 0
+	for _, in := range g.Instrs {
+		switch in.Op {
+		case ir.OpPartitionSplit:
+			splits++
+		case ir.OpReconstruct:
+			reconstructs++
+		default:
+			continue
 		}
+		if in.Bytes != 0 {
+			t.Errorf("%s moves %d bytes: an irregular boundary, want a capacity view", in.Name, in.Bytes)
+		}
+	}
+	if splits == 0 || reconstructs == 0 {
+		t.Errorf("%d split and %d reconstruct ops, want some of each", splits, reconstructs)
 	}
 }
 

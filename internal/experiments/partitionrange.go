@@ -111,20 +111,19 @@ func sweepForwardTime(b *model.Built, cm *cost.Model, fwdEnd int, serialFwd, ran
 				acc += cm.PredictInstr(in)
 			}
 		}
-		window := g.Instrs[start : end+1]
-		asg := partition.InferAxes(g, window, true)
-		if asg == nil {
-			return 0, false
-		}
-		serial := 0.0
-		for _, in := range window {
-			serial += cm.PredictInstr(in)
-		}
 		best := math.Inf(1)
 		for k := 2; k <= 8; k++ {
-			if p := partition.PipelinePredictUs(g, cm, start, end, asg, k); p < best {
+			p, ok := partition.PipelinePredictUs(g, cm, start, end, k, true)
+			if !ok {
+				return 0, false
+			}
+			if p < best {
 				best = p
 			}
+		}
+		serial := 0.0
+		for _, in := range g.Instrs[start : end+1] {
+			serial += cm.PredictInstr(in)
 		}
 		total += best - serial
 	}

@@ -53,41 +53,41 @@ func (a Axis) String() string {
 	return "axis(?)"
 }
 
-// Assignment maps tensor IDs to their inferred partition axes.
-type Assignment map[int]Axis
-
-// InferAxes solves the partition axes of one window (see solveAxes) and
-// returns them as an Assignment, or nil when the window is not
-// partitionable. It serves callers that keep the assignment, externally
-// constructed windows included; the DP window loop reads the solution on
-// the scratch instead.
-func InferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) Assignment {
-	sc := getScratch()
-	defer putScratch(sc)
-	if !sc.solveAxes(g, window, gatePartialBatch) {
-		return nil
-	}
-	return sc.assignment()
+// axisSolver holds one window's partition-axis solution and the search
+// state that finds it (solveAxes): the axis of each tensor by ID, stamped
+// with solveGen; the trail of bound tensor IDs in binding order; and, per
+// search depth, the next combination to try and the trail length on
+// entry. The DP scratch and the pooled rewriter each embed one, so a
+// window's axes are solved where they are read and never copied out. Its
+// slices only grow, so a warm solver allocates nothing.
+type axisSolver struct {
+	axis     []Axis
+	axisGen  []uint64
+	solveGen uint64
+	trail    []int
+	comboAt  []int
+	trailAt  []int
 }
 
 // solveAxes solves the constraint satisfaction problem of Sec. 5.2 for the
-// given window of instructions on the scratch: find a partition axis for
-// every non-weight tensor the window touches such that each operator's
-// partition constraint F_Z holds and tensors keep a single axis throughout.
-// Reports false when the window is not partitionable (e.g. it contains a
-// gate that cannot route partial batches); otherwise the solution stays
-// readable through axisOf, maxParts and assignment until the next solve.
+// given window of instructions: find a partition axis for every
+// non-weight tensor the window touches such that each operator's
+// partition constraint F_Z holds and tensors keep a single axis
+// throughout. Reports false when the window is not partitionable (e.g. it
+// contains a gate that cannot route partial batches); otherwise the
+// solution stays readable through axisOf and maxParts until the next
+// solve.
 //
 // The search is a depth-first backtracking over instructions in program
 // order, trying each operator's combinations in preference order (see
 // opCombo). Axes live in a generation-stamped per-tensor array, so a new
 // solve invalidates the previous one in O(1), and every binding is pushed
 // on a trail that backtracking pops, so the search allocates nothing once
-// the scratch is warm.
+// the solver is warm.
 //
 //lancet:hotpath
-func (sc *dpScratch) solveAxes(g *ir.Graph, window []*ir.Instr, gatePartial bool) bool {
-	sc.resetAxes(g)
+func (sv *axisSolver) solveAxes(g *ir.Graph, window []*ir.Instr, gatePartial bool) bool {
+	sv.resetAxes(g)
 	for _, in := range window {
 		// An operator with no valid combination fails every branch of the
 		// search: reject the window before searching.
@@ -97,22 +97,22 @@ func (sc *dpScratch) solveAxes(g *ir.Graph, window []*ir.Instr, gatePartial bool
 		// Weights are never partitioned; pre-assign them.
 		for _, t := range in.Ins {
 			if g.Tensor(t).Kind == ir.Weight {
-				sc.bind(t, AxisNP)
+				sv.bind(t, AxisNP)
 			}
 		}
 	}
 	n := len(window)
-	sc.comboAt = grow(sc.comboAt, n)
-	sc.trailAt = grow(sc.trailAt, n)
+	sv.comboAt = grow(sv.comboAt, n)
+	sv.trailAt = grow(sv.trailAt, n)
 	if n > 0 {
-		sc.comboAt[0], sc.trailAt[0] = 0, len(sc.trail)
+		sv.comboAt[0], sv.trailAt[0] = 0, len(sv.trail)
 	}
 	for d := 0; d < n; {
 		// Drop the bindings of this depth's previous combination (and any
 		// deeper ones) before trying its next combination.
-		sc.undo(sc.trailAt[d])
+		sv.undo(sv.trailAt[d])
 		in := window[d]
-		inAx, outAx, ok := opCombo(in, sc.comboAt[d], gatePartial)
+		inAx, outAx, ok := opCombo(in, sv.comboAt[d], gatePartial)
 		if !ok {
 			if d == 0 {
 				return false
@@ -120,11 +120,11 @@ func (sc *dpScratch) solveAxes(g *ir.Graph, window []*ir.Instr, gatePartial bool
 			d-- // every combination failed here: backtrack
 			continue
 		}
-		sc.comboAt[d]++
-		if sc.apply(g, in, inAx, outAx) {
+		sv.comboAt[d]++
+		if sv.apply(g, in, inAx, outAx) {
 			d++
 			if d < n {
-				sc.comboAt[d], sc.trailAt[d] = 0, len(sc.trail)
+				sv.comboAt[d], sv.trailAt[d] = 0, len(sv.trail)
 			}
 		}
 	}
@@ -134,11 +134,11 @@ func (sc *dpScratch) solveAxes(g *ir.Graph, window []*ir.Instr, gatePartial bool
 // resetAxes starts an empty solution sized for g's tensors.
 //
 //lancet:hotpath
-func (sc *dpScratch) resetAxes(g *ir.Graph) {
-	sc.axis = grow(sc.axis, len(g.Tensors))
-	sc.axisGen = grow(sc.axisGen, len(g.Tensors))
-	sc.solveGen++
-	sc.trail = sc.trail[:0]
+func (sv *axisSolver) resetAxes(g *ir.Graph) {
+	sv.axis = grow(sv.axis, len(g.Tensors))
+	sv.axisGen = grow(sv.axisGen, len(g.Tensors))
+	sv.solveGen++
+	sv.trail = sv.trail[:0]
 }
 
 // apply binds one instruction's combination: every non-weight input to
@@ -147,14 +147,14 @@ func (sc *dpScratch) resetAxes(g *ir.Graph) {
 // trail for the caller to undo.
 //
 //lancet:hotpath
-func (sc *dpScratch) apply(g *ir.Graph, in *ir.Instr, inAx, outAx Axis) bool {
+func (sv *axisSolver) apply(g *ir.Graph, in *ir.Instr, inAx, outAx Axis) bool {
 	for _, t := range in.Ins {
-		if g.Tensor(t).Kind != ir.Weight && !sc.bind(t, inAx) {
+		if g.Tensor(t).Kind != ir.Weight && !sv.bind(t, inAx) {
 			return false
 		}
 	}
 	for _, t := range in.Outs {
-		if !sc.bind(t, outAx) {
+		if !sv.bind(t, outAx) {
 			return false
 		}
 	}
@@ -165,33 +165,33 @@ func (sc *dpScratch) apply(g *ir.Graph, in *ir.Instr, inAx, outAx Axis) bool {
 // t is already bound in this solve — reports whether the axes agree.
 //
 //lancet:hotpath
-func (sc *dpScratch) bind(t int, ax Axis) bool {
-	if sc.axisGen[t] == sc.solveGen {
-		return sc.axis[t] == ax
+func (sv *axisSolver) bind(t int, ax Axis) bool {
+	if sv.axisGen[t] == sv.solveGen {
+		return sv.axis[t] == ax
 	}
-	sc.axis[t] = ax
-	sc.axisGen[t] = sc.solveGen
-	sc.trail = append(sc.trail, t)
+	sv.axis[t] = ax
+	sv.axisGen[t] = sv.solveGen
+	sv.trail = append(sv.trail, t)
 	return true
 }
 
 // undo unbinds every tensor recorded on the trail from position mark on.
 //
 //lancet:hotpath
-func (sc *dpScratch) undo(mark int) {
-	for _, t := range sc.trail[mark:] {
-		sc.axisGen[t] = 0 // generations start at 1: never current
+func (sv *axisSolver) undo(mark int) {
+	for _, t := range sv.trail[mark:] {
+		sv.axisGen[t] = 0 // generations start at 1: never current
 	}
-	sc.trail = sc.trail[:mark]
+	sv.trail = sv.trail[:mark]
 }
 
 // axisOf returns tensor t's axis in the current solution; tensors the
 // window does not touch are AxisNP.
 //
 //lancet:hotpath
-func (sc *dpScratch) axisOf(t int) Axis {
-	if sc.axisGen[t] == sc.solveGen {
-		return sc.axis[t]
+func (sv *axisSolver) axisOf(t int) Axis {
+	if sv.axisGen[t] == sv.solveGen {
+		return sv.axis[t]
 	}
 	return AxisNP
 }
@@ -201,34 +201,15 @@ func (sc *dpScratch) axisOf(t int) Axis {
 // dimension holds.
 //
 //lancet:hotpath
-func (sc *dpScratch) maxParts(g *ir.Graph) int {
+func (sv *axisSolver) maxParts(g *ir.Graph) int {
 	limit := int(^uint(0) >> 1)
-	for _, t := range sc.trail {
+	for _, t := range sv.trail {
 		shape := g.Tensor(t).Shape
-		if dim, ok := splitDim(shape, sc.axis[t]); ok && shape[dim] < limit {
+		if dim, ok := splitDim(shape, sv.axis[t]); ok && shape[dim] < limit {
 			limit = shape[dim]
 		}
 	}
 	return limit
-}
-
-// assignment copies the current solution into an Assignment: the tensors
-// the window touches, weights included (as AxisNP).
-func (sc *dpScratch) assignment() Assignment {
-	asg := make(Assignment, len(sc.trail))
-	for _, t := range sc.trail {
-		asg[t] = sc.axis[t]
-	}
-	return asg
-}
-
-// loadAxes installs a caller-built assignment as the current solution, for
-// the standalone pricing entry points that take one.
-func (sc *dpScratch) loadAxes(g *ir.Graph, asg Assignment) {
-	sc.resetAxes(g)
-	for t, ax := range asg {
-		sc.bind(t, ax)
-	}
 }
 
 // opCombo returns combination c of the valid axis assignments F_Z for one

@@ -57,16 +57,16 @@ func BenchmarkAxisInference(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkPipelineCost isolates one P(i,n,k) evaluation (the DP's inner
-// loop, counted in Fig. 15).
+// BenchmarkPipelineCost isolates one standalone P(i,n,k) evaluation (the
+// DP's inner loop, counted in Fig. 15) with its axis solve.
 func BenchmarkPipelineCost(b *testing.B) {
 	built, cm := benchFixture(b)
 	h := built.MoE[0]
-	window := built.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := InferAxes(built.Graph, window, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipelineCost(built.Graph, cm, h.Gate, h.Gather, asg, 4, nil, 1)
+		if _, ok := PipelinePredictUs(built.Graph, cm, h.Gate, h.Gather, 4, true); !ok {
+			b.Fatal("window must be solvable")
+		}
 	}
 }
 
@@ -241,7 +241,7 @@ func BenchmarkRewrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Apply(g, res.Ranges); err != nil {
+		if _, err := Apply(g, res.Ranges, opts.GatePartialBatch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,9 +17,9 @@ import (
 // (makeGroups): every cover of the groups by windows of at most
 // opts.MaxRangeGroups groups, each window kept serial or partitioned at any
 // k in 2..min(ρ, refMaxParts). It prices with the references —
-// refInferAxes, refPipelineSpan and a plain per-instruction serial sum —
-// plus the boundary cost, each distinct window once, and uses no prefix
-// sums and no resumed simulation.
+// refInferAxes, refPipelineSpan, refBoundaryCostUs and a plain
+// per-instruction serial sum — each distinct window once, and uses no
+// prefix sums and no resumed simulation.
 type dpOracle struct {
 	bounds []int
 	// prices[[2]int{i, j}][k] is the price of the group window (i, j]
@@ -50,8 +50,6 @@ func newDPOracle(g *ir.Graph, cm *cost.Model, opts Options) *dpOracle {
 	o := &dpOracle{bounds: makeGroups(prefix, opts.GroupUs, nil), prices: make(map[[2]int][]float64)}
 	n := len(o.bounds) - 1
 
-	sc := getScratch()
-	defer putScratch(sc)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j <= min(n, i+opts.MaxRangeGroups); j++ {
 			w := g.Instrs[o.bounds[i]:o.bounds[j]]
@@ -62,8 +60,7 @@ func newDPOracle(g *ir.Graph, cm *cost.Model, opts Options) *dpOracle {
 			p := []float64{math.Inf(1), serial}
 			hasA2A := slices.ContainsFunc(w, func(in *ir.Instr) bool { return in.Op == ir.OpAllToAll })
 			if asg := refInferAxes(g, w, opts.GatePartialBatch); hasA2A && asg != nil {
-				sc.loadAxes(g, asg)
-				boundary := boundaryCostUs(g, cm, o.bounds[i], w, sc)
+				boundary := refBoundaryCostUs(g, cm, o.bounds[i], w, asg)
 				for k := 2; k <= min(opts.MaxPartitions, refMaxParts(g, asg)); k++ {
 					p = append(p, refPipelineSpan(g, cm, o.bounds[i], w, k, pr, opts.PayloadFraction)+boundary)
 				}

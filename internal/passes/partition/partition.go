@@ -69,11 +69,11 @@ func (o *Options) fillDefaults() {
 }
 
 // Range is one chosen pipeline: the instructions [Start, End] (input-graph
-// program order, inclusive) partitioned K ways.
+// program order, inclusive) partitioned K ways. It carries no partition
+// axes: Apply solves them where it rewrites the window.
 type Range struct {
 	Start, End  int
 	K           int
-	Axes        Assignment
 	PredictedUs float64
 	SerialUs    float64
 }
@@ -95,8 +95,7 @@ type Result struct {
 }
 
 // choice records one DP decision: partition the groups (from, j] k ways (or
-// keep them serial when k == 1). The axes of a chosen window are solved
-// again at backtrack, so the table holds no assignments.
+// keep them serial when k == 1).
 type choice struct {
 	from int
 	k    int
@@ -123,16 +122,15 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 	n := len(bounds) - 1
 	res := &Result{Evaluations: evals, ForwardUs: sc.T[n], SerialForwardUs: sc.prefix[fwdEnd]}
 
-	// Backtrack the chosen ranges, re-solving each one's axes: the solver
-	// is deterministic, so this is the assignment the window was priced
-	// under.
+	// Backtrack the chosen ranges. Apply solves each one's axes again: the
+	// solver is deterministic, so it rewrites the window under the axes it
+	// was priced under.
 	for j := n; j > 0; {
 		c := best[j]
 		if c.k >= 2 {
-			sc.solveAxes(g, g.Instrs[bounds[c.from]:bounds[j]], opts.GatePartialBatch)
 			res.Ranges = append(res.Ranges, Range{
 				Start: bounds[c.from], End: bounds[j] - 1,
-				K: c.k, Axes: sc.assignment(), PredictedUs: c.pUs, SerialUs: c.sUs,
+				K: c.k, PredictedUs: c.pUs, SerialUs: c.sUs,
 			})
 		}
 		j = c.from
@@ -142,7 +140,7 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 		res.Ranges[l], res.Ranges[r] = res.Ranges[r], res.Ranges[l]
 	}
 
-	ng, err := Apply(g, res.Ranges)
+	ng, err := Apply(g, res.Ranges, opts.GatePartialBatch)
 	if err != nil {
 		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
 	}
@@ -221,7 +219,7 @@ func (sc *dpScratch) sweep(g *ir.Graph, cm *cost.Model, pr cost.A2APricer, opts 
 			}
 			// The boundary plumbing cost is k-independent; price it once per
 			// window and add it to every candidate's simulated span (the same
-			// sum pipelineCost computed per candidate).
+			// sum windowUs computes per candidate).
 			boundary := boundaryCostUs(g, cm, bounds[i], window, sc)
 			for k := 2; k <= kmax; k++ {
 				p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary

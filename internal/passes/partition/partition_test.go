@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lancet/internal/cost"
@@ -44,19 +45,39 @@ func moeRange(b *model.Built, withGate, withGather bool) (start, end int) {
 	return start, end
 }
 
+// solveWindow solves w's axes on a fresh solver, or returns nil when w is
+// not partitionable.
+func solveWindow(g *ir.Graph, w []*ir.Instr, gatePartial bool) *axisSolver {
+	sv := new(axisSolver)
+	if !sv.solveAxes(g, w, gatePartial) {
+		return nil
+	}
+	return sv
+}
+
+// serialUs is the unpartitioned time of window under uniform routing: the
+// plain sum of its operator times (the forward pass is a dependency chain).
+func serialUs(cm *cost.Model, window []*ir.Instr) float64 {
+	total := 0.0
+	for _, in := range window {
+		total += cm.PredictInstr(in)
+	}
+	return total
+}
+
 func TestInferAxesCapacityOnly(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, false, false) // [a2a, experts, a2a]
-	asg := InferAxes(b.Graph, w, true)
-	if asg == nil {
+	sv := solveWindow(b.Graph, w, true)
+	if sv == nil {
 		t.Fatal("a2a+experts window must be partitionable")
 	}
 	// Everything flowing through should use the capacity axis (preferred
 	// when legal — the Tutel-style partition).
 	for _, in := range w {
 		for _, o := range in.Outs {
-			if asg[o] != AxisCap {
-				t.Errorf("%s output axis = %v, want capacity", in.Name, asg[o])
+			if ax := sv.axisOf(o); ax != AxisCap {
+				t.Errorf("%s output axis = %v, want capacity", in.Name, ax)
 			}
 		}
 	}
@@ -65,8 +86,8 @@ func TestInferAxesCapacityOnly(t *testing.T) {
 func TestInferAxesGatherForcesIrr(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, false, true) // [a2a, experts, a2a, gather]
-	asg := InferAxes(b.Graph, w, true)
-	if asg == nil {
+	sv := solveWindow(b.Graph, w, true)
+	if sv == nil {
 		t.Fatal("window through gather must be partitionable")
 	}
 	gather := w[len(w)-1]
@@ -76,49 +97,49 @@ func TestInferAxesGatherForcesIrr(t *testing.T) {
 	// Gather input must be Airr, output batch.
 	for _, in := range w[:len(w)-1] {
 		for _, o := range in.Outs {
-			if asg[o] != AxisIrr {
-				t.Errorf("%s output axis = %v, want Airr once gather is included", in.Name, asg[o])
+			if ax := sv.axisOf(o); ax != AxisIrr {
+				t.Errorf("%s output axis = %v, want Airr once gather is included", in.Name, ax)
 			}
 		}
 	}
-	if asg[gather.Outs[0]] != AxisBatch {
-		t.Errorf("gather output axis = %v, want batch", asg[gather.Outs[0]])
+	if ax := sv.axisOf(gather.Outs[0]); ax != AxisBatch {
+		t.Errorf("gather output axis = %v, want batch", ax)
 	}
 }
 
 func TestInferAxesGateEndpoints(t *testing.T) {
 	b, _ := buildFixture(t)
 	w := moeWindow(b, true, true) // [gate, a2a, experts, a2a, gather]
-	asg := InferAxes(b.Graph, w, true)
-	if asg == nil {
+	sv := solveWindow(b.Graph, w, true)
+	if sv == nil {
 		t.Fatal("full MoE window must be partitionable with a partial-batch gate")
 	}
 	gate := w[0]
 	for _, in := range gate.Ins {
 		if b.Graph.Tensor(in).Kind == ir.Weight {
-			if asg[in] != AxisNP {
+			if sv.axisOf(in) != AxisNP {
 				t.Error("gate weight must not be partitioned")
 			}
 			continue
 		}
-		if asg[in] != AxisBatch {
-			t.Errorf("gate input axis = %v, want batch", asg[in])
+		if ax := sv.axisOf(in); ax != AxisBatch {
+			t.Errorf("gate input axis = %v, want batch", ax)
 		}
 	}
 	for _, o := range gate.Outs {
-		if asg[o] != AxisIrr {
-			t.Errorf("gate output axis = %v, want Airr", asg[o])
+		if ax := sv.axisOf(o); ax != AxisIrr {
+			t.Errorf("gate output axis = %v, want Airr", ax)
 		}
 	}
 }
 
 func TestInferAxesBPRRejectsGate(t *testing.T) {
 	b, _ := buildFixture(t)
-	if asg := InferAxes(b.Graph, moeWindow(b, true, true), false); asg != nil {
+	if sv := solveWindow(b.Graph, moeWindow(b, true, true), false); sv != nil {
 		t.Error("batch-prioritized gate must not be partitionable")
 	}
 	// But the window after the gate remains legal (Fig. 4c).
-	if asg := InferAxes(b.Graph, moeWindow(b, false, true), false); asg == nil {
+	if sv := solveWindow(b.Graph, moeWindow(b, false, true), false); sv == nil {
 		t.Error("post-gate window must stay partitionable under BPR")
 	}
 }
@@ -127,18 +148,20 @@ func TestMaxParts(t *testing.T) {
 	g := ir.NewGraph()
 	a := g.NewTensor("a", ir.Shape{4, 100}, ir.F16, ir.Activation)
 	b := g.NewTensor("b", ir.Shape{16, 8, 100}, ir.F16, ir.Activation)
-	sc := getScratch()
-	defer putScratch(sc)
+	var sv axisSolver
 	for _, c := range []struct {
-		asg  Assignment
+		asg  map[int]Axis
 		want int
 		why  string
 	}{
-		{Assignment{a.ID: AxisBatch, b.ID: AxisCap}, 4, "batch dim"},
-		{Assignment{a.ID: AxisNP, b.ID: AxisCap}, 8, "capacity dim"},
+		{map[int]Axis{a.ID: AxisBatch, b.ID: AxisCap}, 4, "batch dim"},
+		{map[int]Axis{a.ID: AxisNP, b.ID: AxisCap}, 8, "capacity dim"},
 	} {
-		sc.loadAxes(g, c.asg)
-		if got := sc.maxParts(g); got != c.want {
+		sv.resetAxes(g)
+		for t, ax := range c.asg {
+			sv.bind(t, ax)
+		}
+		if got := sv.maxParts(g); got != c.want {
 			t.Errorf("maxParts = %d, want %d (%s)", got, c.want, c.why)
 		}
 		if got := refMaxParts(g, c.asg); got != c.want {
@@ -182,18 +205,17 @@ func TestPipelineCostShape(t *testing.T) {
 	b, cm := buildFixture(t)
 	w := moeWindow(b, true, true)
 	start, end := moeRange(b, true, true)
-	asg := InferAxes(b.Graph, w, true)
-	if asg == nil {
+	p2, ok := PipelinePredictUs(b.Graph, cm, start, end, 2, true)
+	if !ok {
 		t.Fatal("window not partitionable")
 	}
-	serial := serialCost(cm, w, nil, 1)
-	p2 := pipelineCost(b.Graph, cm, start, end, asg, 2, nil, 1)
+	serial := serialUs(cm, w)
 	if p2 >= serial {
 		t.Errorf("k=2 pipeline (%v us) should beat serial (%v us)", p2, serial)
 	}
 	// Extreme partitioning pays launch overhead: cost grows again.
-	p2x := pipelineCost(b.Graph, cm, start, end, asg, 2, nil, 1)
-	pBig := pipelineCost(b.Graph, cm, start, end, asg, 64, nil, 1)
+	p2x, _ := PipelinePredictUs(b.Graph, cm, start, end, 2, true)
+	pBig, _ := PipelinePredictUs(b.Graph, cm, start, end, 64, true)
 	if pBig <= p2x {
 		t.Errorf("k=64 (%v us) should cost more than k=2 (%v us)", pBig, p2x)
 	}
@@ -362,26 +384,38 @@ func TestRewriteAccounting(t *testing.T) {
 }
 
 // Apply rejects ranges it cannot rewrite — inverted, overlapping in either
-// order, or outside the graph — with an error instead of a panic or a
-// silently skipped range.
+// order, outside the graph, or with no partition axes — with an error
+// instead of a panic or a silently skipped range. A core window that
+// starts at the gate has axes only when the gate routes partial batches,
+// and a window holding the loss never has any.
 func TestApplyRejectsBadRanges(t *testing.T) {
 	b, _ := buildFixture(t)
-	n := len(b.Graph.Instrs)
+	g := b.Graph
+	n := len(g.Instrs)
+	h := b.MoE[0]
+	loss := slices.IndexFunc(g.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpLoss })
+	gateCore := []Range{{Start: h.Gate, End: h.CombineA2A, K: 2}}
 	cases := []struct {
-		name   string
-		ranges []Range
+		name        string
+		ranges      []Range
+		gatePartial bool
 	}{
-		{"inverted", []Range{{Start: 5, End: 2, K: 2}}},
-		{"overlapping", []Range{{Start: 0, End: 5, K: 2}, {Start: 3, End: 8, K: 2}}},
-		{"overlapping reversed", []Range{{Start: 3, End: 8, K: 2}, {Start: 0, End: 5, K: 2}}},
-		{"negative start", []Range{{Start: -1, End: 2, K: 2}}},
-		{"past the end", []Range{{Start: n - 2, End: n, K: 2}}},
-		{"beyond the graph", []Range{{Start: n + 3, End: n + 4, K: 2}}},
+		{"inverted", []Range{{Start: 5, End: 2, K: 2}}, true},
+		{"overlapping", []Range{{Start: 0, End: 5, K: 2}, {Start: 3, End: 8, K: 2}}, true},
+		{"overlapping reversed", []Range{{Start: 3, End: 8, K: 2}, {Start: 0, End: 5, K: 2}}, true},
+		{"negative start", []Range{{Start: -1, End: 2, K: 2}}, true},
+		{"past the end", []Range{{Start: n - 2, End: n, K: 2}}, true},
+		{"beyond the graph", []Range{{Start: n + 3, End: n + 4, K: 2}}, true},
+		{"gate start without partial batches", gateCore, false},
+		{"loss inside", []Range{{Start: loss - 1, End: loss, K: 2}}, true},
 	}
 	for _, tc := range cases {
-		if _, err := Apply(b.Graph, tc.ranges); err == nil {
+		if _, err := Apply(g, tc.ranges, tc.gatePartial); err == nil {
 			t.Errorf("%s: Apply accepted %v", tc.name, tc.ranges)
 		}
+	}
+	if _, err := Apply(g, gateCore, true); err != nil {
+		t.Errorf("gate start with partial batches: %v", err)
 	}
 }
 

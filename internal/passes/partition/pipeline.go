@@ -3,7 +3,6 @@ package partition
 import (
 	"lancet/internal/cost"
 	"lancet/internal/ir"
-	"lancet/internal/netsim"
 )
 
 // predictInstr prices one instruction under the active routing profile:
@@ -108,34 +107,29 @@ func boundaryCostUs(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, 
 	return total
 }
 
-// pipelineCost simulates the stage pipeline and returns P(i, n, k): the
-// end-to-end time of the partitioned window (Sec. 5.3). Each instance's
-// start time is the maximum of (i) the end of the instances it depends on
-// and (ii) the end of the previous instance on its stream. This is the
-// standalone form for external callers and tests: it indexes the window
-// g.Instrs[start:end+1] as a new start and simulates it from scratch. Run
-// drives the decomposed pieces (extendWindow / pipelineSpan resumed across
-// extensions / hoisted boundary cost) directly on its own scratch.
-func pipelineCost(g *ir.Graph, cm *cost.Model, start, end int, asg Assignment, k int, prof *netsim.RoutingProfile, frac float64) float64 {
-	pr := cm.NewA2APricer(prof)
+// windowUs prices one window at partition count k as a new start under
+// the scratch's current axis solution, P(i, n, k) of Sec. 5.3: the stage
+// pipeline's span plus the boundary plumbing, the price Run's sweep gives
+// the same window. Replay and PipelinePredictUs price single windows
+// through it.
+func (sc *dpScratch) windowUs(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, k int, pr cost.A2APricer, frac float64) float64 {
+	boundary := boundaryCostUs(g, cm, start, window, sc)
+	sc.prepareWindow(g, start, window)
+	return sc.pipelineSpan(cm, window, k, pr, frac) + boundary
+}
+
+// PipelinePredictUs exposes the pipeline scheduler's P(i,n,k) estimate for
+// an externally constructed window, the instructions [start, end] of g
+// (inclusive, like a Range), priced under uniform routing with the axes
+// solveAxes infers for it. ok is false when the window is not
+// partitionable.
+func PipelinePredictUs(g *ir.Graph, cm *cost.Model, start, end, k int, gatePartial bool) (us float64, ok bool) {
 	sc := getScratch()
 	defer putScratch(sc)
 	window := g.Instrs[start : end+1]
-	sc.beginSweep(len(g.Instrs))
-	sc.prepareWindow(g, start, window)
-	span := sc.pipelineSpan(cm, window, k, pr, frac)
-	sc.loadAxes(g, asg)
-	return span + boundaryCostUs(g, cm, start, window, sc)
-}
-
-// serialCost is the unpartitioned execution time of the window: the plain
-// sum of operator times (the forward pass is a dependency chain), priced
-// under the active routing profile.
-func serialCost(cm *cost.Model, window []*ir.Instr, prof *netsim.RoutingProfile, frac float64) float64 {
-	pr := cm.NewA2APricer(prof)
-	total := 0.0
-	for _, in := range window {
-		total += predictInstr(cm, in, pr, frac)
+	if !sc.solveAxes(g, window, gatePartial) {
+		return 0, false
 	}
-	return total
+	sc.beginSweep(len(g.Instrs))
+	return sc.windowUs(g, cm, start, window, k, cm.NewA2APricer(nil), 1), true
 }

@@ -33,18 +33,23 @@ func TestRewriteFLOPConservation(t *testing.T) {
 
 // plumbingAxes returns the axis of the tensor each split or reconstruct
 // op of res.Graph splits or restores, in the range whose pipeline emitted
-// the op. The rewrite emits each range's pipeline contiguously, in start
-// order: its split ops, K micro-instances of each window op, then its
-// reconstruct ops.
-func plumbingAxes(t *testing.T, res *Result) map[*ir.Instr]Axis {
+// the op, as the reference solver (refInferAxes) solves that range of g,
+// the graph Run rewrote. The rewrite emits each range's pipeline
+// contiguously, in start order: its split ops, K micro-instances of each
+// window op, then its reconstruct ops.
+func plumbingAxes(t *testing.T, g *ir.Graph, res *Result, gatePartial bool) map[*ir.Instr]Axis {
 	t.Helper()
 	out := res.Graph.Instrs
 	axes := make(map[*ir.Instr]Axis)
 	at, pos := 0, 0
 	for _, r := range slices.SortedFunc(slices.Values(res.Ranges), func(a, b Range) int { return cmp.Compare(a.Start, b.Start) }) {
+		ref := refInferAxes(g, g.Instrs[r.Start:r.End+1], gatePartial)
+		if ref == nil {
+			t.Fatalf("range [%d,%d]: the reference finds no axes", r.Start, r.End)
+		}
 		at += r.Start - pos // instructions the rewrite kept
 		for ; at < len(out) && out[at].Op == ir.OpPartitionSplit; at++ {
-			axes[out[at]] = r.Axes[out[at].Ins[0]]
+			axes[out[at]] = ref[out[at].Ins[0]]
 		}
 		for end := at + r.K*(r.End-r.Start+1); at < end; at++ {
 			if in := out[at]; in.NumParts != r.K || in.Op == ir.OpPartitionSplit || in.Op == ir.OpReconstruct {
@@ -52,7 +57,7 @@ func plumbingAxes(t *testing.T, res *Result) map[*ir.Instr]Axis {
 			}
 		}
 		for ; at < len(out) && out[at].Op == ir.OpReconstruct; at++ {
-			axes[out[at]] = r.Axes[out[at].Outs[0]]
+			axes[out[at]] = ref[out[at].Outs[0]]
 		}
 		pos = r.End + 1
 	}
@@ -72,7 +77,7 @@ func TestPlumbingCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for in, axis := range plumbingAxes(t, res) {
+	for in, axis := range plumbingAxes(t, b.Graph, res, true) {
 		irr := axis == AxisIrr
 		if irr && in.Bytes == 0 {
 			t.Errorf("%s: irregular boundary op should cost memory traffic", in.Name)
@@ -94,7 +99,7 @@ func TestInstanceShapesTile(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := res.Graph
-	for in, axis := range plumbingAxes(t, res) {
+	for in, axis := range plumbingAxes(t, b.Graph, res, true) {
 		if in.Op != ir.OpReconstruct || axis == AxisPartial {
 			continue
 		}
@@ -119,9 +124,11 @@ func TestPipelineCostLowerBound(t *testing.T) {
 	b, cm := buildFixture(t)
 	h := b.MoE[0]
 	window := b.Graph.Instrs[h.Gate : h.Gather+1]
-	asg := InferAxes(b.Graph, window, true)
 	for k := 2; k <= 8; k *= 2 {
-		p := pipelineCost(b.Graph, cm, h.Gate, h.Gather, asg, k, nil, 1)
+		p, ok := PipelinePredictUs(b.Graph, cm, h.Gate, h.Gather, k, true)
+		if !ok {
+			t.Fatal("window not partitionable")
+		}
 		// One partition's chain: every op at 1/k size, run serially.
 		chain := 0.0
 		for _, in := range window {
@@ -130,7 +137,7 @@ func TestPipelineCostLowerBound(t *testing.T) {
 		if p < chain-1e-6 {
 			t.Errorf("k=%d: pipeline %v us below single-chain critical path %v us", k, p, chain)
 		}
-		serial := serialCost(cm, window, nil, 1)
+		serial := serialUs(cm, window)
 		if p > float64(k)*serial {
 			t.Errorf("k=%d: pipeline %v us exceeds fully serialized %v us", k, p, float64(k)*serial)
 		}

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -15,11 +14,11 @@ import (
 	"lancet/internal/netsim"
 )
 
-// The map-based partition-axis solver the scratch solver (solveAxes)
-// replaced, kept as its slower reference: a fresh Assignment map per
-// window, materialized combination lists and per-depth backtracking
-// slices. TestSolveAxesMatchesReference holds the two equal on every
-// window the DP visits.
+// The map-based partition-axis solver the stamped solver (solveAxes)
+// replaced, kept as its slower reference: a fresh map from tensor ID to
+// axis per window, materialized combination lists and per-depth
+// backtracking slices. TestSolveAxesMatchesReference holds the two equal
+// on every window the DP visits.
 
 // refInferAxes solves the constraint satisfaction problem of Sec. 5.2 for the
 // given window of instructions: find a partition axis for every non-weight
@@ -32,8 +31,8 @@ import (
 // are tried before Airr, so windows covering only all-to-alls and experts
 // get the simple Tutel-style partition, while anything extending past the
 // gather (or through the gate) is forced onto Airr by the constraints.
-func refInferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) Assignment {
-	asg := make(Assignment)
+func refInferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) map[int]Axis {
+	asg := make(map[int]Axis)
 	// Weights are never partitioned; pre-assign them.
 	for _, in := range window {
 		for _, t := range in.Ins {
@@ -49,7 +48,7 @@ func refInferAxes(g *ir.Graph, window []*ir.Instr, gatePartialBatch bool) Assign
 }
 
 // refSolve assigns axes instruction by instruction with backtracking.
-func refSolve(g *ir.Graph, window []*ir.Instr, idx int, asg Assignment, gatePartial bool) bool {
+func refSolve(g *ir.Graph, window []*ir.Instr, idx int, asg map[int]Axis, gatePartial bool) bool {
 	if idx == len(window) {
 		return true
 	}
@@ -169,7 +168,7 @@ func refOpCombos(g *ir.Graph, in *ir.Instr, gatePartial bool) [][]refBinding {
 
 // refMaxParts returns the largest partition count the assignment supports: no
 // tensor can be split into more parts than its partition dimension holds.
-func refMaxParts(g *ir.Graph, asg Assignment) int {
+func refMaxParts(g *ir.Graph, asg map[int]Axis) int {
 	limit := int(^uint(0) >> 1)
 	for t, ax := range asg {
 		shape := g.Tensor(t).Shape
@@ -191,6 +190,40 @@ func refMaxParts(g *ir.Graph, asg Assignment) int {
 		}
 	}
 	return limit
+}
+
+// refBoundaryCostUs is boundaryCostUs on a reference solution: per-call
+// maps for the window's produced and already-priced tensors, and a scan of
+// the instructions after the window for a consumer instead of the graph's
+// last-use table.
+func refBoundaryCostUs(g *ir.Graph, cm *cost.Model, start int, window []*ir.Instr, asg map[int]Axis) float64 {
+	copyCost := func(t int) float64 {
+		return cm.PredictInstr(&ir.Instr{Op: ir.OpReconstruct, Bytes: 2 * g.Tensor(t).Bytes()})
+	}
+	produced, seen := map[int]bool{}, map[int]bool{}
+	for _, in := range window {
+		for _, t := range in.Outs {
+			produced[t] = true
+		}
+	}
+	total := 0.0
+	for _, in := range window {
+		for _, t := range in.Ins {
+			if !produced[t] && !seen[t] && asg[t] == AxisIrr {
+				total += copyCost(t) // irregular boundary split
+			}
+			seen[t] = true
+		}
+	}
+	after := g.Instrs[start+len(window):]
+	for _, in := range window {
+		for _, t := range in.Outs {
+			if asg[t] == AxisIrr && slices.ContainsFunc(after, func(c *ir.Instr) bool { return slices.Contains(c.Ins, t) }) {
+				total += copyCost(t) // irregular boundary reconstruct
+			}
+		}
+	}
+	return total
 }
 
 // refModels builds the three benchmark models on a 16-GPU V100 fleet.
@@ -240,13 +273,16 @@ func dpWindows(g *ir.Graph, cm *cost.Model) [][2]int {
 
 // The scratch solver must agree with the map-based reference on every
 // window the DP visits: solvability, the axis of every tensor (including
-// which tensors the solution covers) and the partition-count limit.
+// which tensors the solution covers) and the partition-count limit. The
+// boundary cost priced under each solution must equal the reference's
+// bit for bit.
 func TestSolveAxesMatchesReference(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	for name, b := range refModels(t) {
 		g := b.Graph
-		windows := dpWindows(g, cost.NewModel(b.Cluster))
+		cm := cost.NewModel(b.Cluster)
+		windows := dpWindows(g, cm)
 		for _, gatePartial := range []bool{true, false} {
 			solvable := 0
 			for _, lh := range windows {
@@ -267,12 +303,25 @@ func TestSolveAxesMatchesReference(t *testing.T) {
 							name, gatePartial, lh[0], lh[1]-1, id, got, want)
 					}
 				}
-				if got := sc.assignment(); !maps.Equal(got, ref) {
-					t.Fatalf("%s gatePartial=%v window @%d..@%d: assignment covers %d tensors, reference %d",
-						name, gatePartial, lh[0], lh[1]-1, len(got), len(ref))
+				// The trail holds each bound tensor once: it covers the
+				// reference's tensors exactly when it is as long and each
+				// of its tensors is one of them.
+				covered := len(sc.trail) == len(ref)
+				for _, id := range sc.trail {
+					_, in := ref[id]
+					covered = covered && in
+				}
+				if !covered {
+					t.Fatalf("%s gatePartial=%v window @%d..@%d: solution covers %d tensors, reference %d",
+						name, gatePartial, lh[0], lh[1]-1, len(sc.trail), len(ref))
 				}
 				if got, want := sc.maxParts(g), refMaxParts(g, ref); got != want {
 					t.Fatalf("%s gatePartial=%v window @%d..@%d: maxParts %d, reference %d",
+						name, gatePartial, lh[0], lh[1]-1, got, want)
+				}
+				got, want := boundaryCostUs(g, cm, lh[0], w, sc), refBoundaryCostUs(g, cm, lh[0], w, ref)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s gatePartial=%v window @%d..@%d: boundary %v us, reference %v us",
 						name, gatePartial, lh[0], lh[1]-1, got, want)
 				}
 			}
@@ -446,7 +495,7 @@ func TestPipelineSpanResumeMatchesReference(t *testing.T) {
 // refRun is Run's DP without the repeated-block reuse, kept as its slower
 // reference: every start indexes, solves and simulates every one of its
 // windows, on the scratch's resumed simulations, and the chosen ranges are
-// backtracked and re-solved as Run does. It returns no rewritten graph,
+// backtracked as Run does. It returns no rewritten graph,
 // and it returns every partitioned candidate it priced, start by start in
 // sweep order, as Run's sweep records them.
 func refRun(g *ir.Graph, cm *cost.Model, opts Options) (*Result, []candRec) {
@@ -507,10 +556,9 @@ func refRun(g *ir.Graph, cm *cost.Model, opts Options) (*Result, []candRec) {
 	for j := n; j > 0; {
 		c := best[j]
 		if c.k >= 2 {
-			sc.solveAxes(g, g.Instrs[bounds[c.from]:bounds[j]], opts.GatePartialBatch)
 			res.Ranges = append(res.Ranges, Range{
 				Start: bounds[c.from], End: bounds[j] - 1,
-				K: c.k, Axes: sc.assignment(), PredictedUs: c.pUs, SerialUs: c.sUs,
+				K: c.k, PredictedUs: c.pUs, SerialUs: c.sUs,
 			})
 		}
 		j = c.from
@@ -564,8 +612,8 @@ func sameCandidates(t *testing.T, name string, got, want []candRec) {
 }
 
 // sameResult fails t unless Run's result got equals the reference sweep's
-// want: the same ranges with the same axes and bit-equal prices, the same
-// evaluation count and bit-equal forward times.
+// want: the same ranges at bit-equal prices, the same evaluation count and
+// bit-equal forward times.
 func sameResult(t *testing.T, name string, got, want *Result) {
 	t.Helper()
 	bits := math.Float64bits
@@ -577,11 +625,11 @@ func sameResult(t *testing.T, name string, got, want *Result) {
 	}
 	for i, r := range got.Ranges {
 		w := want.Ranges[i]
-		if r.Start != w.Start || r.End != w.End || r.K != w.K || !maps.Equal(r.Axes, w.Axes) ||
+		if r.Start != w.Start || r.End != w.End || r.K != w.K ||
 			bits(r.PredictedUs) != bits(w.PredictedUs) || bits(r.SerialUs) != bits(w.SerialUs) {
-			t.Fatalf("%s: range %d is @%d..@%d k=%d at %v of serial %v us; reference @%d..@%d k=%d at %v of %v us (axes equal %t)",
+			t.Fatalf("%s: range %d is @%d..@%d k=%d at %v of serial %v us; reference @%d..@%d k=%d at %v of %v us",
 				name, i, r.Start, r.End, r.K, r.PredictedUs, r.SerialUs,
-				w.Start, w.End, w.K, w.PredictedUs, w.SerialUs, maps.Equal(r.Axes, w.Axes))
+				w.Start, w.End, w.K, w.PredictedUs, w.SerialUs)
 		}
 	}
 }

@@ -10,11 +10,10 @@ import (
 
 // Replay applies a previously chosen pipeline set verbatim instead of
 // running the DP: each fixed range keeps its partition count (clamped to
-// what the target graph's assignment axes admit), axes are re-inferred for
-// the target graph, and no partition decisions are revisited. This is the
-// degraded-replay half of a node-loss what-if — the question is "how does
-// the stale plan behave on this fleet", not "what would we choose now"
-// (DESIGN.md §17). Ranges with no all-to-all or no inferable axes replay
+// what the axes solved for the target graph admit), and no partition
+// decisions are revisited. This is the degraded-replay half of a
+// node-loss what-if — the question is "how does the stale plan behave on
+// this fleet", not "what would we choose now" (DESIGN.md §17). Ranges with no all-to-all or no inferable axes replay
 // serially; ranges outside the forward prefix or overlapping are an error.
 // Evaluations counts only the per-range pricings (one per surviving
 // window), never a sweep.
@@ -57,18 +56,15 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 		if k < 2 {
 			continue
 		}
-		boundary := boundaryCostUs(g, cm, r.Start, window, sc)
-		sc.prepareWindow(g, r.Start, window)
-		p := sc.pipelineSpan(cm, window, k, pr, opts.PayloadFraction) + boundary
+		p := sc.windowUs(g, cm, r.Start, window, k, pr, opts.PayloadFraction)
 		res.Evaluations++
 		serial := prefix[r.End+1] - prefix[r.Start]
 		res.ForwardUs += p - serial
 		res.Ranges = append(res.Ranges, Range{
-			Start: r.Start, End: r.End, K: k, Axes: sc.assignment(),
-			PredictedUs: p, SerialUs: serial,
+			Start: r.Start, End: r.End, K: k, PredictedUs: p, SerialUs: serial,
 		})
 	}
-	ng, err := Apply(g, res.Ranges)
+	ng, err := Apply(g, res.Ranges, opts.GatePartialBatch)
 	if err != nil {
 		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"lancet/internal/cost"
 	"lancet/internal/ir"
 )
 
@@ -24,19 +23,23 @@ import (
 // carved from one slab per kind the rewritten graph owns: piece tensors,
 // their shapes, instructions, operand lists, and one string every new
 // name slices.
+// Apply solves each range's partition axes itself (solveAxes, with gates
+// routing partial batches when gatePartial), once when the validation
+// pass sizes the range and once when its pipeline is emitted; a range
+// with no solution is an error.
 // Run and Replay apply the DP's ranges; the Tutel baseline applies
 // externally constructed ones, fixing its partition to the a2a+experts
 // core instead of searching.
-func Apply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
+func Apply(g *ir.Graph, ranges []Range, gatePartial bool) (*ir.Graph, error) {
 	rw := getRewriter(g)
 	defer putRewriter(rw)
-	return rw.apply(ranges)
+	return rw.apply(ranges, gatePartial)
 }
 
-// apply is Apply on a borrowed rewriter: the validation pass checks and
-// sizes every range, carve allocates the slabs, and the emission pass
-// fills them.
-func (rw *rewriter) apply(ranges []Range) (*ir.Graph, error) {
+// apply is Apply on a borrowed rewriter: the validation pass checks,
+// solves and sizes every range, carve allocates the slabs, and the
+// emission pass fills them.
+func (rw *rewriter) apply(ranges []Range, gatePartial bool) (*ir.Graph, error) {
 	g := rw.g
 	rw.byStart = rw.byStart[:0]
 	for i := range ranges {
@@ -56,6 +59,9 @@ func (rw *rewriter) apply(ranges []Range) (*ir.Graph, error) {
 		if r.Start <= prevEnd {
 			return nil, fmt.Errorf("overlapping partition ranges at @%d", r.Start)
 		}
+		if !rw.solveAxes(g, g.Instrs[r.Start:r.End+1], gatePartial) {
+			return nil, fmt.Errorf("range %d [%d,%d] has no partition axes", i, r.Start, r.End)
+		}
 		prevEnd = r.End
 		kept -= r.End - r.Start + 1
 		rw.count(r)
@@ -69,9 +75,7 @@ func (rw *rewriter) apply(ranges []Range) (*ir.Graph, error) {
 		for _, in := range g.Instrs[pos:r.Start] {
 			ng.Emit(in)
 		}
-		if err := rw.emitPipeline(r); err != nil {
-			return nil, err
-		}
+		rw.emitPipeline(r, gatePartial)
 		pos = r.End + 1
 	}
 	for _, in := range g.Instrs[pos:] {
@@ -85,13 +89,13 @@ func (rw *rewriter) apply(ranges []Range) (*ir.Graph, error) {
 }
 
 // rewriter is the working set of one Apply call. Produced and
-// already-split tensors, each tensor's pieces and the pipeline's axes are
-// generation-stamped arrays indexed by the input graph's tensor IDs:
-// bumping gen at each pipeline invalidates every entry. The marks and
-// buffers are pooled across calls like the DP's scratch, and gen only
-// grows, so a stamp left by an earlier call never matches. The slabs are
-// the rewritten graph's own: putRewriter drops them, with every other
-// pointer into a graph.
+// already-split tensors and each tensor's pieces are generation-stamped
+// arrays indexed by the input graph's tensor IDs: bumping gen at each
+// pipeline invalidates every entry. The current range's axes are its
+// solver's solution. The marks, buffers and solver are pooled across
+// calls like the DP's scratch, and gen only grows, so a stamp left by an
+// earlier call never matches. The slabs are the rewritten graph's own:
+// putRewriter drops them, with every other pointer into a graph.
 type rewriter struct {
 	g, ng    *ir.Graph
 	gen      uint64
@@ -101,11 +105,7 @@ type rewriter struct {
 	// partBase is the ID of piece 0 of a tensor's split: its k pieces have
 	// consecutive IDs.
 	partBase []int
-	// axis is the current pipeline's Range.Axes, dense: tensor t's entry
-	// is axis[t] when axisGen[t] is the pipeline's generation, and missing
-	// otherwise.
-	axis    []Axis
-	axisGen []uint64
+	axisSolver
 
 	byStart []int // range indices in program order
 	// stOff holds the current pipeline's stage offsets: stage s covers the
@@ -156,13 +156,12 @@ func getRewriter(g *ir.Graph) *rewriter {
 	rw := rewriterPool.Get().(*rewriter)
 	nt := len(g.Tensors)
 	if cap(rw.partBase) < nt {
-		marks := make([]uint64, 4*nt)
-		rw.produced, rw.seen, rw.partGen, rw.axisGen = marks[:nt], marks[nt:2*nt], marks[2*nt:3*nt], marks[3*nt:]
+		marks := make([]uint64, 3*nt)
+		rw.produced, rw.seen, rw.partGen = marks[:nt], marks[nt:2*nt], marks[2*nt:]
 		rw.partBase = make([]int, nt)
-		rw.axis = make([]Axis, nt)
 	}
-	rw.produced, rw.seen, rw.partGen, rw.axisGen = rw.produced[:nt], rw.seen[:nt], rw.partGen[:nt], rw.axisGen[:nt]
-	rw.partBase, rw.axis = rw.partBase[:nt], rw.axis[:nt]
+	rw.produced, rw.seen, rw.partGen = rw.produced[:nt], rw.seen[:nt], rw.partGen[:nt]
+	rw.partBase = rw.partBase[:nt]
 	rw.g, rw.n = g, rewriteSize{}
 	return rw
 }
@@ -175,9 +174,10 @@ func putRewriter(rw *rewriter) {
 	rewriterPool.Put(rw)
 }
 
-// count adds r's pipeline to the rewrite's size, by the rules
-// emitPipeline builds it with: K micro-instances per window op, and K
-// pieces per window output and per external input whose axis is not NP.
+// count adds r's pipeline to the rewrite's size under the solver's
+// current solution, by the rules emitPipeline builds it with: K
+// micro-instances per window op, and K pieces per window output and per
+// external input whose axis is not NP.
 // Each such input gets a split op and each output the rest of the graph
 // consumes a reconstruct op.
 func (rw *rewriter) count(r *Range) {
@@ -203,7 +203,7 @@ func (rw *rewriter) count(r *Range) {
 				continue
 			}
 			rw.seen[t] = gen
-			if r.Axes[t] == AxisNP {
+			if rw.axisOf(t) == AxisNP {
 				continue
 			}
 			pieces(t)
@@ -275,15 +275,6 @@ func (rw *rewriter) plumbing(t int, suffix string) *ir.Instr {
 	return rw.instr()
 }
 
-// axisOf returns tensor t's axis in the current pipeline's Range.Axes,
-// and whether it has an entry there.
-func (rw *rewriter) axisOf(t int) (Axis, bool) {
-	if rw.axisGen[t] == rw.gen {
-		return rw.axis[t], true
-	}
-	return AxisNP, false
-}
-
 // parts returns the ID of piece 0 of tensor t's k-way split along axis in
 // this pipeline, registering the pieces on first use.
 func (rw *rewriter) parts(t int, axis Axis, k int) int {
@@ -311,23 +302,19 @@ func (rw *rewriter) parts(t int, axis Axis, k int) int {
 	return base
 }
 
-// emitPipeline emits r's pipeline: a split op per external input with an
-// axis, the micro-instances in Fig. 9's issue order (stages in order;
-// within a stage, partitions; within both, program order — the order the
-// DP simulates), and a reconstruct op per output consumed after the
-// window. A tensor with no entry in r.Axes reads as NP when consumed and
-// is an error when produced.
-func (rw *rewriter) emitPipeline(r *Range) error {
+// emitPipeline emits r's pipeline under the axes it solves for r's
+// window: a split op per external input with an axis, the
+// micro-instances in Fig. 9's issue order (stages in order; within a
+// stage, partitions; within both, program order — the order the DP
+// simulates), and a reconstruct op per output consumed after the window.
+// The validation pass solved the same window, so the solve succeeds.
+func (rw *rewriter) emitPipeline(r *Range, gatePartial bool) {
 	g, ng := rw.g, rw.ng
 	window := g.Instrs[r.Start : r.End+1]
 	k := r.K
+	rw.solveAxes(g, window, gatePartial)
 	rw.gen++
 	gen := rw.gen
-	for t, ax := range r.Axes {
-		if t >= 0 && t < len(rw.axis) {
-			rw.axis[t], rw.axisGen[t] = ax, gen
-		}
-	}
 	rw.stOff = rw.stOff[:0]
 	for pos, in := range window {
 		for _, t := range in.Outs {
@@ -346,7 +333,7 @@ func (rw *rewriter) emitPipeline(r *Range) error {
 				continue
 			}
 			rw.seen[t] = gen
-			axis, _ := rw.axisOf(t)
+			axis := rw.axisOf(t)
 			if axis == AxisNP {
 				continue
 			}
@@ -385,17 +372,13 @@ func (rw *rewriter) emitPipeline(r *Range) error {
 				c.Ins = rw.operands(len(in.Ins))
 				for i, t := range in.Ins {
 					c.Ins[i] = t
-					if axis, _ := rw.axisOf(t); axis != AxisNP {
+					if axis := rw.axisOf(t); axis != AxisNP {
 						c.Ins[i] = rw.parts(t, axis, k) + p
 					}
 				}
 				c.Outs = rw.operands(len(in.Outs))
 				for i, t := range in.Outs {
-					axis, ok := rw.axisOf(t)
-					if !ok {
-						return fmt.Errorf("no axis for tensor %%%d produced by %s", t, in.Name)
-					}
-					c.Outs[i] = rw.parts(t, axis, k) + p
+					c.Outs[i] = rw.parts(t, rw.axisOf(t), k) + p
 				}
 				ng.Emit(c)
 			}
@@ -410,9 +393,8 @@ func (rw *rewriter) emitPipeline(r *Range) error {
 			if g.LastUse(t) <= r.End {
 				continue
 			}
-			axis, _ := rw.axisOf(t)
 			var bytes int64
-			if axis == AxisIrr {
+			if rw.axisOf(t) == AxisIrr {
 				bytes = 2 * g.Tensor(t).Bytes()
 			}
 			c := rw.plumbing(t, reconstructSuffix)
@@ -429,7 +411,6 @@ func (rw *rewriter) emitPipeline(r *Range) error {
 			ng.Emit(c)
 		}
 	}
-	return nil
 }
 
 // nameAll converts the names built during the rewrite into one string
@@ -458,11 +439,4 @@ func splitLen(s ir.Shape, axis Axis, k, p int) (dim, n int, ok bool) {
 		n++
 	}
 	return dim, n, true
-}
-
-// PipelinePredictUs exposes the pipeline scheduler's P(i,n,k) estimate for
-// an externally constructed window, the instructions [start, end] of g
-// (inclusive, like a Range), priced under uniform routing.
-func PipelinePredictUs(g *ir.Graph, cm *cost.Model, start, end int, asg Assignment, k int) float64 {
-	return pipelineCost(g, cm, start, end, asg, k, nil, 1)
 }

@@ -14,11 +14,12 @@ import (
 	"lancet/internal/race"
 )
 
-// refApply is the rewrite Apply replaced, kept as its reference: axes
-// looked up in Range.Axes per operand, the issue order materialized by
-// schedulePlan, every piece tensor, shape, name, operand list and new
-// instruction allocated on its own.
-func refApply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
+// refApply is the rewrite Apply replaced, kept as its reference: each
+// range's axes solved by the reference solver (refInferAxes) and looked up
+// in its map per operand, the issue order materialized by schedulePlan,
+// every piece tensor, shape, name, operand list and new instruction
+// allocated on its own.
+func refApply(g *ir.Graph, ranges []Range, gatePartial bool) (*ir.Graph, error) {
 	byStart := make([]int, len(ranges))
 	for i := range byStart {
 		byStart[i] = i
@@ -39,9 +40,11 @@ func refApply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 		for _, in := range g.Instrs[pos:r.Start] {
 			ng.Emit(in)
 		}
-		if err := refEmitPipeline(g, ng, r); err != nil {
-			return nil, err
+		axes := refInferAxes(g, g.Instrs[r.Start:r.End+1], gatePartial)
+		if axes == nil {
+			return nil, fmt.Errorf("range %d has no partition axes", i)
 		}
+		refEmitPipeline(g, ng, r, axes)
 		pos = r.End + 1
 	}
 	for _, in := range g.Instrs[pos:] {
@@ -53,7 +56,7 @@ func refApply(g *ir.Graph, ranges []Range) (*ir.Graph, error) {
 	return ng, nil
 }
 
-func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
+func refEmitPipeline(g, ng *ir.Graph, r *Range, axes map[int]Axis) {
 	window := g.Instrs[r.Start : r.End+1]
 	k := r.K
 	produced := map[int]bool{}
@@ -63,14 +66,11 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 		}
 	}
 	partBase := map[int]int{}
-	parts := func(t int) (int, bool) {
+	parts := func(t int) int {
 		if base, ok := partBase[t]; ok {
-			return base, true
+			return base
 		}
-		axis, ok := r.Axes[t]
-		if !ok {
-			return 0, false
-		}
+		axis := axes[t]
 		orig := g.Tensor(t)
 		base := len(ng.Tensors)
 		for p := 0; p < k; p++ {
@@ -87,7 +87,7 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 			})
 		}
 		partBase[t] = base
-		return base, true
+		return base
 	}
 	ids := func(base int) []int {
 		out := make([]int, k)
@@ -103,11 +103,11 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 				continue
 			}
 			seen[t] = true
-			axis := r.Axes[t]
+			axis := axes[t]
 			if axis == AxisNP {
 				continue
 			}
-			base, _ := parts(t)
+			base := parts(t)
 			var bytes int64
 			if axis == AxisIrr {
 				bytes = 2 * g.Tensor(t).Bytes()
@@ -127,19 +127,13 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 		c.PartIdx, c.NumParts = ref.part, k
 		c.Ins = slices.Clone(in.Ins)
 		for i, t := range in.Ins {
-			if r.Axes[t] == AxisNP {
-				continue
+			if axes[t] != AxisNP {
+				c.Ins[i] = parts(t) + ref.part
 			}
-			base, _ := parts(t)
-			c.Ins[i] = base + ref.part
 		}
 		c.Outs = slices.Clone(in.Outs)
 		for i, t := range in.Outs {
-			base, ok := parts(t)
-			if !ok {
-				return fmt.Errorf("no axis for tensor %%%d produced by %s", t, in.Name)
-			}
-			c.Outs[i] = base + ref.part
+			c.Outs[i] = parts(t) + ref.part
 		}
 		ng.Emit(&c)
 	}
@@ -148,9 +142,8 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 			if g.LastUse(t) <= r.End {
 				continue
 			}
-			axis := r.Axes[t]
 			var bytes int64
-			if axis == AxisIrr {
+			if axes[t] == AxisIrr {
 				bytes = 2 * g.Tensor(t).Bytes()
 			}
 			ng.Emit(&ir.Instr{
@@ -160,7 +153,6 @@ func refEmitPipeline(g, ng *ir.Graph, r *Range) error {
 			})
 		}
 	}
-	return nil
 }
 
 // dumpGraph prints every field of every tensor and instruction of g.
@@ -175,80 +167,68 @@ func dumpGraph(g *ir.Graph) string {
 	return b.String()
 }
 
+// rewriteCase is a range set to rewrite and whether its gates route
+// partial batches.
+type rewriteCase struct {
+	ranges      []Range
+	gatePartial bool
+}
+
 // rewriteCases returns range sets to rewrite on built graph b: the DP's
 // chosen ranges, at their own partition counts and at 12, Tutel's
 // capacity-axis cores at degree 4, and single solvable DP windows at
 // partition counts 2 to 8, gates and irregular axes among them.
-func rewriteCases(t *testing.T, b *model.Built, cm *cost.Model) map[string][]Range {
+func rewriteCases(t *testing.T, b *model.Built, cm *cost.Model) map[string]rewriteCase {
 	t.Helper()
 	g := b.Graph
-	cases := map[string][]Range{}
+	cases := map[string]rewriteCase{}
 	res, err := Run(g, cm, Options{GatePartialBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases["dp"] = res.Ranges
+	cases["dp"] = rewriteCase{res.Ranges, true}
 	wide := slices.Clone(res.Ranges)
 	for i := range wide {
 		wide[i].K = 12 // two-digit piece suffixes
 	}
-	cases["dp k=12"] = wide
+	cases["dp k=12"] = rewriteCase{wide, true}
 	var tutel []Range
 	for _, h := range b.MoE {
 		for _, w := range [][2]int{{h.DispatchA2A, h.CombineA2A}, {h.BwdCombineA2A, h.BwdDispatchA2A}} {
-			asg := InferAxes(g, g.Instrs[w[0]:w[1]+1], false)
-			tutel = append(tutel, Range{Start: w[0], End: w[1], K: 4, Axes: asg})
+			tutel = append(tutel, Range{Start: w[0], End: w[1], K: 4})
 		}
 	}
-	cases["tutel"] = tutel
+	cases["tutel"] = rewriteCase{tutel, false}
 	windows := dpWindows(g, cm)
 	for i := 0; i < len(windows); i += 7 {
 		start, end := windows[i][0], windows[i][1]-1
-		asg := InferAxes(g, g.Instrs[start:end+1], true)
-		if asg == nil {
+		if refInferAxes(g, g.Instrs[start:end+1], true) == nil {
 			continue
 		}
 		k := 2 + i%7
-		cases[fmt.Sprintf("window %d..%d k=%d", start, end, k)] = []Range{{Start: start, End: end, K: k, Axes: asg}}
+		cases[fmt.Sprintf("window %d..%d k=%d", start, end, k)] = rewriteCase{[]Range{{Start: start, End: end, K: k}}, true}
 	}
 	return cases
 }
 
 // Apply must build exactly the graph the reference builds, tensor for
-// tensor and instruction for instruction, names and operands included,
-// and report a missing output axis the same way.
+// tensor and instruction for instruction, names and operands included:
+// its solver and rewrite against the reference solver and rewrite.
 func TestApplyMatchesReference(t *testing.T) {
 	for name, b := range refModels(t) {
 		cm := cost.NewModel(b.Cluster)
-		for cname, ranges := range rewriteCases(t, b, cm) {
-			got, err := Apply(b.Graph, ranges)
+		for cname, c := range rewriteCases(t, b, cm) {
+			got, err := Apply(b.Graph, c.ranges, c.gatePartial)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, cname, err)
 			}
-			want, err := refApply(b.Graph, ranges)
+			want, err := refApply(b.Graph, c.ranges, c.gatePartial)
 			if err != nil {
 				t.Fatalf("%s %s: reference: %v", name, cname, err)
 			}
 			if dumpGraph(got) != dumpGraph(want) {
 				t.Fatalf("%s %s: rewritten graph differs from the reference", name, cname)
 			}
-		}
-
-		// A window output without an axis entry is an error on both.
-		ranges := rewriteCases(t, b, cm)["dp"]
-		r := ranges[len(ranges)-1]
-		axes := Assignment{}
-		for t, ax := range r.Axes {
-			axes[t] = ax
-		}
-		out := b.Graph.Instrs[r.End].Outs[0]
-		delete(axes, out)
-		r.Axes = axes
-		bad := append(slices.Clone(ranges[:len(ranges)-1]), r)
-		_, err := Apply(b.Graph, bad)
-		_, refErr := refApply(b.Graph, bad)
-		if err == nil || refErr == nil || err.Error() != refErr.Error() {
-			t.Errorf("%s: missing output axis: error %v, reference %v", name, err, refErr)
 		}
 	}
 }
@@ -259,9 +239,9 @@ func TestApplyMatchesReference(t *testing.T) {
 func TestRewriteSizedExactly(t *testing.T) {
 	for name, b := range refModels(t) {
 		cm := cost.NewModel(b.Cluster)
-		for cname, ranges := range rewriteCases(t, b, cm) {
+		for cname, c := range rewriteCases(t, b, cm) {
 			rw := getRewriter(b.Graph)
-			ng, err := rw.apply(ranges)
+			ng, err := rw.apply(c.ranges, c.gatePartial)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, cname, err)
 			}
@@ -320,12 +300,12 @@ func TestApplyAllocatesPerRewrite(t *testing.T) {
 			t.Fatalf("%s: the DP chose %d pipelines; the pin needs several", c.name, len(res.Ranges))
 		}
 		all := testing.AllocsPerRun(20, func() {
-			if _, err := Apply(c.g, res.Ranges); err != nil {
+			if _, err := Apply(c.g, res.Ranges, c.opts.GatePartialBatch); err != nil {
 				t.Fatal(err)
 			}
 		})
 		one := testing.AllocsPerRun(20, func() {
-			if _, err := Apply(c.g, res.Ranges[:1]); err != nil {
+			if _, err := Apply(c.g, res.Ranges[:1], c.opts.GatePartialBatch); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -16,9 +16,9 @@ import (
 
 // dpScratch is the reusable working set of one partition-pass DP sweep
 // (DESIGN.md §13): the prefix/DP tables, the window index of the current
-// DP start, one resumable pipeline simulation per partition count, and
-// the start table and candidate records that let a repeated block reuse
-// an earlier block's prices. All of it is borrowed from a sync.Pool and
+// DP start, the current window's axis solution, one resumable pipeline
+// simulation per partition count, and the start table and candidate
+// records that let a repeated block reuse an earlier block's prices. All of it is borrowed from a sync.Pool and
 // grown monotonically, so the DP inner loop — durations, clock
 // simulation, boundary costs — allocates nothing in steady state.
 // Window-local marks (produced/seen tensors) are generation-stamped arrays
@@ -46,16 +46,8 @@ type dpScratch struct {
 	stStream []int
 	startGen uint64
 
-	// Axis solution (solveAxes): the axis of each tensor by ID, stamped
-	// with solveGen; the trail of bound tensor IDs in binding order; and,
-	// per search depth, the next combination to try and the trail length
-	// on entry.
-	axis     []Axis
-	axisGen  []uint64
-	solveGen uint64
-	trail    []int
-	comboAt  []int
-	trailAt  []int
+	// The axis solution of the current window (solveAxes).
+	axisSolver
 
 	// Per-partition-count state (kState), indexed by k and grown only to
 	// the largest k priced; sweepGen and nInstrs scope the duration memos
@@ -216,19 +208,19 @@ func (sc *dpScratch) extendWindow(g *ir.Graph, window []*ir.Instr) {
 }
 
 // prepareWindow indexes window, which starts at program position start,
-// as a new start: the form for callers that price a single window (Replay,
-// pipelineCost, tests).
+// as a new start: the form for callers that price a single window
+// (windowUs, tests).
 func (sc *dpScratch) prepareWindow(g *ir.Graph, start int, window []*ir.Instr) {
 	sc.beginWindow(start)
 	sc.extendWindow(g, window)
 }
 
 // pipelineSpan simulates the stage pipeline of the indexed window at
-// partition count k and returns its end-to-end span — pipelineCost minus
-// the k-independent boundary cost, which Run hoists out of the k loop. The
-// issue order is Fig. 9's, the order the rewrite emits (stages in order;
-// within a stage, partitions; within both, program order), and each
-// stage-partition pair walks only its stage's positions. An instance
+// partition count k and returns its end-to-end span: the window's price
+// minus the k-independent boundary cost, which Run hoists out of the k
+// loop. The issue order is Fig. 9's, the order the rewrite emits (stages
+// in order; within a stage, partitions; within both, program order), and
+// each stage-partition pair walks only its stage's positions. An instance
 // starts at its stream's clock or at the latest end of its dependencies on
 // the other stream, whichever is later. Durations are non-negative, so the
 // stream clocks never move backward and the span is the later of the two.

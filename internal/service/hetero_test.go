@@ -9,21 +9,32 @@ import (
 )
 
 func TestClassesRejectBadSpecs(t *testing.T) {
-	h := New(Config{}).Handler()
-	for _, c := range []struct{ body, wantErr string }{
-		{`{"classes": [{"gpu": "A100", "nodes": 1}], "cluster": "V100"}`, "not both"},
-		{`{"classes": [{"gpu": "A100", "nodes": 1}], "gpus": 16}`, "not both"},
-		{`{"classes": [{"gpu": "H100", "nodes": 1}]}`, "unknown GPU type"},
-		{`{"classes": [{"gpu": "A100", "nodes": 0}]}`, "nodes > 0"},
-		{`{"classes": [{"gpu": "A100", "nodes": -2}]}`, "nodes > 0"},
+	svc := New(Config{})
+	h := svc.Handler()
+	for _, c := range []struct {
+		body, wantErr string
+		wantCode      ErrorCode
+	}{
+		{`{"classes": [{"gpu": "A100", "nodes": 1}], "cluster": "V100"}`, "not both", CodeConflictingFields},
+		{`{"classes": [{"gpu": "A100", "nodes": 1}], "gpus": 16}`, "not both", CodeConflictingFields},
+		{`{"classes": [{"gpu": "H100", "nodes": 1}]}`, "unknown GPU type", CodeBadCluster},
+		{`{"classes": [{"gpu": "A100", "nodes": 0}]}`, "nodes > 0", CodeBadCluster},
+		{`{"classes": [{"gpu": "A100", "nodes": -2}]}`, "nodes > 0", CodeBadCluster},
+		// 65,536 GPUs, the fleet {"gpus": 65536} names.
+		{`{"classes": [{"gpu": "V100", "nodes": 8192}]}`, "512-GPU fleet limit", CodeBadCluster},
+		// Each class within the bound, the fleet over it.
+		{`{"classes": [{"gpu": "A100", "nodes": 40}, {"gpu": "V100", "nodes": 40}]}`, "640 GPUs", CodeBadCluster},
 	} {
 		w := postPlan(t, h, c.body)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", c.body, w.Code)
 			continue
 		}
-		if msg := decodeError(t, w); !strings.Contains(msg, c.wantErr) {
-			t.Errorf("%s: error %q should mention %q", c.body, msg, c.wantErr)
+		if e := decodeEnvelope(t, w); !strings.Contains(e.Err.Message, c.wantErr) || e.Err.Code != c.wantCode {
+			t.Errorf("%s: error %s %q, want %s mentioning %q", c.body, e.Err.Code, e.Err.Message, c.wantCode, c.wantErr)
+		}
+		if n := svc.sessions.Len(); n != 0 {
+			t.Errorf("%s: %d sessions built, want none", c.body, n)
 		}
 	}
 }

@@ -270,6 +270,12 @@ func normalizeClasses(specs []ClassSpec, clusterType string, gpus int) ([]lancet
 		if cs.Nodes <= 0 {
 			return nil, codedf(CodeBadCluster, "classes[%d] needs nodes > 0, got %d", i, cs.Nodes)
 		}
+		if cs.Nodes > maxFleetGPUs {
+			// Every node holds a GPU, and bounding each class keeps the
+			// fleet's GPU total from overflowing before canonicalize
+			// bounds it.
+			return nil, codedf(CodeBadCluster, "classes[%d] names %d nodes, more than the %d-GPU fleet limit", i, cs.Nodes, maxFleetGPUs)
+		}
 		nc, err := lancet.ClassForGPU(strings.TrimSpace(cs.GPU), cs.Nodes)
 		if err != nil {
 			return nil, coded(CodeBadCluster, fmt.Errorf("classes[%d]: %w", i, err))
@@ -504,6 +510,9 @@ func (r PlanRequest) canonicalize() (*canonical, error) {
 		if cl, err = lancet.NewCluster(c.clusterType, c.gpus); err != nil {
 			return nil, coded(CodeBadCluster, err)
 		}
+	}
+	if n := cl.TotalGPUs(); n > maxFleetGPUs {
+		return nil, codedf(CodeBadCluster, "a fleet of %d GPUs exceeds the %d-GPU limit", n, maxFleetGPUs)
 	}
 	if r.Topology != nil {
 		topo := r.Topology.toTopology()

@@ -31,6 +31,12 @@ const maxStreamSweepPoints = 1 << 20
 // a sweep near the grid cap still fits comfortably.
 const maxBodyBytes = 1 << 20
 
+// maxFleetGPUs bounds the fleet one request may name, in every spelling.
+// A session's cost model indexes every GPU pair, so its memory grows with
+// the square of the fleet: 65,536 GPUs would take 32 GiB. 512 is eight
+// times the paper's largest fleet.
+const maxFleetGPUs = 512
+
 // Config sizes the service.
 type Config struct {
 	// CacheSize bounds the plan store (entries). Default 256.

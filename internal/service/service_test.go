@@ -50,8 +50,12 @@ func decodeError(t *testing.T, w *httptest.ResponseRecorder) string {
 	return decodeEnvelope(t, w).Err.Message
 }
 
+// TestPlanRejectsBadRequests pins each bad request's 400 and error code,
+// and that none of them builds a session: a fleet over maxFleetGPUs is
+// rejected before its cost model would index every GPU pair.
 func TestPlanRejectsBadRequests(t *testing.T) {
-	h := New(Config{}).Handler()
+	svc := New(Config{})
+	h := svc.Handler()
 	cases := []struct {
 		name, body, wantInError string
 		wantCode                ErrorCode
@@ -79,6 +83,7 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 		{"oversized body", `{"model": "` + strings.Repeat("x", 1<<20) + `"}`, "too large", CodeBadRequest},
 		{"conflicting fleet", `{"cluster": "V100", "classes": [{"gpu": "A100", "nodes": 2}]}`, "not both", CodeConflictingFields},
 		{"bad topology", `{"topology": {"oversub": 0.5}}`, "Oversubscription", CodeBadTopology},
+		{"oversized fleet", `{"gpus": 65536}`, "65536 GPUs", CodeBadCluster},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,6 +97,9 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 			}
 			if e.Err.Code != tc.wantCode {
 				t.Errorf("error code = %q, want %q", e.Err.Code, tc.wantCode)
+			}
+			if n := svc.sessions.Len(); n != 0 {
+				t.Errorf("%d sessions built, want none", n)
 			}
 		})
 	}
