@@ -132,7 +132,7 @@ func FasterMoEPlan(b *model.Built, shadowShare float64) (*ir.Graph, error) {
 		// by a copy of its own, and the rest stay shared.
 		cfg := b.Config
 		shadowWeights := 2 * int64(cfg.Hidden) * int64(cfg.FFNMult*cfg.Hidden) * cfg.DType.Size()
-		g = ir.Derive(b.Graph, 0, len(b.Graph.Instrs))
+		g = ir.Derive(b.Graph, 0, len(b.Graph.Instrs), nil)
 		for _, in := range b.Graph.Instrs {
 			switch {
 			case in.Op == ir.OpAllToAll:

@@ -27,8 +27,8 @@ type Graph struct {
 
 // tensorRefs is one tensor's entry in the dependency table: the
 // instruction producing it (-1 for graph inputs) and the last instruction
-// consuming it (-1 when none does). Every rewrite fills a fresh table, so
-// int32s keep an entry at 8 bytes.
+// consuming it (-1 when none does). Every rewrite fills a table of its
+// own, so int32s keep an entry at 8 bytes.
 type tensorRefs struct {
 	producer, lastUse int32
 }
@@ -40,18 +40,34 @@ func NewGraph() *Graph {
 
 // Derive starts a rewrite of g: a graph sharing g's tensors — a copy of
 // the pointer table, with room for extraTensors more — with room for
-// instrs instructions and none emitted yet.
-func Derive(g *Graph, extraTensors, instrs int) *Graph {
-	ng := &Graph{
-		Tensors: make([]*Tensor, len(g.Tensors), len(g.Tensors)+extraTensors),
-		Instrs:  make([]*Instr, 0, instrs),
-		refs:    make([]tensorRefs, len(g.Tensors), len(g.Tensors)+extraTensors),
+// instrs instructions and none emitted yet. The rewrite is into when into
+// is non-nil: Derive resets it, keeping each table's storage that has the
+// room and allocating exactly the room for one that has not, so a caller
+// can start a rewrite on a dead one's tables. A nil into allocates a new
+// graph.
+func Derive(g *Graph, extraTensors, instrs int, into *Graph) *Graph {
+	if into == nil {
+		into = new(Graph)
 	}
-	copy(ng.Tensors, g.Tensors)
-	for i := range ng.refs {
-		ng.refs[i] = tensorRefs{-1, -1}
+	nt := len(g.Tensors)
+	into.Tensors = reserve(into.Tensors, nt, nt+extraTensors)
+	into.Instrs = reserve(into.Instrs, 0, instrs)
+	into.refs = reserve(into.refs, nt, nt+extraTensors)
+	copy(into.Tensors, g.Tensors)
+	for i := range into.refs {
+		into.refs[i] = tensorRefs{-1, -1}
 	}
-	return ng
+	return into
+}
+
+// reserve returns s at length n with room for c entries: on s's own
+// storage when it has the room, on a new array of exactly c otherwise.
+// Entries are unspecified; Derive overwrites them.
+func reserve[T any](s []T, n, c int) []T {
+	if cap(s) < c {
+		return make([]T, n, c)
+	}
+	return s[:n]
 }
 
 // NewTensor creates and registers a tensor.
@@ -124,73 +140,6 @@ func (g *Graph) LastUse(id int) int {
 		return -1
 	}
 	return int(g.refs[id].lastUse)
-}
-
-// ReachableFrom returns the set (as a bitmap indexed by instruction ID) of
-// instructions transitively reachable from id, excluding id itself. It
-// builds successor lists from the operands' producers on each call, and is
-// the reference Descendants is tested against.
-func (g *Graph) ReachableFrom(id int) []bool {
-	succs := make([][]int, len(g.Instrs))
-	for i, in := range g.Instrs {
-		for _, x := range in.Ins {
-			if p := g.Producer(x); p >= 0 {
-				succs[p] = append(succs[p], i)
-			}
-		}
-	}
-	return g.walk(id, func(cur int, stack []int) []int {
-		return append(stack, succs[cur]...)
-	})
-}
-
-// ReachableTo returns the set of instructions from which id is transitively
-// reachable, excluding id itself: the reference for Ancestors. It walks
-// the operands' producers.
-func (g *Graph) ReachableTo(id int) []bool {
-	return g.walk(id, func(cur int, stack []int) []int {
-		for _, x := range g.Instrs[cur].Ins {
-			if p := g.Producer(x); p >= 0 {
-				stack = append(stack, p)
-			}
-		}
-		return stack
-	})
-}
-
-// walk is the depth-first search behind ReachableFrom and ReachableTo:
-// push appends an instruction's neighbours to the stack, and walk marks
-// every instruction it pops. id itself is marked only if a cycle leads
-// back to it.
-func (g *Graph) walk(id int, push func(cur int, stack []int) []int) []bool {
-	seen := make([]bool, len(g.Instrs))
-	stack := push(id, nil)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		stack = push(cur, stack)
-	}
-	return seen
-}
-
-// Independent reports whether no directed path exists between instructions a
-// and b in either direction — the paper's condition (Sec. 4.1) for a weight
-// gradient computation to overlap with an all-to-all. The passes test it
-// for many pairs at once with Descendants and Ancestors.
-func (g *Graph) Independent(a, b int) bool {
-	if a == b {
-		return false
-	}
-	from := g.ReachableFrom(a)
-	if from[b] {
-		return false
-	}
-	to := g.ReachableTo(a)
-	return !to[b]
 }
 
 // Validate checks the structural invariants: every consumed tensor exists,

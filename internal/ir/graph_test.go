@@ -124,9 +124,72 @@ func TestAdjacencyMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// reachableFrom returns the set (as a bitmap indexed by instruction ID)
+// of instructions transitively reachable from id, excluding id itself. It
+// builds successor lists from the operands' producers on each call, and is
+// the reference Descendants is tested against.
+func reachableFrom(g *Graph, id int) []bool {
+	succs := make([][]int, len(g.Instrs))
+	for i, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= 0 {
+				succs[p] = append(succs[p], i)
+			}
+		}
+	}
+	return walk(g, id, func(cur int, stack []int) []int {
+		return append(stack, succs[cur]...)
+	})
+}
+
+// reachableTo returns the set of instructions from which id is
+// transitively reachable, excluding id itself: the reference for
+// Ancestors. It walks the operands' producers.
+func reachableTo(g *Graph, id int) []bool {
+	return walk(g, id, func(cur int, stack []int) []int {
+		for _, x := range g.Instrs[cur].Ins {
+			if p := g.Producer(x); p >= 0 {
+				stack = append(stack, p)
+			}
+		}
+		return stack
+	})
+}
+
+// walk is the depth-first search behind reachableFrom and reachableTo:
+// push appends an instruction's neighbours to the stack, and walk marks
+// every instruction it pops. id itself is marked only if a cycle leads
+// back to it.
+func walk(g *Graph, id int, push func(cur int, stack []int) []int) []bool {
+	seen := make([]bool, len(g.Instrs))
+	stack := push(id, nil)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[cur] {
+			continue
+		}
+		seen[cur] = true
+		stack = push(cur, stack)
+	}
+	return seen
+}
+
+// independent reports whether no directed path joins instructions a and b
+// in either direction — the paper's condition (Sec. 4.1) for a weight
+// gradient computation to overlap with an all-to-all — by the reference
+// walks. The passes test it for many pairs at once with Descendants and
+// Ancestors.
+func independent(g *Graph, a, b int) bool {
+	if a == b {
+		return false
+	}
+	return !reachableFrom(g, a)[b] && !reachableTo(g, a)[b]
+}
+
 func TestReachability(t *testing.T) {
 	g, ins := buildDiamond(t)
-	from0 := g.ReachableFrom(ins[0])
+	from0 := reachableFrom(g, ins[0])
 	for _, id := range []int{ins[1], ins[2], ins[3]} {
 		if !from0[id] {
 			t.Errorf("@%d should be reachable from mm1", id)
@@ -135,7 +198,7 @@ func TestReachability(t *testing.T) {
 	if from0[ins[0]] {
 		t.Error("a node must not be reachable from itself in a DAG")
 	}
-	to3 := g.ReachableTo(ins[3])
+	to3 := reachableTo(g, ins[3])
 	for _, id := range []int{ins[0], ins[1], ins[2]} {
 		if !to3[id] {
 			t.Errorf("@%d should reach add", id)
@@ -146,13 +209,13 @@ func TestReachability(t *testing.T) {
 func TestIndependent(t *testing.T) {
 	g, ins := buildDiamond(t)
 	// gelu and mm2 are the two sides of the diamond: independent.
-	if !g.Independent(ins[1], ins[2]) {
+	if !independent(g, ins[1], ins[2]) {
 		t.Error("gelu and mm2 must be independent")
 	}
-	if g.Independent(ins[0], ins[3]) {
+	if independent(g, ins[0], ins[3]) {
 		t.Error("mm1 and add are ordered, not independent")
 	}
-	if g.Independent(ins[0], ins[0]) {
+	if independent(g, ins[0], ins[0]) {
 		t.Error("an instruction is not independent of itself")
 	}
 }
@@ -229,7 +292,7 @@ func TestReachMatchesReferenceProperty(t *testing.T) {
 		srcs = srcs[:min(len(srcs), 150)]
 		down, up := g.Descendants(srcs), g.Ancestors(srcs)
 		for j, s := range srcs {
-			from, to := g.ReachableFrom(s), g.ReachableTo(s)
+			from, to := reachableFrom(g, s), reachableTo(g, s)
 			for i := range g.Instrs {
 				if down.Has(i, j) != (from[i] || i == s) || up.Has(i, j) != (to[i] || i == s) {
 					return false
@@ -347,8 +410,10 @@ func TestAllToAlls(t *testing.T) {
 	}
 }
 
-// Property: on a randomly generated chain-with-branches DAG, Independent is
-// symmetric and mutually exclusive with reachability.
+// Property: on a randomly generated chain-with-branches DAG, independent
+// is symmetric and mutually exclusive with reachability, and the bitset
+// passes over every instruction agree with it: a pair is independent
+// exactly when neither one's Descendants or Ancestors row holds the other.
 func TestIndependentSymmetryProperty(t *testing.T) {
 	build := func(n int) *Graph {
 		g := NewGraph()
@@ -366,16 +431,21 @@ func TestIndependentSymmetryProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		n := 3 + int(seed)%12
 		g := build(n)
+		all := g.DefaultSchedule()
+		down, up := g.Descendants(all), g.Ancestors(all)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if a == b {
 					continue
 				}
-				if g.Independent(a, b) != g.Independent(b, a) {
+				if independent(g, a, b) != independent(g, b, a) {
 					return false
 				}
-				reach := g.ReachableFrom(a)[b] || g.ReachableTo(a)[b]
-				if reach == g.Independent(a, b) {
+				reach := reachableFrom(g, a)[b] || reachableTo(g, a)[b]
+				if reach == independent(g, a, b) {
+					return false
+				}
+				if (down.Has(b, a) || up.Has(b, a)) != reach {
 					return false
 				}
 			}

@@ -3,8 +3,9 @@ package ir
 // Reach relates every instruction to a list of source instructions by
 // directed paths, one bitset row of ⌈len(srcs)/64⌉ words per instruction.
 // Descendants and Ancestors build it in one pass over the dependency
-// table each, where ReachableFrom and ReachableTo, their reference, walk
-// the table depth-first once per source.
+// table each, where the depth-first walks their tests hold them to
+// (reachableFrom and reachableTo in graph_test.go) walk the table once
+// per source.
 type Reach struct {
 	words int
 	rows  []uint64

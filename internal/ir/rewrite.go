@@ -12,7 +12,7 @@ func ReorderedCopy(g *Graph, order []int) (*Graph, error) {
 	if err := g.ValidateSchedule(order); err != nil {
 		return nil, fmt.Errorf("ir: reorder: %w", err)
 	}
-	ng := Derive(g, 0, len(order))
+	ng := Derive(g, 0, len(order), nil)
 	for _, id := range order {
 		ng.Emit(g.Instrs[id])
 	}

@@ -91,7 +91,7 @@ func TestSharedExpertIndependentOfA2A(t *testing.T) {
 		}
 		for _, id := range sharedFwd {
 			for _, a2a := range []int{h.DispatchA2A, h.CombineA2A} {
-				if !g.Independent(id, a2a) {
+				if !independent(g, id, a2a) {
 					t.Errorf("layer %d: shared op @%d depends on a2a @%d", h.Layer, id, a2a)
 				}
 			}

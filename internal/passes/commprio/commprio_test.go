@@ -47,9 +47,9 @@ func TestRunMovesAllReducesBehindA2As(t *testing.T) {
 		if in.Op != ir.OpAllReduce {
 			continue
 		}
-		reach := g.ReachableFrom(id)
+		reach := g.Descendants([]int{id})
 		for _, a := range g.AllToAlls() {
-			if a > id && !reach[a] {
+			if a > id && !reach.Has(a, 0) {
 				arPos, aPos := pos[in], pos[g.Instr(a)]
 				if arPos < aPos {
 					t.Errorf("all-reduce %s still precedes the a2a %s it blocked",

@@ -16,7 +16,7 @@ import (
 func refLabel(g *ir.Graph, a2as, dws []int) [][]int {
 	out := make([][]int, len(a2as))
 	for j, a := range a2as {
-		from, to := g.ReachableFrom(a), g.ReachableTo(a)
+		from, to := refReach(g, a, true), refReach(g, a, false)
 		for _, w := range dws {
 			if !from[w] && !to[w] {
 				out[j] = append(out[j], w)
@@ -24,6 +24,43 @@ func refLabel(g *ir.Graph, a2as, dws []int) [][]int {
 		}
 	}
 	return out
+}
+
+// refReach walks the dependency table depth-first from instruction id and
+// returns what it reaches, id excluded: the instructions a path leads to
+// from id when down (through successor lists it builds from the operands'
+// producers), the ones a path leads from to id otherwise (through the
+// operands' producers).
+func refReach(g *ir.Graph, id int, down bool) []bool {
+	succs := make([][]int, len(g.Instrs))
+	for i, in := range g.Instrs {
+		for _, x := range in.Ins {
+			if p := g.Producer(x); p >= 0 {
+				if down {
+					succs[p] = append(succs[p], i)
+				} else {
+					succs[i] = append(succs[i], p)
+				}
+			}
+		}
+	}
+	seen := make([]bool, len(g.Instrs))
+	stack := append([]int(nil), succs[id]...)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !seen[cur] {
+			seen[cur] = true
+			stack = append(stack, succs[cur]...)
+		}
+	}
+	return seen
+}
+
+// refIndependent reports whether no path joins instructions a and b in
+// either direction (paper Sec. 4.1), by the reference walks.
+func refIndependent(g *ir.Graph, a, b int) bool {
+	return a != b && !refReach(g, a, true)[b] && !refReach(g, a, false)[b]
 }
 
 // dwFeedsA2A builds a program in which a weight gradient feeds an

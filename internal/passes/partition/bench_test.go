@@ -223,6 +223,24 @@ func BenchmarkPartitionPassGPT2L(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionPassRecycled measures the partition pass the way a
+// served plan miss runs it: Run on GPT2-L-MoE's dW-scheduled graph on
+// 32×A100, then Release, so every iteration after the first carves its
+// rewrite from the storage the one before released. Its allocs/op and
+// B/op floors in perf_floor.txt fail a return to per-plan slabs.
+func BenchmarkPartitionPassRecycled(b *testing.B) {
+	g, cm, opts := gpt2LFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(g, cm, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Release()
+	}
+}
+
 // BenchmarkRewrite measures the graph rewrite alone: Apply of the DP's
 // ranges for GPT2-L-MoE on 32×A100 to its dW-scheduled graph, planned with
 // the options a Lancet session uses. The rewritten graph shares the input's

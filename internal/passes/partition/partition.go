@@ -80,7 +80,8 @@ type Range struct {
 
 // Result reports the pass outcome.
 type Result struct {
-	// Graph is the rewritten program with pipelines materialized.
+	// Graph is the rewritten program with pipelines materialized. It is
+	// carved from storage the Result owns until Release, which clears it.
 	Graph *ir.Graph
 	// Ranges are the chosen pipelines.
 	Ranges []Range
@@ -92,6 +93,9 @@ type Result struct {
 	ForwardUs float64
 	// SerialForwardUs is the predicted unpartitioned forward time.
 	SerialForwardUs float64
+
+	// slabs is what Graph was carved from, until Release.
+	slabs *slabs
 }
 
 // choice records one DP decision: partition the groups (from, j] k ways (or
@@ -140,11 +144,9 @@ func Run(g *ir.Graph, cm *cost.Model, opts Options) (*Result, error) {
 		res.Ranges[l], res.Ranges[r] = res.Ranges[r], res.Ranges[l]
 	}
 
-	ng, err := Apply(g, res.Ranges, opts.GatePartialBatch)
-	if err != nil {
-		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
+	if err := res.rewrite(g, opts.GatePartialBatch); err != nil {
+		return nil, err
 	}
-	res.Graph = ng
 	return res, nil
 }
 

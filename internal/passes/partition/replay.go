@@ -64,10 +64,8 @@ func Replay(g *ir.Graph, cm *cost.Model, opts Options, fixed []Range) (*Result, 
 			Start: r.Start, End: r.End, K: k, PredictedUs: p, SerialUs: serial,
 		})
 	}
-	ng, err := Apply(g, res.Ranges, opts.GatePartialBatch)
-	if err != nil {
-		return nil, fmt.Errorf("partition: rewrite failed: %w", err)
+	if err := res.rewrite(g, opts.GatePartialBatch); err != nil {
+		return nil, err
 	}
-	res.Graph = ng
 	return res, nil
 }

@@ -22,7 +22,8 @@ import (
 // The validation pass sizes the rewrite exactly, so everything new is
 // carved from one slab per kind the rewritten graph owns: piece tensors,
 // their shapes, instructions, operand lists, and one string every new
-// name slices.
+// name slices. Apply allocates them fresh and the graph keeps them for
+// good; Run and Replay carve from released storage (Result.Release).
 // Apply solves each range's partition axes itself (solveAxes, with gates
 // routing partial batches when gatePartial), once when the validation
 // pass sizes the range and once when its pipeline is emitted; a range
@@ -33,13 +34,44 @@ import (
 func Apply(g *ir.Graph, ranges []Range, gatePartial bool) (*ir.Graph, error) {
 	rw := getRewriter(g)
 	defer putRewriter(rw)
-	return rw.apply(ranges, gatePartial)
+	return rw.apply(ranges, gatePartial, new(slabs))
+}
+
+// rewrite applies res.Ranges to g, carving the rewritten graph from
+// released slabs when there are any and from new ones otherwise, and makes
+// res the owner of the graph and its slabs.
+func (res *Result) rewrite(g *ir.Graph, gatePartial bool) error {
+	s, _ := slabPool.Get().(*slabs)
+	if s == nil {
+		s = new(slabs)
+	}
+	rw := getRewriter(g)
+	defer putRewriter(rw)
+	ng, err := rw.apply(res.Ranges, gatePartial, s)
+	if err != nil {
+		return fmt.Errorf("partition: rewrite failed: %w", err)
+	}
+	res.Graph, res.slabs = ng, s
+	return nil
+}
+
+// Release hands the storage res.Graph was carved from to the next Run or
+// Replay, which carves its rewrite from it, and clears res.Graph. The
+// caller must hold the graph's last use: after Release nothing may read
+// the graph, or any instruction, tensor or operand list of it. A second
+// call does nothing.
+func (res *Result) Release() {
+	if res.slabs == nil {
+		return
+	}
+	slabPool.Put(res.slabs)
+	res.Graph, res.slabs = nil, nil
 }
 
 // apply is Apply on a borrowed rewriter: the validation pass checks,
-// solves and sizes every range, carve allocates the slabs, and the
+// solves and sizes every range, carve cuts the slabs from s, and the
 // emission pass fills them.
-func (rw *rewriter) apply(ranges []Range, gatePartial bool) (*ir.Graph, error) {
+func (rw *rewriter) apply(ranges []Range, gatePartial bool, s *slabs) (*ir.Graph, error) {
 	g := rw.g
 	rw.byStart = rw.byStart[:0]
 	for i := range ranges {
@@ -67,7 +99,7 @@ func (rw *rewriter) apply(ranges []Range, gatePartial bool) (*ir.Graph, error) {
 		rw.count(r)
 	}
 
-	rw.carve(kept)
+	rw.carve(kept, s)
 	ng := rw.ng
 	pos := 0
 	for _, i := range rw.byStart {
@@ -114,13 +146,11 @@ type rewriter struct {
 	stOff []int
 
 	// n totals the new objects of every range, counted by the validation
-	// pass; carve allocates the slabs to exactly that size.
+	// pass; carve cuts the slabs to exactly that size.
 	n rewriteSize
 
 	// The slabs and the next free entry of each.
-	tensors        []ir.Tensor
-	shapes, ops    []int
-	instrs         []ir.Instr
+	*slabs
 	nt, ns, no, ni int
 
 	// names holds every new name, in the order they are built; pieceNames
@@ -130,6 +160,24 @@ type rewriter struct {
 	pieceNames []nameSpan
 	opNames    []nameSpan
 }
+
+// slabs is what one rewritten graph is carved from: the graph, whose
+// Tensors, Instrs and dependency tables ir.Derive fills, and one slab per
+// kind of new object: piece tensors, their shape ints, instructions and
+// operand ints. A Result from Run or Replay owns its graph's slabs until
+// Release puts them in slabPool, and the next Run or Replay carves from
+// them, growing what is too small; Apply's graphs keep theirs for good.
+// The names string is no part of it: every rewrite allocates its own.
+type slabs struct {
+	graph   ir.Graph
+	tensors []ir.Tensor
+	shapes  []int
+	instrs  []ir.Instr
+	ops     []int
+}
+
+// slabPool holds released slabs; only Result.Release puts to it.
+var slabPool sync.Pool
 
 // rewriteSize counts what one rewrite adds: piece tensors, their shape
 // ints, instructions (split and reconstruct ops among them), operand ints
@@ -167,10 +215,9 @@ func getRewriter(g *ir.Graph) *rewriter {
 }
 
 // putRewriter returns rw to the pool without the graphs it worked on or
-// the slabs it carved for the rewritten one.
+// the slabs it carved the rewritten one from.
 func putRewriter(rw *rewriter) {
-	rw.g, rw.ng = nil, nil
-	rw.tensors, rw.shapes, rw.ops, rw.instrs = nil, nil, nil, nil
+	rw.g, rw.ng, rw.slabs = nil, nil, nil
 	rewriterPool.Put(rw)
 }
 
@@ -237,15 +284,19 @@ func indexDigits(k int) int {
 	return n
 }
 
-// carve starts the rewritten graph with room for the kept instructions
-// and everything count added, and allocates the slabs it is carved from.
-func (rw *rewriter) carve(kept int) {
+// carve starts the rewritten graph on s with room for the kept
+// instructions and everything count added, and cuts the slabs to that
+// size, on s's storage where it has the room and on new arrays where it
+// has not. The emission pass overwrites every entry it carves, so
+// nothing of the graph s last held shows through.
+func (rw *rewriter) carve(kept int, s *slabs) {
 	n := rw.n
-	rw.ng = ir.Derive(rw.g, n.tensors, kept+n.instrs)
-	rw.tensors = make([]ir.Tensor, n.tensors)
-	rw.shapes = make([]int, n.shapeInts)
-	rw.instrs = make([]ir.Instr, n.instrs)
-	rw.ops = make([]int, n.operands)
+	rw.ng = ir.Derive(rw.g, n.tensors, kept+n.instrs, &s.graph)
+	s.tensors = grow(s.tensors, n.tensors)
+	s.shapes = grow(s.shapes, n.shapeInts)
+	s.instrs = grow(s.instrs, n.instrs)
+	s.ops = grow(s.ops, n.operands)
+	rw.slabs = s
 	rw.nt, rw.ns, rw.ni, rw.no = 0, 0, 0, 0
 	rw.names = slices.Grow(rw.names[:0], n.nameBytes)
 	rw.pieceNames = slices.Grow(rw.pieceNames[:0], n.tensors)

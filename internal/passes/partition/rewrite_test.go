@@ -33,7 +33,7 @@ func refApply(g *ir.Graph, ranges []Range, gatePartial bool) (*ir.Graph, error) 
 		}
 		prevEnd = r.End
 	}
-	ng := ir.Derive(g, 0, 0)
+	ng := ir.Derive(g, 0, 0, nil)
 	pos := 0
 	for _, i := range byStart {
 		r := &ranges[i]
@@ -241,7 +241,7 @@ func TestRewriteSizedExactly(t *testing.T) {
 		cm := cost.NewModel(b.Cluster)
 		for cname, c := range rewriteCases(t, b, cm) {
 			rw := getRewriter(b.Graph)
-			ng, err := rw.apply(c.ranges, c.gatePartial)
+			ng, err := rw.apply(c.ranges, c.gatePartial, new(slabs))
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, cname, err)
 			}
@@ -312,6 +312,75 @@ func TestApplyAllocatesPerRewrite(t *testing.T) {
 		if all > rewriteAllocs || all != one {
 			t.Errorf("%s: Apply of %d ranges allocates %v objects, of one %v; want %d for both",
 				c.name, len(res.Ranges), all, one, rewriteAllocs)
+		}
+	}
+}
+
+// sameArray reports whether a and b share their backing array.
+func sameArray[T any](a, b []T) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][0] == &b[:cap(b)][0]
+}
+
+// A released Result's storage is what the next Run carves from. On GPT2-S
+// and GPT2-L, a Run after a Release lays its graph on the released
+// graph's tables and slabs, and a rewrite on released storage allocates
+// one object, its names string, where one on fresh storage allocates
+// rewriteAllocs. sync.Pool drops puts at random under the race detector,
+// so the reuse is checked outside it only.
+func TestRunRecyclesReleasedStorage(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	built, scm := benchFixture(t)
+	lg, lcm, lopts := gpt2LFixture(t)
+	for _, c := range []struct {
+		name string
+		g    *ir.Graph
+		cm   *cost.Model
+		opts Options
+	}{
+		{"GPT2-S", built.Graph, scm, Options{GatePartialBatch: true}},
+		{"GPT2-L", lg, lcm, lopts},
+	} {
+		run := func() *Result {
+			res, err := Run(c.g, c.cm, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for slabPool.Get() != nil {
+		}
+		first := run()
+		if len(first.Ranges) == 0 {
+			t.Fatalf("%s: the DP chose no pipelines", c.name)
+		}
+		s, g := first.slabs, *first.Graph
+		tensors, shapes, instrs, ops := s.tensors, s.shapes, s.instrs, s.ops
+		first.Release()
+		if first.Graph != nil || first.slabs != nil {
+			t.Errorf("%s: Release kept the graph or its slabs", c.name)
+		}
+		first.Release()
+		second := run()
+		if second.slabs != s || !sameArray(second.Graph.Tensors, g.Tensors) || !sameArray(second.Graph.Instrs, g.Instrs) ||
+			!sameArray(s.tensors, tensors) || !sameArray(s.shapes, shapes) || !sameArray(s.instrs, instrs) || !sameArray(s.ops, ops) {
+			t.Errorf("%s: the Run after a Release did not carve from the released storage", c.name)
+		}
+		if extra := run(); extra.slabs == s {
+			t.Errorf("%s: a second Release handed the storage out twice", c.name)
+		}
+		second.Release()
+
+		recycled := testing.AllocsPerRun(10, func() {
+			res := Result{Ranges: second.Ranges}
+			if err := res.rewrite(c.g, c.opts.GatePartialBatch); err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+		})
+		if recycled != 1 {
+			t.Errorf("%s: a rewrite on released storage allocates %v objects; want 1, its names string", c.name, recycled)
 		}
 	}
 }

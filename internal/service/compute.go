@@ -96,6 +96,10 @@ type WhatIfResult struct {
 // non-empty lostNodes adds the node-loss what-if (Session.NodeLoss) to the
 // result. The result is deterministic in (session configuration, fw, seed,
 // opts, lostNodes).
+//
+// Compute is the last use of the plans it makes: once it has read their
+// numbers it releases them, so the next plan miss carves its rewrite from
+// their storage (DESIGN.md §9). A Result keeps nothing of a plan's graph.
 func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options, lostNodes ...int) (Result, error) {
 	res := Result{Framework: fw}
 	var plan *lancet.Plan
@@ -108,6 +112,7 @@ func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options, l
 	if err != nil {
 		return res, err
 	}
+	defer plan.Release()
 	res.Name = plan.Name
 	if fw == lancet.FrameworkLancet {
 		res.Pipelines = plan.Pipelines
@@ -151,6 +156,8 @@ func Compute(sess *lancet.Session, fw string, seed int64, opts lancet.Options, l
 		if err != nil {
 			return res, err
 		}
+		rep.Degraded.Release()
+		rep.Replanned.Release()
 		res.WhatIf = &WhatIfResult{
 			LostNodes:           rep.LostNodes,
 			LostGPUs:            rep.LostGPUs,

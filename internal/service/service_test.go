@@ -671,6 +671,55 @@ func TestComputeDeterministic(t *testing.T) {
 	}
 }
 
+// Compute releases the plans it makes and nothing else: after a stream of
+// released Lancet plans on the same session, a second Compute of a
+// DisablePartition plan (the session's dW-scheduled graph), of the Tutel
+// (the session's kept search winner), FasterMoE and DeepSpeed baselines,
+// and of Lancet plans with and without a node-loss what-if returns the
+// bytes the first one did.
+func TestComputeReleasesOnlyItsPlans(t *testing.T) {
+	sess, err := lancet.NewSession(lancet.GPT2SMoE(0), lancet.MustCluster("V100", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		fw   string
+		opts lancet.Options
+		lost []int
+	}{
+		{lancet.FrameworkLancet, lancet.Options{DisablePartition: true}, nil},
+		{lancet.FrameworkTutel, lancet.Options{}, nil},
+		{lancet.FrameworkFasterMoE, lancet.Options{}, nil},
+		{lancet.FrameworkDeepSpeed, lancet.Options{}, nil},
+		{lancet.FrameworkLancet, lancet.Options{}, nil},
+		{lancet.FrameworkLancet, lancet.Options{MaxPartitions: 4}, []int{1}},
+	}
+	compute := func(fw string, opts lancet.Options, lost []int) []byte {
+		t.Helper()
+		res, err := Compute(sess, fw, 5, opts, lost...)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", fw, opts, err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := make([][]byte, len(cases))
+	for i, c := range cases {
+		first[i] = compute(c.fw, c.opts, c.lost)
+	}
+	for _, rho := range []int{2, 8, 4, 2} {
+		compute(lancet.FrameworkLancet, lancet.Options{MaxPartitions: rho}, nil)
+	}
+	for i, c := range cases {
+		if again := compute(c.fw, c.opts, c.lost); !bytes.Equal(again, first[i]) {
+			t.Errorf("%s %+v: second Compute differs:\n%s\n%s", c.fw, c.opts, first[i], again)
+		}
+	}
+}
+
 func TestTopologyRejectsBadSpecs(t *testing.T) {
 	h := New(Config{}).Handler()
 	cases := []struct {

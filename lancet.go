@@ -24,6 +24,7 @@
 package lancet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -463,6 +464,28 @@ type Plan struct {
 	// derived once, on first use, from the workload the plan was planned
 	// for (DESIGN.md §13). Nil for baselines, which send padded buffers.
 	irregular func() (a2aOverrides, error)
+	// part is the partition pass's result Graph was carved from, which
+	// Release hands back; nil when a session or a baseline owns Graph.
+	part *partition.Result
+}
+
+// errReleased is what a released plan's simulations return.
+var errReleased = errors.New("lancet: plan released")
+
+// Release gives the storage of a Lancet plan's rewritten graph back to the
+// partition pass, which carves the next plan's rewrite from it, and clears
+// Graph (DESIGN.md §7). The caller must hold the plan's last use: nothing
+// may read Graph, or an instruction or tensor of it, afterwards, and
+// PredictUs, Simulate, SimulateN and ChromeTrace return an error. The
+// plan's numbers and Pipelines stay readable. A plan whose graph a session
+// or a baseline owns (DisablePartition, Tutel, FasterMoE, DeepSpeed, RAF)
+// ignores the call, and so does a released plan.
+func (p *Plan) Release() {
+	if p.part == nil {
+		return
+	}
+	p.part.Release()
+	p.part, p.Graph, p.irregular = nil, nil, nil
 }
 
 // a2aOverrides are the per-instruction all-to-all payloads and durations a
@@ -556,7 +579,8 @@ func (s *Session) routingContext(wp *routingProfile) (*netsim.RoutingProfile, fl
 
 // Lancet runs both optimization passes and returns the optimized plan. The
 // plan keeps the workload installed when it is planned: a later
-// SetWorkloadProfile changes none of its outputs.
+// SetWorkloadProfile changes none of its outputs. A plan with a rewritten
+// graph owns that graph's storage until Release.
 func (s *Session) Lancet(opts Options) (*Plan, error) {
 	start := time.Now()
 	plan := &Plan{Name: "Lancet", Framework: FrameworkLancet, costs: s.derived.costs}
@@ -629,7 +653,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 				return nil, fmt.Errorf("lancet: partition pass: %w", err)
 			}
 			if popts.MaxPartitions <= 2 || s.partitionFits(res) {
-				g = res.Graph
+				g, plan.part = res.Graph, res
 				plan.Pipelines = plan.Pipelines[:0]
 				for _, r := range res.Ranges {
 					plan.Pipelines = append(plan.Pipelines, PipelineHint{Start: r.Start, End: r.End, K: r.K})
@@ -639,6 +663,7 @@ func (s *Session) Lancet(opts Options) (*Plan, error) {
 				break
 			}
 			plan.DPEvaluations += res.Evaluations
+			res.Release()
 			popts.MaxPartitions /= 2
 		}
 	}
@@ -875,6 +900,9 @@ func (p *Plan) PredictUs() (float64, error) {
 	if p.predictedUs != nil {
 		return *p.predictedUs, nil
 	}
+	if p.Graph == nil {
+		return 0, errReleased
+	}
 	ex := &sim.Executor{Cost: p.costs, Predict: true}
 	if p.irregular != nil {
 		ov, err := p.irregular()
@@ -992,6 +1020,9 @@ func (p *Plan) ChromeTrace(seed int64) ([]byte, error) {
 // drift and, for Lancet plans, the irregular all-to-all byte and duration
 // overrides.
 func (p *Plan) executor(seed int64) (sim.Executor, error) {
+	if p.Graph == nil {
+		return sim.Executor{}, errReleased
+	}
 	ex := sim.Executor{Cost: p.costs, JitterPct: 0.02, SystematicPct: 0.04, Seed: seed}
 	if p.irregular != nil {
 		ov, err := p.irregular()

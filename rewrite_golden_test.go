@@ -90,6 +90,57 @@ func graphHash(g *ir.Graph) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// rewrittenGraphGoldens is the SHA-256 of each plan-cold shape's Lancet,
+// Tutel and FasterMoE graphs, dumped in that order (see
+// TestRewrittenGraphsGolden).
+var rewrittenGraphGoldens = map[goldenShape]string{
+	{"gpt2-s", "v100x16", "uniform"}:          "7f3f6475132d0b877585a12ceaeca922563f745c33b8fd3ea083302dd43ebab0",
+	{"gpt2-s", "v100x16", "zipf1.2"}:          "7f3f6475132d0b877585a12ceaeca922563f745c33b8fd3ea083302dd43ebab0",
+	{"gpt2-s", "v100x16", "hot0.3"}:           "f9e536a77a7439c8040f24786edd159636896f0d013fb1076f72f8f22e3e8075",
+	{"gpt2-s", "a100x32", "uniform"}:          "3452566bc5aa76a7a08bf1b438e63f41e58823de56c25eae326e69ac33b11695",
+	{"gpt2-s", "a100x32", "zipf1.2"}:          "d466fdb6475336c3e001448cca29d229b265e3ee09bbd8f00248181468685770",
+	{"gpt2-s", "a100x32", "hot0.3"}:           "fe6c2352f002167a02c236b1b606f3e4efcbf03752190a558034e5df4472c35a",
+	{"gpt2-s", "v100x64", "uniform"}:          "db585a05a963de3271712c4ebf0ec7a6cdf8c95c102f2ced51b9e3ab4140f68e",
+	{"gpt2-s", "v100x64", "zipf1.2"}:          "cf929ddea660e8adb5ed86fa0019371330b7126e5299be310589b025f9255092",
+	{"gpt2-s", "v100x64", "hot0.3"}:           "a2ecd510588fba1875b28356c3bf115a5b726debce23330a101c24d86055fb4c",
+	{"gpt2-s", "2a100+2v100", "uniform"}:      "5984a82421ec8987045ecc4520553ce147747aa3652e0df9eed11a0ee5128451",
+	{"gpt2-s", "2a100+2v100", "zipf1.2"}:      "ba21acece670481e19b5732e4f5851cf5e61a46e309b1d7ca182fda313048e96",
+	{"gpt2-s", "2a100+2v100", "hot0.3"}:       "2cd5e92c4c02771982c45039919e7b6a2c9aab751b38f9aa1e02aadc241c5031",
+	{"gpt2-s", "v100x32-oversub4", "uniform"}: "b1ca17e3740b7abb9ac3b65bf8e9d3200cba0c3f286a3c2941dfd5ebcfd50a41",
+	{"gpt2-s", "v100x32-oversub4", "zipf1.2"}: "0f75ae5d119645bfebe89d0bfc3fc06531978fa42d1c72b57cb81ef4c9620cc8",
+	{"gpt2-s", "v100x32-oversub4", "hot0.3"}:  "cf446985214ed267c2dbeefa85020a950f22bc5d80c2c0d345db2c7d7029bfb0",
+	{"gpt2-l", "v100x16", "uniform"}:          "8f61d37a4de0c999491e419ace42dd3078408248829afd77cfeeaf36a49fd4c4",
+	{"gpt2-l", "v100x16", "zipf1.2"}:          "8f61d37a4de0c999491e419ace42dd3078408248829afd77cfeeaf36a49fd4c4",
+	{"gpt2-l", "v100x16", "hot0.3"}:           "8d54a280ad7df988a8f6b12971c127cd150d2b58386bfea39ca4059423c5b851",
+	{"gpt2-l", "a100x32", "uniform"}:          "7f93732730f422bdbae404f07e7fc4e8e42d25c563aa412562fd011ee5f3aacf",
+	{"gpt2-l", "a100x32", "zipf1.2"}:          "b668d1c938f453e917a9bd56c545cf1e1a492320466d2898ccba5321e7a79dec",
+	{"gpt2-l", "a100x32", "hot0.3"}:           "c893f543c4143910b3bbafd6fdb3bfe18e2fda8fb6ae3fae7f13af9bd25a7099",
+	{"gpt2-l", "v100x64", "uniform"}:          "d5febf714f36d17c71f4e0dc5f6a0a6dd6620a4c0d4b4bfcd20a7fb3494af1a1",
+	{"gpt2-l", "v100x64", "zipf1.2"}:          "e3d4c493cf133efeb4fa6730b1066cec08b1de280a73345cc79731f7e92787ce",
+	{"gpt2-l", "v100x64", "hot0.3"}:           "f945fb10d27ef0d32b1ae13a53d998c8b8a97dc27fa72319988277f8d1078bb8",
+	{"gpt2-l", "2a100+2v100", "uniform"}:      "9b6f20fb20907c3f4afb5601b0b9e4eb012e90fbe479dec340fdbeb1d0448d5b",
+	{"gpt2-l", "2a100+2v100", "zipf1.2"}:      "c49594f7ab3c5f15777d3de605fd192e453cdc23e5a32f93f4628593c1359c44",
+	{"gpt2-l", "2a100+2v100", "hot0.3"}:       "8cebab77c6895b740661ebee77c0888dafc7afbc4d8660162a2b034ae5d76eb5",
+	{"gpt2-l", "v100x32-oversub4", "uniform"}: "860f6562e196e85bea7af9cf267303fb298ed9f7a6d2213c2362dc64c66ae295",
+	{"gpt2-l", "v100x32-oversub4", "zipf1.2"}: "acb642632d114ab912463931fcbfca2c35a641785bb7ee6b97de056a946f20c3",
+	{"gpt2-l", "v100x32-oversub4", "hot0.3"}:  "ca4b3112a02195348589718c848dc08a1df17a0c6a9a7e3818f2ac02427fdafe",
+	{"vit-s", "v100x16", "uniform"}:           "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
+	{"vit-s", "v100x16", "zipf1.2"}:           "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
+	{"vit-s", "v100x16", "hot0.3"}:            "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
+	{"vit-s", "a100x32", "uniform"}:           "5e31172220502d630e3a15bd29550ca5701a8e4be4c4c3de05a44a28ab69f6d6",
+	{"vit-s", "a100x32", "zipf1.2"}:           "e9a7e6eb9dcb24c998a732c0926c51de1f4eeb077d89c99ac5833fc6798b4941",
+	{"vit-s", "a100x32", "hot0.3"}:            "b51df2c7a934f73eb524b5261b119740fe913c7a00c23020c7b0f9c58aa2c38c",
+	{"vit-s", "v100x64", "uniform"}:           "c5df6c1982bd5d67b91d7066e5eb21dc37d569776e8b40add66d901b9f799c97",
+	{"vit-s", "v100x64", "zipf1.2"}:           "0484418fe928bb3a259ec67c0015a0d97e1e77c3bdea182fc92a6edba80b3dd4",
+	{"vit-s", "v100x64", "hot0.3"}:            "3e79b315cef1efe0f600b613687235d8d12b10efdfcaa2a2e6910088d32e90bc",
+	{"vit-s", "2a100+2v100", "uniform"}:       "ac15da3862be841bbd6a6e853506c2eecb030127709543a8a313fe853c5728f6",
+	{"vit-s", "2a100+2v100", "zipf1.2"}:       "06546490acc4642f0820f37ccd5d05bf7b9241c0f212c65c71b758e9fe7af361",
+	{"vit-s", "2a100+2v100", "hot0.3"}:        "291ca2509f3bd9ccd286e23413e8eeab527139315bdebb38321e1723565e578c",
+	{"vit-s", "v100x32-oversub4", "uniform"}:  "f294dde2a552d45743eec5da6f8f22f39758d0caef6ae492eac2021c1ce96766",
+	{"vit-s", "v100x32-oversub4", "zipf1.2"}:  "3619e280b383ff709974598d992f84775c88c36f7d61477322c287912c0b4e36",
+	{"vit-s", "v100x32-oversub4", "hot0.3"}:   "ef183eb0167e04da5c7278d69f08db31e92ed372e9e3dadaa76f1ce7edf37c96",
+}
+
 // TestRewrittenGraphsGolden pins the graphs the three rewriting planners
 // produce — Lancet (dW reorder, then the partition pipelines), Tutel (the
 // degree search's winner) and FasterMoE (payload edits on a copy, then a
@@ -98,53 +149,7 @@ func graphHash(g *ir.Graph) string {
 // dump identically after planning, so a rewrite that writes through a
 // tensor or operand slice it shares with its input fails here.
 func TestRewrittenGraphsGolden(t *testing.T) {
-	golden := map[goldenShape]string{
-		{"gpt2-s", "v100x16", "uniform"}:          "7f3f6475132d0b877585a12ceaeca922563f745c33b8fd3ea083302dd43ebab0",
-		{"gpt2-s", "v100x16", "zipf1.2"}:          "7f3f6475132d0b877585a12ceaeca922563f745c33b8fd3ea083302dd43ebab0",
-		{"gpt2-s", "v100x16", "hot0.3"}:           "f9e536a77a7439c8040f24786edd159636896f0d013fb1076f72f8f22e3e8075",
-		{"gpt2-s", "a100x32", "uniform"}:          "3452566bc5aa76a7a08bf1b438e63f41e58823de56c25eae326e69ac33b11695",
-		{"gpt2-s", "a100x32", "zipf1.2"}:          "d466fdb6475336c3e001448cca29d229b265e3ee09bbd8f00248181468685770",
-		{"gpt2-s", "a100x32", "hot0.3"}:           "fe6c2352f002167a02c236b1b606f3e4efcbf03752190a558034e5df4472c35a",
-		{"gpt2-s", "v100x64", "uniform"}:          "db585a05a963de3271712c4ebf0ec7a6cdf8c95c102f2ced51b9e3ab4140f68e",
-		{"gpt2-s", "v100x64", "zipf1.2"}:          "cf929ddea660e8adb5ed86fa0019371330b7126e5299be310589b025f9255092",
-		{"gpt2-s", "v100x64", "hot0.3"}:           "a2ecd510588fba1875b28356c3bf115a5b726debce23330a101c24d86055fb4c",
-		{"gpt2-s", "2a100+2v100", "uniform"}:      "5984a82421ec8987045ecc4520553ce147747aa3652e0df9eed11a0ee5128451",
-		{"gpt2-s", "2a100+2v100", "zipf1.2"}:      "ba21acece670481e19b5732e4f5851cf5e61a46e309b1d7ca182fda313048e96",
-		{"gpt2-s", "2a100+2v100", "hot0.3"}:       "2cd5e92c4c02771982c45039919e7b6a2c9aab751b38f9aa1e02aadc241c5031",
-		{"gpt2-s", "v100x32-oversub4", "uniform"}: "b1ca17e3740b7abb9ac3b65bf8e9d3200cba0c3f286a3c2941dfd5ebcfd50a41",
-		{"gpt2-s", "v100x32-oversub4", "zipf1.2"}: "0f75ae5d119645bfebe89d0bfc3fc06531978fa42d1c72b57cb81ef4c9620cc8",
-		{"gpt2-s", "v100x32-oversub4", "hot0.3"}:  "cf446985214ed267c2dbeefa85020a950f22bc5d80c2c0d345db2c7d7029bfb0",
-		{"gpt2-l", "v100x16", "uniform"}:          "8f61d37a4de0c999491e419ace42dd3078408248829afd77cfeeaf36a49fd4c4",
-		{"gpt2-l", "v100x16", "zipf1.2"}:          "8f61d37a4de0c999491e419ace42dd3078408248829afd77cfeeaf36a49fd4c4",
-		{"gpt2-l", "v100x16", "hot0.3"}:           "8d54a280ad7df988a8f6b12971c127cd150d2b58386bfea39ca4059423c5b851",
-		{"gpt2-l", "a100x32", "uniform"}:          "7f93732730f422bdbae404f07e7fc4e8e42d25c563aa412562fd011ee5f3aacf",
-		{"gpt2-l", "a100x32", "zipf1.2"}:          "b668d1c938f453e917a9bd56c545cf1e1a492320466d2898ccba5321e7a79dec",
-		{"gpt2-l", "a100x32", "hot0.3"}:           "c893f543c4143910b3bbafd6fdb3bfe18e2fda8fb6ae3fae7f13af9bd25a7099",
-		{"gpt2-l", "v100x64", "uniform"}:          "d5febf714f36d17c71f4e0dc5f6a0a6dd6620a4c0d4b4bfcd20a7fb3494af1a1",
-		{"gpt2-l", "v100x64", "zipf1.2"}:          "e3d4c493cf133efeb4fa6730b1066cec08b1de280a73345cc79731f7e92787ce",
-		{"gpt2-l", "v100x64", "hot0.3"}:           "f945fb10d27ef0d32b1ae13a53d998c8b8a97dc27fa72319988277f8d1078bb8",
-		{"gpt2-l", "2a100+2v100", "uniform"}:      "9b6f20fb20907c3f4afb5601b0b9e4eb012e90fbe479dec340fdbeb1d0448d5b",
-		{"gpt2-l", "2a100+2v100", "zipf1.2"}:      "c49594f7ab3c5f15777d3de605fd192e453cdc23e5a32f93f4628593c1359c44",
-		{"gpt2-l", "2a100+2v100", "hot0.3"}:       "8cebab77c6895b740661ebee77c0888dafc7afbc4d8660162a2b034ae5d76eb5",
-		{"gpt2-l", "v100x32-oversub4", "uniform"}: "860f6562e196e85bea7af9cf267303fb298ed9f7a6d2213c2362dc64c66ae295",
-		{"gpt2-l", "v100x32-oversub4", "zipf1.2"}: "acb642632d114ab912463931fcbfca2c35a641785bb7ee6b97de056a946f20c3",
-		{"gpt2-l", "v100x32-oversub4", "hot0.3"}:  "ca4b3112a02195348589718c848dc08a1df17a0c6a9a7e3818f2ac02427fdafe",
-		{"vit-s", "v100x16", "uniform"}:           "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
-		{"vit-s", "v100x16", "zipf1.2"}:           "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
-		{"vit-s", "v100x16", "hot0.3"}:            "60ddca71fc9067ff3515d81a3fee3e27adcf087bf0dce43109bb882d880b4ff7",
-		{"vit-s", "a100x32", "uniform"}:           "5e31172220502d630e3a15bd29550ca5701a8e4be4c4c3de05a44a28ab69f6d6",
-		{"vit-s", "a100x32", "zipf1.2"}:           "e9a7e6eb9dcb24c998a732c0926c51de1f4eeb077d89c99ac5833fc6798b4941",
-		{"vit-s", "a100x32", "hot0.3"}:            "b51df2c7a934f73eb524b5261b119740fe913c7a00c23020c7b0f9c58aa2c38c",
-		{"vit-s", "v100x64", "uniform"}:           "c5df6c1982bd5d67b91d7066e5eb21dc37d569776e8b40add66d901b9f799c97",
-		{"vit-s", "v100x64", "zipf1.2"}:           "0484418fe928bb3a259ec67c0015a0d97e1e77c3bdea182fc92a6edba80b3dd4",
-		{"vit-s", "v100x64", "hot0.3"}:            "3e79b315cef1efe0f600b613687235d8d12b10efdfcaa2a2e6910088d32e90bc",
-		{"vit-s", "2a100+2v100", "uniform"}:       "ac15da3862be841bbd6a6e853506c2eecb030127709543a8a313fe853c5728f6",
-		{"vit-s", "2a100+2v100", "zipf1.2"}:       "06546490acc4642f0820f37ccd5d05bf7b9241c0f212c65c71b758e9fe7af361",
-		{"vit-s", "2a100+2v100", "hot0.3"}:        "291ca2509f3bd9ccd286e23413e8eeab527139315bdebb38321e1723565e578c",
-		{"vit-s", "v100x32-oversub4", "uniform"}:  "f294dde2a552d45743eec5da6f8f22f39758d0caef6ae492eac2021c1ce96766",
-		{"vit-s", "v100x32-oversub4", "zipf1.2"}:  "3619e280b383ff709974598d992f84775c88c36f7d61477322c287912c0b4e36",
-		{"vit-s", "v100x32-oversub4", "hot0.3"}:   "ef183eb0167e04da5c7278d69f08db31e92ed372e9e3dadaa76f1ce7edf37c96",
-	}
+	golden := rewrittenGraphGoldens
 	models := []string{"gpt2-s", "gpt2-l", "vit-s"}
 	fleets := []string{"v100x16", "a100x32", "v100x64", "2a100+2v100", "v100x32-oversub4"}
 	routings := []string{"uniform", "zipf1.2", "hot0.3"}
